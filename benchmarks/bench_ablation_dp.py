@@ -1,4 +1,4 @@
-"""Ablation: general element-level DP vs the reduced-state DP.
+"""Ablation: explicit element-level DP vs the reduced-state DP.
 
 DESIGN.md calls out the reduced-state collapse (per-dimension ``(level,
 index == 0)`` states) as the implementation choice that makes the paper's
@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.element import CubeShape
 from repro.core.population import QueryPopulation
-from repro.core.select_basis import select_minimum_cost_basis
+from repro.core.select_basis import _select_explicit
 from repro.core.select_fast import select_minimum_cost_basis_fast
 
 
@@ -29,9 +29,11 @@ def setting():
 
 def test_general_dp(benchmark, setting):
     shape, population = setting
-    selection = benchmark(select_minimum_cost_basis, shape, population)
+    # The public entry point would dispatch this view population to the
+    # reduced DP; the ablation times the explicit recursion it replaced.
+    selection = benchmark(_select_explicit, shape, population)
     fast = select_minimum_cost_basis_fast(shape, population)
-    assert selection.cost == pytest.approx(fast.cost)
+    assert selection.cost == fast.cost
 
 
 def test_reduced_dp(benchmark, setting):

@@ -45,21 +45,45 @@ class AccessTracker:
     Each recorded access adds one unit of weight to the accessed view after
     multiplying all existing weights by ``decay`` — recent accesses dominate,
     so workload drift shows up quickly.
+
+    The decay is applied to one global scale instead of to every weight:
+    the true weight of a view is ``stored * scale``, an access shrinks the
+    scale and adds ``1 / scale`` to one entry, so :meth:`record` is O(1)
+    however many views are tracked.  When the scale underflows
+    :data:`_MIN_SCALE` it is folded back into the entries, and views whose
+    weight has fallen below :data:`_DROP_SHARE` of the total are forgotten.
     """
+
+    #: Renormalise once the scale leaves ``[_MIN_SCALE, 1]``; stored weights
+    #: stay far inside the float range (``1 / scale <= 1e100``).
+    _MIN_SCALE = 1e-100
+    #: Share of the total weight below which renormalisation drops a view.
+    _DROP_SHARE = 1e-12
 
     def __init__(self, decay: float = 0.99):
         if not 0.0 < decay <= 1.0:
             raise ValueError(f"decay must be in (0, 1], got {decay}")
         self.decay = decay
         self._weights: dict[ElementId, float] = {}
+        self._scale = 1.0
         self.total_accesses = 0
 
     def record(self, view: ElementId) -> None:
         """Record one access to ``view``."""
-        for key in self._weights:
-            self._weights[key] *= self.decay
-        self._weights[view] = self._weights.get(view, 0.0) + 1.0
+        self._scale *= self.decay
+        self._weights[view] = self._weights.get(view, 0.0) + 1.0 / self._scale
         self.total_accesses += 1
+        if self._scale < self._MIN_SCALE:
+            self._renormalise()
+
+    def _renormalise(self) -> None:
+        floor = sum(self._weights.values()) * self._DROP_SHARE
+        self._weights = {
+            view: weight * self._scale
+            for view, weight in self._weights.items()
+            if weight >= floor
+        }
+        self._scale = 1.0
 
     def population(
         self, smoothing: float = 0.0, universe: list[ElementId] | None = None
@@ -73,8 +97,9 @@ class AccessTracker:
         if not self._weights and not universe:
             raise ValueError("no accesses recorded and no universe given")
         views = list(universe) if universe else list(self._weights)
+        scale = self._scale
         pairs = [
-            (v, self._weights.get(v, 0.0) + smoothing) for v in views
+            (v, self._weights.get(v, 0.0) * scale + smoothing) for v in views
         ]
         positive = [(v, w) for v, w in pairs if w > 0]
         if not positive:

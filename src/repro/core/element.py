@@ -59,16 +59,22 @@ class CubeShape:
             if not _is_power_of_two(n):
                 raise ValueError(f"dimension {m} has extent {n}, not a power of two")
         object.__setattr__(self, "sizes", sizes)
+        #: Maximum decomposition depth ``K_m = log2(n_m)`` per dimension.
+        #: Computed once: every child derivation of both planners reads it
+        #: (hundreds of thousands of times per selection), as every
+        #: ``ElementId`` hash reads the shape's hash.
+        object.__setattr__(
+            self, "depths", tuple(n.bit_length() - 1 for n in sizes)
+        )
+        object.__setattr__(self, "_hash", hash((sizes,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def ndim(self) -> int:
         """Number of dimensions ``d``."""
         return len(self.sizes)
-
-    @property
-    def depths(self) -> tuple[int, ...]:
-        """Maximum decomposition depth ``K_m = log2(n_m)`` per dimension."""
-        return tuple(n.bit_length() - 1 for n in self.sizes)
 
     @property
     def volume(self) -> int:
@@ -284,19 +290,35 @@ class ElementId:
         nodes[dim] = node
         return ElementId(self.shape, tuple(nodes))
 
+    def _child(self, dim: int, residual: int) -> "ElementId":
+        """The ``P1`` (``residual=0``) or ``R1`` (``1``) child along ``dim``.
+
+        A child of a valid element is valid by construction (the level was
+        just checked against the depth, and ``2 j + bit < 2**(k + 1)``), so
+        it skips ``__post_init__``: one operator halves the volume, and the
+        hash is the same function of the fields public construction uses.
+        """
+        shape, nodes = self.shape, self.nodes
+        k, j = nodes[dim]
+        if k >= shape.depths[dim]:
+            raise ValueError(f"dimension {dim} already fully aggregated")
+        nodes = nodes[:dim] + ((k + 1, 2 * j + residual),) + nodes[dim + 1 :]
+        child = object.__new__(ElementId)
+        child.__dict__.update(
+            shape=shape,
+            nodes=nodes,
+            _hash=hash((shape, nodes)),
+            _volume=self._volume >> 1,
+        )
+        return child
+
     def partial_child(self, dim: int) -> "ElementId":
         """``P1`` applied along ``dim``: ``(k, j) -> (k + 1, 2 j)``."""
-        k, j = self.nodes[dim]
-        if k >= self.shape.depths[dim]:
-            raise ValueError(f"dimension {dim} already fully aggregated")
-        return self._replace(dim, (k + 1, 2 * j))
+        return self._child(dim, 0)
 
     def residual_child(self, dim: int) -> "ElementId":
         """``R1`` applied along ``dim``: ``(k, j) -> (k + 1, 2 j + 1)``."""
-        k, j = self.nodes[dim]
-        if k >= self.shape.depths[dim]:
-            raise ValueError(f"dimension {dim} already fully aggregated")
-        return self._replace(dim, (k + 1, 2 * j + 1))
+        return self._child(dim, 1)
 
     def children(self, dim: int) -> tuple["ElementId", "ElementId"]:
         """Both children along ``dim``: ``(P1 child, R1 child)``."""

@@ -98,7 +98,7 @@ from .kernels import (
 )
 from .operators import OpCounter, partial_residual, partial_sum, synthesize
 from .planning import best_route, sorted_by_volume
-from .select_redundant import generation_cost
+from .select_redundant import generation_cost, priced_states
 
 __all__ = [
     "PlanNode",
@@ -387,6 +387,7 @@ def plan_batch(
 
     with span("exec.plan", targets=len(targets)) as sp:
         start = time.perf_counter()
+        states_before = priced_states(memo)
         # Price every target first (shared memo): naive cost, completeness,
         # and warm generation costs for the keying decisions in _lay_chain.
         for target in targets:
@@ -435,6 +436,7 @@ def plan_batch(
             cse_hits=cse_hits,
             cse_ratio=round(plan.cse_ratio, 4),
             plan_ms=plan_ms,
+            priced_states=max(0, priced_states(memo) - states_before),
         )
     return plan
 

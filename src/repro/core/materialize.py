@@ -128,8 +128,9 @@ class MaterializedSet:
         #: the memo shares the plan cache's lifecycle (cleared when an
         #: element is stored or quarantined) but not its key: a batch of
         #: never-before-seen targets still reuses every previously priced
-        #: sub-element, which turns cold planning into a route walk.
-        self._cost_memo: dict[ElementId, float] = {}
+        #: containment signature (see ``select_redundant.generation_cost``),
+        #: which turns cold planning into a route walk.
+        self._cost_memo: dict = {}
         #: Buffer pool shared by every assembly this set serves: interior
         #: temporaries of one query become the ``out=`` buffers of the
         #: next, so steady-state serving allocates almost nothing.
@@ -390,7 +391,24 @@ class MaterializedSet:
 
     def can_assemble(self, target: ElementId) -> bool:
         """Whether the stored set is complete with respect to ``target``."""
-        return generation_cost(target, self.elements) != float("inf")
+        return self._price(target, self.elements)[0] != float("inf")
+
+    def _price(
+        self, target: ElementId, stored: tuple[ElementId, ...]
+    ) -> tuple[float, dict]:
+        """Procedure 3 price of ``target`` and the memo that holds it.
+
+        Prices through the set's persistent memo.  A plan racing a store
+        can re-insert stale prices from the pre-store element set after
+        the clear, so an infeasibility verdict is only trusted from a
+        fresh memo.
+        """
+        memo = self._cost_memo
+        cost = generation_cost(target, stored, _memo=memo)
+        if cost == float("inf"):
+            memo = {}
+            cost = generation_cost(target, stored, _memo=memo)
+        return cost, memo
 
     def assemble(
         self, target: ElementId, counter: OpCounter | None = None
@@ -415,19 +433,12 @@ class MaterializedSet:
             self._verify_unverified()
             own = counter if counter is not None else OpCounter()
             ops_before = own.total
-            cost_memo = self._cost_memo
             # Consistent snapshot: routing and reads use one view of the
             # stored set, so a concurrent store/quarantine cannot strand
             # the recursion between route choice and array access.
             arrays = dict(self._arrays)
             stored = tuple(arrays)
-            cost = generation_cost(target, stored, _memo=cost_memo)
-            if cost == float("inf"):
-                # A plan racing a store can re-insert stale prices from the
-                # pre-store element set after the clear; an infeasibility
-                # verdict is only trusted from a fresh memo.
-                cost_memo = {}
-                cost = generation_cost(target, stored, _memo=cost_memo)
+            cost, cost_memo = self._price(target, stored)
             if cost == float("inf"):
                 raise IncompleteSetError(
                     f"stored set is not complete with respect to {target!r}"

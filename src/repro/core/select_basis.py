@@ -9,11 +9,21 @@ the paper's Algorithm 1:
 
     D(V) = min( C_n(V),  min_m  D(P1^m V) + D(R1^m V) )
 
-with terminal elements forced to ``D = C_n``.  This module implements the
-recursion with memoization over explicit :class:`ElementId` nodes — exact
-for *any* query population.  For the special (and common) case where all
-queries are aggregated views, :mod:`repro.core.select_fast` collapses the
-state space and handles the paper's 923,521-node Experiment 1 instantly.
+with terminal elements forced to ``D = C_n``.
+
+:func:`select_minimum_cost_basis` is the single entry point and picks the
+state space from the population itself:
+
+- every query an *aggregated view* (always true of the population
+  ``OLAPServer.reconfigure`` observes, and of ``DynamicViewAssembler`` as
+  long as only views were queried) — the reduced ``(level, index == 0)``
+  recursion of :mod:`repro.core.select_fast`: ``prod(2 K_m + 1)`` states
+  however large the graph, the same ``<`` / dimension-order tie-breaking,
+  hence the same element set and a bit-equal cost;
+- any other population — the recursion memoized over explicit
+  :class:`ElementId` nodes below, exact for *any* population but walking
+  all ``N_ve`` nodes.  It is also the oracle the test-suite checks the
+  reduced recursion against.
 """
 
 from __future__ import annotations
@@ -23,16 +33,23 @@ from dataclasses import dataclass
 from .costs import element_population_cost
 from .element import CubeShape, ElementId
 from .population import QueryPopulation
+from .select_fast import extract_basis, select_minimum_cost_basis_fast
 
 __all__ = ["BasisSelection", "select_minimum_cost_basis"]
 
 
 @dataclass(frozen=True)
 class BasisSelection:
-    """Result of Algorithm 1: the chosen basis and its expected cost."""
+    """Result of Algorithm 1: the chosen basis and its expected cost.
+
+    ``selector`` names the recursion that produced it (``"reduced"`` or
+    ``"general"``) and ``states`` the number of DP states it evaluated.
+    """
 
     elements: tuple[ElementId, ...]
     cost: float
+    selector: str = "general"
+    states: int = 0
 
     @property
     def storage(self) -> int:
@@ -71,7 +88,23 @@ def select_minimum_cost_basis(
     """
     if population.shape != shape:
         raise ValueError("population targets a different cube shape")
+    if population.is_aggregated_view_population():
+        fast = select_minimum_cost_basis_fast(shape, population)
+        return BasisSelection(
+            tuple(extract_basis(shape, fast.decision, max_elements)),
+            fast.cost,
+            selector="reduced",
+            states=fast.states,
+        )
+    return _select_explicit(shape, population, max_elements)
 
+
+def _select_explicit(
+    shape: CubeShape,
+    population: QueryPopulation,
+    max_elements: int | None = None,
+) -> BasisSelection:
+    """Algorithm 1 memoized over explicit view elements (any population)."""
     support_memo: dict[ElementId, float] = {}
     value_memo: dict[ElementId, tuple[float, int]] = {}
 
@@ -99,24 +132,10 @@ def select_minimum_cost_basis(
         value_memo[node] = result
         return result
 
-    root = shape.root()
-    cost, _ = value(root)
-
-    # Procedure 2: follow the chosen split decisions from the root and mark
-    # every terminal element.
-    elements: list[ElementId] = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        _, decision = value(node)
-        if decision < 0:
-            elements.append(node)
-            if max_elements is not None and len(elements) > max_elements:
-                raise RuntimeError(
-                    f"optimal basis exceeds max_elements={max_elements}"
-                )
-        else:
-            stack.append(node.partial_child(decision))
-            stack.append(node.residual_child(decision))
-
-    return BasisSelection(tuple(elements), float(cost))
+    cost, _ = value(shape.root())
+    return BasisSelection(
+        tuple(extract_basis(shape, lambda node: value(node)[1], max_elements)),
+        float(cost),
+        selector="general",
+        states=len(value_memo),
+    )

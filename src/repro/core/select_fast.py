@@ -1,9 +1,10 @@
 """Reduced-state implementation of Algorithm 1 for aggregated-view queries.
 
-The general DP of :mod:`repro.core.select_basis` memoizes over explicit view
+The explicit DP of :mod:`repro.core.select_basis` memoizes over view
 elements — fine for small cubes, but the paper's Experiment 1 uses a 4-D cube
-with ``n = 16``, whose graph has 923,521 nodes.  When every query is an
-*aggregated view* the DP state collapses dramatically:
+with ``n = 16``, whose graph has 923,521 nodes, and a served 512x128x64 cube
+has 33 million.  When every query is an *aggregated view* the DP state
+collapses dramatically:
 
 - An aggregated view occupies, per dimension, either the full frequency axis
   (dimension untouched) or the dyadic interval ``[0, 1/n)`` (dimension
@@ -16,20 +17,31 @@ with ``n = 16``, whose graph has 923,521 nodes.  When every query is an
 
 So the value function is well-defined on states ``(k_m, zero_m)`` per
 dimension — at most ``prod(2 K_m + 1)`` states (6,561 for the Experiment 1
-shape) instead of ~1M nodes, and it computes the *exact* same optimum.
-The test-suite cross-checks this equivalence against the general DP on
-small shapes.
+shape) instead of ~1M nodes, and it computes the *exact* same optimum:
+same comparisons in the same order, so the same split decisions and a
+bit-equal cost.  The test-suite cross-checks this against the explicit DP
+on small shapes.
+
+This is the recursion the server runs:
+:func:`repro.core.select_basis.select_minimum_cost_basis` dispatches here
+whenever ``population.is_aggregated_view_population()`` — which the
+population observed by ``OLAPServer.reconfigure`` always is — and lists the
+basis with its own Procedure 2 walk.  Call
+:func:`select_minimum_cost_basis_fast` directly only to get the optimum
+*without* enumerating the basis (Figure 8's 4-D shape has bases of hundreds
+of thousands of elements).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 
 from .element import CubeShape, ElementId
 from .population import QueryPopulation
 
-__all__ = ["FastBasisResult", "select_minimum_cost_basis_fast"]
+__all__ = ["FastBasisResult", "extract_basis", "select_minimum_cost_basis_fast"]
 
 #: Reduced per-dimension state: ``(level, index_is_zero)``.
 DimState = tuple[int, bool]
@@ -52,26 +64,43 @@ class FastBasisResult:
     storage: int
     _decisions: dict
 
+    @property
+    def states(self) -> int:
+        """Reduced states the recursion evaluated."""
+        return len(self._decisions)
+
+    def decision(self, node: ElementId) -> int:
+        """The split dimension chosen at ``node`` (-1 = keep it)."""
+        return self._decisions[_state_of(node)]
+
     def extract_elements(self, limit: int | None = None):
         """Yield the members of the optimal basis (Procedure 2).
 
         Raises :class:`RuntimeError` if more than ``limit`` members would be
         produced.
         """
-        produced = 0
-        stack = [self.shape.root()]
-        while stack:
-            node = stack.pop()
-            state = _state_of(node)
-            decision = self._decisions[state]
-            if decision < 0:
-                produced += 1
-                if limit is not None and produced > limit:
-                    raise RuntimeError(f"basis exceeds limit={limit} elements")
-                yield node
-            else:
-                stack.append(node.partial_child(decision))
-                stack.append(node.residual_child(decision))
+        return extract_basis(self.shape, self.decision, limit)
+
+
+def extract_basis(shape: CubeShape, decision, limit: int | None = None):
+    """Procedure 2: follow the split decisions from the root and yield every
+    terminal element (``decision(node)``: -1 = keep, ``m`` = split along
+    ``m``); :class:`RuntimeError` past ``limit`` members."""
+    produced = 0
+    stack = [shape.root()]
+    while stack:
+        node = stack.pop()
+        dim = decision(node)
+        if dim < 0:
+            produced += 1
+            if limit is not None and produced > limit:
+                raise RuntimeError(
+                    f"optimal basis exceeds the limit (max_elements={limit})"
+                )
+            yield node
+        else:
+            stack.append(node.partial_child(dim))
+            stack.append(node.residual_child(dim))
 
 
 def _state_of(node: ElementId) -> State:
@@ -100,30 +129,31 @@ def select_minimum_cost_basis_fast(
     depths = shape.depths
     d = shape.ndim
 
-    # Pre-extract query structure: per query, the set of aggregated dims and
-    # the query volume (product of untouched extents).
+    # Pre-extract query structure: per query, the aggregated and the
+    # untouched dimensions and the query volume (product of untouched
+    # extents).
     queries = []
     for q, f in population:
         if f <= 0:
             continue
-        agg = set(q.aggregated_dims)
-        vol_q = reduce(
-            lambda a, m: a * (1 if m in agg else sizes[m]), range(d), 1
-        )
-        queries.append((agg, vol_q, f))
+        agg = q.aggregated_dims
+        kept = tuple(m for m in range(d) if m not in agg)
+        queries.append((agg, kept, math.prod(sizes[m] for m in kept), f))
 
     def support(state: State) -> float:
         """``C_n`` for any element whose reduced state is ``state``."""
-        extents = tuple(sizes[m] >> state[m][0] for m in range(d))
-        vol_v = reduce(lambda a, b: a * b, extents, 1)
+        extents = [sizes[m] >> state[m][0] for m in range(d)]
+        vol_v = math.prod(extents)
         cost = 0.0
-        for agg, vol_q, f in queries:
-            if any(not state[m][1] for m in agg):
-                continue  # disjoint: a residual branch on an aggregated dim
-            vol_i = 1
-            for m in range(d):
-                vol_i *= 1 if m in agg else extents[m]
-            cost += f * ((vol_v - vol_i) + (vol_q - vol_i))
+        for agg, kept, vol_q, f in queries:
+            for m in agg:
+                if not state[m][1]:
+                    break  # disjoint: a residual branch on an aggregated dim
+            else:
+                vol_i = 1
+                for m in kept:
+                    vol_i *= extents[m]
+                cost += f * ((vol_v - vol_i) + (vol_q - vol_i))
         return cost
 
     value_memo: dict[State, float] = {}

@@ -15,10 +15,17 @@ frequency-weighted sum over the query population (Eq 34).
 Algorithm 2 greedily adds, at each stage, the candidate element that most
 reduces the total cost, until the storage budget ``S_T`` is exhausted.
 
-This module is the clear, reference implementation (explicit
-:class:`ElementId` recursion).  The vectorized engine in
-:mod:`repro.core.engine` computes identical numbers with numpy level sweeps
-and is what the Figure 9 experiment uses; the test-suite checks they agree.
+Procedure 3 is what every assembly and batch plan of the serving stack
+prices routes with (:func:`generation_cost`, through
+:func:`repro.core.planning.best_route`), so it does not recurse over explicit
+view elements: it memoizes on per-dimension *containment signatures* against
+the selected intervals (:class:`_SignaturePricer`), an exact value function
+on a state space that does not grow with the graph.  The explicit
+:class:`ElementId` recursion survives as the test-suite's oracle
+(``tests/oracles.py``).  Algorithm 2 below is the clear reference form; the
+vectorized engine in :mod:`repro.core.engine` computes identical numbers
+with numpy level sweeps and is what the Figure 9 experiment uses; the
+test-suite checks they agree.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
-from .element import CubeShape, ElementId
+from .element import CubeShape, DimNode, ElementId
 from .graph import ViewElementGraph
 from .population import QueryPopulation
 
@@ -50,15 +57,151 @@ _INF = float("inf")
 ENGINE_DELEGATION_THRESHOLD = 512
 
 
-def _min_selected_ancestor_volume(
-    element: ElementId, selected: Sequence[ElementId]
-) -> float:
-    """Volume of the smallest selected element containing ``element``."""
-    best = _INF
-    for s in selected:
-        if s.volume < best and s.contains(element):
-            best = s.volume
-    return best
+class _SignaturePricer:
+    """Procedure 3's value function on per-dimension containment signatures.
+
+    What ``T(V)`` depends on is which selected elements contain ``V`` and
+    its descendants, and along one dimension that is a relation between
+    dyadic intervals.  ``V``'s interval ``(k, j)`` either
+
+    - contains or equals some selected interval — then it is kept exactly,
+      as ``(k, j)`` (at most ``K_m`` ancestors per selected interval); or
+    - does not — then neither does any interval below it, so every
+      selected interval that contains a descendant already contains
+      ``(k, j)`` itself.  Those are ancestors of one node, hence a chain,
+      hence named by their deepest member (the *anchor*): the signature is
+      ``(k, -1 - anchor)``, with anchor 0 for "none".
+
+    Equivalent elements have equivalent children (both children of a
+    ``(k, -1 - a)`` interval are ``(k + 1, -1 - a)``), the same volume and
+    the same containing selected elements, so the recursion of Eqs 32-33
+    is well defined — and exact — on ``O(prod K_m |I_m|)`` signatures
+    instead of explicit view elements (``docs/paper_notes.md`` has the
+    argument in full).
+
+    Selected elements are numbered by ascending volume and sets of them
+    are int bitmasks: a signature's containers are the AND of its
+    per-dimension masks, the cheapest aggregation source the lowest bit.
+    """
+
+    def __init__(self, shape: CubeShape, selected: tuple[ElementId, ...]):
+        self.selected = selected
+        self.depths = shape.depths
+        #: Signature -> exact ``T``; the memo of the recursion.
+        self.states: dict[tuple, float] = {}
+        ranked = sorted(selected, key=lambda e: e.volume)
+        self._volumes = [e.volume for e in ranked]
+        #: Per dimension: selected interval -> ``(anchor id, mask of the
+        #: selected elements whose interval contains it)``.
+        self._anchors: list[dict[DimNode, tuple[int, int]]] = []
+        #: Per dimension: the intervals containing or equal to a selected
+        #: one (every ancestor-or-self of a selected interval).
+        self._covering: list[set[DimNode]] = []
+        #: Per dimension: signature -> container mask / child signatures.
+        self._masks: list[dict[DimNode, int]] = []
+        self._kids: list[dict[DimNode, tuple[DimNode, DimNode]]] = []
+        for m in range(shape.ndim):
+            exact: dict[DimNode, int] = {}
+            for bit, element in enumerate(ranked):
+                node = element.nodes[m]
+                exact[node] = exact.get(node, 0) | (1 << bit)
+            anchors: dict[DimNode, tuple[int, int]] = {}
+            covering: set[DimNode] = set()
+            for number, node in enumerate(exact, start=1):
+                mask = 0
+                k, j = node
+                while k >= 0:
+                    covering.add((k, j))
+                    mask |= exact.get((k, j), 0)
+                    k, j = k - 1, j >> 1
+                anchors[node] = (number, mask)
+            self._anchors.append(anchors)
+            self._covering.append(covering)
+            self._masks.append({})
+            self._kids.append({})
+
+    def _signature(self, m: int, k: int, j: int) -> DimNode:
+        """The signature of interval ``(k, j)`` along dimension ``m``."""
+        anchors = self._anchors[m]
+        anchor, mask = 0, 0
+        ak, aj = k, j
+        while ak >= 0:
+            found = anchors.get((ak, aj))
+            if found is not None:
+                anchor, mask = found
+                break
+            ak, aj = ak - 1, aj >> 1
+        sig = (k, j) if (k, j) in self._covering[m] else (k, -1 - anchor)
+        self._masks[m][sig] = mask
+        return sig
+
+    def _children(self, m: int, sig: DimNode) -> tuple[DimNode, DimNode]:
+        kids = self._kids[m].get(sig)
+        if kids is None:
+            k, tag = sig
+            if tag < 0:
+                kid = (k + 1, tag)
+                self._masks[m][kid] = self._masks[m][sig]
+                kids = (kid, kid)
+            else:
+                kids = (
+                    self._signature(m, k + 1, 2 * tag),
+                    self._signature(m, k + 1, 2 * tag + 1),
+                )
+            self._kids[m][sig] = kids
+        return kids
+
+    def price(self, element: ElementId) -> float:
+        """``T(element)`` (``inf`` when the selection cannot produce it)."""
+        key = tuple(
+            self._signature(m, k, j) for m, (k, j) in enumerate(element.nodes)
+        )
+        return self._cost(key, element.volume)
+
+    def _cost(self, key: tuple, volume: int) -> float:
+        cached = self.states.get(key)
+        if cached is not None:
+            return cached
+        containers = -1
+        for masks, sig in zip(self._masks, key):
+            containers &= masks[sig]
+        if containers:
+            # Lowest bit = smallest container; one of equal volume is the
+            # element itself (selected: free), else aggregate down (Eq 28).
+            lowest = (containers & -containers).bit_length() - 1
+            best = self._volumes[lowest] - volume or 0.0
+        else:
+            best = _INF
+        # Synthesis from children (strictly deeper, so the recursion
+        # terminates).  Every generation cost is non-negative and a
+        # synthesis candidate is ``volume + p_cost + r_cost``, so ``volume``
+        # (and then ``volume + p_cost``) lower-bound every candidate along a
+        # dimension: once a bound reaches ``best`` the branch is provably
+        # non-winning (ties already favor ``best``) and the recursion below
+        # it is pruned.  Exact minima are unchanged.
+        if volume < best:
+            half = volume >> 1
+            for m, sig in enumerate(key):
+                if sig[0] >= self.depths[m]:
+                    continue
+                p_sig, r_sig = self._children(m, sig)
+                partial_bound = volume + self._cost(
+                    key[:m] + (p_sig,) + key[m + 1 :], half
+                )
+                if partial_bound >= best:
+                    continue
+                candidate = partial_bound + self._cost(
+                    key[:m] + (r_sig,) + key[m + 1 :], half
+                )
+                if candidate < best:
+                    best = candidate
+        self.states[key] = best
+        return best
+
+
+#: Key under which a cost memo carries its :class:`_SignaturePricer`; it
+#: shares the memo's lifecycle (``clear()`` drops both).
+_PRICER = "signature-pricer"
 
 
 def generation_cost(
@@ -72,49 +215,29 @@ def generation_cost(
     from children)`` per Eqs 32-33.  Returns ``inf`` when the selection
     cannot produce the element at all (i.e. it is not complete with respect
     to it).
+
+    ``_memo`` carries prices between calls *for one selection*: an entry
+    per element asked about (what the planners read back), and the
+    signature-level value function behind them.  Handed a different
+    selection than the one it was filled for, the memo starts over.
     """
     memo = _memo if _memo is not None else {}
-    return _generation_cost(element, tuple(selected), memo)
+    pricer = memo.get(_PRICER)
+    if pricer is None or (
+        pricer.selected is not selected and pricer.selected != tuple(selected)
+    ):
+        memo.clear()
+        pricer = memo[_PRICER] = _SignaturePricer(element.shape, tuple(selected))
+    cost = memo.get(element)
+    if cost is None:
+        cost = memo[element] = pricer.price(element)
+    return cost
 
 
-def _generation_cost(
-    element: ElementId, selected: tuple[ElementId, ...], memo: dict
-) -> float:
-    cached = memo.get(element)
-    if cached is not None:
-        return cached
-    if element in selected:
-        memo[element] = 0.0
-        return 0.0
-    best = _INF
-    ancestor_vol = _min_selected_ancestor_volume(element, selected)
-    if ancestor_vol < _INF:
-        best = ancestor_vol - element.volume
-    # Synthesis from children (strictly deeper, so the recursion
-    # terminates).  Every generation cost is non-negative and a synthesis
-    # candidate is ``volume + p_cost + r_cost``, so ``volume`` (and then
-    # ``volume + p_cost``) lower-bound every candidate along a dimension:
-    # once a bound reaches ``best`` the branch is provably non-winning
-    # (ties already favor ``best``) and the recursion below it is pruned.
-    # Exact minima are unchanged; without the pruning a single partially
-    # aggregated target on a deep shape walks its entire descendant
-    # lattice.
-    volume = element.volume
-    if volume < best:
-        for dim in element.splittable_dims():
-            p_cost = _generation_cost(
-                element.partial_child(dim), selected, memo
-            )
-            partial_bound = volume + p_cost
-            if partial_bound >= best:
-                continue
-            candidate = partial_bound + _generation_cost(
-                element.residual_child(dim), selected, memo
-            )
-            if candidate < best:
-                best = candidate
-    memo[element] = best
-    return best
+def priced_states(memo: dict) -> int:
+    """Signatures priced so far behind the cost memo ``memo``."""
+    pricer = memo.get(_PRICER)
+    return len(pricer.states) if pricer is not None else 0
 
 
 def total_processing_cost(
@@ -128,8 +251,7 @@ def total_processing_cost(
     for query, f in population:
         if f <= 0:
             continue
-        cost = _generation_cost(query, selected, memo)
-        total += f * cost
+        total += f * generation_cost(query, selected, memo)
     return total
 
 

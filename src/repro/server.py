@@ -967,7 +967,13 @@ class OLAPServer:
             state = self._state
             if population is None:
                 population = self.observed_population()
+            select_start = time.perf_counter()
             selection = select_minimum_cost_basis(self.shape, population)
+            selected_by = dict(
+                selector=selection.selector,
+                states=selection.states,
+                select_ms=(time.perf_counter() - select_start) * 1e3,
+            )
             elements = list(selection.elements)
             expected = selection.cost
             if (
@@ -1024,6 +1030,7 @@ class OLAPServer:
                 epoch=new_state.epoch,
                 stored_elements=len(new_set),
                 expected_cost=float(expected),
+                **selected_by,
             )
             self.metrics.histogram(
                 "reconfigure_migration_operations",
@@ -1034,6 +1041,7 @@ class OLAPServer:
                 epoch=new_state.epoch,
                 storage=new_set.storage,
                 expected_cost=float(expected),
+                **selected_by,
             )
             return new_set.storage, float(expected)
 

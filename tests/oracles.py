@@ -1,0 +1,82 @@
+"""Reference implementations the test-suite compares the planners against.
+
+They are the explicit-:class:`ElementId` forms the serving code used before
+it moved to reduced states; kept here, and only here, as oracles.
+"""
+
+from __future__ import annotations
+
+from repro.core.element import ElementId
+
+_INF = float("inf")
+
+
+def explicit_generation_cost(
+    element: ElementId, selected, memo: dict | None = None
+) -> float:
+    """Procedure 3 (Eqs 32-33) by recursion over explicit view elements.
+
+    ``memo`` is a plain ``{element: T}`` dict; every element the recursion
+    visits gets an entry.
+    """
+    return _generation_cost(element, tuple(selected), {} if memo is None else memo)
+
+
+def _generation_cost(element: ElementId, selected: tuple, memo: dict) -> float:
+    cached = memo.get(element)
+    if cached is not None:
+        return cached
+    if element in selected:
+        memo[element] = 0.0
+        return 0.0
+    best = _INF
+    for s in selected:
+        if s.volume < best and s.contains(element):
+            best = s.volume
+    if best < _INF:
+        best -= element.volume
+    volume = element.volume
+    # ``volume`` (then ``volume + p_cost``) lower-bounds every synthesis
+    # candidate, so a bound that reaches ``best`` cannot win: pruning keeps
+    # the minima exact and the walk finite on deep shapes.
+    if volume < best:
+        for dim in element.splittable_dims():
+            p_cost = _generation_cost(element.partial_child(dim), selected, memo)
+            partial_bound = volume + p_cost
+            if partial_bound >= best:
+                continue
+            candidate = partial_bound + _generation_cost(
+                element.residual_child(dim), selected, memo
+            )
+            if candidate < best:
+                best = candidate
+    memo[element] = best
+    return best
+
+
+def explicit_best_route(target: ElementId, selected, memo: dict):
+    """``(aggregation source, synthesis dimension)`` Procedure 3 prefers.
+
+    The same rule as :func:`repro.core.planning.best_route` — smallest
+    selected ancestor (first in ``selected`` on equal volume), cheapest
+    synthesis dimension (lowest on a tie) — priced by the explicit
+    recursion.
+    """
+    source = next(
+        (
+            s
+            for s in sorted(selected, key=lambda e: e.volume)
+            if s.contains(target)
+        ),
+        None,
+    )
+    synth_cost, synth_dim = _INF, -1
+    for dim in target.splittable_dims():
+        candidate = (
+            target.volume
+            + explicit_generation_cost(target.partial_child(dim), selected, memo)
+            + explicit_generation_cost(target.residual_child(dim), selected, memo)
+        )
+        if candidate < synth_cost:
+            synth_cost, synth_dim = candidate, dim
+    return source, synth_dim

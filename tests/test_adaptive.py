@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.adaptive import AccessTracker, DynamicViewAssembler
 from repro.core.element import CubeShape
+from repro.core.population import QueryPopulation
+from repro.core.select_basis import select_minimum_cost_basis
 
 
 @pytest.fixture
@@ -56,6 +62,101 @@ class TestAccessTracker:
     def test_empty_tracker_raises(self):
         with pytest.raises(ValueError, match="no accesses"):
             AccessTracker().population()
+
+
+def decay_every_weight(views, decay: float) -> dict:
+    """The O(tracked)-per-access definition ``AccessTracker`` must equal:
+    multiply every weight by ``decay``, then add one to the accessed view."""
+    weights: dict = {}
+    for view in views:
+        for key in weights:
+            weights[key] *= decay
+        weights[view] = weights.get(view, 0.0) + 1.0
+    return weights
+
+
+def smooth_schedule(weights) -> list[int]:
+    """Smooth weighted round-robin over ``range(len(weights))``."""
+    current, total, order = [0] * len(weights), sum(weights), []
+    for _ in range(total):
+        current = [c + w for c, w in zip(current, weights)]
+        best = max(range(len(weights)), key=current.__getitem__)
+        current[best] -= total
+        order.append(best)
+    return order
+
+
+class TestAccessTrackerScale:
+    """One global scale instead of a decay pass over every weight."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        decay=st.sampled_from([0.5, 0.8, 0.9]),
+        periods=st.floats(min_value=1.1, max_value=2.5),
+        picks=st.lists(st.integers(0, 7), min_size=8, max_size=64),
+        smoothing=st.sampled_from([0.0, 0.05]),
+    )
+    def test_frequencies_equal_the_decay_loop(
+        self, decay, periods, picks, smoothing
+    ):
+        views = list(CubeShape((4, 4, 4)).aggregated_views())
+        period = math.log(AccessTracker._MIN_SCALE) / math.log(decay)
+        length = int(periods * period)
+        sequence = [views[picks[i % len(picks)]] for i in range(length)]
+        tracker = AccessTracker(decay=decay)
+        for view in sequence:
+            tracker.record(view)
+        assert tracker.total_accesses == length
+        assert tracker._scale > AccessTracker._MIN_SCALE  # it renormalised
+        universe = views if smoothing else None
+        population = tracker.population(smoothing=smoothing, universe=universe)
+        reference = decay_every_weight(sequence, decay)
+        weights = {
+            view: reference.get(view, 0.0) + smoothing
+            for view in (universe or reference)
+        }
+        total = sum(weights.values())
+        for view in views:
+            expected = weights.get(view, 0.0) / total
+            # Relative where a view still carries weight, absolute where
+            # renormalisation dropped what was below 1e-12 of the total.
+            assert population.frequency_of(view) == pytest.approx(
+                expected, rel=1e-12, abs=1e-12
+            )
+
+    def test_renormalisation_forgets_dead_views(self):
+        views = list(CubeShape((4, 4, 4)).aggregated_views())
+        tracker = AccessTracker(decay=0.5)
+        tracker.record(views[0])
+        for _ in range(400):  # 0.5**333 < 1e-100: one renormalisation
+            tracker.record(views[1])
+        assert list(tracker._weights) == [views[1]]
+        assert len(tracker.population()) == 1
+
+    def test_same_basis_as_the_decay_loop_after_a_settle_segment(self):
+        """The e2e benchmark's settle segment (a fixed view popularity in
+        smooth round-robin, eight cycles, server decay and smoothing) must
+        select the same elements whichever way the weights are kept."""
+        shape = CubeShape((64, 16, 8))
+        views = list(shape.aggregated_views())
+        cycle = [views[i] for i in smooth_schedule((2, 8, 5, 3, 6, 2, 3, 1))]
+        sequence = cycle * 8
+        decay, smoothing = 0.98, 0.01
+        tracker = AccessTracker(decay=decay)
+        for view in sequence:
+            tracker.record(view)
+        reference = decay_every_weight(sequence, decay)
+        expected = select_minimum_cost_basis(
+            shape,
+            QueryPopulation.from_pairs(
+                [(v, reference.get(v, 0.0) + smoothing) for v in views]
+            ),
+        )
+        selected = select_minimum_cost_basis(
+            shape, tracker.population(smoothing=smoothing, universe=views)
+        )
+        assert set(selected.elements) == set(expected.elements)
+        assert selected.cost == pytest.approx(expected.cost, rel=1e-12)
 
 
 class TestDynamicViewAssembler:

@@ -127,6 +127,19 @@ class TestMaterializedSet:
         # ...but descendants of p are fine.
         assert ms.can_assemble(p.partial_child(1))
 
+    def test_can_assemble_prices_through_the_persistent_memo(
+        self, shape_4x4, cube_4x4
+    ):
+        ms = MaterializedSet.from_cube(cube_4x4, [shape_4x4.root()])
+        view = shape_4x4.total_aggregation()
+        assert ms.can_assemble(view)
+        assert ms._cost_memo[view] == 15  # kept for the assembly that follows
+        # A stale ``inf`` (a plan racing a store) is rechecked on a fresh
+        # memo, exactly as ``assemble`` does, before it is believed.
+        ms._cost_memo[view] = float("inf")
+        assert ms.can_assemble(view)
+        np.testing.assert_array_equal(ms.assemble(view), cube_4x4.sum(keepdims=True))
+
     def test_cross_shape_target_rejected(self, shape_4x4, cube_4x4):
         ms = MaterializedSet.from_cube(cube_4x4, [shape_4x4.root()])
         with pytest.raises(ValueError, match="different cube shape"):

@@ -1,0 +1,228 @@
+"""The reduced-state planners against their explicit-element oracles.
+
+Algorithm 1 runs on ``(level, index == 0)`` states whenever the population
+is over aggregated views, and Procedure 3 prices containment signatures
+instead of view elements.  Both must be indistinguishable from the explicit
+recursions — same elements, same routes, bit-equal costs — and must make
+the adapt cycle affordable on a cube whose graph cannot be enumerated.
+"""
+
+from __future__ import annotations
+
+import time
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.adaptive import DynamicViewAssembler
+from repro.core.element import CubeShape
+from repro.core.graph import ViewElementGraph
+from repro.core.materialize import MaterializedSet
+from repro.core.operators import OpCounter
+from repro.core.planning import best_route, sorted_by_volume
+from repro.core.population import QueryPopulation
+from repro.core.select_basis import _select_explicit, select_minimum_cost_basis
+from repro.core.select_redundant import generation_cost, priced_states
+from repro.cube.datacube import DataCube
+from repro.cube.dimensions import Dimension
+from repro.server import OLAPServer
+
+from .oracles import explicit_best_route, explicit_generation_cost
+
+SHAPES = [
+    (4,), (16,), (2, 2), (4, 4), (8, 2), (16, 4), (2, 2, 2), (4, 4, 4), (8, 4, 2),
+]
+
+
+@st.composite
+def stored_sets(draw):
+    """``(shape, every element, stored set, is it complete)``: an
+    Algorithm 1 basis, a basis plus redundant elements, or a random
+    (usually incomplete) set, in random order."""
+    shape = CubeShape(draw(st.sampled_from(SHAPES)))
+    elements = list(ViewElementGraph(shape).elements())
+    kind = draw(st.sampled_from(["basis", "redundant", "random"]))
+    some = st.lists(st.sampled_from(elements), min_size=1, max_size=6, unique=True)
+    if kind == "random":
+        stored = draw(some)
+    else:
+        population = QueryPopulation.random_over_views(
+            shape, np.random.default_rng(draw(st.integers(0, 10_000)))
+        )
+        stored = list(select_minimum_cost_basis(shape, population).elements)
+        if kind == "redundant":
+            stored += [e for e in draw(some) if e not in stored]
+    stored = tuple(draw(st.permutations(stored)))
+    return shape, elements, stored, kind != "random"
+
+
+class TestProcedure3Signatures:
+    @settings(max_examples=120, deadline=None)
+    @given(case=stored_sets(), data=st.data())
+    def test_costs_and_routes_match_the_explicit_recursion(self, case, data):
+        shape, elements, stored, _ = case
+        targets = data.draw(
+            st.lists(st.sampled_from(elements), min_size=1, max_size=16)
+        )
+        memo: dict = {}
+        oracle_memo: dict = {}
+        by_volume = sorted_by_volume(stored)
+        for target in targets:
+            cost = generation_cost(target, stored, _memo=memo)
+            expected = explicit_generation_cost(target, stored, oracle_memo)
+            assert cost == expected  # every ``inf`` verdict included
+            assert type(cost) is type(expected)
+            assert memo[target] == expected  # the entry the planners read
+            source, _, synth_dim, _ = best_route(target, stored, by_volume, memo)
+            assert (source, synth_dim) == explicit_best_route(
+                target, stored, oracle_memo
+            )
+        assert 0 < priced_states(memo) <= len(oracle_memo)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=stored_sets(), data=st.data())
+    def test_measured_operations_equal_the_price(self, case, data):
+        shape, elements, stored, complete = case
+        if not complete:
+            return
+        values = np.arange(shape.volume, dtype=np.float64).reshape(shape.sizes)
+        materialized = MaterializedSet.from_cube(values, stored)
+        for target in data.draw(
+            st.lists(st.sampled_from(elements), min_size=1, max_size=6)
+        ):
+            counter = OpCounter()
+            materialized.assemble(target, counter=counter)
+            assert counter.total == explicit_generation_cost(target, stored)
+
+    def test_a_memo_handed_another_selection_starts_over(self):
+        shape = CubeShape((4, 4))
+        root, total = shape.root(), shape.total_aggregation()
+        half = root.partial_child(0)
+        memo: dict = {}
+        assert generation_cost(half, (root,), _memo=memo) == 8
+        assert generation_cost(half, (total,), _memo=memo) == float("inf")
+        assert generation_cost(half, (root,), _memo=memo) == 8
+
+
+class TestAlgorithm1Dispatch:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        sizes=st.sampled_from(SHAPES + [(8, 8, 4), (4, 4, 2, 2)]),
+        seed=st.integers(0, 10_000),
+        concentration=st.sampled_from([None, 0.2, 5.0]),
+    )
+    def test_reduced_equals_explicit_on_view_populations(
+        self, sizes, seed, concentration
+    ):
+        shape = CubeShape(sizes)
+        population = QueryPopulation.random_over_views(
+            shape, np.random.default_rng(seed), concentration=concentration
+        )
+        reduced = select_minimum_cost_basis(shape, population)
+        explicit = _select_explicit(shape, population)
+        assert reduced.selector == "reduced" and explicit.selector == "general"
+        assert reduced.elements == explicit.elements  # same Procedure 2 order
+        assert reduced.cost == explicit.cost  # bit-equal, not approx
+        assert reduced.states <= explicit.states
+
+    def test_general_population_takes_the_explicit_recursion(self):
+        shape = CubeShape((4, 4))
+        population = QueryPopulation.from_pairs(
+            [(shape.root().partial_child(0), 0.7), (shape.total_aggregation(), 0.3)]
+        )
+        selection = select_minimum_cost_basis(shape, population)
+        assert selection.selector == "general"
+        assert selection == _select_explicit(shape, population)
+
+
+def make_server(sizes, seed=3, **kwargs) -> tuple[OLAPServer, np.ndarray]:
+    values = (
+        np.random.default_rng(seed).integers(0, 10, size=sizes).astype(np.float64)
+    )
+    dims = [Dimension(f"d{i}", list(range(n))) for i, n in enumerate(sizes)]
+    return OLAPServer(DataCube(values.copy(), dims, measure="amount"), **kwargs), values
+
+
+def settle(server: OLAPServer, rounds: int = 12) -> None:
+    """A skewed, repeatable view mix for the tracker to observe."""
+    names = [d.name for d in server.cube.dimensions]
+    mix = [[name] for name in names] + [names[:2], [], names[:1]]
+    for _ in range(rounds):
+        for retained in mix:
+            server.view(retained)
+
+
+class TestServerReconfigure:
+    def test_stores_what_the_explicit_dp_selects(self):
+        server, _ = make_server((16, 8, 4))
+        settle(server)
+        explicit = _select_explicit(server.shape, server.observed_population())
+        storage, expected = server.reconfigure()
+        assert set(server.materialized.elements) == set(explicit.elements)
+        assert expected == explicit.cost  # bit-equal
+        assert storage == explicit.storage
+        span = server.tracer.spans("server.reconfigure")[-1]
+        assert span.attributes["selector"] == "reduced"
+        assert 0 < span.attributes["states"] < server.shape.num_view_elements()
+        server.close()
+
+    def test_assembler_with_a_non_view_in_its_history_matches_explicit(self):
+        shape = CubeShape((4, 4, 4))
+        values = np.arange(shape.volume, dtype=np.float64).reshape(shape.sizes)
+        assembler = DynamicViewAssembler(values, shape, reconfigure_every=10_000)
+        for view in shape.aggregated_views():
+            assembler.query(view)
+        assembler.query(shape.root().residual_child(1))  # not a view
+        population = assembler.tracker.population()
+        assert not population.is_aggregated_view_population()
+        assert select_minimum_cost_basis(shape, population).selector == "general"
+        explicit = _select_explicit(shape, population)
+        record = assembler.reconfigure()
+        assert set(record.elements) == set(explicit.elements)
+        assert record.expected_cost == explicit.cost
+
+
+class TestLargeCubeAdaptCycle:
+    """256x64x32: 4.1 M graph nodes, so the explicit planners cannot run.
+
+    Bounds are well over ten times what the steps take (0.1 s, 0.2 s,
+    0.02 s against a 37-element basis): they catch a planner walking the
+    graph again, not a slow machine.
+    """
+
+    SIZES = (256, 64, 32)
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_reconfigure_then_first_reads(self, shards):
+        server, values = make_server(self.SIZES, shards=shards)
+        assert server.shape.num_view_elements() > 4_000_000
+        names = [d.name for d in server.cube.dimensions]
+        settle(server)
+
+        start = time.perf_counter()
+        storage, _ = server.reconfigure()
+        assert time.perf_counter() - start < 5.0
+        assert storage == values.size
+        assert server.health()["stored_elements"] > 8
+
+        start = time.perf_counter()
+        answer = server.range_sum(tuple((1, n) for n in self.SIZES))
+        assert time.perf_counter() - start < 10.0
+        assert answer == values[1:, 1:, 1:].sum()
+
+        levels = [{names[0]: 1, names[1]: 2, names[2]: 0}, {names[0]: 3, names[2]: 1}]
+        start = time.perf_counter()
+        rollups = server.rollup_batch(levels)
+        assert time.perf_counter() - start < 5.0
+        for request, result in zip(levels, rollups):
+            expected = values
+            for axis, name in enumerate(names):
+                width = 1 << request.get(name, 0)
+                shape = expected.shape
+                expected = expected.reshape(
+                    *shape[:axis], shape[axis] // width, width, *shape[axis + 1 :]
+                ).sum(axis=axis + 1)
+            assert np.array_equal(np.asarray(result), expected)
+        server.close()

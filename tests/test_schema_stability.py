@@ -126,6 +126,55 @@ class TestStatsPayload:
         server.close()
 
 
+class TestAdaptCycleAttributes:
+    """What a dashboard reads to tell a reduced-state re-selection and a
+    cold plan from a graph walk (``docs/observability.md``)."""
+
+    def test_reconfigure_span_and_epoch_bump_event(self):
+        server = make_server()
+        serve_some(server)
+        server.reconfigure()
+        span = server.tracer.spans("server.reconfigure")[-1]
+        assert set(span.attributes) >= {
+            "operations",
+            "epoch",
+            "storage",
+            "expected_cost",
+            "selector",
+            "states",
+            "select_ms",
+        }
+        assert span.attributes["selector"] in ("reduced", "general")
+        event = server.obs.events.events("epoch_bump")[-1]
+        assert set(event) == {
+            "seq",
+            "ts",
+            "kind",
+            "epoch",
+            "stored_elements",
+            "expected_cost",
+            "selector",
+            "states",
+            "select_ms",
+        }
+        server.close()
+
+    def test_plan_span_reports_priced_states(self):
+        server = make_server()
+        server.query_batch([["d0"], ["d1"], []])
+        span = server.tracer.spans("exec.plan")[-1]
+        assert set(span.attributes) >= {
+            "targets",
+            "nodes",
+            "planned_cost",
+            "naive_cost",
+            "plan_ms",
+            "priced_states",
+        }
+        assert span.attributes["priced_states"] > 0
+        server.close()
+
+
 class TestChromeTraceSchema:
     def test_event_keys(self):
         server = make_server()
