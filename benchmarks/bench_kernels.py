@@ -1,6 +1,6 @@
 """Fused cascade kernels vs step-by-step execution (wall, ops, allocations).
 
-Measures the three layers the fused-kernel work touches:
+Measures the two layers the fused-kernel work touches:
 
 - ``cascade``: one ``P1``/``R1`` chain run step-by-step through the
   :mod:`repro.core.operators` functions vs one :func:`~repro.core.kernels.
@@ -11,8 +11,6 @@ Measures the three layers the fused-kernel work touches:
   against it we run the unfused DAG, the fused DAG, and the cost-aware
   executor at 1/2/4 workers.  ``tracemalloc`` peaks and buffer-pool
   hit/miss deltas quantify the drop in temporary allocations.
-- ``process_shm``: the shared-memory process backend on a large cube
-  (``2^24`` cells in full mode), checked bit-identical to serial.
 
 Wall time is min-of-N steady-state serving (plan cache warm, buffer pool
 warm); scalar operations are exact (:class:`OpCounter`).  Every strategy's
@@ -297,63 +295,6 @@ def measure_batch(name, ms, targets, repeats: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Section 3: shared-memory process backend
-
-
-def measure_process(small: bool, repeats: int) -> dict:
-    """The shm process pool on a large cube, bit-checked against serial."""
-    sizes = (64, 64, 64) if small else (512, 512, 64)
-    threshold = 1 << 8 if small else 1 << 20
-    shape = CubeShape(sizes)
-    rng = np.random.default_rng(7)
-    arrays = {shape.root(): rng.standard_normal(sizes)}
-    targets = [shape.aggregated_view((0,)), shape.aggregated_view((1,))]
-    plan = plan_batch(targets, tuple(arrays))
-
-    def serial():
-        counter = OpCounter()
-        return execute_plan(plan, arrays, counter=counter), counter
-
-    def process():
-        counter = OpCounter()
-        return (
-            execute_plan(
-                plan,
-                arrays,
-                counter=counter,
-                max_workers=2,
-                backend="process",
-                process_threshold=threshold,
-            ),
-            counter,
-        )
-
-    expected, serial_counter = serial()
-    got, process_counter = process()
-    for target in targets:
-        assert got[target].tobytes() == expected[target].tobytes(), (
-            "process backend answers are not bit-identical"
-        )
-    serial_wall = _best_wall(lambda: serial(), repeats)
-    process_wall = _best_wall(lambda: process(), repeats)
-    return {
-        "name": "process_shm_small" if small else "process_shm_large",
-        "shape": list(sizes),
-        "cells": int(np.prod(sizes)),
-        "process_threshold": threshold,
-        "bit_identical": True,
-        "serial": {
-            "operations": serial_counter.total,
-            "wall_ms": serial_wall * 1e3,
-        },
-        "process_2_workers": {
-            "operations": process_counter.total,
-            "wall_ms": process_wall * 1e3,
-        },
-    }
-
-
-# ---------------------------------------------------------------------------
 # Report / gates
 
 
@@ -366,9 +307,6 @@ def run(small: bool = False, repeats: int | None = None) -> dict:
     ]
     if not small:
         batches.insert(1, (*star_schema_workload(False), repeats))
-    process_sections = [measure_process(True, max(2, repeats // 2))]
-    if not small:
-        process_sections.append(measure_process(False, 2))
     return {
         "benchmark": "fused cascade kernels",
         "mode": "small" if small else "full",
@@ -379,7 +317,6 @@ def run(small: bool = False, repeats: int | None = None) -> dict:
             measure_batch(name, ms, targets, n)
             for name, ms, targets, n in batches
         ],
-        "process_shm": process_sections,
     }
 
 
@@ -434,8 +371,6 @@ def check(report: dict) -> None:
             assert wl["peak_temp_bytes_saved"] > 0, (
                 f"{wl['name']}: warm fused batch did not reduce peak allocations"
             )
-    for section in report["process_shm"]:
-        assert section["bit_identical"]
 
 
 def compare(report: dict, baseline: dict) -> list[str]:
@@ -497,12 +432,6 @@ def render(report: dict) -> str:
                 f"fused({w}) {wl[f'fused_{w}_workers']['wall_ms']:.3f} ms"
                 for w in WORKERS
             )
-        )
-    for section in report["process_shm"]:
-        lines.append(
-            f"{section['name']} ({section['cells']} cells): serial "
-            f"{section['serial']['wall_ms']:.2f} ms | shm process(2) "
-            f"{section['process_2_workers']['wall_ms']:.2f} ms"
         )
     return "\n".join(lines)
 

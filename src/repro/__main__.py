@@ -9,8 +9,8 @@ Usage::
     python -m repro all [--quick]
     python -m repro stats [--json] [--queries N] [--seed N] [--serve]
     python -m repro chaos [--seed N] [--json] [--output report.json]
-    python -m repro trace [--output trace.json] [--check] [--backend B]
-    python -m repro update [--trace FILE] [--shards N,M] [--backend B]
+    python -m repro trace [--output trace.json] [--check]
+    python -m repro update [--trace FILE] [--shards N,M]
     python -m repro recover [--seed N] [--shards N,M] [--json] [--output R]
 
 ``stats`` drives an instrumented demo server (repeated views, roll-ups,
@@ -189,7 +189,6 @@ def _run_trace(
     check: bool,
     seed: int,
     workers: int,
-    backend: str,
 ) -> tuple[str, int]:
     """Trace one star-schema query batch; report the cost profile.
 
@@ -213,15 +212,8 @@ def _run_trace(
         ["store", "day"],
     ]
     # Force pool dispatch (threshold 0) so the trace exercises worker
-    # lanes even on the small demo cube; with the process backend, drop
-    # the process threshold too so cascades really cross the boundary.
-    server.query_batch(
-        requests,
-        max_workers=workers,
-        backend=backend,
-        dispatch_threshold=0,
-        process_threshold=(1 << 6) if backend == "process" else None,
-    )
+    # lanes even on the small demo cube.
+    server.query_batch(requests, max_workers=workers, dispatch_threshold=0)
     profile = query_profile(server.tracer)
     spans = server.tracer.trace(profile["trace_id"])
     lines = [render_profile(profile)]
@@ -309,7 +301,6 @@ def _run_diag(
 def _run_shard(
     seed: int,
     shards_spec: str,
-    backend: str,
     workers: int,
     json_output: bool,
     output: str | None,
@@ -329,7 +320,6 @@ def _run_shard(
         DifferentialConfig(
             seed=seed,
             shard_counts=counts,
-            backend=backend,
             workers=workers,
         )
     )
@@ -342,7 +332,6 @@ def _run_shard(
 def _run_update(
     seed: int,
     shards_spec: str,
-    backend: str,
     workers: int,
     trace_path: str | None,
     json_output: bool,
@@ -365,7 +354,6 @@ def _run_update(
         UpdateStreamConfig(
             seed=seed,
             shard_counts=counts,
-            backend=backend,
             workers=workers,
         ),
         trace=trace,
@@ -379,7 +367,6 @@ def _run_update(
 def _run_recover(
     seed: int,
     shards_spec: str,
-    backend: str,
     workers: int,
     json_output: bool,
     output: str | None,
@@ -399,7 +386,6 @@ def _run_recover(
         RecoveryGateConfig(
             seed=seed,
             shard_counts=counts,
-            backend=backend,
             workers=workers,
         )
     )
@@ -481,7 +467,6 @@ def _run_tune(
 def _run_soak(
     seed: int,
     check: bool,
-    backend: str,
     batches: int | None,
     tuning_path: str | None,
     json_output: bool,
@@ -521,15 +506,12 @@ def _run_soak(
                 ),
                 **kwargs,
             ),
-            backends=(backend,) if backend != "both" else ("thread", "process"),
             tuning=tuning,
         )
         rendered = render_check_report(report)
         code = 0 if report["ok"] else 1
     else:
-        config = SoakConfig(
-            seed=seed, backend=backend if backend != "both" else "thread"
-        )
+        config = SoakConfig(seed=seed)
         if batches is not None:
             config = dataclasses.replace(config, batches=batches)
         report = run_soak(config, tuning=tuning)
@@ -579,8 +561,8 @@ def main(argv: list[str] | None = None) -> int:
         "restore loses no acknowledged update; 'tune' autotunes the "
         "TuningConfig knobs on the drifting soak workload and writes "
         "tuned.json; 'soak' replays the drifting workload — with "
-        "--check it gates bit-identity and SLO coverage on both "
-        "executor backends; 'diag' runs the deterministic SLO-triage "
+        "--check it gates bit-identity and SLO coverage; 'diag' runs "
+        "the deterministic SLO-triage "
         "gate — seeded faults must fire the burn-rate alert on the "
         "predicted query and auto-dump a valid diagnostic bundle)",
     )
@@ -645,13 +627,6 @@ def main(argv: list[str] | None = None) -> int:
         help="with 'trace': executor workers for the traced batch",
     )
     parser.add_argument(
-        "--backend",
-        choices=["thread", "process", "both"],
-        default=None,
-        help="with 'trace'/'shard'/'soak': DAG executor backend "
-        "(default thread; 'soak --check' defaults to both)",
-    )
-    parser.add_argument(
         "--rounds",
         type=int,
         default=1,
@@ -694,7 +669,6 @@ def main(argv: list[str] | None = None) -> int:
         "seeded generator (see repro.streaming.generate_trace)",
     )
     args = parser.parse_args(argv)
-    backend = args.backend or "thread"
 
     if args.experiment == "tune":
         seed = 101 if args.seed is None else args.seed
@@ -710,11 +684,9 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.experiment == "soak":
         seed = 101 if args.seed is None else args.seed
-        soak_backend = args.backend or ("both" if args.check else "thread")
         return _run_soak(
             seed,
             args.check,
-            soak_backend,
             args.batches,
             args.tuning,
             args.json,
@@ -726,7 +698,6 @@ def main(argv: list[str] | None = None) -> int:
         return _run_recover(
             seed,
             args.shards,
-            backend,
             args.workers,
             args.json,
             args.output,
@@ -737,7 +708,6 @@ def main(argv: list[str] | None = None) -> int:
         return _run_update(
             seed,
             args.shards,
-            backend,
             args.workers,
             args.trace,
             args.json,
@@ -749,7 +719,6 @@ def main(argv: list[str] | None = None) -> int:
         return _run_shard(
             seed,
             args.shards,
-            backend,
             args.workers,
             args.json,
             args.output,
@@ -768,9 +737,7 @@ def main(argv: list[str] | None = None) -> int:
         return _run_diag(seed, args.check, args.json, args.output)
     if args.experiment == "trace":
         seed = 19 if args.seed is None else args.seed
-        report, code = _run_trace(
-            args.output, args.check, seed, args.workers, backend
-        )
+        report, code = _run_trace(args.output, args.check, seed, args.workers)
         print(report)
         return code
 

@@ -26,7 +26,6 @@ from .element import CubeShape, ElementId
 from .engine import SelectionEngine
 from .exec import (
     DISPATCH_THRESHOLD,
-    PROCESS_THRESHOLD,
     BatchPlan,
     PlanNode,
     execute_plan,
@@ -106,7 +105,6 @@ __all__ = [
     "BufferPool",
     "DISPATCH_THRESHOLD",
     "POOL_MIN_CELLS",
-    "PROCESS_THRESHOLD",
     "PlanNode",
     "canonical_steps",
     "execute_plan",

@@ -37,10 +37,10 @@ targets as one shared DAG, the way Gray et al.'s cube operator computes the
   :class:`~concurrent.futures.ThreadPoolExecutor` (the Haar kernels are
   GIL-releasing numpy reductions) — and when *no* node clears the
   threshold the executor demotes the whole run to serial regardless of the
-  requested worker count, recording the decision.  An optional
-  ``backend="process"`` ships large fused cascades to a process pool over
-  :mod:`multiprocessing.shared_memory` for cubes big enough to amortize
-  the round-trip.  Exact :class:`~repro.core.operators.OpCounter`
+  requested worker count, recording the decision.  Those are the only two
+  executors — a serial loop and the thread scheduler — and the choice
+  between them is made from ``max_workers`` and the plan's modeled costs,
+  never from an option.  Exact :class:`~repro.core.operators.OpCounter`
   accounting is preserved via per-node counters merged into the caller's
   counter as nodes complete.
 
@@ -66,36 +66,17 @@ import contextvars
 import time
 from collections import deque
 from collections.abc import Iterable, Mapping
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from multiprocessing import shared_memory
 
 import numpy as np
 
 from ..errors import IncompleteSetError
-from ..obs import (
-    Span,
-    current_registry,
-    current_tracer,
-    span,
-    span_context,
-    tracing_active,
-)
+from ..obs import current_registry, span, tracing_active
 from ..resilience.deadline import check_deadline, current_deadline
 from ..resilience.faults import fault_point
 from .element import ElementId
-from .kernels import (
-    POOL_MIN_CELLS,
-    BufferPool,
-    _shm_cascade_worker,
-    canonical_steps,
-    fused_cascade,
-)
+from .kernels import POOL_MIN_CELLS, BufferPool, canonical_steps, fused_cascade
 from .operators import OpCounter, partial_residual, partial_sum, synthesize
 from .planning import best_route, sorted_by_volume
 from .select_redundant import generation_cost, priced_states
@@ -107,7 +88,6 @@ __all__ = [
     "fuse_plan",
     "execute_plan",
     "DISPATCH_THRESHOLD",
-    "PROCESS_THRESHOLD",
 ]
 
 #: Modeled scalar operations below which a node runs inline rather than on
@@ -115,10 +95,6 @@ __all__ = [
 #: costs more in scheduling than the reduction itself (the measured source
 #: of the 1-worker-beats-4-workers regression on small cubes).
 DISPATCH_THRESHOLD = 1 << 16
-
-#: Modeled scalar operations above which a fused cascade is worth a
-#: shared-memory process round-trip (two block copies + pool latency).
-PROCESS_THRESHOLD = 1 << 24
 
 #: Node key: the element itself for canonical nodes, or
 #: ``("chain", source, element)`` for cascade interiors whose element's own
@@ -477,10 +453,6 @@ def _compute_node(
     return synthesize(deps[0], deps[1], node.dim, counter=counter, out=out)
 
 
-def _merge_counter(into: OpCounter, part: OpCounter) -> None:
-    into.merge(part)
-
-
 def _run_node(
     node: PlanNode,
     deps: tuple[np.ndarray, ...],
@@ -492,7 +464,7 @@ def _run_node(
 
     The span carries the planned-vs-measured join keys the query profiler
     reads (``planned_cost`` from the model, ``operations`` from the
-    counter delta) plus the thread/process the node actually ran on.  The
+    counter delta) plus the thread the node actually ran on.  The
     :func:`tracing_active` guard keeps the untraced path at one contextvar
     read — no attribute strings, no counter delta.
     """
@@ -517,8 +489,6 @@ def execute_plan(
     max_workers: int = 1,
     *,
     dispatch_threshold: int | None = None,
-    backend: str = "thread",
-    process_threshold: int | None = None,
     pool: BufferPool | None = None,
     stats: dict | None = None,
     span_attrs: dict | None = None,
@@ -527,7 +497,7 @@ def execute_plan(
     """Run a :class:`BatchPlan` against the stored ``arrays``.
 
     ``tuning`` (a :class:`repro.tuning.TuningConfig`) supplies the default
-    dispatch/process thresholds and the executor pool's floor/bound when
+    dispatch threshold and the executor pool's floor/bound when
     the explicit arguments are ``None``; without it the module constants
     apply, so existing call sites are byte-for-byte unchanged.
 
@@ -545,23 +515,12 @@ def execute_plan(
     to one worker on small cubes); the decision is recorded on the span,
     in the metrics registry, and in ``stats`` when a dict is supplied.
 
-    ``backend="process"`` dispatches large ``step``/``fused`` cascades
-    (modeled cost at least ``process_threshold``, default
-    :data:`PROCESS_THRESHOLD`) to a process pool over
-    :mod:`multiprocessing.shared_memory` — for cubes whose reductions are
-    big enough to amortize two block copies.  Nodes below that but at or
-    above ``dispatch_threshold`` run on a thread pool, and the rest run
-    inline — a three-tier hybrid, so one batch can occupy scheduler,
-    thread, and process lanes at once.
-
     Non-target temporaries are freed as soon as their last consumer has
     run — into ``pool`` (a fresh :class:`BufferPool` when none is given),
     so later nodes reuse them as ``out=`` buffers instead of allocating.
     Stored targets are returned by reference, exactly like
     :meth:`MaterializedSet.assemble` (treat results as read-only).
     """
-    if backend not in ("thread", "process"):
-        raise ValueError(f"unknown backend {backend!r}")
     own = counter if counter is not None else OpCounter()
     target_keys = set(plan.targets)
     if dispatch_threshold is None:
@@ -569,11 +528,6 @@ def execute_plan(
             DISPATCH_THRESHOLD if tuning is None else tuning.dispatch_threshold
         )
     threshold = dispatch_threshold
-    if process_threshold is None:
-        process_threshold = (
-            PROCESS_THRESHOLD if tuning is None else tuning.process_threshold
-        )
-    proc_threshold = process_threshold
     if pool is None:
         pool = (
             BufferPool(min_cells=POOL_MIN_CELLS)
@@ -586,7 +540,7 @@ def execute_plan(
     largest = max((node.cost for node in plan.nodes.values()), default=0)
     requested = max_workers
     demoted = False
-    if backend == "thread" and max_workers > 1 and largest < threshold:
+    if max_workers > 1 and largest < threshold:
         max_workers = 1
         demoted = True
     with span(
@@ -596,12 +550,7 @@ def execute_plan(
         **(span_attrs or {}),
     ) as sp:
         start = time.perf_counter()
-        if backend == "process" and max_workers > 1:
-            values, busy = _execute_process(
-                plan, arrays, own, target_keys, max_workers, pool,
-                proc_threshold, threshold,
-            )
-        elif max_workers <= 1:
+        if max_workers <= 1:
             values, busy = _execute_serial(
                 plan, arrays, own, target_keys, pool
             )
@@ -638,7 +587,6 @@ def execute_plan(
             "demoted": demoted,
             "dispatch_threshold": threshold,
             "largest_node_cost": largest,
-            "backend": backend,
         }
         if stats is not None:
             stats.update(decision)
@@ -717,7 +665,7 @@ def _execute_pooled(
         nonlocal busy
         values[key] = out
         busy += elapsed
-        _merge_counter(counter, local)
+        counter.merge(local)
         for dep in plan.nodes[key].deps:
             remaining[dep] -= 1
             if remaining[dep] == 0 and dep not in target_keys:
@@ -758,7 +706,7 @@ def _execute_pooled(
                         except BaseException as exc:
                             partial = getattr(exc, "partial_counter", None)
                             if partial is not None:
-                                _merge_counter(counter, partial)
+                                counter.merge(partial)
                             raise
                         continue
                     # Pool threads do not inherit contextvars; hand each
@@ -788,7 +736,7 @@ def _execute_pooled(
                     except BaseException as exc:
                         partial = getattr(exc, "partial_counter", None)
                         if partial is not None:
-                            _merge_counter(counter, partial)
+                            counter.merge(partial)
                         if failure is None:
                             failure = exc
                         continue
@@ -806,279 +754,11 @@ def _execute_pooled(
                 if exc is None:
                     _, _, local, elapsed = future.result()
                     busy += elapsed
-                    _merge_counter(counter, local)
+                    counter.merge(local)
                 else:
                     partial = getattr(exc, "partial_counter", None)
                     if partial is not None:
-                        _merge_counter(counter, partial)
+                        counter.merge(partial)
             raise
     return values, busy
 
-
-def _execute_process(
-    plan: BatchPlan,
-    arrays: Mapping[ElementId, np.ndarray],
-    counter: OpCounter,
-    target_keys: set,
-    max_workers: int,
-    buf_pool: BufferPool,
-    proc_threshold: int,
-    threshold: int,
-) -> tuple[dict[NodeKey, np.ndarray], float]:
-    """Hybrid shared-memory process backend for very large cascades.
-
-    Dispatch is three-tiered by modeled cost: ``step``/``fused`` nodes at
-    or above ``proc_threshold`` are shipped to a
-    :class:`~concurrent.futures.ProcessPoolExecutor` worker over
-    :mod:`multiprocessing.shared_memory` (the parent copies the input into
-    a shared block, the worker runs the fused cascade into a second
-    parent-owned block, the parent copies the result out and unlinks
-    both); nodes at or above ``threshold`` run on a thread pool exactly
-    like :func:`_execute_pooled`; everything smaller runs inline on the
-    scheduler thread.  One ``query_batch`` can therefore exercise all
-    three lanes — scheduler, pool workers, worker processes — in a single
-    trace.
-
-    Chaos determinism: contextvars (and therefore the ambient fault
-    injector) do not cross process boundaries, so the
-    ``exec.compute_node`` fault site fires on the *parent* before a
-    process dispatch — still exactly once per non-stored node.  Thread
-    dispatches carry a copied context like the pooled executor's.
-
-    Exact accounting: every worker counts its own scalar operations with a
-    private :class:`OpCounter` and the parent merges the totals (process
-    results land under a ``shm cascade`` event label).  When a tracer is
-    active, process work is recorded as a *remote* ``exec.node`` span: the
-    parent allocates the span id, the worker measures its own
-    ``perf_counter`` interval (``CLOCK_MONOTONIC`` — one timeline across
-    processes on Linux), and :meth:`~repro.obs.Tracer.record_remote`
-    attaches it under the ``exec.execute`` span.
-    """
-    values: dict[NodeKey, np.ndarray] = {}
-    remaining = dict(plan.consumers)
-    pending_deps = {key: len(node.deps) for key, node in plan.nodes.items()}
-    dependents: dict[NodeKey, list[NodeKey]] = {key: [] for key in plan.nodes}
-    for key, node in plan.nodes.items():
-        for dep in node.deps:
-            dependents[dep].append(key)
-    ready = deque(key for key, n in pending_deps.items() if n == 0)
-    busy = 0.0
-    deadline = current_deadline()
-    tracer = current_tracer()
-    parent_ctx = span_context() if tracer is not None else None
-
-    def complete(key: NodeKey) -> None:
-        for dep in plan.nodes[key].deps:
-            remaining[dep] -= 1
-            if remaining[dep] == 0 and dep not in target_keys:
-                if plan.nodes[dep].kind != "stored":
-                    buf_pool.give(values.pop(dep))
-        for consumer in dependents[key]:
-            pending_deps[consumer] -= 1
-            if pending_deps[consumer] == 0:
-                ready.append(consumer)
-
-    def release(blocks) -> None:
-        for blk in blocks:
-            try:
-                blk.close()
-                blk.unlink()
-            except Exception:
-                pass
-
-    def thread_work(key: NodeKey):
-        node = plan.nodes[key]
-        deps = tuple(values[d] for d in node.deps)
-        local = OpCounter()
-        t0 = time.perf_counter()
-        try:
-            out = _run_node(node, deps, arrays, local, buf_pool)
-        except BaseException as exc:
-            exc.partial_counter = local  # type: ignore[attr-defined]
-            raise
-        return key, out, local, time.perf_counter() - t0
-
-    # process future -> (key, in block, out block, out shape, dtype, span id)
-    inflight: dict = {}
-    futures: set = set()
-    with ProcessPoolExecutor(max_workers=max_workers) as proc_pool, (
-        ThreadPoolExecutor(max_workers=max_workers)
-    ) as thread_pool:
-        try:
-            while ready or futures:
-                check_deadline("exec.dispatch")
-                while ready:
-                    key = ready.popleft()
-                    node = plan.nodes[key]
-                    to_process = (
-                        node.kind in ("step", "fused")
-                        and node.cost >= proc_threshold
-                    )
-                    if not to_process:
-                        if node.kind != "stored" and node.cost >= threshold:
-                            futures.add(
-                                thread_pool.submit(
-                                    contextvars.copy_context().run,
-                                    thread_work,
-                                    key,
-                                )
-                            )
-                            continue
-                        deps = tuple(values[d] for d in node.deps)
-                        t0 = time.perf_counter()
-                        values[key] = _run_node(
-                            node, deps, arrays, counter, buf_pool
-                        )
-                        busy += time.perf_counter() - t0
-                        complete(key)
-                        continue
-                    # Fire the fault site before shipping the node out —
-                    # the worker process has no ambient injector.
-                    fault_point(
-                        "exec.compute_node",
-                        element=node.element,
-                        kind=node.kind,
-                    )
-                    src = values[node.deps[0]]
-                    steps = (
-                        node.steps
-                        if node.kind == "fused"
-                        else ((node.dim, node.residual),)
-                    )
-                    out_shape = node.element.data_shape
-                    out_nbytes = int(src.dtype.itemsize) * int(
-                        np.prod(out_shape, dtype=np.int64)
-                    )
-                    in_blk = shared_memory.SharedMemory(
-                        create=True, size=src.nbytes
-                    )
-                    out_blk = shared_memory.SharedMemory(
-                        create=True, size=out_nbytes
-                    )
-                    np.ndarray(src.shape, src.dtype, buffer=in_blk.buf)[
-                        ...
-                    ] = src
-                    remote_id = (
-                        tracer.next_span_id() if tracer is not None else None
-                    )
-                    future = proc_pool.submit(
-                        _shm_cascade_worker,
-                        in_blk.name,
-                        src.shape,
-                        src.dtype.str,
-                        steps,
-                        out_blk.name,
-                        tracer is not None,
-                    )
-                    inflight[future] = (
-                        key,
-                        in_blk,
-                        out_blk,
-                        out_shape,
-                        src.dtype,
-                        remote_id,
-                    )
-                    futures.add(future)
-                if not futures:
-                    continue
-                timeout = (
-                    max(0.0, deadline.remaining())
-                    if deadline is not None
-                    else None
-                )
-                done, futures = wait(
-                    futures, timeout=timeout, return_when=FIRST_COMPLETED
-                )
-                failure: BaseException | None = None
-                for future in done:
-                    entry = inflight.pop(future, None)
-                    if entry is None:
-                        # Thread-tier completion.
-                        try:
-                            key, out, local, elapsed = future.result()
-                        except BaseException as exc:
-                            partial = getattr(exc, "partial_counter", None)
-                            if partial is not None:
-                                _merge_counter(counter, partial)
-                            if failure is None:
-                                failure = exc
-                            continue
-                        values[key] = out
-                        busy += elapsed
-                        _merge_counter(counter, local)
-                        complete(key)
-                        continue
-                    key, in_blk, out_blk, out_shape, dtype, remote_id = entry
-                    try:
-                        adds, subs, *rest = future.result()
-                    except BaseException as exc:
-                        release((in_blk, out_blk))
-                        if failure is None:
-                            failure = exc
-                        continue
-                    t0 = time.perf_counter()
-                    result = buf_pool.take(out_shape, dtype)
-                    result[...] = np.ndarray(
-                        out_shape, dtype, buffer=out_blk.buf
-                    )
-                    release((in_blk, out_blk))
-                    counter.add(
-                        additions=adds,
-                        subtractions=subs,
-                        label="shm cascade",
-                    )
-                    if tracer is not None and rest:
-                        timing = rest[0]
-                        node = plan.nodes[key]
-                        tracer.record_remote(
-                            Span(
-                                name="exec.node",
-                                span_id=remote_id,
-                                trace_id=(
-                                    parent_ctx[0] if parent_ctx else 0
-                                ),
-                                parent_id=(
-                                    parent_ctx[1] if parent_ctx else None
-                                ),
-                                start=timing["start"],
-                                end=timing["end"],
-                                attributes={
-                                    "element": node.element.describe(),
-                                    "kind": node.kind,
-                                    "planned_cost": node.cost,
-                                    "operations": adds + subs,
-                                    "remote": True,
-                                },
-                                thread_id=timing["thread_id"],
-                                thread_name=timing["thread_name"],
-                                process_id=timing["pid"],
-                            )
-                        )
-                    values[key] = result
-                    busy += time.perf_counter() - t0
-                    complete(key)
-                if failure is not None:
-                    raise failure
-        except BaseException:
-            for future in futures:
-                future.cancel()
-            settled, _ = wait(futures)
-            for future in settled:
-                entry = inflight.pop(future, None)
-                if entry is None:
-                    if future.cancelled():
-                        continue
-                    exc = future.exception()
-                    if exc is None:
-                        _, _, local, elapsed = future.result()
-                        busy += elapsed
-                        _merge_counter(counter, local)
-                    else:
-                        partial = getattr(exc, "partial_counter", None)
-                        if partial is not None:
-                            _merge_counter(counter, partial)
-                    continue
-                _, in_blk, out_blk, _, _, _ = entry
-                release((in_blk, out_blk))
-            raise
-    return values, busy

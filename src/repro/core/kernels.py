@@ -18,9 +18,6 @@ This module collapses a whole ``P1``/``R1`` chain into one kernel call:
   multi-axis aggregation entry points (Eqs 8, 16) built on it.
 - :func:`fused_synthesize` is the pool-aware perfect-reconstruction kernel
   for synthesis cascades (Eqs 3-4).
-- :func:`_shm_cascade_worker` is the :mod:`multiprocessing.shared_memory`
-  process-pool backend used by :func:`repro.core.exec.execute_plan` for
-  cubes large enough to amortize a process round-trip.
 
 **Bit-identity.**  Fusion never changes arithmetic: each fused step performs
 the same single ``np.add``/``np.subtract`` over the same even/odd pairs, in
@@ -37,10 +34,7 @@ bit-identity property for int and float dtypes across 1-4 dimensions.
 from __future__ import annotations
 
 import math
-import os
 import threading
-import time
-from multiprocessing import shared_memory
 
 import numpy as np
 
@@ -308,63 +302,3 @@ def fused_synthesize(
         out = pool.take(out_shape, np.float64)
     return synthesize(p, r, axis, counter=counter, out=out)
 
-
-# ---------------------------------------------------------------------------
-# Shared-memory process backend
-
-
-def _shm_cascade_worker(
-    in_name: str,
-    shape: tuple,
-    dtype_str: str,
-    steps: tuple,
-    out_name: str,
-    timing: bool = False,
-):
-    """Run a fused cascade between two parent-owned shared-memory blocks.
-
-    Executed inside a process-pool worker: attaches to the input block,
-    runs :func:`fused_cascade`, writes the result into the (pre-created)
-    output block, and returns ``(additions, subtractions)`` so the parent
-    can merge the exact operation counts.  The parent owns both blocks'
-    lifetimes — it copies the result out and unlinks them — so the worker
-    only ever attaches and closes.  (Pool workers are forked on Linux and
-    share the parent's resource tracker, so attaching here is a no-op for
-    segment accounting; the parent's single ``unlink`` settles it.)
-
-    With ``timing`` the return value grows a third element,
-    ``{"start", "end", "thread_id", "thread_name", "pid"}``, measured
-    *inside* the worker with ``time.perf_counter`` — on Linux that clock
-    is ``CLOCK_MONOTONIC``, shared across processes, so the parent can
-    record the interval as a remote span in the same timeline as its own
-    spans (contextvars do not cross the process boundary, so the tracer
-    cannot observe this work any other way).
-    """
-    dtype = np.dtype(dtype_str)
-    inp = shared_memory.SharedMemory(name=in_name)
-    out_blk = shared_memory.SharedMemory(name=out_name)
-    try:
-        start = time.perf_counter()
-        a = np.ndarray(shape, dtype=dtype, buffer=inp.buf)
-        counter = OpCounter()
-        result = fused_cascade(a, steps, counter=counter)
-        np.ndarray(result.shape, dtype=result.dtype, buffer=out_blk.buf)[
-            ...
-        ] = result
-        if not timing:
-            return counter.additions, counter.subtractions
-        thread = threading.current_thread()
-        return (
-            counter.additions,
-            counter.subtractions,
-            {
-                "start": start,
-                "end": time.perf_counter(),
-                "thread_id": thread.ident or 0,
-                "thread_name": thread.name,
-                "pid": os.getpid(),
-            },
-        )
-    finally:
-        inp.close()
-        out_blk.close()

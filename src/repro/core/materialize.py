@@ -527,9 +527,7 @@ class MaterializedSet:
         counter: OpCounter | None = None,
         max_workers: int = 1,
         cost_memo: dict | None = None,
-        backend: str = "thread",
         dispatch_threshold: int | None = None,
-        process_threshold: int | None = None,
     ) -> dict[ElementId, np.ndarray]:
         """Assemble several targets as one shared-plan DAG.
 
@@ -540,11 +538,9 @@ class MaterializedSet:
         computed once, and single-consumer cascades run as fused kernels.
         The executor dispatches cost-aware: requesting ``max_workers > 1``
         is safe even for tiny batches — it demotes itself to serial when no
-        node is worth a thread round-trip.  ``backend="process"`` enables
-        the shared-memory process pool for very large cascades;
-        ``dispatch_threshold``/``process_threshold`` override the
-        executor's cost cutoffs (tests and benchmarks use them to force a
-        dispatch tier without monkeypatching).  Results
+        node is worth a thread round-trip.  ``dispatch_threshold``
+        overrides the executor's cost cutoff (tests and benchmarks use it
+        to force pooled dispatch without monkeypatching).  Results
         are bit-identical to per-target :meth:`assemble` calls and never
         cost more scalar operations; the total is usually strictly lower.
         Procedure 3 prices are reused across batches through the set's
@@ -598,9 +594,7 @@ class MaterializedSet:
                 arrays,
                 counter=own,
                 max_workers=max_workers,
-                backend=backend,
                 dispatch_threshold=dispatch_threshold,
-                process_threshold=process_threshold,
                 pool=self._pool,
                 stats=exec_stats,
                 tuning=self._tuning,

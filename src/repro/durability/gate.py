@@ -61,7 +61,6 @@ class RecoveryGateConfig:
     operations: int = 48
     bulk_max: int = 5
     fsync: str = "interval"
-    backend: str = "thread"
     workers: int = 2
     #: Mutations between the child's explicit snapshots.
     snapshot_every: int = 6
@@ -89,7 +88,6 @@ def _stream_config(config: RecoveryGateConfig):
     return UpdateStreamConfig(
         seed=config.seed,
         sizes=config.sizes,
-        backend=config.backend,
         workers=config.workers,
         operations=config.operations,
         bulk_max=config.bulk_max,
@@ -163,7 +161,6 @@ def _child_main(payload: dict) -> None:
                 server.query_batch(
                     [list(r) for r in op["requests"]],
                     max_workers=config.workers,
-                    backend=config.backend,
                 )
             elif kind == "rollup":
                 server.rollup(op["levels"])
@@ -346,7 +343,6 @@ def run_recovery_gate(
         "operations": config.operations,
         "bulk_max": config.bulk_max,
         "fsync": config.fsync,
-        "backend": config.backend,
         "workers": config.workers,
         "snapshot_every": config.snapshot_every,
         "segment_bytes": config.segment_bytes,
@@ -425,7 +421,6 @@ def run_recovery_gate(
             "seed": config.seed,
             "sizes": list(config.sizes),
             "fsync": config.fsync,
-            "backend": config.backend,
             "trace_ops": len(trace),
             "mutations": len(mutation_ops),
             "scenarios": scenarios,
@@ -441,7 +436,7 @@ def render_report(report: dict) -> str:
     lines = [
         f"kill-and-recover gate: seed={report['seed']} "
         f"sizes={tuple(report['sizes'])} fsync={report['fsync']} "
-        f"backend={report['backend']} trace_ops={report['trace_ops']} "
+        f"trace_ops={report['trace_ops']} "
         f"({report['mutations']} mutations)"
     ]
     for scn in report["scenarios"]:

@@ -12,8 +12,7 @@ this package:
   bucketed quantile estimation (p50/p95/p99);
 - :mod:`repro.obs.tracing` — hierarchical span tracing (trace/span/parent
   ids, span events, thread/process lanes) with contextvar propagation
-  across the thread pool and explicit context hand-off to the
-  shared-memory process backend;
+  across the thread pool;
 - :mod:`repro.obs.events` — a bounded structured event log (admissions,
   deadline misses, retries, quarantines, epoch bumps) exportable as JSONL;
 - :mod:`repro.obs.cache` — the bounded LRU cache (hit/miss/eviction
@@ -69,7 +68,6 @@ from .tracing import (
     current_span,
     current_tracer,
     span,
-    span_context,
     tracing_active,
 )
 
@@ -105,7 +103,6 @@ __all__ = [
     "load_bundle",
     "log_event",
     "span",
-    "span_context",
     "tracing_active",
     "validate_bundle",
     "write_bundle",

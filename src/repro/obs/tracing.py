@@ -11,15 +11,11 @@ and can be reassembled into a single connected tree (:meth:`Tracer.trace`).
 Propagation uses :mod:`contextvars`, so nesting works across ordinary
 calls, generators, and threads started with a copied context (the DAG
 executor copies its context into every pool submission), without threading
-a tracer argument through every function.  Process-pool workers cannot
-inherit a context; the executor hands them an explicit
-:func:`span_context` and records the returned timing as a *remote* span via
-:meth:`Tracer.record_remote`, so cross-process work still lands in the
-right trace with the right parent.
+a tracer argument through every function.
 
 Each span records the thread and process it ran on, which is what lets the
-Chrome trace exporter (:mod:`repro.obs.export`) draw scheduler, worker, and
-process lanes.
+Chrome trace exporter (:mod:`repro.obs.export`) draw scheduler and worker
+lanes under the serving process.
 
 Instrumented library code calls the module-level :func:`span` helper, which
 records into the *currently active* tracer and is a cheap no-op when none is
@@ -49,7 +45,6 @@ __all__ = [
     "current_tracer",
     "current_span",
     "add_span_event",
-    "span_context",
     "tracing_active",
 ]
 
@@ -234,20 +229,6 @@ class Tracer:
             _ACTIVE_SPAN.reset(token)
             self._finish(current)
 
-    def next_span_id(self) -> int:
-        """Allocate a span id for externally recorded (remote) work."""
-        return next(self._ids)
-
-    def record_remote(self, span: Span) -> None:
-        """Record a finished span produced outside this tracer's context.
-
-        Used by the process-pool backend: the worker cannot see the
-        parent's contextvars, so the scheduler allocates the id up front
-        (:meth:`next_span_id`), ships a :func:`span_context` to the worker,
-        and records the returned timing here.
-        """
-        self._finish(span)
-
     # ------------------------------------------------------------------
     # Reading
 
@@ -358,15 +339,3 @@ def add_span_event(event_name: str, /, **attributes) -> None:
     active = _ACTIVE_SPAN.get()
     if active is not None:
         active.add_event(event_name, **attributes)
-
-
-def span_context() -> tuple[int, int] | None:
-    """``(trace_id, span_id)`` of the innermost open span, or ``None``.
-
-    The serializable form of the active span context, for handing to
-    workers that cannot inherit contextvars (process pools).
-    """
-    active = _ACTIVE_SPAN.get()
-    if active is None:
-        return None
-    return (active.trace_id, active.span_id)

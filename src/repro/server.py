@@ -609,9 +609,7 @@ class OLAPServer:
         missing: Sequence[ElementId],
         counter: OpCounter,
         max_workers: int,
-        backend: str = "thread",
         dispatch_threshold: int | None = None,
-        process_threshold: int | None = None,
     ) -> dict[ElementId, np.ndarray]:
         """Batch analogue of :meth:`_assemble_resilient`.
 
@@ -630,9 +628,7 @@ class OLAPServer:
                     missing,
                     counter=scratch,
                     max_workers=max_workers,
-                    backend=backend,
                     dispatch_threshold=dispatch_threshold,
-                    process_threshold=process_threshold,
                 )
                 counter.merge(scratch)
                 return results
@@ -691,9 +687,7 @@ class OLAPServer:
         requests: Sequence[Iterable[str]],
         max_workers: int | None = None,
         deadline_ms: float | None = None,
-        backend: str = "thread",
         dispatch_threshold: int | None = None,
-        process_threshold: int | None = None,
     ) -> list[np.ndarray]:
         """Serve several aggregated views as one shared assembly plan.
 
@@ -710,9 +704,8 @@ class OLAPServer:
         (4 out of the box) — safe for any batch size, because the
         executor's cost-aware dispatch demotes itself to serial unless
         some DAG node is actually worth a thread round-trip.
-        ``backend``/``dispatch_threshold``/``process_threshold`` pass
-        straight through to the DAG executor (see
-        :func:`repro.core.exec.execute_plan`).
+        ``dispatch_threshold`` passes straight through to the DAG executor
+        (see :func:`repro.core.exec.execute_plan`).
         """
         elements = [self._element_for(dims) for dims in requests]
         return self._serve_batch(
@@ -720,9 +713,7 @@ class OLAPServer:
             "view",
             max_workers,
             deadline_ms,
-            backend=backend,
             dispatch_threshold=dispatch_threshold,
-            process_threshold=process_threshold,
         )
 
     def rollup_batch(
@@ -730,14 +721,12 @@ class OLAPServer:
         levels_list: Sequence[Mapping[str, str | int]],
         max_workers: int | None = None,
         deadline_ms: float | None = None,
-        backend: str = "thread",
         dispatch_threshold: int | None = None,
-        process_threshold: int | None = None,
     ) -> list[np.ndarray]:
         """Serve several roll-ups as one shared assembly plan.
 
         Batch analogue of :meth:`rollup`; see :meth:`query_batch` for the
-        executor passthrough arguments.
+        executor passthrough argument.
         """
         elements = [rollup_element(self.cube, levels) for levels in levels_list]
         return self._serve_batch(
@@ -745,9 +734,7 @@ class OLAPServer:
             "rollup",
             max_workers,
             deadline_ms,
-            backend=backend,
             dispatch_threshold=dispatch_threshold,
-            process_threshold=process_threshold,
         )
 
     def _cache_get(self, state: _ServingState, key):
@@ -803,9 +790,7 @@ class OLAPServer:
         kind: str,
         max_workers: int | None,
         deadline_ms: float | None = None,
-        backend: str = "thread",
         dispatch_threshold: int | None = None,
-        process_threshold: int | None = None,
     ) -> list[np.ndarray]:
         """Serve a batch of elements through one shared plan.
 
@@ -841,9 +826,7 @@ class OLAPServer:
                     missing,
                     counter,
                     max_workers,
-                    backend=backend,
                     dispatch_threshold=dispatch_threshold,
-                    process_threshold=process_threshold,
                 )
                 for element, values in assembled.items():
                     state.cache.put((element, state.epoch), values)

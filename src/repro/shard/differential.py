@@ -3,12 +3,11 @@
 Replays one deterministic workload — views, shared-plan batches, rollups,
 range sums, point cells, an in-place update, and a mid-run
 ``reconfigure()`` — against a monolithic :class:`~repro.server.OLAPServer`
-and against sharded servers (``--shards`` counts, thread or process
-backend), comparing every answer **byte for byte**.  The cube is
+and against sharded servers (``--shards`` counts), comparing every
+answer **byte for byte**.  The cube is
 integer-valued, so each comparison is meaningful on any shard axis: the
 scatter–gather merge must be *exactly* the monolithic cascade, not merely
-close.  The CI shard-smoke job runs this with ``--check`` on both
-backends.
+close.  The CI shard-smoke job runs this with ``--check``.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ class DifferentialConfig:
     seed: int = 11
     sizes: tuple[int, ...] = (8, 16, 16)
     shard_counts: tuple[int, ...] = (1, 2, 4)
-    backend: str = "thread"
     workers: int = 2
 
 
@@ -44,8 +42,8 @@ class _Tally:
 
 
 def _build_server(config: DifferentialConfig, **kwargs) -> "OLAPServer":
-    # Imported here: repro.server itself imports repro.shard for the
-    # storage backend, so the gate pulls the server in lazily.
+    # Imported here: repro.server itself imports repro.shard for its
+    # sharded storage, so the gate pulls the server in lazily.
     from ..server import OLAPServer
 
     rng = np.random.default_rng(config.seed)
@@ -61,14 +59,11 @@ def _workload(server: "OLAPServer", config: DifferentialConfig) -> list:
     """Deterministic answers; every entry is bytes or a float."""
     rng = np.random.default_rng(config.seed + 1)
     names = [f"d{i}" for i in range(len(config.sizes))]
-    backend = config.backend
     workers = config.workers
     answers: list = []
 
     def batch(requests):
-        results = server.query_batch(
-            requests, max_workers=workers, backend=backend
-        )
+        results = server.query_batch(requests, max_workers=workers)
         answers.extend(a.tobytes() for a in results)
 
     # Single views: every group-by of the first two dims plus the full cube.
@@ -87,9 +82,7 @@ def _workload(server: "OLAPServer", config: DifferentialConfig) -> list:
         answers.append(server.rollup(levels).tobytes())
     answers.extend(
         a.tobytes()
-        for a in server.rollup_batch(
-            rollup_levels, max_workers=workers, backend=backend
-        )
+        for a in server.rollup_batch(rollup_levels, max_workers=workers)
     )
     # Range sums: boundary-crossing, non-dyadic endpoints.
     for _ in range(6):
@@ -140,7 +133,6 @@ def run_differential(config: DifferentialConfig | None = None) -> dict:
     return {
         "seed": config.seed,
         "sizes": list(config.sizes),
-        "backend": config.backend,
         "workers": config.workers,
         "operations": len(reference),
         "runs": runs,
@@ -150,8 +142,8 @@ def run_differential(config: DifferentialConfig | None = None) -> dict:
 
 def render_report(report: dict) -> str:
     lines = [
-        f"shard differential: backend={report['backend']} "
-        f"sizes={tuple(report['sizes'])} seed={report['seed']}"
+        f"shard differential: sizes={tuple(report['sizes'])} "
+        f"seed={report['seed']}"
     ]
     for run in report["runs"]:
         verdict = (

@@ -15,8 +15,8 @@ A batch is served in three phases:
    all shards store the same projected selection, so planning cost is
    paid once, not ``S`` times).
 2. **Scatter** — each shard runs the plan against its own snapshot with
-   :func:`~repro.core.exec.execute_plan` (thread or shared-memory process
-   backend, shard-tagged span lanes, per-shard ``OpCounter``).  A shard
+   :func:`~repro.core.exec.execute_plan` (shard-tagged span lanes,
+   per-shard ``OpCounter``).  A shard
    whose signature cannot reach the targets — a quarantined array, a
    mid-migration divergence — falls back to recomputing its local targets
    from its base slab: degradation is *per shard*, the other shards still
@@ -37,11 +37,11 @@ at scatter entry, inside every executor, and before the gather.
 
 from __future__ import annotations
 
+import contextvars
+import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-
-import contextvars
 
 import numpy as np
 
@@ -299,9 +299,7 @@ class ShardedSet:
         counter: OpCounter | None = None,
         max_workers: int = 1,
         cost_memo: dict | None = None,
-        backend: str = "thread",
         dispatch_threshold: int | None = None,
-        process_threshold: int | None = None,
     ) -> dict[ElementId, np.ndarray]:
         """Scatter the batch to every shard, merge the partials exactly."""
         ordered = list(dict.fromkeys(targets))
@@ -334,15 +332,16 @@ class ShardedSet:
                     counters[s],
                     degraded,
                     max_workers=workers,
-                    backend=backend,
                     dispatch_threshold=dispatch_threshold,
-                    process_threshold=process_threshold,
                 )
 
             partials: list[dict] = [None] * s_count  # type: ignore[list-item]
-            if backend == "thread" and max_workers > 1 and s_count > 1:
+            if max_workers > 1 and s_count > 1:
                 lanes = min(s_count, max_workers)
-                inner = max(1, max_workers // s_count)
+                # Lanes already occupy ``lanes`` CPUs; a leg's own pool
+                # only gets the cores the process can actually run on.
+                cpus = len(os.sched_getaffinity(0))
+                inner = max(1, min(max_workers, cpus) // lanes)
                 with ThreadPoolExecutor(max_workers=lanes) as pool:
                     futures = [
                         pool.submit(
@@ -452,9 +451,7 @@ class ShardedSet:
         degraded: list,
         *,
         max_workers: int,
-        backend: str,
         dispatch_threshold: int | None,
-        process_threshold: int | None,
     ) -> dict[ElementId, np.ndarray]:
         """One scatter leg: retries, then per-shard degraded fallback."""
         registry = current_registry()
@@ -481,9 +478,7 @@ class ShardedSet:
                             snapshot,
                             counter=scratch,
                             max_workers=max_workers,
-                            backend=backend,
                             dispatch_threshold=dispatch_threshold,
-                            process_threshold=process_threshold,
                             pool=self._shards[s].pool,
                             span_attrs={"shard": s},
                             tuning=self._tuning,

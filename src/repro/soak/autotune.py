@@ -160,14 +160,12 @@ def warm_start(
             probe_server.query_batch(
                 [list(r) for r in op["requests"]],
                 max_workers=config.workers,
-                backend=config.backend,
                 **overrides,
             )
         else:
             probe_server.rollup_batch(
                 [dict(levels) for levels in op["levels_list"]],
                 max_workers=config.workers,
-                backend=config.backend,
                 **overrides,
             )
 

@@ -213,7 +213,6 @@ def run_soak(
             answers = server.query_batch(
                 [list(r) for r in op["requests"]],
                 max_workers=config.workers,
-                backend=config.backend,
                 **overrides,
             )
             wall_ms = (time.perf_counter() - start) * 1e3
@@ -231,7 +230,6 @@ def run_soak(
             answers = server.rollup_batch(
                 [dict(levels) for levels in op["levels_list"]],
                 max_workers=config.workers,
-                backend=config.backend,
                 **overrides,
             )
             wall_ms = (time.perf_counter() - start) * 1e3
@@ -381,10 +379,9 @@ def _adaptation_lags(walls: list[float], drift_points: list[dict]) -> list[dict]
 
 def run_soak_check(
     config: SoakConfig | None = None,
-    backends: tuple[str, ...] = ("thread", "process"),
     tuning: "TuningConfig | None" = None,
 ) -> dict:
-    """The soak gate: drifting replay stays bit-identical per backend.
+    """The soak gate: the drifting replay stays bit-identical.
 
     Runs the full loop — ingest bursts, online threshold nudges, live
     cost-model adaptation — with an ndarray replica checking every
@@ -397,27 +394,22 @@ def run_soak_check(
         sizes=(16, 16, 8), batches=18, phase_batches=6, batch_size=6,
         burst_every=4, burst_cells=16,
     )
-    runs = []
-    ok = True
-    for backend in backends:
-        run_config = SoakConfig(**{**config.to_dict(), "backend": backend,
-                                   "sizes": tuple(config.sizes)})
-        tuner = OnlineTuner(window=4)
-        run = run_soak(
-            run_config,
-            tuning=tuning,
-            check_answers=True,
-            online_tuner=tuner,
-        )
-        run_ok = (
-            run["bit_identical"]
-            and run["compared"] > 0
-            and sum(k["count"] for k in run["latency_ms"].values()) > 0
-        )
-        runs.append(
+    run = run_soak(
+        config,
+        tuning=tuning,
+        check_answers=True,
+        online_tuner=OnlineTuner(window=4),
+    )
+    ok = (
+        run["bit_identical"]
+        and run["compared"] > 0
+        and sum(k["count"] for k in run["latency_ms"].values()) > 0
+    )
+    return {
+        "config": config.to_dict(),
+        "runs": [
             {
-                "backend": backend,
-                "ok": run_ok,
+                "ok": ok,
                 "compared": run["compared"],
                 "mismatches": run["mismatches"],
                 "bit_identical": run["bit_identical"],
@@ -428,12 +420,7 @@ def run_soak_check(
                 "p99_ms": run["p99_ms"],
                 "qps": run["qps"],
             }
-        )
-        ok = ok and run_ok
-    return {
-        "config": config.to_dict(),
-        "backends": list(backends),
-        "runs": runs,
+        ],
         "ok": ok,
     }
 
@@ -442,7 +429,7 @@ def render_soak_report(report: dict) -> str:
     config = report["config"]
     lines = [
         f"soak: sizes={tuple(config['sizes'])} batches={config['batches']} "
-        f"backend={config['backend']} seed={config['seed']}",
+        f"seed={config['seed']}",
         f"  {report['queries']} queries over {report['timed_batches']} timed "
         f"batches, {report['wall_ms_total']:.1f} ms wall "
         f"({report['qps']:.0f} qps), cache hit rate "
@@ -485,12 +472,11 @@ def render_soak_report(report: dict) -> str:
 def render_check_report(report: dict) -> str:
     lines = [
         f"soak gate: sizes={tuple(report['config']['sizes'])} "
-        f"batches={report['config']['batches']} "
-        f"backends={','.join(report['backends'])}"
+        f"batches={report['config']['batches']}"
     ]
     for run in report["runs"]:
         lines.append(
-            f"  [{run['backend']}] compared={run['compared']} "
+            f"  compared={run['compared']} "
             f"bit_identical={run['bit_identical']} nudges={run['nudges']} "
             f"reconfigs={run['reconfigurations']} p99={run['p99_ms']}ms "
             f"-> {'ok' if run['ok'] else 'FAIL'}"

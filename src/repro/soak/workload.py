@@ -80,9 +80,9 @@ class SoakConfig:
     - ``batches`` spans eight drift phases, enough assembly batches for
       the p99 to be a statistic rather than a single unlucky wall.
 
-    ``workers``/``backend`` pass through to ``query_batch``;
-    ``workers=None`` means the server's tuning profile decides (the
-    interesting case for the autotuner).
+    ``workers`` passes through to ``query_batch``; ``workers=None`` means
+    the server's tuning profile decides (the interesting case for the
+    autotuner).
     """
 
     seed: int = 101
@@ -96,7 +96,6 @@ class SoakConfig:
     hot_fraction: float = 0.8
     burst_every: int = 6
     burst_cells: int = 32
-    backend: str = "thread"
     workers: int | None = None
 
     def __post_init__(self) -> None:

@@ -4,9 +4,8 @@ Replays one seeded trace of interleaved mutations and queries — point
 ``update``\\ s, bulk ``update_many`` batches, repeated aggregated views
 (so the result cache genuinely warms), shared-plan batches, roll-ups,
 range sums, and a mid-run ``reconfigure()`` — against
-:class:`~repro.server.OLAPServer` instances (monolithic and sharded,
-thread or process executor backend), while maintaining a plain ndarray
-replica of the cube on the side.
+:class:`~repro.server.OLAPServer` instances (monolithic and sharded),
+while maintaining a plain ndarray replica of the cube on the side.
 
 Every answer the server gives is compared **byte for byte** against a
 recompute-from-scratch on the replica (:func:`~repro.core.materialize.
@@ -23,7 +22,7 @@ gate asserts the point of this PR:
 - on sharded servers, a single-cell update bumps exactly the owning
   shard's epoch — the other shards keep their storage and warm state.
 
-The CI update-smoke job runs this gate on both backends.
+The CI update-smoke job runs this gate.
 """
 
 from __future__ import annotations
@@ -59,7 +58,6 @@ class UpdateStreamConfig:
     seed: int = 23
     sizes: tuple[int, ...] = (8, 16, 16)
     shard_counts: tuple[int, ...] = (1, 2)
-    backend: str = "thread"
     workers: int = 2
     operations: int = 60
     bulk_max: int = 6
@@ -218,7 +216,6 @@ def _replay(
             answers = server.query_batch(
                 [list(r) for r in op["requests"]],
                 max_workers=config.workers,
-                backend=config.backend,
             )
             for request, answer in zip(op["requests"], answers):
                 compare(
@@ -305,7 +302,6 @@ def run_update_differential(
     return {
         "seed": config.seed,
         "sizes": list(config.sizes),
-        "backend": config.backend,
         "workers": config.workers,
         "trace_ops": len(trace),
         "runs": runs,
@@ -315,9 +311,8 @@ def run_update_differential(
 
 def render_report(report: dict) -> str:
     lines = [
-        f"update-stream differential: backend={report['backend']} "
-        f"sizes={tuple(report['sizes'])} seed={report['seed']} "
-        f"trace_ops={report['trace_ops']}"
+        f"update-stream differential: sizes={tuple(report['sizes'])} "
+        f"seed={report['seed']} trace_ops={report['trace_ops']}"
     ]
     for run in report["runs"]:
         verdict = "BIT-IDENTICAL" if run["bit_identical"] else "DIVERGED"

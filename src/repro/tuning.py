@@ -1,7 +1,7 @@
 """Performance knobs as data: :class:`TuningConfig`.
 
 Every layer of the serving stack carries a hand-set performance constant:
-the executor's dispatch/process thresholds, the buffer pool's engagement
+the executor's dispatch threshold, the buffer pool's engagement
 floor and retention bound, the server's result-cache capacity and default
 batch worker count, the retry budget.  Each constant was measured once on
 one machine; this module turns the whole set into a value object that can
@@ -27,7 +27,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core.exec import DISPATCH_THRESHOLD, PROCESS_THRESHOLD
+from .core.exec import DISPATCH_THRESHOLD
 from .core.kernels import POOL_MAX_CELLS, POOL_MIN_CELLS
 
 __all__ = ["TuningConfig", "DEFAULT_TUNING", "describe_knobs", "KNOBS"]
@@ -55,13 +55,6 @@ KNOBS: tuple[tuple[str, object, str, str], ...] = (
         "modeled scalar ops below which a DAG node runs inline instead of "
         "on a pool worker; when no node clears it the whole batch is "
         "demoted to serial",
-    ),
-    (
-        "process_threshold",
-        PROCESS_THRESHOLD,
-        "core.exec.execute_plan (backend='process')",
-        "modeled scalar ops above which a fused cascade is shipped to a "
-        "shared-memory process worker",
     ),
     (
         "pool_min_cells",
@@ -158,7 +151,6 @@ class TuningConfig:
     """
 
     dispatch_threshold: int = DISPATCH_THRESHOLD
-    process_threshold: int = PROCESS_THRESHOLD
     pool_min_cells: int = POOL_MIN_CELLS
     pool_max_cells: int = POOL_MAX_CELLS
     cache_entries: int = CACHE_ENTRIES
@@ -175,7 +167,6 @@ class TuningConfig:
     def __post_init__(self) -> None:
         for name in (
             "dispatch_threshold",
-            "process_threshold",
             "pool_min_cells",
             "pool_max_cells",
             "cache_entries",

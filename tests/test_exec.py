@@ -177,6 +177,32 @@ class TestThreadedExecution:
         for target in targets:
             np.testing.assert_array_equal(serial[target], threaded[target])
 
+    def test_default_threshold_engages_the_pool(self, rng):
+        """A cube whose first cascade step clears DISPATCH_THRESHOLD runs on
+        the thread scheduler with no lowered threshold, undemoted."""
+        shape = CubeShape((512, 256))
+        ms = pyramid_from_root(shape, rng)
+        targets = all_group_bys(shape)
+        plan = plan_batch(targets, ms.elements)
+        arrays = {e: ms.array(e) for e in ms.elements}
+        serial_counter = OpCounter()
+        serial = execute_plan(
+            plan, arrays, counter=serial_counter, max_workers=1
+        )
+        pooled_counter = OpCounter()
+        stats: dict = {}
+        pooled = execute_plan(
+            plan, arrays, counter=pooled_counter, max_workers=4, stats=stats
+        )
+        assert stats["largest_node_cost"] >= stats["dispatch_threshold"]
+        assert stats["workers_effective"] == 4
+        assert not stats["demoted"]
+        for target in targets:
+            assert pooled[target].tobytes() == serial[target].tobytes()
+        assert pooled_counter.additions == serial_counter.additions
+        assert pooled_counter.subtractions == serial_counter.subtractions
+        assert pooled_counter.total == plan.planned_cost
+
 
 class TestExecutePlanDirect:
     def test_execute_reuses_prebuilt_plan(self, shape_4x4, rng):

@@ -426,38 +426,3 @@ class TestCostAwareDispatch:
         assert ms.pool_stats()["hits"] > before
         for target in targets:
             np.testing.assert_array_equal(results[target], expected[target])
-
-    def test_invalid_backend_rejected(self, shape_3d, rng):
-        ms = pyramid_from_root(shape_3d, rng)
-        plan = plan_batch([shape_3d.aggregated_view((0,))], ms.elements)
-        with pytest.raises(ValueError, match="unknown backend"):
-            execute_plan(plan, {e: ms.array(e) for e in ms.elements}, backend="fiber")
-
-
-class TestProcessBackend:
-    def test_shared_memory_backend_bit_identical(self, rng):
-        """Smoke: the process backend (threshold lowered so the modest test
-        cube actually dispatches) matches the serial answers exactly and
-        keeps counting exact."""
-        shape = CubeShape((64, 64))
-        ms = pyramid_from_root(shape, rng)
-        targets = all_group_bys(shape)
-        arrays = {e: ms.array(e) for e in ms.elements}
-        plan = plan_batch(targets, ms.elements)
-        serial_counter = OpCounter()
-        expected = execute_plan(plan, arrays, counter=serial_counter)
-        counter = OpCounter()
-        stats: dict = {}
-        actual = execute_plan(
-            plan,
-            arrays,
-            counter=counter,
-            max_workers=2,
-            backend="process",
-            process_threshold=1 << 8,
-            stats=stats,
-        )
-        assert stats["backend"] == "process"
-        for target in targets:
-            assert actual[target].tobytes() == expected[target].tobytes()
-        assert counter.total == serial_counter.total == plan.planned_cost

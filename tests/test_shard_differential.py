@@ -1,7 +1,7 @@
 """Shard-vs-monolith differential harness: byte-identity of serving.
 
 The merge-exactness invariant under test: for every (dims, dtype, shard
-count, backend) combination, scatter–gather assembly over
+count) combination, scatter–gather assembly over
 :class:`~repro.shard.ShardedSet` returns **bit-identical** bytes to
 monolithic :class:`~repro.core.materialize.MaterializedSet` assembly —
 integer-valued cubes on any shard axis, float cubes on the last-dimension
@@ -253,7 +253,7 @@ class TestOpAccounting:
 
 
 class TestServerDifferential:
-    """Server layer: point/range/rollup/batch, thread + process backends."""
+    """Server layer: point/range/rollup/batch."""
 
     @staticmethod
     def _server(seed, sizes, **kwargs):
@@ -296,24 +296,23 @@ class TestServerDifferential:
             assert sharded.range_sum(ranges) == expected_range
             assert sharded.cell(**cell) == expected_cell
 
-    @pytest.mark.parametrize("shards", [2, 4])
-    def test_process_backend_serving_bit_identical(self, shards):
-        """Force the shared-memory tier (process_threshold=1) and compare."""
-        sizes = (4, 8, 8)
-        mono = self._server(3, sizes)
-        requests = [[], ["d0"], ["d1"], ["d0", "d2"]]
-        expected = [a.tobytes() for a in mono.query_batch(requests)]
-        sharded = self._server(3, sizes, shards=shards)
-        actual = [
-            a.tobytes()
-            for a in sharded.query_batch(
-                requests,
-                max_workers=2,
-                backend="process",
-                process_threshold=1,
-            )
+    @pytest.mark.parametrize("cpus, leg_workers", [(2, 1), (8, 2)])
+    def test_leg_pools_fit_the_cpus_left_by_the_lanes(
+        self, monkeypatch, cpus, leg_workers
+    ):
+        monkeypatch.setattr(
+            "os.sched_getaffinity", lambda pid: set(range(cpus))
+        )
+        server = self._server(5, (8, 8, 8), shards=2)
+        # Threshold 0 keeps the legs from demoting themselves to serial.
+        server.query_batch(
+            [["d0"], ["d1"], ["d0", "d1"]], max_workers=4, dispatch_threshold=0
+        )
+        execs = [
+            s for s in server.tracer.trace() if s.name == "exec.execute"
         ]
-        assert actual == expected
+        assert sorted(s.attributes["shard"] for s in execs) == [0, 1]
+        assert {s.attributes["workers"] for s in execs} == {leg_workers}
 
     def test_batch_yields_one_connected_trace_with_shard_lanes(self):
         server = self._server(5, (8, 8, 8), shards=2)

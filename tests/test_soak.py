@@ -97,7 +97,7 @@ class TestHarness:
         assert report["effective_tuning"] == tuned.to_dict()
 
     def test_gate_bit_identical_on_thread_backend(self):
-        report = run_soak_check(TINY, backends=("thread",))
+        report = run_soak_check(TINY)
         assert report["ok"], report
         (run,) = report["runs"]
         assert run["bit_identical"]

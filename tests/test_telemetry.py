@@ -4,7 +4,7 @@ The tentpole guarantees of the telemetry layer, tested at the server
 boundary:
 
 - one ``query_batch`` yields exactly one connected trace even when its DAG
-  nodes run on pool worker threads or in process-pool workers;
+  nodes run on pool worker threads;
 - measured operation counts in the profile equal the planned cost exactly
   on the unfaulted path;
 - seeded chaos (retries, degradation, fault injections) lands as events on
@@ -14,7 +14,6 @@ boundary:
 """
 
 import json
-import os
 import threading
 from urllib.request import urlopen
 
@@ -98,36 +97,6 @@ class TestPooledTrace:
             assert node["divergence"] == 1.0
         # render_profile produces the human table without blowing up.
         assert "meas/plan" in render_profile(profile)
-
-
-class TestProcessBackendTrace:
-    def test_process_batch_is_one_trace_with_remote_spans(self):
-        server = _make_server(sizes=(16, 16, 8))
-        results = server.query_batch(
-            BATCH,
-            max_workers=2,
-            backend="process",
-            dispatch_threshold=0,
-            process_threshold=1 << 10,
-        )
-        spans = server.tracer.trace()
-        _assert_connected(spans)
-        remote = [
-            s for s in spans if s.attributes.get("remote")
-        ]
-        assert remote, "no DAG node crossed the process boundary"
-        assert {s.process_id for s in remote} - {os.getpid()}
-        # Remote spans parent to the executor span of this very trace.
-        (root,) = [s for s in spans if s.parent_id is None]
-        for s in remote:
-            assert s.trace_id == root.trace_id
-            assert s.parent_id in {x.span_id for x in spans}
-        # Exact accounting survives the shared-memory round-trip.
-        profile = query_profile(server.tracer)
-        assert profile["totals"]["measured"] == profile["totals"]["planned"]
-        plain = _make_server(sizes=(16, 16, 8))
-        for dims, result in zip(BATCH, results):
-            assert result.tobytes() == plain.view(dims).tobytes()
 
 
 class TestChaosEventsOnSpans:

@@ -53,6 +53,9 @@ class TestConfigValueObject:
     def test_unknown_knob_is_a_loud_error(self):
         with pytest.raises(ValueError, match="dispatch_treshold"):
             TuningConfig.from_dict({"dispatch_treshold": 1 << 16})
+        # A profile saved before the process backend was removed.
+        with pytest.raises(ValueError, match="unknown tuning knobs"):
+            TuningConfig.from_dict({"process_threshold": 1 << 24})
 
     @pytest.mark.parametrize(
         "overrides",

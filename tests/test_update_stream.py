@@ -5,8 +5,7 @@ The property at stake: after *any* interleaving of ``update`` /
 mid-stream from patched warm state), the server is indistinguishable from
 one freshly built on the final cube — bit-identically, because the cubes
 are integer-valued.  Hypothesis drives random interleavings across shard
-counts; the process backend and the full differential gate get
-deterministic runs (process pools are too slow for per-example spawning).
+counts; the full differential gate gets a deterministic run.
 """
 
 from __future__ import annotations
@@ -106,19 +105,6 @@ class TestInterleavingsMatchFreshServer:
             assert server.range_sum(ranges) == fresh.range_sum(ranges)
         # The linear path never degraded to a coarse invalidation.
         assert server.health()["updates_cache_cleared"] == 0
-
-
-class TestProcessBackend:
-    def test_interleaved_stream_on_process_executor(self):
-        report = run_update_differential(
-            UpdateStreamConfig(
-                sizes=(4, 8, 8),
-                shard_counts=(2,),
-                backend="process",
-                operations=24,
-            )
-        )
-        assert report["ok"], report
 
 
 class TestDifferentialGate:
