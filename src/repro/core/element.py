@@ -394,9 +394,16 @@ class ElementId:
     # ------------------------------------------------------------------
 
     def describe(self) -> str:
-        """Human-readable description, e.g. ``PR|P`` path notation."""
-        paths = [self.path(m) or "." for m in range(self.shape.ndim)]
-        return "|".join(paths)
+        """Human-readable description, e.g. ``PR|P`` path notation.
+
+        Kept once computed: spans and log events name the same long-lived
+        elements (stored ones, the planners' routes) over and over.
+        """
+        text = self.__dict__.get("_describe")
+        if text is None:
+            paths = [self.path(m) or "." for m in range(self.shape.ndim)]
+            text = self.__dict__["_describe"] = "|".join(paths)
+        return text
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ElementId({self.describe()!r}, shape={self.shape.sizes})"

@@ -1,34 +1,43 @@
-"""Shared-plan batch assembly: planner + DAG executor.
+"""Shared-plan batch assembly: route table -> compiled program -> two drivers.
 
 The paper's central idea is that views are *assembled* from shared view
 elements — yet serving each query with an independent
 :meth:`~repro.core.materialize.MaterializedSet.assemble` recursion recomputes
 every common intermediate per query.  This module executes a *batch* of
 targets as one shared DAG, the way Gray et al.'s cube operator computes the
-``2^d`` group-bys in a single cascade instead of ``2^d`` scans:
+``2^d`` group-bys in a single cascade instead of ``2^d`` scans.  Work is
+done at the granularity at which it repeats:
 
-- :func:`plan_batch` expands every target through the same Procedure 3
-  routes that :func:`repro.core.planning.explain` prices (aggregation from
-  the smallest stored ancestor, or perfect-reconstruction synthesis), but
-  merges the per-target plan trees into one DAG with **common-subexpression
-  elimination**: aggregation cascades are decomposed into single ``P1``/``R1``
-  steps so that shared cascade prefixes (e.g. the partial-sum ancestors every
-  roll-up of a hierarchy passes through) become one node each, and synthesis
-  subtrees demanded by several targets are planned once.
-- :func:`fuse_plan` rewrites the CSE'd DAG using the paper's distributivity
-  property (Eqs 6-9): a maximal run of single-consumer ``P1``/``R1`` step
-  nodes is mathematically one block reduction, so it collapses into a
-  single ``"fused"`` node executed by
-  :func:`repro.core.kernels.fused_cascade` — one kernel call instead of a
-  chain of dispatches, with interior temporaries ping-ponged through the
-  buffer pool.  Shared interiors (more than one consumer) and interiors
-  that are themselves batch targets stay as explicit nodes, so CSE sharing
-  and the result surface are unchanged; the fused node's modeled cost is
-  exactly the sum of the absorbed steps' costs, keeping
+- **Per element, once per stored set** — the Procedure 3 route (stored /
+  aggregate from the smallest stored ancestor / synthesize) is resolved by
+  :class:`repro.core.planning.RouteTable`, kept in the cost memo beside
+  the prices it was resolved from.
+- **Per target set, once** — :func:`plan_batch` merges the targets' routes
+  into one DAG with **common-subexpression elimination**: aggregation
+  cascades are decomposed into single ``P1``/``R1`` steps so that shared
+  cascade prefixes (e.g. the partial-sum ancestors every roll-up of a
+  hierarchy passes through) become one node each, and synthesis subtrees
+  demanded by several targets are planned once.  The merge only reads
+  routes; it never prices or walks the element graph.  :func:`fuse_plan`
+  then rewrites the CSE'd DAG using the paper's distributivity property
+  (Eqs 6-9): a maximal run of single-consumer ``P1``/``R1`` step nodes is
+  mathematically one block reduction, so it collapses into a single
+  ``"fused"`` node executed by :func:`repro.core.kernels.fused_cascade` —
+  one kernel call instead of a chain of dispatches, with interior
+  temporaries ping-ponged through the buffer pool.  Shared interiors
+  (more than one consumer) and interiors that are themselves batch targets
+  stay as explicit nodes, so CSE sharing and the result surface are
+  unchanged; the fused node's modeled cost is exactly the sum of the
+  absorbed steps' costs, keeping
   :class:`~repro.core.operators.OpCounter` accounting equal to the paper's
-  analytic model.
-- :func:`execute_plan` runs the DAG: nodes are refcounted by consumer so
-  temporaries are freed after their last use — into a
+  analytic model.  Constructing the :class:`BatchPlan` compiles the DAG
+  into a flat **program**: one :class:`Instruction` per node with its
+  slots, kernel arguments, release list, cost and span attributes, plus
+  the totals and scheduler tables a run needs.  :class:`PlanCache` keeps
+  the result — per element for single targets, least-recently-used for
+  target sets.
+- **Per run** — :func:`execute_plan` drives the program over a list of
+  slots.  Temporaries are released after their last reader — into a
   :class:`~repro.core.kernels.BufferPool`, so interior arrays are recycled
   as ``out=`` buffers instead of reallocated per node.  Dispatch is
   **cost-aware**: nodes below ``dispatch_threshold`` modeled operations run
@@ -38,21 +47,21 @@ targets as one shared DAG, the way Gray et al.'s cube operator computes the
   GIL-releasing numpy reductions) — and when *no* node clears the
   threshold the executor demotes the whole run to serial regardless of the
   requested worker count, recording the decision.  Those are the only two
-  executors — a serial loop and the thread scheduler — and the choice
-  between them is made from ``max_workers`` and the plan's modeled costs,
-  never from an option.  Exact :class:`~repro.core.operators.OpCounter`
-  accounting is preserved via per-node counters merged into the caller's
-  counter as nodes complete.
+  drivers — a serial loop and the thread scheduler, over the same program
+  — and the choice between them is made from ``max_workers`` and the
+  plan's modeled costs, never from an option.  Exact
+  :class:`~repro.core.operators.OpCounter` accounting is preserved via
+  per-node counters merged into the caller's counter as nodes complete.
 
 **Bit-identity.**  Every DAG node's producing expression is exactly the one
-sequential assembly would evaluate: the per-element route choice reuses
-:func:`repro.core.planning.best_route` (aggregation wins ties), and a
+sequential assembly would evaluate: both read the same
+:class:`~repro.core.planning.Route` (aggregation wins ties), and a
 decomposed cascade applies the same numpy operations in the same canonical
-dimension-major order as ``MaterializedSet._descend``.  Cascade interiors are
-only shared under an element's own key when that element's canonical route is
-the same cascade; otherwise they live under a ``(source, element)`` chain key
-so a differently-routed canonical node can coexist.  Batch results are
-therefore bit-identical to per-target :meth:`assemble` calls.
+dimension-major order as ``MaterializedSet._assemble``.  Cascade interiors
+are only shared under an element's own key when that element's canonical
+route is the same cascade; otherwise they live under a ``(source, element)``
+chain key so a differently-routed canonical node can coexist.  Batch results
+are therefore bit-identical to per-target :meth:`assemble` calls.
 
 **Cost accounting under CSE.**  Each node is priced once — a ``P1``/``R1``
 step or a synthesis of volume ``v`` costs exactly ``v`` scalar operations,
@@ -63,27 +72,31 @@ sum of node volumes, and the executor's measured ops equal it exactly.
 from __future__ import annotations
 
 import contextvars
+import threading
 import time
-from collections import deque
+from collections import OrderedDict, deque
 from collections.abc import Iterable, Mapping
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from ..errors import IncompleteSetError
-from ..obs import current_registry, span, tracing_active
+from ..obs import current_registry, current_tracer, span
 from ..resilience.deadline import check_deadline, current_deadline
 from ..resilience.faults import fault_point
 from .element import ElementId
-from .kernels import POOL_MIN_CELLS, BufferPool, canonical_steps, fused_cascade
+from .kernels import POOL_MIN_CELLS, BufferPool, fused_cascade
 from .operators import OpCounter, partial_residual, partial_sum, synthesize
-from .planning import best_route, sorted_by_volume
-from .select_redundant import generation_cost, priced_states
+from .planning import route_table
+from .select_redundant import priced_states
 
 __all__ = [
     "PlanNode",
+    "Instruction",
     "BatchPlan",
+    "PlanCache",
     "plan_batch",
     "fuse_plan",
     "execute_plan",
@@ -102,8 +115,7 @@ DISPATCH_THRESHOLD = 1 << 16
 NodeKey = object
 
 
-@dataclass(frozen=True)
-class PlanNode:
+class PlanNode(NamedTuple):
     """One node of a merged batch-assembly DAG.
 
     ``kind`` is ``"stored"`` (zero-cost read of a materialized array),
@@ -138,37 +150,136 @@ class PlanNode:
         return self.element.volume
 
 
+class Instruction(NamedTuple):
+    """One :class:`PlanNode` as the executors run it.
+
+    Slots index the list of arrays a run keeps — one per node, in DAG
+    order, so ``out`` is also the instruction's position in the program.
+    """
+
+    op: str  #: the node's ``kind``
+    out: int
+    inputs: tuple[int, ...]
+    #: ``stored``: the element to read; ``step``: ``(dim, residual?)``;
+    #: ``fused``: the step sequence; ``synthesize``: the dimension.
+    arg: object
+    #: Output shape, for the kernels that are handed an ``out=`` buffer.
+    shape: tuple[int, ...] | None
+    #: Recyclable slots nothing later in program order reads.
+    release: tuple[int, ...]
+    cost: int
+    element: ElementId
+    #: ``exec.node`` span attributes (``None`` for a stored read).
+    attrs: dict | None
+
+
+#: A DAG as the planner hands it to :class:`BatchPlan`: per node, in
+#: topological order, the node and the slots (positions) of its
+#: dependencies — what ``PlanNode.deps`` says by key, already resolved.
+Rows = list[tuple[PlanNode, tuple[int, ...]]]
+
+
 @dataclass
 class BatchPlan:
-    """A merged, CSE'd, topologically ordered batch-assembly DAG.
+    """A merged, CSE'd, topologically ordered batch-assembly DAG, compiled.
 
     ``nodes`` maps node keys to :class:`PlanNode` in a valid topological
-    order (dependencies are always inserted before their consumers), so a
-    serial executor can simply iterate it.
+    order (dependencies are always inserted before their consumers).  That
+    dict is what planning, fusion and EXPLAIN-style consumers read; the
+    executors never touch it.  Construction compiles it, once, into
+    ``program`` — an :class:`Instruction` per node, in the same order —
+    and into the totals and the scheduler tables every run would otherwise
+    re-derive: a plan is built once and run many times.  (``rows`` is the
+    planner's shortcut: it already knows every dependency's slot.)
     """
 
     targets: tuple[ElementId, ...]
     nodes: dict[NodeKey, PlanNode]
     naive_cost: float  #: sum of per-target Procedure 3 costs (no sharing)
     cse_hits: int  #: times a demanded node already existed in the DAG
-    consumers: dict[NodeKey, int] = field(default_factory=dict)
+    rows: InitVar[Rows | None] = None
+    program: tuple[Instruction, ...] = field(init=False)
+    #: Total scalar operations the DAG performs (each node priced once).
+    planned_cost: int = field(init=False)
+    largest_cost: int = field(init=False)
+    #: The stored elements the plan reads — what makes it valid for a set.
+    stored_reads: tuple[ElementId, ...] = field(init=False)
+    target_slots: tuple[int, ...] = field(init=False)
+    #: Thread scheduler: per slot, the instructions waiting on it, how many
+    #: inputs each instruction waits for, and how many readers must finish
+    #: before the slot is recycled (0: never — a stored alias or a target).
+    dependents: tuple[tuple[int, ...], ...] = field(init=False)
+    pending: tuple[int, ...] = field(init=False)
+    refcounts: tuple[int, ...] = field(init=False)
 
-    def __post_init__(self) -> None:
-        counts: dict[NodeKey, int] = {key: 0 for key in self.nodes}
-        for node in self.nodes.values():
-            for dep in node.deps:
-                counts[dep] += 1
-        self.consumers = counts
-
-    @property
-    def planned_cost(self) -> int:
-        """Total scalar operations the DAG performs (each node priced once)."""
-        return sum(node.cost for node in self.nodes.values())
+    def __post_init__(self, rows: Rows | None) -> None:
+        slot_of = {key: slot for slot, key in enumerate(self.nodes)}
+        if rows is None:
+            rows = [
+                (node, tuple([slot_of[dep] for dep in node.deps]))
+                for node in self.nodes.values()
+            ]
+        self.target_slots = tuple([slot_of[t] for t in self.targets])
+        size = len(rows)
+        readers: list[list[int]] = [[] for _ in range(size)]
+        for slot, (_, inputs) in enumerate(rows):
+            for dep in inputs:
+                readers[dep].append(slot)
+        # Refcount per slot; 0 pins it (a target is published, a stored
+        # read aliases storage: neither is ever recycled).
+        refcounts = [len(slots) for slots in readers]
+        for slot in self.target_slots:
+            refcounts[slot] = 0
+        release: list[list[int]] = [[] for _ in range(size)]
+        program = []
+        stored_reads = []
+        total = largest = 0
+        for slot, (node, inputs) in enumerate(rows):
+            kind, element = node.kind, node.element
+            if kind == "stored":
+                refcounts[slot] = 0
+                stored_reads.append(element)
+                program.append(
+                    Instruction(kind, slot, inputs, element, None, (), 0, element, None)
+                )
+                continue
+            if refcounts[slot]:
+                # Readers come later in program order, so the list this
+                # joins is still open when its instruction is built.
+                release[readers[slot][-1]].append(slot)
+            cost = node.cost
+            total += cost
+            if cost > largest:
+                largest = cost
+            if kind == "fused":
+                arg, shape = node.steps, None
+            elif kind == "step":
+                arg, shape = (node.dim, node.residual), element.data_shape
+            else:
+                arg, shape = node.dim, element.data_shape
+            attrs = {
+                "element": element.describe(),
+                "kind": kind,
+                "planned_cost": cost,
+            }
+            program.append(
+                Instruction(
+                    kind, slot, inputs, arg, shape, tuple(release[slot]), cost,
+                    element, attrs,
+                )
+            )
+        self.program = tuple(program)
+        self.planned_cost = total
+        self.largest_cost = largest
+        self.stored_reads = tuple(stored_reads)
+        self.dependents = tuple(map(tuple, readers))
+        self.pending = tuple([len(inputs) for _, inputs in rows])
+        self.refcounts = tuple(refcounts)
 
     @property
     def shared_nodes(self) -> int:
         """Nodes feeding more than one consumer (the CSE payoff)."""
-        return sum(1 for n in self.consumers.values() if n > 1)
+        return sum(1 for readers in self.dependents if len(readers) > 1)
 
     @property
     def cse_ratio(self) -> float:
@@ -176,12 +287,6 @@ class BatchPlan:
         if self.naive_cost <= 0:
             return 0.0
         return 1.0 - self.planned_cost / self.naive_cost
-
-
-# The canonical descent order (dimensions ascending, extra index bits
-# most-significant first) lives in repro.core.kernels so the fused kernels,
-# the planner, and MaterializedSet._descend all share one definition.
-_canonical_steps = canonical_steps
 
 
 def fuse_plan(plan: BatchPlan) -> BatchPlan:
@@ -196,49 +301,58 @@ def fuse_plan(plan: BatchPlan) -> BatchPlan:
     shared, or the total modeled cost (``planned_cost`` is invariant —
     the fused node's cost telescopes to the absorbed steps' sum).
     """
-    target_keys = set(plan.targets)
-    absorbable: set[NodeKey] = set()
-    for node in plan.nodes.values():
-        if node.kind != "step":
-            continue
-        dep = node.deps[0]
-        dep_node = plan.nodes[dep]
-        if (
-            dep_node.kind == "step"
-            and plan.consumers[dep] == 1
-            and dep not in target_keys
-        ):
-            absorbable.add(dep)
+    rows = [
+        (node, ins.inputs) for node, ins in zip(plan.nodes.values(), plan.program)
+    ]
+    return _fused(
+        plan.targets, rows, plan.target_slots, plan.naive_cost, plan.cse_hits
+    )
 
-    nodes: dict[NodeKey, PlanNode] = {}
-    for key, node in plan.nodes.items():
-        if key in absorbable:
+
+def _fused(targets, rows: Rows, target_slots, naive_cost, cse_hits) -> BatchPlan:
+    """:func:`fuse_plan` on the planner's rows: slots, not key lookups."""
+    size = len(rows)
+    counts = [0] * size
+    for _, inputs in rows:
+        for dep in inputs:
+            counts[dep] += 1
+    for slot in target_slots:
+        counts[slot] = 0  # a published interior is never absorbed
+    kept = [True] * size  # False: absorbed into the cascade that reads it
+    for node, inputs in rows:
+        if node.kind == "step":
+            dep = inputs[0]
+            if counts[dep] == 1 and rows[dep][0].kind == "step":
+                kept[dep] = False
+    fused: Rows = []
+    moved = [0] * size  # slot before fusion -> slot after
+    for slot, (node, inputs) in enumerate(rows):
+        if not kept[slot]:
             continue
-        if node.kind != "step":
-            nodes[key] = node
-            continue
-        steps = [(node.dim, node.residual)]
-        source = node.deps[0]
-        while source in absorbable:
-            interior = plan.nodes[source]
-            steps.append((interior.dim, interior.residual))
-            source = interior.deps[0]
-        if len(steps) == 1:
-            nodes[key] = node
-        else:
+        if node.kind == "step" and not kept[inputs[0]]:
+            steps = [(node.dim, node.residual)]
+            source = inputs[0]
+            while not kept[source]:
+                interior, inputs = rows[source]
+                steps.append((interior.dim, interior.residual))
+                source = inputs[0]
             steps.reverse()
-            nodes[key] = PlanNode(
-                key=key,
-                element=node.element,
-                kind="fused",
-                deps=(source,),
+            node = PlanNode(
+                node.key,
+                node.element,
+                "fused",
+                (rows[source][0].key,),
                 steps=tuple(steps),
             )
+            inputs = (source,)
+        moved[slot] = len(fused)
+        fused.append((node, tuple([moved[dep] for dep in inputs])))
     return BatchPlan(
-        targets=plan.targets,
-        nodes=nodes,
-        naive_cost=plan.naive_cost,
-        cse_hits=plan.cse_hits,
+        targets=targets,
+        nodes={node.key: node for node, _ in fused},
+        naive_cost=naive_cost,
+        cse_hits=cse_hits,
+        rows=fused,
     )
 
 
@@ -251,9 +365,11 @@ def plan_batch(
     """Merge the assembly plans of ``targets`` into one CSE'd DAG.
 
     ``stored`` is the materialized element set the plan reads from;
-    ``cost_memo`` optionally reuses Procedure 3 generation costs across
-    calls (e.g. across the batches of one serving epoch).  With ``fuse``
-    (the default) the CSE'd DAG is rewritten by :func:`fuse_plan`, which
+    ``cost_memo`` carries the Procedure 3 prices and the route table of
+    that set across calls (e.g. across the batches of one serving epoch):
+    with it, planning a target set never seen before is a merge of routes
+    already resolved, one dict lookup per element.  With ``fuse`` (the
+    default) the CSE'd DAG is rewritten as by :func:`fuse_plan`, which
     collapses single-consumer step chains into fused cascade kernels —
     results and ``planned_cost`` are unchanged, only dispatch granularity.
     Raises :class:`ValueError` when the stored set cannot produce some
@@ -262,137 +378,99 @@ def plan_batch(
     targets = list(dict.fromkeys(targets))
     if not targets:
         raise ValueError("at least one target is required")
-    stored = tuple(stored)
-    stored_set = frozenset(stored)
-    targets_set = frozenset(targets)
-    sorted_stored = sorted_by_volume(stored)
-    memo: dict = cost_memo if cost_memo is not None else {}
-
     shape = targets[0].shape
     for target in targets:
         if target.shape != shape:
             raise ValueError("batch targets belong to different cube shapes")
+    stored = stored if isinstance(stored, tuple) else tuple(stored)
+    memo: dict = cost_memo if cost_memo is not None else {}
 
-    nodes: dict[NodeKey, PlanNode] = {}
+    slot_of: dict[NodeKey, int] = {}
+    rows: Rows = []
     cse_hits = 0
-    naive_cost = 0.0
-    route_memo: dict[ElementId, tuple] = {}
 
-    def route(element: ElementId):
-        cached = route_memo.get(element)
-        if cached is None:
-            cached = best_route(element, stored, sorted_stored, memo)
-            route_memo[element] = cached
-        return cached
+    def add(node: PlanNode, inputs: tuple[int, ...]) -> int:
+        slot = slot_of[node.key] = len(rows)
+        rows.append((node, inputs))
+        return slot
 
-    def smallest_ancestor(element: ElementId) -> ElementId | None:
-        for s in sorted_stored:
-            if s.contains(element):
-                return s
-        return None
-
-    def ensure(element: ElementId) -> NodeKey:
-        """Create (or reuse) the canonical node producing ``element``."""
+    def ensure(element: ElementId) -> int:
+        """The slot of the canonical node producing ``element``."""
         nonlocal cse_hits
-        if element in nodes:
+        slot = slot_of.get(element)
+        if slot is not None:
             cse_hits += 1
-            return element
-        if element in stored_set:
-            nodes[element] = PlanNode(key=element, element=element, kind="stored")
-            return element
-        agg_source, agg_cost, synth_dim, synth_cost = route(element)
-        if agg_source is not None and agg_cost <= synth_cost:
-            _lay_chain(agg_source, element)
-            return element
-        if synth_dim < 0 or synth_cost == float("inf"):
-            raise IncompleteSetError(
-                f"stored set is not complete with respect to {element!r}"
+            return slot
+        route = table.route(element)
+        if route.kind == "stored":
+            return add(PlanNode(element, element, "stored"), ())
+        if route.kind == "synthesize":
+            (dim, _, partial), (_, _, residual) = route.skeleton
+            inputs = (ensure(partial), ensure(residual))
+            return add(
+                PlanNode(element, element, "synthesize", (partial, residual), dim),
+                inputs,
             )
-        p_key = ensure(element.partial_child(synth_dim))
-        r_key = ensure(element.residual_child(synth_dim))
-        nodes[element] = PlanNode(
-            key=element,
-            element=element,
-            kind="synthesize",
-            deps=(p_key, r_key),
-            dim=synth_dim,
-        )
-        return element
-
-    def _lay_chain(source: ElementId, element: ElementId) -> None:
-        """Decompose the ``source -> element`` cascade into step nodes.
-
-        Interior elements live under a ``("chain", source, element)`` key,
-        shared between every cascade descending from the same source —
-        except interiors that are themselves batch targets whose own
-        canonical route is this very cascade (same smallest stored
-        ancestor, aggregation winning per the already-priced Procedure 3
-        memo): those are keyed by the element, so the target and the
-        passing cascades all reuse one node.  Pricing only consults the
-        memo — chain interiors sit *above* the targets, and running the
-        full Procedure 3 recursion on them would explore descendant
-        subtrees sequential assembly never prices.
-        """
-        nonlocal cse_hits
-        prev_key: NodeKey = ensure(source)
-        prev = source
-        for dim, residual in _canonical_steps(source, element):
-            nxt = prev.residual_child(dim) if residual else prev.partial_child(dim)
-            if nxt == element:
-                key: NodeKey = nxt
-            elif nxt in targets_set:
-                anc = smallest_ancestor(nxt)
-                if anc == source and memo.get(nxt) == anc.volume - nxt.volume:
-                    key = nxt
-                else:
-                    key = ("chain", source, nxt)
+        # Lay the ``source -> element`` cascade down as step nodes.
+        # Interior elements live under a ``("chain", source, element)``
+        # key, shared between every cascade descending from the same
+        # source — except interiors that are themselves batch targets
+        # whose own canonical route is this very cascade: those are keyed
+        # by the element, so the target and the passing cascades all reuse
+        # one node.  (``source`` is the smallest stored ancestor of
+        # everything on the cascade, so "routed by aggregation" already
+        # means "by this cascade".)
+        source = prev_key = route.source
+        prev = ensure(source)
+        last = route.skeleton[-1][2]
+        for dim, residual, nxt in route.skeleton:
+            key: NodeKey = (
+                nxt
+                if nxt is last or (cascaded and nxt in cascaded)
+                else ("chain", source, nxt)
+            )
+            # One hash per step: a key not seen yet takes the next slot.
+            slot = slot_of.setdefault(key, len(rows))
+            if slot == len(rows):
+                node = PlanNode(key, nxt, "step", (prev_key,), dim, residual)
+                rows.append((node, (prev,)))
             else:
-                key = ("chain", source, nxt)
-            if key in nodes:
                 cse_hits += 1
-            else:
-                nodes[key] = PlanNode(
-                    key=key,
-                    element=nxt,
-                    kind="step",
-                    deps=(prev_key,),
-                    dim=dim,
-                    residual=residual,
-                )
-            prev_key, prev = key, nxt
+            prev, prev_key = slot, key
+        return prev
 
     with span("exec.plan", targets=len(targets)) as sp:
         start = time.perf_counter()
+        table = route_table(shape, stored, memo)
         states_before = priced_states(memo)
-        # Price every target first (shared memo): naive cost, completeness,
-        # and warm generation costs for the keying decisions in _lay_chain.
-        for target in targets:
-            cost = generation_cost(target, stored, _memo=memo)
-            if cost == float("inf"):
-                raise IncompleteSetError(
-                    f"stored set is not complete with respect to {target!r}"
-                )
-            naive_cost += cost
-        for target in targets:
-            ensure(target)
-        plan = BatchPlan(
-            targets=tuple(targets),
-            nodes=nodes,
-            naive_cost=naive_cost,
-            cse_hits=cse_hits,
-        )
-        unfused_nodes = len(plan.nodes)
+        # Route every target first: naive cost, completeness, and which
+        # targets a passing cascade may publish under their own key.
+        routes = [table.route(target) for target in targets]
+        naive_cost = sum([route.cost for route in routes], 0.0)
+        cascaded = {
+            target
+            for target, route in zip(targets, routes)
+            if route.kind == "aggregate"
+        }
+        target_slots = [ensure(target) for target in targets]
+        unfused_nodes = len(rows)
         if fuse:
-            plan = fuse_plan(plan)
-        fused_nodes = sum(
-            1 for node in plan.nodes.values() if node.kind == "fused"
-        )
+            plan = _fused(tuple(targets), rows, target_slots, naive_cost, cse_hits)
+        else:
+            plan = BatchPlan(
+                targets=tuple(targets),
+                nodes={node.key: node for node, _ in rows},
+                naive_cost=naive_cost,
+                cse_hits=cse_hits,
+                rows=rows,
+            )
+        fused_nodes = sum([1 for ins in plan.program if ins.op == "fused"])
         plan_ms = (time.perf_counter() - start) * 1e3
         registry = current_registry()
         registry.counter("batch_plans_total", "batch assembly plans built").inc()
         registry.histogram(
-            "batch_dag_nodes", "DAG nodes per batch plan"
-        ).observe(len(nodes))
+            "batch_dag_nodes", "DAG nodes per batch plan (after fusion)"
+        ).observe(len(plan.nodes))
         registry.histogram(
             "batch_cse_ratio", "fraction of naive cost eliminated by sharing"
         ).observe(plan.cse_ratio)
@@ -417,67 +495,133 @@ def plan_batch(
     return plan
 
 
+class PlanCache:
+    """The compiled plans a stored set keeps, so a plan is built once.
+
+    Traffic repeats per *element* far more than per target set, so the two
+    are kept apart: the plan of a single target lives in the route table
+    of the stored set (one per element ever asked for, dropped with the
+    routes), and only multi-target sets compete for the ``entries`` slots
+    of this cache, the least recently used one leaving first.
+    """
+
+    def __init__(self, entries: int):
+        self.entries = max(1, int(entries))
+        self._plans: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._plans)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._plans.clear()
+
+    def plan(
+        self,
+        targets: tuple[ElementId, ...],
+        stored: tuple[ElementId, ...],
+        cost_memo: dict,
+        key=None,
+    ) -> BatchPlan | None:
+        """The plan of the distinct ``targets`` against ``stored``.
+
+        ``None`` when ``stored`` cannot produce them — a verdict kept like
+        a plan.  ``key`` names the target set among the cache's users
+        (default: the targets themselves).  A cached plan is only returned
+        while every element it reads is still in ``stored``.
+        """
+        table = route_table(targets[0].shape, stored, cost_memo)
+        if len(targets) == 1:
+            plan = table.plans.get(targets[0], _UNPLANNED)
+            if plan is _UNPLANNED:
+                plan = table.plans[targets[0]] = _plan_or_none(
+                    targets, stored, cost_memo
+                )
+            return plan
+        if key is None:
+            key = targets
+        with self._lock:
+            plan = self._plans.get(key, _UNPLANNED)
+            if plan is not _UNPLANNED:
+                self._plans.move_to_end(key)
+        if plan is _UNPLANNED or not (
+            plan is None or table.stored.issuperset(plan.stored_reads)
+        ):
+            plan = _plan_or_none(targets, stored, cost_memo)
+            with self._lock:
+                self._plans[key] = plan
+                self._plans.move_to_end(key)
+                while len(self._plans) > self.entries:
+                    self._plans.popitem(last=False)
+        return plan
+
+
+_UNPLANNED = object()
+
+
+def _plan_or_none(targets, stored, cost_memo) -> BatchPlan | None:
+    try:
+        return plan_batch(targets, stored, cost_memo)
+    except IncompleteSetError:
+        return None
+
+
 def _compute_node(
-    node: PlanNode,
-    deps: tuple[np.ndarray, ...],
-    arrays: Mapping[ElementId, np.ndarray],
+    ins: Instruction,
+    slots: list,
     counter: OpCounter,
-    pool: BufferPool | None = None,
+    pool: BufferPool,
 ) -> np.ndarray:
-    """Compute one DAG node, drawing output buffers from the pool.
+    """Compute one non-stored instruction, output buffers from the pool.
 
     The chaos fault site fires exactly once per non-stored node — a fused
     cascade is *one* node, so fusing a chain replaces its per-step site
     visits with a single visit, keeping seeded fault schedules a pure
-    function of the (deterministic) fused plan shape.
+    function of the (deterministic) fused plan shape.  Kernels are looked
+    up in this module at call time, so a wrapper patched over one of them
+    sees every call.
     """
-    if node.kind == "stored":
-        return arrays[node.element]
-    fault_point("exec.compute_node", element=node.element, kind=node.kind)
-    if node.kind == "fused":
-        return fused_cascade(deps[0], node.steps, counter=counter, pool=pool)
-    if node.kind == "step":
-        out = (
-            pool.take(node.element.data_shape, deps[0].dtype)
-            if pool is not None
-            else None
-        )
-        if node.residual:
-            return partial_residual(deps[0], node.dim, counter=counter, out=out)
-        return partial_sum(deps[0], node.dim, counter=counter, out=out)
-    out = (
-        pool.take(node.element.data_shape, np.float64)
-        if pool is not None
-        else None
+    fault_point("exec.compute_node", element=ins.element, kind=ins.op)
+    op = ins.op
+    values = slots[ins.inputs[0]]
+    if op == "fused":
+        return fused_cascade(values, ins.arg, counter=counter, pool=pool)
+    if op == "step":
+        dim, residual = ins.arg
+        out = pool.take(ins.shape, values.dtype)
+        if residual:
+            return partial_residual(values, dim, counter=counter, out=out)
+        return partial_sum(values, dim, counter=counter, out=out)
+    out = pool.take(ins.shape, np.float64)
+    return synthesize(
+        values, slots[ins.inputs[1]], ins.arg, counter=counter, out=out
     )
-    return synthesize(deps[0], deps[1], node.dim, counter=counter, out=out)
 
 
 def _run_node(
-    node: PlanNode,
-    deps: tuple[np.ndarray, ...],
+    ins: Instruction,
+    slots: list,
     arrays: Mapping[ElementId, np.ndarray],
     counter: OpCounter,
     buf_pool: BufferPool,
+    tracer,
 ) -> np.ndarray:
-    """Compute one node, wrapped in an ``exec.node`` span when tracing.
+    """Run one instruction, inside an ``exec.node`` span when tracing.
 
     The span carries the planned-vs-measured join keys the query profiler
     reads (``planned_cost`` from the model, ``operations`` from the
-    counter delta) plus the thread the node actually ran on.  The
-    :func:`tracing_active` guard keeps the untraced path at one contextvar
-    read — no attribute strings, no counter delta.
+    counter delta) plus the thread the node actually ran on.  Its
+    attributes were built with the plan; untraced (``tracer`` is
+    ``None``), a node costs no attribute strings and no counter delta.
     """
-    if node.kind == "stored" or not tracing_active():
-        return _compute_node(node, deps, arrays, counter, buf_pool)
-    with span(
-        "exec.node",
-        element=node.element.describe(),
-        kind=node.kind,
-        planned_cost=node.cost,
-    ) as sp:
+    if ins.op == "stored":
+        return arrays[ins.arg]
+    if tracer is None:
+        return _compute_node(ins, slots, counter, buf_pool)
+    with tracer.span("exec.node", **ins.attrs) as sp:
         before = counter.total
-        out = _compute_node(node, deps, arrays, counter, buf_pool)
+        out = _compute_node(ins, slots, counter, buf_pool)
         sp.set(operations=counter.total - before)
     return out
 
@@ -522,7 +666,6 @@ def execute_plan(
     :meth:`MaterializedSet.assemble` (treat results as read-only).
     """
     own = counter if counter is not None else OpCounter()
-    target_keys = set(plan.targets)
     if dispatch_threshold is None:
         dispatch_threshold = (
             DISPATCH_THRESHOLD if tuning is None else tuning.dispatch_threshold
@@ -537,7 +680,7 @@ def execute_plan(
                 min_cells=tuning.pool_min_cells,
             )
         )
-    largest = max((node.cost for node in plan.nodes.values()), default=0)
+    largest = plan.largest_cost
     requested = max_workers
     demoted = False
     if max_workers > 1 and largest < threshold:
@@ -545,18 +688,16 @@ def execute_plan(
         demoted = True
     with span(
         "exec.execute",
-        nodes=len(plan.nodes),
+        nodes=len(plan.program),
         workers=max_workers,
         **(span_attrs or {}),
     ) as sp:
         start = time.perf_counter()
         if max_workers <= 1:
-            values, busy = _execute_serial(
-                plan, arrays, own, target_keys, pool
-            )
+            slots, busy = _execute_serial(plan, arrays, own, pool)
         else:
-            values, busy = _execute_pooled(
-                plan, arrays, own, target_keys, max_workers, pool, threshold
+            slots, busy = _execute_pooled(
+                plan, arrays, own, max_workers, pool, threshold
             )
         wall = time.perf_counter() - start
         utilization = (
@@ -568,7 +709,7 @@ def execute_plan(
         ).inc()
         registry.counter(
             "batch_nodes_executed_total", "DAG nodes executed across batches"
-        ).inc(len(plan.nodes))
+        ).inc(len(plan.program))
         if demoted:
             registry.counter(
                 "exec_pool_demotions_total",
@@ -597,48 +738,52 @@ def execute_plan(
             pool_utilization=round(utilization, 4),
             **decision,
         )
-    return {target: values[target] for target in plan.targets}
+    return {
+        target: slots[slot]
+        for target, slot in zip(plan.targets, plan.target_slots)
+    }
 
 
 def _execute_serial(
     plan: BatchPlan,
     arrays: Mapping[ElementId, np.ndarray],
     counter: OpCounter,
-    target_keys: set,
     buf_pool: BufferPool,
-) -> tuple[dict[NodeKey, np.ndarray], float]:
-    values: dict[NodeKey, np.ndarray] = {}
-    remaining = dict(plan.consumers)
+) -> tuple[list, float]:
+    """The program, top to bottom, on the calling thread."""
+    slots: list = [None] * len(plan.program)
+    tracer = current_tracer()
     busy = 0.0
-    for key, node in plan.nodes.items():
+    for ins in plan.program:
         check_deadline("exec.serial")
-        deps = tuple(values[d] for d in node.deps)
         t0 = time.perf_counter()
-        values[key] = _run_node(node, deps, arrays, counter, buf_pool)
+        slots[ins.out] = _run_node(ins, slots, arrays, counter, buf_pool, tracer)
         busy += time.perf_counter() - t0
-        for dep in node.deps:
-            remaining[dep] -= 1
-            if remaining[dep] == 0 and dep not in target_keys:
-                # A freed interior is a fresh, single-owner buffer (stored
-                # reads are aliases into ``arrays`` and never freed), so it
-                # can back a later node's ``out=``.
-                if plan.nodes[dep].kind != "stored":
-                    buf_pool.give(values.pop(dep))
-    return values, busy
+        for slot in ins.release:
+            # A released interior is a fresh, single-owner buffer (stored
+            # reads are aliases into ``arrays`` and never released), so it
+            # can back a later node's ``out=``.
+            buf_pool.give(slots[slot])
+            slots[slot] = None
+    return slots, busy
 
 
 def _execute_pooled(
     plan: BatchPlan,
     arrays: Mapping[ElementId, np.ndarray],
     counter: OpCounter,
-    target_keys: set,
     max_workers: int,
     buf_pool: BufferPool,
     threshold: int,
-) -> tuple[dict[NodeKey, np.ndarray], float]:
+) -> tuple[list, float]:
     """Scheduler loop: all bookkeeping on the calling thread, work on the
     pool.  Each node gets its own :class:`OpCounter`, merged on completion,
     so accounting stays exact without cross-thread contention.
+
+    The same program as :func:`_execute_serial`, run in completion order:
+    what is ready comes from the plan's ``pending`` / ``dependents``
+    tables, and a slot is recycled when its ``refcounts`` entry runs out
+    rather than at a fixed instruction.
 
     Dispatch is cost-aware: only nodes whose modeled cost reaches
     ``threshold`` go to the pool; smaller ready nodes run inline on the
@@ -650,46 +795,43 @@ def _execute_pooled(
     every node that *did* complete are merged before re-raising — the pool
     never leaks work past the batch, and accounting reflects exactly the
     work performed."""
-    values: dict[NodeKey, np.ndarray] = {}
-    remaining = dict(plan.consumers)
-    pending_deps = {key: len(node.deps) for key, node in plan.nodes.items()}
-    dependents: dict[NodeKey, list[NodeKey]] = {key: [] for key in plan.nodes}
-    for key, node in plan.nodes.items():
-        for dep in node.deps:
-            dependents[dep].append(key)
-    ready = deque(key for key, n in pending_deps.items() if n == 0)
+    program, dependents = plan.program, plan.dependents
+    slots: list = [None] * len(program)
+    remaining = list(plan.refcounts)
+    pending = list(plan.pending)
+    ready = deque(slot for slot, n in enumerate(pending) if n == 0)
+    # Workers run under a copy of this context, so they see this tracer.
+    tracer = current_tracer()
     busy = 0.0
     deadline = current_deadline()
 
-    def complete(key: NodeKey, out, local: OpCounter, elapsed: float) -> None:
+    def complete(slot: int, out, local: OpCounter, elapsed: float) -> None:
         nonlocal busy
-        values[key] = out
+        slots[slot] = out
         busy += elapsed
         counter.merge(local)
-        for dep in plan.nodes[key].deps:
+        for dep in program[slot].inputs:
             remaining[dep] -= 1
-            if remaining[dep] == 0 and dep not in target_keys:
+            if remaining[dep] == 0:
                 # Safe to recycle: every consumer has finished, so no
                 # worker can still be reading the buffer.
-                if plan.nodes[dep].kind != "stored":
-                    buf_pool.give(values.pop(dep))
-        for consumer in dependents[key]:
-            pending_deps[consumer] -= 1
-            if pending_deps[consumer] == 0:
+                buf_pool.give(slots[dep])
+                slots[dep] = None
+        for consumer in dependents[slot]:
+            pending[consumer] -= 1
+            if pending[consumer] == 0:
                 ready.append(consumer)
 
-    def work(key: NodeKey):
-        node = plan.nodes[key]
-        deps = tuple(values[d] for d in node.deps)
+    def work(slot: int):
         local = OpCounter()
         t0 = time.perf_counter()
         try:
-            out = _run_node(node, deps, arrays, local, buf_pool)
+            out = _run_node(program[slot], slots, arrays, local, buf_pool, tracer)
         except BaseException as exc:
             # Keep the partial counter reachable for the drain path.
             exc.partial_counter = local  # type: ignore[attr-defined]
             raise
-        return key, out, local, time.perf_counter() - t0
+        return slot, out, local, time.perf_counter() - t0
 
     futures: set = set()
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
@@ -697,12 +839,12 @@ def _execute_pooled(
             while ready or futures:
                 check_deadline("exec.dispatch")
                 while ready:
-                    key = ready.popleft()
-                    if plan.nodes[key].cost < threshold:
+                    slot = ready.popleft()
+                    if program[slot].cost < threshold:
                         # Inline: completing here may ready more nodes,
                         # which this same loop then drains.
                         try:
-                            complete(*work(key))
+                            complete(*work(slot))
                         except BaseException as exc:
                             partial = getattr(exc, "partial_counter", None)
                             if partial is not None:
@@ -716,7 +858,7 @@ def _execute_pooled(
                     # one copy per submission.
                     futures.add(
                         pool.submit(
-                            contextvars.copy_context().run, work, key
+                            contextvars.copy_context().run, work, slot
                         )
                     )
                 if not futures:
@@ -732,7 +874,7 @@ def _execute_pooled(
                 failure: BaseException | None = None
                 for future in done:
                     try:
-                        key, out, local, elapsed = future.result()
+                        slot, out, local, elapsed = future.result()
                     except BaseException as exc:
                         partial = getattr(exc, "partial_counter", None)
                         if partial is not None:
@@ -740,7 +882,7 @@ def _execute_pooled(
                         if failure is None:
                             failure = exc
                         continue
-                    complete(key, out, local, elapsed)
+                    complete(slot, out, local, elapsed)
                 if failure is not None:
                     raise failure
         except BaseException:
@@ -760,5 +902,4 @@ def _execute_pooled(
                     if partial is not None:
                         counter.merge(partial)
             raise
-    return values, busy
-
+    return slots, busy

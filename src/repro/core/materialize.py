@@ -30,7 +30,7 @@ from ..resilience.deadline import check_deadline
 from ..resilience.faults import corrupt_array, fault_point
 from .delta import patch_array, validate_coordinates
 from .element import CubeShape, ElementId
-from .exec import BatchPlan, execute_plan, plan_batch
+from .exec import PlanCache, execute_plan, plan_batch
 from .kernels import (
     POOL_MIN_CELLS,
     BufferPool,
@@ -39,7 +39,7 @@ from .kernels import (
     fused_synthesize,
 )
 from .operators import OpCounter
-from .planning import best_route, sorted_by_volume
+from .planning import RouteTable, route_table
 from .select_redundant import generation_cost
 
 __all__ = ["compute_element", "MaterializedSet", "element_checksum"]
@@ -104,10 +104,11 @@ class MaterializedSet:
     particular aggregated views) on demand.
     """
 
-    #: Batch plans retained per distinct target tuple (prepared-statement
-    #: style).  A plan depends only on the stored element *ids*, never on
-    #: their values, so it survives in-place updates and is dropped only
-    #: when :meth:`store` changes the element set.
+    #: Multi-target batch plans retained, least recently used first out
+    #: (prepared-statement style).  A plan depends only on the stored
+    #: element *ids*, never on their values, so it survives in-place
+    #: updates and is dropped only when :meth:`store` changes the element
+    #: set.
     _PLAN_CACHE_ENTRIES = 32
 
     def __init__(self, shape: CubeShape, tuning=None):
@@ -117,19 +118,18 @@ class MaterializedSet:
         #: ``None`` keeps the module-constant behaviour exactly.
         self._tuning = tuning
         self._arrays: dict[ElementId, np.ndarray] = {}
-        self._plan_cache: dict[tuple[ElementId, ...], "BatchPlan"] = {}
-        self._plan_cache_entries = (
+        self._plan_cache = PlanCache(
             self._PLAN_CACHE_ENTRIES
             if tuning is None
             else tuning.plan_cache_entries
         )
-        #: Procedure 3 generation costs, memoized across *every* plan this
-        #: set prices.  Costs depend only on the stored element-id set, so
+        #: Procedure 3 generation costs and the routes resolved from them
+        #: (``planning.RouteTable``), memoized across *every* plan this
+        #: set prices.  Both depend only on the stored element-id set, so
         #: the memo shares the plan cache's lifecycle (cleared when an
         #: element is stored or quarantined) but not its key: a batch of
-        #: never-before-seen targets still reuses every previously priced
-        #: containment signature (see ``select_redundant.generation_cost``),
-        #: which turns cold planning into a route walk.
+        #: never-before-seen targets is a merge of the routes its elements
+        #: already have.
         self._cost_memo: dict = {}
         #: Buffer pool shared by every assembly this set serves: interior
         #: temporaries of one query become the ``out=`` buffers of the
@@ -444,7 +444,7 @@ class MaterializedSet:
                     f"stored set is not complete with respect to {target!r}"
                 )
             values = self._assemble(
-                target, cost_memo, own, stored, sorted_by_volume(stored), arrays
+                target, route_table(self.shape, stored, cost_memo), own, arrays
             )
             ops = own.total - ops_before
             registry = current_registry()
@@ -470,45 +470,32 @@ class MaterializedSet:
     def _assemble(
         self,
         target: ElementId,
-        cost_memo: dict,
+        routes: RouteTable,
         counter: OpCounter | None,
-        stored: tuple[ElementId, ...],
-        sorted_stored: list[ElementId],
         arrays: dict[ElementId, np.ndarray],
     ) -> np.ndarray:
         """Recursive Procedure 3 execution.
 
-        ``stored``/``sorted_stored``/``arrays`` are snapshotted once per
-        :meth:`assemble`/:meth:`assemble_batch` call so the recursion never
-        rescans the stored set: the best aggregation ancestor is the first
-        containing element of the volume-sorted list.
+        ``arrays`` is snapshotted once per :meth:`assemble` call and
+        ``routes`` is the table of that same stored set, so the recursion
+        never rescans the stored set or prices anything twice.
         """
-        if target in arrays:
+        route = routes.route(target)
+        if route.kind == "stored":
             return arrays[target]
         check_deadline("materialize.assemble")
-
-        agg_source, agg_cost, synth_dim, synth_cost = best_route(
-            target, stored, sorted_stored, cost_memo
-        )
-
-        if agg_source is not None and agg_cost <= synth_cost:
-            return _descend(
-                arrays[agg_source], agg_source, target, counter, self._pool
+        if route.kind == "aggregate":
+            return fused_cascade(
+                arrays[route.source],
+                [(dim, residual) for dim, residual, _ in route.skeleton],
+                counter=counter,
+                pool=self._pool,
             )
-        if synth_dim < 0:
-            raise IncompleteSetError(
-                f"cannot assemble {target!r} from the stored set"
-            )
-        p_child = target.partial_child(synth_dim)
-        r_child = target.residual_child(synth_dim)
-        p_values = self._assemble(
-            p_child, cost_memo, counter, stored, sorted_stored, arrays
-        )
-        r_values = self._assemble(
-            r_child, cost_memo, counter, stored, sorted_stored, arrays
-        )
+        (_, _, p_child), (_, _, r_child) = route.skeleton
+        p_values = self._assemble(p_child, routes, counter, arrays)
+        r_values = self._assemble(r_child, routes, counter, arrays)
         result = fused_synthesize(
-            p_values, r_values, synth_dim, counter=counter, pool=self._pool
+            p_values, r_values, route.dim, counter=counter, pool=self._pool
         )
         # The recursion memoizes nothing, so a non-stored child array is a
         # fresh buffer this frame uniquely owns — recycle it.  (Stored
@@ -563,31 +550,22 @@ class MaterializedSet:
             own = counter if counter is not None else OpCounter()
             ops_before = own.total
             arrays = dict(self._arrays)
-            cache_key = tuple(dict.fromkeys(targets))
-            plan = self._plan_cache.get(cache_key)
-            if plan is not None and any(
-                node.kind == "stored" and node.element not in arrays
-                for node in plan.nodes.values()
-            ):
-                # A cached plan can outlive a quarantine that raced the
-                # cache clear; never execute against missing arrays.
-                plan = None
+            stored = tuple(arrays)
+            distinct = tuple(dict.fromkeys(targets))
+            # Validated against this snapshot: a cached plan can outlive
+            # a quarantine that raced the cache clear, and is never
+            # executed against missing arrays.
+            plan = self._plan_cache.plan(
+                distinct,
+                stored,
+                self._cost_memo if cost_memo is None else cost_memo,
+            )
             if plan is None:
-                if cost_memo is None:
-                    cost_memo = self._cost_memo
-                try:
-                    plan = plan_batch(
-                        targets, tuple(arrays), cost_memo=cost_memo
-                    )
-                except IncompleteSetError:
-                    # A plan racing a store can re-insert stale prices from
-                    # the pre-store element set after the clear; retry the
-                    # infeasibility verdict on a fresh memo before trusting
-                    # it.
-                    plan = plan_batch(targets, tuple(arrays), cost_memo={})
-                if len(self._plan_cache) >= self._plan_cache_entries:
-                    self._plan_cache.clear()
-                self._plan_cache[cache_key] = plan
+                # A plan racing a store can re-insert stale prices from
+                # the pre-store element set after the clear; retry the
+                # infeasibility verdict on a fresh memo before trusting
+                # it.
+                plan = plan_batch(distinct, stored, cost_memo={})
             exec_stats: dict = {}
             results = execute_plan(
                 plan,

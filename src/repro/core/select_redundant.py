@@ -222,16 +222,29 @@ def generation_cost(
     selection than the one it was filled for, the memo starts over.
     """
     memo = _memo if _memo is not None else {}
+    pricer = validated_pricer(memo, element.shape, selected)
+    cost = memo.get(element)
+    if cost is None:
+        cost = memo[element] = pricer.price(element)
+    return cost
+
+
+def validated_pricer(
+    memo: dict, shape: CubeShape, selected: Sequence[ElementId]
+) -> _SignaturePricer:
+    """The pricer ``memo`` carries, after checking it prices ``selected``.
+
+    Everything in a cost memo — prices, pricer, the planners' route table
+    — is only true of the selection it was filled for, so a memo handed
+    another one is cleared here, before anything is read from it.
+    """
     pricer = memo.get(_PRICER)
     if pricer is None or (
         pricer.selected is not selected and pricer.selected != tuple(selected)
     ):
         memo.clear()
-        pricer = memo[_PRICER] = _SignaturePricer(element.shape, tuple(selected))
-    cost = memo.get(element)
-    if cost is None:
-        cost = memo[element] = pricer.price(element)
-    return cost
+        pricer = memo[_PRICER] = _SignaturePricer(shape, tuple(selected))
+    return pricer
 
 
 def priced_states(memo: dict) -> int:

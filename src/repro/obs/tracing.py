@@ -38,6 +38,8 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 
+from .metrics import current_registry
+
 __all__ = [
     "Span",
     "Tracer",
@@ -180,9 +182,6 @@ class Tracer:
             self.finished.append(span)
             listeners = self._listeners
         if dropped:
-            # Local import to avoid a metrics<->tracing import cycle.
-            from .metrics import current_registry
-
             current_registry().counter(
                 "tracer_dropped_spans",
                 "finished spans evicted from the tracer ring buffer",
@@ -193,41 +192,13 @@ class Tracer:
             except Exception:
                 pass
 
-    @contextmanager
-    def span(self, name: str, **attributes):
+    def span(self, name: str, **attributes) -> "_OpenSpan":
         """Open a child span of whatever span is currently active.
 
-        A span opened with no active parent starts a new trace.
+        A span opened with no active parent starts a new trace.  The
+        :class:`Span` starts when the ``with`` block is entered.
         """
-        parent = _ACTIVE_SPAN.get()
-        thread = threading.current_thread()
-        current = Span(
-            name=name,
-            span_id=next(self._ids),
-            trace_id=(
-                parent.trace_id if parent is not None else next(self._trace_ids)
-            ),
-            parent_id=parent.span_id if parent is not None else None,
-            start=time.perf_counter(),
-            attributes=dict(attributes),
-            thread_id=thread.ident or 0,
-            thread_name=thread.name,
-            process_id=os.getpid(),
-        )
-        token = _ACTIVE_SPAN.set(current)
-        try:
-            yield current
-        except BaseException as exc:
-            # Self-recorded failure: a span that ended in an exception
-            # carries the exception type, so tail-biased consumers (the
-            # flight recorder) can keep failed traces without the serving
-            # code annotating every error path by hand.
-            current.attributes.setdefault("error", type(exc).__name__)
-            raise
-        finally:
-            current.end = time.perf_counter()
-            _ACTIVE_SPAN.reset(token)
-            self._finish(current)
+        return _OpenSpan(self, name, attributes)
 
     # ------------------------------------------------------------------
     # Reading
@@ -290,6 +261,69 @@ class Tracer:
         for agg in out.values():
             agg["mean_ms"] = agg["total_ms"] / agg["count"]
         return out
+
+
+class _OpenSpan:
+    """The ``with`` block of one :meth:`Tracer.span` call.
+
+    A plain slotted context manager: the executor opens one per DAG node,
+    where a generator-based one costs more than the bookkeeping it wraps.
+    """
+
+    __slots__ = ("_tracer", "_name", "_attributes", "_span", "_token")
+
+    def __init__(self, tracer: Tracer, name: str, attributes: dict):
+        self._tracer = tracer
+        self._name = name
+        self._attributes = attributes
+
+    def __enter__(self) -> Span:
+        tracer = self._tracer
+        parent = _ACTIVE_SPAN.get()
+        thread = threading.current_thread()
+        self._span = current = Span(
+            name=self._name,
+            span_id=next(tracer._ids),
+            trace_id=(
+                parent.trace_id
+                if parent is not None
+                else next(tracer._trace_ids)
+            ),
+            parent_id=parent.span_id if parent is not None else None,
+            start=time.perf_counter(),
+            attributes=self._attributes,
+            thread_id=thread.ident or 0,
+            thread_name=thread.name,
+            process_id=_process_id,
+        )
+        self._token = _ACTIVE_SPAN.set(current)
+        return current
+
+    def __exit__(self, exc_type, exc, traceback) -> bool:
+        current = self._span
+        if exc_type is not None:
+            # Self-recorded failure: a span that ended in an exception
+            # carries the exception type, so tail-biased consumers (the
+            # flight recorder) can keep failed traces without the serving
+            # code annotating every error path by hand.
+            current.attributes.setdefault("error", exc_type.__name__)
+        current.end = time.perf_counter()
+        _ACTIVE_SPAN.reset(self._token)
+        self._tracer._finish(current)
+        return False
+
+
+#: ``os.getpid()``, read once per process instead of once per span; a
+#: forked child re-reads it before it can open a span.
+_process_id = os.getpid()
+
+
+def _refresh_process_id() -> None:
+    global _process_id
+    _process_id = os.getpid()
+
+
+os.register_at_fork(after_in_child=_refresh_process_id)
 
 
 _ACTIVE_TRACER: ContextVar[Tracer | None] = ContextVar(

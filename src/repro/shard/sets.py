@@ -47,7 +47,7 @@ import numpy as np
 
 from ..core.delta import validate_coordinates
 from ..core.element import CubeShape, ElementId
-from ..core.exec import execute_plan, plan_batch
+from ..core.exec import PlanCache, execute_plan
 from ..core.kernels import POOL_MIN_CELLS, BufferPool, fused_cascade
 from ..core.materialize import MaterializedSet, compute_element
 from ..core.operators import OpCounter
@@ -103,17 +103,17 @@ class ShardedSet:
                 min_cells=tuning.pool_min_cells,
             )
         )
-        self._plan_cache_entries = (
+        self._stored: dict[ElementId, None] = {}
+        self._plan_cache = PlanCache(
             _PLAN_CACHE_ENTRIES if tuning is None else tuning.plan_cache_entries
         )
-        self._stored: dict[ElementId, None] = {}
-        self._plan_cache: dict = {}
-        #: Per-storage-signature Procedure 3 cost memos shared across plan
-        #: calls: prices depend only on a shard's stored element-id set, so
-        #: new target combinations against an already-seen signature reuse
-        #: every priced sub-element instead of re-walking the lattice.
+        #: Per storage signature, the stored tuple every shard exposing it
+        #: plans against and the Procedure 3 cost memo (prices and route
+        #: table) of that tuple: both depend only on a shard's stored
+        #: element-id set, so new target combinations against an
+        #: already-seen signature are a merge of routes already resolved.
         #: Cleared with the plan cache whenever shard storage changes.
-        self._cost_memos: dict[frozenset, dict] = {}
+        self._cost_memos: dict[frozenset, tuple[tuple, dict]] = {}
         self._plan_lock = threading.Lock()
         self.last_scatter_stats: dict = {}
 
@@ -417,26 +417,19 @@ class ShardedSet:
             by_sig.setdefault(frozenset(snapshot), []).append(s)
         key_targets = tuple(local_targets)
         for sig, shard_ids in by_sig.items():
-            cache_key = (key_targets, sig)
             with self._plan_lock:
-                plan = self._plan_cache.get(cache_key, _MISSING)
-            if plan is _MISSING:
-                stored = tuple(
-                    sorted(sig, key=lambda e: (e.depth, e.nodes))
-                )
-                # The memo is keyed by the storage signature, so its
-                # prices can only ever have been computed against this
-                # exact stored tuple — no staleness to guard against.
-                with self._plan_lock:
-                    memo = self._cost_memos.setdefault(sig, {})
-                try:
-                    plan = plan_batch(key_targets, stored, cost_memo=memo)
-                except IncompleteSetError:
-                    plan = None
-                with self._plan_lock:
-                    if len(self._plan_cache) >= self._plan_cache_entries:
-                        self._plan_cache.clear()
-                    self._plan_cache[cache_key] = plan
+                planning = self._cost_memos.get(sig)
+                if planning is None:
+                    # The memo is keyed by the storage signature, so its
+                    # prices can only ever have been computed against this
+                    # exact stored tuple — no staleness to guard against.
+                    stored = tuple(
+                        sorted(sig, key=lambda e: (e.depth, e.nodes))
+                    )
+                    planning = self._cost_memos[sig] = (stored, {})
+            plan = self._plan_cache.plan(
+                key_targets, *planning, key=(key_targets, sig)
+            )
             for s in shard_ids:
                 plans[s] = plan
         return plans, len(by_sig)
@@ -673,10 +666,3 @@ class ShardedSet:
         values = compute_element(slab, local, counter=scratch)
         counter.merge(scratch)
         return values
-
-
-class _Missing:
-    __slots__ = ()
-
-
-_MISSING = _Missing()

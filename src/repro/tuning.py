@@ -106,7 +106,9 @@ KNOBS: tuple[tuple[str, object, str, str], ...] = (
         "plan_cache_entries",
         PLAN_CACHE_ENTRIES,
         "core.materialize.MaterializedSet / shard.ShardedSet",
-        "batch plans retained per stored set (prepared-statement cache)",
+        "multi-target batch plans retained per stored set, least recently "
+        "used first out (single-target plans live in the route table, one "
+        "per element)",
     ),
     (
         "flight_max_traces",

@@ -309,3 +309,255 @@ class TestPooledFailureHandling:
         assert left.additions == 2
         assert left.subtractions == 3
         assert [label for label, *_ in left.events] == ["a", "b"]
+
+
+class TestCompiledProgram:
+    """What ``BatchPlan`` computes once so that no run has to."""
+
+    def test_program_mirrors_the_dag(self, shape_3d, rng):
+        ms = pyramid_from_root(shape_3d, rng)
+        targets = all_group_bys(shape_3d)
+        plan = plan_batch(targets, ms.elements)
+        assert [ins.op for ins in plan.program] == [
+            node.kind for node in plan.nodes.values()
+        ]
+        assert [ins.out for ins in plan.program] == list(range(len(plan.nodes)))
+        keys = list(plan.nodes)
+        for ins, node in zip(plan.program, plan.nodes.values()):
+            assert [keys[slot] for slot in ins.inputs] == list(node.deps)
+            assert ins.cost == node.cost
+            if ins.op != "stored":
+                assert ins.attrs == {
+                    "element": node.element.describe(),
+                    "kind": node.kind,
+                    "planned_cost": node.cost,
+                }
+        assert plan.planned_cost == sum(n.cost for n in plan.nodes.values())
+        assert plan.largest_cost == max(n.cost for n in plan.nodes.values())
+        assert set(plan.stored_reads) == {
+            n.element for n in plan.nodes.values() if n.kind == "stored"
+        }
+        assert [keys[slot] for slot in plan.target_slots] == list(plan.targets)
+
+    def test_every_temporary_is_released_once_after_its_last_reader(
+        self, shape_3d, rng
+    ):
+        ms = MaterializedSet.from_cube(
+            rng.standard_normal(shape_3d.sizes), wavelet_basis(shape_3d)
+        )
+        plan = plan_batch(all_group_bys(shape_3d), ms.elements)
+        released = [slot for ins in plan.program for slot in ins.release]
+        assert len(released) == len(set(released))
+        pinned = set(plan.target_slots) | {
+            ins.out for ins in plan.program if ins.op == "stored"
+        }
+        assert not pinned & set(released)
+        for ins in plan.program:
+            for slot in ins.release:
+                readers = plan.dependents[slot]
+                assert readers[-1] == ins.out == max(readers)
+                assert plan.refcounts[slot] == len(readers)
+        for slot in pinned:
+            assert plan.refcounts[slot] == 0
+        assert list(plan.pending) == [len(ins.inputs) for ins in plan.program]
+
+    def test_dag_nodes_metric_counts_the_fused_plan(self, shape_3d, rng):
+        from repro.obs import MetricsRegistry
+
+        ms = pyramid_from_root(shape_3d, rng)
+        registry = MetricsRegistry()
+        with registry.activate():
+            plan = plan_batch(all_group_bys(shape_3d), ms.elements)
+            unfused = plan_batch(all_group_bys(shape_3d), ms.elements, fuse=False)
+        assert len(plan.nodes) < len(unfused.nodes)
+        series = registry.histogram("batch_dag_nodes").snapshot()["values"][""]
+        assert series["count"] == 2
+        assert series["sum"] == len(plan.nodes) + len(unfused.nodes)
+
+    def test_node_fault_lands_on_the_exec_node_span(self, shape_3d, rng):
+        """One site visit per non-stored node, traced or not, and an
+        injected fault is recorded on the ``exec.node`` span it hit."""
+        from repro.errors import TransientFault
+        from repro.obs import Tracer
+        from repro.resilience import FaultInjector, FaultRule
+
+        ms = pyramid_from_root(shape_3d, rng)
+        targets = all_group_bys(shape_3d)
+        plan = plan_batch(targets, ms.elements)
+        nonstored = sum(1 for ins in plan.program if ins.op != "stored")
+        tracer = Tracer()
+        counting = FaultInjector(
+            [FaultRule(site="exec.compute_node", kind="error", probability=0.0)]
+        )
+        with tracer.activate(), counting.activate():
+            ms.assemble_batch(targets)
+        assert counting.invocations("exec.compute_node") == nonstored
+        node_spans = tracer.spans("exec.node")
+        assert len(node_spans) == nonstored
+        (execute,) = tracer.spans("exec.execute")
+        assert {s.parent_id for s in node_spans} == {execute.span_id}
+        assert [s.attributes["planned_cost"] for s in node_spans] == [
+            s.attributes["operations"] for s in node_spans
+        ]
+
+        tracer.clear()
+        failing = FaultInjector(
+            [
+                FaultRule(
+                    site="exec.compute_node",
+                    kind="error",
+                    probability=1.0,
+                    max_fires=1,
+                )
+            ],
+            seed=5,
+        )
+        with tracer.activate(), failing.activate():
+            with pytest.raises(TransientFault):
+                ms.assemble_batch(targets)
+        assert failing.invocations("exec.compute_node") == 1
+        (hit,) = tracer.spans("exec.node")
+        assert hit.attributes["error"] == "TransientFault"
+        assert [e["name"] for e in hit.events] == ["fault_injected"]
+        assert hit.events[0]["site"] == "exec.compute_node"
+
+    def test_deadline_expiring_mid_plan_is_seen_by_the_serial_loop(
+        self, shape_3d, rng
+    ):
+        from repro.errors import QueryTimeout
+        from repro.resilience import (
+            Deadline,
+            FaultInjector,
+            FaultRule,
+            deadline_scope,
+        )
+
+        ms = pyramid_from_root(shape_3d, rng)
+        targets = all_group_bys(shape_3d)
+        plan = plan_batch(targets, ms.elements)
+        arrays = {e: ms.array(e) for e in ms.elements}
+        slow = FaultInjector(
+            [FaultRule(site="exec.compute_node", kind="latency", latency_ms=60.0)]
+        )
+        counter = OpCounter()
+        with slow.activate(), deadline_scope(Deadline.after(0.03)):
+            with pytest.raises(QueryTimeout, match="exec.serial"):
+                execute_plan(plan, arrays, counter=counter)
+        # The first node ran (and slept) before the loop looked again.
+        assert slow.invocations("exec.compute_node") == 1
+        assert 0 < counter.total < plan.planned_cost
+
+
+class TestPlanCache:
+    @pytest.fixture
+    def planned(self, monkeypatch):
+        """The target tuple of every ``plan_batch`` call the cache makes."""
+        import repro.core.exec as exec_module
+
+        calls: list = []
+        real = exec_module.plan_batch
+
+        def recording(targets, *args, **kwargs):
+            calls.append(tuple(targets))
+            return real(targets, *args, **kwargs)
+
+        monkeypatch.setattr(exec_module, "plan_batch", recording)
+        return calls
+
+    def test_full_cache_evicts_the_least_recently_used_set_only(
+        self, shape_3d, rng, monkeypatch, planned
+    ):
+        monkeypatch.setattr(MaterializedSet, "_PLAN_CACHE_ENTRIES", 2)
+        ms = pyramid_from_root(shape_3d, rng)
+        a, b, c, d = all_group_bys(shape_3d)[1:5]
+        ms.assemble_batch([a, b])
+        ms.assemble_batch([c, d])
+        ms.assemble_batch([a, b])  # hit: (a, b) is now the most recent
+        ms.assemble_batch([a, c])  # full: (c, d) leaves, (a, b) stays
+        assert planned == [(a, b), (c, d), (a, c)]
+        ms.assemble_batch([a, b])
+        assert planned == [(a, b), (c, d), (a, c)]
+        ms.assemble_batch([c, d])
+        assert planned[-1] == (c, d) and len(planned) == 4
+
+    def test_single_targets_are_planned_once_per_element(
+        self, shape_3d, rng, monkeypatch, planned
+    ):
+        monkeypatch.setattr(MaterializedSet, "_PLAN_CACHE_ENTRIES", 1)
+        ms = pyramid_from_root(shape_3d, rng)
+        views = all_group_bys(shape_3d)
+        for _ in range(3):
+            for view in views:
+                got = ms.assemble_batch([view])[view]
+                np.testing.assert_array_equal(got, ms.assemble(view))
+        assert planned == [(view,) for view in views]
+        assert len(ms._plan_cache) == 0  # no LRU slot spent on them
+
+    def test_cached_plan_is_checked_against_the_snapshot(self, shape_4x4, rng):
+        """A plan that outlived its stored element (a quarantine racing the
+        cache clear) is replanned, not run against a missing array."""
+        ms = pyramid_from_root(shape_4x4, rng)
+        root = shape_4x4.root()
+        half = root.partial_child(0)
+        ms.store(half, ms.assemble(half))
+        targets = all_group_bys(shape_4x4)[1:3]
+        expected = {t: ms.assemble(t) for t in targets}
+        ms.assemble_batch(targets)
+        stale = ms._plan_cache.plan(tuple(targets), ms.elements, ms._cost_memo)
+        assert half in stale.stored_reads
+        ms.quarantine(half)
+        ms._plan_cache._plans[tuple(targets)] = stale  # the lost race
+        results = ms.assemble_batch(targets)
+        for target in targets:
+            np.testing.assert_array_equal(results[target], expected[target])
+        fresh = ms._plan_cache.plan(tuple(targets), ms.elements, ms._cost_memo)
+        assert fresh is not stale and half not in fresh.stored_reads
+
+    def test_two_threads_plan_disjoint_batches_against_one_set(self, rng):
+        import sys
+        import threading
+
+        shape = CubeShape((16, 8, 4))
+        values = rng.integers(0, 50, size=shape.sizes).astype(np.float64)
+        ms = MaterializedSet.from_cube(values, wavelet_basis(shape))
+        views = all_group_bys(shape)
+        rollups = [
+            shape.root().partial_child(0).partial_child(1),
+            shape.root().partial_child(0).partial_child(0).partial_child(2),
+            shape.root().partial_child(1).partial_child(2),
+            shape.root().partial_child(2).partial_child(2),
+        ]
+        batches = {
+            "views": [views[i : i + 2] for i in range(0, len(views), 2)],
+            "rollups": [rollups[:2], rollups[2:], rollups[1:3]],
+        }
+        reference = MaterializedSet.from_cube(values, wavelet_basis(shape))
+        expected = {t: reference.assemble(t) for t in views + rollups}
+        failures: list = []
+
+        def serve(name: str) -> None:
+            try:
+                for _ in range(20):
+                    for batch in batches[name]:
+                        counter = OpCounter()
+                        got = ms.assemble_batch(batch, counter=counter)
+                        plan = plan_batch(batch, ms.elements)
+                        assert counter.total == plan.planned_cost
+                        for target in batch:
+                            assert got[target].tobytes() == expected[target].tobytes()
+                    ms._plan_cache.clear()
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                failures.append((name, exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=serve, args=(n,)) for n in batches]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures, failures

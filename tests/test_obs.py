@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import threading
 
 import pytest
@@ -13,6 +14,7 @@ from repro.obs import (
     Observability,
     Tracer,
     current_registry,
+    current_span,
     current_tracer,
     default_registry,
     span,
@@ -127,6 +129,42 @@ class TestTracing:
         assert inner.attributes == {"depth": 1, "extra": "yes"}
         assert inner.duration >= 0
         assert inner.end is not None
+
+    def test_span_starts_at_enter_and_records_how_it_exited(self):
+        tracer = Tracer()
+        opened = tracer.span("work", step=1)
+        assert tracer.spans() == () and current_span() is None
+        with pytest.raises(KeyError):
+            with opened as active:
+                assert current_span() is active
+                raise KeyError("boom")
+        assert current_span() is None
+        (failed,) = tracer.spans()
+        assert failed.attributes == {"step": 1, "error": "KeyError"}
+        assert failed.end is not None and failed.end >= failed.start
+        with tracer.span("work", error="mine"):
+            pass  # an attribute the code set itself is never overwritten
+        assert tracer.spans()[-1].attributes == {"error": "mine"}
+
+    def test_process_id_is_the_running_process_even_after_fork(self):
+        tracer = Tracer()
+        with tracer.span("parent"):
+            pass
+        assert tracer.spans()[-1].process_id == os.getpid()
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # child: report and leave without running pytest's exit
+            try:
+                with tracer.span("child") as child:
+                    pass
+                os.write(write_end, f"{child.process_id} {os.getpid()}".encode())
+            finally:
+                os._exit(0)
+        os.close(write_end)
+        with os.fdopen(read_end) as pipe:
+            recorded, actual = pipe.read().split()
+        os.waitpid(pid, 0)
+        assert recorded == actual == str(pid)
 
     def test_module_helper_noops_without_tracer(self):
         assert current_tracer() is None

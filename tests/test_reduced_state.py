@@ -18,15 +18,17 @@ from hypothesis import strategies as st
 
 from repro.core.adaptive import DynamicViewAssembler
 from repro.core.element import CubeShape
+from repro.core.exec import execute_plan, plan_batch
 from repro.core.graph import ViewElementGraph
 from repro.core.materialize import MaterializedSet
 from repro.core.operators import OpCounter
-from repro.core.planning import best_route, sorted_by_volume
+from repro.core.planning import best_route, route_table, sorted_by_volume
 from repro.core.population import QueryPopulation
 from repro.core.select_basis import _select_explicit, select_minimum_cost_basis
 from repro.core.select_redundant import generation_cost, priced_states
 from repro.cube.datacube import DataCube
 from repro.cube.dimensions import Dimension
+from repro.errors import IncompleteSetError
 from repro.server import OLAPServer
 
 from .oracles import explicit_best_route, explicit_generation_cost
@@ -104,6 +106,111 @@ class TestProcedure3Signatures:
         assert generation_cost(half, (root,), _memo=memo) == 8
         assert generation_cost(half, (total,), _memo=memo) == float("inf")
         assert generation_cost(half, (root,), _memo=memo) == 8
+
+
+class TestRouteTable:
+    """Routes are resolved once per element and every planner reads them
+    back: a plan merged from a warm table is the plan a cold one builds."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=stored_sets(), data=st.data())
+    def test_merged_plans_match_cold_plans_and_per_target_assembly(
+        self, case, data
+    ):
+        shape, elements, stored, _ = case
+        values = np.random.default_rng(7).standard_normal(shape.sizes)
+        materialized = MaterializedSet.from_cube(values, stored)
+        # Equal-volume ancestors tie-break by position: plan against the
+        # order the set itself routes by.
+        arrays = materialized.arrays_snapshot()
+        stored = tuple(arrays)
+        some = st.lists(st.sampled_from(elements), min_size=1, max_size=6)
+        targets = data.draw(some)
+        memo: dict = {}
+        for other in data.draw(some):  # whatever else the table has seen
+            try:
+                plan_batch([other], stored, memo)
+            except IncompleteSetError:
+                pass
+        if any(explicit_generation_cost(t, stored) == float("inf") for t in targets):
+            with pytest.raises(IncompleteSetError, match="not complete"):
+                plan_batch(targets, stored, memo)
+            return
+        plan = plan_batch(targets, stored, memo)
+        cold = plan_batch(targets, stored, {})
+        assert list(plan.nodes.values()) == list(cold.nodes.values())
+        assert list(plan.nodes) == [node.key for node in cold.nodes.values()]
+        assert plan.program == cold.program
+        assert (plan.naive_cost, plan.cse_hits) == (cold.naive_cost, cold.cse_hits)
+        assert plan.naive_cost == sum(
+            explicit_generation_cost(t, stored) for t in dict.fromkeys(targets)
+        )
+
+        serial_counter, pooled_counter = OpCounter(), OpCounter()
+        serial = execute_plan(plan, arrays, counter=serial_counter)
+        stats: dict = {}
+        pooled = execute_plan(
+            plan,
+            arrays,
+            counter=pooled_counter,
+            max_workers=4,
+            dispatch_threshold=1,
+            stats=stats,
+        )
+        assert serial_counter.total == pooled_counter.total == plan.planned_cost
+        assert stats["workers_effective"] == (4 if plan.planned_cost else 1)
+        for target in targets:
+            expected = materialized.assemble(target).tobytes()
+            assert serial[target].tobytes() == expected
+            assert pooled[target].tobytes() == expected
+
+    def test_routes_spell_out_what_best_route_chose(self):
+        shape = CubeShape((8, 4))
+        root = shape.root()
+        stored = (root, root.partial_child(0).residual_child(0))
+        memo: dict = {}
+        table = route_table(shape, stored, memo)
+        assert route_table(shape, stored, memo) is table
+        assert table.route(root).kind == "stored"
+        view = shape.aggregated_view([0])
+        route = table.route(view)
+        assert (route.kind, route.source, route.cost) == ("aggregate", root, 28)
+        assert [(dim, residual) for dim, residual, _ in route.skeleton] == [
+            (0, False)
+        ] * 3
+        assert route.skeleton[-1][2] == view
+        assert table.routes[view] is route  # resolved once, then read back
+        # A memo handed another selection starts over, table included.
+        other = route_table(shape, (root,), memo)
+        assert other is not table and not other.routes
+        with pytest.raises(IncompleteSetError, match="not complete"):
+            route_table(shape, (view,), {}).route(root)
+
+    def test_store_and_quarantine_drop_the_routes_with_the_prices(self):
+        shape = CubeShape((8, 4))
+        values = np.random.default_rng(5).standard_normal(shape.sizes)
+        root, view = shape.root(), shape.aggregated_view([0])
+        half = root.partial_child(0)
+        materialized = MaterializedSet.from_cube(values, [root])
+        expected = materialized.assemble(view)
+
+        def source_of_next_plan():
+            counter = OpCounter()
+            got = materialized.assemble_batch([view], counter=counter)[view]
+            np.testing.assert_allclose(got, expected, rtol=1e-12)
+            table = route_table(shape, materialized.elements, materialized._cost_memo)
+            route = table.routes[view]
+            assert counter.total == route.cost
+            assert table.plans[view].stored_reads == (route.source,)
+            return route.source
+
+        assert source_of_next_plan() == root
+        materialized.store(half, materialized.assemble(half))
+        assert not materialized._cost_memo  # prices, routes and plans: gone
+        assert source_of_next_plan() == half
+        materialized.quarantine(half)
+        assert not materialized._cost_memo
+        assert source_of_next_plan() == root
 
 
 class TestAlgorithm1Dispatch:
