@@ -10,7 +10,7 @@ Measures the three serving strategies over two workloads:
 Strategies: per-target :meth:`MaterializedSet.assemble` (sequential), the
 shared-plan executor at one worker (the pure algorithmic win — CSE, no
 threads), the thread-pool executor at 2 and 4 workers, and the
-**server-default path** (the tuning profile's worker count with
+**server-default path** (:data:`repro.server.MAX_WORKERS` workers with
 cost-aware dispatch free to demote) — ``--check`` asserts the demoted
 multi-worker walls stay within :data:`DEMOTED_WALL_FACTOR` of the
 1-worker wall on the Table 2 cube, holding the small-batch cliff shut.  Scalar
@@ -40,7 +40,7 @@ from repro.core.element import CubeShape
 from repro.core.exec import execute_plan, plan_batch
 from repro.core.materialize import MaterializedSet
 from repro.core.operators import OpCounter
-from repro.tuning import DEFAULT_TUNING
+from repro.server import MAX_WORKERS
 
 WORKERS = (2, 4)
 
@@ -141,7 +141,7 @@ def measure_workload(name, ms, targets, repeats: int) -> dict:
         }
 
     # The server-default path: exactly what ``OLAPServer.query_batch``
-    # runs — the tuning profile's worker count with cost-aware dispatch
+    # runs — ``MAX_WORKERS`` workers with cost-aware dispatch
     # free to demote.  One instrumented execution records whether the
     # executor actually demoted (tiny workloads must never pay the
     # multi-worker cliff the raw 2/4-worker rows would otherwise show).
@@ -149,16 +149,16 @@ def measure_workload(name, ms, targets, repeats: int) -> dict:
     execute_plan(
         plan,
         ms.arrays_snapshot(),
-        max_workers=DEFAULT_TUNING.max_workers,
+        max_workers=MAX_WORKERS,
         stats=stats,
     )
     result["server_default"] = {
-        "workers": DEFAULT_TUNING.max_workers,
+        "workers": MAX_WORKERS,
         "demoted": stats["demoted"],
         "dispatch_threshold": stats["dispatch_threshold"],
         "largest_node_cost": stats["largest_node_cost"],
         "wall_ms": _best_wall(
-            lambda: shared(DEFAULT_TUNING.max_workers), repeats
+            lambda: shared(MAX_WORKERS), repeats
         )
         * 1e3,
     }

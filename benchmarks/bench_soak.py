@@ -1,29 +1,21 @@
-"""Drifting-workload soak: autotuned profile vs hand-set defaults.
+"""Drifting-workload soak: latency under load and adaptation lag.
 
-Runs the full tuning loop the soak subsystem exists for and records the
-three curves a capacity planner actually wants:
+Replays the seeded drifting workload of :mod:`repro.soak` against a server
+running the constants it ships with, and records the two curves a
+capacity planner wants:
 
-- **tuned-vs-default speedup** — :func:`repro.soak.autotune` searches the
-  :class:`~repro.tuning.TuningConfig` knob axes (warm-started from
-  planned-vs-measured cost-model profiles) on the seeded drifting
-  workload, then :func:`~repro.soak.measure_speedup` replays the *same*
-  trace under the tuned and shipped profiles (interleaved repeats, fresh
-  server per run).  The check floor asserts the tuned profile's assembly
-  p99 beats the hand-set defaults by at least
-  ``P99_SPEEDUP_FLOOR`` — the PR's whole thesis, held by a gate.
-- **p99-vs-qps curve** — the same drifting mix replayed at increasing
-  batch sizes under default tuning: offered load rises, the assembly
-  tail degrades, and the curve records where.
+- **p99-vs-qps curve** — the drifting mix replayed at increasing batch
+  sizes: offered load rises, the assembly tail degrades, and the curve
+  records where.
 - **adaptation lag** — an adaptive replay (cost-model monitor feeding
-  ``server.reconfigure`` plus online threshold nudges) reporting how many
-  batches each hot-key shift takes to recover to 1.5x the pre-drift
-  median.
+  ``server.reconfigure``) reporting how many batches each hot-key shift
+  takes to recover to 1.5x the pre-drift median.
 
 Runs standalone (writes ``BENCH_soak.json``)::
 
     PYTHONPATH=src python benchmarks/bench_soak.py --output BENCH_soak.json
     ... --small --check                # CI smoke: small cube + gates
-    ... --compare BENCH_soak.json     # fail on >1.5x speedup regression
+    ... --compare BENCH_soak.json     # fail on >1.5x hit-rate regression
 
 or under pytest-benchmark with the rest of the suite.
 """
@@ -35,18 +27,10 @@ import sys
 
 from _gates import REGRESSION_FACTOR, build_parser, finish, ratio_regressed
 
-from repro.soak import (
-    OnlineTuner,
-    SoakConfig,
-    autotune,
-    measure_speedup,
-    run_soak,
-)
-from repro.tuning import DEFAULT_TUNING
+from repro.soak import SoakConfig, run_soak
 
-#: The full config is the engineered-mistuning default (2048x16x4 cube,
-#: eight drift phases); the small one is a CI-sized replica of the same
-#: drifting structure.
+#: The full config is the 2048x16x4 cube with eight drift phases; the
+#: small one is a CI-sized replica of the same drifting structure.
 FULL_CONFIG = SoakConfig()
 SMALL_CONFIG = SoakConfig(
     sizes=(16, 16, 8),
@@ -57,14 +41,6 @@ SMALL_CONFIG = SoakConfig(
     burst_cells=16,
 )
 
-#: Assembly-p99 improvement the tuned profile must deliver over the
-#: shipped defaults.  The full workload was engineered so the defaults
-#: genuinely mis-dispatch (pool round-trips on nodes that never repay
-#: them), hence the hard floor; the small cube's nodes are all far below
-#: every threshold, so both profiles behave identically and its floor
-#: only asserts tuning never *loses*.
-P99_SPEEDUP_FLOOR = {"full": 1.15, "small": 0.75}
-
 #: Offered-load sweep for the p99-vs-qps curve (requests per batch).
 CURVE_BATCH_SIZES = {"full": (2, 5, 8, 12), "small": (2, 4, 6)}
 
@@ -73,25 +49,9 @@ CURVE_BATCH_SIZES = {"full": (2, 5, 8, 12), "small": (2, 4, 6)}
 MAX_LAG_FRACTION = 1.0
 
 
-def run(small: bool = False, repeats: int | None = None) -> dict:
+def run(small: bool = False) -> dict:
     mode = "small" if small else "full"
     config = SMALL_CONFIG if small else FULL_CONFIG
-    # Full mode leans on the floor estimator harder: the tuned-vs-default
-    # gap is a systematic dispatch cost whose measured size varies with
-    # ambient machine load, and more interleaved replays per side give
-    # the per-batch floor more chances to shed noise bursts.
-    repeats = repeats or (3 if small else 5)
-
-    tuned, tune_report = autotune(
-        config, trial_batches=8 if small else 24
-    )
-    speedup = measure_speedup(config, tuned, repeats=repeats)
-
-    defaults = DEFAULT_TUNING.to_dict()
-    tuned_dict = tuned.to_dict()
-    tuned_moves = {
-        k: v for k, v in tuned_dict.items() if defaults.get(k) != v
-    }
 
     curve = []
     for batch_size in CURVE_BATCH_SIZES[mode]:
@@ -109,22 +69,14 @@ def run(small: bool = False, repeats: int | None = None) -> dict:
             }
         )
 
-    adaptive = run_soak(
-        config, tuning=tuned, online_tuner=OnlineTuner(base=tuned)
-    )
+    adaptive = run_soak(config)
     return {
         "mode": mode,
         "config": config.to_dict(),
-        "tuned": tuned_dict,
-        "tuned_moves": tuned_moves,
-        "tune_trials": len(tune_report["trials"]),
-        "tune_objective_ms": tune_report["best_objective_ms"],
-        "speedup": speedup,
         "curve": curve,
         "adaptation": {
             "drift": adaptive["drift"],
             "reconfigurations": len(adaptive["adaptation"]["reconfigurations"]),
-            "online_nudges": len(adaptive["online"]["nudges"]),
             "cache_hit_rate": adaptive["cache_hit_rate"],
             "assembly_p99_ms": adaptive["assembly_ms"]["p99"],
         },
@@ -132,19 +84,7 @@ def run(small: bool = False, repeats: int | None = None) -> dict:
 
 
 def check(report: dict) -> None:
-    """Smoke gates: the tuned profile pays, and drift recovery is bounded."""
-    floor = P99_SPEEDUP_FLOOR[report["mode"]]
-    speedup = report["speedup"]["p99_speedup"]
-    assert speedup >= floor, (
-        f"tuned assembly p99 speedup {speedup:.3f}x is below the "
-        f"{floor}x floor (tuned={report['speedup']['tuned_p99_ms']}ms "
-        f"default={report['speedup']['default_p99_ms']}ms)"
-    )
-    if report["mode"] == "full":
-        assert report["tuned_moves"], (
-            "the autotuner adopted the shipped defaults verbatim on the "
-            "engineered-mistuning workload - the search found nothing"
-        )
+    """Smoke gates: drift recovery is bounded and every point served."""
     max_lag = report["config"]["phase_batches"] * MAX_LAG_FRACTION
     for entry in report["adaptation"]["drift"]:
         assert entry["recovered"], (
@@ -160,17 +100,21 @@ def check(report: dict) -> None:
 
 
 def compare(report: dict, baseline: dict) -> list[str]:
-    """Regression gate against a checked-in report (ratios only)."""
+    """Regression gate against a checked-in report.
+
+    Only the adaptive replay's result-cache hit rate: it is fixed by the
+    seeded trace and the re-selections, not by the machine's speed.
+    """
     failures: list[str] = []
     if report["mode"] != baseline.get("mode"):
         return failures
-    for key in ("p99_speedup", "speedup"):
-        if ratio_regressed(report["speedup"][key], baseline["speedup"][key]):
-            failures.append(
-                f"speedup.{key}: {report['speedup'][key]:.3f}x regressed "
-                f"more than {REGRESSION_FACTOR}x from baseline "
-                f"{baseline['speedup'][key]:.3f}x"
-            )
+    current = report["adaptation"]["cache_hit_rate"]
+    reference = baseline["adaptation"]["cache_hit_rate"]
+    if ratio_regressed(current, reference):
+        failures.append(
+            f"adaptation.cache_hit_rate: {current:.3f} regressed more than "
+            f"{REGRESSION_FACTOR}x from baseline {reference:.3f}"
+        )
     return failures
 
 
@@ -181,22 +125,7 @@ def render(report: dict) -> str:
         f"x {config['batch_size']} requests, "
         f"{config['batches'] // config['phase_batches']} drift phases"
     ]
-    moves = report["tuned_moves"]
-    lines.append(
-        f"  autotune: {report['tune_trials']} trials -> "
-        + (
-            ", ".join(f"{k}={v}" for k, v in sorted(moves.items()))
-            if moves
-            else "defaults kept"
-        )
-    )
-    sp = report["speedup"]
-    lines.append(
-        f"  tuned-vs-default: assembly p99 {sp['p99_speedup']:.2f}x "
-        f"({sp['default_p99_ms']}ms -> {sp['tuned_p99_ms']}ms), "
-        f"objective {sp['speedup']:.2f}x"
-    )
-    lines.append("  p99-vs-qps curve (default tuning):")
+    lines.append("  p99-vs-qps curve:")
     for point in report["curve"]:
         lines.append(
             f"    batch_size={point['batch_size']:>2}: "
@@ -211,7 +140,7 @@ def render(report: dict) -> str:
     )
     lines.append(
         f"  adaptation: {adapt['reconfigurations']} reconfigs, "
-        f"{adapt['online_nudges']} online nudges, lag [{lag_bits}], "
+        f"lag [{lag_bits}], "
         f"hit rate {adapt['cache_hit_rate']:.1%}"
     )
     return "\n".join(lines)
@@ -221,10 +150,11 @@ def main(argv=None) -> int:
     parser = build_parser(
         __doc__.splitlines()[0],
         small_help="small cube (CI smoke)",
-        check_help="assert the tuned-speedup and adaptation-lag floors",
+        check_help="assert the adaptation-lag floor",
+        repeats=False,
     )
     args = parser.parse_args(argv)
-    report = run(small=args.small, repeats=args.repeats)
+    report = run(small=args.small)
     return finish(report, args, check=check, compare=compare, render=render)
 
 

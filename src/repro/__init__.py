@@ -69,7 +69,6 @@ from .obs import LRUCache, MetricsRegistry, Observability, Tracer
 from .resilience import Deadline, FaultInjector, FaultRule
 from .server import OLAPServer
 from .shard import CubePartition, ShardedSet
-from .tuning import DEFAULT_TUNING, TuningConfig
 
 __version__ = "1.1.0"
 
@@ -90,8 +89,6 @@ __all__ = [
     "QueryTimeout",
     "ReproError",
     "TransientFault",
-    "TuningConfig",
-    "DEFAULT_TUNING",
     "DynamicViewAssembler",
     "ElementId",
     "FastBasisResult",

@@ -83,18 +83,32 @@ def _run_figure9(trials: int, budgets: int) -> str:
     )
 
 
-def _demo_server(seed: int, shards: int = 1):
+def _demo_server(
+    seed: int, shards: int = 1, sizes: tuple[int, int, int] = (8, 4, 8)
+):
+    """A sales server over a ``products x stores x days`` cube."""
     from .server import OLAPServer
     from .workloads import SalesConfig, generate_sales_records
 
+    products, stores, days = sizes
     records = generate_sales_records(
-        SalesConfig(num_transactions=400, num_days=8, seed=seed)
+        SalesConfig(
+            num_products=products,
+            num_stores=stores,
+            num_days=days,
+            num_transactions=400,
+            seed=seed,
+        )
     )
     return OLAPServer.from_records(
         records,
         ["product", "store", "day"],
         "sales",
-        domains={"day": list(range(8))},
+        domains={
+            "product": [f"P{i:03d}" for i in range(products)],
+            "store": [f"S{i:02d}" for i in range(stores)],
+            "day": list(range(days)),
+        },
         shards=shards,
     )
 
@@ -202,7 +216,10 @@ def _run_trace(
     from .obs.export import render_chrome_trace
     from .obs.profile import query_profile, render_profile
 
-    server = _demo_server(seed)
+    # 2^17 cells: the batch's largest node clears
+    # ``repro.core.exec.DISPATCH_THRESHOLD``, so the trace shows worker
+    # lanes under the configuration that ships.
+    server = _demo_server(seed, sizes=(64, 32, 64))
     requests = [
         ["product"],
         ["store"],
@@ -211,9 +228,7 @@ def _run_trace(
         ["product", "day"],
         ["store", "day"],
     ]
-    # Force pool dispatch (threshold 0) so the trace exercises worker
-    # lanes even on the small demo cube.
-    server.query_batch(requests, max_workers=workers, dispatch_threshold=0)
+    server.query_batch(requests, max_workers=workers)
     profile = query_profile(server.tracer)
     spans = server.tracer.trace(profile["trace_id"])
     lines = [render_profile(profile)]
@@ -395,80 +410,10 @@ def _run_recover(
     return 0 if report["ok"] else 1
 
 
-def _run_tune(
-    seed: int,
-    rounds: int,
-    trial_batches: int,
-    batches: int | None,
-    output: str,
-    measure: bool,
-    json_output: bool,
-) -> int:
-    """Autotune TuningConfig on the drifting soak and emit tuned.json."""
-    import dataclasses
-    import json
-
-    from .soak import SoakConfig, autotune, measure_speedup, render_tune_report
-
-    config = SoakConfig(seed=seed)
-    if batches is not None:
-        config = dataclasses.replace(config, batches=batches)
-    best, report = autotune(
-        config, rounds=rounds, trial_batches=trial_batches
-    )
-    speedup = measure_speedup(config, best) if measure else None
-    if speedup is not None:
-        report["speedup"] = speedup
-    path = best.save(output)
-    # Key the tuned profile by the workload fingerprint it won on, so a
-    # serving process given the library can recognize "I look like this
-    # regime" and surface the profile in health() (see repro.obs.
-    # fingerprint.ProfileLibrary).
-    from pathlib import Path
-
-    from .obs.fingerprint import ProfileLibrary, fingerprint_of_trace
-    from .soak import generate_soak_trace
-
-    library_path = Path(path).parent / "profiles.json"
-    library = (
-        ProfileLibrary.load(library_path)
-        if library_path.exists()
-        else ProfileLibrary()
-    )
-    entry = library.add(
-        fingerprint_of_trace(generate_soak_trace(config)),
-        best.to_dict(),
-        label=f"soak-seed{seed}",
-        meta={
-            "source": "repro tune",
-            "soak": config.to_dict(),
-            "speedup": speedup,
-        },
-    )
-    library.save(library_path)
-    report["profile_library"] = {
-        "path": str(library_path),
-        "label": entry["label"],
-        "fingerprint": entry["fingerprint"],
-        "profiles": len(library.entries),
-    }
-    if json_output:
-        print(json.dumps(report, indent=2))
-    else:
-        print(render_tune_report(report, speedup))
-        print(f"  tuned profile written to {path}")
-        print(
-            f"  fingerprint-keyed profile '{entry['label']}' added to "
-            f"{library_path} ({len(library.entries)} profiles)"
-        )
-    return 0
-
-
 def _run_soak(
     seed: int,
     check: bool,
     batches: int | None,
-    tuning_path: str | None,
     json_output: bool,
     output: str | None,
 ) -> int:
@@ -484,9 +429,7 @@ def _run_soak(
         run_soak,
         run_soak_check,
     )
-    from .tuning import TuningConfig
 
-    tuning = TuningConfig.load(tuning_path) if tuning_path else None
     if check:
         # The gate always runs its own small cube; seed/batches override.
         kwargs = {}
@@ -506,7 +449,6 @@ def _run_soak(
                 ),
                 **kwargs,
             ),
-            tuning=tuning,
         )
         rendered = render_check_report(report)
         code = 0 if report["ok"] else 1
@@ -514,7 +456,7 @@ def _run_soak(
         config = SoakConfig(seed=seed)
         if batches is not None:
             config = dataclasses.replace(config, batches=batches)
-        report = run_soak(config, tuning=tuning)
+        report = run_soak(config)
         rendered = render_soak_report(report)
         code = 0
     if output:
@@ -546,7 +488,6 @@ def main(argv: list[str] | None = None) -> int:
             "shard",
             "update",
             "recover",
-            "tune",
             "soak",
             "diag",
         ],
@@ -558,9 +499,8 @@ def main(argv: list[str] | None = None) -> int:
         "byte-identity; 'update' replays an interleaved update/query "
         "trace and checks delta patching against recompute-from-scratch; "
         "'recover' SIGKILLs durable servers at seeded points and checks "
-        "restore loses no acknowledged update; 'tune' autotunes the "
-        "TuningConfig knobs on the drifting soak workload and writes "
-        "tuned.json; 'soak' replays the drifting workload — with "
+        "restore loses no acknowledged update; 'soak' replays the "
+        "drifting workload — with "
         "--check it gates bit-identity and SLO coverage; 'diag' runs "
         "the deterministic SLO-triage "
         "gate — seeded faults must fire the burn-rate alert on the "
@@ -627,33 +567,10 @@ def main(argv: list[str] | None = None) -> int:
         help="with 'trace': executor workers for the traced batch",
     )
     parser.add_argument(
-        "--rounds",
-        type=int,
-        default=1,
-        help="with 'tune': coordinate-descent passes over the knob axes",
-    )
-    parser.add_argument(
-        "--trial-batches",
-        type=int,
-        default=24,
-        help="with 'tune': soak batches per stage-1 trial",
-    )
-    parser.add_argument(
         "--batches",
         type=int,
         default=None,
-        help="with 'tune'/'soak': override the soak batch count",
-    )
-    parser.add_argument(
-        "--tuning",
-        default=None,
-        help="with 'soak': replay under this tuned profile "
-        "(a tuned.json written by 'tune')",
-    )
-    parser.add_argument(
-        "--no-measure",
-        action="store_true",
-        help="with 'tune': skip the tuned-vs-default speedup measurement",
+        help="with 'soak': override the soak batch count",
     )
     parser.add_argument(
         "--shards",
@@ -670,27 +587,14 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.experiment == "tune":
-        seed = 101 if args.seed is None else args.seed
-        return _run_tune(
-            seed,
-            args.rounds,
-            args.trial_batches,
-            args.batches,
-            args.output or "tuned.json",
-            not args.no_measure,
-            args.json,
-        )
-
     if args.experiment == "soak":
         seed = 101 if args.seed is None else args.seed
         return _run_soak(
             seed,
             args.check,
             args.batches,
-            args.tuning,
             args.json,
-            args.output if args.experiment == "soak" else None,
+            args.output,
         )
 
     if args.experiment == "recover":

@@ -40,9 +40,9 @@ done at the granularity at which it repeats:
   slots.  Temporaries are released after their last reader — into a
   :class:`~repro.core.kernels.BufferPool`, so interior arrays are recycled
   as ``out=`` buffers instead of reallocated per node.  Dispatch is
-  **cost-aware**: nodes below ``dispatch_threshold`` modeled operations run
-  inline on the scheduler thread (a pool round-trip costs more than a tiny
-  GIL-bound reduction saves), larger ready nodes run concurrently on a
+  **cost-aware**: nodes below :data:`DISPATCH_THRESHOLD` modeled operations
+  run inline on the scheduler thread (a pool round-trip costs more than a
+  tiny GIL-bound reduction saves), larger ready nodes run concurrently on a
   :class:`~concurrent.futures.ThreadPoolExecutor` (the Haar kernels are
   GIL-releasing numpy reductions) — and when *no* node clears the
   threshold the executor demotes the whole run to serial regardless of the
@@ -636,14 +636,8 @@ def execute_plan(
     pool: BufferPool | None = None,
     stats: dict | None = None,
     span_attrs: dict | None = None,
-    tuning=None,
 ) -> dict[ElementId, np.ndarray]:
     """Run a :class:`BatchPlan` against the stored ``arrays``.
-
-    ``tuning`` (a :class:`repro.tuning.TuningConfig`) supplies the default
-    dispatch threshold and the executor pool's floor/bound when
-    the explicit arguments are ``None``; without it the module constants
-    apply, so existing call sites are byte-for-byte unchanged.
 
     ``span_attrs`` adds caller attributes to the ``exec.execute`` span —
     the shard layer tags each scatter leg with its shard index so one
@@ -651,35 +645,28 @@ def execute_plan(
 
     Returns ``{target: values}``.  Parallelism is **cost-aware**: a node is
     dispatched to a worker only when its modeled cost reaches
-    ``dispatch_threshold`` (default :data:`DISPATCH_THRESHOLD`) scalar
-    operations — smaller nodes run inline on the scheduler thread, where a
-    tiny numpy reduction is cheaper than a pool round-trip.  When *no*
+    ``dispatch_threshold`` (default :data:`DISPATCH_THRESHOLD`, read when
+    the call is made) scalar operations — smaller nodes run inline on the
+    scheduler thread, where a tiny numpy reduction is cheaper than a pool
+    round-trip.  When *no*
     node clears the threshold, a ``max_workers > 1`` request is demoted to
     serial execution outright (the measured fix for the thread pool losing
     to one worker on small cubes); the decision is recorded on the span,
     in the metrics registry, and in ``stats`` when a dict is supplied.
 
     Non-target temporaries are freed as soon as their last consumer has
-    run — into ``pool`` (a fresh :class:`BufferPool` when none is given),
+    run — into ``pool`` (a fresh :class:`BufferPool` with the
+    :data:`~repro.core.kernels.POOL_MIN_CELLS` floor when none is given),
     so later nodes reuse them as ``out=`` buffers instead of allocating.
     Stored targets are returned by reference, exactly like
     :meth:`MaterializedSet.assemble` (treat results as read-only).
     """
     own = counter if counter is not None else OpCounter()
-    if dispatch_threshold is None:
-        dispatch_threshold = (
-            DISPATCH_THRESHOLD if tuning is None else tuning.dispatch_threshold
-        )
-    threshold = dispatch_threshold
+    threshold = (
+        DISPATCH_THRESHOLD if dispatch_threshold is None else dispatch_threshold
+    )
     if pool is None:
-        pool = (
-            BufferPool(min_cells=POOL_MIN_CELLS)
-            if tuning is None
-            else BufferPool(
-                max_cells=tuning.pool_max_cells,
-                min_cells=tuning.pool_min_cells,
-            )
-        )
+        pool = BufferPool(min_cells=POOL_MIN_CELLS)
     largest = plan.largest_cost
     requested = max_workers
     demoted = False

@@ -64,9 +64,8 @@ Step = tuple[int, bool]
 #: pool's own unit tests exercise exact recycling on tiny arrays.
 POOL_MIN_CELLS = 1 << 12
 
-#: Default retention bound of a :class:`BufferPool` (total cells held
-#: across all shapes).  Named so :class:`repro.tuning.TuningConfig` can
-#: carry it as a tunable knob without restating the literal.
+#: Retention bound of a :class:`BufferPool` (total cells held across all
+#: shapes); returns beyond it are dropped to the allocator.
 POOL_MAX_CELLS = 1 << 22
 
 

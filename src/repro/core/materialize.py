@@ -102,6 +102,12 @@ class MaterializedSet:
     selection algorithm picks the element set, :meth:`from_cube` computes and
     stores it, and :meth:`assemble` serves arbitrary view elements (in
     particular aggregated views) on demand.
+
+    Constants: the set's buffer pool engages at
+    :data:`repro.core.kernels.POOL_MIN_CELLS` and retains up to
+    ``POOL_MAX_CELLS``; batches dispatch against
+    :data:`repro.core.exec.DISPATCH_THRESHOLD`; ``_PLAN_CACHE_ENTRIES``
+    (below) multi-target plans are kept.
     """
 
     #: Multi-target batch plans retained, least recently used first out
@@ -111,18 +117,10 @@ class MaterializedSet:
     #: set.
     _PLAN_CACHE_ENTRIES = 32
 
-    def __init__(self, shape: CubeShape, tuning=None):
+    def __init__(self, shape: CubeShape):
         self.shape = shape
-        #: Optional :class:`repro.tuning.TuningConfig` supplying the pool
-        #: floor/bound, plan-cache size, and executor threshold defaults;
-        #: ``None`` keeps the module-constant behaviour exactly.
-        self._tuning = tuning
         self._arrays: dict[ElementId, np.ndarray] = {}
-        self._plan_cache = PlanCache(
-            self._PLAN_CACHE_ENTRIES
-            if tuning is None
-            else tuning.plan_cache_entries
-        )
+        self._plan_cache = PlanCache(self._PLAN_CACHE_ENTRIES)
         #: Procedure 3 generation costs and the routes resolved from them
         #: (``planning.RouteTable``), memoized across *every* plan this
         #: set prices.  Both depend only on the stored element-id set, so
@@ -134,14 +132,7 @@ class MaterializedSet:
         #: Buffer pool shared by every assembly this set serves: interior
         #: temporaries of one query become the ``out=`` buffers of the
         #: next, so steady-state serving allocates almost nothing.
-        self._pool = (
-            BufferPool(min_cells=POOL_MIN_CELLS)
-            if tuning is None
-            else BufferPool(
-                max_cells=tuning.pool_max_cells,
-                min_cells=tuning.pool_min_cells,
-            )
-        )
+        self._pool = BufferPool(min_cells=POOL_MIN_CELLS)
         #: Integrity state: every stored array is *sealed* with a CRC-32 at
         #: store time and verified on first use; a failed verification
         #: quarantines the element, and assembly transparently re-routes
@@ -514,7 +505,6 @@ class MaterializedSet:
         counter: OpCounter | None = None,
         max_workers: int = 1,
         cost_memo: dict | None = None,
-        dispatch_threshold: int | None = None,
     ) -> dict[ElementId, np.ndarray]:
         """Assemble several targets as one shared-plan DAG.
 
@@ -525,11 +515,10 @@ class MaterializedSet:
         computed once, and single-consumer cascades run as fused kernels.
         The executor dispatches cost-aware: requesting ``max_workers > 1``
         is safe even for tiny batches — it demotes itself to serial when no
-        node is worth a thread round-trip.  ``dispatch_threshold``
-        overrides the executor's cost cutoff (tests and benchmarks use it
-        to force pooled dispatch without monkeypatching).  Results
-        are bit-identical to per-target :meth:`assemble` calls and never
-        cost more scalar operations; the total is usually strictly lower.
+        node's modeled cost reaches
+        :data:`repro.core.exec.DISPATCH_THRESHOLD`.  Results are
+        bit-identical to per-target :meth:`assemble` calls and never cost
+        more scalar operations; the total is usually strictly lower.
         Procedure 3 prices are reused across batches through the set's
         persistent cost memo (valid until the stored element set changes);
         pass ``cost_memo`` explicitly to substitute an external one.
@@ -572,10 +561,8 @@ class MaterializedSet:
                 arrays,
                 counter=own,
                 max_workers=max_workers,
-                dispatch_threshold=dispatch_threshold,
                 pool=self._pool,
                 stats=exec_stats,
-                tuning=self._tuning,
             )
             ops = own.total - ops_before
             registry = current_registry()

@@ -37,13 +37,7 @@ from contextlib import ExitStack, contextmanager
 from .alerts import AlertEngine, BurnRateRule, ManualClock, default_rules
 from .cache import LRUCache
 from .events import EventLog, current_event_log, log_event
-from .fingerprint import (
-    FingerprintTracker,
-    ProfileLibrary,
-    SiteProfiler,
-    WorkloadFingerprint,
-    fingerprint_of_trace,
-)
+from .fingerprint import FingerprintTracker, SiteProfiler, WorkloadFingerprint
 from .flight import (
     FlightRecorder,
     KeptTrace,
@@ -87,7 +81,6 @@ __all__ = [
     "ManualClock",
     "MetricsRegistry",
     "Observability",
-    "ProfileLibrary",
     "SiteProfiler",
     "Span",
     "Tracer",
@@ -99,7 +92,6 @@ __all__ = [
     "current_tracer",
     "default_registry",
     "default_rules",
-    "fingerprint_of_trace",
     "load_bundle",
     "log_event",
     "span",

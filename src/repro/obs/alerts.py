@@ -41,6 +41,13 @@ __all__ = [
 ]
 
 
+#: Burn-rate windows in seconds: the fast one catches sharp SLO
+#: regressions (bucket width is 1/6 of it), the slow one filters one-off
+#: blips.
+FAST_WINDOW_S = 60.0
+SLOW_WINDOW_S = 600.0
+
+
 class ManualClock:
     """A hand-advanced clock for deterministic alert tests."""
 
@@ -69,8 +76,8 @@ class BurnRateRule:
     name: str
     objective: float
     burn_threshold: float = 1.0
-    fast_window_s: float = 60.0
-    slow_window_s: float = 600.0
+    fast_window_s: float = FAST_WINDOW_S
+    slow_window_s: float = SLOW_WINDOW_S
     min_samples: int = 64
     bad_outcomes: tuple = ()
     latency_over_ms: float | None = None
@@ -97,7 +104,7 @@ class BurnRateRule:
 
 
 def default_rules(
-    fast_window_s: float = 60.0, slow_window_s: float = 600.0
+    fast_window_s: float = FAST_WINDOW_S, slow_window_s: float = SLOW_WINDOW_S
 ) -> tuple[BurnRateRule, ...]:
     """The stock rule set over the outcomes ``_serving`` already labels."""
     return (

@@ -13,16 +13,9 @@ into an answer to "what regime is this server in right now?":
 - :class:`FingerprintTracker` — exponentially-decayed counters over the
   serving stream (query-kind mix, per-element hot-key weights, ingest
   cells, cost-model divergence) summarized into a
-  :class:`WorkloadFingerprint`: a small normalized vector a server can
-  compare against the fingerprints of previously *tuned* workloads.
-
-The :class:`ProfileLibrary` closes the loop with ``repro tune``: the
-tuner stores each tuned profile keyed by the fingerprint of the workload
-it was tuned on (:func:`fingerprint_of_trace` computes it analytically
-from a soak trace), and a live server asks the library for the nearest
-profile to its *current* fingerprint — surfacing "you look like the
-range-heavy drifted regime; here is the tuning that won there" in
-``health()``.
+  :class:`WorkloadFingerprint`: a small normalized vector reported in
+  ``health()["fingerprint"]``, comparable across regimes by
+  :meth:`WorkloadFingerprint.distance`.
 
 Decay is tick-based and lazy (per-slot ``value * decay**(tick - last)``),
 so ``note_query`` is O(1) regardless of how many element keys are being
@@ -32,20 +25,16 @@ path.
 
 from __future__ import annotations
 
-import json
 import math
 import threading
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 from .tracing import Span, Tracer
 
 __all__ = [
     "FingerprintTracker",
-    "ProfileLibrary",
     "SiteProfiler",
     "WorkloadFingerprint",
-    "fingerprint_of_trace",
 ]
 
 
@@ -230,114 +219,6 @@ class FingerprintTracker:
                 "decay": self.decay,
                 "hot_top": self.hot_top,
             }
-
-
-def fingerprint_of_trace(
-    trace: list, hot_top: int = 8
-) -> WorkloadFingerprint:
-    """The analytic fingerprint of a soak trace (no decay, no server).
-
-    Uses the same element-key and coordinate definitions as the live
-    tracker, so a server replaying this trace converges toward this
-    fingerprint — this is what ``repro tune`` keys its profile library
-    entries by.
-    """
-    kinds = {kind: 0 for kind in QUERY_KINDS}
-    elements: dict = {}
-    ingest_cells = 0
-    for op in trace:
-        name = op.get("op")
-        if name == "query_batch":
-            for dims in op.get("requests", ()):
-                kinds["view"] += 1
-                key = ("view", tuple(sorted(dims)))
-                elements[key] = elements.get(key, 0) + 1
-        elif name == "rollup_batch":
-            for levels in op.get("levels_list", ()):
-                kinds["rollup"] += 1
-                key = ("rollup", tuple(sorted(levels.items())))
-                elements[key] = elements.get(key, 0) + 1
-        elif name == "range":
-            kinds["range"] += 1
-            key = ("range", tuple(tuple(r) for r in op.get("ranges", ())))
-            elements[key] = elements.get(key, 0) + 1
-        elif name == "ingest":
-            ingest_cells += len(op.get("coords", ()))
-    total = sum(kinds.values())
-    if total == 0:
-        return WorkloadFingerprint()
-    weights = sorted(elements.values(), reverse=True)
-    weight_total = sum(weights)
-    rate = ingest_cells / total
-    return WorkloadFingerprint(
-        view_frac=kinds["view"] / total,
-        rollup_frac=kinds["rollup"] / total,
-        range_frac=kinds["range"] / total,
-        hot_share=(
-            sum(weights[:hot_top]) / weight_total if weight_total else 0.0
-        ),
-        ingest_norm=rate / (1.0 + rate),
-        divergence_norm=0.0,
-    )
-
-
-class ProfileLibrary:
-    """Tuned profiles keyed by the workload fingerprint they won on.
-
-    Entries are ``{"label", "fingerprint", "tuning", "meta"}`` dicts;
-    :meth:`nearest` is a linear scan (libraries hold a handful of
-    regimes, not millions).  JSON round-trips via :meth:`save` /
-    :meth:`load` — ``repro tune`` writes ``profiles.json``, a serving
-    process loads it at startup.
-    """
-
-    def __init__(self, entries: list | None = None):
-        self.entries: list[dict] = list(entries or ())
-
-    def add(
-        self,
-        fingerprint: WorkloadFingerprint,
-        tuning: dict,
-        label: str = "",
-        meta: dict | None = None,
-    ) -> dict:
-        entry = {
-            "label": label or f"profile-{len(self.entries)}",
-            "fingerprint": fingerprint.to_dict(),
-            "tuning": dict(tuning),
-            "meta": dict(meta or {}),
-        }
-        self.entries.append(entry)
-        return entry
-
-    def nearest(
-        self, fingerprint: WorkloadFingerprint
-    ) -> tuple[dict, float] | None:
-        """The closest stored entry and its distance, or ``None``."""
-        best: tuple[dict, float] | None = None
-        for entry in self.entries:
-            candidate = WorkloadFingerprint.from_dict(entry["fingerprint"])
-            distance = fingerprint.distance(candidate)
-            if best is None or distance < best[1]:
-                best = (entry, distance)
-        return best
-
-    def to_dict(self) -> dict:
-        return {"format": 1, "profiles": [dict(e) for e in self.entries]}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ProfileLibrary":
-        return cls(entries=list(payload.get("profiles", ())))
-
-    def save(self, path: str | Path) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.to_dict(), indent=2) + "\n")
-        return path
-
-    @classmethod
-    def load(cls, path: str | Path) -> "ProfileLibrary":
-        return cls.from_dict(json.loads(Path(path).read_text()))
 
 
 class _SiteStats:

@@ -61,6 +61,12 @@ __all__ = [
 #: Keep reasons, in classification priority order.
 KEEP_REASONS = ("error", "event", "slow", "head")
 
+#: Full traces a :class:`FlightRecorder` retains (0 keeps only counters),
+#: and its healthy-path head-sampling rate (keep 1 in N roots per
+#: ``(name, kind)``; 0 disables head sampling).
+MAX_TRACES = 64
+HEAD_SAMPLE = 64
+
 
 @dataclass(frozen=True)
 class KeptTrace:
@@ -95,8 +101,8 @@ class FlightRecorder:
         self,
         tracer: Tracer,
         registry: MetricsRegistry | None = None,
-        max_traces: int = 64,
-        head_sample: int = 64,
+        max_traces: int = MAX_TRACES,
+        head_sample: int = HEAD_SAMPLE,
         slow_quantile: float = 0.95,
         min_samples: int = 24,
         window: int = 256,

@@ -74,10 +74,12 @@ from pathlib import Path
 
 import numpy as np
 
+from .core import exec as batch_exec
 from .core.adaptive import AccessTracker
 from .core.delta import patch_array, validate_coordinates
 from .core.element import ElementId
 from .core.engine import SelectionEngine
+from .core.kernels import POOL_MAX_CELLS, POOL_MIN_CELLS
 from .core.materialize import MaterializedSet, compute_element
 from .core.operators import OpCounter
 from .core.population import QueryPopulation
@@ -100,15 +102,16 @@ from .errors import (
     TransientFault,
 )
 from .obs import LRUCache, Observability, add_span_event, log_event, span
-from .obs.alerts import AlertEngine, default_rules
+from .obs.alerts import FAST_WINDOW_S, SLOW_WINDOW_S, AlertEngine
 from .obs.export import prometheus_text
-from .obs.fingerprint import (
-    FingerprintTracker,
-    ProfileLibrary,
-    SiteProfiler,
-    WorkloadFingerprint,
+from .obs.fingerprint import FingerprintTracker, SiteProfiler
+from .obs.flight import (
+    BUNDLE_FORMAT,
+    HEAD_SAMPLE,
+    MAX_TRACES,
+    FlightRecorder,
+    write_bundle,
 )
-from .obs.flight import BUNDLE_FORMAT, FlightRecorder, write_bundle
 from .obs.http import TelemetryServer
 from .obs.profile import query_profile
 from .resilience.deadline import (
@@ -119,9 +122,18 @@ from .resilience.deadline import (
 from .resilience.faults import fault_point
 from .shard.partition import CubePartition
 from .shard.sets import ShardedSet
-from .tuning import DEFAULT_TUNING, TuningConfig
 
 __all__ = ["OLAPServer", "ServerStats"]
+
+#: Result-cache entry bound when the constructor is given none.
+CACHE_ENTRIES = 128
+#: Executor workers a batch call asks for when it passes no ``max_workers``
+#: (cost-aware dispatch demotes to serial when no node is worth a thread).
+MAX_WORKERS = 4
+#: Transient-fault retries before a query fails, and the base of their
+#: exponential backoff, when the constructor is given none.
+MAX_RETRIES = 2
+RETRY_BACKOFF_MS = 5.0
 
 #: Per-query flag bucket for the serving context: ``_serving`` installs a
 #: fresh dict, resilience paths mark it (``degraded``), and the alert feed
@@ -172,27 +184,22 @@ class OLAPServer:
         storage_budget: int | None = None,
         decay: float = 0.98,
         smoothing: float = 0.01,
-        cache_entries: int | None = None,
+        cache_entries: int = CACHE_ENTRIES,
         cache_cells: int | None = None,
         observability: Observability | None = None,
         max_in_flight: int | None = None,
         admission_wait_ms: float = 0.0,
         default_deadline_ms: float | None = None,
-        max_retries: int | None = None,
-        retry_backoff_ms: float | None = None,
+        max_retries: int = MAX_RETRIES,
+        retry_backoff_ms: float = RETRY_BACKOFF_MS,
         degrade_to_base: bool = True,
         shards: int = 1,
         shard_axis: int | None = None,
         update_policy: str = "patch",
         durability: DurabilityConfig | str | Path | None = None,
-        tuning: TuningConfig | None = None,
-        cache_capacity: int | None = None,
-        pool_min_cells: int | None = None,
-        pool_max_cells: int | None = None,
         alerts: AlertEngine | bool = True,
         flight: bool = True,
         diagnostics_dir: str | Path | None = None,
-        profile_library: ProfileLibrary | str | Path | None = None,
     ):
         """``storage_budget`` (cells) enables Algorithm 2 redundancy when it
         exceeds the cube volume; ``decay``/``smoothing`` configure workload
@@ -201,16 +208,19 @@ class OLAPServer:
         supplies a shared metrics registry + tracer (one is created
         otherwise).
 
-        ``tuning`` is a :class:`repro.tuning.TuningConfig` profile — the
-        single source of truth for every performance knob (executor
-        thresholds, buffer-pool floor/bound, cache capacity, default
-        batch workers, retry budget).  The explicit keyword arguments
-        override their tuning counterparts: ``cache_capacity`` (alias of
-        ``cache_entries``), ``cache_cells``, ``pool_min_cells``,
-        ``pool_max_cells``, ``max_retries``, ``retry_backoff_ms``.  With
-        neither, the historical defaults apply unchanged.  The effective
-        profile is ``self.tuning`` and appears in :meth:`health` so a
-        tuned deployment is auditable.
+        The performance constants are module constants beside the code
+        that reads them, not constructor arguments: the executor's
+        :data:`repro.core.exec.DISPATCH_THRESHOLD`, the buffer pools'
+        :data:`repro.core.kernels.POOL_MIN_CELLS` / ``POOL_MAX_CELLS``, the
+        plan caches' ``_PLAN_CACHE_ENTRIES`` (:mod:`repro.core.materialize`,
+        :mod:`repro.shard.sets`), the flight recorder's ``MAX_TRACES`` /
+        ``HEAD_SAMPLE`` (:mod:`repro.obs.flight`), the alert windows
+        (:mod:`repro.obs.alerts`) and this module's :data:`MAX_WORKERS`.
+        ``cache_entries``, ``cache_cells``, ``max_retries`` and
+        ``retry_backoff_ms`` are arguments because callers pass different
+        values; their defaults are :data:`CACHE_ENTRIES`, unbounded,
+        :data:`MAX_RETRIES` and :data:`RETRY_BACKOFF_MS`.  :meth:`health`
+        reports every value in effect under ``"tuning"``.
 
         Resilience knobs: ``max_in_flight`` bounds admitted queries
         (``None`` = unbounded) with ``admission_wait_ms`` of bounded wait
@@ -250,35 +260,16 @@ class OLAPServer:
         the always-on flight recorder + continuous site profiler when the
         observability triple traces; ``diagnostics_dir`` lets firing
         alerts auto-dump diagnostic bundles (without it, only
-        :meth:`dump_diagnostics` writes, explicitly); ``profile_library``
-        (object or ``profiles.json`` path from ``repro tune``) lets
-        :meth:`health` report the tuned profile nearest the live workload
-        fingerprint."""
-        if cache_capacity is not None and cache_entries is not None:
+        :meth:`dump_diagnostics` writes, explicitly)."""
+        if cache_cells is not None and cache_cells <= 0:
             raise ValueError(
-                "pass cache_capacity or cache_entries, not both "
-                "(they name the same result-cache bound)"
+                f"cache_cells must be positive or None, got {cache_cells!r}"
             )
-        base_tuning = tuning if tuning is not None else DEFAULT_TUNING
-        overrides: dict = {}
-        if cache_capacity is not None:
-            overrides["cache_entries"] = int(cache_capacity)
-        elif cache_entries is not None:
-            overrides["cache_entries"] = int(cache_entries)
-        if cache_cells is not None:
-            overrides["cache_cells"] = int(cache_cells)
-        if pool_min_cells is not None:
-            overrides["pool_min_cells"] = int(pool_min_cells)
-        if pool_max_cells is not None:
-            overrides["pool_max_cells"] = int(pool_max_cells)
-        if max_retries is not None:
-            overrides["max_retries"] = int(max_retries)
-        if retry_backoff_ms is not None:
-            overrides["retry_backoff_ms"] = float(retry_backoff_ms)
-        #: The effective knob profile every subsystem below reads.
-        self.tuning = (
-            base_tuning.replace(**overrides) if overrides else base_tuning
-        )
+        if max_retries < 0 or retry_backoff_ms < 0:
+            raise ValueError(
+                "max_retries and retry_backoff_ms must be non-negative, got "
+                f"{max_retries!r} / {retry_backoff_ms!r}"
+            )
         self.cube = cube
         self.shape = cube.shape_id
         self.storage_budget = storage_budget
@@ -299,27 +290,14 @@ class OLAPServer:
         # server actually traces (the telemetry-off baseline pays nothing).
         self.flight: FlightRecorder | None = None
         self.profiler: SiteProfiler | None = None
-        if flight and self.obs.tracing and self.tuning.flight_max_traces > 0:
-            self.flight = FlightRecorder(
-                self.tracer,
-                registry=self.metrics,
-                max_traces=self.tuning.flight_max_traces,
-                head_sample=self.tuning.flight_head_sample,
-            )
+        if flight and self.obs.tracing:
+            self.flight = FlightRecorder(self.tracer, registry=self.metrics)
             self.profiler = SiteProfiler(self.tracer)
         self.fingerprints = FingerprintTracker()
-        if isinstance(profile_library, (str, Path)):
-            profile_library = ProfileLibrary.load(profile_library)
-        self.profile_library = profile_library
         if isinstance(alerts, AlertEngine):
             self.alerts: AlertEngine | None = alerts
         elif alerts:
-            self.alerts = AlertEngine(
-                rules=default_rules(
-                    fast_window_s=self.tuning.alert_fast_window_s,
-                    slow_window_s=self.tuning.alert_slow_window_s,
-                )
-            )
+            self.alerts = AlertEngine()
         else:
             self.alerts = None
         self.diagnostics_dir = (
@@ -334,8 +312,8 @@ class OLAPServer:
         self.max_in_flight = max_in_flight
         self.admission_wait_ms = admission_wait_ms
         self.default_deadline_ms = default_deadline_ms
-        self.max_retries = self.tuning.max_retries
-        self.retry_backoff_ms = self.tuning.retry_backoff_ms
+        self.max_retries = int(max_retries)
+        self.retry_backoff_ms = float(retry_backoff_ms)
         self.degrade_to_base = degrade_to_base
         if update_policy not in ("patch", "clear"):
             raise ValueError(
@@ -347,8 +325,8 @@ class OLAPServer:
             if max_in_flight is not None
             else None
         )
-        self._cache_entries = self.tuning.cache_entries
-        self._cache_cells = self.tuning.cache_cells
+        self._cache_entries = int(cache_entries)
+        self._cache_cells = cache_cells
         self.metrics.gauge(
             "server_epoch", "current selection epoch of the result cache"
         ).set(0)
@@ -395,13 +373,12 @@ class OLAPServer:
     def _new_materialized(self):
         """A fresh storage backend: monolithic, or sharded slabs."""
         if self._partition is None:
-            return MaterializedSet(self.shape, tuning=self.tuning)
+            return MaterializedSet(self.shape)
         return ShardedSet(
             self._partition,
             base_values=self.cube.values,
             max_retries=self.max_retries,
             retry_backoff_ms=self.retry_backoff_ms,
-            tuning=self.tuning,
         )
 
     # ------------------------------------------------------------------
@@ -609,7 +586,6 @@ class OLAPServer:
         missing: Sequence[ElementId],
         counter: OpCounter,
         max_workers: int,
-        dispatch_threshold: int | None = None,
     ) -> dict[ElementId, np.ndarray]:
         """Batch analogue of :meth:`_assemble_resilient`.
 
@@ -625,10 +601,7 @@ class OLAPServer:
             scratch = OpCounter()
             try:
                 results = materialized.assemble_batch(
-                    missing,
-                    counter=scratch,
-                    max_workers=max_workers,
-                    dispatch_threshold=dispatch_threshold,
+                    missing, counter=scratch, max_workers=max_workers
                 )
                 counter.merge(scratch)
                 return results
@@ -687,7 +660,6 @@ class OLAPServer:
         requests: Sequence[Iterable[str]],
         max_workers: int | None = None,
         deadline_ms: float | None = None,
-        dispatch_threshold: int | None = None,
     ) -> list[np.ndarray]:
         """Serve several aggregated views as one shared assembly plan.
 
@@ -700,42 +672,27 @@ class OLAPServer:
         :meth:`view` calls, and land in the result cache.  The whole batch
         holds one admission slot and shares one deadline.
 
-        ``max_workers`` defaults to the tuning profile's ``max_workers``
-        (4 out of the box) — safe for any batch size, because the
-        executor's cost-aware dispatch demotes itself to serial unless
-        some DAG node is actually worth a thread round-trip.
-        ``dispatch_threshold`` passes straight through to the DAG executor
-        (see :func:`repro.core.exec.execute_plan`).
+        ``max_workers`` defaults to :data:`MAX_WORKERS` — safe for any
+        batch size, because the executor's cost-aware dispatch demotes
+        itself to serial unless some DAG node's modeled cost reaches
+        :data:`repro.core.exec.DISPATCH_THRESHOLD`.
         """
         elements = [self._element_for(dims) for dims in requests]
-        return self._serve_batch(
-            elements,
-            "view",
-            max_workers,
-            deadline_ms,
-            dispatch_threshold=dispatch_threshold,
-        )
+        return self._serve_batch(elements, "view", max_workers, deadline_ms)
 
     def rollup_batch(
         self,
         levels_list: Sequence[Mapping[str, str | int]],
         max_workers: int | None = None,
         deadline_ms: float | None = None,
-        dispatch_threshold: int | None = None,
     ) -> list[np.ndarray]:
         """Serve several roll-ups as one shared assembly plan.
 
-        Batch analogue of :meth:`rollup`; see :meth:`query_batch` for the
-        executor passthrough argument.
+        Batch analogue of :meth:`rollup`; ``max_workers`` as in
+        :meth:`query_batch`.
         """
         elements = [rollup_element(self.cube, levels) for levels in levels_list]
-        return self._serve_batch(
-            elements,
-            "rollup",
-            max_workers,
-            deadline_ms,
-            dispatch_threshold=dispatch_threshold,
-        )
+        return self._serve_batch(elements, "rollup", max_workers, deadline_ms)
 
     def _cache_get(self, state: _ServingState, key):
         """Result-cache consult that degrades to a miss on cache faults."""
@@ -790,7 +747,6 @@ class OLAPServer:
         kind: str,
         max_workers: int | None,
         deadline_ms: float | None = None,
-        dispatch_threshold: int | None = None,
     ) -> list[np.ndarray]:
         """Serve a batch of elements through one shared plan.
 
@@ -799,7 +755,7 @@ class OLAPServer:
         work reaches the executor.
         """
         if max_workers is None:
-            max_workers = self.tuning.max_workers
+            max_workers = MAX_WORKERS
         with self.obs.activate(), self._serving(kind, deadline_ms), span(
             "server.query_batch", kind=kind, requests=len(elements)
         ) as sp:
@@ -822,11 +778,7 @@ class OLAPServer:
             counter = OpCounter()
             if missing:
                 assembled = self._assemble_batch_resilient(
-                    state.materialized,
-                    missing,
-                    counter,
-                    max_workers,
-                    dispatch_threshold=dispatch_threshold,
+                    state.materialized, missing, counter, max_workers
                 )
                 for element, values in assembled.items():
                     state.cache.put((element, state.epoch), values)
@@ -1402,26 +1354,26 @@ class OLAPServer:
             "integrity_failures": _total("integrity_failures_total"),
             "faults_injected": _total("faults_injected_total"),
             "buffer_pool": state.materialized.pool_stats(),
-            "tuning": self.tuning.to_dict(),
+            "tuning": {
+                "dispatch_threshold": batch_exec.DISPATCH_THRESHOLD,
+                "pool_min_cells": POOL_MIN_CELLS,
+                "pool_max_cells": POOL_MAX_CELLS,
+                "cache_entries": self._cache_entries,
+                "cache_cells": self._cache_cells,
+                "max_workers": MAX_WORKERS,
+                "max_retries": self.max_retries,
+                "retry_backoff_ms": self.retry_backoff_ms,
+                "plan_cache_entries": MaterializedSet._PLAN_CACHE_ENTRIES,
+                "flight_max_traces": MAX_TRACES,
+                "flight_head_sample": HEAD_SAMPLE,
+                "alert_fast_window_s": FAST_WINDOW_S,
+                "alert_slow_window_s": SLOW_WINDOW_S,
+            },
             "slo": slo,
         }
         if self.alerts is not None:
             payload["alerts"] = self.alerts.snapshot()
-        fingerprint_section = self.fingerprints.snapshot()
-        if self.profile_library is not None and self.profile_library.entries:
-            nearest = self.profile_library.nearest(
-                WorkloadFingerprint.from_dict(
-                    fingerprint_section["fingerprint"]
-                )
-            )
-            if nearest is not None:
-                entry, distance = nearest
-                fingerprint_section["nearest_profile"] = {
-                    "label": entry["label"],
-                    "distance": round(distance, 4),
-                    "tuning": entry["tuning"],
-                }
-        payload["fingerprint"] = fingerprint_section
+        payload["fingerprint"] = self.fingerprints.snapshot()
         if self.flight is not None:
             payload["flight"] = self.flight.snapshot()
         if self._partition is not None:
@@ -1603,7 +1555,7 @@ class OLAPServer:
                 "kind": "manual"
             },
             "health": health,
-            "tuning": self.tuning.to_dict(),
+            "tuning": health["tuning"],
             "metrics": self.metrics.snapshot(),
             "events_tail": [
                 dict(e) for e in self.obs.events.events()[-events_tail:]

@@ -33,6 +33,11 @@ Fault sites: ``materialize.assemble`` fires once per shard leg (with a
 inside the executors, ``materialize.store`` fires per shard store, and
 ``shard.gather`` fires once per gathered target.  Deadlines are checked
 at scatter entry, inside every executor, and before the gather.
+
+Constants: every shard's set and the gather pool use
+:data:`repro.core.kernels.POOL_MIN_CELLS` / ``POOL_MAX_CELLS``, each leg
+dispatches against :data:`repro.core.exec.DISPATCH_THRESHOLD`, and the
+shared-plan cache keeps ``_PLAN_CACHE_ENTRIES`` (this module) target sets.
 """
 
 from __future__ import annotations
@@ -71,21 +76,14 @@ class ShardedSet:
         *,
         max_retries: int = 2,
         retry_backoff_ms: float = 5.0,
-        tuning=None,
     ):
         self.partition = partition
         self.shape: CubeShape = partition.shape
         self.max_retries = int(max_retries)
         self.retry_backoff_ms = float(retry_backoff_ms)
-        #: Optional :class:`repro.tuning.TuningConfig`: the pool floor and
-        #: bound, plan-cache size, and executor thresholds of every shard
-        #: — and of the gather pool — come from one profile, so sharded
-        #: and monolithic serving tune identically.
-        self._tuning = tuning
         s = partition.num_shards
         self._shards = [
-            MaterializedSet(partition.local_shape, tuning=tuning)
-            for _ in range(s)
+            MaterializedSet(partition.local_shape) for _ in range(s)
         ]
         # Views, not copies: the server mutates the base cube in place on
         # update(), and the degraded path must see those writes.
@@ -95,18 +93,11 @@ class ShardedSet:
             else [None] * s
         )
         self._epochs = [0] * s
-        self._pool = (
-            BufferPool(min_cells=POOL_MIN_CELLS)
-            if tuning is None
-            else BufferPool(
-                max_cells=tuning.pool_max_cells,
-                min_cells=tuning.pool_min_cells,
-            )
-        )
+        #: The gather's buffer pool, with the same engagement floor as the
+        #: shards' own (:data:`repro.core.kernels.POOL_MIN_CELLS`).
+        self._pool = BufferPool(min_cells=POOL_MIN_CELLS)
         self._stored: dict[ElementId, None] = {}
-        self._plan_cache = PlanCache(
-            _PLAN_CACHE_ENTRIES if tuning is None else tuning.plan_cache_entries
-        )
+        self._plan_cache = PlanCache(_PLAN_CACHE_ENTRIES)
         #: Per storage signature, the stored tuple every shard exposing it
         #: plans against and the Procedure 3 cost memo (prices and route
         #: table) of that tuple: both depend only on a shard's stored
@@ -299,7 +290,6 @@ class ShardedSet:
         counter: OpCounter | None = None,
         max_workers: int = 1,
         cost_memo: dict | None = None,
-        dispatch_threshold: int | None = None,
     ) -> dict[ElementId, np.ndarray]:
         """Scatter the batch to every shard, merge the partials exactly."""
         ordered = list(dict.fromkeys(targets))
@@ -332,7 +322,6 @@ class ShardedSet:
                     counters[s],
                     degraded,
                     max_workers=workers,
-                    dispatch_threshold=dispatch_threshold,
                 )
 
             partials: list[dict] = [None] * s_count  # type: ignore[list-item]
@@ -444,7 +433,6 @@ class ShardedSet:
         degraded: list,
         *,
         max_workers: int,
-        dispatch_threshold: int | None,
     ) -> dict[ElementId, np.ndarray]:
         """One scatter leg: retries, then per-shard degraded fallback."""
         registry = current_registry()
@@ -471,10 +459,8 @@ class ShardedSet:
                             snapshot,
                             counter=scratch,
                             max_workers=max_workers,
-                            dispatch_threshold=dispatch_threshold,
                             pool=self._shards[s].pool,
                             span_attrs={"shard": s},
-                            tuning=self._tuning,
                         )
                         counter.merge(scratch)
                         return results

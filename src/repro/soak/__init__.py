@@ -1,22 +1,17 @@
-"""repro.soak — drifting-workload soak harness and autotuner.
+"""repro.soak — drifting-workload soak harness.
 
-Closes the loop on every hand-set performance constant: a seeded
-drifting workload (:mod:`~repro.soak.workload`) is replayed against a
-live server while SLO quantiles come from the existing
-``server_latency_ms`` histograms (:mod:`~repro.soak.harness`), and an
-autotuner searches :class:`~repro.tuning.TuningConfig` offline and
-online (:mod:`~repro.soak.autotune`).  ``python -m repro soak`` /
-``python -m repro tune`` are the CLI entry points;
-``benchmarks/bench_soak.py`` is the gated benchmark.
+A seeded drifting workload (:mod:`~repro.soak.workload`) is replayed
+against a live server while SLO quantiles come from the existing
+``server_latency_ms`` histograms and :class:`AdaptationLoop` re-selects
+the stored elements from live cost-model telemetry
+(:mod:`~repro.soak.harness`).  The server runs with the constants it
+ships with — :data:`repro.core.exec.DISPATCH_THRESHOLD`,
+:data:`repro.core.kernels.POOL_MIN_CELLS`, :data:`repro.server.MAX_WORKERS`
+and the rest are module constants, not soak inputs.  ``python -m repro
+soak`` is the CLI entry point; ``benchmarks/bench_soak.py`` is the gated
+benchmark.
 """
 
-from .autotune import (
-    OnlineTuner,
-    autotune,
-    measure_speedup,
-    render_tune_report,
-    warm_start,
-)
 from .harness import (
     AdaptationLoop,
     build_soak_server,
@@ -34,18 +29,13 @@ from .workload import (
 
 __all__ = [
     "AdaptationLoop",
-    "OnlineTuner",
     "SoakConfig",
-    "autotune",
     "build_soak_server",
     "generate_soak_trace",
     "load_soak_trace",
-    "measure_speedup",
     "render_check_report",
     "render_soak_report",
-    "render_tune_report",
     "run_soak",
     "run_soak_check",
     "save_soak_trace",
-    "warm_start",
 ]

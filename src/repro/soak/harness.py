@@ -17,11 +17,11 @@ triggers ``server.reconfigure()`` — the paper's dynamic re-selection,
 now driven by live execution telemetry instead of a synthetic schedule.
 
 :func:`run_soak_check` is the correctness gate (``python -m repro soak
---check``): the full drifting replay — ingest bursts, online threshold
-nudges, mid-run re-selections and all — while a plain ndarray replica is
-maintained on the side and **every** answer is compared byte for byte
-against recomputation from scratch (:mod:`repro.streaming` idiom).
-Tuning must never change answers, only their latency.
+--check``): the full drifting replay — ingest bursts, mid-run
+re-selections and all — while a plain ndarray replica is maintained on
+the side and **every** answer is compared byte for byte against
+recomputation from scratch (:mod:`repro.streaming` idiom).  Adaptation
+must never change answers, only their latency.
 """
 
 from __future__ import annotations
@@ -38,12 +38,10 @@ from ..core.range_query import range_sum_direct
 from ..cube.datacube import DataCube
 from ..cube.dimensions import Dimension
 from ..cube.hierarchy import rollup_element
-from ..obs.events import log_event
 from .workload import SoakConfig, generate_soak_trace
 
 if TYPE_CHECKING:  # pragma: no cover - lazy import at runtime
     from ..server import OLAPServer
-    from ..tuning import TuningConfig
 
 __all__ = [
     "AdaptationLoop",
@@ -115,11 +113,7 @@ class AdaptationLoop:
         return True
 
 
-def build_soak_server(
-    config: SoakConfig,
-    tuning: "TuningConfig | None" = None,
-    **kwargs,
-) -> "OLAPServer":
+def build_soak_server(config: SoakConfig, **kwargs) -> "OLAPServer":
     """A seeded integer-valued server for soak runs (replayable)."""
     # Imported lazily: repro.server pulls in the shard layer.
     from ..server import OLAPServer
@@ -129,9 +123,7 @@ def build_soak_server(
     dims = [
         Dimension(f"d{i}", list(range(n))) for i, n in enumerate(config.sizes)
     ]
-    return OLAPServer(
-        DataCube(values, dims, measure="amount"), tuning=tuning, **kwargs
-    )
+    return OLAPServer(DataCube(values, dims, measure="amount"), **kwargs)
 
 
 def _quantile(walls: list[float], q: float) -> float:
@@ -144,31 +136,25 @@ def _quantile(walls: list[float], q: float) -> float:
 
 def run_soak(
     config: SoakConfig | None = None,
-    tuning: "TuningConfig | None" = None,
     trace: list[dict] | None = None,
     check_answers: bool = False,
-    online_tuner=None,
     adaptation: bool = True,
     server_kwargs: dict | None = None,
     keep_walls: bool = False,
 ) -> dict:
     """Replay one drifting trace; report SLO quantiles and adaptation lag.
 
-    ``tuning`` is the profile under test (``None`` = shipped defaults).
-    ``online_tuner`` is an :class:`~repro.soak.autotune.OnlineTuner`; its
-    between-batch threshold overrides are passed to every batch call and
-    each accepted nudge is recorded as a ``tuning_nudge`` event plus the
-    ``tuning_nudges_total`` counter.  ``check_answers`` maintains an
-    ndarray replica and byte-compares every answer (slow; the gate path).
-    ``keep_walls`` adds the raw per-batch assembly wall series to the
-    report — the autotuner's noise-robust A/B estimator pairs these
-    batch-by-batch across repeated replays of the same trace.
+    ``check_answers`` maintains an ndarray replica and byte-compares
+    every answer (slow; the gate path).  ``adaptation`` runs an
+    :class:`AdaptationLoop` over the server.  ``keep_walls`` adds the raw
+    per-batch assembly wall series to the report, so repeated replays of
+    the same trace can be compared batch by batch.
     """
     config = config or SoakConfig()
     if trace is None:
         trace = generate_soak_trace(config)
     server_kwargs = dict(server_kwargs or {})
-    server = build_soak_server(config, tuning=tuning, **server_kwargs)
+    server = build_soak_server(config, **server_kwargs)
     replica = server.cube.values.copy() if check_answers else None
     names = [f"d{i}" for i in range(len(config.sizes))]
     loop = AdaptationLoop(server) if adaptation else None
@@ -191,7 +177,6 @@ def run_soak(
     walls: list[float] = []  # timed (query/rollup/range) batch walls, ms
     wall_kinds: list[str] = []  # parallel to walls
     drift_points: list[dict] = []  # {"phase", "at"(index into walls)}
-    nudges: list[dict] = []
     queries = 0
 
     for i, op in enumerate(trace):
@@ -207,13 +192,11 @@ def run_soak(
                 np.add.at(replica, tuple(coords.T), deltas)
             continue
 
-        overrides = online_tuner.overrides() if online_tuner else {}
         start = time.perf_counter()
         if kind == "query_batch":
             answers = server.query_batch(
                 [list(r) for r in op["requests"]],
                 max_workers=config.workers,
-                **overrides,
             )
             wall_ms = (time.perf_counter() - start) * 1e3
             queries += len(answers)
@@ -230,7 +213,6 @@ def run_soak(
             answers = server.rollup_batch(
                 [dict(levels) for levels in op["levels_list"]],
                 max_workers=config.workers,
-                **overrides,
             )
             wall_ms = (time.perf_counter() - start) * 1e3
             queries += len(answers)
@@ -260,16 +242,6 @@ def run_soak(
 
         if loop is not None and kind in ("query_batch", "rollup_batch"):
             loop.observe(server.query_profile())
-        if online_tuner is not None:
-            nudge = online_tuner.observe(wall_ms)
-            if nudge is not None:
-                nudges.append(nudge)
-                with server.obs.activate():
-                    log_event("tuning_nudge", **nudge)
-                    server.metrics.counter(
-                        "tuning_nudges_total",
-                        "online tuner threshold nudges applied",
-                    ).inc()
 
     health = server.health()
     latency = health["slo"]["latency_ms"]
@@ -280,9 +252,8 @@ def run_soak(
             headline = max(headline, float(latency[kind]["p99_ms"]))
     total_wall_s = sum(walls) / 1e3
     lags = _adaptation_lags(walls, drift_points)
-    # Assembly batches (view/roll-up) are the walls the executor knobs
-    # can actually move; range sums never touch the batch executor, so
-    # tuning objectives read this series rather than the mixed one.
+    # Assembly batches (view/roll-up) are the walls of the batch
+    # executor; range sums never touch it, so they get their own series.
     assembly_walls = [
         wall
         for wall, kind in zip(walls, wall_kinds)
@@ -291,8 +262,7 @@ def run_soak(
 
     report = {
         "config": config.to_dict(),
-        "tuning": tuning.to_dict() if tuning is not None else None,
-        "effective_tuning": server.tuning.to_dict(),
+        "tuning": health["tuning"],
         "trace_ops": len(trace),
         "timed_batches": len(walls),
         "queries": queries,
@@ -318,13 +288,6 @@ def run_soak(
                 round(loop.divergences[-1], 4)
                 if loop and loop.divergences
                 else None
-            ),
-        },
-        "online": {
-            "enabled": online_tuner is not None,
-            "nudges": nudges,
-            "final_overrides": (
-                online_tuner.overrides() if online_tuner else {}
             ),
         },
         "cache_hit_rate": round(server._view_cache.hit_rate, 4),
@@ -377,29 +340,18 @@ def _adaptation_lags(walls: list[float], drift_points: list[dict]) -> list[dict]
     return lags
 
 
-def run_soak_check(
-    config: SoakConfig | None = None,
-    tuning: "TuningConfig | None" = None,
-) -> dict:
+def run_soak_check(config: SoakConfig | None = None) -> dict:
     """The soak gate: the drifting replay stays bit-identical.
 
-    Runs the full loop — ingest bursts, online threshold nudges, live
-    cost-model adaptation — with an ndarray replica checking every
-    answer byte for byte.  A tuner is *supposed* to change latency and
-    forbidden from changing answers; any divergence fails the gate.
+    Runs the full loop — ingest bursts, live cost-model adaptation — with
+    an ndarray replica checking every answer byte for byte; any
+    divergence fails the gate.
     """
-    from .autotune import OnlineTuner  # circular-safe: autotune imports us
-
     config = config or SoakConfig(
         sizes=(16, 16, 8), batches=18, phase_batches=6, batch_size=6,
         burst_every=4, burst_cells=16,
     )
-    run = run_soak(
-        config,
-        tuning=tuning,
-        check_answers=True,
-        online_tuner=OnlineTuner(window=4),
-    )
+    run = run_soak(config, check_answers=True)
     ok = (
         run["bit_identical"]
         and run["compared"] > 0
@@ -413,7 +365,6 @@ def run_soak_check(
                 "compared": run["compared"],
                 "mismatches": run["mismatches"],
                 "bit_identical": run["bit_identical"],
-                "nudges": len(run["online"]["nudges"]),
                 "reconfigurations": len(
                     run["adaptation"]["reconfigurations"]
                 ),
@@ -455,11 +406,6 @@ def render_soak_report(report: dict) -> str:
     reconfs = report["adaptation"]["reconfigurations"]
     if reconfs:
         lines.append(f"  adaptation: {len(reconfs)} re-selection(s)")
-    if report["online"]["enabled"]:
-        lines.append(
-            f"  online tuner: {len(report['online']['nudges'])} nudge(s), "
-            f"final overrides {report['online']['final_overrides']}"
-        )
     if "bit_identical" in report:
         lines.append(
             f"  differential: compared={report['compared']} "
@@ -477,7 +423,7 @@ def render_check_report(report: dict) -> str:
     for run in report["runs"]:
         lines.append(
             f"  compared={run['compared']} "
-            f"bit_identical={run['bit_identical']} nudges={run['nudges']} "
+            f"bit_identical={run['bit_identical']} "
             f"reconfigs={run['reconfigurations']} p99={run['p99_ms']}ms "
             f"-> {'ok' if run['ok'] else 'FAIL'}"
         )

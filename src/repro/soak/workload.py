@@ -3,18 +3,18 @@
 A soak trace is a sequence of *batches* replayed against a live
 :class:`~repro.server.OLAPServer`.  Unlike the streaming gate's flat op
 mix (:mod:`repro.streaming`), the soak trace *drifts* on purpose — the
-regimes every hand-set performance constant was tuned against shift out
-from under the server mid-run:
+regime the stored selection and the result cache were warm for shifts
+out from under the server mid-run:
 
 - **hot-key shifts** — each phase draws a fresh hot set of aggregated
-  views; 80% of batch requests hit the hot set, so the result cache and
-  any threshold tuned to the old hot set go cold at each boundary;
+  views; 80% of batch requests hit the hot set, so the result cache
+  goes cold at each boundary;
 - **diurnal query-mix rotation** — phases rotate through view-heavy,
   rollup-heavy and range-heavy mixes (the "time of day" changing what
   the workload looks like);
 - **range-vs-rollup phases** — the rotation deliberately swings between
   the shared-plan batch path and the prefix-sum range path, which stress
-  different knobs (dispatch threshold vs. range-engine intermediates);
+  different layers (batch executor vs. range-engine intermediates);
 - **ingest bursts** — periodic ``update_many`` batches interleave
   streaming writes with the query load.
 
@@ -22,8 +22,8 @@ Phase boundaries are marked with explicit ``drift`` ops so the harness
 can measure adaptation lag (batches until latency recovers after a
 shift).  Generation is pure and seeded: the same :class:`SoakConfig`
 always yields the same trace, so soak runs are replayable and the
-tuned-vs-default comparison in ``benchmarks/bench_soak.py`` is apples
-to apples.
+curve points of ``benchmarks/bench_soak.py`` differ only in what the
+config says.
 """
 
 from __future__ import annotations
@@ -56,33 +56,28 @@ _MIXES: tuple[tuple[float, float, float], ...] = (
 class SoakConfig:
     """Knobs for one drifting soak run (all seeded, all replayable).
 
-    The defaults are engineered so that the shipped hand-set constants
-    are genuinely mis-tuned for the workload — the regime the autotuner
-    exists for:
+    The defaults put cache-miss assembly in the regime where the
+    executor's dispatch decision is closest to the line:
 
     - ``sizes`` is a 2048x16x4 cube (2^17 cells): fused batch nodes
-      cost ~122k cells, above the default dispatch threshold (2^16), so
-      every cache-miss batch engages the thread pool whether or not
-      that pays for itself — and one dimension is deep rather than
+      cost ~122k cells, above :data:`repro.core.exec.DISPATCH_THRESHOLD`
+      (2^16), so every cache-miss batch engages the thread pool — and
+      one dimension is deep rather than
       three moderately deep, because the batch planner's synthesis
       recursion is combinatorial in *interleaved* dimension depths;
     - the roll-up level universe on that shape has ~179 members, drawn
       with power-law rank skew (``rollup_skew``; classic OLAP hot-key
       behaviour) over a per-phase permutation — larger than the result
-      cache's reach at soak length, so cache-miss assemblies (where the
-      dispatch knobs bite) keep flowing instead of settling into an
-      all-hit steady state;
+      cache's reach at soak length, so cache-miss assemblies keep
+      flowing instead of settling into an all-hit steady state;
     - ``batch_size`` is small (interactive dashboard batches, not bulk
       reports): per-batch work is dominated by a handful of medium DAG
-      nodes, exactly the regime where eagerly engaging the pool loses to
-      staying serial — larger batches amortize the round-trip and erase
-      the signal;
+      nodes — larger batches amortize the pool round-trip;
     - ``batches`` spans eight drift phases, enough assembly batches for
       the p99 to be a statistic rather than a single unlucky wall.
 
     ``workers`` passes through to ``query_batch``; ``workers=None`` means
-    the server's tuning profile decides (the interesting case for the
-    autotuner).
+    :data:`repro.server.MAX_WORKERS`.
     """
 
     seed: int = 101
@@ -129,7 +124,7 @@ def _rollup_pool(names: list[str], sizes: tuple[int, ...]) -> list[dict]:
     shape) — deliberately larger than the default result-cache bound,
     so a long-running drifting workload keeps producing genuine
     cache-miss assemblies instead of settling into an all-hit steady
-    state the tuner would have nothing to say about.
+    state.
     """
     depths = [max(1, int(n).bit_length() - 1) for n in sizes]
     pool: list[dict] = []

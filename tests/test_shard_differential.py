@@ -303,11 +303,10 @@ class TestServerDifferential:
         monkeypatch.setattr(
             "os.sched_getaffinity", lambda pid: set(range(cpus))
         )
-        server = self._server(5, (8, 8, 8), shards=2)
         # Threshold 0 keeps the legs from demoting themselves to serial.
-        server.query_batch(
-            [["d0"], ["d1"], ["d0", "d1"]], max_workers=4, dispatch_threshold=0
-        )
+        monkeypatch.setattr("repro.core.exec.DISPATCH_THRESHOLD", 0)
+        server = self._server(5, (8, 8, 8), shards=2)
+        server.query_batch([["d0"], ["d1"], ["d0", "d1"]], max_workers=4)
         execs = [
             s for s in server.tracer.trace() if s.name == "exec.execute"
         ]

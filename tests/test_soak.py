@@ -1,33 +1,24 @@
-"""Soak subsystem: trace generation, harness, gate, and autotuner.
+"""Soak subsystem: trace generation, harness and gate.
 
 Small-cube, short-trace versions of everything ``python -m repro soak``
-and ``python -m repro tune`` run at scale: seeded generation must be
-replayable, the harness's report must carry the SLO/adaptation shape
-the benchmark gates read, the differential gate must hold answers
-bit-identical under tuning, and the autotuner must only ever emit valid
-:class:`~repro.tuning.TuningConfig` profiles.
+runs at scale: seeded generation must be replayable, the harness's
+report must carry the SLO/adaptation shape the benchmark gates read, and
+the differential gate must hold answers bit-identical under adaptation.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-import pytest
-
+from repro.core import exec as batch_exec
 from repro.soak import (
-    OnlineTuner,
     SoakConfig,
-    autotune,
     generate_soak_trace,
     load_soak_trace,
-    measure_speedup,
     run_soak,
     run_soak_check,
     save_soak_trace,
-    warm_start,
 )
-from repro.soak.autotune import THRESHOLD_HI, THRESHOLD_LO, _floor_quantiles
-from repro.tuning import DEFAULT_TUNING, TuningConfig
 
 #: Small enough to keep the whole module in CI seconds.
 TINY = SoakConfig(
@@ -81,7 +72,7 @@ class TestHarness:
         assert report["assembly_ms"]["count"] > 0
         assert isinstance(report["drift"], list)
         assert isinstance(report["adaptation"]["reconfigurations"], list)
-        assert report["online"]["enabled"] is False
+        assert "online" not in report
         assert "assembly_walls" not in report
 
     def test_keep_walls_exposes_assembly_series(self):
@@ -91,10 +82,13 @@ class TestHarness:
         assert all(w >= 0 for w in walls)
 
     def test_tuning_profile_is_reported(self):
-        tuned = TuningConfig(dispatch_threshold=THRESHOLD_HI)
-        report = run_soak(TINY, tuning=tuned)
-        assert report["tuning"] == tuned.to_dict()
-        assert report["effective_tuning"] == tuned.to_dict()
+        """The report carries the constants the run was served with."""
+        report = run_soak(TINY, server_kwargs={"cache_entries": 16})
+        assert report["tuning"]["cache_entries"] == 16
+        assert (
+            report["tuning"]["dispatch_threshold"]
+            == batch_exec.DISPATCH_THRESHOLD
+        )
 
     def test_gate_bit_identical_on_thread_backend(self):
         report = run_soak_check(TINY)
@@ -102,70 +96,4 @@ class TestHarness:
         (run,) = report["runs"]
         assert run["bit_identical"]
         assert run["compared"] > 0
-
-
-class TestAutotune:
-    def test_emits_valid_config_and_audit_trail(self):
-        best, report = autotune(TINY, trial_batches=4, warm=False)
-        assert isinstance(best, TuningConfig)
-        assert TuningConfig.from_dict(report["best"]) == best
-        assert report["trials"], "search must log every trial"
-        for trial in report["trials"]:
-            assert trial["stage"] in (1, 2)
-            assert trial["objective_ms"] >= 0
-        assert report["best_objective_ms"] >= 0
-
-    def test_warm_start_emits_valid_threshold(self):
-        warmed = warm_start(TINY)
-        assert THRESHOLD_LO <= warmed.dispatch_threshold <= THRESHOLD_HI
-        assert warmed.dispatch_threshold & (warmed.dispatch_threshold - 1) == 0
-
-    def test_measure_speedup_report_shape(self):
-        tuned = TuningConfig(dispatch_threshold=THRESHOLD_HI)
-        result = measure_speedup(TINY, tuned, repeats=2)
-        for key in (
-            "default_objective_ms",
-            "tuned_objective_ms",
-            "default_p99_ms",
-            "tuned_p99_ms",
-            "speedup",
-            "p99_speedup",
-        ):
-            assert key in result
-        assert result["speedup"] > 0
-        assert result["p99_speedup"] > 0
-
-    def test_floor_quantiles_strip_one_run_bursts(self):
-        quiet = [1.0] * 100
-        bursty = [1.0] * 100
-        bursty[98] = 50.0  # a noise burst in one replay only
-        q = _floor_quantiles([quiet, bursty])
-        assert q["p99"] == pytest.approx(1.0)
-        systematic = [2.0] * 100
-        q = _floor_quantiles([systematic, [2.5] * 100])
-        assert q["p99"] == pytest.approx(2.0)
-
-
-class TestOnlineTuner:
-    def test_nudges_are_recorded_and_clamped(self):
-        tuner = OnlineTuner(window=2)
-        nudges = []
-        for wall in (1.0, 1.0, 5.0, 5.0, 9.0, 9.0, 2.0, 2.0):
-            nudge = tuner.observe(wall)
-            if nudge is not None:
-                nudges.append(nudge)
-        assert nudges, "worsening windows must produce nudges"
-        for nudge in nudges:
-            assert nudge["knob"] == "dispatch_threshold"
-            assert THRESHOLD_LO <= nudge["new"] <= THRESHOLD_HI
-            assert nudge["direction"] in ("up", "down")
-        assert tuner.nudges == len(nudges)
-
-    def test_overrides_track_current_value(self):
-        base = TuningConfig(dispatch_threshold=1 << 16)
-        tuner = OnlineTuner(base=base, window=2)
-        assert tuner.overrides() == {"dispatch_threshold": 1 << 16}
-
-    def test_window_must_hold_two_batches(self):
-        with pytest.raises(ValueError):
-            OnlineTuner(window=1)
+        assert "nudges" not in run

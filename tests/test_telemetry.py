@@ -47,6 +47,13 @@ def _make_server(seed=11, sizes=(8, 8, 8), **kwargs):
     return OLAPServer(DataCube(values, dims, measure="amount"), **kwargs)
 
 
+@pytest.fixture
+def pool_every_node(monkeypatch):
+    """Dispatch every node: the 8^3 cube's largest is far below the
+    shipped threshold, which would demote these batches to serial."""
+    monkeypatch.setattr("repro.core.exec.DISPATCH_THRESHOLD", 0)
+
+
 def _assert_connected(spans):
     """Every span shares the root's trace id and parents resolve."""
     trace_ids = {s.trace_id for s in spans}
@@ -59,11 +66,10 @@ def _assert_connected(spans):
 
 
 class TestPooledTrace:
+    @pytest.mark.usefixtures("pool_every_node")
     def test_pooled_batch_is_one_connected_trace(self):
         server = _make_server()
-        results = server.query_batch(
-            BATCH, max_workers=4, dispatch_threshold=0
-        )
+        results = server.query_batch(BATCH, max_workers=4)
         spans = server.tracer.trace()
         _assert_connected(spans)
         (root,) = [s for s in spans if s.parent_id is None]
@@ -85,9 +91,10 @@ class TestPooledTrace:
         server.view(["d1"])
         assert len(server.tracer.trace_ids()) == 2
 
+    @pytest.mark.usefixtures("pool_every_node")
     def test_pooled_profile_measured_equals_planned(self):
         server = _make_server()
-        server.query_batch(BATCH, max_workers=4, dispatch_threshold=0)
+        server.query_batch(BATCH, max_workers=4)
         profile = query_profile(server.tracer)
         totals = profile["totals"]
         assert totals["nodes"] > 0
@@ -196,10 +203,11 @@ class TestTracerDrops:
         assert registry.counter("tracer_dropped_spans").total() == 6
 
 
+@pytest.mark.usefixtures("pool_every_node")
 class TestExporters:
     def _traced_server(self):
         server = _make_server()
-        server.query_batch(BATCH, max_workers=2, dispatch_threshold=0)
+        server.query_batch(BATCH, max_workers=2)
         return server
 
     def test_chrome_trace_shape(self):
@@ -367,9 +375,10 @@ class TestCostModelFeedback:
         assert assembler.cost_monitor is not monitor
         assert assembler.cost_monitor.divergence == 1.0
 
+    @pytest.mark.usefixtures("pool_every_node")
     def test_server_profile_feeds_the_monitor(self):
         server = _make_server()
-        server.query_batch(BATCH, max_workers=2, dispatch_threshold=0)
+        server.query_batch(BATCH, max_workers=2)
         profile = server.query_profile()
         monitor = CostModelMonitor()
         monitor.ingest(profile)
