@@ -61,6 +61,7 @@ from .errors import (
     AdmissionRejected,
     IncompleteSetError,
     IntegrityError,
+    InvalidUpdateError,
     QueryTimeout,
     ReproError,
     TransientFault,
@@ -85,6 +86,7 @@ __all__ = [
     "FaultRule",
     "IncompleteSetError",
     "IntegrityError",
+    "InvalidUpdateError",
     "OLAPServer",
     "QueryTimeout",
     "ReproError",

@@ -8,158 +8,171 @@ cell whose dyadic block contains the coordinate — with a sign of
 ``(-1)**(number of residual steps that split the coordinate into the odd
 half)``.  Nothing else moves, so a materialized element, a cached
 assembled view, or an on-demand range intermediate can all be *patched*
-in O(1) per update cell instead of recomputed, and a batch of ``n``
-deltas costs O(n · depth) per element with vectorized bit arithmetic.
+in O(1) per update cell instead of recomputed.
 
-This module is the single home of that math.  It is consumed by
+Both halves of that law separate by dimension: along dimension ``m`` an
+element at node ``(level, index)`` is touched at ``coordinate >> level``,
+and its sign flips once per set bit of ``index`` whose cascade step meets
+a set bit of the coordinate.  Neither depends on the element's other
+dimensions, so one burst needs them once per ``(dimension, node)``, not
+once per patched array.  :class:`DeltaBatch` is that table: built once
+per burst and coordinate frame, it validates the burst and memoises each
+node's positions and flip parity as the patch loop first asks for them.
+An element's cells are then a tuple of table entries.  A *pure
+partial-sum* element (every ``index == 0``: all range intermediates, all
+aggregated views and roll-ups) has no residual step, hence no sign at
+all — its signed deltas are the burst's deltas themselves.
+
+This module is the single home of that math.  :func:`patch_array` is the
+one way a delta reaches an array; it is called, once per patched array,
+by
 
 - :meth:`repro.core.materialize.MaterializedSet.apply_updates` (stored
   element arrays),
 - :meth:`repro.core.range_query.RangeQueryEngine.apply_updates`
-  (on-demand assembled range intermediates),
+  (on-demand assembled range intermediates), and
 - :meth:`repro.server.OLAPServer.update_many` (cached assembled query
-  answers), and
-- :meth:`repro.shard.sets.ShardedSet.apply_updates` (per-shard routing).
+  answers),
 
-:func:`dyadic_scope` computes the *dyadic subtree* an update batch
-touches per axis — the ``(level, position)`` nodes whose blocks contain
-some updated coordinate.  That is the scoped-invalidation footprint: a
-cache keyed by dyadic region stays valid outside the scope, and the
-number of distinct touched positions bounds the patch work per element.
+and :meth:`repro.shard.sets.ShardedSet.apply_updates` re-frames a global
+batch into one shard-local :class:`DeltaBatch` per owning shard.  The
+scalar walk the table is tested against lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .element import ElementId
+from ..errors import InvalidUpdateError
+from .element import CubeShape, DimNode, ElementId
 from .operators import OpCounter
 
 __all__ = [
-    "delta_cell",
-    "delta_cells",
-    "dyadic_scope",
+    "DeltaBatch",
     "patch_array",
 ]
 
 
-def delta_cell(
-    element: ElementId, coordinates: tuple[int, ...]
-) -> tuple[tuple[int, ...], float]:
-    """The one cell of ``element`` a cube-cell update touches, and its sign.
+class DeltaBatch:
+    """One validated update burst in one coordinate frame.
 
-    Walks each dimension's operator cascade MSB-first: every step halves
-    the coordinate; a residual step whose split leaves the coordinate in
-    the odd half flips the sign (``R1``: ``out[p] = in[2p] - in[2p+1]``).
+    ``coordinates`` is an ``(n, d)`` batch of cells of a cube of ``shape``
+    and ``deltas`` the ``(n,)`` values added to them.  Construction is the
+    only validation a burst gets: rank, integral in-bounds coordinates and
+    finite deltas, or :class:`~repro.errors.InvalidUpdateError`.  Any
+    zero-size input is the empty batch.  Arrays already of the right dtype
+    are kept by reference: do not write to them while the batch is in use.
     """
-    if len(coordinates) != element.shape.ndim:
-        raise ValueError(
-            f"{len(coordinates)} coordinates for a "
-            f"{element.shape.ndim}-dimensional cube"
-        )
-    cell = []
-    sign = 1.0
-    for (level, index), coord in zip(element.nodes, coordinates):
-        position = int(coord)
-        for step in range(level):
-            bit = (index >> (level - 1 - step)) & 1
-            if bit and (position & 1):
-                sign = -sign
-            position >>= 1
-        cell.append(position)
-    return tuple(cell), sign
 
+    __slots__ = (
+        "shape", "coordinates", "deltas", "_columns", "_nodes", "_negated"
+    )
 
-def delta_cells(
-    element: ElementId, coordinates: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`delta_cell` for an ``(n, d)`` coordinate batch.
+    def __init__(self, shape: CubeShape, coordinates, deltas) -> None:
+        coordinates = np.asarray(coordinates)
+        deltas = np.asarray(deltas, dtype=np.float64)
+        if coordinates.size == 0:
+            coordinates = np.empty((0, shape.ndim), dtype=np.int64)
+        if coordinates.ndim != 2 or coordinates.shape[1] != shape.ndim:
+            raise InvalidUpdateError(
+                f"coordinates must be (n, {shape.ndim}); "
+                f"got {coordinates.shape}"
+            )
+        if deltas.shape != (coordinates.shape[0],):
+            raise InvalidUpdateError(
+                f"deltas must be ({coordinates.shape[0]},); got {deltas.shape}"
+            )
+        if coordinates.dtype.kind == "f":
+            # ``astype(int64)`` would truncate 0.7 to cell 0 (and turn
+            # nan/inf into arbitrary cells); NaN fails the equality too.
+            if not (coordinates == np.floor(coordinates)).all():
+                raise InvalidUpdateError("coordinates must be integers")
+        elif coordinates.dtype.kind not in "iu":
+            raise InvalidUpdateError(
+                f"coordinates must be integers; got dtype {coordinates.dtype}"
+            )
+        if (coordinates < 0).any() or (coordinates >= shape.sizes).any():
+            raise InvalidUpdateError("coordinates outside the cube extents")
+        if not np.isfinite(deltas).all():
+            raise InvalidUpdateError("deltas must be finite")
+        self.shape = shape
+        self.coordinates = coordinates.astype(np.int64, copy=False)
+        self.deltas = deltas
+        #: One contiguous row per dimension (``coordinates`` is row-major).
+        self._columns = np.ascontiguousarray(self.coordinates.T)
+        #: Per dimension: ``{(level, index): (positions, flips | None)}``.
+        self._nodes: tuple[dict, ...] = tuple({} for _ in shape.sizes)
+        self._negated: np.ndarray | None = None
 
-    Returns ``(cells, signs)`` — an ``(n, d)`` int array of touched
-    element cells and an ``(n,)`` float array of signs — in O(n · depth)
-    numpy bit arithmetic.
-    """
-    coordinates = np.asarray(coordinates, dtype=np.int64)
-    if coordinates.ndim != 2 or coordinates.shape[1] != element.shape.ndim:
-        raise ValueError(
-            f"coordinates must be (n, {element.shape.ndim}); "
-            f"got {coordinates.shape}"
-        )
-    signs = np.ones(coordinates.shape[0], dtype=np.float64)
-    cells = np.empty_like(coordinates)
-    for m, (level, index) in enumerate(element.nodes):
-        position = coordinates[:, m].copy()
-        for step in range(level):
-            bit = (index >> (level - 1 - step)) & 1
-            if bit:
-                signs = np.where(position & 1, -signs, signs)
-            position >>= 1
-        cells[:, m] = position
-    return cells, signs
+    def __len__(self) -> int:
+        return len(self.deltas)
 
+    def _resolve_node(self, m: int, node: DimNode) -> tuple:
+        """Positions and flip parity of one dimension node for this burst.
 
-def validate_coordinates(shape, coordinates: np.ndarray) -> np.ndarray:
-    """Normalize an ``(n, d)`` coordinate batch against ``shape``.
+        The cascade runs LSB-first over the coordinate while ``index``
+        records it MSB-first: step ``s`` is ``R1`` when bit
+        ``level - 1 - s`` of ``index`` is set, and ``R1`` negates the odd
+        slot — bit ``s`` of the coordinate.
+        """
+        level, index = node
+        column = self._columns[m]
+        positions = column >> level if level else column
+        flips = None
+        if index:
+            parity = np.zeros_like(column)
+            for step in range(level):
+                if (index >> (level - 1 - step)) & 1:
+                    parity ^= column >> step
+            flips = (parity & 1).astype(bool)
+        entry = self._nodes[m][node] = (positions, flips)
+        return entry
 
-    Returns the int64 array; raises :class:`ValueError` on rank or bound
-    violations (shared by every ``apply_updates`` entry point).
-    """
-    coordinates = np.asarray(coordinates, dtype=np.int64)
-    if coordinates.ndim != 2 or coordinates.shape[1] != shape.ndim:
-        raise ValueError(
-            f"coordinates must be (n, {shape.ndim}); got {coordinates.shape}"
-        )
-    sizes = np.array(shape.sizes, dtype=np.int64)
-    if coordinates.size and (
-        (coordinates < 0).any() or (coordinates >= sizes[None, :]).any()
-    ):
-        raise ValueError("coordinates outside the cube extents")
-    return coordinates
+    def resolve(self, element: ElementId) -> tuple[tuple, np.ndarray]:
+        """``(cells, signed deltas)`` of the burst in ``element``'s array.
 
-
-def dyadic_scope(shape, coordinates: np.ndarray) -> tuple[dict, ...]:
-    """The dyadic subtree an update batch touches, per axis.
-
-    For each axis ``m`` returns ``{level: sorted touched positions}`` for
-    every level ``0..K_m``: a level-``k`` dyadic block along the axis has
-    extent ``2**k``, and the block containing coordinate ``c`` is
-    ``c >> k``.  Any element whose
-    axis node sits at level ``k`` has its touched cells drawn from these
-    positions, so the scope bounds patch work (``<= n`` distinct cells
-    per element) and names the regions a region-tagged cache must repair.
-    """
-    coordinates = validate_coordinates(shape, coordinates)
-    scope = []
-    for m, depth in enumerate(shape.depths):
-        axis_coords = coordinates[:, m]
-        per_level = {}
-        for level in range(depth + 1):
-            per_level[level] = sorted(set((axis_coords >> level).tolist()))
-        scope.append(per_level)
-    return tuple(scope)
+        ``cells`` is one position array per dimension (an ``np.add.at``
+        index); the signed deltas are ``deltas`` itself unless some
+        dimension of ``element`` has a residual step.
+        """
+        if element.shape is not self.shape and element.shape != self.shape:
+            raise ValueError(
+                f"element of a {element.shape.sizes} cube patched from a "
+                f"{self.shape.sizes} batch"
+            )
+        cells = []
+        flips = None
+        for m, node in enumerate(element.nodes):
+            entry = self._nodes[m].get(node) or self._resolve_node(m, node)
+            cells.append(entry[0])
+            if entry[1] is not None:
+                flips = entry[1] if flips is None else flips ^ entry[1]
+        if flips is None:
+            return tuple(cells), self.deltas
+        if self._negated is None:
+            self._negated = -self.deltas
+        return tuple(cells), np.where(flips, self._negated, self.deltas)
 
 
 def patch_array(
     element: ElementId,
     values: np.ndarray,
-    coordinates: np.ndarray,
-    deltas: np.ndarray,
+    batch: DeltaBatch,
     counter: OpCounter | None = None,
     label: str = "incremental update",
 ) -> int:
     """Patch ``element``'s materialized array in place for a delta batch.
 
-    ``coordinates`` is ``(n, d)`` (already validated against the shape),
-    ``deltas`` is ``(n,)``.  Exact for integer-valued cubes (every route
-    through the filter bank is a signed integer sum); for float data the
-    patch equals the recomputation up to the usual reassociation error.
-    Returns the number of deltas applied.
+    ``batch`` is in ``element``'s coordinate frame.  Exact for
+    integer-valued cubes (every route through the filter bank is a signed
+    integer sum); for float data the patch equals the recomputation up to
+    the usual reassociation error.  Duplicate cells accumulate in row
+    order.  Returns the number of deltas applied.
     """
-    deltas = np.asarray(deltas, dtype=np.float64)
-    if not len(deltas):
-        return 0
-    cells, signs = delta_cells(element, coordinates)
-    np.add.at(values, tuple(cells.T), signs * deltas)
-    if counter is not None:
-        counter.add(additions=len(deltas), label=label)
-    return len(deltas)
+    applied = len(batch)
+    if applied:
+        cells, signed = batch.resolve(element)
+        np.add.at(values, cells, signed)
+        if counter is not None:
+            counter.add(additions=applied, label=label)
+    return applied

@@ -28,7 +28,7 @@ from ..errors import IncompleteSetError
 from ..obs import add_span_event, current_registry, log_event, span
 from ..resilience.deadline import check_deadline
 from ..resilience.faults import corrupt_array, fault_point
-from .delta import patch_array, validate_coordinates
+from .delta import DeltaBatch, patch_array
 from .element import CubeShape, ElementId
 from .exec import PlanCache, execute_plan, plan_batch
 from .kernels import (
@@ -611,42 +611,34 @@ class MaterializedSet:
         recomputation from the cube.
         """
         self.apply_updates(
-            np.asarray(coordinates, dtype=np.int64)[None, :],
-            np.array([delta], dtype=np.float64),
+            DeltaBatch(self.shape, [coordinates], [delta]),
             counter=counter,
             label="incremental update",
         )
 
     def apply_updates(
         self,
-        coordinates: np.ndarray,
-        deltas: np.ndarray,
+        batch: DeltaBatch,
         counter: OpCounter | None = None,
         label: str = "batch update",
     ) -> None:
         """Vectorized :meth:`apply_update` for a batch of cell deltas.
 
-        ``coordinates`` is ``(n, d)`` int, ``deltas`` is ``(n,)``.  The
-        per-element work is O(n * d) with numpy bit arithmetic
+        ``batch`` is a validated :class:`~repro.core.delta.DeltaBatch` in
+        this set's coordinate frame.  Each stored element costs one
+        lookup in the batch's position table and one scatter-add
         (:func:`repro.core.delta.patch_array`) — suitable for refreshing a
         materialized set from a day's worth of new fact rows without
         recomputation.
         """
-        coordinates = validate_coordinates(self.shape, coordinates)
-        deltas = np.asarray(deltas, dtype=np.float64)
-        if deltas.shape != (coordinates.shape[0],):
-            raise ValueError("deltas length must match coordinate rows")
-        if not coordinates.size:
+        if not len(batch):
             return
 
         # Verify before mutating (corruption folded into an update would be
         # sealed over and become undetectable), reseal after.
         self._verify_unverified()
         for element, values in list(self._arrays.items()):
-            patch_array(
-                element, values, coordinates, deltas,
-                counter=counter, label=label,
-            )
+            patch_array(element, values, batch, counter=counter, label=label)
             self._seal(element)
 
     def assemble_view(

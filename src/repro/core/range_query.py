@@ -28,7 +28,7 @@ import numpy as np
 
 from ..errors import TransientFault
 from ..obs import current_registry, span
-from .delta import patch_array, validate_coordinates
+from .delta import DeltaBatch, patch_array
 from .element import CubeShape, ElementId
 from .materialize import MaterializedSet
 from .operators import OpCounter
@@ -119,17 +119,17 @@ class RangeQueryEngine:
 
     def apply_updates(
         self,
-        coordinates,
-        deltas,
+        batch: DeltaBatch,
         counter: OpCounter | None = None,
     ) -> int:
         """Patch every on-demand assembled intermediate for a delta batch.
 
-        ``coordinates`` is an ``(n, d)`` batch of cube cells, ``deltas``
-        the matching values added to them.  Each cached intermediate is a
-        pure partial-sum element (no residual steps), so a delta lands on
-        exactly one cell per intermediate with sign ``+1``; the repair is
-        O(n) per cached array and the warm cache survives the update.
+        ``batch`` is a validated :class:`~repro.core.delta.DeltaBatch` of
+        cube cells.  Each cached intermediate is a pure partial-sum
+        element (no residual steps), so a delta lands on exactly one cell
+        per intermediate with sign ``+1`` — the batch's deltas are
+        scattered as they are; the repair is O(n) per cached array and
+        the warm cache survives the update.
         Stored elements are the owning set's job
         (:meth:`MaterializedSet.apply_updates`) — the engine's cache never
         holds them (:meth:`_ensure_intermediates` skips stored elements),
@@ -137,20 +137,13 @@ class RangeQueryEngine:
 
         Returns the number of cached intermediates patched.
         """
-        coordinates = validate_coordinates(self.shape, coordinates)
-        deltas = np.asarray(deltas, dtype=np.float64)
-        if deltas.shape != (coordinates.shape[0],):
-            raise ValueError(
-                f"deltas must be ({coordinates.shape[0]},); got {deltas.shape}"
-            )
-        if not len(deltas) or not self._cache:
+        if not len(batch) or not self._cache:
             return 0
         for element, values in self._cache.items():
             patch_array(
                 element,
                 values,
-                coordinates,
-                deltas,
+                batch,
                 counter=counter,
                 label="range intermediate patch",
             )

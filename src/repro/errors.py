@@ -19,6 +19,10 @@ branch on the concrete type for policy:
 - :class:`IncompleteSetError` — the stored element set cannot generate a
   requested element (Procedure 3 has no route).  Subclasses
   :class:`ValueError` for compatibility with the historical signature.
+- :class:`InvalidUpdateError` — an update batch was refused where its
+  :class:`~repro.core.delta.DeltaBatch` is built: wrong rank, a coordinate
+  that is not an integer inside the cube, or a non-finite delta.  Nothing
+  was logged or applied.  Subclasses :class:`ValueError` likewise.
 
 The taxonomy is deliberately small: everything else propagating out of the
 library is a programming error, not a serving condition.
@@ -33,6 +37,7 @@ __all__ = [
     "IntegrityError",
     "TransientFault",
     "IncompleteSetError",
+    "InvalidUpdateError",
 ]
 
 
@@ -92,3 +97,7 @@ class TransientFault(ReproError):
 
 class IncompleteSetError(ReproError, ValueError):
     """The stored set cannot generate the requested element."""
+
+
+class InvalidUpdateError(ReproError, ValueError):
+    """An update batch failed validation; nothing was logged or applied."""

@@ -76,7 +76,7 @@ import numpy as np
 
 from .core import exec as batch_exec
 from .core.adaptive import AccessTracker
-from .core.delta import patch_array, validate_coordinates
+from .core.delta import DeltaBatch, patch_array
 from .core.element import ElementId
 from .core.engine import SelectionEngine
 from .core.kernels import POOL_MAX_CELLS, POOL_MIN_CELLS
@@ -1209,7 +1209,11 @@ class OLAPServer:
         try:
             with self.obs.activate():
                 for record in self._wal.replay(after_seq=after_seq):
-                    self._apply_updates(record.coordinates, record.deltas)
+                    self._apply_updates(
+                        DeltaBatch(
+                            self.shape, record.coordinates, record.deltas
+                        )
+                    )
                     self._applied_seq = record.seq
                     count += 1
         finally:
@@ -1603,10 +1607,7 @@ class OLAPServer:
         index = tuple(
             dim.encode(coordinates[dim.name]) for dim in self.cube.dimensions
         )
-        self._apply_updates(
-            np.asarray(index, dtype=np.int64)[None, :],
-            np.array([delta], dtype=np.float64),
-        )
+        self._apply_updates(DeltaBatch(self.shape, [index], [delta]))
 
     def update_many(self, coordinates, deltas) -> None:
         """Bulk streaming ingest: apply a batch of cell deltas at once.
@@ -1614,20 +1615,25 @@ class OLAPServer:
         ``coordinates`` is either an ``(n, d)`` array of already-encoded
         integer cell indices or a sequence of ``{dimension: value}``
         mappings (encoded as :meth:`update` does); ``deltas`` is the
-        matching ``(n,)`` batch of values added.
+        matching ``(n,)`` batch of values added.  The burst is validated
+        once, where its :class:`~repro.core.delta.DeltaBatch` is built: a
+        cell outside the cube, a non-integral coordinate or a non-finite
+        delta raises :class:`~repro.errors.InvalidUpdateError` before
+        anything is logged or changed, and an empty batch is a no-op.
 
         One call takes the reconfiguration ordering guarantee once, routes
-        the whole batch through ``MaterializedSet.apply_updates`` /
+        the batch through ``MaterializedSet.apply_updates`` /
         ``ShardedSet.apply_updates`` (sharded cubes: only owning shards
         re-seal and bump epochs — untouched shards keep all warm state),
         then *patches* cached assembled answers and range intermediates in
-        place.  Every view element is linear in the cube values (P1/R1 are
-        signed pair sums), so each delta lands on exactly one cell per
-        cached array with a computable sign — the patch is exact for
-        integer cubes.  A value the cache shares with storage (stored
-        arrays and the base cube are served by reference) is skipped: it
-        was already patched at the source.  Any failure on this path falls
-        back to the coarse lazy generation bump, never to a wrong answer.
+        place from the same batch.  Every view element is linear in the
+        cube values (P1/R1 are signed pair sums), so each delta lands on
+        exactly one cell per cached array with a computable sign — the
+        patch is exact for integer cubes.  A value the cache shares with
+        storage (stored arrays and the base cube are served by reference)
+        is skipped: it was already patched at the source.  Any failure on
+        this path falls back to the coarse lazy generation bump, never to
+        a wrong answer.
         """
         if len(coordinates) and isinstance(coordinates[0], Mapping):
             coordinates = np.array(
@@ -1640,20 +1646,15 @@ class OLAPServer:
                 ],
                 dtype=np.int64,
             )
-        coordinates = validate_coordinates(self.shape, np.asarray(coordinates))
-        deltas = np.asarray(deltas, dtype=np.float64)
-        if deltas.shape != (coordinates.shape[0],):
-            raise ValueError(
-                f"deltas must be ({coordinates.shape[0]},); got {deltas.shape}"
-            )
-        if not len(deltas):
-            return
-        self._apply_updates(coordinates, deltas)
+        batch = DeltaBatch(self.shape, coordinates, deltas)
+        if len(batch):
+            self._apply_updates(batch)
 
-    def _apply_updates(
-        self, coordinates: np.ndarray, deltas: np.ndarray
-    ) -> None:
+    def _apply_updates(self, batch: DeltaBatch) -> None:
         """Shared delta path: storage + base cube + warm-state propagation.
+
+        ``batch`` was validated where it was built — before the WAL append
+        below, so a refused batch is never made durable.
 
         Runs under ``_reconfigure_lock`` — the same ordering guarantee the
         snapshot swap uses — so a concurrent :meth:`reconfigure` either
@@ -1662,7 +1663,7 @@ class OLAPServer:
         in-flight delta can never miss the next snapshot.
         """
         with self._reconfigure_lock, self.obs.activate(), span(
-            "server.update", cells=len(deltas)
+            "server.update", cells=len(batch)
         ):
             state = self._state
             seq = None
@@ -1673,44 +1674,36 @@ class OLAPServer:
                 # covered by the log.  Replayed records skip this (they
                 # are already in the log).
                 seq = self._wal.append(
-                    coordinates, deltas, epoch=state.epoch
+                    batch.coordinates, batch.deltas, epoch=state.epoch
                 )
             counter = OpCounter()
-            state.materialized.apply_updates(
-                coordinates, deltas, counter=counter
-            )
+            state.materialized.apply_updates(batch, counter=counter)
             np.add.at(
-                self.cube.values, tuple(coordinates.T), deltas
+                self.cube.values, tuple(batch.coordinates.T), batch.deltas
             )
-            patched, cleared = self._propagate_updates(
-                state, coordinates, deltas, counter
-            )
+            patched, cleared = self._propagate_updates(state, batch, counter)
             if seq is not None:
                 # Only now does the record count as applied: advancing
                 # _applied_seq before the in-memory apply would let a
                 # snapshot claim (and prune) a record the state never
                 # absorbed if apply_updates raised above.
                 self._applied_seq = seq
-            self.fingerprints.note_ingest(len(deltas))
+            self.fingerprints.note_ingest(len(batch))
             self.metrics.counter(
                 "server_updates_total", "incremental cell updates applied"
-            ).inc(len(deltas))
+            ).inc(len(batch))
             self.metrics.counter(
                 "server_operations_total", "scalar operations spent serving"
             ).inc(counter.total)
             log_event(
                 "update",
-                cells=len(deltas),
+                cells=len(batch),
                 patched=patched,
                 cleared=cleared,
             )
 
     def _propagate_updates(
-        self,
-        state: _ServingState,
-        coordinates: np.ndarray,
-        deltas: np.ndarray,
-        counter: OpCounter,
+        self, state: _ServingState, batch: DeltaBatch, counter: OpCounter
     ) -> tuple[int, int]:
         """Repair the snapshot's warm state for a delta batch.
 
@@ -1719,13 +1712,11 @@ class OLAPServer:
         intermediates; the coarse path (policy ``"clear"``, or any patch
         failure) lazily stales the whole cache and drops the
         intermediates — correct for *any* change, just cold."""
-        with span("update.propagate", cells=len(deltas)) as sp:
+        with span("update.propagate", cells=len(batch)) as sp:
             patched = 0
             if self.update_policy == "patch":
                 try:
-                    patched = self._patch_warm_state(
-                        state, coordinates, deltas, counter
-                    )
+                    patched = self._patch_warm_state(state, batch, counter)
                 except Exception:
                     self._coarse_invalidate(state)
                     sp.set(mode="fallback", patched=0)
@@ -1741,11 +1732,7 @@ class OLAPServer:
             return 0, 1
 
     def _patch_warm_state(
-        self,
-        state: _ServingState,
-        coordinates: np.ndarray,
-        deltas: np.ndarray,
-        counter: OpCounter,
+        self, state: _ServingState, batch: DeltaBatch, counter: OpCounter
     ) -> int:
         """Patch every cached answer and range intermediate in place.
 
@@ -1766,20 +1753,13 @@ class OLAPServer:
                 if id(values) in aliases:
                     return False
                 patch_array(
-                    element,
-                    values,
-                    coordinates,
-                    deltas,
-                    counter=counter,
-                    label="cache patch",
+                    element, values, batch, counter=counter, label="cache patch"
                 )
                 return True
 
             if state.cache.patch(key, _patch):
                 patched += 1
-        patched += state.range_engine.apply_updates(
-            coordinates, deltas, counter=counter
-        )
+        patched += state.range_engine.apply_updates(batch, counter=counter)
         return patched
 
     def _coarse_invalidate(self, state: _ServingState) -> None:

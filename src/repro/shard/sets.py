@@ -50,7 +50,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from ..core.delta import validate_coordinates
+from ..core.delta import DeltaBatch
 from ..core.element import CubeShape, ElementId
 from ..core.exec import PlanCache, execute_plan
 from ..core.kernels import POOL_MIN_CELLS, BufferPool, fused_cascade
@@ -243,36 +243,40 @@ class ShardedSet:
 
     def apply_updates(
         self,
-        coordinates,
-        deltas,
+        batch: DeltaBatch,
         counter: OpCounter | None = None,
         label: str = "batch update",
     ) -> None:
         """Route a delta batch to the owning shards in one grouped pass.
 
-        ``coordinates`` is ``(n, d)`` global cube cells, ``deltas`` the
-        ``(n,)`` values added.  Rows are grouped by owning shard and each
-        owner gets *one* :meth:`MaterializedSet.apply_updates` call on
-        shard-local coordinates; only touched shards re-seal their arrays
+        ``batch`` is a validated :class:`~repro.core.delta.DeltaBatch` of
+        global cube cells.  Rows are grouped by owning shard and each
+        owner gets *one* :meth:`MaterializedSet.apply_updates` call on its
+        own shard-local batch; only touched shards re-seal their arrays
         and bump their epoch — the others keep their storage, epoch, and
         any caches keyed on it completely intact.
         """
-        coordinates = validate_coordinates(self.shape, coordinates)
-        deltas = np.asarray(deltas, dtype=np.float64)
-        if deltas.shape != (coordinates.shape[0],):
+        if batch.shape != self.shape:
+            # Re-framing below would re-validate a foreign batch against
+            # the slabs and could accept it.
             raise ValueError(
-                f"deltas must be ({coordinates.shape[0]},); got {deltas.shape}"
+                f"batch of a {batch.shape.sizes} cube routed to a "
+                f"{self.shape.sizes} set"
             )
-        if not len(deltas):
+        if not len(batch):
             return
         axis = self.partition.axis
-        owners = coordinates[:, axis] // self.partition.shard_extent
+        extent = self.partition.shard_extent
+        owners = batch.coordinates[:, axis] // extent
         for s in np.unique(owners):
             rows = owners == s
-            local = coordinates[rows].copy()
-            local[:, axis] %= self.partition.shard_extent
-            self._shards[int(s)].apply_updates(
-                local, deltas[rows], counter=counter, label=label
+            local = batch.coordinates[rows]  # a copy: mask indexing
+            local[:, axis] %= extent
+            shard = self._shards[int(s)]
+            shard.apply_updates(
+                DeltaBatch(shard.shape, local, batch.deltas[rows]),
+                counter=counter,
+                label=label,
             )
             self._epochs[int(s)] += 1
 

@@ -1,7 +1,9 @@
-"""Reference implementations the test-suite compares the planners against.
+"""Reference implementations the test-suite compares the serving code against.
 
-They are the explicit-:class:`ElementId` forms the serving code used before
-it moved to reduced states; kept here, and only here, as oracles.
+The planners' are the explicit-:class:`ElementId` forms the serving code
+used before it moved to reduced states; :func:`delta_cell` is the scalar
+cascade walk :class:`repro.core.delta.DeltaBatch` tabulates.  Kept here,
+and only here, as oracles.
 """
 
 from __future__ import annotations
@@ -80,3 +82,30 @@ def explicit_best_route(target: ElementId, selected, memo: dict):
         if candidate < synth_cost:
             synth_cost, synth_dim = candidate, dim
     return source, synth_dim
+
+
+def delta_cell(
+    element: ElementId, coordinates: tuple[int, ...]
+) -> tuple[tuple[int, ...], float]:
+    """The one cell of ``element`` a cube-cell update touches, and its sign.
+
+    Walks each dimension's operator cascade MSB-first: every step halves
+    the coordinate; a residual step whose split leaves the coordinate in
+    the odd half flips the sign (``R1``: ``out[p] = in[2p] - in[2p+1]``).
+    """
+    if len(coordinates) != element.shape.ndim:
+        raise ValueError(
+            f"{len(coordinates)} coordinates for a "
+            f"{element.shape.ndim}-dimensional cube"
+        )
+    cell = []
+    sign = 1.0
+    for (level, index), coord in zip(element.nodes, coordinates):
+        position = int(coord)
+        for step in range(level):
+            bit = (index >> (level - 1 - step)) & 1
+            if bit and (position & 1):
+                sign = -sign
+            position >>= 1
+        cell.append(position)
+    return tuple(cell), sign

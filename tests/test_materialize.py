@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bases import random_wavelet_packet_basis, wavelet_basis
+from repro.core.delta import DeltaBatch
 from repro.core.element import CubeShape, ElementId
 from repro.core.graph import ViewElementGraph
 from repro.core.materialize import MaterializedSet, compute_element
@@ -229,7 +230,7 @@ class TestBatchUpdates:
         b = MaterializedSet.from_cube(cube_4x4, basis)
         coords = rng.integers(0, 4, size=(20, 2))
         deltas = rng.integers(-5, 6, size=20).astype(float)
-        a.apply_updates(coords, deltas)
+        a.apply_updates(DeltaBatch(shape_4x4, coords, deltas))
         for (x, y), delta in zip(coords, deltas):
             b.apply_update((int(x), int(y)), float(delta))
         for element in basis:
@@ -240,27 +241,31 @@ class TestBatchUpdates:
         ms = MaterializedSet.from_cube(cube_4x4, basis)
         coords = rng.integers(0, 4, size=(15, 2))
         deltas = rng.integers(-9, 10, size=15).astype(float)
-        ms.apply_updates(coords, deltas)
+        ms.apply_updates(DeltaBatch(shape_4x4, coords, deltas))
         updated = cube_4x4.copy()
         np.add.at(updated, tuple(coords.T), deltas)
         np.testing.assert_allclose(ms.reconstruct_cube(), updated)
 
     def test_batch_validation(self, shape_4x4, cube_4x4):
         ms = MaterializedSet.from_cube(cube_4x4, [shape_4x4.root()])
+        # A batch is validated where it is built; the set only refuses one
+        # built for another cube.
         with pytest.raises(ValueError, match="coordinates must be"):
-            ms.apply_updates(np.zeros((2, 3), dtype=int), np.zeros(2))
-        with pytest.raises(ValueError, match="deltas length"):
-            ms.apply_updates(np.zeros((2, 2), dtype=int), np.zeros(3))
+            DeltaBatch(ms.shape, np.zeros((2, 3), dtype=int), np.zeros(2))
+        with pytest.raises(ValueError, match="deltas must be"):
+            DeltaBatch(ms.shape, np.zeros((2, 2), dtype=int), np.zeros(3))
         with pytest.raises(ValueError, match="outside"):
-            ms.apply_updates(np.array([[9, 0]]), np.ones(1))
+            DeltaBatch(ms.shape, np.array([[9, 0]]), np.ones(1))
+        with pytest.raises(ValueError, match="cube"):
+            ms.apply_updates(DeltaBatch(CubeShape((4, 8)), [[0, 0]], [1.0]))
 
     def test_empty_batch_is_noop(self, shape_4x4, cube_4x4):
         ms = MaterializedSet.from_cube(cube_4x4, [shape_4x4.root()])
         before = ms.array(shape_4x4.root()).copy()
-        ms.apply_updates(np.empty((0, 2), dtype=int), np.empty(0))
+        ms.apply_updates(DeltaBatch(shape_4x4, np.empty((0, 2), dtype=int), []))
         np.testing.assert_array_equal(ms.array(shape_4x4.root()), before)
 
     def test_duplicate_coordinates_accumulate(self, shape_4x4, cube_4x4):
         ms = MaterializedSet.from_cube(cube_4x4, [shape_4x4.root()])
-        ms.apply_updates(np.array([[0, 0], [0, 0]]), np.array([2.0, 3.0]))
+        ms.apply_updates(DeltaBatch(shape_4x4, [[0, 0], [0, 0]], [2.0, 3.0]))
         assert ms.array(shape_4x4.root())[0, 0] == cube_4x4[0, 0] + 5.0

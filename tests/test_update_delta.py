@@ -13,14 +13,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.delta import (
-    delta_cell,
-    delta_cells,
-    dyadic_scope,
-    patch_array,
-    validate_coordinates,
-)
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.delta import DeltaBatch, patch_array
 from repro.core.element import CubeShape, ElementId
+from repro.errors import InvalidUpdateError, ReproError
 from repro.core.materialize import MaterializedSet, compute_element
 from repro.core.range_query import RangeQueryEngine
 from repro.cube.datacube import DataCube
@@ -30,6 +28,8 @@ from repro.obs.metrics import MetricsRegistry
 from repro.server import OLAPServer
 from repro.shard.partition import CubePartition
 from repro.shard.sets import ShardedSet
+
+from .oracles import delta_cell
 
 SHAPES = [CubeShape((4, 4)), CubeShape((8, 2)), CubeShape((2, 2, 4))]
 
@@ -94,43 +94,137 @@ class TestDeltaCell:
         coords = np.stack(
             [rng.integers(0, n, size=16) for n in shape.sizes], axis=1
         )
+        deltas = rng.integers(1, 9, size=16).astype(np.float64)
+        batch = DeltaBatch(shape, coords, deltas)
         for element in _all_elements(shape)[::3]:
-            cells, signs = delta_cells(element, coords)
-            for row in range(coords.shape[0]):
-                cell, sign = delta_cell(element, tuple(coords[row]))
-                assert tuple(cells[row]) == cell
-                assert signs[row] == sign
+            _assert_matches_oracle(batch, element)
 
 
-class TestValidateAndScope:
+def _assert_matches_oracle(batch: DeltaBatch, element: ElementId) -> None:
+    """``batch.resolve`` row by row against the scalar cascade walk."""
+    cells, signed = batch.resolve(element)
+    assert len(cells) == element.shape.ndim
+    for row in range(len(batch)):
+        cell, sign = delta_cell(element, tuple(batch.coordinates[row]))
+        assert tuple(int(axis[row]) for axis in cells) == cell
+        assert signed[row] == sign * batch.deltas[row]
+
+
+@st.composite
+def _bursts(draw):
+    """A 1-4-d shape, a burst with duplicate and boundary cells, and an
+    element with arbitrary residual indices."""
+    depths = draw(st.lists(st.integers(0, 4), min_size=1, max_size=4))
+    shape = CubeShape(tuple(1 << k for k in depths))
+    cell = st.tuples(
+        *(
+            st.one_of(st.sampled_from((0, n - 1)), st.integers(0, n - 1))
+            for n in shape.sizes
+        )
+    )
+    rows = draw(st.lists(cell, min_size=1, max_size=12))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=4))  # duplicates
+    deltas = draw(
+        st.lists(
+            st.integers(-9, 9).map(float),
+            min_size=len(rows),
+            max_size=len(rows),
+        )
+    )
+    nodes = []
+    for depth in depths:
+        level = draw(st.integers(0, depth))
+        nodes.append((level, draw(st.integers(0, (1 << level) - 1))))
+    return shape, np.array(rows), np.array(deltas), ElementId(shape, tuple(nodes))
+
+
+class TestDeltaBatchProperty:
+    @settings(max_examples=120, deadline=None)
+    @given(_bursts())
+    def test_cells_and_signed_deltas_equal_the_scalar_oracle(self, burst):
+        shape, coords, deltas, element = burst
+        batch = DeltaBatch(shape, coords, deltas)
+        _assert_matches_oracle(batch, element)
+        # A second element sharing nodes reads the memoised table entries.
+        _assert_matches_oracle(batch, shape.root())
+        _assert_matches_oracle(batch, element)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_bursts())
+    def test_patch_equals_recompute(self, burst):
+        shape, coords, deltas, element = burst
+        rng = np.random.default_rng(len(coords))
+        base = rng.integers(-9, 10, size=shape.sizes).astype(np.float64)
+        values = compute_element(base, element).copy()
+        patch_array(element, values, DeltaBatch(shape, coords, deltas))
+        np.add.at(base, tuple(coords.T), deltas)
+        assert values.tobytes() == compute_element(base, element).tobytes()
+
+    def test_pure_partial_sums_carry_no_sign(self):
+        # Every range intermediate, view and roll-up has index 0 in every
+        # dimension: no R1 step, so the deltas are scattered as they are.
+        shape = CubeShape((8, 4))
+        batch = DeltaBatch(shape, [[7, 3], [1, 1]], [2.0, -3.0])
+        for levels in ((0, 0), (3, 0), (1, 2), (3, 2)):
+            element = ElementId(shape, tuple((k, 0) for k in levels))
+            assert batch.resolve(element)[1] is batch.deltas
+
+
+class TestValidate:
     def test_validate_rejects_rank_and_bounds(self):
         shape = CubeShape((4, 4))
         with pytest.raises(ValueError, match="coordinates must be"):
-            validate_coordinates(shape, np.zeros((2, 3), dtype=np.int64))
+            DeltaBatch(shape, np.zeros((2, 3), dtype=np.int64), np.zeros(2))
         with pytest.raises(ValueError, match="outside"):
-            validate_coordinates(shape, np.array([[0, 4]]))
+            DeltaBatch(shape, np.array([[0, 4]]), [1.0])
         with pytest.raises(ValueError, match="outside"):
-            validate_coordinates(shape, np.array([[-1, 0]]))
+            DeltaBatch(shape, np.array([[-1, 0]]), [1.0])
+        with pytest.raises(ValueError, match="deltas must be"):
+            DeltaBatch(shape, np.array([[0, 0]]), [1.0, 2.0])
 
-    def test_dyadic_scope_names_the_touched_subtree(self):
-        shape = CubeShape((8, 4))
-        scope = dyadic_scope(shape, np.array([[1, 3], [6, 3]]))
-        assert scope[0] == {0: [1, 6], 1: [0, 3], 2: [0, 1], 3: [0]}
-        assert scope[1] == {0: [3], 1: [1], 2: [0]}
+    @pytest.mark.parametrize(
+        "coordinates, deltas, message",
+        [
+            ([[0, 0]], [float("nan")], "finite"),
+            ([[0, 0]], [float("inf")], "finite"),
+            ([[0, 0], [1, 1]], [1.0, -float("inf")], "finite"),
+            ([[0.7, 0]], [1.0], "integers"),
+            ([[float("nan"), 0]], [1.0], "integers"),
+            ([[float("inf"), 0]], [1.0], "outside"),
+            ([[True, False]], [1.0], "integers"),
+            ([["0", "1"]], [1.0], "integers"),
+        ],
+    )
+    def test_rejects_what_would_poison_or_truncate(
+        self, coordinates, deltas, message
+    ):
+        with pytest.raises(InvalidUpdateError, match=message) as caught:
+            DeltaBatch(CubeShape((4, 4)), coordinates, deltas)
+        assert isinstance(caught.value, ValueError)
+        assert isinstance(caught.value, ReproError)
 
-    def test_scope_bounds_patch_cells(self):
-        # Every element's touched cells are drawn from the scope at the
-        # element's per-axis levels.
-        shape = CubeShape((8, 4))
-        rng = np.random.default_rng(11)
-        coords = np.stack(
-            [rng.integers(0, n, size=5) for n in shape.sizes], axis=1
-        )
-        scope = dyadic_scope(shape, coords)
-        for element in _all_elements(shape)[::5]:
-            cells, _ = delta_cells(element, coords)
-            for axis, (level, _index) in enumerate(element.nodes):
-                assert set(cells[:, axis].tolist()) <= set(scope[axis][level])
+    def test_integral_floats_and_unsigned_are_coordinates(self):
+        shape = CubeShape((4, 4))
+        for coordinates in (
+            np.array([[3.0, 0.0]]),
+            np.array([[3, 0]], dtype=np.uint8),
+        ):
+            batch = DeltaBatch(shape, coordinates, [1.0])
+            assert batch.coordinates.dtype == np.int64
+            assert batch.coordinates.tolist() == [[3, 0]]
+
+    @pytest.mark.parametrize(
+        "coordinates", [[], np.empty((0, 2), dtype=np.int64), np.empty((0,))]
+    )
+    def test_every_empty_input_is_the_empty_batch(self, coordinates):
+        batch = DeltaBatch(CubeShape((4, 4)), coordinates, [])
+        assert len(batch) == 0
+        assert batch.coordinates.shape == (0, 2)
+
+    def test_element_of_another_cube_is_refused(self):
+        batch = DeltaBatch(CubeShape((4, 4)), [[0, 0]], [1.0])
+        with pytest.raises(ValueError, match="cube"):
+            batch.resolve(CubeShape((4, 8)).root())
 
 
 class TestPatchArray:
@@ -142,11 +236,12 @@ class TestPatchArray:
             [rng.integers(0, n, size=6) for n in shape.sizes], axis=1
         )
         deltas = rng.integers(-5, 6, size=6).astype(np.float64)
+        batch = DeltaBatch(shape, coords, deltas)
         bumped = base.copy()
         np.add.at(bumped, tuple(coords.T), deltas)
         for element in _all_elements(shape)[::4]:
             values = compute_element(base, element).copy()
-            applied = patch_array(element, values, coords, deltas)
+            applied = patch_array(element, values, batch)
             assert applied == 6
             assert np.array_equal(values, compute_element(bumped, element))
 
@@ -154,7 +249,7 @@ class TestPatchArray:
         shape = CubeShape((4, 4))
         values = np.zeros(shape.root().data_shape)
         assert patch_array(
-            shape.root(), values, np.empty((0, 2), dtype=np.int64), []
+            shape.root(), values, DeltaBatch(shape, [], [])
         ) == 0
         assert not values.any()
 
@@ -240,9 +335,10 @@ class TestRangeEnginePatch:
 
         coords = np.array([[3, 3], [0, 7], [6, 2]])
         deltas = np.array([4.0, -2.0, 9.0])
-        materialized.apply_updates(coords, deltas)
+        batch = DeltaBatch(shape, coords, deltas)
+        materialized.apply_updates(batch)
         np.add.at(base, tuple(coords.T), deltas)
-        patched = engine.apply_updates(coords, deltas)
+        patched = engine.apply_updates(batch)
         assert patched == len(engine._cache)
 
         fresh = RangeQueryEngine(
@@ -259,9 +355,11 @@ class TestRangeEnginePatch:
         engine = RangeQueryEngine(
             MaterializedSet.from_cube(np.zeros(shape.sizes), [shape.root()])
         )
-        with pytest.raises(ValueError, match="deltas must be"):
-            engine.apply_updates(np.array([[0, 0]]), [1.0, 2.0])
-        assert engine.apply_updates(np.empty((0, 2), dtype=np.int64), []) == 0
+        engine.range_sum(((1, 3), (0, 4)))  # warms on-demand intermediates
+        assert engine._cache
+        with pytest.raises(ValueError, match="cube"):
+            engine.apply_updates(DeltaBatch(CubeShape((4, 8)), [[0, 0]], [1.0]))
+        assert engine.apply_updates(DeltaBatch(shape, [], [])) == 0
 
 
 class TestShardedBatchRouting:
@@ -282,7 +380,7 @@ class TestShardedBatchRouting:
             [rng.integers(0, n, size=10) for n in shape.sizes], axis=1
         )
         deltas = rng.integers(-5, 6, size=10).astype(np.float64)
-        sharded.apply_updates(coords, deltas)
+        sharded.apply_updates(DeltaBatch(shape, coords, deltas))
         for row, delta in zip(coords, deltas):
             single.apply_update(tuple(int(c) for c in row), float(delta))
         assert (
@@ -298,7 +396,7 @@ class TestShardedBatchRouting:
         # All deltas land in shard 2's slab of the shard axis.
         coords = np.zeros((3, len(shape.sizes)), dtype=np.int64)
         coords[:, axis] = 2 * extent
-        sharded.apply_updates(coords, [1.0, 2.0, 3.0])
+        sharded.apply_updates(DeltaBatch(shape, coords, [1.0, 2.0, 3.0]))
         after = sharded.epochs
         assert after[2] == before[2] + 1
         assert [a for i, a in enumerate(after) if i != 2] == [
@@ -306,13 +404,15 @@ class TestShardedBatchRouting:
         ]
 
     def test_validation_and_empty_batch(self):
-        sharded, _, _ = self._sharded()
-        with pytest.raises(ValueError, match="outside"):
-            sharded.apply_updates(np.array([[0, 99]]), [1.0])
-        with pytest.raises(ValueError, match="deltas must be"):
-            sharded.apply_updates(np.array([[0, 0]]), [1.0, 2.0])
+        sharded, _, shape = self._sharded()
         before = sharded.epochs
-        sharded.apply_updates(np.empty((0, 2), dtype=np.int64), [])
+        # A batch in another cube's frame is refused by the owning shard
+        # before it patches anything.
+        with pytest.raises(ValueError, match="cube"):
+            sharded.apply_updates(
+                DeltaBatch(CubeShape((8, 8, 2)), [[0, 0, 0]], [1.0])
+            )
+        sharded.apply_updates(DeltaBatch(shape, [], []))
         assert sharded.epochs == before
 
     def test_array_refs_is_empty(self):
@@ -425,3 +525,212 @@ class TestServerUpdatePath:
         ref[2, 2] += 4.0
         # Coarse fallback is cold but still correct.
         assert np.array_equal(server.view(["d0"]).ravel(), ref.sum(axis=1))
+
+
+def _durable(tmp_path):
+    from repro.durability import DurabilityConfig
+
+    return DurabilityConfig(tmp_path / "durable", fsync="off")
+
+
+def _warm(server: OLAPServer) -> None:
+    """Re-select on an observed population (so residual elements are
+    stored), then fill the result cache and the range intermediates."""
+    names = [dim.name for dim in server.cube.dimensions]
+    sizes = server.shape.sizes
+    for reselect in (True, False):
+        for keep in ([], names[:1], names[1:], names):
+            server.view(keep)
+        server.rollup_batch(
+            [dict(zip(names, levels)) for levels in ((1, 0, 1), (2, 1, 0), (0, 2, 2))]
+        )
+        server.range_sum(tuple((1, n - 1) for n in sizes))
+        server.range_sum(tuple((0, n) for n in sizes))
+        if reselect:
+            server.reconfigure()
+
+
+def _stored_arrays(server: OLAPServer, cube: np.ndarray):
+    """``(element, stored array, the cube that element is computed from)``
+    for every stored element — per shard slab on a sharded server."""
+    materialized = server._state.materialized
+    if isinstance(materialized, ShardedSet):
+        for s, shard in enumerate(materialized._shards):
+            slab = materialized.partition.slab(cube, s)
+            for element, values in shard._arrays.items():
+                yield element, values, slab
+    else:
+        for element, values in materialized._arrays.items():
+            yield element, values, cube
+
+
+class TestBurstLeavesEverythingExact:
+    """One burst through ``update_many``: every stored element, cached
+    answer and range intermediate equals recomputation from the updated
+    cube, and each patched array is charged one addition per delta under
+    its layer's label — the accounting the per-array walk had."""
+
+    @pytest.mark.parametrize("durable", [False, True], ids=["memory", "wal"])
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_patched_state_equals_recompute_and_counts(
+        self, shards, durable, tmp_path, monkeypatch
+    ):
+        from repro.core.operators import OpCounter
+
+        kwargs = {"durability": _durable(tmp_path)} if durable else {}
+        server, base = _make_server(
+            sizes=(8, 4, 4), seed=31, shards=shards, **kwargs
+        )
+        _warm(server)
+        state = server._state
+        assert any(e.is_residual for e, _, _ in _stored_arrays(server, base))
+        assert len(state.cache.keys()) > 3 and state.range_engine._cache
+
+        # Duplicates, both corners, and rows on either side of the shard cut.
+        coords = np.array(
+            [[0, 0, 0], [7, 3, 3], [3, 1, 2], [3, 1, 2], [4, 3, 0], [0, 3, 3]]
+        )
+        deltas = np.array([5.0, -2.0, 3.0, 3.0, -7.0, 1.0])
+        n = len(deltas)
+
+        storage = {id(server.cube.values)} | {
+            id(a) for a in state.materialized.array_refs().values()
+        }
+        cached = {key: state.cache.get(key) for key in state.cache.keys()}
+        expected = {
+            "cache patch": n
+            * sum(id(values) not in storage for values in cached.values()),
+            "range intermediate patch": n * len(state.range_engine._cache),
+        }
+        if shards == 1:
+            expected["batch update"] = n * len(state.materialized.elements)
+        else:
+            partition = state.materialized.partition
+            owners = coords[:, partition.axis] // partition.shard_extent
+            assert set(owners) == {0, 1}
+            expected["batch update"] = sum(
+                int((owners == s).sum()) * len(shard.elements)
+                for s, shard in enumerate(state.materialized._shards)
+            )
+
+        charged: dict[str, int] = {}
+        add = OpCounter.add
+
+        def recording_add(self, additions=0, subtractions=0, label=""):
+            charged[label] = charged.get(label, 0) + additions + subtractions
+            add(self, additions, subtractions, label)
+
+        monkeypatch.setattr(OpCounter, "add", recording_add)
+        operations = server.metrics.counter("server_operations_total")
+        before = operations.total()
+        server.update_many(coords, deltas)
+        monkeypatch.undo()
+
+        assert charged == expected
+        assert operations.total() - before == sum(expected.values())
+        assert server._state is state  # an update never swaps the snapshot
+
+        updated = base.copy()
+        np.add.at(updated, tuple(coords.T), deltas)
+        assert server.cube.values.tobytes() == updated.tobytes()
+        for element, values, source in _stored_arrays(server, updated):
+            assert values.tobytes() == compute_element(source, element).tobytes()
+        for (element, _epoch), values in cached.items():
+            assert values.tobytes() == compute_element(updated, element).tobytes()
+        for element, values in state.range_engine._cache.items():
+            assert values.tobytes() == compute_element(updated, element).tobytes()
+        assert server.health()["updates_cache_cleared"] == 0
+        server.close()
+
+
+class TestOnePassPerFrame:
+    """A burst is validated — a ``DeltaBatch`` is built — once per
+    coordinate frame: the global frame, plus one per owning shard."""
+
+    @pytest.mark.parametrize("shards, frames", [(1, 1), (2, 3)])
+    def test_batches_built_per_burst(self, shards, frames, monkeypatch):
+        server, _ = _make_server(sizes=(8, 16), shards=shards)
+        server.view(["d0"])
+        server.range_sum(((1, 7), (3, 13)))
+        built = []
+        init = DeltaBatch.__init__
+
+        def counting_init(self, shape, coordinates, deltas):
+            built.append(shape.sizes)
+            init(self, shape, coordinates, deltas)
+
+        monkeypatch.setattr(DeltaBatch, "__init__", counting_init)
+        # Rows in both halves of the shard axis (d1, extent 8 per shard).
+        server.update_many(np.array([[0, 0], [7, 15], [3, 9]]), [1.0, 2.0, 3.0])
+        assert len(built) == frames
+        assert built[0] == (8, 16)
+        assert all(sizes == (8, 8) for sizes in built[1:])
+
+
+class TestRejectedBatchChangesNothing:
+    """A refused batch reaches neither the WAL nor any in-memory state."""
+
+    @pytest.mark.parametrize(
+        "coordinates, deltas",
+        [
+            ([[0, 0, 0]], [float("nan")]),
+            ([[0, 0, 0]], [float("inf")]),
+            ([[0, 0, 0], [1, 1, 1]], [1.0, float("-inf")]),
+            ([[0.7, 0, 0]], [1.0]),
+            ([[0, 0, 99]], [1.0]),
+            ([[0, 0, 0]], [1.0, 2.0]),
+        ],
+    )
+    def test_server_and_wal_are_unchanged(self, coordinates, deltas, tmp_path):
+        server, base = _make_server(
+            sizes=(8, 4, 4), seed=37, durability=_durable(tmp_path)
+        )
+        with server:
+            _warm(server)
+            server.update_many([[1, 1, 1]], [4.0])  # one good record
+            whole = tuple((0, n) for n in server.shape.sizes)
+
+            def observed():
+                return (
+                    server.cube.values.tobytes(),
+                    server.view(["d0"]).tobytes(),
+                    server.view(["d1", "d2"]).tobytes(),
+                    server.range_sum(whole),
+                    server.range_sum(((1, 7), (1, 3), (0, 4))),
+                    server._applied_seq,
+                    server._wal.last_seq,
+                    [
+                        (r.seq, r.coordinates.tobytes(), r.deltas.tobytes())
+                        for r in server._wal.replay()
+                    ],
+                )
+
+            before = observed()
+            with pytest.raises(InvalidUpdateError) as caught:
+                server.update_many(coordinates, deltas)
+            assert isinstance(caught.value, ValueError)
+            assert observed() == before
+            assert before[3] == base.sum() + 4.0
+            # The next good batch is the next record: nothing was skipped.
+            server.update_many([[0, 0, 0]], [1.0])
+            assert server._wal.last_seq == before[6] + 1
+
+    def test_single_cell_update_rejects_non_finite(self):
+        server, base = _make_server()
+        with pytest.raises(InvalidUpdateError, match="finite"):
+            server.update(float("nan"), d0=1, d1=1)
+        assert np.array_equal(server.cube.values, base)
+
+    @pytest.mark.parametrize(
+        "coordinates", [[], np.empty((0, 3), dtype=np.int64), np.empty((0,))]
+    )
+    def test_every_empty_batch_is_a_no_op(self, coordinates, tmp_path):
+        server, base = _make_server(
+            sizes=(8, 4, 4), durability=_durable(tmp_path)
+        )
+        with server:
+            seq = server._wal.last_seq
+            server.update_many(coordinates, [])
+            assert server._wal.last_seq == seq
+            assert server.health()["updates"] == 0
+            assert np.array_equal(server.cube.values, base)
