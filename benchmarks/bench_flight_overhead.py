@@ -64,17 +64,13 @@ def make_server(sizes, seed=2024, telemetry=True) -> OLAPServer:
     values = rng.integers(0, 100, size=sizes).astype(np.float64)
     dims = [Dimension(f"d{i}", list(range(n))) for i, n in enumerate(sizes)]
     if telemetry:
-        server = OLAPServer(
-            DataCube(values, dims, measure="amount"),
-            update_policy="clear",
-        )
+        server = OLAPServer(DataCube(values, dims, measure="amount"))
         assert server.flight is not None, "default server lost the recorder"
     else:
         server = OLAPServer(
             DataCube(values, dims, measure="amount"),
             flight=False,
             alerts=False,
-            update_policy="clear",
         )
         assert server.flight is None and server.alerts is None
     server.reconfigure()
@@ -96,13 +92,12 @@ def serve_round(server: OLAPServer) -> int:
 
 
 def timed_rounds(server: OLAPServer, rounds: int) -> float:
-    """Min-of-N wall time of one serving round (an update between rounds
-    defeats the result cache so assembly — the instrumented work — runs)."""
+    """Min-of-N wall time of one serving round (an untimed
+    ``reconfigure()`` between rounds drops the result cache and the range
+    intermediates so assembly — the instrumented work — runs)."""
     best = float("inf")
     for _ in range(rounds):
-        server.update(
-            1.0, **{f"d{i}": 0 for i in range(len(server.shape.sizes))}
-        )
+        server.reconfigure()
         t0 = time.perf_counter()
         serve_round(server)
         best = min(best, time.perf_counter() - t0)

@@ -43,10 +43,6 @@ def make_server(sizes, seed=2024, **kwargs) -> OLAPServer:
     rng = np.random.default_rng(seed)
     values = rng.integers(0, 100, size=sizes).astype(np.float64)
     dims = [Dimension(f"d{i}", list(range(n))) for i, n in enumerate(sizes)]
-    # Legacy clear-everything updates: ``timed_rounds`` uses an update
-    # between rounds to evict the result cache so assembly really runs;
-    # the default patch policy would keep it warm.
-    kwargs.setdefault("update_policy", "clear")
     return OLAPServer(DataCube(values, dims, measure="amount"), **kwargs)
 
 
@@ -70,11 +66,12 @@ def serve_round(server: OLAPServer, deadline_ms=None) -> int:
 
 
 def timed_rounds(server: OLAPServer, rounds: int, deadline_ms=None) -> float:
-    """Min-of-N wall time of one serving round (steady state: warm cache
-    is defeated by an update between rounds so assembly really runs)."""
+    """Min-of-N wall time of one serving round (steady state: an untimed
+    ``reconfigure()`` between rounds drops the result cache and the range
+    intermediates, so assembly really runs)."""
     best = float("inf")
     for _ in range(rounds):
-        server.update(1.0, **{f"d{i}": 0 for i in range(len(server.shape.sizes))})
+        server.reconfigure()
         t0 = time.perf_counter()
         serve_round(server, deadline_ms=deadline_ms)
         best = min(best, time.perf_counter() - t0)

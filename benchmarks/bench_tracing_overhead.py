@@ -52,14 +52,8 @@ def make_server(sizes, seed=2024, traced=True) -> OLAPServer:
     values = rng.integers(0, 100, size=sizes).astype(np.float64)
     dims = [Dimension(f"d{i}", list(range(n))) for i, n in enumerate(sizes)]
     obs = Observability() if traced else Observability(tracing=False)
-    # The legacy clear-everything update policy: ``timed_rounds`` relies on
-    # an update between rounds evicting the result cache so assembly (the
-    # traced work) really runs; the default patch policy would keep the
-    # cache warm and this would measure the cache-hit path instead.
     server = OLAPServer(
-        DataCube(values, dims, measure="amount"),
-        observability=obs,
-        update_policy="clear",
+        DataCube(values, dims, measure="amount"), observability=obs
     )
     server.reconfigure()
     return server
@@ -80,13 +74,13 @@ def serve_round(server: OLAPServer) -> int:
 
 
 def timed_rounds(server: OLAPServer, rounds: int) -> float:
-    """Min-of-N wall time of one serving round (an update between rounds
-    defeats the result cache so assembly — the traced work — really runs)."""
+    """Min-of-N wall time of one serving round (an untimed
+    ``reconfigure()`` between rounds drops the result cache and the range
+    intermediates so assembly — the traced work — really runs; without it
+    this would measure the cache-hit path instead)."""
     best = float("inf")
     for _ in range(rounds):
-        server.update(
-            1.0, **{f"d{i}": 0 for i in range(len(server.shape.sizes))}
-        )
+        server.reconfigure()
         t0 = time.perf_counter()
         serve_round(server)
         best = min(best, time.perf_counter() - t0)

@@ -32,15 +32,6 @@ from .exec import (
     fuse_plan,
     plan_batch,
 )
-from .filterbanks import (
-    HAAR,
-    MEAN,
-    ORTHONORMAL_HAAR,
-    FilterPair,
-    analyze_pair,
-    compute_element_with_pair,
-    synthesize_pair,
-)
 from .frequency import (
     covered_measure,
     is_basis,
@@ -81,11 +72,6 @@ from .range_query import (
 )
 from .select_basis import BasisSelection, select_minimum_cost_basis
 from .select_fast import FastBasisResult, select_minimum_cost_basis_fast
-from .validate import (
-    ValidationReport,
-    validate_materialized_set,
-    validate_selection,
-)
 from .select_redundant import (
     GreedyResult,
     GreedyStage,
@@ -95,9 +81,6 @@ from .select_redundant import (
 )
 
 __all__ = [
-    "HAAR",
-    "MEAN",
-    "ORTHONORMAL_HAAR",
     "AccessTracker",
     "AssemblyPlan",
     "BasisSelection",
@@ -116,7 +99,6 @@ __all__ = [
     "plan_batch",
     "CompressedCube",
     "CubeShape",
-    "FilterPair",
     "DynamicViewAssembler",
     "ElementId",
     "FastBasisResult",
@@ -132,13 +114,10 @@ __all__ = [
     "ViewElementGraph",
     "aggregation_cost",
     "analyze",
-    "analyze_pair",
     "basis_population_cost",
     "best_compression_basis",
-    "compute_element_with_pair",
     "explain",
     "render_plan",
-    "synthesize_pair",
     "compute_element",
     "covered_measure",
     "dyadic_decomposition",
@@ -164,9 +143,6 @@ __all__ = [
     "total_frequency_volume",
     "total_processing_cost",
     "total_sum",
-    "ValidationReport",
-    "validate_materialized_set",
-    "validate_selection",
     "view_hierarchy",
     "wavelet_basis",
     "wavelet_packet_basis",

@@ -85,6 +85,11 @@ class AccessTracker:
         }
         self._scale = 1.0
 
+    def weights(self) -> dict[ElementId, float]:
+        """A copy of the current decayed weight of every tracked view."""
+        scale = self._scale
+        return {view: w * scale for view, w in self._weights.items()}
+
     def population(
         self, smoothing: float = 0.0, universe: list[ElementId] | None = None
     ) -> QueryPopulation:

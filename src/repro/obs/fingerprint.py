@@ -11,16 +11,17 @@ into an answer to "what regime is this server in right now?":
   already exist, the profiler just refuses to forget their statistics
   when the tracer ring evicts them.
 - :class:`FingerprintTracker` — exponentially-decayed counters over the
-  serving stream (query-kind mix, per-element hot-key weights, ingest
-  cells, cost-model divergence) summarized into a
-  :class:`WorkloadFingerprint`: a small normalized vector reported in
-  ``health()["fingerprint"]``, comparable across regimes by
-  :meth:`WorkloadFingerprint.distance`.
+  serving stream (query-kind mix, ingest cells, cost-model divergence)
+  summarized into a :class:`WorkloadFingerprint`: a small normalized
+  vector reported in ``health()["fingerprint"]``, comparable across
+  regimes by :meth:`WorkloadFingerprint.distance`.  Key skew is not
+  tracked here: the caller passes ``hot_share`` in, computed from the
+  per-element table it already keeps (the server's
+  :class:`~repro.core.adaptive.AccessTracker`).
 
 Decay is tick-based and lazy (per-slot ``value * decay**(tick - last)``),
-so ``note_query`` is O(1) regardless of how many element keys are being
-tracked — the overhead gate (``bench_flight_overhead``) covers this
-path.
+so ``note_query`` is a handful of float operations — the overhead gate
+(``bench_flight_overhead``) covers this path.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ class WorkloadFingerprint:
     All six coordinates live in ``[0, 1]`` so unweighted L2 distance is
     meaningful: the first three are the query-kind mix (they sum to 1 for
     a non-empty workload), ``hot_share`` is the weight fraction of the
-    top-k hottest elements (key skew), ``ingest_norm`` is the squashed
+    ``hot_top`` hottest elements (key skew), ``ingest_norm`` is the squashed
     ingest-cells-per-query rate ``x / (1 + x)``, and ``divergence_norm``
     is the squashed planned-vs-measured cost-model divergence.
     """
@@ -102,34 +103,25 @@ class FingerprintTracker:
     """Decayed workload accounting feeding :class:`WorkloadFingerprint`.
 
     Every counter is a ``[value, last_tick]`` slot decayed lazily by
-    ``decay ** (tick - last_tick)`` — one global tick per query — so the
-    per-query cost is a few dict operations whatever the tracked-element
-    count.  The element table is bounded: on overflow the lightest
-    (effective-weight) key is evicted, which is exactly the key that
-    least affects ``hot_share``.
+    ``decay ** (tick - last_tick)`` — one global tick per query.
+    ``hot_top`` is how many of the hottest elements ``hot_share`` covers;
+    the share itself is handed to :meth:`fingerprint` / :meth:`snapshot`
+    by whoever owns the per-element table.
     """
 
-    def __init__(
-        self,
-        decay: float = 0.995,
-        hot_top: int = 8,
-        max_elements: int = 512,
-    ):
+    def __init__(self, decay: float = 0.995, hot_top: int = 8):
         if not 0.0 < decay <= 1.0:
             raise ValueError("decay must be in (0, 1]")
         self.decay = float(decay)
         self.hot_top = int(hot_top)
-        self.max_elements = int(max_elements)
         self._lock = threading.Lock()
         self._tick = 0
         self._kinds = {kind: [0.0, 0] for kind in QUERY_KINDS}
-        self._elements: dict = {}
         self._ingest = [0.0, 0]
         self._divergence: float | None = None
         self._divergence_alpha = 0.2
         self.queries = 0
         self.ingest_batches = 0
-        self.evicted_elements = 0
 
     def _bump(self, slot: list, amount: float) -> None:
         value, last = slot
@@ -139,7 +131,7 @@ class FingerprintTracker:
     def _effective(self, slot: list) -> float:
         return slot[0] * self.decay ** (self._tick - slot[1])
 
-    def note_query(self, kind: str, element_key=None) -> None:
+    def note_query(self, kind: str) -> None:
         """Account one served query (``kind`` in :data:`QUERY_KINDS`)."""
         if kind not in self._kinds:
             return
@@ -147,18 +139,6 @@ class FingerprintTracker:
             self._tick += 1
             self.queries += 1
             self._bump(self._kinds[kind], 1.0)
-            if element_key is None:
-                return
-            slot = self._elements.get(element_key)
-            if slot is None:
-                if len(self._elements) >= self.max_elements:
-                    lightest = min(
-                        self._elements, key=lambda k: self._effective(self._elements[k])
-                    )
-                    del self._elements[lightest]
-                    self.evicted_elements += 1
-                slot = self._elements[element_key] = [0.0, self._tick]
-            self._bump(slot, 1.0)
 
     def note_ingest(self, cells: int) -> None:
         """Account one applied ingest batch of ``cells`` updates."""
@@ -176,18 +156,13 @@ class FingerprintTracker:
                 alpha = self._divergence_alpha
                 self._divergence += alpha * (value - self._divergence)
 
-    def fingerprint(self) -> WorkloadFingerprint:
+    def fingerprint(self, hot_share: float = 0.0) -> WorkloadFingerprint:
         with self._lock:
             kinds = {
                 kind: self._effective(slot)
                 for kind, slot in self._kinds.items()
             }
             total = sum(kinds.values())
-            weights = sorted(
-                (self._effective(slot) for slot in self._elements.values()),
-                reverse=True,
-            )
-            weight_total = sum(weights)
             ingest = self._effective(self._ingest)
             divergence = self._divergence or 0.0
         if total <= 0.0:
@@ -197,25 +172,19 @@ class FingerprintTracker:
             view_frac=kinds["view"] / total,
             rollup_frac=kinds["rollup"] / total,
             range_frac=kinds["range"] / total,
-            hot_share=(
-                sum(weights[: self.hot_top]) / weight_total
-                if weight_total > 0.0
-                else 0.0
-            ),
+            hot_share=hot_share,
             ingest_norm=rate / (1.0 + rate),
             divergence_norm=divergence / (1.0 + divergence),
         )
 
-    def snapshot(self) -> dict:
+    def snapshot(self, hot_share: float = 0.0) -> dict:
         """JSON-friendly state for ``health()`` and diag bundles."""
-        fp = self.fingerprint()
+        fp = self.fingerprint(hot_share)
         with self._lock:
             return {
                 "fingerprint": fp.to_dict(),
                 "queries": self.queries,
                 "ingest_batches": self.ingest_batches,
-                "tracked_elements": len(self._elements),
-                "evicted_elements": self.evicted_elements,
                 "decay": self.decay,
                 "hot_top": self.hot_top,
             }

@@ -12,6 +12,15 @@ failure; this package holds the machinery that exercises and bounds it:
 - :mod:`repro.resilience.deadline` — per-query/batch deadlines, propagated
   by contextvar so the DAG executor can observe them between node
   dispatches without signature plumbing.
+- :mod:`repro.resilience.retry` — :func:`retry_transient`, the one
+  transient-fault retry loop: fresh scratch counter per try (merged only
+  for the try that served), exponential backoff bounded by the ambient
+  deadline, the last fault re-raised on exhaustion.  Its five callers keep
+  only their own fallback: ``OLAPServer._assemble_resilient`` (base cube),
+  ``OLAPServer._assemble_batch_resilient`` (per-element recovery),
+  ``OLAPServer.range_sum`` (direct range sum over the base cube),
+  ``ShardedSet._execute_shard`` and ``ShardedSet._local_assemble_resilient``
+  (the shard's base slab).
 - :mod:`repro.resilience.chaos` — the ``python -m repro chaos`` driver:
   replays a seeded fault plan against a workload on a live server and
   reports survival (every answer bit-identical to a fault-free run).
@@ -31,6 +40,7 @@ from .faults import (
     current_injector,
     fault_point,
 )
+from .retry import retry_transient
 
 __all__ = [
     "ChaosConfig",
@@ -45,5 +55,6 @@ __all__ = [
     "deadline_scope",
     "fault_point",
     "render_report",
+    "retry_transient",
     "run_chaos",
 ]

@@ -6,9 +6,15 @@ materializes view element sets (Algorithm 1, optionally Algorithm 2 under a
 storage budget), and serves aggregated views, roll-ups, and range queries —
 with per-query operation accounting throughout.
 
-It is a thin composition of the public pieces (``repro.cube``,
-``repro.core``), so everything it does can also be done directly; the value
-is a single object with sane defaults for applications and examples.
+Every answer it gives can also be computed with the public pieces
+(``repro.cube``, ``repro.core``) directly; what exists only here is the
+serving machinery around them.  Each per-query mechanism exists once: one
+serve envelope that every view, batch and range passes through
+(:meth:`OLAPServer._serve` — admission, deadline, one span, one accounting),
+one retry loop shared with the shards
+(:func:`repro.resilience.retry.retry_transient`), one routine that publishes
+a serving state, one workload table (:class:`~repro.core.adaptive.
+AccessTracker`), and the ``server_*`` metrics declared once at construction.
 
 Serving amenities that live only here:
 
@@ -71,6 +77,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -114,12 +121,9 @@ from .obs.flight import (
 )
 from .obs.http import TelemetryServer
 from .obs.profile import query_profile
-from .resilience.deadline import (
-    Deadline,
-    current_deadline,
-    deadline_scope,
-)
+from .resilience.deadline import Deadline, deadline_scope
 from .resilience.faults import fault_point
+from .resilience.retry import retry_transient
 from .shard.partition import CubePartition
 from .shard.sets import ShardedSet
 
@@ -135,7 +139,7 @@ MAX_WORKERS = 4
 MAX_RETRIES = 2
 RETRY_BACKOFF_MS = 5.0
 
-#: Per-query flag bucket for the serving context: ``_serving`` installs a
+#: Per-query flag bucket for the serving context: ``_serve`` installs a
 #: fresh dict, resilience paths mark it (``degraded``), and the alert feed
 #: reads it — without threading a handle through every serve method.
 _SERVING_FLAGS: ContextVar[dict | None] = ContextVar(
@@ -195,7 +199,6 @@ class OLAPServer:
         degrade_to_base: bool = True,
         shards: int = 1,
         shard_axis: int | None = None,
-        update_policy: str = "patch",
         durability: DurabilityConfig | str | Path | None = None,
         alerts: AlertEngine | bool = True,
         flight: bool = True,
@@ -238,12 +241,6 @@ class OLAPServer:
         monolithic serving for integer-valued cubes on any axis, and for
         float cubes when the shard axis is the last dimension.
 
-        ``update_policy`` picks what a data update does to warm serving
-        state: ``"patch"`` (default) propagates the delta into cached
-        answers and range intermediates in place (exact — every view
-        element is linear in the cube), ``"clear"`` restores the legacy
-        drop-everything behaviour.
-
         ``durability`` (a :class:`~repro.durability.DurabilityConfig` or a
         bare directory path) makes acknowledged updates survive crashes:
         every update batch is appended to a write-ahead log before
@@ -285,6 +282,7 @@ class OLAPServer:
         self.obs = observability if observability is not None else Observability()
         self.metrics = self.obs.registry
         self.tracer = self.obs.tracer
+        self._m = self._declare_metrics()
         # Incident observability: flight recorder + site profiler ride the
         # tracer's finish-listener stream, so they attach only when this
         # server actually traces (the telemetry-off baseline pays nothing).
@@ -315,11 +313,6 @@ class OLAPServer:
         self.max_retries = int(max_retries)
         self.retry_backoff_ms = float(retry_backoff_ms)
         self.degrade_to_base = degrade_to_base
-        if update_policy not in ("patch", "clear"):
-            raise ValueError(
-                f"update_policy must be 'patch' or 'clear', got {update_policy!r}"
-            )
-        self.update_policy = update_policy
         self._admission = (
             threading.BoundedSemaphore(max_in_flight)
             if max_in_flight is not None
@@ -327,9 +320,6 @@ class OLAPServer:
         )
         self._cache_entries = int(cache_entries)
         self._cache_cells = cache_cells
-        self.metrics.gauge(
-            "server_epoch", "current selection epoch of the result cache"
-        ).set(0)
         self._engine: SelectionEngine | None = None
         self.shards = int(shards)
         self._partition = (
@@ -340,12 +330,7 @@ class OLAPServer:
         # Start with the trivial selection: the cube itself.
         materialized = self._new_materialized()
         materialized.store(self.shape.root(), cube.values)
-        self._state = _ServingState(
-            materialized=materialized,
-            range_engine=RangeQueryEngine(materialized),
-            epoch=0,
-            cache=self._new_cache(),
-        )
+        self._publish(materialized, epoch=0)
         # Durability: attached last, so the bootstrap snapshot captures a
         # fully constructed server.
         self._durability: DurabilityConfig | None = None
@@ -361,14 +346,104 @@ class OLAPServer:
         if durability is not None:
             self._attach_durability(durability, bootstrap=True)
 
-    def _new_cache(self) -> LRUCache:
-        return LRUCache(
-            max_entries=self._cache_entries,
-            max_weight=self._cache_cells,
-            weigh=lambda values: values.size,
-            registry=self.metrics,
-            name="view_cache",
+    def _declare_metrics(self) -> SimpleNamespace:
+        """Every metric this class writes, declared once: the serving paths
+        and :meth:`health` use these handles, not by-name lookups."""
+        counter, gauge = self.metrics.counter, self.metrics.gauge
+        return SimpleNamespace(
+            queries=counter("server_queries_total", "queries served, by kind"),
+            batches=counter(
+                "server_batches_total", "batch requests served, by kind"
+            ),
+            operations=counter(
+                "server_operations_total", "scalar operations spent serving"
+            ),
+            latency=self.metrics.histogram(
+                "server_latency_ms", "wall milliseconds per served call"
+            ),
+            in_flight=gauge("server_in_flight", "queries currently admitted"),
+            admission_rejected=counter(
+                "server_admission_rejected_total",
+                "queries rejected at the admission bound",
+            ),
+            timeouts=counter(
+                "server_timeouts_total", "queries cancelled by their deadline"
+            ),
+            retries=counter(
+                "server_retries_total", "transient-fault retries performed"
+            ),
+            retry_exhausted=counter(
+                "server_retry_exhausted_total",
+                "queries failed after exhausting retries",
+            ),
+            degraded=counter(
+                "server_degraded_total",
+                "queries answered from the base cube after quarantine",
+            ),
+            cache_bypass=counter(
+                "server_cache_bypass_total",
+                "cache lookups degraded to a recompute by a cache fault",
+            ),
+            quarantined=gauge(
+                "server_quarantined_elements",
+                "stored elements currently quarantined by integrity checks",
+            ),
+            epoch=gauge(
+                "server_epoch", "current selection epoch of the result cache"
+            ),
+            reconfigurations=counter(
+                "server_reconfigurations_total", "re-selections performed"
+            ),
+            migration_operations=self.metrics.histogram(
+                "reconfigure_migration_operations",
+                "scalar operations spent migrating the materialized set",
+            ),
+            snapshots=counter(
+                "server_snapshots_total", "serving-state snapshots taken"
+            ),
+            snapshot_failures=counter(
+                "server_snapshot_failures_total",
+                "background snapshots that raised",
+            ),
+            alerts=counter(
+                "server_alerts_total", "burn-rate alerts fired, by rule"
+            ),
+            diag_dump_failures=counter(
+                "server_diag_dump_failures_total",
+                "diagnostic bundle dumps that raised",
+            ),
+            updates=counter(
+                "server_updates_total", "incremental cell updates applied"
+            ),
+            update_cache_patched=counter(
+                "server_update_cache_patched_total",
+                "cached entries repaired in place by update deltas",
+            ),
+            update_cache_cleared=counter(
+                "server_update_cache_cleared_total",
+                "coarse warm-state invalidations performed by updates",
+            ),
         )
+
+    def _publish(self, materialized, epoch: int) -> _ServingState:
+        """Build the serving state around ``materialized`` (fresh range
+        engine, empty result cache) and publish it, with its epoch gauge,
+        in one reference assignment."""
+        state = _ServingState(
+            materialized=materialized,
+            range_engine=RangeQueryEngine(materialized),
+            epoch=epoch,
+            cache=LRUCache(
+                max_entries=self._cache_entries,
+                max_weight=self._cache_cells,
+                weigh=lambda values: values.size,
+                registry=self.metrics,
+                name="view_cache",
+            ),
+        )
+        self._state = state
+        self._m.epoch.set(epoch)
+        return state
 
     def _new_materialized(self):
         """A fresh storage backend: monolithic, or sharded slabs."""
@@ -400,10 +475,6 @@ class OLAPServer:
     def _view_cache(self) -> LRUCache:
         return self._state.cache
 
-    @property
-    def _range_engine(self) -> RangeQueryEngine:
-        return self._state.range_engine
-
     # ------------------------------------------------------------------
     # Construction
 
@@ -421,31 +492,17 @@ class OLAPServer:
         return cls(cube, **kwargs)
 
     # ------------------------------------------------------------------
-    # Admission, deadlines, retries
+    # The serve envelope: admission, deadline, span, accounting, retries
 
-    @contextmanager
-    def _admit(self, kind: str):
-        """Hold one admission slot for the duration of a query.
+    def _acquire_slot(self, kind: str) -> None:
+        """Take one admission slot or raise :class:`AdmissionRejected`.
 
-        With no ``max_in_flight`` this is free.  At capacity, waits up to
-        ``admission_wait_ms`` (0 = fail-fast) and then raises
-        :class:`AdmissionRejected`; the slot is always released on exit —
-        including when the query times out or fails."""
-        if self._admission is None:
-            yield
-            return
+        At capacity, waits up to ``admission_wait_ms`` (0 = fail-fast)."""
         wait = self.admission_wait_ms / 1e3
-        acquired = self._admission.acquire(
+        if not self._admission.acquire(
             blocking=wait > 0, timeout=wait if wait > 0 else None
-        )
-        gauge = self.metrics.gauge(
-            "server_in_flight", "queries currently admitted"
-        )
-        if not acquired:
-            self.metrics.counter(
-                "server_admission_rejected_total",
-                "queries rejected at the admission bound",
-            ).inc(kind=kind)
+        ):
+            self._m.admission_rejected.inc(kind=kind)
             log_event(
                 "admission_rejected", kind=kind, limit=self.max_in_flight
             )
@@ -453,12 +510,7 @@ class OLAPServer:
                 f"server at capacity ({self.max_in_flight} in flight)",
                 limit=self.max_in_flight,
             )
-        gauge.inc(1)
-        try:
-            yield
-        finally:
-            self._admission.release()
-            gauge.inc(-1)
+        self._m.in_flight.inc(1)
 
     def _deadline_for(self, deadline_ms: float | None) -> Deadline | None:
         if deadline_ms is None:
@@ -468,75 +520,106 @@ class OLAPServer:
         return Deadline.after(deadline_ms / 1e3)
 
     @contextmanager
-    def _serving(self, kind: str, deadline_ms: float | None):
-        """Admission + deadline + timeout + latency accounting per query.
+    def _serve(
+        self,
+        span_name: str,
+        kind: str,
+        deadline_ms: float | None,
+        tracked: Sequence[ElementId] = (),
+        queries: int = 1,
+        **attrs,
+    ):
+        """The one envelope every view, batch and range is served in.
 
-        Every admitted call — served, timed out, or failed — lands one
+        Entering takes an admission slot (always released on exit, also
+        when the query times out or fails), opens the deadline scope and
+        the call's one span, and counts ``queries`` requests of ``kind``.
+        The body gets ``(state, counter, span)``.  When it returns, the
+        call is accounted once: ``stats``, one tracker record per
+        ``tracked`` element, the operations counter, the quarantine gauge.
+        Every call — served, timed out, rejected or failed — lands one
         observation in the ``server_latency_ms`` histogram (labelled by
         kind and outcome), which is where :meth:`health`'s SLO quantiles
-        come from.
+        come from, and one alert-engine record.
         """
-        start = time.perf_counter()
-        outcome = "ok"
-        flags = {"degraded": False}
-        token = _SERVING_FLAGS.set(flags)
-        try:
-            with self._admit(kind), deadline_scope(
-                self._deadline_for(deadline_ms)
-            ):
-                yield
-        except QueryTimeout:
-            outcome = "timeout"
-            self.metrics.counter(
-                "server_timeouts_total", "queries cancelled by their deadline"
-            ).inc(kind=kind)
-            log_event("deadline_missed", kind=kind, deadline_ms=deadline_ms)
-            raise
-        except AdmissionRejected:
-            outcome = "rejected"
-            raise
-        except BaseException:
-            outcome = "error"
-            raise
-        finally:
-            _SERVING_FLAGS.reset(token)
-            latency_ms = (time.perf_counter() - start) * 1e3
-            self.metrics.histogram(
-                "server_latency_ms", "wall milliseconds per served call"
-            ).observe(latency_ms, kind=kind, outcome=outcome)
-            if self.alerts is not None:
-                self.alerts.record(
-                    outcome, latency_ms, degraded=flags["degraded"]
-                )
+        m = self._m
+        admission = self._admission
+        with self.obs.activate():
+            start = time.perf_counter()
+            outcome = "ok"
+            flags = {"degraded": False}
+            token = _SERVING_FLAGS.set(flags)
+            try:
+                if admission is not None:
+                    self._acquire_slot(kind)
+                try:
+                    with deadline_scope(self._deadline_for(deadline_ms)), span(
+                        span_name, kind=kind, **attrs
+                    ) as sp:
+                        m.queries.inc(queries, kind=kind)
+                        for _ in range(queries):
+                            self.fingerprints.note_query(kind)
+                        state = self._state
+                        counter = OpCounter()
+                        yield state, counter, sp
+                        with self._stats_lock:
+                            self.stats.queries += queries
+                            self.stats.operations += counter.total
+                            for element in tracked:
+                                self.tracker.record(element)
+                        m.operations.inc(counter.total)
+                        m.quarantined.set(len(state.materialized.quarantined))
+                        sp.set(operations=counter.total)
+                finally:
+                    if admission is not None:
+                        admission.release()
+                        m.in_flight.inc(-1)
+            except QueryTimeout:
+                outcome = "timeout"
+                m.timeouts.inc(kind=kind)
+                log_event("deadline_missed", kind=kind, deadline_ms=deadline_ms)
+                raise
+            except AdmissionRejected:
+                outcome = "rejected"
+                raise
+            except BaseException:
+                outcome = "error"
+                raise
+            finally:
+                _SERVING_FLAGS.reset(token)
+                latency_ms = (time.perf_counter() - start) * 1e3
+                m.latency.observe(latency_ms, kind=kind, outcome=outcome)
+                if self.alerts is not None:
+                    self.alerts.record(
+                        outcome, latency_ms, degraded=flags["degraded"]
+                    )
 
-    def _backoff(self, attempt: int) -> None:
-        """Exponential backoff bounded by the remaining deadline."""
-        delay = (self.retry_backoff_ms / 1e3) * (2 ** (attempt - 1))
-        deadline = current_deadline()
-        if deadline is not None:
-            deadline.check("server.retry")
-            delay = min(delay, max(0.0, deadline.remaining()))
-        if delay > 0:
-            time.sleep(delay)
+    def _retry(self, attempt, counter: OpCounter, *, fatal: bool = True):
+        """:func:`retry_transient` on this server's budget, with telemetry.
 
-    def _note_retry(self, attempt: int) -> None:
-        self.metrics.counter(
-            "server_retries_total", "transient-fault retries performed"
-        ).inc()
-        exhausted = attempt > self.max_retries
-        add_span_event("retry", attempt=attempt, exhausted=exhausted)
-        log_event("retry", attempt=attempt, exhausted=exhausted)
-        if exhausted:
-            self.metrics.counter(
-                "server_retry_exhausted_total",
-                "queries failed after exhausting retries",
-            ).inc()
+        Every fault is counted and emits a ``retry`` span / log event.
+        Exhaustion is flagged and counted only when ``fatal`` — the
+        re-raised fault fails the call; a caller whose fallback still
+        serves the answer passes ``False``."""
+
+        def note(faults: int) -> None:
+            self._m.retries.inc()
+            exhausted = fatal and faults > self.max_retries
+            add_span_event("retry", attempt=faults, exhausted=exhausted)
+            log_event("retry", attempt=faults, exhausted=exhausted)
+            if exhausted:
+                self._m.retry_exhausted.inc()
+
+        return retry_transient(
+            attempt,
+            counter,
+            max_retries=self.max_retries,
+            backoff_ms=self.retry_backoff_ms,
+            on_retry=note,
+        )
 
     def _note_degraded(self) -> None:
-        self.metrics.counter(
-            "server_degraded_total",
-            "queries answered from the base cube after quarantine",
-        ).inc()
+        self._m.degraded.inc()
         add_span_event("fallback", target="base_cube")
         log_event("fallback", target="base_cube")
         flags = _SERVING_FLAGS.get()
@@ -551,34 +634,25 @@ class OLAPServer:
     ) -> np.ndarray:
         """Assemble one element with retries and base-cube degradation.
 
-        Each attempt uses a scratch counter merged only on success, so the
-        caller's accounting reflects the answer actually served; a
-        quarantine-induced incomplete set falls back to the perfect
+        A quarantine-induced incomplete set falls back to the perfect
         reconstruction route from the base cube (bit-identical for the
-        integer-valued measures the chaos gate replays)."""
-        attempt = 0
-        while True:
+        integer-valued measures the chaos gate replays); its scratch
+        counter, like the retry loop's, is merged only once it served."""
+        try:
+            return self._retry(
+                lambda scratch: materialized.assemble(element, counter=scratch),
+                counter,
+            )
+        except IncompleteSetError:
+            if not self.degrade_to_base:
+                raise
             scratch = OpCounter()
-            try:
-                values = materialized.assemble(element, counter=scratch)
-                counter.merge(scratch)
-                return values
-            except TransientFault:
-                attempt += 1
-                self._note_retry(attempt)
-                if attempt > self.max_retries:
-                    raise
-                self._backoff(attempt)
-            except IncompleteSetError:
-                if not self.degrade_to_base:
-                    raise
-                scratch = OpCounter()
-                values = compute_element(
-                    self.cube.values, element, counter=scratch
-                )
-                counter.merge(scratch)
-                self._note_degraded()
-                return values
+            values = compute_element(
+                self.cube.values, element, counter=scratch
+            )
+            counter.merge(scratch)
+            self._note_degraded()
+            return values
 
     def _assemble_batch_resilient(
         self,
@@ -596,25 +670,19 @@ class OLAPServer:
         set went incomplete mid-plan), recovery proceeds per element, where
         each target gets its own independent retry/degradation budget.
         """
-        attempt = 0
-        while True:
-            scratch = OpCounter()
-            try:
-                results = materialized.assemble_batch(
+        try:
+            return self._retry(
+                lambda scratch: materialized.assemble_batch(
                     missing, counter=scratch, max_workers=max_workers
-                )
-                counter.merge(scratch)
-                return results
-            except TransientFault:
-                attempt += 1
-                self._note_retry(attempt)
-                if attempt > self.max_retries:
-                    break
-                self._backoff(attempt)
-            except IncompleteSetError:
-                if not self.degrade_to_base:
-                    raise
-                break
+                ),
+                counter,
+                fatal=False,
+            )
+        except TransientFault:
+            pass
+        except IncompleteSetError:
+            if not self.degrade_to_base:
+                raise
         return {
             element: self._assemble_resilient(materialized, element, counter)
             for element in dict.fromkeys(missing)
@@ -700,10 +768,7 @@ class OLAPServer:
             fault_point("server.cache_lookup", key=key)
             return state.cache.get(key)
         except TransientFault:
-            self.metrics.counter(
-                "server_cache_bypass_total",
-                "cache lookups degraded to a recompute by a cache fault",
-            ).inc()
+            self._m.cache_bypass.inc()
             return None
 
     def _serve_element(
@@ -718,27 +783,23 @@ class OLAPServer:
         assemble contract already says "treat as read-only"), so hits are
         bit-identical to misses and cost zero scalar operations.
         """
-        with self.obs.activate(), self._serving(kind, deadline_ms), span(
-            "server.query", kind=kind, element=element.describe()
-        ) as sp:
-            self.metrics.counter(
-                "server_queries_total", "queries served, by kind"
-            ).inc(kind=kind)
-            self.fingerprints.note_query(kind, (kind, element))
-            state = self._state
+        with self._serve(
+            "server.query",
+            kind,
+            deadline_ms,
+            tracked=(element,),
+            element=element.describe(),
+        ) as (state, counter, sp):
             key = (element, state.epoch)
-            cached = self._cache_get(state, key)
-            if cached is not None:
-                self._account(element, OpCounter(), state)
-                sp.set(cache="hit", operations=0)
-                return cached
-            counter = OpCounter()
+            values = self._cache_get(state, key)
+            if values is not None:
+                sp.set(cache="hit")
+                return values
             values = self._assemble_resilient(
                 state.materialized, element, counter
             )
             state.cache.put(key, values)
-            self._account(element, counter, state)
-            sp.set(cache="miss", operations=counter.total)
+            sp.set(cache="miss")
             return values
 
     def _serve_batch(
@@ -756,15 +817,14 @@ class OLAPServer:
         """
         if max_workers is None:
             max_workers = MAX_WORKERS
-        with self.obs.activate(), self._serving(kind, deadline_ms), span(
-            "server.query_batch", kind=kind, requests=len(elements)
-        ) as sp:
-            self.metrics.counter(
-                "server_queries_total", "queries served, by kind"
-            ).inc(len(elements), kind=kind)
-            for element in elements:
-                self.fingerprints.note_query(kind, (kind, element))
-            state = self._state
+        with self._serve(
+            "server.query_batch",
+            kind,
+            deadline_ms,
+            tracked=elements,
+            queries=len(elements),
+            requests=len(elements),
+        ) as (state, counter, sp):
             answers: dict[ElementId, np.ndarray] = {}
             missing: list[ElementId] = []
             hits = 0
@@ -775,7 +835,6 @@ class OLAPServer:
                     hits += 1
                 else:
                     missing.append(element)
-            counter = OpCounter()
             if missing:
                 assembled = self._assemble_batch_resilient(
                     state.materialized, missing, counter, max_workers
@@ -783,96 +842,40 @@ class OLAPServer:
                 for element, values in assembled.items():
                     state.cache.put((element, state.epoch), values)
                     answers[element] = values
-            with self._stats_lock:
-                self.stats.queries += len(elements)
-                self.stats.operations += counter.total
-                for element in elements:
-                    self.tracker.record(element)
-            self.metrics.counter(
-                "server_operations_total", "scalar operations spent serving"
-            ).inc(counter.total)
-            self.metrics.counter(
-                "server_batches_total", "batch requests served, by kind"
-            ).inc(kind=kind)
-            self._sync_degradation_gauge(state)
-            sp.set(
-                cache_hits=hits,
-                assembled=len(missing),
-                operations=counter.total,
-            )
+            self._m.batches.inc(kind=kind)
+            sp.set(cache_hits=hits, assembled=len(missing))
             return [answers[element] for element in elements]
 
     def range_sum(self, ranges, deadline_ms: float | None = None) -> float:
         """SUM over a multi-dimensional half-open coordinate range."""
-        with self.obs.activate(), self._serving("range", deadline_ms), span(
-            "server.query", kind="range"
-        ) as sp:
-            self.metrics.counter(
-                "server_queries_total", "queries served, by kind"
-            ).inc(kind="range")
-            state = self._state
+        with self._serve("server.query", "range", deadline_ms) as (
+            state,
+            counter,
+            sp,
+        ):
             ranges = tuple((int(lo), int(hi)) for lo, hi in ranges)
-            self.fingerprints.note_query("range", ("range", ranges))
-            attempt = 0
-            while True:
-                counter = OpCounter()
-                try:
-                    answer = state.range_engine.range_sum(
-                        ranges, counter=counter
-                    )
-                    value = answer.value
-                    cells_read = answer.cells_read
-                    break
-                except TransientFault:
-                    attempt += 1
-                    self._note_retry(attempt)
-                    if attempt > self.max_retries:
-                        raise
-                    self._backoff(attempt)
-                except IncompleteSetError:
-                    if not self.degrade_to_base:
-                        raise
-                    counter = OpCounter()
-                    value = range_sum_direct(
-                        self.cube.values, ranges, counter=counter
-                    )
-                    cells_read = 0
-                    self._note_degraded()
-                    break
-            with self._stats_lock:
-                self.stats.queries += 1
-                self.stats.operations += counter.total
-            self.metrics.counter(
-                "server_operations_total", "scalar operations spent serving"
-            ).inc(counter.total)
-            self._sync_degradation_gauge(state)
-            sp.set(operations=counter.total, cells_read=cells_read)
+            try:
+                answer = self._retry(
+                    lambda scratch: state.range_engine.range_sum(
+                        ranges, counter=scratch
+                    ),
+                    counter,
+                )
+                value, cells_read = answer.value, answer.cells_read
+            except IncompleteSetError:
+                if not self.degrade_to_base:
+                    raise
+                value = range_sum_direct(
+                    self.cube.values, ranges, counter=counter
+                )
+                cells_read = 0
+                self._note_degraded()
+            sp.set(cells_read=cells_read)
             return value
 
     def cell(self, **coordinates) -> float:
         """One cube cell, addressed by dimension values."""
         return self.cube.cell(**coordinates)
-
-    def _account(
-        self,
-        element: ElementId,
-        counter: OpCounter,
-        state: _ServingState | None = None,
-    ) -> None:
-        with self._stats_lock:
-            self.stats.queries += 1
-            self.stats.operations += counter.total
-            self.tracker.record(element)
-        self.metrics.counter(
-            "server_operations_total", "scalar operations spent serving"
-        ).inc(counter.total)
-        self._sync_degradation_gauge(state if state is not None else self._state)
-
-    def _sync_degradation_gauge(self, state: _ServingState) -> None:
-        self.metrics.gauge(
-            "server_quarantined_elements",
-            "stored elements currently quarantined by integrity checks",
-        ).set(len(state.materialized.quarantined))
 
     # ------------------------------------------------------------------
     # Reconfiguration
@@ -942,24 +945,13 @@ class OLAPServer:
                             state.materialized, element, migration
                         ),
                     )
-            new_state = _ServingState(
-                materialized=new_set,
-                range_engine=RangeQueryEngine(new_set),
-                epoch=state.epoch + 1,
-                cache=self._new_cache(),
-            )
-            self._state = new_state
+            new_state = self._publish(new_set, state.epoch + 1)
             # Release the superseded cache's arrays promptly; in-flight
             # queries holding the old state at worst recompute on a miss.
             state.cache.clear()
             self.stats.reconfigurations += 1
             self.stats.last_expected_cost = float(expected)
-            self.metrics.counter(
-                "server_reconfigurations_total", "re-selections performed"
-            ).inc()
-            self.metrics.gauge(
-                "server_epoch", "current selection epoch of the result cache"
-            ).set(new_state.epoch)
+            self._m.reconfigurations.inc()
             log_event(
                 "epoch_bump",
                 epoch=new_state.epoch,
@@ -967,10 +959,7 @@ class OLAPServer:
                 expected_cost=float(expected),
                 **selected_by,
             )
-            self.metrics.histogram(
-                "reconfigure_migration_operations",
-                "scalar operations spent migrating the materialized set",
-            ).observe(migration.total)
+            self._m.migration_operations.observe(migration.total)
             sp.set(
                 operations=migration.total,
                 epoch=new_state.epoch,
@@ -1068,9 +1057,7 @@ class OLAPServer:
                 self._last_snapshot_monotonic = time.monotonic()
                 if self._wal is not None:
                     pruned = self._wal.prune(self._snapshot_seq)
-            self.metrics.counter(
-                "server_snapshots_total", "serving-state snapshots taken"
-            ).inc()
+            self._m.snapshots.inc()
             log_event(
                 "snapshot_taken",
                 path=str(path),
@@ -1188,16 +1175,7 @@ class OLAPServer:
                                 self.cube.values, element, counter=counter
                             ),
                         )
-            new_state = _ServingState(
-                materialized=new_set,
-                range_engine=RangeQueryEngine(new_set),
-                epoch=epoch,
-                cache=self._new_cache(),
-            )
-            self._state = new_state
-            self.metrics.gauge(
-                "server_epoch", "current selection epoch of the result cache"
-            ).set(epoch)
+            self._publish(new_set, epoch)
 
     def _replay_wal(self, after_seq: int, snapshot_path: Path) -> None:
         """Apply the WAL suffix through the normal update path."""
@@ -1242,10 +1220,7 @@ class OLAPServer:
                 try:
                     self.snapshot()
                 except Exception as exc:  # noqa: BLE001 - keep the cadence
-                    self.metrics.counter(
-                        "server_snapshot_failures_total",
-                        "background snapshots that raised",
-                    ).inc()
+                    self._m.snapshot_failures.inc()
                     with self.obs.activate():
                         log_event(
                             "snapshot_failed",
@@ -1306,9 +1281,8 @@ class OLAPServer:
         with self._stats_lock:
             queries = self.stats.queries
             reconfigurations = self.stats.reconfigurations
-        latency = self.metrics.histogram(
-            "server_latency_ms", "wall milliseconds per served call"
-        )
+        m = self._m
+        latency = m.latency
         latency_by_kind: dict[str, dict] = {}
         for key in latency.labelsets():
             labels = dict(key)
@@ -1325,12 +1299,10 @@ class OLAPServer:
         denominator = max(1, queries)
         slo = {
             "latency_ms": latency_by_kind,
-            "timeout_rate": _total("server_timeouts_total") / denominator,
-            "rejection_rate": (
-                _total("server_admission_rejected_total") / denominator
-            ),
-            "retry_rate": _total("server_retries_total") / denominator,
-            "degraded_rate": _total("server_degraded_total") / denominator,
+            "timeout_rate": m.timeouts.total() / denominator,
+            "rejection_rate": m.admission_rejected.total() / denominator,
+            "retry_rate": m.retries.total() / denominator,
+            "degraded_rate": m.degraded.total() / denominator,
             "tracer_dropped_spans": self.tracer.dropped_spans,
             "events_dropped": self.obs.events.dropped_events,
             "telemetry_loss": self._telemetry_loss(),
@@ -1341,20 +1313,18 @@ class OLAPServer:
             "stored_elements": len(state.materialized),
             "quarantined_elements": len(quarantined),
             "quarantined": [e.describe() for e in quarantined],
-            "in_flight": self.metrics.gauge(
-                "server_in_flight", "queries currently admitted"
-            ).value(),
+            "in_flight": m.in_flight.value(),
             "max_in_flight": self.max_in_flight,
             "queries": queries,
             "reconfigurations": reconfigurations,
-            "admission_rejected": _total("server_admission_rejected_total"),
-            "timeouts": _total("server_timeouts_total"),
-            "retries": _total("server_retries_total"),
-            "degraded_serves": _total("server_degraded_total"),
-            "updates": _total("server_updates_total"),
-            "updates_cache_patched": _total("server_update_cache_patched_total"),
-            "updates_cache_cleared": _total("server_update_cache_cleared_total"),
-            "cache_bypasses": _total("server_cache_bypass_total"),
+            "admission_rejected": m.admission_rejected.total(),
+            "timeouts": m.timeouts.total(),
+            "retries": m.retries.total(),
+            "degraded_serves": m.degraded.total(),
+            "updates": m.updates.total(),
+            "updates_cache_patched": m.update_cache_patched.total(),
+            "updates_cache_cleared": m.update_cache_cleared.total(),
+            "cache_bypasses": m.cache_bypass.total(),
             "integrity_failures": _total("integrity_failures_total"),
             "faults_injected": _total("faults_injected_total"),
             "buffer_pool": state.materialized.pool_stats(),
@@ -1377,7 +1347,18 @@ class OLAPServer:
         }
         if self.alerts is not None:
             payload["alerts"] = self.alerts.snapshot()
-        payload["fingerprint"] = self.fingerprints.snapshot()
+        # Key skew comes from the one per-element table the server keeps:
+        # the tracker the serve envelope feeds (ranges record no element).
+        with self._stats_lock:
+            tracked = self.tracker.weights()
+        weights = sorted(tracked.values(), reverse=True)
+        total = sum(weights)
+        hot = sum(weights[: self.fingerprints.hot_top])
+        fingerprint = self.fingerprints.snapshot(
+            hot_share=hot / total if total > 0.0 else 0.0
+        )
+        fingerprint["tracked_elements"] = len(weights)
+        payload["fingerprint"] = fingerprint
         if self.flight is not None:
             payload["flight"] = self.flight.snapshot()
         if self._partition is not None:
@@ -1460,9 +1441,9 @@ class OLAPServer:
     def note_divergence(self, divergence: float) -> None:
         """Feed a planned-vs-measured cost divergence observation.
 
-        The adaptation loop / online tuner calls this with its measured
-        cost-model divergence; it becomes the fingerprint's
-        ``divergence_norm`` coordinate.
+        A caller that measures cost-model divergence (e.g. from
+        :meth:`query_profile`) reports it here; it becomes the
+        fingerprint's ``divergence_norm`` coordinate.
         """
         self.fingerprints.note_divergence(divergence)
 
@@ -1479,9 +1460,7 @@ class OLAPServer:
 
     def _on_alert_fire(self, event: dict) -> None:
         """Burn-rate alert fired: count, log, and auto-dump a bundle."""
-        self.metrics.counter(
-            "server_alerts_total", "burn-rate alerts fired, by rule"
-        ).inc(rule=event["rule"])
+        self._m.alerts.inc(rule=event["rule"])
         with self.obs.activate():
             log_event(
                 "alert_firing",
@@ -1500,10 +1479,7 @@ class OLAPServer:
         try:
             self.dump_diagnostics(path, trigger=event)
         except Exception:
-            self.metrics.counter(
-                "server_diag_dump_failures_total",
-                "diagnostic bundle dumps that raised",
-            ).inc()
+            self._m.diag_dump_failures.inc()
 
     def _on_alert_resolve(self, event: dict) -> None:
         with self.obs.activate():
@@ -1570,7 +1546,7 @@ class OLAPServer:
             "alerts": (
                 self.alerts.snapshot() if self.alerts is not None else None
             ),
-            "fingerprint": self.fingerprints.snapshot(),
+            "fingerprint": health["fingerprint"],
             "profiler": (
                 self.profiler.snapshot() if self.profiler is not None else None
             ),
@@ -1689,12 +1665,8 @@ class OLAPServer:
                 # absorbed if apply_updates raised above.
                 self._applied_seq = seq
             self.fingerprints.note_ingest(len(batch))
-            self.metrics.counter(
-                "server_updates_total", "incremental cell updates applied"
-            ).inc(len(batch))
-            self.metrics.counter(
-                "server_operations_total", "scalar operations spent serving"
-            ).inc(counter.total)
+            self._m.updates.inc(len(batch))
+            self._m.operations.inc(counter.total)
             log_event(
                 "update",
                 cells=len(batch),
@@ -1709,27 +1681,19 @@ class OLAPServer:
 
         Returns ``(entries patched, coarse invalidations)``.  The patch
         path walks the result cache and the range engine's assembled
-        intermediates; the coarse path (policy ``"clear"``, or any patch
-        failure) lazily stales the whole cache and drops the
-        intermediates — correct for *any* change, just cold."""
+        intermediates; any failure on it takes the coarse path, which
+        lazily stales the whole cache and drops the intermediates —
+        correct for *any* change, just cold."""
         with span("update.propagate", cells=len(batch)) as sp:
-            patched = 0
-            if self.update_policy == "patch":
-                try:
-                    patched = self._patch_warm_state(state, batch, counter)
-                except Exception:
-                    self._coarse_invalidate(state)
-                    sp.set(mode="fallback", patched=0)
-                    return 0, 1
-                self.metrics.counter(
-                    "server_update_cache_patched_total",
-                    "cached entries repaired in place by update deltas",
-                ).inc(patched)
-                sp.set(mode="patch", patched=patched)
-                return patched, 0
-            self._coarse_invalidate(state)
-            sp.set(mode="clear", patched=0)
-            return 0, 1
+            try:
+                patched = self._patch_warm_state(state, batch, counter)
+            except Exception:
+                self._coarse_invalidate(state)
+                sp.set(mode="fallback", patched=0)
+                return 0, 1
+            self._m.update_cache_patched.inc(patched)
+            sp.set(mode="patch", patched=patched)
+            return patched, 0
 
     def _patch_warm_state(
         self, state: _ServingState, batch: DeltaBatch, counter: OpCounter
@@ -1766,7 +1730,4 @@ class OLAPServer:
         """Fallback: lazily stale the result cache, drop intermediates."""
         state.cache.bump_generation()
         state.range_engine.invalidate()
-        self.metrics.counter(
-            "server_update_cache_cleared_total",
-            "coarse warm-state invalidations performed by updates",
-        ).inc()
+        self._m.update_cache_cleared.inc()

@@ -58,7 +58,7 @@ from ..core.materialize import MaterializedSet, compute_element
 from ..core.operators import OpCounter
 from ..errors import IncompleteSetError, TransientFault
 from ..obs import current_registry, log_event, span
-from ..resilience import check_deadline, current_deadline, fault_point
+from ..resilience import check_deadline, fault_point, retry_transient
 from .partition import CubePartition
 
 __all__ = ["ShardedSet"]
@@ -439,8 +439,7 @@ class ShardedSet:
         max_workers: int,
     ) -> dict[ElementId, np.ndarray]:
         """One scatter leg: retries, then per-shard degraded fallback."""
-        registry = current_registry()
-        in_flight = registry.gauge(
+        in_flight = current_registry().gauge(
             "shard_in_flight", "scatter legs currently executing"
         )
         in_flight.inc(shard=str(s))
@@ -454,29 +453,22 @@ class ShardedSet:
                     batch=len(local_targets),
                 )
                 check_deadline("shard.execute")
-                attempt = 0
-                while plan is not None:
-                    scratch = OpCounter()
+                if plan is not None:
                     try:
-                        results = execute_plan(
-                            plan,
-                            snapshot,
-                            counter=scratch,
-                            max_workers=max_workers,
-                            pool=self._shards[s].pool,
-                            span_attrs={"shard": s},
+                        return self._retry(
+                            s,
+                            lambda scratch: execute_plan(
+                                plan,
+                                snapshot,
+                                counter=scratch,
+                                max_workers=max_workers,
+                                pool=self._shards[s].pool,
+                                span_attrs={"shard": s},
+                            ),
+                            counter,
                         )
-                        counter.merge(scratch)
-                        return results
                     except TransientFault:
-                        attempt += 1
-                        registry.counter(
-                            "shard_retries_total",
-                            "transient-fault retries on scatter legs",
-                        ).inc(shard=str(s))
-                        if attempt > self.max_retries:
-                            break
-                        self._backoff(attempt)
+                        pass  # budget spent: this leg serves from its slab
                 return self._degraded_shard(s, local_targets, counter)
         finally:
             in_flight.inc(-1.0, shard=str(s))
@@ -532,14 +524,22 @@ class ShardedSet:
         self._pool.give(buf)
         return merged
 
-    def _backoff(self, attempt: int) -> None:
-        delay = (self.retry_backoff_ms / 1e3) * (2 ** (attempt - 1))
-        deadline = current_deadline()
-        if deadline is not None:
-            deadline.check("shard.retry")
-            delay = min(delay, max(0.0, deadline.remaining()))
-        if delay > 0:
-            time.sleep(delay)
+    def _retry(self, s: int, attempt, counter: OpCounter):
+        """:func:`retry_transient` on this set's budget, counted per shard."""
+
+        def count(_faults: int) -> None:
+            current_registry().counter(
+                "shard_retries_total",
+                "transient-fault retries on scatter legs",
+            ).inc(shard=str(s))
+
+        return retry_transient(
+            attempt,
+            counter,
+            max_retries=self.max_retries,
+            backoff_ms=self.retry_backoff_ms,
+            on_retry=count,
+        )
 
     # ------------------------------------------------------------------
     # Reconfiguration
@@ -623,36 +623,13 @@ class ShardedSet:
     def _local_assemble_resilient(
         self, source: "ShardedSet", s: int, local: ElementId, counter: OpCounter
     ) -> np.ndarray:
-        registry = current_registry()
-        attempt = 0
-        while True:
-            scratch = OpCounter()
-            try:
-                values = source._shards[s].assemble(local, counter=scratch)
-                counter.merge(scratch)
-                return values
-            except TransientFault:
-                attempt += 1
-                registry.counter(
-                    "shard_retries_total",
-                    "transient-fault retries on scatter legs",
-                ).inc(shard=str(s))
-                if attempt > self.max_retries:
-                    break
-                self._backoff(attempt)
-            except IncompleteSetError:
-                break
-        slab = self._base_slabs[s]
-        if slab is None:
-            raise IncompleteSetError(
-                f"shard {s} cannot assemble {local.describe()}: storage "
-                "not complete and no base slab attached"
+        try:
+            return self._retry(
+                s,
+                lambda scratch: source._shards[s].assemble(
+                    local, counter=scratch
+                ),
+                counter,
             )
-        registry.counter(
-            "shard_degraded_total",
-            "scatter legs re-routed to the shard's base slab",
-        ).inc(shard=str(s))
-        scratch = OpCounter()
-        values = compute_element(slab, local, counter=scratch)
-        counter.merge(scratch)
-        return values
+        except (TransientFault, IncompleteSetError):
+            return self._degraded_shard(s, [local], counter)[local]

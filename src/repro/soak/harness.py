@@ -140,15 +140,12 @@ def run_soak(
     check_answers: bool = False,
     adaptation: bool = True,
     server_kwargs: dict | None = None,
-    keep_walls: bool = False,
 ) -> dict:
     """Replay one drifting trace; report SLO quantiles and adaptation lag.
 
     ``check_answers`` maintains an ndarray replica and byte-compares
     every answer (slow; the gate path).  ``adaptation`` runs an
-    :class:`AdaptationLoop` over the server.  ``keep_walls`` adds the raw
-    per-batch assembly wall series to the report, so repeated replays of
-    the same trace can be compared batch by batch.
+    :class:`AdaptationLoop` over the server.
     """
     config = config or SoakConfig()
     if trace is None:
@@ -294,8 +291,6 @@ def run_soak(
         "epoch": server.epoch,
         "fingerprint": health.get("fingerprint"),
     }
-    if keep_walls:
-        report["assembly_walls"] = [round(w, 4) for w in assembly_walls]
     if check_answers:
         # Quiescent sweep: the soaked server must agree with a from-
         # scratch recomputation on the final cube state.

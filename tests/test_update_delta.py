@@ -482,21 +482,6 @@ class TestServerUpdatePath:
         assert np.array_equal(server.view(["d0", "d1"]), ref)
         assert np.array_equal(full, ref)  # same live array, patched once
 
-    def test_clear_policy_restores_legacy_behaviour(self):
-        server, base = _make_server(update_policy="clear")
-        server.view(["d0"])
-        server.update(2.0, d0=1, d1=1)
-        health = server.health()
-        assert health["updates_cache_cleared"] == 1
-        assert health["updates_cache_patched"] == 0
-        ref = base.copy()
-        ref[1, 1] += 2.0
-        assert np.array_equal(server.view(["d0"]).ravel(), ref.sum(axis=1))
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError, match="update_policy"):
-            _make_server(update_policy="nuke")
-
     def test_sharded_update_leaves_other_shards_warm(self):
         server, base = _make_server(sizes=(8, 16), shards=4)
         server.view(["d0"])

@@ -1,13 +1,9 @@
-"""Tests for the validation tooling and query-log workload builder."""
+"""Tests for the query-log workload builder."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.core.bases import wavelet_basis
-from repro.core.materialize import MaterializedSet
-from repro.core.validate import validate_materialized_set, validate_selection
 from repro.workloads.from_queries import population_from_query_log
 from repro.workloads import SalesConfig, sales_cube
 
@@ -15,80 +11,6 @@ from repro.workloads import SalesConfig, sales_cube
 @pytest.fixture
 def cube():
     return sales_cube(SalesConfig(num_transactions=200, num_days=8, seed=67))
-
-
-class TestValidateMaterializedSet:
-    def test_clean_set_passes(self, cube):
-        ms = MaterializedSet.from_cube(
-            cube.values, wavelet_basis(cube.shape_id)
-        )
-        report = validate_materialized_set(ms, cube.values)
-        assert report.ok
-        assert report.checked == len(ms)
-        report.raise_if_failed()  # no-op
-
-    def test_corruption_detected(self, cube):
-        ms = MaterializedSet.from_cube(
-            cube.values, wavelet_basis(cube.shape_id)
-        )
-        victim = ms.elements[0]
-        ms.array(victim)[(0,) * cube.shape_id.ndim] += 42.0
-        report = validate_materialized_set(ms, cube.values)
-        assert not report.ok
-        assert any(victim.describe() in err for err in report.errors)
-        with pytest.raises(AssertionError, match="validation failed"):
-            report.raise_if_failed()
-
-    def test_missed_update_detected(self, cube):
-        """Updating the cube without propagating makes the set stale."""
-        ms = MaterializedSet.from_cube(
-            cube.values, wavelet_basis(cube.shape_id)
-        )
-        updated = cube.values.copy()
-        updated[(0,) * cube.shape_id.ndim] += 10.0
-        report = validate_materialized_set(ms, updated)
-        assert not report.ok
-
-    def test_shape_mismatch(self, cube):
-        ms = MaterializedSet.from_cube(
-            cube.values, [cube.shape_id.root()]
-        )
-        report = validate_materialized_set(ms, np.zeros((2, 2)))
-        assert not report.ok
-        assert "does not match" in report.errors[0]
-
-
-class TestValidateSelection:
-    def test_complete_basis_passes(self, cube):
-        basis = wavelet_basis(cube.shape_id)
-        report = validate_selection(
-            basis, expect_complete=True, expect_non_redundant=True
-        )
-        assert report.ok
-
-    def test_incomplete_flagged(self, cube):
-        shape = cube.shape_id
-        report = validate_selection([shape.root().partial_child(0)])
-        assert not report.ok
-        assert "not complete" in report.errors[0]
-
-    def test_redundancy_flagged(self, cube):
-        shape = cube.shape_id
-        report = validate_selection(
-            [shape.root(), shape.root().partial_child(0)],
-            expect_non_redundant=True,
-        )
-        assert not report.ok
-
-    def test_duplicates_flagged(self, cube):
-        shape = cube.shape_id
-        report = validate_selection([shape.root(), shape.root()])
-        assert not report.ok
-        assert any("duplicate" in e for e in report.errors)
-
-    def test_empty_flagged(self):
-        report = validate_selection([])
-        assert not report.ok
 
 
 class TestPopulationFromQueryLog:
