@@ -61,6 +61,7 @@ from .errors import (
     AdmissionRejected,
     IncompleteSetError,
     IntegrityError,
+    InvalidQueryError,
     InvalidUpdateError,
     QueryTimeout,
     ReproError,
@@ -86,6 +87,7 @@ __all__ = [
     "FaultRule",
     "IncompleteSetError",
     "IntegrityError",
+    "InvalidQueryError",
     "InvalidUpdateError",
     "OLAPServer",
     "QueryTimeout",

@@ -28,10 +28,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import reduce
 
-__all__ = ["CubeShape", "ElementId", "DimNode"]
+from ..errors import InvalidQueryError
+
+__all__ = ["CubeShape", "ElementId", "DimNode", "as_index"]
 
 #: A per-dimension node: ``(level, index)``.
 DimNode = tuple[int, int]
@@ -39,6 +42,21 @@ DimNode = tuple[int, int]
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
+
+
+def as_index(value, what: str) -> int:
+    """``value`` as an exact integer, for a level or bound a request names.
+
+    ``operator.index`` semantics (numpy integers pass; ``1.9`` is refused
+    rather than truncated) minus ``bool``.  ``what`` names the offending
+    field in the :class:`~repro.errors.InvalidQueryError`.
+    """
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidQueryError(f"{what} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -67,9 +85,16 @@ class CubeShape:
             self, "depths", tuple(n.bit_length() - 1 for n in sizes)
         )
         object.__setattr__(self, "_hash", hash((sizes,)))
+        #: The intern table of :meth:`intermediate`.  Not a dataclass field:
+        #: it stays out of ``==``, ``hash`` and ``repr``, and
+        #: :meth:`__reduce__` keeps it out of copies and pickles.
+        object.__setattr__(self, "_intermediates", {})
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __reduce__(self):
+        return type(self), (self.sizes,)
 
     @property
     def ndim(self) -> int:
@@ -86,11 +111,35 @@ class CubeShape:
 
     def root(self) -> "ElementId":
         """The undecomposed data cube ``A`` itself."""
-        return ElementId(self, ((0, 0),) * self.ndim)
+        return self.intermediate((0,) * self.ndim)
 
     def element(self, nodes) -> "ElementId":
         """Build an element from per-dimension ``(level, index)`` pairs."""
         return ElementId(self, tuple((int(k), int(j)) for k, j in nodes))
+
+    def intermediate(self, levels) -> "ElementId":
+        """The pure partial-sum element with ``levels[m]`` sums along ``m``.
+
+        Its nodes are ``((levels[0], 0), ..., (levels[d-1], 0))``: what a
+        roll-up, an aggregated view and every block of a range query
+        resolve to (Section 6).  There are only ``N_iv`` of them (Eq 19),
+        so each is built and validated once and every later request for
+        the same ``levels`` tuple gets the same object back — its hash,
+        ``describe()`` text and the ``is`` shortcut of every dict probe
+        behind it included.  The table is bounded by Eq 19 and never
+        evicts.  Identity is only a shortcut: an equal ``ElementId`` built
+        any other way compares and hashes the same.
+        """
+        levels = tuple(levels)
+        element = self._intermediates.get(levels)
+        if element is None:
+            levels = tuple(operator.index(k) for k in levels)
+            # ``setdefault``: two threads racing on a first use converge
+            # on one object.
+            element = self._intermediates.setdefault(
+                levels, ElementId(self, tuple((k, 0) for k in levels))
+            )
+        return element
 
     def aggregated_view(self, aggregated_dims) -> "ElementId":
         """The aggregated view that totally aggregates ``aggregated_dims``.
@@ -98,14 +147,18 @@ class CubeShape:
         Definition 1: an aggregated view totally aggregates the cube along a
         subset of its dimensions.  The remaining dimensions are untouched.
         """
-        dims = set(int(m) for m in aggregated_dims)
-        bad = dims - set(range(self.ndim))
+        depths = self.depths
+        levels = [0] * len(depths)
+        bad = set()
+        for m in aggregated_dims:
+            m = int(m)
+            if 0 <= m < len(depths):
+                levels[m] = depths[m]
+            else:
+                bad.add(m)
         if bad:
             raise ValueError(f"unknown dimensions {sorted(bad)}")
-        nodes = tuple(
-            (self.depths[m], 0) if m in dims else (0, 0) for m in range(self.ndim)
-        )
-        return ElementId(self, nodes)
+        return self.intermediate(tuple(levels))
 
     def aggregated_views(self):
         """All ``2**d`` aggregated views, cube-lattice order (Eq 18)."""

@@ -10,6 +10,9 @@ The engine below therefore decomposes an arbitrary half-open range into
 maximal aligned dyadic blocks per dimension (the classic segment-tree
 decomposition, at most ``2 log2(n)`` blocks per dimension), reads one cell of
 the corresponding intermediate view element per block combination, and sums.
+Blocks of one level along every dimension are cells of the *same*
+intermediate element, so a query looks each of its (few) level combinations
+up once and reads at most ``2**d`` cells from it.
 Intermediate elements are served by a :class:`~repro.core.materialize.
 MaterializedSet` — a Gaussian pyramid (Section 4.3) makes every lookup a
 single stored-cell read.
@@ -23,17 +26,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 
 from ..errors import TransientFault
 from ..obs import current_registry, span
 from .delta import DeltaBatch, patch_array
-from .element import CubeShape, ElementId
+from .element import CubeShape, ElementId, as_index
 from .materialize import MaterializedSet
 from .operators import OpCounter
 
 __all__ = [
+    "dyadic_levels",
     "dyadic_decomposition",
     "range_sum_direct",
     "RangeQueryEngine",
@@ -41,26 +46,53 @@ __all__ = [
 ]
 
 
-def dyadic_decomposition(start: int, stop: int, extent: int) -> list[tuple[int, int]]:
-    """Split ``[start, stop)`` into maximal aligned dyadic blocks.
+def dyadic_levels(
+    start: int, stop: int, extent: int
+) -> list[tuple[int, tuple[int, ...]]]:
+    """The maximal aligned dyadic blocks of ``[start, stop)``, by level.
 
-    Returns ``(level, cell_index)`` pairs where ``level`` is the number of
-    partial aggregations (block size ``2**level``) and ``cell_index`` the
-    cell of the level-``level`` partial aggregate covering the block.
-    At most ``2 * log2(extent)`` blocks are produced.
+    Returns ``(level, cell_indices)`` pairs in ascending level order:
+    ``level`` is the number of partial aggregations (block size
+    ``2**level``) and ``cell_indices`` the one or two cells (ascending) of
+    the level-``level`` partial aggregate whose blocks the range contains
+    — the segment-tree walk from the leaves up, which peels at most one
+    block off each end of the range per level.
     """
     if not 0 <= start <= stop <= extent:
         raise ValueError(f"range [{start}, {stop}) outside [0, {extent})")
-    blocks: list[tuple[int, int]] = []
-    pos = start
-    while pos < stop:
-        # Largest aligned block starting at pos that fits inside the range.
-        size = pos & -pos if pos else extent
-        while pos + size > stop:
-            size //= 2
-        level = size.bit_length() - 1
-        blocks.append((level, pos >> level))
-        pos += size
+    groups: list[tuple[int, tuple[int, ...]]] = []
+    level = 0
+    while start < stop:
+        cells: tuple[int, ...] = ()
+        if start & 1:
+            cells = (start,)
+            start += 1
+        if stop & 1:
+            stop -= 1
+            cells += (stop,)
+        if cells:
+            groups.append((level, cells))
+        start >>= 1
+        stop >>= 1
+        level += 1
+    return groups
+
+
+def dyadic_decomposition(start: int, stop: int, extent: int) -> list[tuple[int, int]]:
+    """Split ``[start, stop)`` into maximal aligned dyadic blocks.
+
+    Returns ``(level, cell_index)`` pairs, left to right, where ``level``
+    is the number of partial aggregations (block size ``2**level``) and
+    ``cell_index`` the cell of the level-``level`` partial aggregate
+    covering the block.  At most ``2 * log2(extent)`` blocks are produced
+    (:func:`dyadic_levels`, flattened).
+    """
+    blocks = [
+        (level, index)
+        for level, indices in dyadic_levels(start, stop, extent)
+        for index in indices
+    ]
+    blocks.sort(key=lambda block: block[1] << block[0])
     return blocks
 
 
@@ -100,6 +132,8 @@ class RangeQueryEngine:
         self.materialized = materialized
         self.assemble_missing = assemble_missing
         self._cache: dict[ElementId, np.ndarray] = {}
+        #: ``(registry, handles)`` of :meth:`_bound_metrics`.
+        self._metrics: tuple | None = None
 
     @property
     def shape(self) -> CubeShape:
@@ -132,8 +166,8 @@ class RangeQueryEngine:
         the warm cache survives the update.
         Stored elements are the owning set's job
         (:meth:`MaterializedSet.apply_updates`) — the engine's cache never
-        holds them (:meth:`_ensure_intermediates` skips stored elements),
-        so nothing here is double-patched.
+        holds them (only elements absent from the set are ever assembled
+        into it), so nothing here is double-patched.
 
         Returns the number of cached intermediates patched.
         """
@@ -161,97 +195,89 @@ class RangeQueryEngine:
         """Convenience: build a pyramid of *all* intermediate elements.
 
         Every joint level combination is stored, so each dyadic block lookup
-        is a single cell read.  Storage is ``prod_m (2 n_m / (n_m... ))`` —
-        for a square cube, ``Vol(A) * prod(2 - 2/n) <= 2**d * Vol(A)``.
+        is a single cell read.  Storage is ``prod_m (2 n_m - 1)`` cells —
+        Eq 17 restricted to index 0 along every dimension — which is less
+        than ``2**d * Vol(A)``.
         """
-        graph_elements = []
-        for levels in itertools.product(
-            *[range(k + 1) for k in shape.depths]
-        ):
-            graph_elements.append(
-                ElementId(shape, tuple((k, 0) for k in levels))
+        elements = [
+            shape.intermediate(levels)
+            for levels in itertools.product(
+                *[range(k + 1) for k in shape.depths]
             )
-        materialized = MaterializedSet.from_cube(cube_values, graph_elements)
-        return cls(materialized)
+        ]
+        return cls(MaterializedSet.from_cube(cube_values, elements))
 
-    def _intermediate(
-        self, levels: tuple[int, ...], counter: OpCounter | None
-    ) -> np.ndarray:
-        element = ElementId(self.shape, tuple((k, 0) for k in levels))
+    def _level_groups(self, ranges):
+        """Per dimension, the :func:`dyadic_levels` of one range query.
+
+        The one front :meth:`range_sum` and :meth:`prefetch` parse a
+        request through: arity, exact-integer bounds (a bound like ``0.9``
+        is refused, not truncated) and the cube's extents are checked
+        here.  ``None`` when the range is empty along some dimension.
+        """
+        ranges = tuple(ranges)
+        sizes = self.shape.sizes
+        if len(ranges) != len(sizes):
+            raise ValueError(
+                f"{len(ranges)} ranges for a {len(sizes)}-dimensional cube"
+            )
+        groups = []
+        for m, ((lo, hi), n) in enumerate(zip(ranges, sizes)):
+            if type(lo) is not int or type(hi) is not int:
+                lo = as_index(lo, f"range start of dimension {m}")
+                hi = as_index(hi, f"range stop of dimension {m}")
+            groups.append(dyadic_levels(lo, hi, n))
+        return groups if all(groups) else None
+
+    def _bound_metrics(self) -> SimpleNamespace:
+        """Handles of the per-query metrics in the current registry.
+
+        Bound on first use per registry (the server activates its own; a
+        bare engine writes to the default one) so a query bumps each
+        metric through a handle instead of a by-name lookup per cell.
+        """
         registry = current_registry()
-        if element in self.materialized:
-            try:
-                values = self.materialized.array(element)
-            except KeyError:
-                # Quarantined by first-use verification between the
-                # membership check and the read: fall through to assembly.
-                pass
-            else:
-                registry.counter(
+        bound = self._metrics
+        if bound is None or bound[0] is not registry:
+            counter = registry.counter
+            handles = SimpleNamespace(
+                queries=counter(
+                    "range_queries_total", "range-SUM queries answered"
+                ),
+                cells_read=registry.histogram(
+                    "range_cells_read", "dyadic cells read per range query"
+                ),
+                stored=counter(
                     "range_intermediate_stored_total",
                     "dyadic lookups served by a stored intermediate element",
-                ).inc()
-                return values
-        cached = self._cache.get(element)
-        if cached is not None:
-            registry.counter(
-                "range_intermediate_cache_hits_total",
-                "dyadic lookups served by a previously assembled intermediate",
-            ).inc()
-            return cached
-        if not self.assemble_missing:
-            raise KeyError(f"intermediate element {element!r} is not materialized")
-        registry.counter(
-            "range_intermediate_assembled_total",
-            "intermediate elements assembled on demand",
-        ).inc()
-        values = self.materialized.assemble(element, counter=counter)
-        self._cache[element] = values
-        return values
-
-    def _levels_for(self, ranges) -> set[tuple[int, ...]]:
-        """Distinct intermediate level combinations one range query touches."""
-        ranges = tuple((int(lo), int(hi)) for lo, hi in ranges)
-        if len(ranges) != self.shape.ndim:
-            raise ValueError(
-                f"{len(ranges)} ranges for a {self.shape.ndim}-dimensional cube"
+                ),
+                cache_hits=counter(
+                    "range_intermediate_cache_hits_total",
+                    "dyadic lookups served by an intermediate the engine "
+                    "assembled",
+                ),
+                assembled=counter(
+                    "range_intermediate_assembled_total",
+                    "intermediate elements assembled on demand",
+                ),
             )
-        per_dim_blocks = [
-            dyadic_decomposition(lo, hi, n)
-            for (lo, hi), n in zip(ranges, self.shape.sizes)
-        ]
-        if any(not blocks for blocks in per_dim_blocks):
-            return set()
-        per_dim_levels = [
-            sorted({level for level, _ in blocks}) for blocks in per_dim_blocks
-        ]
-        return set(itertools.product(*per_dim_levels))
+            bound = self._metrics = (registry, handles)
+        return bound[1]
 
-    def _ensure_intermediates(
+    def _assemble_missing(
         self,
-        needed: set[tuple[int, ...]],
+        missing: list[ElementId],
         counter: OpCounter | None,
         max_workers: int = 1,
-    ) -> list[ElementId]:
-        """Batch-assemble the not-yet-available intermediates in ``needed``.
-
-        Drops level combinations already stored or cached, assembles the
-        rest as one shared-plan DAG (:meth:`MaterializedSet.assemble_batch`
-        — fused cascades, CSE across the levels, buffer-pool reuse), caches
-        the results, and returns the assembled elements.
-        """
-        missing = []
-        for levels in sorted(needed):
-            element = ElementId(self.shape, tuple((k, 0) for k in levels))
-            if element in self.materialized or element in self._cache:
-                continue
-            missing.append(element)
-        if missing:
-            results = self.materialized.assemble_batch(
-                missing, counter=counter, max_workers=max_workers
-            )
-            self._cache.update(results)
-        return missing
+    ) -> dict[ElementId, np.ndarray]:
+        """Assemble ``missing`` as one shared-plan DAG and cache the results
+        (:meth:`MaterializedSet.assemble_batch` — fused cascades, CSE
+        across the levels, buffer-pool reuse)."""
+        assembled = self.materialized.assemble_batch(
+            missing, counter=counter, max_workers=max_workers
+        )
+        self._cache.update(assembled)
+        return assembled
 
     def prefetch(
         self,
@@ -273,12 +299,22 @@ class RangeQueryEngine:
         """
         needed: set[tuple[int, ...]] = set()
         for ranges in ranges_batch:
-            needed |= self._levels_for(ranges)
+            groups = self._level_groups(ranges)
+            if groups is not None:
+                needed.update(
+                    itertools.product(
+                        *[[level for level, _ in dim] for dim in groups]
+                    )
+                )
         with span("range.prefetch") as sp:
-            missing = self._ensure_intermediates(
-                needed, counter, max_workers=max_workers
-            )
+            missing = [
+                element
+                for element in map(self.shape.intermediate, sorted(needed))
+                if element not in self.materialized
+                and element not in self._cache
+            ]
             if missing:
+                self._assemble_missing(missing, counter, max_workers)
                 registry = current_registry()
                 registry.counter(
                     "range_prefetches_total",
@@ -300,55 +336,84 @@ class RangeQueryEngine:
 
         ``ranges`` is one ``(start, stop)`` pair per dimension.  The result
         is exact for any range; aligned ranges touch a single cell.
+
+        The query is resolved by *level combination*, not by cell: per
+        dimension the dyadic blocks are grouped by level (at most two
+        cells each), and every combination of levels names one
+        intermediate element (:meth:`CubeShape.intermediate`), looked up
+        once — stored (verified on first use; a quarantined one falls
+        through), else assembled earlier, else assembled now, all missing
+        ones as one shared-plan batch — before its ``<= 2**d`` cells are
+        read.  Cells are added in a fixed order: level combinations in
+        ascending lexicographic order, last dimension fastest, and within
+        one intermediate its cells in ascending index order, last
+        dimension fastest.  (Sums of integer-valued cubes do not depend on
+        the order; float cubes get one documented order.)
         """
-        ranges = tuple((int(lo), int(hi)) for lo, hi in ranges)
-        if len(ranges) != self.shape.ndim:
-            raise ValueError(
-                f"{len(ranges)} ranges for a {self.shape.ndim}-dimensional cube"
-            )
-        per_dim_blocks = [
-            dyadic_decomposition(lo, hi, n)
-            for (lo, hi), n in zip(ranges, self.shape.sizes)
-        ]
-        if any(not blocks for blocks in per_dim_blocks):
+        groups = self._level_groups(ranges)
+        if groups is None:
             return RangeAnswer(value=0.0, cells_read=0, operations=0)
 
         with span("range.range_sum") as sp:
             own_counter = OpCounter()
-            if self.assemble_missing:
-                # Assemble every intermediate this query will touch as ONE
-                # shared-plan batch up front — fused cascades + CSE across
-                # levels — instead of one assemble() per combination inside
-                # the lookup loop.  Already-available levels cost nothing.
-                per_dim_levels = [
-                    sorted({level for level, _ in blocks})
-                    for blocks in per_dim_blocks
-                ]
-                try:
-                    assembled = self._ensure_intermediates(
-                        set(itertools.product(*per_dim_levels)), own_counter
+            materialized, cache = self.materialized, self._cache
+            intermediate = self.shape.intermediate
+            # ``(element, values | None, cell index tuples)`` per level
+            # combination.  Arrays are looked up per query, so updates,
+            # invalidation and quarantine need no bookkeeping here.
+            reads = []
+            missing = []
+            stored_cells = cells = 0
+            for combo in itertools.product(*groups):
+                element = intermediate([level for level, _ in combo])
+                indices = list(
+                    itertools.product(*[ix for _, ix in combo])
+                )
+                cells += len(indices)
+                values = None
+                if element in materialized:
+                    try:
+                        values = materialized.array(element)
+                    except KeyError:
+                        # Quarantined by first-use verification between
+                        # the membership check and the read: not stored.
+                        pass
+                    else:
+                        stored_cells += len(indices)
+                if values is None:
+                    values = cache.get(element)
+                    if values is None:
+                        missing.append(element)
+                reads.append((element, values, indices))
+            metrics = self._bound_metrics()
+            if missing:
+                if not self.assemble_missing:
+                    raise KeyError(
+                        f"intermediate element {missing[0]!r} is not "
+                        "materialized"
                     )
+                try:
+                    assembled = self._assemble_missing(missing, own_counter)
                 except TransientFault:
                     # A shared-plan batch is all-or-nothing and rolls one
                     # fault die per DAG node, so retrying the whole batch
-                    # does not converge; recover per element instead — the
-                    # lookup loop below assembles each missing intermediate
-                    # individually (with its own fault exposure, which the
-                    # caller's retry policy handles).
-                    assembled = []
-                if assembled:
-                    current_registry().counter(
-                        "range_intermediate_assembled_total",
-                        "intermediate elements assembled on demand",
-                    ).inc(len(assembled))
+                    # does not converge; recover per element instead, each
+                    # cached as soon as it is assembled (with its own
+                    # fault exposure, which the caller's retry policy
+                    # handles).
+                    assembled = {}
+                    for element in missing:
+                        assembled[element] = cache[element] = (
+                            materialized.assemble(element, counter=own_counter)
+                        )
+                metrics.assembled.inc(len(missing))
             total = 0.0
-            cells = 0
-            for combo in itertools.product(*per_dim_blocks):
-                levels = tuple(level for level, _ in combo)
-                cell = tuple(idx for _, idx in combo)
-                values = self._intermediate(levels, own_counter)
-                total += float(values[cell])
-                cells += 1
+            for element, values, indices in reads:
+                if values is None:
+                    values = assembled[element]
+                item = values.item
+                for cell in indices:
+                    total += item(cell)
             if cells > 1:
                 own_counter.add(additions=cells - 1, label="range combine")
             if counter is not None:
@@ -357,13 +422,12 @@ class RangeQueryEngine:
                     subtractions=own_counter.subtractions,
                     label="range query",
                 )
-            registry = current_registry()
-            registry.counter(
-                "range_queries_total", "range-SUM queries answered"
-            ).inc()
-            registry.histogram(
-                "range_cells_read", "dyadic cells read per range query"
-            ).observe(cells)
+            metrics.queries.inc()
+            metrics.cells_read.observe(cells)
+            if stored_cells:
+                metrics.stored.inc(stored_cells)
+            if cells > stored_cells:
+                metrics.cache_hits.inc(cells - stored_cells)
             sp.set(operations=own_counter.total, cells_read=cells)
         return RangeAnswer(
             value=total, cells_read=cells, operations=own_counter.total

@@ -36,13 +36,12 @@ class DataCube:
         self.values = values
         self.dimensions = dims
         self.measure = str(measure)
+        #: The :class:`CubeShape` seen by the view element machinery — one
+        #: object per cube, so the server, the request resolvers and the
+        #: range engine share its table of interned intermediates.
+        self.shape_id = CubeShape(dims.sizes)
 
     # ------------------------------------------------------------------
-
-    @property
-    def shape_id(self) -> CubeShape:
-        """The :class:`CubeShape` seen by the view element machinery."""
-        return CubeShape(self.dimensions.sizes)
 
     @property
     def ndim(self) -> int:

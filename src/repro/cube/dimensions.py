@@ -107,24 +107,19 @@ class DimensionSet:
             raise ValueError(f"duplicate dimension names in {names}")
         self._dimensions = dimensions
         self._by_name = {d.name: i for i, d in enumerate(dimensions)}
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        """Dimension names in axis order."""
-        return tuple(d.name for d in self._dimensions)
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        """Padded axis extents in axis order."""
-        return tuple(d.size for d in self._dimensions)
+        #: Dimension names in axis order.
+        self.names: tuple[str, ...] = tuple(names)
+        #: Padded axis extents in axis order.
+        self.sizes: tuple[int, ...] = tuple(d.size for d in dimensions)
 
     def axis_of(self, name: str) -> int:
         """Axis index of the dimension called ``name``."""
-        if name not in self._by_name:
+        try:
+            return self._by_name[name]
+        except KeyError:
             raise KeyError(
                 f"unknown dimension {name!r}; have {list(self._by_name)}"
-            )
-        return self._by_name[name]
+            ) from None
 
     def axes_of(self, names: Iterable[str]) -> tuple[int, ...]:
         """Axis indices for several dimension names."""

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.element import CubeShape, ElementId
+from ..core.element import ElementId, as_index
 from ..core.materialize import MaterializedSet
 from ..core.operators import OpCounter, partial_sum_k
 from .datacube import DataCube
@@ -142,31 +142,40 @@ def rollup_element(
 
     ``levels`` maps dimension names to either a named hierarchy level (for
     :class:`HierarchicalDimension`) or an integer cascade depth.  Omitted
-    dimensions stay at leaf granularity.
+    dimensions stay at leaf granularity.  A depth that is not an integer
+    (``1.9``, ``True``) is an :class:`~repro.errors.InvalidQueryError`,
+    never truncated.  The result is the shape's one interned object for
+    that level vector (:meth:`CubeShape.intermediate`).
     """
+    dims = cube.dimensions
     shape = cube.shape_id
-    nodes = []
-    for axis, dim in enumerate(cube.dimensions):
-        spec = levels.get(dim.name, 0)
+    depths = shape.depths
+    resolved = [0] * len(depths)
+    unknown = []
+    for name, spec in levels.items():
+        try:
+            axis = dims.axis_of(name)
+        except KeyError:
+            unknown.append(name)
+            continue
         if isinstance(spec, str):
+            dim = dims[axis]
             if not isinstance(dim, HierarchicalDimension):
                 raise TypeError(
-                    f"dimension {dim.name!r} has no hierarchy; "
+                    f"dimension {name!r} has no hierarchy; "
                     "use an integer level"
                 )
             k = dim.hierarchy.level_of(spec)
         else:
-            k = int(spec)
-        max_k = dim.size.bit_length() - 1
-        if not 0 <= k <= max_k:
+            k = as_index(spec, f"level of dimension {name!r}")
+        if not 0 <= k <= depths[axis]:
             raise ValueError(
-                f"level {k} outside [0, {max_k}] for dimension {dim.name!r}"
+                f"level {k} outside [0, {depths[axis]}] for dimension {name!r}"
             )
-        nodes.append((k, 0))
-    unknown = set(levels) - set(cube.dimensions.names)
+        resolved[axis] = k
     if unknown:
         raise KeyError(f"unknown dimensions {sorted(unknown)}")
-    return ElementId(shape, tuple(nodes))
+    return shape.intermediate(tuple(resolved))
 
 
 def rollup(

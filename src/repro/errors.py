@@ -23,6 +23,10 @@ branch on the concrete type for policy:
   :class:`~repro.core.delta.DeltaBatch` is built: wrong rank, a coordinate
   that is not an integer inside the cube, or a non-finite delta.  Nothing
   was logged or applied.  Subclasses :class:`ValueError` likewise.
+- :class:`InvalidQueryError` — a read request named a roll-up level or a
+  range bound that is not an integer (``1.9``, ``True``); refused before
+  anything is resolved instead of being truncated to a different request.
+  Subclasses :class:`ValueError` likewise.
 
 The taxonomy is deliberately small: everything else propagating out of the
 library is a programming error, not a serving condition.
@@ -38,6 +42,7 @@ __all__ = [
     "TransientFault",
     "IncompleteSetError",
     "InvalidUpdateError",
+    "InvalidQueryError",
 ]
 
 
@@ -101,3 +106,7 @@ class IncompleteSetError(ReproError, ValueError):
 
 class InvalidUpdateError(ReproError, ValueError):
     """An update batch failed validation; nothing was logged or applied."""
+
+
+class InvalidQueryError(ReproError, ValueError):
+    """A request's level or bound is not an integer; nothing was served."""

@@ -692,15 +692,16 @@ class OLAPServer:
     # Query surface
 
     def _element_for(self, retained_dims: Iterable[str]) -> ElementId:
-        retained = set(retained_dims)
-        unknown = retained - set(self.cube.dimensions.names)
+        dims = self.cube.dimensions
+        aggregated = set(range(len(dims)))
+        unknown = set()
+        for name in retained_dims:
+            try:
+                aggregated.discard(dims.axis_of(name))
+            except KeyError:
+                unknown.add(name)
         if unknown:
             raise KeyError(f"unknown dimensions {sorted(unknown)}")
-        aggregated = [
-            self.cube.dimensions.axis_of(name)
-            for name in self.cube.dimensions.names
-            if name not in retained
-        ]
         return self.shape.aggregated_view(aggregated)
 
     def view(
@@ -853,7 +854,9 @@ class OLAPServer:
             counter,
             sp,
         ):
-            ranges = tuple((int(lo), int(hi)) for lo, hi in ranges)
+            # The engine parses the bounds (once; a non-integer one is an
+            # ``InvalidQueryError`` there, before anything is resolved).
+            ranges = tuple(ranges)
             try:
                 answer = self._retry(
                     lambda scratch: state.range_engine.range_sum(
