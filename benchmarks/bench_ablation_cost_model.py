@@ -18,13 +18,13 @@ from repro.core.operators import OpCounter
 from repro.core.population import QueryPopulation
 from repro.core.select_basis import select_minimum_cost_basis
 from repro.core.select_redundant import generation_cost
+from repro.replay import seeded_cube
 
 
 @pytest.fixture(scope="module")
 def setting():
     shape = CubeShape((8, 8, 8))
-    rng = np.random.default_rng(11)
-    data = rng.integers(0, 100, size=shape.sizes).astype(np.float64)
+    data = seeded_cube(11, shape.sizes).values
     population = QueryPopulation.random_over_views(
         shape, np.random.default_rng(12)
     )

@@ -14,13 +14,13 @@ from repro.core.bases import wavelet_basis
 from repro.core.element import CubeShape
 from repro.core.materialize import MaterializedSet
 from repro.core.operators import analyze, synthesize, total_aggregate
+from repro.replay import seeded_cube
 
 
 @pytest.fixture(scope="module")
 def big_cube():
     shape = CubeShape((64, 64, 64))
-    rng = np.random.default_rng(7)
-    return shape, rng.integers(0, 100, size=shape.sizes).astype(np.float64)
+    return shape, seeded_cube(7, shape.sizes).values
 
 
 def test_total_aggregation_throughput(benchmark, big_cube):
@@ -45,8 +45,7 @@ def test_synthesis_round_trip(benchmark, big_cube):
 
 def test_wavelet_decompose_and_reconstruct(benchmark):
     shape = CubeShape((16, 16, 16))
-    rng = np.random.default_rng(8)
-    data = rng.integers(0, 100, size=shape.sizes).astype(np.float64)
+    data = seeded_cube(8, shape.sizes).values
     basis = wavelet_basis(shape)
 
     def round_trip():

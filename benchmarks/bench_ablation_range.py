@@ -14,14 +14,14 @@ import pytest
 from repro.core.element import CubeShape
 from repro.core.operators import OpCounter
 from repro.core.range_query import RangeQueryEngine, range_sum_direct
+from repro.replay import seeded_cube
 from repro.workloads import random_ranges
 
 
 @pytest.fixture(scope="module")
 def setting():
     shape = CubeShape((64, 64))
-    rng = np.random.default_rng(9)
-    data = rng.integers(0, 100, size=shape.sizes).astype(np.float64)
+    data = seeded_cube(9, shape.sizes).values
     engine = RangeQueryEngine.with_gaussian_pyramid(data, shape)
     queries = random_ranges(shape, 50, np.random.default_rng(10))
     return shape, data, engine, queries

@@ -38,9 +38,8 @@ from pathlib import Path
 import numpy as np
 from _gates import REGRESSION_FACTOR, build_parser, finish, ratio_regressed
 
-from repro.cube.datacube import DataCube
-from repro.cube.dimensions import Dimension
 from repro.durability import DurabilityConfig
+from repro.replay import seeded_cube
 from repro.server import OLAPServer
 
 FULL_SIZES = (16, 32, 32)
@@ -57,10 +56,7 @@ RECOVERY_LENGTHS = {"full": (64, 256, 1024), "small": (32, 128)}
 
 
 def _build_server(sizes, seed: int = 7, **kwargs) -> OLAPServer:
-    rng = np.random.default_rng(seed)
-    values = rng.integers(0, 100, size=sizes).astype(np.float64)
-    dims = [Dimension(f"d{i}", list(range(n))) for i, n in enumerate(sizes)]
-    return OLAPServer(DataCube(values, dims, measure="amount"), **kwargs)
+    return OLAPServer(seeded_cube(seed, sizes), **kwargs)
 
 
 def _batches(sizes, count: int, seed: int = 51):

@@ -36,11 +36,9 @@ from __future__ import annotations
 import sys
 import time
 
-import numpy as np
 from _gates import REGRESSION_FACTOR, build_parser, finish
 
-from repro.cube.datacube import DataCube
-from repro.cube.dimensions import Dimension
+from repro.replay import seeded_cube
 from repro.server import OLAPServer
 
 REPEATS = 7
@@ -60,15 +58,12 @@ MAX_SMALL_INSTRUMENTED_OVER_BASELINE = 1.30
 
 
 def make_server(sizes, seed=2024, telemetry=True) -> OLAPServer:
-    rng = np.random.default_rng(seed)
-    values = rng.integers(0, 100, size=sizes).astype(np.float64)
-    dims = [Dimension(f"d{i}", list(range(n))) for i, n in enumerate(sizes)]
     if telemetry:
-        server = OLAPServer(DataCube(values, dims, measure="amount"))
+        server = OLAPServer(seeded_cube(seed, sizes))
         assert server.flight is not None, "default server lost the recorder"
     else:
         server = OLAPServer(
-            DataCube(values, dims, measure="amount"),
+            seeded_cube(seed, sizes),
             flight=False,
             alerts=False,
         )

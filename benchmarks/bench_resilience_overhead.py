@@ -29,21 +29,16 @@ from __future__ import annotations
 import sys
 import time
 
-import numpy as np
 from _gates import build_parser, finish
 
-from repro.cube.datacube import DataCube
-from repro.cube.dimensions import Dimension
+from repro.replay import seeded_cube
 from repro.server import OLAPServer
 
 REPEATS = 5
 
 
 def make_server(sizes, seed=2024, **kwargs) -> OLAPServer:
-    rng = np.random.default_rng(seed)
-    values = rng.integers(0, 100, size=sizes).astype(np.float64)
-    dims = [Dimension(f"d{i}", list(range(n))) for i, n in enumerate(sizes)]
-    return OLAPServer(DataCube(values, dims, measure="amount"), **kwargs)
+    return OLAPServer(seeded_cube(seed, sizes), **kwargs)
 
 
 def serve_round(server: OLAPServer, deadline_ms=None) -> int:

@@ -37,6 +37,7 @@ from _gates import REGRESSION_FACTOR, build_parser, finish, ratio_regressed
 from repro.core.element import CubeShape
 from repro.core.materialize import MaterializedSet
 from repro.core.operators import OpCounter
+from repro.replay import seeded_cube
 from repro.shard.partition import CubePartition
 from repro.shard.sets import ShardedSet
 
@@ -78,8 +79,7 @@ def _targets(shape: CubeShape):
 
 
 def _build_values(sizes) -> np.ndarray:
-    rng = np.random.default_rng(24)
-    return rng.integers(0, 100, size=sizes).astype(np.float64)
+    return seeded_cube(24, sizes).values
 
 
 def _measure_monolithic(shape, values, targets, repeats: int) -> dict:

@@ -32,12 +32,10 @@ from __future__ import annotations
 import sys
 import time
 
-import numpy as np
 from _gates import build_parser, finish
 
-from repro.cube.datacube import DataCube
-from repro.cube.dimensions import Dimension
 from repro.obs import Observability
+from repro.replay import seeded_cube
 from repro.server import OLAPServer
 
 REPEATS = 7
@@ -48,13 +46,8 @@ MAX_TRACED_OVER_UNTRACED = 1.25
 
 
 def make_server(sizes, seed=2024, traced=True) -> OLAPServer:
-    rng = np.random.default_rng(seed)
-    values = rng.integers(0, 100, size=sizes).astype(np.float64)
-    dims = [Dimension(f"d{i}", list(range(n))) for i, n in enumerate(sizes)]
     obs = Observability() if traced else Observability(tracing=False)
-    server = OLAPServer(
-        DataCube(values, dims, measure="amount"), observability=obs
-    )
+    server = OLAPServer(seeded_cube(seed, sizes), observability=obs)
     server.reconfigure()
     return server
 

@@ -14,7 +14,8 @@ materialize for a given query workload.  Sub-packages:
   the Gray et al. CUBE operator).
 - :mod:`repro.baselines` — view-materialization baselines (HRU greedy and
   the paper's [D] strategy).
-- :mod:`repro.workloads` — synthetic workload and data generators.
+- :mod:`repro.workloads` — synthetic workload and data generators,
+  including the gates' op traces (:mod:`repro.workloads.traces`).
 - :mod:`repro.experiments` — drivers regenerating every table and figure of
   the paper's evaluation.
 - :mod:`repro.obs` — metrics/tracing/caching observability layer threaded
@@ -23,8 +24,15 @@ materialize for a given query workload.  Sub-packages:
   acceptance replay (``python -m repro chaos``); the typed failure
   taxonomy lives in :mod:`repro.errors`.
 - :mod:`repro.shard` — sharded serving: slab partitioning, per-shard
-  materialized sets, scatter–gather assembly with exact merge, and the
-  shard-vs-monolith differential gate (``python -m repro shard``).
+  materialized sets, scatter–gather assembly with exact merge.
+- :mod:`repro.replay` — what the acceptance gates share: the seeded cube,
+  the ndarray :class:`~repro.replay.Replica`, the JSON op vocabulary and
+  the one :func:`~repro.replay.replay` loop.  The gates themselves are
+  presets over it: ``python -m repro update`` (:mod:`repro.soak.update`;
+  at ``--shards 1,2,4`` also the shard-vs-monolith gate), ``chaos``
+  (:mod:`repro.resilience.chaos`), ``recover``
+  (:mod:`repro.durability.gate`), ``soak --check`` (:mod:`repro.soak`)
+  and ``diag`` (:mod:`repro.resilience.triage`).
 """
 
 from .core import (

@@ -12,6 +12,8 @@ Usage::
     python -m repro trace [--output trace.json] [--check]
     python -m repro update [--trace FILE] [--shards N,M]
     python -m repro recover [--seed N] [--shards N,M] [--json] [--output R]
+    python -m repro soak [--check] [--batches N] [--seed N]
+    python -m repro diag [--check] [--output DIR]
 
 ``stats`` drives an instrumented demo server (repeated views, roll-ups,
 range queries, one mid-run reconfiguration) and prints its metrics
@@ -21,11 +23,6 @@ for free.  ``--serve`` additionally starts the ``/metrics`` + ``/health``
 HTTP endpoint, scrapes both over HTTP, and prints the responses — the CI
 smoke of the Prometheus surface.
 
-``chaos`` replays a seeded fault plan (transient errors, latency, one
-corrupted stored element) against a deterministic workload and exits
-non-zero unless every answer is bit-identical to a fault-free run — the
-resilience acceptance gate, also run as a CI smoke job.
-
 ``trace`` serves one star-schema ``query_batch`` with tracing on, prints
 the planned-vs-measured query profile, and optionally writes the trace as
 Chrome trace-event JSON (load it at ``chrome://tracing`` or
@@ -33,22 +30,26 @@ https://ui.perfetto.dev).  ``--check`` exits non-zero unless the batch
 produced a single connected trace whose measured operation counts equal
 the plan — the telemetry acceptance gate.
 
-``update`` replays a seeded (or ``--trace FILE``) interleaving of cell
-updates, bulk ingest batches, and warm-cache queries through the
-streaming differential gate, and exits non-zero unless every answer is
-bit-identical to recompute-from-scratch with *zero* coarse cache
-invalidations on the linear path — the streaming-ingest acceptance gate,
-also run as a CI smoke job.
+``update``, ``chaos``, ``recover``, ``soak --check`` and ``diag --check``
+are the acceptance gates, each also a CI smoke job.  All replay a seeded
+trace (:mod:`repro.workloads.traces`) through :func:`repro.replay.replay`
+against the one ndarray :class:`repro.replay.Replica` and exit non-zero
+unless every answer is byte-identical to recompute-from-scratch:
 
-``recover`` runs the kill-and-recover durability gate: sacrificial child
-processes drive durable servers (WAL + snapshots) through a seeded
-update/query trace and are ``SIGKILL``\\ ed at seeded points — between
-operations, mid-WAL-append, mid-snapshot — then each survivor directory
-is restored (including onto different shard counts) and checked for zero
-lost acknowledged updates, a bounded unacknowledged tail, and answers
-byte-identical to a never-crashed reference.  Exits non-zero on any lost
-update or divergent answer — the durability acceptance gate, also run as
-a CI smoke job.
+- ``update`` — per shard count (so it is also the shard-vs-monolith
+  gate), with *zero* coarse cache invalidations on the linear path and
+  exactly one shard epoch moved per point update; ``--trace FILE``
+  replays a JSON trace file instead of the seeded one;
+- ``chaos`` — under a seeded fault plan (transient errors, latency, one
+  corrupted stored element), plus a deadline probe;
+- ``recover`` — in sacrificial child processes ``SIGKILL``\\ ed at seeded
+  points (mid-WAL-append, mid-snapshot), each survivor directory restored
+  (including onto different shard counts) with zero lost acknowledged
+  updates and a bounded unacknowledged tail;
+- ``soak --check`` — over the drifting trace with a re-selection at every
+  phase boundary (without ``--check``: the timed soak report);
+- ``diag`` — the SLO-triage gate: seeded faults must fire the burn-rate
+  alert on the predicted query and auto-dump a valid diagnostic bundle.
 """
 
 from __future__ import annotations
@@ -268,17 +269,48 @@ def _run_trace(
     return "\n\n".join(lines), code
 
 
-def _run_chaos(seed: int, json_output: bool, output: str | None) -> int:
-    """Run the chaos acceptance replay; non-zero exit unless it survives."""
+#: The table-driven gates: module, config class, runner, default seed,
+#: and whether ``--shards`` / ``--workers`` configure the run.
+_GATES = {
+    "chaos": ("resilience.chaos", "ChaosConfig", "run_chaos", 7, False),
+    "update": (
+        "soak.update", "UpdateStreamConfig", "run_update_differential", 23, True
+    ),
+    "recover": (
+        "durability.gate", "RecoveryGateConfig", "run_recovery_gate", 31, True
+    ),
+}
+
+
+def _run_gate(name: str, args) -> int:
+    """Run one replay gate; non-zero exit unless its report is ``ok``."""
+    import importlib
     import json
     from pathlib import Path
 
-    from .resilience.chaos import ChaosConfig, render_report, run_chaos
+    module_name, config_name, runner, default_seed, sharded = _GATES[name]
+    module = importlib.import_module(f"repro.{module_name}")
+    fields = {"seed": default_seed if args.seed is None else args.seed}
+    if sharded:
+        fields["shard_counts"] = tuple(
+            int(s) for s in args.shards.split(",") if s
+        )
+        fields["workers"] = args.workers
+    extra = {}
+    if name == "update" and args.trace:
+        from .replay import load_trace
 
-    report = run_chaos(ChaosConfig(seed=seed))
-    if output:
-        Path(output).write_text(json.dumps(report, indent=2) + "\n")
-    print(json.dumps(report, indent=2) if json_output else render_report(report))
+        extra["trace"] = load_trace(args.trace)
+    report = getattr(module, runner)(
+        getattr(module, config_name)(**fields), **extra
+    )
+    if args.output:
+        Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
+    print(
+        json.dumps(report, indent=2)
+        if args.json
+        else module.render_report(report)
+    )
     return 0 if report["ok"] else 1
 
 
@@ -313,103 +345,6 @@ def _run_diag(
     return 0
 
 
-def _run_shard(
-    seed: int,
-    shards_spec: str,
-    workers: int,
-    json_output: bool,
-    output: str | None,
-) -> int:
-    """Run the shard-vs-monolith differential gate; non-zero on divergence."""
-    import json
-    from pathlib import Path
-
-    from .shard.differential import (
-        DifferentialConfig,
-        render_report,
-        run_differential,
-    )
-
-    counts = tuple(int(s) for s in shards_spec.split(",") if s)
-    report = run_differential(
-        DifferentialConfig(
-            seed=seed,
-            shard_counts=counts,
-            workers=workers,
-        )
-    )
-    if output:
-        Path(output).write_text(json.dumps(report, indent=2) + "\n")
-    print(json.dumps(report, indent=2) if json_output else render_report(report))
-    return 0 if report["ok"] else 1
-
-
-def _run_update(
-    seed: int,
-    shards_spec: str,
-    workers: int,
-    trace_path: str | None,
-    json_output: bool,
-    output: str | None,
-) -> int:
-    """Run the streaming-ingest differential gate; non-zero on divergence."""
-    import json
-    from pathlib import Path
-
-    from .streaming import (
-        UpdateStreamConfig,
-        load_trace,
-        render_report,
-        run_update_differential,
-    )
-
-    counts = tuple(int(s) for s in shards_spec.split(",") if s)
-    trace = load_trace(trace_path) if trace_path else None
-    report = run_update_differential(
-        UpdateStreamConfig(
-            seed=seed,
-            shard_counts=counts,
-            workers=workers,
-        ),
-        trace=trace,
-    )
-    if output:
-        Path(output).write_text(json.dumps(report, indent=2) + "\n")
-    print(json.dumps(report, indent=2) if json_output else render_report(report))
-    return 0 if report["ok"] else 1
-
-
-def _run_recover(
-    seed: int,
-    shards_spec: str,
-    workers: int,
-    json_output: bool,
-    output: str | None,
-) -> int:
-    """Run the kill-and-recover durability gate; non-zero on any loss."""
-    import json
-    from pathlib import Path
-
-    from .durability.gate import (
-        RecoveryGateConfig,
-        render_report,
-        run_recovery_gate,
-    )
-
-    counts = tuple(int(s) for s in shards_spec.split(",") if s)
-    report = run_recovery_gate(
-        RecoveryGateConfig(
-            seed=seed,
-            shard_counts=counts,
-            workers=workers,
-        )
-    )
-    if output:
-        Path(output).write_text(json.dumps(report, indent=2) + "\n")
-    print(json.dumps(report, indent=2) if json_output else render_report(report))
-    return 0 if report["ok"] else 1
-
-
 def _run_soak(
     seed: int,
     check: bool,
@@ -423,6 +358,7 @@ def _run_soak(
     from pathlib import Path
 
     from .soak import (
+        GATE_CONFIG,
         SoakConfig,
         render_check_report,
         render_soak_report,
@@ -430,33 +366,16 @@ def _run_soak(
         run_soak_check,
     )
 
+    # The gate always runs its own small cube; seed/batches override.
+    overrides = {"seed": seed}
+    if batches is not None:
+        overrides["batches"] = batches
     if check:
-        # The gate always runs its own small cube; seed/batches override.
-        kwargs = {}
-        if seed != 101:
-            kwargs["seed"] = seed
-        if batches is not None:
-            kwargs["batches"] = batches
-        report = run_soak_check(
-            config=None if not kwargs else dataclasses.replace(
-                SoakConfig(
-                    sizes=(16, 16, 8),
-                    batches=18,
-                    phase_batches=6,
-                    batch_size=6,
-                    burst_every=4,
-                    burst_cells=16,
-                ),
-                **kwargs,
-            ),
-        )
+        report = run_soak_check(dataclasses.replace(GATE_CONFIG, **overrides))
         rendered = render_check_report(report)
         code = 0 if report["ok"] else 1
     else:
-        config = SoakConfig(seed=seed)
-        if batches is not None:
-            config = dataclasses.replace(config, batches=batches)
-        report = run_soak(config)
+        report = run_soak(dataclasses.replace(SoakConfig(), **overrides))
         rendered = render_soak_report(report)
         code = 0
     if output:
@@ -485,7 +404,6 @@ def main(argv: list[str] | None = None) -> int:
             "stats",
             "chaos",
             "trace",
-            "shard",
             "update",
             "recover",
             "soak",
@@ -495,9 +413,8 @@ def main(argv: list[str] | None = None) -> int:
         "instrumented server demo; 'chaos' runs the seeded "
         "fault-injection acceptance replay; 'trace' serves a traced "
         "query batch and reports its planned-vs-measured profile; "
-        "'shard' replays a workload sharded vs monolithic and checks "
-        "byte-identity; 'update' replays an interleaved update/query "
-        "trace and checks delta patching against recompute-from-scratch; "
+        "'update' replays an interleaved update/query trace per shard "
+        "count and checks delta patching against recompute-from-scratch; "
         "'recover' SIGKILLs durable servers at seeded points and checks "
         "restore loses no acknowledged update; 'soak' replays the "
         "drifting workload — with "
@@ -575,7 +492,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--shards",
         default="1,2,4",
-        help="with 'shard'/'update': comma-separated shard counts to gate "
+        help="with 'update'/'recover': comma-separated shard counts to gate "
         "(each a power of two); with 'stats': shard count of the demo "
         "server (first value)",
     )
@@ -583,7 +500,7 @@ def main(argv: list[str] | None = None) -> int:
         "--trace",
         default=None,
         help="with 'update': replay this JSON trace file instead of the "
-        "seeded generator (see repro.streaming.generate_trace)",
+        "seeded generator (the op format is in repro.replay's docstring)",
     )
     args = parser.parse_args(argv)
 
@@ -597,45 +514,14 @@ def main(argv: list[str] | None = None) -> int:
             args.output,
         )
 
-    if args.experiment == "recover":
-        seed = 31 if args.seed is None else args.seed
-        return _run_recover(
-            seed,
-            args.shards,
-            args.workers,
-            args.json,
-            args.output,
-        )
-
-    if args.experiment == "update":
-        seed = 23 if args.seed is None else args.seed
-        return _run_update(
-            seed,
-            args.shards,
-            args.workers,
-            args.trace,
-            args.json,
-            args.output,
-        )
-
-    if args.experiment == "shard":
-        seed = 11 if args.seed is None else args.seed
-        return _run_shard(
-            seed,
-            args.shards,
-            args.workers,
-            args.json,
-            args.output,
-        )
+    if args.experiment in _GATES:
+        return _run_gate(args.experiment, args)
 
     if args.experiment == "stats":
         seed = 19 if args.seed is None else args.seed
         shards = int(args.shards.split(",")[0])
         print(_run_stats(args.json, args.queries, seed, args.serve, shards))
         return 0
-    if args.experiment == "chaos":
-        seed = 7 if args.seed is None else args.seed
-        return _run_chaos(seed, args.json, args.output)
     if args.experiment == "diag":
         seed = 7 if args.seed is None else args.seed
         return _run_diag(seed, args.check, args.json, args.output)

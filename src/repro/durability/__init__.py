@@ -28,11 +28,11 @@ This package is the missing durability layer:
   suffix, for monolithic and sharded layouts (including restoring onto a
   *different* shard count), losing **zero acknowledged updates**.
 - :mod:`repro.durability.gate` — the crash-recovery differential gate
-  behind ``python -m repro recover``: drive a seeded update/query trace in
-  a child process, ``SIGKILL`` it at seeded points (between operations,
-  mid-WAL-append, mid-snapshot), restore, and require every acknowledged
-  update present and every post-recovery answer byte-identical to a
-  never-crashed reference.
+  behind ``python -m repro recover``: :func:`repro.replay.replay` a seeded
+  update/query trace in a child process, ``SIGKILL`` it at seeded points
+  (between operations, mid-WAL-append, mid-snapshot), restore, and require
+  every acknowledged update present and the quiescent sweep byte-identical
+  to a :class:`~repro.replay.Replica` holding exactly the restored prefix.
 
 A durability directory belongs to one server lineage: create a server
 with ``durability=`` pointing at a fresh directory (it bootstraps an

@@ -2,8 +2,9 @@
 
 The durability claim is behavioural, so the gate tests the behaviour, not
 the bytes: a sacrificial child process drives a seeded interleaved
-update/query trace (the same generator the streaming gate replays —
-:func:`repro.streaming.generate_trace`) against a durable
+update/query trace (the same generator the update gate replays —
+:func:`repro.workloads.traces.flat_trace`, through
+:func:`repro.replay.replay`) against a durable
 :class:`~repro.server.OLAPServer`, taking periodic snapshots, while a
 seeded ``"kill"`` fault rule ``SIGKILL``\\ s it at a chosen invocation of
 ``wal.append`` (mid-record, after the first half reached the OS — a
@@ -16,11 +17,12 @@ survivor directory and checks, per scenario:
   last applied sequence must reach the highest acknowledged one.
 - **Bounded unacknowledged tail.**  At most one batch beyond the last ack
   may replay — the single batch that was in flight when the kill landed.
-- **Byte-identical answers.**  A reference replica is rebuilt by applying
-  exactly the restored prefix of the deterministic mutation sequence to
-  the base cube; the restored cube, aggregated views, a roll-up, and
-  range sums must match byte for byte (the cube is integer-valued, so
-  equality is exact, not approximate).
+- **Byte-identical answers.**  A :class:`~repro.replay.Replica` is
+  rebuilt by applying exactly the restored prefix of the deterministic
+  mutation sequence to the base cube; the shared quiescent sweep
+  (:func:`repro.replay.sweep`: the restored cube, aggregated views, a
+  roll-up, and range sums) must match byte for byte (the cube is
+  integer-valued, so equality is exact, not approximate).
 
 The matrix crosses shard layouts (1/2/4 by default) with seeded kill
 points on both sites plus a clean-shutdown control, and per layout one
@@ -35,18 +37,13 @@ import multiprocessing
 import os
 import signal
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from random import Random
 from shutil import rmtree
 
-import numpy as np
-
-from ..core.materialize import compute_element
-from ..core.range_query import range_sum_direct
-from ..cube.datacube import DataCube
-from ..cube.dimensions import Dimension
-from ..cube.hierarchy import rollup_element
+from ..replay import MUTATIONS, Replica, replay, seeded_cube, sweep
+from ..workloads.traces import flat_trace
 from . import DurabilityConfig
 
 __all__ = ["RecoveryGateConfig", "run_recovery_gate", "render_report"]
@@ -59,7 +56,6 @@ class RecoveryGateConfig:
     sizes: tuple[int, ...] = (8, 8, 8)
     shard_counts: tuple[int, ...] = (1, 2, 4)
     operations: int = 48
-    bulk_max: int = 5
     fsync: str = "interval"
     workers: int = 2
     #: Mutations between the child's explicit snapshots.
@@ -74,29 +70,9 @@ class RecoveryGateConfig:
     timeout_s: float = 90.0
 
 
-def _build_cube(seed: int, sizes: tuple[int, ...]) -> DataCube:
-    """The deterministic integer-valued cube both sides rebuild."""
-    rng = np.random.default_rng(seed)
-    values = rng.integers(0, 100, size=sizes).astype(np.float64)
-    dims = [Dimension(f"d{i}", list(range(n))) for i, n in enumerate(sizes)]
-    return DataCube(values, dims, measure="amount")
-
-
-def _stream_config(config: RecoveryGateConfig):
-    from ..streaming import UpdateStreamConfig
-
-    return UpdateStreamConfig(
-        seed=config.seed,
-        sizes=config.sizes,
-        workers=config.workers,
-        operations=config.operations,
-        bulk_max=config.bulk_max,
-    )
-
-
-def _mutations(trace: list[dict]) -> list[dict]:
-    """The trace's mutation ops, in order — mutation *k* is WAL seq *k+1*."""
-    return [op for op in trace if op["op"] in ("update", "update_many")]
+def _trace(config: RecoveryGateConfig) -> list[dict]:
+    """The trace both sides rebuild from the gate's seed."""
+    return flat_trace(config.seed, config.sizes, config.operations)
 
 
 def _child_main(payload: dict) -> None:
@@ -110,13 +86,10 @@ def _child_main(payload: dict) -> None:
     """
     from ..resilience.faults import FaultInjector, FaultRule
     from ..server import OLAPServer
-    from ..streaming import generate_trace
 
     config = RecoveryGateConfig(**payload["config"])
-    trace = generate_trace(_stream_config(config))
-    names = [f"d{i}" for i in range(len(config.sizes))]
     server = OLAPServer(
-        _build_cube(config.seed, config.sizes),
+        seeded_cube(config.seed, config.sizes),
         shards=payload["shards"],
         durability=DurabilityConfig(
             payload["directory"],
@@ -137,39 +110,11 @@ def _child_main(payload: dict) -> None:
     injector = FaultInjector(rules, seed=config.seed)
     mutations = 0
     with open(payload["acks"], "a") as acks, injector.activate():
-
-        def ack() -> None:
-            acks.write(f"{server._applied_seq}\n")
-            acks.flush()
-            os.fsync(acks.fileno())
-
-        for op in trace:
-            kind = op["op"]
-            if kind == "update":
-                server.update(
-                    float(op["delta"]),
-                    **{n: c for n, c in zip(names, op["coords"])},
-                )
-            elif kind == "update_many":
-                server.update_many(
-                    np.asarray(op["coords"], dtype=np.int64),
-                    np.asarray(op["deltas"], dtype=np.float64),
-                )
-            elif kind == "view":
-                server.view(list(op["dims"]))
-            elif kind == "query_batch":
-                server.query_batch(
-                    [list(r) for r in op["requests"]],
-                    max_workers=config.workers,
-                )
-            elif kind == "rollup":
-                server.rollup(op["levels"])
-            elif kind == "range":
-                server.range_sum(tuple((lo, hi) for lo, hi in op["ranges"]))
-            elif kind == "reconfigure":
-                server.reconfigure()
-            if kind in ("update", "update_many"):
-                ack()
+        for _, op, _, _ in replay(server, _trace(config), workers=config.workers):
+            if op["op"] in MUTATIONS:
+                acks.write(f"{server._applied_seq}\n")
+                acks.flush()
+                os.fsync(acks.fileno())
                 mutations += 1
                 if mutations % config.snapshot_every == 0:
                     server.snapshot()
@@ -200,58 +145,10 @@ def _verify_restore(
     server = OLAPServer.restore(directory, shards=restore_shards)
     try:
         applied = server._applied_seq
-        names = [f"d{i}" for i in range(len(config.sizes))]
-
         # The reference: base cube + exactly the restored mutation prefix.
-        replica = _build_cube(config.seed, config.sizes).values.copy()
-        for op in mutation_ops[:applied]:
-            if op["op"] == "update":
-                replica[tuple(op["coords"])] += float(op["delta"])
-            else:
-                coords = np.asarray(op["coords"], dtype=np.int64)
-                np.add.at(
-                    replica,
-                    tuple(coords.T),
-                    np.asarray(op["deltas"], dtype=np.float64),
-                )
-
-        compared = 0
-        mismatches: list[str] = []
-
-        def check(label: str, got: bytes, want: bytes) -> None:
-            nonlocal compared
-            compared += 1
-            if got != want:
-                mismatches.append(label)
-
-        check("cube", server.cube.values.tobytes(), replica.tobytes())
-        shape = server.shape
-        for dims in ([], [names[0]], names[:2], list(names)):
-            aggregated = [
-                i for i, name in enumerate(names) if name not in set(dims)
-            ]
-            element = shape.aggregated_view(aggregated)
-            check(
-                f"view:{dims}",
-                server.view(list(dims)).tobytes(),
-                compute_element(replica, element).tobytes(),
-            )
-        levels = {names[0]: 1}
-        check(
-            "rollup",
-            server.rollup(levels).tobytes(),
-            compute_element(
-                replica, rollup_element(server.cube, levels)
-            ).tobytes(),
-        )
-        for ranges in (
-            tuple((0, n) for n in config.sizes),
-            tuple((n // 4, 3 * n // 4) for n in config.sizes),
-        ):
-            got = float(server.range_sum(ranges))
-            want = float(range_sum_direct(replica, ranges))
-            check(f"range:{ranges}", np.float64(got).tobytes(),
-                  np.float64(want).tobytes())
+        replica = Replica(seeded_cube(config.seed, config.sizes).values)
+        replica.apply(mutation_ops[:applied])
+        sweep(server, replica, applied)
 
         lost = max(0, max_acked - applied)
         tail = applied - max_acked
@@ -262,13 +159,13 @@ def _verify_restore(
             "acked": max_acked,
             "lost_acked": lost,
             "unacked_tail": tail,
-            "compared": compared,
-            "mismatches": mismatches,
+            "compared": replica.compared,
+            "mismatches": replica.mismatches,
             "ok": (
                 lost == 0
                 and tail <= 1
-                and compared > 0
-                and not mismatches
+                and replica.compared > 0
+                and not replica.mismatches
             ),
         }
     finally:
@@ -329,34 +226,16 @@ def run_recovery_gate(
 ) -> dict:
     """Run the full kill/restore matrix; returns a JSON-friendly report."""
     config = config or RecoveryGateConfig()
-    trace = None
     owned = workdir is None
     root = Path(workdir) if workdir else Path(
         tempfile.mkdtemp(prefix="repro-recover-")
     )
     root.mkdir(parents=True, exist_ok=True)
     ctx = multiprocessing.get_context("spawn")
-    payload_config = {
-        "seed": config.seed,
-        "sizes": tuple(config.sizes),
-        "shard_counts": tuple(config.shard_counts),
-        "operations": config.operations,
-        "bulk_max": config.bulk_max,
-        "fsync": config.fsync,
-        "workers": config.workers,
-        "snapshot_every": config.snapshot_every,
-        "segment_bytes": config.segment_bytes,
-        "wal_kills": config.wal_kills,
-        "snapshot_kills": config.snapshot_kills,
-        "include_clean": config.include_clean,
-        "cross_restore": config.cross_restore,
-        "timeout_s": config.timeout_s,
-    }
     try:
-        from ..streaming import generate_trace
-
-        trace = generate_trace(_stream_config(config))
-        mutation_ops = _mutations(trace)
+        trace = _trace(config)
+        # Mutation *k* is WAL sequence *k + 1*.
+        mutation_ops = [op for op in trace if op["op"] in MUTATIONS]
         scenarios = []
         kill_points = 0
         ok = True
@@ -369,7 +248,7 @@ def run_recovery_gate(
                 target=_child_main,
                 args=(
                     {
-                        "config": payload_config,
+                        "config": asdict(config),
                         "shards": scenario["shards"],
                         "directory": str(directory),
                         "acks": str(acks),

@@ -187,21 +187,23 @@ def load_cube(path: str | Path) -> DataCube:
 
 
 def save_materialized_set(ms: MaterializedSet, path: str | Path) -> None:
-    """Write a :class:`MaterializedSet` (elements + arrays) to ``path``."""
+    """Write a :class:`MaterializedSet` (elements + arrays) to ``path``.
+
+    Only healthy storage is written: an element whose seal no longer
+    matches is quarantined here, as on any other first use, instead of
+    failing the save or persisting the damage.
+    """
+    healthy = ms.arrays_snapshot()
     arrays = {
-        f"element_{i}": ms.array(element)
-        for i, element in enumerate(ms.elements)
+        f"element_{i}": values for i, values in enumerate(healthy.values())
     }
     header = {
         "format": _SET_FORMAT,
         "sizes": list(ms.shape.sizes),
         "elements": [
-            [list(node) for node in element.nodes] for element in ms.elements
+            [list(node) for node in element.nodes] for element in healthy
         ],
-        "checksums": [
-            element_checksum(arrays[f"element_{i}"])
-            for i in range(len(ms.elements))
-        ],
+        "checksums": [element_checksum(values) for values in arrays.values()],
     }
     _atomic_savez(
         _normalize_path(path),

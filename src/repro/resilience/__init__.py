@@ -22,8 +22,12 @@ failure; this package holds the machinery that exercises and bounds it:
   ``ShardedSet._execute_shard`` and ``ShardedSet._local_assemble_resilient``
   (the shard's base slab).
 - :mod:`repro.resilience.chaos` — the ``python -m repro chaos`` driver:
-  replays a seeded fault plan against a workload on a live server and
-  reports survival (every answer bit-identical to a fault-free run).
+  :func:`repro.replay.replay` of a seeded trace under a seeded fault plan
+  on a live server; survival is every answer bit-identical to the
+  fault-free ndarray :class:`~repro.replay.Replica`.
+- :mod:`repro.resilience.triage` — the ``python -m repro diag`` driver:
+  the deterministic alert → bundle → evidence gate over the same seeded
+  cube and roll-up universe.
 
 The error types these raise live in :mod:`repro.errors`.
 """

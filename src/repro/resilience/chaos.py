@@ -1,21 +1,18 @@
 """Seeded chaos replay: prove queries survive faults bit-identically.
 
-The acceptance harness for the resilience layer.  It runs the *same*
-deterministic OLAP workload twice over the same integer-valued cube —
-
-- a **reference** run on a plain server with no faults, and
-- a **chaos** run with a seeded :class:`~repro.resilience.faults.
-  FaultInjector` active: transient errors at the executor's compute nodes
-  and the assembly entry points, injected latency, and one post-seal
-  corruption of a stored element array —
-
-and then compares every answer byte-for-byte.  Because the cube holds
-integer values (exact in float64) and quarantine re-routes through the
-paper's perfect-reconstruction algebra, the chaos run must produce the
-*identical* bytes for every view, roll-up, batch, and range sum: retries
-absorb the transient faults, first-use verification quarantines the
-corrupted element, and degradation falls back to the base cube when the
-surviving set is incomplete.
+The acceptance harness for the resilience layer.  It replays one seeded
+:func:`~repro.workloads.traces.flat_trace` over an integer-valued cube
+with a seeded :class:`~repro.resilience.faults.FaultInjector` active —
+transient errors at the executor's compute nodes and the assembly entry
+points, injected latency, and one post-seal corruption of a stored
+element array — and compares every answer byte-for-byte with the
+fault-free ndarray :class:`~repro.replay.Replica`.  Because the cube
+holds integer values (exact in float64) and quarantine re-routes through
+the paper's perfect-reconstruction algebra, the faulted server must
+produce the *identical* bytes for every view, roll-up, batch, and range
+sum: retries absorb the transient faults, first-use verification
+quarantines the corrupted element, and degradation falls back to the
+base cube when the surviving set is incomplete.
 
 A separate **deadline probe** checks the timeout path: a query with a
 10 ms deadline against a 50 ms injected stall must raise
@@ -28,12 +25,10 @@ drives this and exits non-zero unless survival is 100%.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..errors import AdmissionRejected, QueryTimeout
+from ..replay import Replica, replay, seeded_cube
 from .faults import FaultInjector, FaultRule
 
 
@@ -65,93 +60,9 @@ class ChaosConfig:
     #: Deadline and stall used by the timeout probe.
     probe_deadline_ms: float = 10.0
     probe_stall_ms: float = 50.0
-    #: Shard count of the chaos server (the reference stays monolithic,
-    #: so the replay also gates sharded-under-faults vs fault-free
-    #: monolithic byte-identity).
+    #: Shard count of the chaos server (the replica is one ndarray, so
+    #: the replay also gates the scatter-gather merge under faults).
     shards: int = 1
-
-
-def _build_cube(config: ChaosConfig):
-    """An integer-valued cube (exact in float64 → bit-identical routes)."""
-    from ..cube.datacube import DataCube
-    from ..cube.dimensions import Dimension
-
-    rng = np.random.default_rng(config.seed)
-    values = rng.integers(0, 100, size=config.sizes).astype(np.float64)
-    dims = [
-        Dimension(f"d{i}", list(range(n)))
-        for i, n in enumerate(config.sizes)
-    ]
-    return DataCube(values, dims, measure="amount")
-
-
-def _build_workload(config: ChaosConfig) -> list[tuple]:
-    """A deterministic op script replayed identically by both runs."""
-    rng = random.Random(config.seed)
-    names = [f"d{i}" for i in range(len(config.sizes))]
-    depths = [n.bit_length() - 1 for n in config.sizes]
-    ops: list[tuple] = []
-    for q in range(config.queries):
-        # Fixed reconfiguration points keep the scenario stable: the first
-        # one is where the store-corruption fault lands (the migration
-        # stores are the first stores after the constructor's root).
-        if q in (config.queries // 3, (2 * config.queries) // 3):
-            ops.append(("reconfigure",))
-            continue
-        roll = rng.random()
-        if roll < 0.30:
-            retained = rng.sample(names, rng.randint(0, len(names) - 1))
-            ops.append(("view", tuple(sorted(retained))))
-        elif roll < 0.50:
-            requests = [
-                tuple(sorted(rng.sample(names, rng.randint(0, len(names) - 1))))
-                for _ in range(3)
-            ]
-            ops.append(("batch", tuple(requests)))
-        elif roll < 0.65:
-            levels = {
-                name: rng.randint(0, depth)
-                for name, depth in zip(names, depths)
-                if rng.random() < 0.7
-            }
-            ops.append(("rollup", tuple(sorted(levels.items()))))
-        elif roll < 0.85:
-            ranges = []
-            for n in config.sizes:
-                lo = rng.randrange(n)
-                hi = rng.randrange(lo + 1, n + 1)
-                ranges.append((lo, hi))
-            ops.append(("range", tuple(ranges)))
-        else:
-            coords = tuple(rng.randrange(n) for n in config.sizes)
-            ops.append(("update", coords, float(rng.randint(-50, 50))))
-    return ops
-
-
-def _replay(server: OLAPServer, ops: list[tuple], names: list[str]) -> list:
-    """Execute the op script; answers are bytes so comparison is exact."""
-    answers: list = []
-    for op in ops:
-        kind = op[0]
-        if kind == "view":
-            answers.append(server.view(list(op[1])).tobytes())
-        elif kind == "batch":
-            results = server.query_batch([list(dims) for dims in op[1]])
-            answers.append(tuple(values.tobytes() for values in results))
-        elif kind == "rollup":
-            answers.append(server.rollup(dict(op[1])).tobytes())
-        elif kind == "range":
-            answers.append(server.range_sum(op[1]))
-        elif kind == "update":
-            coords, delta = op[1], op[2]
-            server.update(delta, **dict(zip(names, coords)))
-            answers.append(("update", coords, delta))
-        elif kind == "reconfigure":
-            storage, _cost = server.reconfigure()
-            answers.append(("reconfigure", storage))
-        else:  # pragma: no cover - the script above is the only producer
-            raise ValueError(f"unknown chaos op {kind!r}")
-    return answers
 
 
 def _chaos_rules(config: ChaosConfig) -> list[FaultRule]:
@@ -188,7 +99,7 @@ def _chaos_rules(config: ChaosConfig) -> list[FaultRule]:
 def _deadline_probe(config: ChaosConfig) -> dict:
     """A 10 ms deadline against a 50 ms stall: timeout + slot release."""
     server = _server_cls()(
-        _build_cube(config), max_in_flight=1, max_retries=0
+        seeded_cube(config.seed, config.sizes), max_in_flight=1, max_retries=0
     )
     injector = FaultInjector(
         [
@@ -224,52 +135,31 @@ def _deadline_probe(config: ChaosConfig) -> dict:
 
 
 def run_chaos(config: ChaosConfig | None = None) -> dict:
-    """Replay the workload fault-free and under faults; report survival."""
+    """Replay the trace under faults against the replica; report survival."""
+    # Imported lazily, like the server: repro.workloads sits above repro.core.
+    from ..workloads.traces import flat_trace
+
     config = config if config is not None else ChaosConfig()
-    names = [f"d{i}" for i in range(len(config.sizes))]
-    ops = _build_workload(config)
-
-    reference_server = _server_cls()(_build_cube(config))
-    reference = _replay(reference_server, ops, names)
-
+    ops = flat_trace(config.seed, config.sizes, config.queries)
     chaos_server = _server_cls()(
-        _build_cube(config),
+        seeded_cube(config.seed, config.sizes),
         max_in_flight=8,
         max_retries=config.max_retries,
         shards=config.shards,
     )
+    replica = Replica(chaos_server.cube.values)
     injector = FaultInjector(_chaos_rules(config), seed=config.seed)
     uncaught: str | None = None
-    answers: list = []
+    answered = 0
     with injector.activate():
         try:
-            answers = _replay(chaos_server, ops, names)
+            for _ in replay(chaos_server, ops, replica):
+                answered += 1
         except Exception as exc:  # the gate: nothing may escape
             uncaught = f"{type(exc).__name__}: {exc}"
 
-    def _comparable(answer):
-        # Sharded layouts may store *more* cells than the monolithic
-        # reference for the same selection: an element whose axis level
-        # exceeds the shard depth is kept per shard at the finest
-        # splittable level (the gather merges it down).  Storage totals
-        # are therefore layout-dependent; every query answer still has to
-        # match byte-for-byte.
-        if (
-            config.shards > 1
-            and isinstance(answer, tuple)
-            and answer
-            and answer[0] == "reconfigure"
-        ):
-            return ("reconfigure",)
-        return answer
-
-    mismatches = [
-        index
-        for index, (got, want) in enumerate(zip(answers, reference))
-        if _comparable(got) != _comparable(want)
-    ]
-    answered = len(answers)
-    survived = answered - len(mismatches) if uncaught is None else 0
+    mismatches = replica.mismatches
+    survived = answered - len(set(mismatches)) if uncaught is None else 0
     probe = _deadline_probe(config)
     integrity_failures = chaos_server.metrics.counter(
         "integrity_failures_total"
@@ -287,6 +177,7 @@ def run_chaos(config: ChaosConfig | None = None) -> dict:
         "seed": config.seed,
         "operations": len(ops),
         "answered": answered,
+        "compared": replica.compared,
         "mismatches": mismatches,
         "survival_rate": survived / len(ops) if ops else 1.0,
         "uncaught_exception": uncaught,

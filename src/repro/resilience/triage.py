@@ -30,16 +30,14 @@ kept an exemplar trace of a *faulted* query (keep reason ``error``).
 
 from __future__ import annotations
 
-import itertools
 import tempfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-import numpy as np
-
 from ..errors import TransientFault
 from ..obs.alerts import FAST_BUCKETS, AlertEngine, BurnRateRule, ManualClock
 from ..obs.flight import load_bundle, validate_bundle
+from ..replay import seeded_cube
 from .faults import FaultInjector, FaultRule
 
 __all__ = [
@@ -124,26 +122,14 @@ def predicted_fire_index(config: TriageConfig) -> int | None:
     return None
 
 
-def _build_cube(config: TriageConfig):
-    from ..cube.datacube import DataCube
-    from ..cube.dimensions import Dimension
-
-    rng = np.random.default_rng(config.seed)
-    values = rng.integers(0, 100, size=config.sizes).astype(np.float64)
-    dims = [
-        Dimension(f"d{i}", list(range(n)))
-        for i, n in enumerate(config.sizes)
-    ]
-    return DataCube(values, dims, measure="amount")
-
-
 def _query_script(config: TriageConfig) -> list[dict]:
     """``queries`` *distinct* roll-ups: every serve is a cache miss, so
     assemble-invocation counts align 1:1 with query indices."""
-    names = [f"d{i}" for i in range(len(config.sizes))]
-    depths = [int(n).bit_length() - 1 for n in config.sizes]
-    combos = itertools.product(*[range(1, d + 1) for d in depths])
-    script = [dict(zip(names, levels)) for levels in combos]
+    # Imported lazily: repro.workloads sits above the packages that
+    # import repro.resilience.
+    from ..workloads.traces import rollup_universe
+
+    script = rollup_universe(config.sizes)
     if len(script) < config.queries:
         raise ValueError(
             f"level universe holds {len(script)} roll-ups < "
@@ -163,7 +149,7 @@ def _run_once(
     clock = ManualClock()
     engine = AlertEngine(rules=(config.rule,), clock=clock, evaluate_every=1)
     server = OLAPServer(
-        _build_cube(config),
+        seeded_cube(config.seed, config.sizes),
         max_retries=0,
         alerts=engine,
         diagnostics_dir=diagnostics_dir,

@@ -9,23 +9,21 @@
   scatter to per-shard executors and gather through fused merge kernels,
   with per-shard retry/degradation (a quarantined shard re-routes to its
   base slab, the others keep serving).
-- :mod:`repro.shard.differential` — the shard-vs-monolith byte-identity
-  gate behind ``python -m repro shard``.
 
 ``OLAPServer(cube, shards=S)`` turns the whole serving stack sharded.
+The shard-vs-monolith byte-identity gate is ``python -m repro update
+--shards 1,2,4`` (:mod:`repro.soak.update`): every answer at every shard
+count equals the one ndarray :class:`~repro.replay.Replica`, which
+implies sharded == monolithic.
 """
 
 from __future__ import annotations
 
-from .differential import DifferentialConfig, render_report, run_differential
 from .partition import CubePartition, shard_axis_for
 from .sets import ShardedSet
 
 __all__ = [
     "CubePartition",
-    "DifferentialConfig",
     "ShardedSet",
-    "render_report",
-    "run_differential",
     "shard_axis_for",
 ]

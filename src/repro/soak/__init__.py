@@ -1,41 +1,45 @@
-"""repro.soak — drifting-workload soak harness.
+"""repro.soak — trace-replay harnesses over a live server.
 
-A seeded drifting workload (:mod:`~repro.soak.workload`) is replayed
-against a live server while SLO quantiles come from the existing
-``server_latency_ms`` histograms and :class:`AdaptationLoop` re-selects
-the stored elements from live cost-model telemetry
-(:mod:`~repro.soak.harness`).  The server runs with the constants it
-ships with — :data:`repro.core.exec.DISPATCH_THRESHOLD`,
+Both drive :func:`repro.replay.replay` and check against the one
+:class:`~repro.replay.Replica`:
+
+- :mod:`~repro.soak.update` — the streaming-ingest differential gate
+  (``python -m repro update``): a flat
+  :func:`~repro.workloads.traces.flat_trace` per shard count, with the
+  patch-not-clear and one-shard-epoch checks.  Run at shard counts
+  1/2/4 it is also the shard-vs-monolith gate.
+- :mod:`~repro.soak.harness` — the drifting soak (``python -m repro
+  soak``): a :func:`~repro.workloads.traces.drifting_trace` replayed
+  while SLO quantiles come from the existing ``server_latency_ms``
+  histograms and :class:`AdaptationLoop` re-selects the stored elements
+  from live cost-model telemetry; ``--check`` is its bit-identity gate
+  and ``benchmarks/bench_soak.py`` the gated benchmark.
+
+The server runs with the constants it ships with —
+:data:`repro.core.exec.DISPATCH_THRESHOLD`,
 :data:`repro.core.kernels.POOL_MIN_CELLS`, :data:`repro.server.MAX_WORKERS`
-and the rest are module constants, not soak inputs.  ``python -m repro
-soak`` is the CLI entry point; ``benchmarks/bench_soak.py`` is the gated
-benchmark.
+and the rest are module constants, not soak inputs.
 """
 
+from ..workloads.traces import SoakConfig
 from .harness import (
+    GATE_CONFIG,
     AdaptationLoop,
-    build_soak_server,
     render_check_report,
     render_soak_report,
     run_soak,
     run_soak_check,
 )
-from .workload import (
-    SoakConfig,
-    generate_soak_trace,
-    load_soak_trace,
-    save_soak_trace,
-)
+from .update import UpdateStreamConfig, run_update_differential
 
 __all__ = [
     "AdaptationLoop",
+    "GATE_CONFIG",
     "SoakConfig",
-    "build_soak_server",
-    "generate_soak_trace",
-    "load_soak_trace",
+    "UpdateStreamConfig",
     "render_check_report",
     "render_soak_report",
     "run_soak",
     "run_soak_check",
-    "save_soak_trace",
+    "run_update_differential",
 ]

@@ -1,8 +1,9 @@
 """Replay drifting soak traces against a live server and measure SLOs.
 
 :func:`run_soak` drives one :class:`~repro.server.OLAPServer` through a
-:func:`~repro.soak.workload.generate_soak_trace` trace, recording every
-batch's wall time and reading p50/p95/p99 per query kind from the
+:func:`~repro.workloads.traces.drifting_trace` with
+:func:`repro.replay.replay`, recording every batch's wall time and
+reading p50/p95/p99 per query kind from the
 server's own ``server_latency_ms`` SLO histogram (the same numbers
 ``health()`` and ``python -m repro stats`` render — the soak harness adds
 no second latency bookkeeping).  On top of raw latency it measures
@@ -17,35 +18,24 @@ triggers ``server.reconfigure()`` — the paper's dynamic re-selection,
 now driven by live execution telemetry instead of a synthetic schedule.
 
 :func:`run_soak_check` is the correctness gate (``python -m repro soak
---check``): the full drifting replay — ingest bursts, mid-run
-re-selections and all — while a plain ndarray replica is maintained on
-the side and **every** answer is compared byte for byte against
-recomputation from scratch (:mod:`repro.streaming` idiom).  Adaptation
-must never change answers, only their latency.
+--check``): the full drifting replay — ingest bursts, a re-selection at
+every phase boundary, live adaptation — while a
+:class:`~repro.replay.Replica` is maintained on the side and **every**
+answer is compared byte for byte against recomputation from scratch.
+Adaptation must never change answers, only their latency.
 """
 
 from __future__ import annotations
 
 import statistics
-import time
-from typing import TYPE_CHECKING
-
-import numpy as np
 
 from ..core.adaptive import CostModelMonitor
-from ..core.materialize import compute_element
-from ..core.range_query import range_sum_direct
-from ..cube.datacube import DataCube
-from ..cube.dimensions import Dimension
-from ..cube.hierarchy import rollup_element
-from .workload import SoakConfig, generate_soak_trace
-
-if TYPE_CHECKING:  # pragma: no cover - lazy import at runtime
-    from ..server import OLAPServer
+from ..replay import Replica, replay, seeded_cube
+from ..workloads.traces import SoakConfig, drifting_trace
 
 __all__ = [
     "AdaptationLoop",
-    "build_soak_server",
+    "GATE_CONFIG",
     "run_soak",
     "run_soak_check",
     "render_soak_report",
@@ -113,19 +103,6 @@ class AdaptationLoop:
         return True
 
 
-def build_soak_server(config: SoakConfig, **kwargs) -> "OLAPServer":
-    """A seeded integer-valued server for soak runs (replayable)."""
-    # Imported lazily: repro.server pulls in the shard layer.
-    from ..server import OLAPServer
-
-    rng = np.random.default_rng(config.seed)
-    values = rng.integers(0, 100, size=config.sizes).astype(np.float64)
-    dims = [
-        Dimension(f"d{i}", list(range(n))) for i, n in enumerate(config.sizes)
-    ]
-    return OLAPServer(DataCube(values, dims, measure="amount"), **kwargs)
-
-
 def _quantile(walls: list[float], q: float) -> float:
     if not walls:
         return 0.0
@@ -149,94 +126,30 @@ def run_soak(
     """
     config = config or SoakConfig()
     if trace is None:
-        trace = generate_soak_trace(config)
-    server_kwargs = dict(server_kwargs or {})
-    server = build_soak_server(config, **server_kwargs)
-    replica = server.cube.values.copy() if check_answers else None
-    names = [f"d{i}" for i in range(len(config.sizes))]
+        trace = drifting_trace(config)
+    # Imported lazily: repro.server pulls in the shard layer.
+    from ..server import OLAPServer
+
+    server = OLAPServer(
+        seeded_cube(config.seed, config.sizes), **(server_kwargs or {})
+    )
+    replica = Replica(server.cube.values) if check_answers else None
     loop = AdaptationLoop(server) if adaptation else None
-
-    compared = 0
-    mismatches: list[int] = []
-
-    def element_for(dims: list[str]):
-        aggregated = [
-            i for i, name in enumerate(names) if name not in set(dims)
-        ]
-        return server.shape.aggregated_view(aggregated)
-
-    def compare(i: int, got: bytes, want: bytes) -> None:
-        nonlocal compared
-        compared += 1
-        if got != want:
-            mismatches.append(i)
 
     walls: list[float] = []  # timed (query/rollup/range) batch walls, ms
     wall_kinds: list[str] = []  # parallel to walls
     drift_points: list[dict] = []  # {"phase", "at"(index into walls)}
     queries = 0
 
-    for i, op in enumerate(trace):
+    for _, op, answers, wall_ms in replay(server, trace, replica, config.workers):
         kind = op["op"]
         if kind == "drift":
             drift_points.append({"phase": op["phase"], "at": len(walls)})
+        if not answers:
             continue
-        if kind == "ingest":
-            coords = np.asarray(op["coords"], dtype=np.int64)
-            deltas = np.asarray(op["deltas"], dtype=np.float64)
-            server.update_many(coords, deltas)
-            if replica is not None:
-                np.add.at(replica, tuple(coords.T), deltas)
-            continue
-
-        start = time.perf_counter()
-        if kind == "query_batch":
-            answers = server.query_batch(
-                [list(r) for r in op["requests"]],
-                max_workers=config.workers,
-            )
-            wall_ms = (time.perf_counter() - start) * 1e3
-            queries += len(answers)
-            if replica is not None:
-                for request, answer in zip(op["requests"], answers):
-                    compare(
-                        i,
-                        answer.tobytes(),
-                        compute_element(
-                            replica, element_for(list(request))
-                        ).tobytes(),
-                    )
-        elif kind == "rollup_batch":
-            answers = server.rollup_batch(
-                [dict(levels) for levels in op["levels_list"]],
-                max_workers=config.workers,
-            )
-            wall_ms = (time.perf_counter() - start) * 1e3
-            queries += len(answers)
-            if replica is not None:
-                for levels, answer in zip(op["levels_list"], answers):
-                    element = rollup_element(server.cube, dict(levels))
-                    compare(
-                        i,
-                        answer.tobytes(),
-                        compute_element(replica, element).tobytes(),
-                    )
-        elif kind == "range":
-            ranges = tuple((lo, hi) for lo, hi in op["ranges"])
-            value = server.range_sum(ranges)
-            wall_ms = (time.perf_counter() - start) * 1e3
-            queries += 1
-            if replica is not None:
-                compare(
-                    i,
-                    np.float64(value).tobytes(),
-                    np.float64(range_sum_direct(replica, ranges)).tobytes(),
-                )
-        else:
-            raise ValueError(f"unknown soak op {op['op']!r} at index {i}")
+        queries += len(answers)
         walls.append(wall_ms)
         wall_kinds.append(kind)
-
         if loop is not None and kind in ("query_batch", "rollup_batch"):
             loop.observe(server.query_profile())
 
@@ -291,19 +204,10 @@ def run_soak(
         "epoch": server.epoch,
         "fingerprint": health.get("fingerprint"),
     }
-    if check_answers:
-        # Quiescent sweep: the soaked server must agree with a from-
-        # scratch recomputation on the final cube state.
-        compare(len(trace), server.cube.values.tobytes(), replica.tobytes())
-        for dims in ([], [names[0]], names[:2], list(names)):
-            compare(
-                len(trace),
-                server.view(list(dims)).tobytes(),
-                compute_element(replica, element_for(list(dims))).tobytes(),
-            )
-        report["compared"] = compared
-        report["mismatches"] = mismatches
-        report["bit_identical"] = not mismatches
+    if replica is not None:
+        report["compared"] = replica.compared
+        report["mismatches"] = replica.mismatches
+        report["bit_identical"] = not replica.mismatches
     return report
 
 
@@ -335,21 +239,32 @@ def _adaptation_lags(walls: list[float], drift_points: list[dict]) -> list[dict]
     return lags
 
 
-def run_soak_check(config: SoakConfig | None = None) -> dict:
+#: The gate's cube and trace length (``python -m repro soak --check``).
+GATE_CONFIG = SoakConfig(
+    sizes=(16, 16, 8), batches=18, phase_batches=6, batch_size=6,
+    burst_every=4, burst_cells=16,
+)
+
+
+def run_soak_check(config: SoakConfig = GATE_CONFIG) -> dict:
     """The soak gate: the drifting replay stays bit-identical.
 
-    Runs the full loop — ingest bursts, live cost-model adaptation — with
-    an ndarray replica checking every answer byte for byte; any
-    divergence fails the gate.
+    Runs the full loop — ingest bursts, live cost-model adaptation, and a
+    ``reconfigure`` op inserted at every phase boundary past the first
+    (a trace this short never trips the cost-model monitor on its own) —
+    with a replica checking every answer byte for byte; any divergence,
+    or a run that never re-selected, fails the gate.
     """
-    config = config or SoakConfig(
-        sizes=(16, 16, 8), batches=18, phase_batches=6, batch_size=6,
-        burst_every=4, burst_cells=16,
-    )
-    run = run_soak(config, check_answers=True)
+    trace: list[dict] = []
+    for op in drifting_trace(config):
+        trace.append(op)
+        if op["op"] == "drift" and op["phase"] > 0:
+            trace.append({"op": "reconfigure"})
+    run = run_soak(config, trace=trace, check_answers=True)
     ok = (
         run["bit_identical"]
         and run["compared"] > 0
+        and run["epoch"] >= 1
         and sum(k["count"] for k in run["latency_ms"].values()) > 0
     )
     return {
@@ -360,9 +275,8 @@ def run_soak_check(config: SoakConfig | None = None) -> dict:
                 "compared": run["compared"],
                 "mismatches": run["mismatches"],
                 "bit_identical": run["bit_identical"],
-                "reconfigurations": len(
-                    run["adaptation"]["reconfigurations"]
-                ),
+                # Every reconfigure (trace op or adaptation) bumps the epoch.
+                "reconfigurations": run["epoch"],
                 "p99_ms": run["p99_ms"],
                 "qps": run["qps"],
             }

@@ -13,16 +13,21 @@ from .star_schema import (
     sales_cube,
     sales_table,
 )
+from .traces import SoakConfig, drifting_trace, flat_trace, rollup_universe
 
 __all__ = [
     "SalesConfig",
+    "SoakConfig",
     "aligned_range",
     "drifting_populations",
+    "drifting_trace",
+    "flat_trace",
     "generate_sales_records",
     "hot_subset_population",
     "random_range",
     "random_ranges",
     "random_view_population",
+    "rollup_universe",
     "sales_cube",
     "sales_table",
     "zipf_view_population",

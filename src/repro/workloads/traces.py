@@ -1,46 +1,42 @@
-"""Seeded drifting-workload generator for the soak harness.
+"""Seeded trace generators in the :mod:`repro.replay` op vocabulary.
 
-A soak trace is a sequence of *batches* replayed against a live
-:class:`~repro.server.OLAPServer`.  Unlike the streaming gate's flat op
-mix (:mod:`repro.streaming`), the soak trace *drifts* on purpose — the
-regime the stored selection and the result cache were warm for shifts
-out from under the server mid-run:
+Two shapes of trace, both pure functions of their arguments so a run is
+replayable from its seed:
 
-- **hot-key shifts** — each phase draws a fresh hot set of aggregated
-  views; 80% of batch requests hit the hot set, so the result cache
-  goes cold at each boundary;
-- **diurnal query-mix rotation** — phases rotate through view-heavy,
-  rollup-heavy and range-heavy mixes (the "time of day" changing what
-  the workload looks like);
-- **range-vs-rollup phases** — the rotation deliberately swings between
-  the shared-plan batch path and the prefix-sum range path, which stress
-  different layers (batch executor vs. range-engine intermediates);
-- **ingest bursts** — periodic ``update_many`` batches interleave
-  streaming writes with the query load.
+- :func:`flat_trace` — a flat interleaving of every op kind, its views
+  over a small recurring working set (so the result cache genuinely warms
+  and delta patching has warm state to repair), with one mid-trace
+  ``reconfigure``.
+  The update, chaos and recover gates replay it.
+- :func:`drifting_trace` — batch-granularity ops whose regime *drifts*:
+  the stored selection and the result cache were warm for a workload that
+  shifts out from under the server at each phase boundary.  The soak
+  harness and ``benchmarks/bench_soak.py`` replay it:
 
-Phase boundaries are marked with explicit ``drift`` ops so the harness
-can measure adaptation lag (batches until latency recovers after a
-shift).  Generation is pure and seeded: the same :class:`SoakConfig`
-always yields the same trace, so soak runs are replayable and the
-curve points of ``benchmarks/bench_soak.py`` differ only in what the
-config says.
+  - **hot-key shifts** — each phase draws a fresh hot set of aggregated
+    views; 80% of batch requests hit it, so the cache goes cold at each
+    boundary;
+  - **diurnal query-mix rotation** — phases rotate through view-heavy,
+    rollup-heavy and range-heavy mixes, swinging between the shared-plan
+    batch path and the prefix-sum range path;
+  - **ingest bursts** — periodic ``update_many`` batches interleave
+    streaming writes with the query load.
+
+  Phase boundaries are explicit ``drift`` markers so the harness can
+  measure adaptation lag (batches until latency recovers after a shift).
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
-__all__ = [
-    "SoakConfig",
-    "generate_soak_trace",
-    "save_soak_trace",
-    "load_soak_trace",
-]
+__all__ = ["SoakConfig", "drifting_trace", "flat_trace", "rollup_universe"]
+
+#: Largest ``update_many`` batch of a flat trace.
+BULK_MAX = 6
 
 # Diurnal rotation: (view, rollup, range) batch probabilities per phase.
 # Phase p uses _MIXES[p % 3]; the swing between rollup- and range-heavy
@@ -50,6 +46,72 @@ _MIXES: tuple[tuple[float, float, float], ...] = (
     (0.20, 0.60, 0.20),  # midday: rollup-heavy reporting
     (0.30, 0.20, 0.50),  # evening: range-scan analytics
 )
+
+
+def _random_range(rng, sizes) -> list[list[int]]:
+    return [sorted(int(v) for v in rng.integers(0, n + 1, size=2)) for n in sizes]
+
+
+def flat_trace(seed: int, sizes, operations: int) -> list[dict]:
+    """A seeded interleaving of mutations and (repeating) queries.
+
+    Views are drawn from a small working set so the same ones recur and
+    the result cache warms up — the regime where in-place patching
+    matters.  Roughly 60% queries (views, batches, roll-ups, roll-up
+    batches, ranges, point cells), 40% mutations (point and bulk), and
+    one reconfiguration at the midpoint.
+    """
+    rng = np.random.default_rng(seed)
+    names = [f"d{i}" for i in range(len(sizes))]
+    view_pool = [[], [names[0]], [names[-1]], names[:2], list(names)]
+    # Roll-ups range over the whole level universe instead: mostly
+    # distinct elements, so cache-miss assemblies (and, under chaos, the
+    # fault sites on that path) keep flowing after the views have warmed.
+    rollup_pool = rollup_universe(sizes)
+
+    def cell() -> list[int]:
+        return [int(rng.integers(0, n)) for n in sizes]
+
+    trace: list[dict] = []
+    for step in range(operations):
+        if step == operations // 2:
+            trace.append({"op": "reconfigure"})
+        roll = rng.random()
+        if roll < 0.22:
+            dims = view_pool[int(rng.integers(len(view_pool)))]
+            trace.append({"op": "view", "dims": dims})
+        elif roll < 0.32:
+            k = int(rng.integers(2, len(view_pool) + 1))
+            picks = rng.choice(len(view_pool), size=k, replace=True)
+            trace.append(
+                {"op": "query_batch", "requests": [view_pool[i] for i in picks]}
+            )
+        elif roll < 0.40:
+            levels = rollup_pool[int(rng.integers(len(rollup_pool)))]
+            trace.append({"op": "rollup", "levels": levels})
+        elif roll < 0.46:
+            picks = rng.choice(len(rollup_pool), size=3, replace=True)
+            trace.append(
+                {"op": "rollup_batch", "levels_list": [rollup_pool[i] for i in picks]}
+            )
+        elif roll < 0.57:
+            trace.append({"op": "range", "ranges": _random_range(rng, sizes)})
+        elif roll < 0.62:
+            trace.append({"op": "cell", "coords": cell()})
+        elif roll < 0.82:
+            trace.append(
+                {"op": "update", "coords": cell(), "delta": int(rng.integers(-9, 10))}
+            )
+        else:
+            count = int(rng.integers(2, BULK_MAX + 1))
+            trace.append(
+                {
+                    "op": "update_many",
+                    "coords": [cell() for _ in range(count)],
+                    "deltas": [int(v) for v in rng.integers(-9, 10, size=count)],
+                }
+            )
+    return trace
 
 
 @dataclass(frozen=True)
@@ -117,15 +179,17 @@ def _view_universe(names: list[str]) -> list[list[str]]:
     return universe
 
 
-def _rollup_pool(names: list[str], sizes: tuple[int, ...]) -> list[dict]:
+def rollup_universe(sizes) -> list[dict]:
     """Every roll-up level combination over every dimension subset.
 
-    This is the soak's big query universe (~179 members on the default
-    shape) — deliberately larger than the default result-cache bound,
-    so a long-running drifting workload keeps producing genuine
-    cache-miss assemblies instead of settling into an all-hit steady
-    state.
+    This is the big query universe (~179 members on the default soak
+    shape) — deliberately larger than the default result-cache bound, so
+    a long-running drifting workload keeps producing genuine cache-miss
+    assemblies instead of settling into an all-hit steady state.  Its
+    members are pairwise distinct elements, which is what the triage gate
+    serves one per query.
     """
+    names = [f"d{i}" for i in range(len(sizes))]
     depths = [max(1, int(n).bit_length() - 1) for n in sizes]
     pool: list[dict] = []
     for mask in range(1, 1 << len(names)):
@@ -139,19 +203,19 @@ def _rollup_pool(names: list[str], sizes: tuple[int, ...]) -> list[dict]:
     return pool
 
 
-def generate_soak_trace(config: SoakConfig) -> list[dict]:
+def drifting_trace(config: SoakConfig) -> list[dict]:
     """One seeded drifting trace: a list of batch-granularity ops.
 
     Ops: ``{"op": "drift", "phase": p, "hot": [...]}`` at phase
     boundaries, ``query_batch``/``rollup_batch`` (lists of requests),
-    ``range`` (one multi-dimensional range sum), and ``ingest``
-    (an ``update_many`` burst).  The first phase emits its ``drift``
-    marker too (phase 0, no lag measured against it).
+    ``range`` (one multi-dimensional range sum), and ``update_many``
+    (an ingest burst).  The first phase emits its ``drift`` marker too
+    (phase 0, no lag measured against it).
     """
     rng = np.random.default_rng(config.seed)
     names = [f"d{i}" for i in range(len(config.sizes))]
     universe = _view_universe(names)
-    rollups = _rollup_pool(names, config.sizes)
+    rollups = rollup_universe(config.sizes)
 
     trace: list[dict] = []
     hot: list[int] = []
@@ -179,10 +243,7 @@ def generate_soak_trace(config: SoakConfig) -> list[dict]:
             # Hot range windows: dashboards re-run the same spans, so
             # the range engine's intermediates genuinely warm up.
             range_pool = [
-                [
-                    sorted(int(v) for v in rng.integers(0, n + 1, size=2))
-                    for n in config.sizes
-                ]
+                _random_range(rng, config.sizes)
                 for _ in range(max(1, config.hot_ranges))
             ]
             trace.append(
@@ -197,7 +258,7 @@ def generate_soak_trace(config: SoakConfig) -> list[dict]:
             count = int(rng.integers(config.burst_cells // 2, config.burst_cells + 1))
             trace.append(
                 {
-                    "op": "ingest",
+                    "op": "update_many",
                     "coords": [
                         [int(rng.integers(0, n)) for n in config.sizes]
                         for _ in range(count)
@@ -231,22 +292,6 @@ def generate_soak_trace(config: SoakConfig) -> list[dict]:
             if rng.random() < config.hot_fraction:
                 ranges = range_pool[int(rng.integers(len(range_pool)))]
             else:
-                ranges = [
-                    sorted(int(v) for v in rng.integers(0, n + 1, size=2))
-                    for n in config.sizes
-                ]
+                ranges = _random_range(rng, config.sizes)
             trace.append({"op": "range", "ranges": ranges})
-    return trace
-
-
-def save_soak_trace(trace: list[dict], path: str | Path) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(trace, indent=2) + "\n")
-    return path
-
-
-def load_soak_trace(path: str | Path) -> list[dict]:
-    trace = json.loads(Path(path).read_text())
-    if not isinstance(trace, list):
-        raise ValueError(f"soak trace file {path} must hold a JSON list")
     return trace

@@ -2,9 +2,9 @@
 
 import json
 
-import numpy as np
 import pytest
 
+from repro.replay import seeded_cube
 from repro.resilience.chaos import ChaosConfig, render_report, run_chaos
 
 
@@ -178,20 +178,14 @@ class TestFusedFaultSites:
         assert first["invocations"] == second["invocations"]
 
 def _cube(seed=5, sizes=(8, 8, 8)):
-    from repro.cube.datacube import DataCube
-    from repro.cube.dimensions import Dimension
-
-    rng = np.random.default_rng(seed)
-    values = rng.integers(0, 100, size=sizes).astype(np.float64)
-    dims = [Dimension(f"d{i}", list(range(n))) for i, n in enumerate(sizes)]
-    return DataCube(values, dims, measure="amount")
+    return seeded_cube(seed, sizes)
 
 
 class TestShardedChaos:
     """The chaos gate, sharded: faults on shard legs must stay contained.
 
-    The replay's chaos server runs with two shards while the reference
-    stays monolithic — so the same byte-identity assertion now also gates
+    The replay's chaos server runs with two shards while the replica
+    stays one ndarray — so the same byte-identity assertion also gates
     the scatter-gather merge under transient errors, injected latency,
     and a one-shot store corruption (which lands on a single shard's slab
     and must quarantine/re-route that shard only).

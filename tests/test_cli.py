@@ -117,16 +117,11 @@ class TestUpdateCLI:
         assert json.loads(report_path.read_text()) == payload
 
     def test_update_replays_a_trace_file(self, capsys, tmp_path):
-        from repro.streaming import (
-            UpdateStreamConfig,
-            generate_trace,
-            save_trace,
-        )
+        from repro.replay import save_trace
+        from repro.workloads import flat_trace
 
         trace_path = tmp_path / "trace.json"
-        save_trace(
-            generate_trace(UpdateStreamConfig(operations=12)), trace_path
-        )
+        save_trace(flat_trace(23, (8, 16, 16), 12), trace_path)
         assert (
             main(["update", "--shards", "1", "--trace", str(trace_path)])
             == 0
@@ -142,6 +137,13 @@ class TestRemovedTuningCLI:
             main(["tune"])
         assert exit_info.value.code == 2
         assert "invalid choice: 'tune'" in capsys.readouterr().err
+
+    def test_shard_is_an_unknown_command(self, capsys):
+        """``update --shards 1,2,4`` is the shard gate now."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["shard"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'shard'" in capsys.readouterr().err
 
     def test_soak_has_no_tuning_flag(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

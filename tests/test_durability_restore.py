@@ -5,18 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cube.datacube import DataCube
-from repro.cube.dimensions import Dimension
 from repro.durability import DurabilityConfig, latest_snapshot, list_snapshots
+from repro.replay import Replica, seeded_cube
+from repro.resilience import FaultInjector, FaultRule
 from repro.server import OLAPServer
 
 
-def _cube(rng: np.random.Generator, sizes=(8, 8, 8)) -> DataCube:
-    values = rng.integers(0, 100, size=sizes).astype(np.float64)
-    dims = [
-        Dimension(f"d{i}", list(range(n))) for i, n in enumerate(sizes)
-    ]
-    return DataCube(values, dims, measure="sales")
+def _cube(rng: np.random.Generator, sizes=(8, 8, 8)):
+    return seeded_cube(int(rng.integers(1 << 30)), sizes)
 
 
 def _mutate(server: OLAPServer, rng: np.random.Generator, batches: int):
@@ -134,6 +130,39 @@ class TestRoundTrip:
         debris = config.snapshot_dir / ".staging-snap-crashed"
         debris.mkdir()
         (debris / "cube.npz").write_bytes(b"half-written")
+        with OLAPServer.restore(config) as restored:
+            assert _answers(restored) == expected
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_snapshot_quarantines_a_damaged_unverified_element(
+        self, tmp_path, rng, shards
+    ):
+        """Found by ``tests/test_server_model.py``: a snapshot taken before
+        a damaged element's first use raised ``KeyError`` out of
+        ``save_materialized_set``.  The save is a first use like any other:
+        the element is quarantined, the survivors are written."""
+        config = _config(tmp_path)
+        corrupt_first_store = FaultInjector(
+            [
+                FaultRule(
+                    site="materialize.store",
+                    kind="corrupt",
+                    probability=1.0,
+                    max_fires=1,
+                )
+            ],
+            seed=0,
+        )
+        with OLAPServer(_cube(rng), shards=shards, durability=config) as server:
+            with corrupt_first_store.activate():
+                server.reconfigure()
+            server.snapshot()
+            failures = server.metrics.counter("integrity_failures_total")
+            assert failures.total() == 1
+            expected = _answers(server)
+            replica = Replica(server.cube.values)
+        for name, dims in (("d0", ["d0"]), ("d0d1", ["d0", "d1"]), ("d2", ["d2"])):
+            assert expected[name] == replica.view(dims).tobytes()
         with OLAPServer.restore(config) as restored:
             assert _answers(restored) == expected
 

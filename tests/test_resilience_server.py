@@ -5,18 +5,14 @@ import threading
 import numpy as np
 import pytest
 
-from repro.cube.datacube import DataCube
-from repro.cube.dimensions import Dimension
 from repro.errors import AdmissionRejected, QueryTimeout, TransientFault
+from repro.replay import seeded_cube
 from repro.resilience import FaultInjector, FaultRule
 from repro.server import OLAPServer
 
 
 def _make_server(seed=11, sizes=(8, 8), **kwargs):
-    rng = np.random.default_rng(seed)
-    values = rng.integers(0, 100, size=sizes).astype(np.float64)
-    dims = [Dimension(f"d{i}", list(range(n))) for i, n in enumerate(sizes)]
-    return OLAPServer(DataCube(values, dims, measure="amount"), **kwargs)
+    return OLAPServer(seeded_cube(seed, sizes), **kwargs)
 
 
 class TestDeadlines:

@@ -9,16 +9,13 @@ the differential gate must hold answers bit-identical under adaptation.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 
 from repro.core import exec as batch_exec
-from repro.soak import (
-    SoakConfig,
-    generate_soak_trace,
-    load_soak_trace,
-    run_soak,
-    run_soak_check,
-    save_soak_trace,
-)
+from repro.replay import load_trace, save_trace
+from repro.soak import SoakConfig, run_soak, run_soak_check
+from repro.workloads import drifting_trace
 
 #: Small enough to keep the whole module in CI seconds.
 TINY = SoakConfig(
@@ -33,18 +30,18 @@ TINY = SoakConfig(
 
 class TestTraceGeneration:
     def test_same_config_same_trace(self):
-        assert generate_soak_trace(TINY) == generate_soak_trace(TINY)
+        assert drifting_trace(TINY) == drifting_trace(TINY)
 
     def test_seed_changes_trace(self):
         other = dataclasses.replace(TINY, seed=TINY.seed + 1)
-        assert generate_soak_trace(TINY) != generate_soak_trace(other)
+        assert drifting_trace(TINY) != drifting_trace(other)
 
     def test_trace_structure(self):
-        trace = generate_soak_trace(TINY)
+        trace = drifting_trace(TINY)
         kinds = {op["op"] for op in trace}
         assert kinds <= {
             "drift",
-            "ingest",
+            "update_many",
             "query_batch",
             "rollup_batch",
             "range",
@@ -52,12 +49,23 @@ class TestTraceGeneration:
         drift_phases = [op["phase"] for op in trace if op["op"] == "drift"]
         assert drift_phases == sorted(drift_phases)
         assert len(drift_phases) == TINY.batches // TINY.phase_batches
-        assert any(op["op"] == "ingest" for op in trace)
+        assert any(op["op"] == "update_many" for op in trace)
+
+    def test_trace_is_the_parent_commits_trace(self):
+        """``drifting_trace(TINY)`` is ``generate_soak_trace(TINY)`` of the
+        commit before the trace models merged (its ``ingest`` ops renamed
+        ``update_many``) — digest computed there — so
+        ``bench_soak.py --compare BENCH_soak_small.json`` still compares
+        runs of the same trace."""
+        blob = json.dumps(drifting_trace(TINY), sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == (
+            "2b54e231a784216f291a87416f6df43d65b65ee89d0ce60c035ca799b382e18a"
+        )
 
     def test_trace_round_trips_through_json(self, tmp_path):
-        trace = generate_soak_trace(TINY)
-        path = save_soak_trace(trace, tmp_path / "trace.json")
-        assert load_soak_trace(path) == trace
+        trace = drifting_trace(TINY)
+        path = save_trace(trace, tmp_path / "trace.json")
+        assert load_trace(path) == trace
 
 
 class TestHarness:
@@ -91,3 +99,9 @@ class TestHarness:
         assert run["bit_identical"]
         assert run["compared"] > 0
         assert "nudges" not in run
+
+    def test_gate_re_selects_mid_run(self):
+        """The gate's promise is answers unchanged *by adaptation*: a run
+        that never reconfigured has not tested it."""
+        (run,) = run_soak_check(TINY)["runs"]
+        assert run["reconfigurations"] >= 1

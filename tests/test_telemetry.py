@@ -22,8 +22,6 @@ import pytest
 
 from repro.core.adaptive import CostModelMonitor, DynamicViewAssembler
 from repro.core.element import CubeShape
-from repro.cube.datacube import DataCube
-from repro.cube.dimensions import Dimension
 from repro.errors import TransientFault
 from repro.obs import (
     EventLog,
@@ -35,6 +33,7 @@ from repro.obs import (
 )
 from repro.obs.export import chrome_trace, prometheus_text, render_chrome_trace
 from repro.obs.profile import query_profile, render_profile
+from repro.replay import seeded_cube
 from repro.resilience import FaultInjector, FaultRule
 from repro.server import OLAPServer
 
@@ -42,10 +41,7 @@ BATCH = [["d0"], ["d1"], ["d2"], ["d0", "d1"], ["d0", "d2"], ["d1", "d2"]]
 
 
 def _make_server(seed=11, sizes=(8, 8, 8), **kwargs):
-    rng = np.random.default_rng(seed)
-    values = rng.integers(0, 100, size=sizes).astype(np.float64)
-    dims = [Dimension(f"d{i}", list(range(n))) for i, n in enumerate(sizes)]
-    return OLAPServer(DataCube(values, dims, measure="amount"), **kwargs)
+    return OLAPServer(seeded_cube(seed, sizes), **kwargs)
 
 
 @pytest.fixture

@@ -4,8 +4,9 @@ The property at stake: after *any* interleaving of ``update`` /
 ``update_many`` / ``query_batch`` / ``range_sum`` (with queries answered
 mid-stream from patched warm state), the server is indistinguishable from
 one freshly built on the final cube — bit-identically, because the cubes
-are integer-valued.  Hypothesis drives random interleavings across shard
-counts; the full differential gate gets a deterministic run.
+are integer-valued.  Hypothesis drives random interleavings (dict ops
+through :func:`repro.replay.replay`) across shard counts; the full
+differential gate gets a deterministic run.
 """
 
 from __future__ import annotations
@@ -17,14 +18,10 @@ from hypothesis import strategies as st
 
 from repro.cube.datacube import DataCube
 from repro.cube.dimensions import Dimension
+from repro.replay import Replica, load_trace, replay, save_trace
 from repro.server import OLAPServer
-from repro.streaming import (
-    UpdateStreamConfig,
-    generate_trace,
-    load_trace,
-    run_update_differential,
-    save_trace,
-)
+from repro.soak import UpdateStreamConfig, run_update_differential
+from repro.workloads import flat_trace
 
 SIZES = (4, 8)
 NAMES = ["d0", "d1"]
@@ -37,48 +34,31 @@ def _build(values: np.ndarray, **kwargs) -> OLAPServer:
 
 
 def _op_strategy():
+    """Dict ops in the :mod:`repro.replay` vocabulary."""
     coords = st.tuples(
         st.integers(0, SIZES[0] - 1), st.integers(0, SIZES[1] - 1)
-    )
+    ).map(list)
     delta = st.integers(-9, 9)
+    bounds = [
+        st.tuples(st.integers(0, n), st.integers(0, n)).map(sorted)
+        for n in SIZES
+    ]
     return st.one_of(
-        st.tuples(st.just("update"), coords, delta),
-        st.tuples(
-            st.just("update_many"),
-            st.lists(st.tuples(coords, delta), min_size=1, max_size=4),
+        st.builds(
+            lambda c, d: {"op": "update", "coords": c, "delta": d}, coords, delta
         ),
-        st.tuples(
-            st.just("query_batch"),
-            st.lists(st.sampled_from(VIEWS), min_size=1, max_size=3),
+        st.lists(st.tuples(coords, delta), min_size=1, max_size=4).map(
+            lambda batch: {
+                "op": "update_many",
+                "coords": [c for c, _ in batch],
+                "deltas": [d for _, d in batch],
+            }
         ),
-        st.tuples(
-            st.just("range"),
-            st.tuples(
-                st.tuples(st.integers(0, SIZES[0]), st.integers(0, SIZES[0])),
-                st.tuples(st.integers(0, SIZES[1]), st.integers(0, SIZES[1])),
-            ),
+        st.lists(st.sampled_from(VIEWS), min_size=1, max_size=3).map(
+            lambda requests: {"op": "query_batch", "requests": requests}
         ),
+        st.tuples(*bounds).map(lambda r: {"op": "range", "ranges": list(r)}),
     )
-
-
-def _replay(server: OLAPServer, reference: np.ndarray, ops) -> None:
-    for op in ops:
-        kind = op[0]
-        if kind == "update":
-            _, (i, j), delta = op
-            server.update(float(delta), d0=i, d1=j)
-            reference[i, j] += delta
-        elif kind == "update_many":
-            _, batch = op
-            coords = np.array([c for c, _ in batch], dtype=np.int64)
-            deltas = np.array([d for _, d in batch], dtype=np.float64)
-            server.update_many(coords, deltas)
-            np.add.at(reference, tuple(coords.T), deltas)
-        elif kind == "query_batch":
-            server.query_batch([list(r) for r in op[1]])
-        elif kind == "range":
-            _, ((a, b), (c, d)) = op
-            server.range_sum(((min(a, b), max(a, b)), (min(c, d), max(c, d))))
 
 
 @pytest.mark.parametrize("shards", [1, 2, 4])
@@ -92,8 +72,11 @@ class TestInterleavingsMatchFreshServer:
         rng = np.random.default_rng(seed)
         base = rng.integers(0, 50, size=SIZES).astype(np.float64)
         server = _build(base, shards=shards)
-        reference = base.copy()
-        _replay(server, reference, ops)
+        replica = Replica(base)
+        assert len(list(replay(server, ops, replica))) == len(ops)
+        # Every mid-stream answer and the final sweep matched the replica.
+        assert replica.compared > 0 and replica.mismatches == []
+        reference = replica.values
         fresh = _build(reference, shards=shards)
         assert server.cube.values.tobytes() == reference.tobytes()
         for request in VIEWS:
@@ -122,8 +105,7 @@ class TestDifferentialGate:
             assert not run["epoch_violations"]
 
     def test_trace_roundtrips_through_json(self, tmp_path):
-        config = UpdateStreamConfig(operations=10)
-        trace = generate_trace(config)
+        trace = flat_trace(23, (8, 16, 16), 10)
         path = tmp_path / "trace.json"
         save_trace(trace, path)
         assert load_trace(path) == trace
@@ -136,7 +118,7 @@ class TestDifferentialGate:
 
     def test_replayed_trace_is_deterministic(self):
         config = UpdateStreamConfig(sizes=(4, 8), shard_counts=(1,), operations=16)
-        trace = generate_trace(config)
+        trace = flat_trace(config.seed, config.sizes, config.operations)
         first = run_update_differential(config, trace=trace)
         second = run_update_differential(config, trace=trace)
         assert first == second
