@@ -11,12 +11,23 @@ This benchmark serves the same mixed workload (views, a shared-plan
 batch, a range sum) on two servers differing only in their
 :class:`~repro.obs.Observability` configuration:
 
-- **traced** — the default: every span recorded, profiles reconstructible;
+- **traced** — the default: every span recorded, profiles reconstructible
+  (and, riding the span stream, the flight recorder and site profiler);
 - **untraced** — ``Observability(tracing=False)``: the tracer exists but
   is never activated, so the ambient ``span()`` helper no-ops.
 
-and reports the min-of-N wall-time ratio.  ``--check`` enforces the
-acceptance bound (traced <= 1.25x untraced).
+and reports the min-of-N wall-time ratio on two paths, because the same
+spans weigh very differently against them:
+
+- **assembly** — an untimed ``reconfigure()`` before every round drops the
+  result cache, so each answer is assembled: milliseconds of numpy per
+  round, against which the spans are small (bound 1.25x);
+- **warm** — no reconfigure: every answer is a result-cache hit and the
+  round is the serve envelope plus its telemetry, nothing else.  This is
+  the path a dashboard's re-asked group-bys take, and where a span is a
+  large share of the call (bound 1.80x).
+
+``--check`` enforces both bounds.
 
 Runs standalone (writes ``BENCH_tracing.json``)::
 
@@ -40,9 +51,14 @@ from repro.server import OLAPServer
 
 REPEATS = 7
 
-#: The acceptance bound: full tracing may cost at most this factor over
-#: the untraced baseline on the same workload.
+#: The acceptance bounds: full tracing may cost at most this factor over
+#: the untraced baseline on the same workload — when answers are assembled,
+#: and when every answer is a cache hit (the envelope is all there is).
 MAX_TRACED_OVER_UNTRACED = 1.25
+MAX_WARM_TRACED_OVER_UNTRACED = 1.80
+
+#: Cache-hit rounds per timed sample: one is a few hundred microseconds.
+WARM_BLOCK = 50
 
 
 def make_server(sizes, seed=2024, traced=True) -> OLAPServer:
@@ -80,16 +96,38 @@ def timed_rounds(server: OLAPServer, rounds: int) -> float:
     return best
 
 
+def timed_warm_rounds(server: OLAPServer, rounds: int) -> float:
+    """Min-of-N wall time of one *cache-hit* serving round: no
+    reconfigure, so every answer comes from the result cache (and warm
+    range intermediates) and the round is envelope plus telemetry."""
+    serve_round(server)
+    best = float("inf")
+    for _ in range(rounds):
+        t0 = time.perf_counter()
+        for _ in range(WARM_BLOCK):
+            serve_round(server)
+        best = min(best, (time.perf_counter() - t0) / WARM_BLOCK)
+    return best
+
+
+def interleaved(timer, first: OLAPServer, second: OLAPServer, rounds: int):
+    """Min of ``2 * rounds`` samples of ``timer`` per server, taken in
+    strict alternation: the machine changes speed in plateaus of seconds,
+    and sample-by-sample alternation shows both servers the fast ones."""
+    a = b = float("inf")
+    for _ in range(2 * rounds):
+        a = min(a, timer(first, 1))
+        b = min(b, timer(second, 1))
+    return a, b
+
+
 def run(sizes, rounds=REPEATS) -> dict:
     traced = make_server(sizes, traced=True)
     untraced = make_server(sizes, traced=False)
-
-    # Interleave measurement order to decorrelate from machine drift.
-    untraced_s = timed_rounds(untraced, rounds)
-    traced_s = timed_rounds(traced, rounds)
-    untraced_s = min(untraced_s, timed_rounds(untraced, rounds))
-    traced_s = min(traced_s, timed_rounds(traced, rounds))
-
+    untraced_s, traced_s = interleaved(timed_rounds, untraced, traced, rounds)
+    warm_untraced_s, warm_traced_s = interleaved(
+        timed_warm_rounds, untraced, traced, rounds
+    )
     assert untraced.tracer.spans() == (), "untraced server recorded spans"
     return {
         "sizes": list(sizes),
@@ -99,6 +137,13 @@ def run(sizes, rounds=REPEATS) -> dict:
         "traced_over_untraced": (
             traced_s / untraced_s if untraced_s else float("nan")
         ),
+        "warm_traced_round_s": warm_traced_s,
+        "warm_untraced_round_s": warm_untraced_s,
+        "warm_traced_over_untraced": (
+            warm_traced_s / warm_untraced_s
+            if warm_untraced_s
+            else float("nan")
+        ),
         "spans_recorded": len(traced.tracer.spans()),
         "queries_per_round": serve_round(make_server(sizes, traced=False)),
     }
@@ -106,7 +151,10 @@ def run(sizes, rounds=REPEATS) -> dict:
 
 def check(result: dict) -> None:
     assert result["spans_recorded"] > 0, result
-    assert result["traced_over_untraced"] <= MAX_TRACED_OVER_UNTRACED, result
+    assert result["traced_over_untraced"] <= result["max_ratio"], result
+    assert (
+        result["warm_traced_over_untraced"] <= result["max_warm_ratio"]
+    ), result
 
 
 def main(argv=None) -> int:
@@ -115,6 +163,7 @@ def main(argv=None) -> int:
     sizes = (8, 8) if args.small else (16, 16, 16)
     result = run(sizes, rounds=args.repeats or REPEATS)
     result["max_ratio"] = MAX_TRACED_OVER_UNTRACED
+    result["max_warm_ratio"] = MAX_WARM_TRACED_OVER_UNTRACED
     return finish(result, args, check=check)
 
 

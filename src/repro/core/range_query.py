@@ -230,23 +230,27 @@ class RangeQueryEngine:
         return groups if all(groups) else None
 
     def _bound_metrics(self) -> SimpleNamespace:
-        """Handles of the per-query metrics in the current registry.
+        """Bound series of the per-query metrics in the current registry.
 
         Bound on first use per registry (the server activates its own; a
         bare engine writes to the default one) so a query bumps each
-        metric through a handle instead of a by-name lookup per cell.
+        metric through its series instead of a by-name lookup and a label
+        key per write.
         """
         registry = current_registry()
         bound = self._metrics
         if bound is None or bound[0] is not registry:
-            counter = registry.counter
+
+            def counter(name: str, description: str):
+                return registry.counter(name, description).labels()
+
             handles = SimpleNamespace(
                 queries=counter(
                     "range_queries_total", "range-SUM queries answered"
                 ),
                 cells_read=registry.histogram(
                     "range_cells_read", "dyadic cells read per range query"
-                ),
+                ).labels(),
                 stored=counter(
                     "range_intermediate_stored_total",
                     "dyadic lookups served by a stored intermediate element",

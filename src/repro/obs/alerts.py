@@ -17,7 +17,11 @@ and a long-recovered incident only in the slow one.
 Determinism is a design requirement (the triage gate predicts the exact
 query index an alert fires on): the engine takes an injectable ``clock``
 (:class:`ManualClock` in tests, ``time.monotonic`` in production) and
-evaluates on record counts, never on wall-clock timers or threads.
+evaluates on records, never on wall-clock timers or threads.  A record
+triggers an evaluation pass only when a transition is possible — some rule
+is firing (it may resolve) or holds a bad sample in its slow window (it may
+fire) — which yields exactly the fire/resolve sequence of evaluating after
+every record, at the cost of a few additions on an all-healthy stream.
 
 Alert lifecycle is transition-based: one ``firing`` event when a rule
 crosses its threshold, one ``resolved`` event when it drops back, with
@@ -106,7 +110,7 @@ class BurnRateRule:
 def default_rules(
     fast_window_s: float = FAST_WINDOW_S, slow_window_s: float = SLOW_WINDOW_S
 ) -> tuple[BurnRateRule, ...]:
-    """The stock rule set over the outcomes ``_serving`` already labels."""
+    """The stock rule set over the outcomes the serve envelope labels."""
     return (
         BurnRateRule(
             name="failures",
@@ -143,13 +147,20 @@ FAST_BUCKETS = 6
 
 
 class _RuleState:
-    """Bucketed (total, bad) counts for one rule (engine lock held)."""
+    """Bucketed (total, bad) counts for one rule (engine lock held).
+
+    The slow-window sums are kept running as buckets are added and pruned;
+    the fast window is the newest :data:`FAST_BUCKETS` buckets, summed from
+    the right when a pass needs it.
+    """
 
     __slots__ = (
         "rule",
         "width",
         "keep",
         "buckets",
+        "slow_total",
+        "slow_bad",
         "firing",
         "fired_at",
         "firing_event",
@@ -159,50 +170,66 @@ class _RuleState:
         self.rule = rule
         self.width = rule.fast_window_s / FAST_BUCKETS
         self.keep = int(math.ceil(rule.slow_window_s / self.width))
-        self.buckets: deque = deque()  # (bucket_index, total, bad)
+        self.buckets: deque = deque()  # [bucket_index, total, bad]
+        self.slow_total = 0
+        self.slow_bad = 0
         self.firing = False
         self.fired_at: float | None = None
         self.firing_event: dict | None = None
 
-    def add(self, now: float, bad: bool) -> None:
+    def add(self, now: float, bad: bool) -> bool:
+        """Count one sample; whether this rule could change state now.
+
+        It can resolve only while firing, and fire only with a bad sample
+        in its slow window (or a burn threshold no burn rate is below).
+        """
         index = int(now // self.width)
-        if self.buckets and self.buckets[-1][0] == index:
-            b, total, bad_count = self.buckets[-1]
-            self.buckets[-1] = (b, total + 1, bad_count + bad)
+        buckets = self.buckets
+        if buckets and buckets[-1][0] == index:
+            newest = buckets[-1]
+            newest[1] += 1
+            newest[2] += bad
         else:
-            self.buckets.append((index, 1, int(bad)))
-        horizon = index - self.keep
-        while self.buckets and self.buckets[0][0] <= horizon:
-            self.buckets.popleft()
+            buckets.append([index, 1, int(bad)])
+            horizon = index - self.keep
+            while buckets[0][0] <= horizon:
+                _, total, bad_count = buckets.popleft()
+                self.slow_total -= total
+                self.slow_bad -= bad_count
+        self.slow_total += 1
+        self.slow_bad += bad
+        return (
+            self.firing
+            or self.slow_bad > 0
+            or self.rule.burn_threshold <= 0
+        )
 
     def window_counts(self, now: float) -> tuple[int, int, int, int]:
         """(fast_total, fast_bad, slow_total, slow_bad) as of ``now``."""
-        index = int(now // self.width)
-        fast_floor = index - FAST_BUCKETS
-        fast_total = fast_bad = slow_total = slow_bad = 0
-        for b, total, bad in self.buckets:
-            slow_total += total
-            slow_bad += bad
-            if b > fast_floor:
-                fast_total += total
-                fast_bad += bad
-        return fast_total, fast_bad, slow_total, slow_bad
+        fast_floor = int(now // self.width) - FAST_BUCKETS
+        fast_total = fast_bad = 0
+        for b, total, bad in reversed(self.buckets):
+            if b <= fast_floor:
+                break
+            fast_total += total
+            fast_bad += bad
+        return fast_total, fast_bad, self.slow_total, self.slow_bad
 
 
 class AlertEngine:
     """Evaluates burn-rate rules over a stream of serving outcomes.
 
-    ``record()`` is called once per finished query (the server does this
-    in its ``_serving`` bookkeeping) and is O(rules); full evaluation runs
-    every ``evaluate_every`` records.  Thread-safe; fire/resolve callbacks
-    run outside the lock and are exception-isolated.
+    ``record()`` is called once per finished query (the server's serve
+    envelope does this) and is O(rules); an evaluation pass runs only on
+    the records where a rule could change state (see the module notes).
+    Thread-safe; fire/resolve callbacks run outside the lock and are
+    exception-isolated.
     """
 
     def __init__(
         self,
         rules: tuple[BurnRateRule, ...] | None = None,
         clock=time.monotonic,
-        evaluate_every: int = 1,
         max_history: int = 128,
     ):
         self.rules = tuple(rules) if rules is not None else default_rules()
@@ -210,7 +237,6 @@ class AlertEngine:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate rule names in {names}")
         self.clock = clock
-        self.evaluate_every = max(1, int(evaluate_every))
         self.on_fire: list = []
         self.on_resolve: list = []
         self._lock = threading.Lock()
@@ -230,16 +256,17 @@ class AlertEngine:
         degraded: bool = False,
     ) -> list[dict]:
         """Account one finished query; returns any fire/resolve events."""
-        transitions: list[dict] = []
         with self._lock:
             now = self.clock()
             self._records += 1
-            for rule in self.rules:
-                self._states[rule.name].add(
-                    now, rule.is_bad(outcome, latency_ms, degraded)
+            possible = False
+            for state in self._states.values():
+                possible |= state.add(
+                    now, state.rule.is_bad(outcome, latency_ms, degraded)
                 )
-            if self._records % self.evaluate_every == 0:
-                transitions = self._evaluate_locked(now)
+            if not possible:
+                return []
+            transitions = self._evaluate_locked(now)
         self._notify(transitions)
         return transitions
 

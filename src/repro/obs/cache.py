@@ -89,36 +89,36 @@ class LRUCache:
         self._generation = 0
         registry = registry if registry is not None else current_registry()
         self.name = name
-        self._hits = registry.counter(
-            f"{name}_hits_total", "cache lookups answered from the cache"
+
+        # Every metric is written through its one unlabelled series, bound
+        # here: a lookup is a dict probe plus one bound increment.
+        def counter(suffix: str, description: str):
+            return registry.counter(f"{name}_{suffix}", description).labels()
+
+        def gauge(suffix: str, description: str):
+            return registry.gauge(f"{name}_{suffix}", description).labels()
+
+        self._hits = counter(
+            "hits_total", "cache lookups answered from the cache"
         )
-        self._misses = registry.counter(
-            f"{name}_misses_total", "cache lookups that missed"
+        self._misses = counter("misses_total", "cache lookups that missed")
+        self._evictions = counter(
+            "evictions_total", "entries evicted by capacity pressure"
         )
-        self._evictions = registry.counter(
-            f"{name}_evictions_total", "entries evicted by capacity pressure"
-        )
-        self._clears = registry.counter(
-            f"{name}_clears_total", "whole-cache invalidations"
-        )
-        self._patches = registry.counter(
-            f"{name}_patches_total",
+        self._clears = counter("clears_total", "whole-cache invalidations")
+        self._patches = counter(
+            "patches_total",
             "cached values repaired in place by delta patching",
         )
-        self._stale_drops = registry.counter(
-            f"{name}_stale_drops_total",
-            "stale entries dropped lazily on lookup",
+        self._stale_drops = counter(
+            "stale_drops_total", "stale entries dropped lazily on lookup"
         )
-        self._generation_bumps = registry.counter(
-            f"{name}_generation_bumps_total",
+        self._generation_bumps = counter(
+            "generation_bumps_total",
             "coarse generation bumps (lazy whole-cache invalidations)",
         )
-        self._size_gauge = registry.gauge(
-            f"{name}_size", "entries currently cached"
-        )
-        self._weight_gauge = registry.gauge(
-            f"{name}_weight", "summed weight of cached values"
-        )
+        self._size_gauge = gauge("size", "entries currently cached")
+        self._weight_gauge = gauge("weight", "summed weight of cached values")
         self._size_gauge.set(0)
         self._weight_gauge.set(0)
 

@@ -3,7 +3,7 @@
 Two always-on, bounded accounting layers that turn the telemetry stream
 into an answer to "what regime is this server in right now?":
 
-- :class:`SiteProfiler` — a tracer finish-listener keeping cheap EWMA +
+- :class:`SiteProfiler` — a tracer trace-listener keeping cheap EWMA +
   sliding-reservoir latency accounting per instrumented site
   (``exec.compute_node``, ``materialize.assemble``, ``shard.scatter`` /
   ``shard.gather``, ``wal.append``, cache ops — every span name that
@@ -131,14 +131,20 @@ class FingerprintTracker:
     def _effective(self, slot: list) -> float:
         return slot[0] * self.decay ** (self._tick - slot[1])
 
-    def note_query(self, kind: str) -> None:
-        """Account one served query (``kind`` in :data:`QUERY_KINDS`)."""
-        if kind not in self._kinds:
+    def note_query(self, kind: str, n: int = 1) -> None:
+        """Account ``n`` served queries (``kind`` in :data:`QUERY_KINDS`).
+
+        One tick per query, as if noted one by one — a batch request
+        counts its members — but under one lock acquisition.
+        """
+        slot = self._kinds.get(kind)
+        if slot is None:
             return
         with self._lock:
-            self._tick += 1
-            self.queries += 1
-            self._bump(self._kinds[kind], 1.0)
+            for _ in range(n):
+                self._tick += 1
+                self._bump(slot, 1.0)
+            self.queries += n
 
     def note_ingest(self, cells: int) -> None:
         """Account one applied ingest batch of ``cells`` updates."""
@@ -204,7 +210,7 @@ class _SiteStats:
 class SiteProfiler:
     """Always-on per-site latency profiles from the span stream.
 
-    Attaches to a tracer as a finish listener; per span *name* it keeps a
+    Attaches to a tracer as a trace listener; per span *name* it keeps a
     count, an EWMA, and a bounded sliding reservoir of recent durations
     (slot ``count % size`` is overwritten — deterministic, no RNG), from
     which :meth:`snapshot` derives p50/p95.  The site table is bounded;
@@ -225,34 +231,37 @@ class SiteProfiler:
         self._lock = threading.Lock()
         self._sites: dict[str, _SiteStats] = {}
         self.overflow_sites = 0
-        tracer.add_listener(self.on_span)
+        tracer.add_listener(self.on_trace)
 
     def close(self) -> None:
-        self.tracer.remove_listener(self.on_span)
+        self.tracer.remove_listener(self.on_trace)
 
-    def on_span(self, span: Span) -> None:
+    def on_trace(self, spans: tuple[Span, ...]) -> None:
+        """Tracer listener: account every span of one finished trace."""
+        with self._lock:
+            for span in spans:
+                self._account(span)
+
+    def _account(self, span: Span) -> None:
         end = span.end if span.end is not None else span.start
         duration_ms = (end - span.start) * 1e3
-        with self._lock:
-            stats = self._sites.get(span.name)
-            if stats is None:
-                if len(self._sites) >= self.max_sites:
-                    self.overflow_sites += 1
-                    return
-                stats = self._sites[span.name] = _SiteStats()
-            if stats.count == 0:
-                stats.ewma_ms = duration_ms
-            else:
-                stats.ewma_ms += self.alpha * (duration_ms - stats.ewma_ms)
-            if len(stats.reservoir) < self.reservoir_size:
-                stats.reservoir.append(duration_ms)
-            else:
-                stats.reservoir[stats.count % self.reservoir_size] = (
-                    duration_ms
-                )
-            stats.count += 1
-            stats.total_ms += duration_ms
-            stats.max_ms = max(stats.max_ms, duration_ms)
+        stats = self._sites.get(span.name)
+        if stats is None:
+            if len(self._sites) >= self.max_sites:
+                self.overflow_sites += 1
+                return
+            stats = self._sites[span.name] = _SiteStats()
+        if stats.count == 0:
+            stats.ewma_ms = duration_ms
+        else:
+            stats.ewma_ms += self.alpha * (duration_ms - stats.ewma_ms)
+        if len(stats.reservoir) < self.reservoir_size:
+            stats.reservoir.append(duration_ms)
+        else:
+            stats.reservoir[stats.count % self.reservoir_size] = duration_ms
+        stats.count += 1
+        stats.total_ms += duration_ms
+        stats.max_ms = max(stats.max_ms, duration_ms)
 
     def snapshot(self) -> dict:
         """Per-site latency profile: count, EWMA, p50/p95/max."""

@@ -3,10 +3,11 @@
 The tracer's finished ring answers "what happened recently" — but by the
 time an operator notices a deadline spike, the interesting traces have
 been evicted by thousands of healthy ones.  The
-:class:`FlightRecorder` is the black box that fixes this: it listens to
-every finished span (:meth:`~repro.obs.tracing.Tracer.add_listener`),
-buffers spans per trace, and when a trace's *root* span finishes decides
-whether the whole trace is worth keeping:
+:class:`FlightRecorder` is the black box that fixes this: the tracer hands
+it every finished trace (:meth:`~repro.obs.tracing.Tracer.add_listener`:
+one call per root, the whole trace at once; stragglers that outlive their
+root arrive alone and wait, bounded, in ``_pending``), and when a trace's
+*root* span arrives it decides whether the whole trace is worth keeping:
 
 - **error** — the root carries an ``error`` attribute (the tracer stamps
   the exception type on any span that ended in an exception: timeouts,
@@ -94,6 +95,18 @@ class KeptTrace:
         }
 
 
+class _RootStats:
+    """Per ``(root name, kind)``: roots seen, the rolling window of their
+    durations, and the slow threshold last estimated from it."""
+
+    __slots__ = ("seen", "ring", "threshold")
+
+    def __init__(self, window: int):
+        self.seen = 0
+        self.ring: deque = deque(maxlen=window)
+        self.threshold: float | None = None
+
+
 class FlightRecorder:
     """Bounded, tail-biased capture of recent traces (see module docs)."""
 
@@ -129,104 +142,135 @@ class FlightRecorder:
         self._lock = threading.Lock()
         self._pending: dict[int, list[Span]] = {}
         self._kept: deque[KeptTrace] = deque(maxlen=max(1, self.max_traces))
-        self._durations: dict[tuple[str, str], deque] = {}
-        self._thresholds: dict[tuple[str, str], float] = {}
-        self._roots_by_key: dict[tuple[str, str], int] = {}
+        self._roots: dict[tuple[str, str], _RootStats] = {}
         self._health: deque[dict] = deque(maxlen=max_health)
         self.traces_seen = 0
         self.kept_counts = {reason: 0 for reason in KEEP_REASONS}
         self.pending_dropped = 0
         self.trace_spans_dropped = 0
         self.kept_evicted = 0
-        tracer.add_listener(self.on_span)
+        #: ``flight_traces_kept_total`` series by keep reason, bound once.
+        self._kept_series = None
+        if registry is not None:
+            kept = registry.counter(
+                "flight_traces_kept_total",
+                "traces kept by the flight recorder, by keep reason",
+            )
+            self._kept_series = {
+                reason: kept.labels(reason=reason) for reason in KEEP_REASONS
+            }
+        tracer.add_listener(self.on_trace)
 
     def close(self) -> None:
         """Detach from the tracer (idempotent)."""
-        self.tracer.remove_listener(self.on_span)
+        self.tracer.remove_listener(self.on_trace)
 
     # ------------------------------------------------------------------
     # Capture
 
-    def on_span(self, span: Span) -> None:
-        """Tracer finish listener; runs on whatever thread finished it."""
+    def on_trace(self, spans: tuple[Span, ...]) -> None:
+        """Tracer listener: one finished trace (root last), or a straggler.
+
+        Runs on whatever thread finished the root.  One lock acquisition
+        per call: spans below a root are buffered under their trace id,
+        the root collects them and the keep decision is made.
+        """
         kept: KeptTrace | None = None
         with self._lock:
-            if span.parent_id is not None:
-                bucket = self._pending.get(span.trace_id)
-                if bucket is None:
-                    if len(self._pending) >= self.max_pending:
-                        # Shed the oldest in-flight trace, not the newest:
-                        # it is the one most likely orphaned.
-                        self._pending.pop(next(iter(self._pending)))
-                        self.pending_dropped += 1
-                    bucket = self._pending[span.trace_id] = []
-                if len(bucket) >= self.max_spans_per_trace:
-                    self.trace_spans_dropped += 1
+            for span in spans:
+                if span.parent_id is None:
+                    kept = self._close_trace(span)
                 else:
-                    bucket.append(span)
-                return
-            spans = tuple(self._pending.pop(span.trace_id, ())) + (span,)
-            self.traces_seen += 1
-            reason, duration_ms = self._classify(span, spans)
-            if reason is None:
-                return
-            self.kept_counts[reason] += 1
-            if len(self._kept) == self._kept.maxlen:
-                self.kept_evicted += 1
-            kept = KeptTrace(
-                trace_id=span.trace_id,
-                reason=reason,
-                root_name=span.name,
-                kind=str(span.attributes.get("kind", "")),
-                duration_ms=duration_ms,
-                unix_ts=time.time(),
-                spans=spans,
-            )
-            self._kept.append(kept)
-        if kept is not None and self.registry is not None:
-            self.registry.counter(
-                "flight_traces_kept_total",
-                "traces kept by the flight recorder, by keep reason",
-            ).inc(reason=kept.reason)
+                    self._buffer(span)
+        if kept is not None and self._kept_series is not None:
+            self._kept_series[kept.reason].inc()
 
-    def _classify(
-        self, root: Span, spans: tuple[Span, ...]
-    ) -> tuple[str | None, float]:
-        """Keep/drop decision for one finished root (lock held)."""
+    def on_span(self, span: Span) -> None:
+        """One span on its own (what a straggler's delivery looks like)."""
+        self.on_trace((span,))
+
+    def _buffer(self, span: Span) -> None:
+        """Park a non-root span until its root arrives (lock held)."""
+        bucket = self._pending.get(span.trace_id)
+        if bucket is None:
+            if len(self._pending) >= self.max_pending:
+                # Shed the oldest in-flight trace, not the newest:
+                # it is the one most likely orphaned.
+                self._pending.pop(next(iter(self._pending)))
+                self.pending_dropped += 1
+            bucket = self._pending[span.trace_id] = []
+        if len(bucket) >= self.max_spans_per_trace:
+            self.trace_spans_dropped += 1
+        else:
+            bucket.append(span)
+
+    def _close_trace(self, root: Span) -> KeptTrace | None:
+        """A root arrived: classify its trace and keep it or not (lock
+        held)."""
+        pending = self._pending
+        parked = pending.pop(root.trace_id, None) if pending else None
+        spans = (*parked, root) if parked else (root,)
+        self.traces_seen += 1
+        kind = str(root.attributes.get("kind", ""))
         end = root.end if root.end is not None else root.start
         duration_ms = (end - root.start) * 1e3
-        key = (root.name, str(root.attributes.get("kind", "")))
-        seen = self._roots_by_key.get(key, 0) + 1
-        self._roots_by_key[key] = seen
-        ring = self._durations.get(key)
-        if ring is None:
-            ring = self._durations[key] = deque(maxlen=self.window)
+        reason = self._classify(root, spans, kind, duration_ms)
+        if reason is None:
+            return None
+        self.kept_counts[reason] += 1
+        if len(self._kept) == self._kept.maxlen:
+            self.kept_evicted += 1
+        kept = KeptTrace(
+            trace_id=root.trace_id,
+            reason=reason,
+            root_name=root.name,
+            kind=kind,
+            duration_ms=duration_ms,
+            unix_ts=time.time(),
+            spans=spans,
+        )
+        self._kept.append(kept)
+        return kept
+
+    def _classify(
+        self,
+        root: Span,
+        spans: tuple[Span, ...],
+        kind: str,
+        duration_ms: float,
+    ) -> str | None:
+        """Keep reason of one finished root, or ``None`` (lock held)."""
+        key = (root.name, kind)
+        stats = self._roots.get(key)
+        if stats is None:
+            stats = self._roots[key] = _RootStats(self.window)
+        stats.seen = seen = stats.seen + 1
+        ring = stats.ring
         reason: str | None = None
         if "error" in root.attributes:
             reason = "error"
-        elif any(s.events for s in spans):
-            reason = "event"
         else:
-            threshold = self._thresholds.get(key)
-            if len(ring) >= self.min_samples and (
-                threshold is None or seen % self.refresh_every == 0
+            for span in spans:
+                if span.events:
+                    reason = "event"
+                    break
+        if reason is None:
+            warm = len(ring) >= self.min_samples
+            if warm and (
+                stats.threshold is None or seen % self.refresh_every == 0
             ):
                 ordered = sorted(ring)
                 index = min(
                     len(ordered) - 1,
                     int(round(self.slow_quantile * (len(ordered) - 1))),
                 )
-                threshold = self._thresholds[key] = ordered[index]
-            if (
-                threshold is not None
-                and len(ring) >= self.min_samples
-                and duration_ms >= threshold
-            ):
+                stats.threshold = ordered[index]
+            if warm and duration_ms >= stats.threshold:
                 reason = "slow"
             elif self.head_sample and (seen - 1) % self.head_sample == 0:
                 reason = "head"
         ring.append(duration_ms)
-        return reason, duration_ms
+        return reason
 
     def note_health(self, snapshot: dict) -> None:
         """Attach a health snapshot to the recorder's bounded ring."""
@@ -278,8 +322,9 @@ class FlightRecorder:
                 "slow_quantile": self.slow_quantile,
                 "kept": dict(self.kept_counts),
                 "slow_thresholds_ms": {
-                    f"{name}|{kind}": round(value, 3)
-                    for (name, kind), value in sorted(self._thresholds.items())
+                    f"{name}|{kind}": round(stats.threshold, 3)
+                    for (name, kind), stats in sorted(self._roots.items())
+                    if stats.threshold is not None
                 },
                 "loss": {
                     "pending_traces_dropped": self.pending_dropped,

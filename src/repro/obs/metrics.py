@@ -23,6 +23,13 @@ Metrics accept optional ``**labels``; each distinct label combination is an
 independent time series.  All mutation goes through one registry lock, so
 concurrent query threads can share a server registry safely.
 
+Each metric kind has one write implementation, on its *bound series*:
+``metric.labels(**labels)`` resolves the label key once and returns a handle
+whose ``inc`` / ``set`` / ``observe`` take no labels.  A per-query writer
+binds its handles where it declares its metrics and pays no key
+construction per write; ``metric.inc(**labels)`` and friends are sugar that
+bind and write in one call.
+
 Per-metric label cardinality is bounded (``MetricsRegistry(max_label_sets=
 ...)``): once a metric holds that many distinct label combinations, writes
 carrying *new* combinations fold into a single ``{overflow="true"}`` series
@@ -63,6 +70,8 @@ OVERFLOW_KEY: LabelKey = (("overflow", "true"),)
 
 
 def _label_key(labels: dict) -> LabelKey:
+    if not labels:
+        return ()
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
@@ -74,6 +83,8 @@ class _Metric:
     """Shared bookkeeping for all metric kinds."""
 
     kind = "metric"
+    #: The bound-series class of this kind (set by each subclass).
+    _bound: type
 
     def __init__(
         self,
@@ -90,16 +101,28 @@ class _Metric:
         self._max_series = max_series
         self._on_overflow = on_overflow
 
-    def _admit(self, key: LabelKey) -> LabelKey:
-        """Cardinality guard (lock held): the key the write may use.
+    def labels(self, **labels):
+        """The bound series of one label combination.
 
-        Existing series always pass; a *new* combination past the bound is
-        folded into :data:`OVERFLOW_KEY` and reported to the registry's
-        overflow hook (which feeds ``metrics_dropped_series_total``).
+        Resolves the label key once; the handle's writes take no labels.
+        Binding creates nothing — the series appears on its first write,
+        and the cardinality guard is applied on every write, so a handle
+        bound past the bound folds into the overflow series like any
+        other writer.
+        """
+        return self._bound(self, _label_key(labels))
+
+    def _admit(self, key: LabelKey) -> LabelKey:
+        """Cardinality guard for a *new* series (lock held): the key the
+        write may use.
+
+        A new combination past the bound is folded into
+        :data:`OVERFLOW_KEY` and reported to the registry's overflow hook
+        (which feeds ``metrics_dropped_series_total``).  Existing series
+        never get here: the bound series check membership first.
         """
         if (
             self._max_series is None
-            or key in self._series
             or len(self._series) < self._max_series
             or key == OVERFLOW_KEY
         ):
@@ -134,24 +157,111 @@ class _Metric:
         }
 
 
+class _BoundSeries:
+    """One labelled series of a metric, its label key resolved once."""
+
+    __slots__ = ("_metric", "_key")
+
+    def __init__(self, metric: _Metric, key: LabelKey):
+        self._metric = metric
+        self._key = key
+
+
+class _BoundScalar(_BoundSeries):
+    """A counter or gauge series: one float."""
+
+    __slots__ = ()
+
+    def inc(self, amount: float = 1.0) -> None:
+        """Adjust the series by ``amount``."""
+        metric = self._metric
+        key = self._key
+        with metric._lock:
+            series = metric._series
+            current = series.get(key)
+            if current is None:
+                key = metric._admit(key)
+                current = series.get(key, 0.0)
+            series[key] = current + amount
+
+    def value(self) -> float:
+        """Current value of the series (0 when never written)."""
+        metric = self._metric
+        with metric._lock:
+            return float(metric._series.get(self._key, 0.0))
+
+
+class _BoundCounter(_BoundScalar):
+    __slots__ = ()
+
+    def inc(self, amount: float = 1.0) -> None:
+        """Add ``amount`` (must be non-negative) to the series."""
+        if amount < 0:
+            raise ValueError(
+                f"counter {self._metric.name} cannot decrease ({amount})"
+            )
+        _BoundScalar.inc(self, amount)
+
+
+class _BoundGauge(_BoundScalar):
+    __slots__ = ()
+
+    def set(self, value: float) -> None:
+        """Set the series to ``value``."""
+        metric = self._metric
+        key = self._key
+        with metric._lock:
+            series = metric._series
+            if key not in series:
+                key = metric._admit(key)
+            series[key] = float(value)
+
+
+class _BoundHistogram(_BoundSeries):
+    __slots__ = ()
+
+    def observe(self, value: float) -> None:
+        """Record one observation into the series."""
+        metric = self._metric
+        key = self._key
+        value = float(value)
+        index = bisect_right(metric.bounds, value)
+        with metric._lock:
+            series = metric._series
+            stats = series.get(key)
+            if stats is None:
+                key = metric._admit(key)
+                stats = series.get(key)
+                if stats is None:
+                    stats = series[key] = {
+                        "count": 0,
+                        "sum": 0.0,
+                        "min": value,
+                        "max": value,
+                        "buckets": [0] * (len(metric.bounds) + 1),
+                    }
+            stats["count"] += 1
+            stats["sum"] += value
+            if value < stats["min"]:
+                stats["min"] = value
+            elif value > stats["max"]:
+                stats["max"] = value
+            stats["buckets"][index] += 1
+
+
 class Counter(_Metric):
     """A monotonically increasing total."""
 
     kind = "counter"
+    _bound = _BoundCounter
 
     def inc(self, amount: float = 1.0, **labels) -> None:
         """Add ``amount`` (must be non-negative) to the labelled series."""
-        if amount < 0:
-            raise ValueError(f"counter {self.name} cannot decrease ({amount})")
-        key = _label_key(labels)
-        with self._lock:
-            key = self._admit(key)
-            self._series[key] = self._series.get(key, 0.0) + amount
+        self.labels(**labels).inc(amount)
 
     def value(self, **labels) -> float:
         """Current total of the labelled series (0 when never incremented)."""
-        with self._lock:
-            return float(self._series.get(_label_key(labels), 0.0))
+        return self.labels(**labels).value()
 
     def total(self) -> float:
         """Sum over every label combination."""
@@ -163,24 +273,19 @@ class Gauge(_Metric):
     """A value that can go up and down; reads return the last write."""
 
     kind = "gauge"
+    _bound = _BoundGauge
 
     def set(self, value: float, **labels) -> None:
         """Set the labelled series to ``value``."""
-        key = _label_key(labels)
-        with self._lock:
-            self._series[self._admit(key)] = float(value)
+        self.labels(**labels).set(value)
 
     def inc(self, amount: float = 1.0, **labels) -> None:
         """Adjust the labelled series by ``amount`` (may be negative)."""
-        key = _label_key(labels)
-        with self._lock:
-            key = self._admit(key)
-            self._series[key] = self._series.get(key, 0.0) + amount
+        self.labels(**labels).inc(amount)
 
     def value(self, **labels) -> float:
         """Current value of the labelled series (0 when never set)."""
-        with self._lock:
-            return float(self._series.get(_label_key(labels), 0.0))
+        return self.labels(**labels).value()
 
 
 #: Default histogram bucket upper bounds: a geometric ladder wide enough
@@ -197,6 +302,7 @@ class Histogram(_Metric):
     """Bucketed distribution (count/sum/min/max + quantile estimates)."""
 
     kind = "histogram"
+    _bound = _BoundHistogram
 
     def __init__(
         self,
@@ -223,26 +329,7 @@ class Histogram(_Metric):
 
     def observe(self, value: float, **labels) -> None:
         """Record one observation into the labelled series."""
-        value = float(value)
-        key = _label_key(labels)
-        index = bisect_right(self.bounds, value)
-        with self._lock:
-            key = self._admit(key)
-            stats = self._series.get(key)
-            if stats is None:
-                stats = {
-                    "count": 0,
-                    "sum": 0.0,
-                    "min": value,
-                    "max": value,
-                    "buckets": [0] * (len(self.bounds) + 1),
-                }
-                self._series[key] = stats
-            stats["count"] += 1
-            stats["sum"] += value
-            stats["min"] = min(stats["min"], value)
-            stats["max"] = max(stats["max"], value)
-            stats["buckets"][index] += 1
+        self.labels(**labels).observe(value)
 
     def _quantile_locked(self, stats: dict, q: float) -> float:
         """Interpolated quantile from the bucket counts (lock held).

@@ -21,10 +21,17 @@ Instrumented library code calls the module-level :func:`span` helper, which
 records into the *currently active* tracer and is a cheap no-op when none is
 active — importing an instrumented module never forces tracing on.
 
-The tracer keeps a bounded ring of finished spans (oldest dropped); drops
-are counted (``dropped_spans`` and the ``tracer_dropped_spans`` metric)
-rather than silent, so a long-running server can stay instrumented without
-growing memory and still report how much history it shed.
+The tracer keeps a bounded ring of finished spans (oldest overwritten);
+overwrites are counted (``dropped_spans`` and the ``tracer_dropped_spans``
+metric), so a long-running server can stay instrumented without growing
+memory and still report how much history it shed.  Overwriting is
+*retention*, not loss: every span was recorded and handed to the listeners
+before it aged out.
+
+Listeners (the flight recorder, the site profiler) are fed per *trace*, not
+per span: a finished child is parked on its root, and when the root
+finishes the listeners get the whole trace in one call — so a span below
+the root costs one ring append, whatever is listening.
 """
 
 from __future__ import annotations
@@ -51,7 +58,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """One timed, attributed operation; part of a tree via ``parent_id``.
 
@@ -71,6 +78,15 @@ class Span:
     thread_id: int = 0
     thread_name: str = ""
     process_id: int = 0
+    #: Tracer bookkeeping for the per-trace listener feed: a child points
+    #: at its trace's root; an open root parks its finished descendants in
+    #: ``_parked`` (``None`` once delivered, or with nothing listening).
+    _root: "Span | None" = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _parked: list | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def duration(self) -> float:
@@ -142,18 +158,25 @@ class Tracer:
         self._ids = itertools.count(1)
         self._trace_ids = itertools.count(1)
         self._lock = threading.Lock()
-        #: Finish listeners (flight recorder, site profiler), stored as an
+        #: Trace listeners (flight recorder, site profiler), stored as an
         #: immutable tuple so the hot path reads it without the lock.
         self._listeners: tuple = ()
+        #: ``(registry, bound tracer_dropped_spans series)``: bound on the
+        #: first overwrite seen under each registry, not looked up per span.
+        self._dropped_series: tuple | None = None
 
     # ------------------------------------------------------------------
     # Recording
 
     def add_listener(self, listener) -> None:
-        """Call ``listener(span)`` for every span this tracer finishes.
+        """Call ``listener(spans)`` for every trace this tracer finishes.
 
-        Listeners run on whatever thread finished the span (pool workers
-        included) and outside the tracer lock; they must be fast and are
+        ``spans`` is the finished trace — descendants in finish order, the
+        root last — handed over once, when the root finishes.  A span that
+        finishes after its root (a pool worker outliving a timed-out
+        query), or whose trace began with nothing listening, arrives alone
+        as a one-span tuple.  Listeners run on whatever thread finished
+        the root and outside the tracer lock; they must be fast and are
         isolated — a raising listener is dropped from the notification,
         never propagated into the instrumented call.
         """
@@ -169,28 +192,42 @@ class Tracer:
                 fn for fn in self._listeners if fn != listener
             )
 
+    def _count_overwrite(self) -> None:
+        registry = current_registry()
+        bound = self._dropped_series
+        if bound is None or bound[0] is not registry:
+            bound = self._dropped_series = (
+                registry,
+                registry.counter(
+                    "tracer_dropped_spans",
+                    "finished spans evicted from the tracer ring buffer",
+                ).labels(),
+            )
+        bound[1].inc()
+
     def _finish(self, span: Span) -> None:
+        root = span._root
         with self._lock:
-            if (
-                self.finished.maxlen is not None
-                and len(self.finished) == self.finished.maxlen
-            ):
+            finished = self.finished
+            overwrote = len(finished) == finished.maxlen
+            if overwrote:
                 self.dropped_spans += 1
-                dropped = True
-            else:
-                dropped = False
-            self.finished.append(span)
+            finished.append(span)
             listeners = self._listeners
-        if dropped:
-            current_registry().counter(
-                "tracer_dropped_spans",
-                "finished spans evicted from the tracer ring buffer",
-            ).inc()
-        for listener in listeners:
-            try:
-                listener(span)
-            except Exception:
-                pass
+            if root is not None and root._parked is not None:
+                root._parked.append(span)
+                trace = None
+            else:
+                trace = (*(span._parked or ()), span)
+                span._parked = None
+        if overwrote:
+            self._count_overwrite()
+        if trace is not None:
+            for listener in listeners:
+                try:
+                    listener(trace)
+                except Exception:
+                    pass
 
     def span(self, name: str, **attributes) -> "_OpenSpan":
         """Open a child span of whatever span is currently active.
@@ -281,21 +318,29 @@ class _OpenSpan:
         tracer = self._tracer
         parent = _ACTIVE_SPAN.get()
         thread = threading.current_thread()
+        if parent is not None:
+            trace_id, parent_id = parent.trace_id, parent.span_id
+        else:
+            trace_id, parent_id = next(tracer._trace_ids), None
+        # Positional, in field order: one span per served call makes the
+        # keyword-argument parse a measurable share of opening it.
         self._span = current = Span(
-            name=self._name,
-            span_id=next(tracer._ids),
-            trace_id=(
-                parent.trace_id
-                if parent is not None
-                else next(tracer._trace_ids)
-            ),
-            parent_id=parent.span_id if parent is not None else None,
-            start=time.perf_counter(),
-            attributes=self._attributes,
-            thread_id=thread.ident or 0,
-            thread_name=thread.name,
-            process_id=_process_id,
+            self._name,
+            next(tracer._ids),
+            trace_id,
+            parent_id,
+            time.perf_counter(),
+            None,
+            self._attributes,
+            [],
+            thread.ident or 0,
+            thread.name,
+            _process_id,
         )
+        if parent is not None:
+            current._root = parent._root or parent
+        elif tracer._listeners:
+            current._parked = []
         self._token = _ACTIVE_SPAN.set(current)
         return current
 
@@ -360,7 +405,7 @@ def span(name: str, **attributes):
     tracer = _ACTIVE_TRACER.get()
     if tracer is None:
         return _NULL_SPAN
-    return tracer.span(name, **attributes)
+    return _OpenSpan(tracer, name, attributes)
 
 
 def add_span_event(event_name: str, /, **attributes) -> None:

@@ -147,7 +147,7 @@ def _run_once(
     from ..server import OLAPServer
 
     clock = ManualClock()
-    engine = AlertEngine(rules=(config.rule,), clock=clock, evaluate_every=1)
+    engine = AlertEngine(rules=(config.rule,), clock=clock)
     server = OLAPServer(
         seeded_cube(config.seed, config.sizes),
         max_retries=0,

@@ -10,7 +10,7 @@ Every answer it gives can also be computed with the public pieces
 (``repro.cube``, ``repro.core``) directly; what exists only here is the
 serving machinery around them.  Each per-query mechanism exists once: one
 serve envelope that every view, batch and range passes through
-(:meth:`OLAPServer._serve` — admission, deadline, one span, one accounting),
+(:class:`_Serve` — admission, deadline, one span, one accounting),
 one retry loop shared with the shards
 (:func:`repro.resilience.retry.retry_transient`), one routine that publishes
 a serving state, one workload table (:class:`~repro.core.adaptive.
@@ -70,10 +70,10 @@ Serving amenities that live only here:
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 from collections.abc import Iterable, Mapping, Sequence
-from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from pathlib import Path
@@ -111,7 +111,7 @@ from .errors import (
 from .obs import LRUCache, Observability, add_span_event, log_event, span
 from .obs.alerts import FAST_WINDOW_S, SLOW_WINDOW_S, AlertEngine
 from .obs.export import prometheus_text
-from .obs.fingerprint import FingerprintTracker, SiteProfiler
+from .obs.fingerprint import QUERY_KINDS, FingerprintTracker, SiteProfiler
 from .obs.flight import (
     BUNDLE_FORMAT,
     HEAD_SAMPLE,
@@ -139,11 +139,11 @@ MAX_WORKERS = 4
 MAX_RETRIES = 2
 RETRY_BACKOFF_MS = 5.0
 
-#: Per-query flag bucket for the serving context: ``_serve`` installs a
-#: fresh dict, resilience paths mark it (``degraded``), and the alert feed
-#: reads it — without threading a handle through every serve method.
-_SERVING_FLAGS: ContextVar[dict | None] = ContextVar(
-    "repro_serving_flags", default=None
+#: The :class:`_Serve` envelope of the call being served: resilience paths
+#: mark it (``degraded``) and the alert feed reads it — without threading a
+#: handle through every serve method.
+_SERVING: ContextVar["_Serve | None"] = ContextVar(
+    "repro_serving", default=None
 )
 
 
@@ -177,6 +177,157 @@ class _ServingState:
     range_engine: RangeQueryEngine
     epoch: int
     cache: LRUCache
+
+
+class _Serve:
+    """The one envelope every view, batch and range is served in.
+
+    Entering activates the server's observability, takes an admission
+    slot (always released on exit, also when the query times out or
+    fails), opens the deadline scope — when there is a deadline — and the
+    call's one span, and counts ``queries`` requests of ``kind``.  The body
+    reads ``state`` and ``counter`` and leaves span attributes in
+    ``attrs``; they are set on the span once, when it closes.  When the
+    body returns, the call is accounted once: ``stats``, one tracker
+    record per ``tracked`` element, the operations counter, the quarantine
+    gauge when the count moved.  Every call — served, timed out, rejected
+    or failed — lands one observation in the ``server_latency_ms``
+    histogram (labelled by kind and outcome), which is where
+    :meth:`OLAPServer.health`'s SLO quantiles come from, and one
+    alert-engine record.
+
+    A slotted class, not a generator: the envelope is most of what a
+    cache hit costs, and every metric it writes is a series bound in
+    :meth:`OLAPServer._declare_metrics`.
+    """
+
+    __slots__ = (
+        "server",
+        "kind",
+        "deadline_ms",
+        "tracked",
+        "queries",
+        "attrs",
+        "state",
+        "counter",
+        "degraded",
+        "_span_name",
+        "_activation",
+        "_token",
+        "_start",
+        "_admitted",
+        "_deadline",
+        "_open_span",
+        "_span",
+    )
+
+    def __init__(
+        self,
+        server: "OLAPServer",
+        span_name: str,
+        kind: str,
+        deadline_ms: float | None,
+        tracked: Sequence[ElementId] = (),
+        queries: int = 1,
+        **attrs,
+    ):
+        self.server = server
+        self.kind = kind
+        self.deadline_ms = deadline_ms
+        self.tracked = tracked
+        self.queries = queries
+        self.attrs = attrs
+        self.degraded = False
+        self._span_name = span_name
+        self._admitted = False
+        self._deadline = self._span = None
+
+    def __enter__(self) -> "_Serve":
+        server, kind = self.server, self.kind
+        self._activation = server.obs.activate()
+        self._activation.__enter__()
+        self._start = time.perf_counter()
+        self._token = _SERVING.set(self)
+        try:
+            if server._admission is not None:
+                server._acquire_slot(kind)
+                self._admitted = True
+            deadline = server._deadline_for(self.deadline_ms)
+            if deadline is not None:
+                self._deadline = deadline_scope(deadline)
+                self._deadline.__enter__()
+            self._open_span = span(self._span_name)
+            self._span = self._open_span.__enter__()
+            server._m.queries_of[kind].inc(self.queries)
+            server.fingerprints.note_query(kind, self.queries)
+            self.state = server._state
+            self.counter = OpCounter()
+        except BaseException:
+            self.__exit__(*sys.exc_info())
+            raise
+        return self
+
+    def __exit__(self, exc_type, exc, traceback) -> bool:
+        server, kind = self.server, self.kind
+        m = server._m
+        try:
+            try:
+                if self._span is not None:
+                    if exc_type is None:
+                        self._account()
+                    self._span.set(kind=kind, **self.attrs)
+                    self._open_span.__exit__(exc_type, exc, traceback)
+                if self._deadline is not None:
+                    self._deadline.__exit__(exc_type, exc, traceback)
+            finally:
+                if self._admitted:
+                    server._admission.release()
+                    m.in_flight.inc(-1)
+        except BaseException as failure:
+            exc_type = type(failure)
+            raise
+        finally:
+            _SERVING.reset(self._token)
+            if exc_type is None:
+                outcome = "ok"
+            elif issubclass(exc_type, QueryTimeout):
+                outcome = "timeout"
+                m.timeouts.inc(kind=kind)
+                log_event(
+                    "deadline_missed", kind=kind, deadline_ms=self.deadline_ms
+                )
+            elif issubclass(exc_type, AdmissionRejected):
+                outcome = "rejected"
+            else:
+                outcome = "error"
+            latency_ms = (time.perf_counter() - self._start) * 1e3
+            if outcome == "ok":
+                m.latency_ok_of[kind].observe(latency_ms)
+            else:
+                m.latency.observe(latency_ms, kind=kind, outcome=outcome)
+            if server.alerts is not None:
+                server.alerts.record(
+                    outcome, latency_ms, degraded=self.degraded
+                )
+            self._activation.__exit__(None, None, None)
+        return False
+
+    def _account(self) -> None:
+        """The served call's one accounting (the body returned)."""
+        server = self.server
+        m = server._m
+        total = self.counter.total
+        with server._stats_lock:
+            server.stats.queries += self.queries
+            server.stats.operations += total
+            for element in self.tracked:
+                server.tracker.record(element)
+        m.operations.inc(total)
+        quarantined = len(self.state.materialized.quarantined)
+        if quarantined != server._quarantined_reported:
+            server._quarantined_reported = quarantined
+            m.quarantined.set(quarantined)
+        self.attrs["operations"] = total
 
 
 class OLAPServer:
@@ -283,8 +434,11 @@ class OLAPServer:
         self.metrics = self.obs.registry
         self.tracer = self.obs.tracer
         self._m = self._declare_metrics()
+        #: What ``server_quarantined_elements`` last said: the gauge is
+        #: written when the count changes, not once per query.
+        self._quarantined_reported: int | None = None
         # Incident observability: flight recorder + site profiler ride the
-        # tracer's finish-listener stream, so they attach only when this
+        # tracer's per-trace listener feed, so they attach only when this
         # server actually traces (the telemetry-off baseline pays nothing).
         self.flight: FlightRecorder | None = None
         self.profiler: SiteProfiler | None = None
@@ -348,20 +502,31 @@ class OLAPServer:
 
     def _declare_metrics(self) -> SimpleNamespace:
         """Every metric this class writes, declared once: the serving paths
-        and :meth:`health` use these handles, not by-name lookups."""
+        and :meth:`health` use these handles, not by-name lookups.  What a
+        served call writes every time is bound down to its series
+        (``*_of[kind]``, ``operations``, ``in_flight``), so the envelope
+        builds no label key per query."""
         counter, gauge = self.metrics.counter, self.metrics.gauge
+        queries = counter("server_queries_total", "queries served, by kind")
+        batches = counter(
+            "server_batches_total", "batch requests served, by kind"
+        )
+        latency = self.metrics.histogram(
+            "server_latency_ms", "wall milliseconds per served call"
+        )
         return SimpleNamespace(
-            queries=counter("server_queries_total", "queries served, by kind"),
-            batches=counter(
-                "server_batches_total", "batch requests served, by kind"
-            ),
+            queries_of={k: queries.labels(kind=k) for k in QUERY_KINDS},
+            batches_of={k: batches.labels(kind=k) for k in QUERY_KINDS},
             operations=counter(
                 "server_operations_total", "scalar operations spent serving"
-            ),
-            latency=self.metrics.histogram(
-                "server_latency_ms", "wall milliseconds per served call"
-            ),
-            in_flight=gauge("server_in_flight", "queries currently admitted"),
+            ).labels(),
+            latency=latency,
+            latency_ok_of={
+                k: latency.labels(kind=k, outcome="ok") for k in QUERY_KINDS
+            },
+            in_flight=gauge(
+                "server_in_flight", "queries currently admitted"
+            ).labels(),
             admission_rejected=counter(
                 "server_admission_rejected_total",
                 "queries rejected at the admission bound",
@@ -519,81 +684,6 @@ class OLAPServer:
             return None
         return Deadline.after(deadline_ms / 1e3)
 
-    @contextmanager
-    def _serve(
-        self,
-        span_name: str,
-        kind: str,
-        deadline_ms: float | None,
-        tracked: Sequence[ElementId] = (),
-        queries: int = 1,
-        **attrs,
-    ):
-        """The one envelope every view, batch and range is served in.
-
-        Entering takes an admission slot (always released on exit, also
-        when the query times out or fails), opens the deadline scope and
-        the call's one span, and counts ``queries`` requests of ``kind``.
-        The body gets ``(state, counter, span)``.  When it returns, the
-        call is accounted once: ``stats``, one tracker record per
-        ``tracked`` element, the operations counter, the quarantine gauge.
-        Every call — served, timed out, rejected or failed — lands one
-        observation in the ``server_latency_ms`` histogram (labelled by
-        kind and outcome), which is where :meth:`health`'s SLO quantiles
-        come from, and one alert-engine record.
-        """
-        m = self._m
-        admission = self._admission
-        with self.obs.activate():
-            start = time.perf_counter()
-            outcome = "ok"
-            flags = {"degraded": False}
-            token = _SERVING_FLAGS.set(flags)
-            try:
-                if admission is not None:
-                    self._acquire_slot(kind)
-                try:
-                    with deadline_scope(self._deadline_for(deadline_ms)), span(
-                        span_name, kind=kind, **attrs
-                    ) as sp:
-                        m.queries.inc(queries, kind=kind)
-                        for _ in range(queries):
-                            self.fingerprints.note_query(kind)
-                        state = self._state
-                        counter = OpCounter()
-                        yield state, counter, sp
-                        with self._stats_lock:
-                            self.stats.queries += queries
-                            self.stats.operations += counter.total
-                            for element in tracked:
-                                self.tracker.record(element)
-                        m.operations.inc(counter.total)
-                        m.quarantined.set(len(state.materialized.quarantined))
-                        sp.set(operations=counter.total)
-                finally:
-                    if admission is not None:
-                        admission.release()
-                        m.in_flight.inc(-1)
-            except QueryTimeout:
-                outcome = "timeout"
-                m.timeouts.inc(kind=kind)
-                log_event("deadline_missed", kind=kind, deadline_ms=deadline_ms)
-                raise
-            except AdmissionRejected:
-                outcome = "rejected"
-                raise
-            except BaseException:
-                outcome = "error"
-                raise
-            finally:
-                _SERVING_FLAGS.reset(token)
-                latency_ms = (time.perf_counter() - start) * 1e3
-                m.latency.observe(latency_ms, kind=kind, outcome=outcome)
-                if self.alerts is not None:
-                    self.alerts.record(
-                        outcome, latency_ms, degraded=flags["degraded"]
-                    )
-
     def _retry(self, attempt, counter: OpCounter, *, fatal: bool = True):
         """:func:`retry_transient` on this server's budget, with telemetry.
 
@@ -622,9 +712,9 @@ class OLAPServer:
         self._m.degraded.inc()
         add_span_event("fallback", target="base_cube")
         log_event("fallback", target="base_cube")
-        flags = _SERVING_FLAGS.get()
-        if flags is not None:
-            flags["degraded"] = True
+        serving = _SERVING.get()
+        if serving is not None:
+            serving.degraded = True
 
     def _assemble_resilient(
         self,
@@ -784,23 +874,25 @@ class OLAPServer:
         assemble contract already says "treat as read-only"), so hits are
         bit-identical to misses and cost zero scalar operations.
         """
-        with self._serve(
+        with _Serve(
+            self,
             "server.query",
             kind,
             deadline_ms,
             tracked=(element,),
             element=element.describe(),
-        ) as (state, counter, sp):
+        ) as call:
+            state = call.state
             key = (element, state.epoch)
             values = self._cache_get(state, key)
             if values is not None:
-                sp.set(cache="hit")
+                call.attrs["cache"] = "hit"
                 return values
             values = self._assemble_resilient(
-                state.materialized, element, counter
+                state.materialized, element, call.counter
             )
             state.cache.put(key, values)
-            sp.set(cache="miss")
+            call.attrs["cache"] = "miss"
             return values
 
     def _serve_batch(
@@ -818,14 +910,16 @@ class OLAPServer:
         """
         if max_workers is None:
             max_workers = MAX_WORKERS
-        with self._serve(
+        with _Serve(
+            self,
             "server.query_batch",
             kind,
             deadline_ms,
             tracked=elements,
             queries=len(elements),
             requests=len(elements),
-        ) as (state, counter, sp):
+        ) as call:
+            state = call.state
             answers: dict[ElementId, np.ndarray] = {}
             missing: list[ElementId] = []
             hits = 0
@@ -838,22 +932,19 @@ class OLAPServer:
                     missing.append(element)
             if missing:
                 assembled = self._assemble_batch_resilient(
-                    state.materialized, missing, counter, max_workers
+                    state.materialized, missing, call.counter, max_workers
                 )
                 for element, values in assembled.items():
                     state.cache.put((element, state.epoch), values)
                     answers[element] = values
-            self._m.batches.inc(kind=kind)
-            sp.set(cache_hits=hits, assembled=len(missing))
+            self._m.batches_of[kind].inc()
+            call.attrs.update(cache_hits=hits, assembled=len(missing))
             return [answers[element] for element in elements]
 
     def range_sum(self, ranges, deadline_ms: float | None = None) -> float:
         """SUM over a multi-dimensional half-open coordinate range."""
-        with self._serve("server.query", "range", deadline_ms) as (
-            state,
-            counter,
-            sp,
-        ):
+        with _Serve(self, "server.query", "range", deadline_ms) as call:
+            state, counter = call.state, call.counter
             # The engine parses the bounds (once; a non-integer one is an
             # ``InvalidQueryError`` there, before anything is resolved).
             ranges = tuple(ranges)
@@ -873,7 +964,7 @@ class OLAPServer:
                 )
                 cells_read = 0
                 self._note_degraded()
-            sp.set(cells_read=cells_read)
+            call.attrs["cells_read"] = cells_read
             return value
 
     def cell(self, **coordinates) -> float:

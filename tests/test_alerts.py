@@ -6,6 +6,8 @@ burn-rate *definition* — no sleeps, no wall-clock, no tolerance bands.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.alerts import (
     FAST_BUCKETS,
@@ -148,15 +150,68 @@ class TestFiring:
 
 
 class TestEngineMechanics:
-    def test_evaluate_every_batches_evaluation(self):
-        engine, clock = make_engine(evaluate_every=5)
+    def test_healthy_stream_skips_evaluation(self):
+        # No rule firing, no bad sample in any slow window: no transition
+        # is possible, so no pass runs; evaluate() still forces one.
+        engine, clock = make_engine()
         feed(engine, clock, ["ok"] * 12)
         snap = engine.snapshot()
         assert snap["records"] == 12
-        assert snap["evaluations"] == 2  # records 5 and 10
-        # evaluate() forces a pass regardless of the cadence.
+        assert snap["evaluations"] == 0
         engine.evaluate()
-        assert engine.snapshot()["evaluations"] == 3
+        assert engine.snapshot()["evaluations"] == 1
+        # One bad sample arms the rule until it leaves the slow window.
+        feed(engine, clock, ["error"] + ["ok"] * 3)
+        assert engine.snapshot()["evaluations"] == 5
+
+    @settings(max_examples=150)
+    @given(
+        stream=st.lists(
+            st.tuples(
+                st.sampled_from(["ok", "ok", "ok", "error", "timeout", "rejected"]),
+                st.sampled_from([1.0, 40.0, 400.0]),
+                st.booleans(),
+                st.sampled_from([0.0, 0.0, 0.5, 3.0, 10.0, 45.0, 130.0, 700.0]),
+            ),
+            max_size=200,
+        )
+    )
+    def test_transitions_equal_evaluating_after_every_record(self, stream):
+        # The engine evaluates only when a transition is possible; the
+        # reference is the same engine forced through a pass after every
+        # record.  Fire/resolve sequences and final rule state must match.
+        rules = (
+            RULE,
+            BurnRateRule(
+                name="slow",
+                objective=0.2,
+                fast_window_s=30.0,
+                slow_window_s=120.0,
+                min_samples=3,
+                latency_over_ms=100.0,
+            ),
+            BurnRateRule(
+                name="degraded",
+                objective=0.5,
+                burn_threshold=0.5,
+                fast_window_s=60.0,
+                slow_window_s=60.0,
+                min_samples=1,
+                bad_if_degraded=True,
+            ),
+        )
+        clock = ManualClock()
+        engine = AlertEngine(rules=rules, clock=clock)
+        reference = AlertEngine(rules=rules, clock=clock)
+        seen, expected = [], []
+        for outcome, latency_ms, degraded, step in stream:
+            clock.advance(step)
+            seen.extend(engine.record(outcome, latency_ms, degraded))
+            expected.extend(reference.record(outcome, latency_ms, degraded))
+            expected.extend(reference.evaluate())
+        assert seen == expected
+        assert engine.snapshot()["rules"] == reference.snapshot()["rules"]
+        assert engine.history() == reference.history()
 
     def test_callbacks_fire_outside_lock_and_are_isolated(self):
         engine, clock = make_engine()
