@@ -23,23 +23,32 @@ partial-sum* element (every ``index == 0``: all range intermediates, all
 aggregated views and roll-ups) has no residual step, hence no sign at
 all — its signed deltas are the burst's deltas themselves.
 
-This module is the single home of that math.  :func:`patch_array` is the
-one way a delta reaches an array; it is called, once per patched array,
-by
+This module is the single home of that math, and a delta reaches an
+array in one of two ways:
 
-- :meth:`repro.core.materialize.MaterializedSet.apply_updates` (stored
-  element arrays),
-- :meth:`repro.core.range_query.RangeQueryEngine.apply_updates`
-  (on-demand assembled range intermediates), and
-- :meth:`repro.server.OLAPServer.update_many` (cached assembled query
-  answers),
+- :func:`patch_array`, one scatter per array, for anything with a sign —
+  the stored elements (:meth:`repro.core.materialize.MaterializedSet.
+  apply_updates`) — and for the cached answers of a server that had not
+  ingested when it cached them (:meth:`repro.server.OLAPServer.
+  update_many`);
+- :class:`SlabStore`, one scatter per *slab* for many arrays at once: the
+  warm pure partial-sum arrays of a server that ingests — its range
+  intermediates (:meth:`repro.core.range_query.RangeQueryEngine.
+  apply_updates`) and the answers it caches from then on.  A pure
+  element's patch is the burst's deltas at ``coordinate >> level`` per
+  dimension, so arrays packed side by side in one flat buffer are patched
+  by one flat index: the slot's offset plus the strided sum of those
+  positions.
 
-and :meth:`repro.shard.sets.ShardedSet.apply_updates` re-frames a global
+:meth:`repro.shard.sets.ShardedSet.apply_updates` re-frames a global
 batch into one shard-local :class:`DeltaBatch` per owning shard.  The
 scalar walk the table is tested against lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
+
+import threading
+from collections.abc import Callable, Collection
 
 import numpy as np
 
@@ -49,8 +58,14 @@ from .operators import OpCounter
 
 __all__ = [
     "DeltaBatch",
+    "SLAB_CELLS",
+    "SlabStore",
     "patch_array",
 ]
+
+#: Cells of one shared slab: smaller warm arrays are packed into the
+#: current slab, an array of at least this many cells is a slab of its own.
+SLAB_CELLS = 4096
 
 
 class DeltaBatch:
@@ -176,3 +191,205 @@ def patch_array(
         if counter is not None:
             counter.add(additions=applied, label=label)
     return applied
+
+
+class _Slab:
+    """One flat buffer and the live slots packed into it."""
+
+    __slots__ = ("buffer", "used", "slots")
+
+    def __init__(self, buffer: np.ndarray) -> None:
+        self.buffer = buffer
+        self.used = 0
+        #: ``(view, [offset, levels..., strides in cells...])`` per live
+        #: slot, in adoption order.
+        self.slots: list[tuple[np.ndarray, np.ndarray]] = []
+
+
+class SlabStore:
+    """Warm pure partial-sum arrays packed into slabs, one scatter per slab.
+
+    Every array in a store is a pure partial-sum element (every ``index ==
+    0``) of one cube ``shape``, so a burst lands on it unsigned at
+    ``coordinate >> level`` per dimension.  :meth:`adopt` copies an array
+    into the current slab of its ``label`` (an array of at least
+    :data:`SLAB_CELLS` cells is a slab of its own, not copied) and returns
+    the slab view that replaces it; :meth:`patch` repairs every live slot
+    of a label with one ``np.add.at`` per slab.  Slots are disjoint and a
+    slot's duplicate cells accumulate in burst row order, so the bytes
+    equal :func:`patch_array` per array, and the additions are charged
+    under ``label`` exactly as it would.
+
+    Each label's owner says which views are still live
+    (:meth:`track`: the ids of the arrays it holds).  Liveness is swept at
+    each :meth:`patch` and before a new slab is allocated: a dead slot is
+    never patched nor reused — a caller may still hold its view — and a
+    slab with no live slot is dropped, so a label's slabs hold at most its
+    live cells plus one :data:`SLAB_CELLS` per live slot.
+
+    The store is also where readers and bursts meet: :attr:`sequence` is
+    bumped under :attr:`lock` when a burst begins and when it ends (odd
+    while one is being applied).  A reader that read storage to build an
+    array notes the sequence first and, under :attr:`lock`, keeps the
+    array only while :meth:`settled` says no burst began since — otherwise
+    the burst already repaired everything warm and would never repair it.
+    A reader that combines several arrays checks :meth:`settled` once it
+    has read them all, and reads again if a burst came between.
+    """
+
+    def __init__(self, shape: CubeShape) -> None:
+        self.shape = shape
+        #: Guards adoption, sweeping and patching; readers check
+        #: :meth:`settled` and adopt under it.
+        self.lock = threading.RLock()
+        #: Burst sequence: odd while a burst is being applied.
+        self.sequence = 0
+        #: Whether a burst has been patched: owners adopt only from then on.
+        self.active = False
+        self._slabs: dict[str, list[_Slab]] = {}
+        self._open: dict[str, _Slab] = {}
+        self._live: dict[str, Callable[[], Collection[int]]] = {}
+        #: Per label, the ids of the slab views handed out and not yet
+        #: swept (read under :attr:`lock`): what its owner patches through
+        #: the slabs, not one array at a time.
+        self.held: dict[str, set[int]] = {}
+        #: Per label, :meth:`_index` until its slots change.
+        self._indexes: dict[str, tuple] = {}
+
+    def track(self, label: str, live: Callable[[], Collection[int]]) -> None:
+        """Register ``label``'s owner: ``live()`` returns the ids of the
+        arrays it still holds."""
+        self._live[label] = live
+        self._slabs.setdefault(label, [])
+        self.held.setdefault(label, set())
+
+    def begin_burst(self) -> None:
+        with self.lock:
+            self.sequence += 1
+
+    def end_burst(self) -> None:
+        with self.lock:
+            self.sequence += 1
+
+    def settled(self, mark: int) -> bool:
+        """No burst has begun since :attr:`sequence` read ``mark`` (call
+        under :attr:`lock` to keep something on the strength of it)."""
+        return mark == self.sequence and not mark & 1
+
+    def adopt(
+        self, element: ElementId, values: np.ndarray, label: str
+    ) -> np.ndarray:
+        """Pack ``element``'s array into ``label``'s slabs; returns the view
+        that replaces it.  Call with :attr:`lock` held."""
+        if not element.is_intermediate or element.shape != self.shape:
+            raise ValueError(f"{element!r} is not a pure element of this cube")
+        cells = values.size
+        if cells >= SLAB_CELLS:
+            view = np.ascontiguousarray(values)
+            slab = self._allocate(label, view.reshape(-1))
+        else:
+            slab = self._open.get(label)
+            if (
+                slab is None
+                or slab.used + cells > slab.buffer.size
+                or slab.buffer.dtype != values.dtype
+            ):
+                slab = self._open[label] = self._allocate(
+                    label, np.empty(SLAB_CELLS, dtype=values.dtype)
+                )
+            view = slab.buffer[slab.used : slab.used + cells]
+            view = view.reshape(values.shape)
+            view[...] = values
+        row = [slab.used]
+        row += [level for level, _ in element.nodes]
+        row += [stride // view.itemsize for stride in view.strides]
+        slab.slots.append((view, np.array(row, dtype=np.int64)))
+        slab.used += cells
+        self._indexes.pop(label, None)
+        self.held[label].add(id(view))
+        return view
+
+    def _allocate(self, label: str, buffer: np.ndarray) -> _Slab:
+        self.sweep(label)
+        slab = _Slab(buffer)
+        self._slabs[label].append(slab)
+        return slab
+
+    def sweep(self, label: str) -> None:
+        """Drop ``label``'s dead slots, and its slabs left with none."""
+        with self.lock:
+            held = self.held[label]
+            dead = held.difference(self._live[label]())
+            if not dead:
+                return
+            held -= dead
+            self._indexes.pop(label, None)
+            kept = []
+            for slab in self._slabs[label]:
+                slab.slots = [
+                    slot for slot in slab.slots if id(slot[0]) not in dead
+                ]
+                if slab.slots:
+                    kept.append(slab)
+                elif self._open.get(label) is slab:
+                    del self._open[label]
+            self._slabs[label] = kept
+
+    def patch(
+        self, batch: DeltaBatch, counter: OpCounter | None, label: str
+    ) -> int:
+        """Scatter ``batch`` into every live slot of ``label``: one
+        ``np.add.at`` per slab.  Returns the number of slots patched."""
+        if batch.shape is not self.shape and batch.shape != self.shape:
+            raise ValueError(
+                f"slabs of a {self.shape.sizes} cube patched from a "
+                f"{batch.shape.sizes} batch"
+            )
+        n = len(batch)
+        with self.lock:
+            self.active = True
+            if not n:
+                return 0
+            self.sweep(label)
+            patched = len(self.held[label])
+            if not patched:
+                return 0
+            offsets, levels, strides, spans = self._index(label)
+            # Row s of ``flat``: slot s's cell of every burst row.
+            columns = batch._columns
+            flat = offsets + (columns[0] >> levels[0]) * strides[0]
+            for m in range(1, len(columns)):
+                flat += (columns[m] >> levels[m]) * strides[m]
+            # Tiled, not broadcast: numpy 2.4's ``np.add.at`` reads past the
+            # values when they broadcast over a 2-D index.
+            signed = np.tile(batch.deltas, patched)
+            for buffer, start, stop in spans:
+                np.add.at(
+                    buffer,
+                    flat[start:stop].ravel(),
+                    signed[start * n : stop * n],
+                )
+        if counter is not None:
+            counter.add(additions=n * patched, label=label)
+        return patched
+
+    def _index(self, label: str) -> tuple:
+        """``(offsets (k, 1), levels (d, k, 1), strides (d, k, 1), spans)``
+        over ``label``'s live slots, slab by slab; ``spans`` is one
+        ``(buffer, first slot, stop slot)`` per slab."""
+        index = self._indexes.get(label)
+        if index is None:
+            rows, spans = [], []
+            for slab in self._slabs[label]:
+                stop = len(rows) + len(slab.slots)
+                spans.append((slab.buffer, len(rows), stop))
+                rows += [row for _, row in slab.slots]
+            d = self.shape.ndim
+            rows = np.concatenate(rows).reshape(len(rows), 1 + 2 * d)
+            index = self._indexes[label] = (
+                rows[:, :1],
+                rows[:, 1 : 1 + d].T[:, :, None],
+                rows[:, 1 + d :].T[:, :, None],
+                spans,
+            )
+        return index

@@ -26,13 +26,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import itertools
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
 
 from ..errors import TransientFault
 from ..obs import current_registry, span
-from .delta import DeltaBatch, patch_array
+from .delta import DeltaBatch, SlabStore
 from .element import CubeShape, ElementId, as_index
 from .materialize import MaterializedSet
 from .operators import OpCounter
@@ -44,6 +45,10 @@ __all__ = [
     "RangeQueryEngine",
     "RangeAnswer",
 ]
+
+#: The engine's slab label, and the label its patch additions are charged
+#: under.
+RANGE_PATCH = "range intermediate patch"
 
 
 def dyadic_levels(
@@ -132,6 +137,16 @@ class RangeQueryEngine:
         self.materialized = materialized
         self.assemble_missing = assemble_missing
         self._cache: dict[ElementId, np.ndarray] = {}
+        #: Where the assembled intermediates are packed once updates arrive
+        #: (a server packs its result cache's answers here too).
+        self.slabs = SlabStore(materialized.shape)
+        # Weakly: the store must not keep a superseded engine (and its
+        # intermediates) alive in a reference cycle.
+        engine = weakref.ref(self)
+        self.slabs.track(
+            RANGE_PATCH,
+            lambda: {id(values) for values in engine()._cache.values()},
+        )
         #: ``(registry, handles)`` of :meth:`_bound_metrics`.
         self._metrics: tuple | None = None
 
@@ -161,9 +176,12 @@ class RangeQueryEngine:
         ``batch`` is a validated :class:`~repro.core.delta.DeltaBatch` of
         cube cells.  Each cached intermediate is a pure partial-sum
         element (no residual steps), so a delta lands on exactly one cell
-        per intermediate with sign ``+1`` — the batch's deltas are
-        scattered as they are; the repair is O(n) per cached array and
-        the warm cache survives the update.
+        per intermediate with sign ``+1``.  The intermediates live in
+        :attr:`slabs` — those assembled before the first burst move there
+        now (nothing outside the engine holds them), every later one is
+        adopted as it is assembled — so the repair is one scatter per
+        slab, charged one addition per delta and intermediate, and the
+        warm cache survives the update.
         Stored elements are the owning set's job
         (:meth:`MaterializedSet.apply_updates`) — the engine's cache never
         holds them (only elements absent from the set are ever assembled
@@ -171,21 +189,19 @@ class RangeQueryEngine:
 
         Returns the number of cached intermediates patched.
         """
-        if not len(batch) or not self._cache:
+        if not len(batch):
             return 0
-        for element, values in self._cache.items():
-            patch_array(
-                element,
-                values,
-                batch,
-                counter=counter,
-                label="range intermediate patch",
-            )
-        patched = len(self._cache)
-        current_registry().counter(
-            "range_intermediate_patched_total",
-            "on-demand assembled intermediates repaired in place by deltas",
-        ).inc(patched)
+        slabs = self.slabs
+        with slabs.lock:
+            held = slabs.held[RANGE_PATCH]
+            for element, values in self._cache.items():
+                if id(values) not in held:
+                    self._cache[element] = slabs.adopt(
+                        element, values, RANGE_PATCH
+                    )
+            patched = slabs.patch(batch, counter, RANGE_PATCH)
+        if patched:
+            self._bound_metrics().patched.inc(patched)
         return patched
 
     @classmethod
@@ -264,6 +280,11 @@ class RangeQueryEngine:
                     "range_intermediate_assembled_total",
                     "intermediate elements assembled on demand",
                 ),
+                patched=counter(
+                    "range_intermediate_patched_total",
+                    "on-demand assembled intermediates repaired in place by "
+                    "deltas",
+                ),
             )
             bound = self._metrics = (registry, handles)
         return bound[1]
@@ -272,16 +293,31 @@ class RangeQueryEngine:
         self,
         missing: list[ElementId],
         counter: OpCounter | None,
+        mark: int,
         max_workers: int = 1,
     ) -> dict[ElementId, np.ndarray]:
         """Assemble ``missing`` as one shared-plan DAG and cache the results
         (:meth:`MaterializedSet.assemble_batch` — fused cascades, CSE
-        across the levels, buffer-pool reuse)."""
+        across the levels, buffer-pool reuse) as :meth:`_keep` allows."""
         assembled = self.materialized.assemble_batch(
             missing, counter=counter, max_workers=max_workers
         )
-        self._cache.update(assembled)
+        self._keep(assembled, mark)
         return assembled
+
+    def _keep(self, assembled: dict[ElementId, np.ndarray], mark: int) -> None:
+        """Cache intermediates assembled from storage read after the slab
+        sequence read ``mark`` — adopted into slabs once updates arrive —
+        unless a burst began since: it repaired everything warm without
+        them, so cached they would stay stale for good."""
+        slabs = self.slabs
+        with slabs.lock:
+            if not slabs.settled(mark):
+                return
+            for element, values in assembled.items():
+                if slabs.active:
+                    values = slabs.adopt(element, values, RANGE_PATCH)
+                self._cache[element] = values
 
     def prefetch(
         self,
@@ -318,7 +354,9 @@ class RangeQueryEngine:
                 and element not in self._cache
             ]
             if missing:
-                self._assemble_missing(missing, counter, max_workers)
+                self._assemble_missing(
+                    missing, counter, self.slabs.sequence, max_workers
+                )
                 registry = current_registry()
                 registry.counter(
                     "range_prefetches_total",
@@ -353,6 +391,12 @@ class RangeQueryEngine:
         one intermediate its cells in ascending index order, last
         dimension fastest.  (Sums of integer-valued cubes do not depend on
         the order; float cubes get one documented order.)
+
+        Every answer is the sum over one state of the cube: a burst that
+        begins while the query reads (the slab sequence moved —
+        :meth:`SlabStore.settled`) may have patched some of the arrays it
+        read and not others, so the query is resolved again, and what it
+        assembled meanwhile is not cached (:meth:`_keep`).
         """
         groups = self._level_groups(ranges)
         if groups is None:
@@ -362,62 +406,70 @@ class RangeQueryEngine:
             own_counter = OpCounter()
             materialized, cache = self.materialized, self._cache
             intermediate = self.shape.intermediate
-            # ``(element, values | None, cell index tuples)`` per level
-            # combination.  Arrays are looked up per query, so updates,
-            # invalidation and quarantine need no bookkeeping here.
-            reads = []
-            missing = []
-            stored_cells = cells = 0
-            for combo in itertools.product(*groups):
-                element = intermediate([level for level, _ in combo])
-                indices = list(
-                    itertools.product(*[ix for _, ix in combo])
-                )
-                cells += len(indices)
-                values = None
-                if element in materialized:
-                    try:
-                        values = materialized.array(element)
-                    except KeyError:
-                        # Quarantined by first-use verification between
-                        # the membership check and the read: not stored.
-                        pass
-                    else:
-                        stored_cells += len(indices)
-                if values is None:
-                    values = cache.get(element)
-                    if values is None:
-                        missing.append(element)
-                reads.append((element, values, indices))
+            slabs = self.slabs
             metrics = self._bound_metrics()
-            if missing:
-                if not self.assemble_missing:
-                    raise KeyError(
-                        f"intermediate element {missing[0]!r} is not "
-                        "materialized"
+            while True:
+                mark = slabs.sequence
+                # ``(element, values | None, cell index tuples)`` per level
+                # combination.  Arrays are looked up per query, so updates,
+                # invalidation and quarantine need no bookkeeping here.
+                reads = []
+                missing = []
+                stored_cells = cells = 0
+                for combo in itertools.product(*groups):
+                    element = intermediate([level for level, _ in combo])
+                    indices = list(
+                        itertools.product(*[ix for _, ix in combo])
                     )
-                try:
-                    assembled = self._assemble_missing(missing, own_counter)
-                except TransientFault:
-                    # A shared-plan batch is all-or-nothing and rolls one
-                    # fault die per DAG node, so retrying the whole batch
-                    # does not converge; recover per element instead, each
-                    # cached as soon as it is assembled (with its own
-                    # fault exposure, which the caller's retry policy
-                    # handles).
-                    assembled = {}
-                    for element in missing:
-                        assembled[element] = cache[element] = (
-                            materialized.assemble(element, counter=own_counter)
+                    cells += len(indices)
+                    values = None
+                    if element in materialized:
+                        try:
+                            values = materialized.array(element)
+                        except KeyError:
+                            # Quarantined by first-use verification between
+                            # the membership check and the read: not stored.
+                            pass
+                        else:
+                            stored_cells += len(indices)
+                    if values is None:
+                        values = cache.get(element)
+                        if values is None:
+                            missing.append(element)
+                    reads.append((element, values, indices))
+                if missing:
+                    if not self.assemble_missing:
+                        raise KeyError(
+                            f"intermediate element {missing[0]!r} is not "
+                            "materialized"
                         )
-                metrics.assembled.inc(len(missing))
-            total = 0.0
-            for element, values, indices in reads:
-                if values is None:
-                    values = assembled[element]
-                item = values.item
-                for cell in indices:
-                    total += item(cell)
+                    try:
+                        assembled = self._assemble_missing(
+                            missing, own_counter, mark
+                        )
+                    except TransientFault:
+                        # A shared-plan batch is all-or-nothing and rolls
+                        # one fault die per DAG node, so retrying the whole
+                        # batch does not converge; recover per element
+                        # instead, each cached as soon as it is assembled
+                        # (with its own fault exposure, which the caller's
+                        # retry policy handles).
+                        assembled = {}
+                        for element in missing:
+                            assembled[element] = materialized.assemble(
+                                element, counter=own_counter
+                            )
+                            self._keep({element: assembled[element]}, mark)
+                    metrics.assembled.inc(len(missing))
+                total = 0.0
+                for element, values, indices in reads:
+                    if values is None:
+                        values = assembled[element]
+                    item = values.item
+                    for cell in indices:
+                        total += item(cell)
+                if slabs.settled(mark):
+                    break
             if cells > 1:
                 own_counter.add(additions=cells - 1, label="range combine")
             if counter is not None:

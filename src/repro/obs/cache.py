@@ -17,7 +17,9 @@ update has three invalidation granularities, coarsest to finest:
 - :meth:`patch` / :meth:`mark_stale` — the fine-grained path: a linear
   delta is folded into a cached value *in place* (the entry stays a hit,
   counted as ``{name}_patches_total``), or a single touched key is marked
-  stale for lazy repair while every other key stays valid.
+  stale for lazy repair while every other key stays valid.  Values whose
+  owner repairs many at once outside the cache are counted the same way
+  (:meth:`count_patches`).
 """
 
 from __future__ import annotations
@@ -224,6 +226,12 @@ class LRUCache:
             self._patches.inc()
             return True
 
+    def count_patches(self, n: int) -> None:
+        """Count ``n`` cached values repaired in place without :meth:`patch`
+        (their owner scattered into many at once)."""
+        if n:
+            self._patches.inc(n)
+
     # ------------------------------------------------------------------
 
     def _sync_gauges(self) -> None:
@@ -260,3 +268,17 @@ class LRUCache:
                 for key, entry in self._entries.items()
                 if entry.generation == self._generation
             )
+
+    def items(self) -> list:
+        """Non-stale ``(key, value)`` pairs, in no particular order.
+
+        Walked over the table itself: a recency-ordered walk of the
+        ``OrderedDict`` looks every value up again, re-hashing its key.
+        """
+        with self._lock:
+            generation = self._generation
+            return [
+                (key, entry.value)
+                for key, entry in dict.items(self._entries)
+                if entry.generation == generation
+            ]

@@ -30,9 +30,10 @@ Serving amenities that live only here:
   invalidate every cached answer); data updates (:meth:`update` /
   :meth:`update_many`) *patch* cached answers in place — every element is
   linear in the cube, so a delta lands on exactly one cell per cached
-  array (see :mod:`repro.core.delta`) — with a coarse lazy generation
-  bump as the fallback.  Hits, misses, evictions, and patches are exposed
-  through the same registry.
+  array (see :mod:`repro.core.delta`); once the server ingests, answers
+  are cached in slabs, patched one scatter per slab — with a coarse lazy
+  generation bump as the fallback.  Hits, misses, evictions, and patches
+  are exposed through the same registry.
 - **Resilience** — the serving surface is bounded and failure-tolerant:
 
   * *Snapshot serving state.*  ``(materialized, range_engine, epoch,
@@ -138,6 +139,9 @@ MAX_WORKERS = 4
 #: exponential backoff, when the constructor is given none.
 MAX_RETRIES = 2
 RETRY_BACKOFF_MS = 5.0
+#: The result cache's slab label, and the label its patch additions are
+#: charged under.
+CACHE_PATCH = "cache patch"
 
 #: The :class:`_Serve` envelope of the call being served: resilience paths
 #: mark it (``degraded``) and the alert feed reads it — without threading a
@@ -170,7 +174,9 @@ class _ServingState:
     snapshot; :meth:`OLAPServer.reconfigure` builds a complete replacement
     off to the side and publishes it with a single reference assignment
     (atomic under the GIL), so no query can observe a new materialized set
-    with an old epoch or a stale range engine.
+    with an old epoch or a stale range engine.  The range engine's
+    ``slabs`` also hold the result cache's warm arrays once the server
+    ingests, and order what readers cache against update bursts.
     """
 
     materialized: MaterializedSet
@@ -592,19 +598,30 @@ class OLAPServer:
 
     def _publish(self, materialized, epoch: int) -> _ServingState:
         """Build the serving state around ``materialized`` (fresh range
-        engine, empty result cache) and publish it, with its epoch gauge,
-        in one reference assignment."""
+        engine, empty result cache, the engine's empty slabs shared with
+        the cache — in use from the start once this server has ingested)
+        and publish it, with its epoch gauge, in one reference
+        assignment."""
+        previous = getattr(self, "_state", None)
+        engine = RangeQueryEngine(materialized)
+        cache = LRUCache(
+            max_entries=self._cache_entries,
+            max_weight=self._cache_cells,
+            weigh=lambda values: values.size,
+            registry=self.metrics,
+            name="view_cache",
+        )
+        slabs = engine.slabs
+        if previous is not None:
+            slabs.active = previous.range_engine.slabs.active
+        slabs.track(
+            CACHE_PATCH, lambda: {id(values) for _, values in cache.items()}
+        )
         state = _ServingState(
             materialized=materialized,
-            range_engine=RangeQueryEngine(materialized),
+            range_engine=engine,
             epoch=epoch,
-            cache=LRUCache(
-                max_entries=self._cache_entries,
-                max_weight=self._cache_cells,
-                weigh=lambda values: values.size,
-                registry=self.metrics,
-                name="view_cache",
-            ),
+            cache=cache,
         )
         self._state = state
         self._m.epoch.set(epoch)
@@ -862,6 +879,49 @@ class OLAPServer:
             self._m.cache_bypass.inc()
             return None
 
+    def _admit(
+        self,
+        state: _ServingState,
+        mark: int,
+        assembled: dict[ElementId, np.ndarray],
+    ) -> dict[ElementId, np.ndarray]:
+        """Cache answers assembled since the slab sequence read ``mark``;
+        returns the arrays to serve.
+
+        Once the server ingests, an answer that does not alias storage is
+        adopted into the cache's slabs as it is cached: the caller gets
+        the slab view, which every burst patches while the entry lives.
+        If a burst began after ``mark`` the answers are served uncached —
+        they were read from storage before it, and the burst repaired
+        everything warm without them.
+        """
+        slabs = state.range_engine.slabs
+        with slabs.lock:
+            if not slabs.settled(mark):
+                return assembled
+            if not slabs.active:
+                for element, values in assembled.items():
+                    state.cache.put((element, state.epoch), values)
+                return assembled
+            storage = self._storage_ids(state)
+            for element, values in assembled.items():
+                if element.is_intermediate and id(values) not in storage:
+                    values = assembled[element] = slabs.adopt(
+                        element, values, CACHE_PATCH
+                    )
+                state.cache.put((element, state.epoch), values)
+            # Drop the slots of what the puts evicted: slab memory stays
+            # bounded by the live set.
+            slabs.sweep(CACHE_PATCH)
+        return assembled
+
+    def _storage_ids(self, state: _ServingState) -> set[int]:
+        """Identities of the arrays serving hands out by reference: stored
+        arrays and, on the degraded path, the base cube itself."""
+        ids = {id(self.cube.values)}
+        ids.update(map(id, state.materialized.array_refs().values()))
+        return ids
+
     def _serve_element(
         self,
         element: ElementId,
@@ -888,12 +948,12 @@ class OLAPServer:
             if values is not None:
                 call.attrs["cache"] = "hit"
                 return values
+            mark = state.range_engine.slabs.sequence
             values = self._assemble_resilient(
                 state.materialized, element, call.counter
             )
-            state.cache.put(key, values)
             call.attrs["cache"] = "miss"
-            return values
+            return self._admit(state, mark, {element: values})[element]
 
     def _serve_batch(
         self,
@@ -931,12 +991,11 @@ class OLAPServer:
                 else:
                     missing.append(element)
             if missing:
+                mark = state.range_engine.slabs.sequence
                 assembled = self._assemble_batch_resilient(
                     state.materialized, missing, call.counter, max_workers
                 )
-                for element, values in assembled.items():
-                    state.cache.put((element, state.epoch), values)
-                    answers[element] = values
+                answers.update(self._admit(state, mark, assembled))
             self._m.batches_of[kind].inc()
             call.attrs.update(cache_hits=hits, assembled=len(missing))
             return [answers[element] for element in elements]
@@ -1699,11 +1758,15 @@ class OLAPServer:
         place from the same batch.  Every view element is linear in the
         cube values (P1/R1 are signed pair sums), so each delta lands on
         exactly one cell per cached array with a computable sign — the
-        patch is exact for integer cubes.  A value the cache shares with
-        storage (stored arrays and the base cube are served by reference)
-        is skipped: it was already patched at the source.  Any failure on
-        this path falls back to the coarse lazy generation bump, never to
-        a wrong answer.
+        patch is exact for integer cubes.  From the first burst on, the
+        warm answers and intermediates are pure partial sums packed into
+        slabs, repaired with one ``np.add.at`` per slab rather than one
+        per array (:meth:`_patch_warm_state`).  A value the cache shares
+        with storage (stored arrays and the base cube are served by
+        reference) is skipped: it was already patched at the source.  An
+        answer assembled from storage read while the burst runs is served
+        but not cached.  Any failure on this path falls back to the
+        coarse lazy generation bump, never to a wrong answer.
         """
         if len(coordinates) and isinstance(coordinates[0], Mapping):
             coordinates = np.array(
@@ -1747,11 +1810,19 @@ class OLAPServer:
                     batch.coordinates, batch.deltas, epoch=state.epoch
                 )
             counter = OpCounter()
-            state.materialized.apply_updates(batch, counter=counter)
-            np.add.at(
-                self.cube.values, tuple(batch.coordinates.T), batch.deltas
-            )
-            patched, cleared = self._propagate_updates(state, batch, counter)
+            # Readers that read storage from here on cache nothing they
+            # assembled (``SlabStore.settled``).
+            state.range_engine.slabs.begin_burst()
+            try:
+                state.materialized.apply_updates(batch, counter=counter)
+                np.add.at(
+                    self.cube.values, tuple(batch.coordinates.T), batch.deltas
+                )
+                patched, cleared = self._propagate_updates(
+                    state, batch, counter
+                )
+            finally:
+                state.range_engine.slabs.end_burst()
             if seq is not None:
                 # Only now does the record count as applied: advancing
                 # _applied_seq before the in-memory apply would let a
@@ -1794,29 +1865,38 @@ class OLAPServer:
     ) -> int:
         """Patch every cached answer and range intermediate in place.
 
-        Serving hands out stored arrays (and, on the degraded path, the
-        base cube's own root) by reference, so a cache entry may *be* the
-        storage that ``apply_updates`` already repaired — those are
-        recognised by object identity and skipped, never patched twice.
+        Answers cached since the server first ingested and the range
+        intermediates live in the engine's slabs
+        (:class:`~repro.core.delta.SlabStore`), under one label each:
+        each label is repaired by one scatter per slab.  What is left for
+        the per-array walk — :func:`patch_array` through
+        :meth:`LRUCache.patch` — is the answers cached before the first
+        burst.  Serving hands out stored arrays
+        (and, on the degraded path, the base cube's own root) by
+        reference, so a cache entry may *be* the storage that
+        ``apply_updates`` already repaired — those are recognised by
+        object identity and skipped, never patched twice.  No answer is
+        cached while a burst runs (:meth:`_admit`), so the entries seen
+        here are the ones patched.
         """
-        aliases = {id(self.cube.values)}
-        aliases.update(
-            id(a) for a in state.materialized.array_refs().values()
-        )
+        slabs = state.range_engine.slabs
+        skip = self._storage_ids(state) | slabs.held[CACHE_PATCH]
         patched = 0
-        for key in state.cache.keys():
-            element = key[0]
+        for key, values in state.cache.items():
+            if id(values) in skip:
+                continue
 
-            def _patch(values, element=element):
-                if id(values) in aliases:
-                    return False
+            def _patch(values, element=key[0]):
                 patch_array(
-                    element, values, batch, counter=counter, label="cache patch"
+                    element, values, batch, counter=counter, label=CACHE_PATCH
                 )
                 return True
 
             if state.cache.patch(key, _patch):
                 patched += 1
+        in_slabs = slabs.patch(batch, counter, CACHE_PATCH)
+        state.cache.count_patches(in_slabs)
+        patched += in_slabs
         patched += state.range_engine.apply_updates(batch, counter=counter)
         return patched
 
