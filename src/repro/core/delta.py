@@ -24,21 +24,18 @@ aggregated views and roll-ups) has no residual step, hence no sign at
 all — its signed deltas are the burst's deltas themselves.
 
 This module is the single home of that math, and a delta reaches an
-array in one of two ways:
+array by what the array is:
 
-- :func:`patch_array`, one scatter per array, for anything with a sign —
-  the stored elements (:meth:`repro.core.materialize.MaterializedSet.
-  apply_updates`) — and for the cached answers of a server that had not
-  ingested when it cached them (:meth:`repro.server.OLAPServer.
-  update_many`);
-- :class:`SlabStore`, one scatter per *slab* for many arrays at once: the
-  warm pure partial-sum arrays of a server that ingests — its range
-  intermediates (:meth:`repro.core.range_query.RangeQueryEngine.
-  apply_updates`) and the answers it caches from then on.  A pure
-  element's patch is the burst's deltas at ``coordinate >> level`` per
-  dimension, so arrays packed side by side in one flat buffer are patched
-  by one flat index: the slot's offset plus the strided sum of those
-  positions.
+- a *signed* array — a stored element, which may have residual steps — is
+  patched by :func:`patch_array`, one scatter per array
+  (:meth:`repro.core.materialize.MaterializedSet.apply_updates`);
+- a *pure* warm array — a server's cached answers and its range engine's
+  intermediates — is patched through a :class:`SlabStore`, one scatter
+  per *slab* for many arrays at once.  A pure element's patch is the
+  burst's deltas at ``coordinate >> level`` per dimension, so arrays
+  packed side by side in one flat buffer are patched by one flat index:
+  the slot's offset plus the strided sum of those positions.  Arrays
+  warmed before the first burst join as slabs of their own, in place.
 
 :meth:`repro.shard.sets.ShardedSet.apply_updates` re-frames a global
 batch into one shard-local :class:`DeltaBatch` per owning shard.  The
@@ -174,7 +171,7 @@ def patch_array(
     values: np.ndarray,
     batch: DeltaBatch,
     counter: OpCounter | None = None,
-    label: str = "incremental update",
+    label: str = "batch update",
 ) -> int:
     """Patch ``element``'s materialized array in place for a delta batch.
 
@@ -214,11 +211,12 @@ class SlabStore:
     ``coordinate >> level`` per dimension.  :meth:`adopt` copies an array
     into the current slab of its ``label`` (an array of at least
     :data:`SLAB_CELLS` cells is a slab of its own, not copied) and returns
-    the slab view that replaces it; :meth:`patch` repairs every live slot
-    of a label with one ``np.add.at`` per slab.  Slots are disjoint and a
-    slot's duplicate cells accumulate in burst row order, so the bytes
-    equal :func:`patch_array` per array, and the additions are charged
-    under ``label`` exactly as it would.
+    the slab view that replaces it; :meth:`join` makes arrays a caller may
+    already hold slabs of their own, in place; :meth:`patch` repairs every
+    live slot of a label with one ``np.add.at`` per slab.  Slots are
+    disjoint and a slot's duplicate cells accumulate in burst row order,
+    so the bytes equal :func:`patch_array` per array, and the additions
+    are charged under ``label`` exactly as it would.
 
     Each label's owner says which views are still live
     (:meth:`track`: the ids of the arrays it holds).  Liveness is swept at
@@ -249,9 +247,8 @@ class SlabStore:
         self._slabs: dict[str, list[_Slab]] = {}
         self._open: dict[str, _Slab] = {}
         self._live: dict[str, Callable[[], Collection[int]]] = {}
-        #: Per label, the ids of the slab views handed out and not yet
-        #: swept (read under :attr:`lock`): what its owner patches through
-        #: the slabs, not one array at a time.
+        #: Per label, the ids of the arrays in its slabs — views handed
+        #: out and arrays joined — not yet swept (read under :attr:`lock`).
         self.held: dict[str, set[int]] = {}
         #: Per label, :meth:`_index` until its slots change.
         self._indexes: dict[str, tuple] = {}
@@ -281,33 +278,59 @@ class SlabStore:
     ) -> np.ndarray:
         """Pack ``element``'s array into ``label``'s slabs; returns the view
         that replaces it.  Call with :attr:`lock` held."""
-        if not element.is_intermediate or element.shape != self.shape:
-            raise ValueError(f"{element!r} is not a pure element of this cube")
         cells = values.size
         if cells >= SLAB_CELLS:
             view = np.ascontiguousarray(values)
-            slab = self._allocate(label, view.reshape(-1))
-        else:
-            slab = self._open.get(label)
-            if (
-                slab is None
-                or slab.used + cells > slab.buffer.size
-                or slab.buffer.dtype != values.dtype
-            ):
-                slab = self._open[label] = self._allocate(
-                    label, np.empty(SLAB_CELLS, dtype=values.dtype)
-                )
-            view = slab.buffer[slab.used : slab.used + cells]
-            view = view.reshape(values.shape)
-            view[...] = values
+            self.join(label, [(element, view)])
+            return view
+        self._check(element)
+        slab = self._open.get(label)
+        if (
+            slab is None
+            or slab.used + cells > slab.buffer.size
+            or slab.buffer.dtype != values.dtype
+        ):
+            slab = self._open[label] = self._allocate(
+                label, np.empty(SLAB_CELLS, dtype=values.dtype)
+            )
+        view = slab.buffer[slab.used : slab.used + cells]
+        view = view.reshape(values.shape)
+        view[...] = values
+        self._slot(slab, element, view, label)
+        return view
+
+    def join(self, label: str, arrays) -> None:
+        """Each ``(element, values)`` of ``arrays`` not in ``label``'s slabs
+        yet becomes a slab of its own over its own buffer: from now on
+        every burst patches it in place.  Nothing is copied — its owner,
+        and any caller it was handed to, keep holding it.  Call with
+        :attr:`lock` held."""
+        held = self.held[label]
+        for element, values in arrays:
+            if id(values) in held:
+                continue
+            self._check(element)
+            if not values.flags.c_contiguous:
+                raise ValueError(f"{element!r} is not contiguous")
+            slab = _Slab(values.reshape(-1))
+            self._slabs[label].append(slab)
+            self._slot(slab, element, values, label)
+
+    def _check(self, element: ElementId) -> None:
+        if not element.is_intermediate or element.shape != self.shape:
+            raise ValueError(f"{element!r} is not a pure element of this cube")
+
+    def _slot(
+        self, slab: _Slab, element: ElementId, view: np.ndarray, label: str
+    ) -> None:
+        """Append ``view`` to ``slab``'s live slots."""
         row = [slab.used]
         row += [level for level, _ in element.nodes]
         row += [stride // view.itemsize for stride in view.strides]
         slab.slots.append((view, np.array(row, dtype=np.int64)))
-        slab.used += cells
+        slab.used += view.size
         self._indexes.pop(label, None)
         self.held[label].add(id(view))
-        return view
 
     def _allocate(self, label: str, buffer: np.ndarray) -> _Slab:
         self.sweep(label)

@@ -194,7 +194,7 @@ class MaterializedSet:
             values = _descend(source_values, source, element, counter, out._pool)
             if values is source_values:
                 # Zero-step descent aliases the source; stored arrays must
-                # be owned so apply_update never mutates caller data.
+                # be owned so apply_updates never mutates caller data.
                 values = values.copy()
             out._arrays[element] = values
             out._seal(element)
@@ -594,42 +594,23 @@ class MaterializedSet:
     # ------------------------------------------------------------------
     # Incremental maintenance
 
-    def apply_update(
-        self,
-        coordinates: tuple[int, ...],
-        delta: float,
-        counter: OpCounter | None = None,
-    ) -> None:
-        """Propagate a single-cell cube update into every stored element.
-
-        Because every view element is a linear functional of the cube, a
-        change of ``delta`` at cube cell ``coordinates`` touches exactly one
-        coefficient per stored element: the cell whose dyadic block contains
-        the coordinate, with sign ``(-1)**bit`` for each residual step whose
-        split put the coordinate in the odd half (the math lives in
-        :mod:`repro.core.delta`).  The cost is O(d) per stored element — no
-        recomputation from the cube.
-        """
-        self.apply_updates(
-            DeltaBatch(self.shape, [coordinates], [delta]),
-            counter=counter,
-            label="incremental update",
-        )
-
     def apply_updates(
         self,
         batch: DeltaBatch,
         counter: OpCounter | None = None,
-        label: str = "batch update",
     ) -> None:
-        """Vectorized :meth:`apply_update` for a batch of cell deltas.
+        """Propagate a batch of cube-cell deltas into every stored element.
 
         ``batch`` is a validated :class:`~repro.core.delta.DeltaBatch` in
-        this set's coordinate frame.  Each stored element costs one
-        lookup in the batch's position table and one scatter-add
-        (:func:`repro.core.delta.patch_array`) — suitable for refreshing a
-        materialized set from a day's worth of new fact rows without
-        recomputation.
+        this set's coordinate frame (a single-cell update is a one-row
+        batch).  Every view element is a linear functional of the cube, so
+        a delta touches exactly one coefficient per stored element, with a
+        sign flipped by each residual step that split the coordinate into
+        the odd half (the math lives in :mod:`repro.core.delta`).  Each
+        stored element costs one lookup in the batch's position table and
+        one scatter-add (:func:`repro.core.delta.patch_array`) — suitable
+        for refreshing a materialized set from a day's worth of new fact
+        rows without recomputation.
         """
         if not len(batch):
             return
@@ -638,7 +619,7 @@ class MaterializedSet:
         # sealed over and become undetectable), reseal after.
         self._verify_unverified()
         for element, values in list(self._arrays.items()):
-            patch_array(element, values, batch, counter=counter, label=label)
+            patch_array(element, values, batch, counter=counter)
             self._seal(element)
 
     def assemble_view(

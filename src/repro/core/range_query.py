@@ -177,11 +177,10 @@ class RangeQueryEngine:
         cube cells.  Each cached intermediate is a pure partial-sum
         element (no residual steps), so a delta lands on exactly one cell
         per intermediate with sign ``+1``.  The intermediates live in
-        :attr:`slabs` — those assembled before the first burst move there
-        now (nothing outside the engine holds them), every later one is
-        adopted as it is assembled — so the repair is one scatter per
-        slab, charged one addition per delta and intermediate, and the
-        warm cache survives the update.
+        :attr:`slabs` — those assembled before the first burst join them
+        now, in place, every later one is adopted as it is assembled — so
+        the repair is one scatter per slab, charged one addition per delta
+        and intermediate, and the warm cache survives the update.
         Stored elements are the owning set's job
         (:meth:`MaterializedSet.apply_updates`) — the engine's cache never
         holds them (only elements absent from the set are ever assembled
@@ -191,15 +190,9 @@ class RangeQueryEngine:
         """
         if not len(batch):
             return 0
-        slabs = self.slabs
-        with slabs.lock:
-            held = slabs.held[RANGE_PATCH]
-            for element, values in self._cache.items():
-                if id(values) not in held:
-                    self._cache[element] = slabs.adopt(
-                        element, values, RANGE_PATCH
-                    )
-            patched = slabs.patch(batch, counter, RANGE_PATCH)
+        with self.slabs.lock:
+            self.slabs.join(RANGE_PATCH, self._cache.items())
+            patched = self.slabs.patch(batch, counter, RANGE_PATCH)
         if patched:
             self._bound_metrics().patched.inc(patched)
         return patched

@@ -76,15 +76,7 @@ class DataCube:
 
     def cell(self, **coordinates) -> float:
         """Read one cell addressed by dimension *values* (not codes)."""
-        index = []
-        for dim in self.dimensions:
-            if dim.name not in coordinates:
-                raise KeyError(f"missing coordinate for dimension {dim.name!r}")
-            index.append(dim.encode(coordinates[dim.name]))
-        extra = set(coordinates) - set(self.dimensions.names)
-        if extra:
-            raise KeyError(f"unknown dimensions {sorted(extra)}")
-        return float(self.values[tuple(index)])
+        return float(self.values[self.dimensions.encode(coordinates)])
 
     def slice(self, **coordinates) -> np.ndarray:
         """Dice: fix the given dimensions by value, keep the rest."""

@@ -10,7 +10,7 @@ bundles the dimensions of one cube.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -70,7 +70,10 @@ class Dimension:
         return self.size - self.cardinality
 
     def encode(self, value) -> int:
-        """Coordinate of ``value``; KeyError for unknown values."""
+        """Coordinate of ``value``; a :class:`KeyError` naming this
+        dimension for a value outside its domain."""
+        if value not in self._codes:
+            raise KeyError(f"unknown value {value!r} for dimension {self.name!r}")
         return self._codes[value]
 
     def encode_many(self, values: Iterable) -> np.ndarray:
@@ -124,6 +127,24 @@ class DimensionSet:
     def axes_of(self, names: Iterable[str]) -> tuple[int, ...]:
         """Axis indices for several dimension names."""
         return tuple(self.axis_of(n) for n in names)
+
+    def encode(self, record: Mapping) -> tuple[int, ...]:
+        """The cell ``record`` addresses: one domain value per dimension,
+        keyed by dimension name.
+
+        A missing dimension, a value outside its dimension's domain and
+        keys naming no dimension each raise a :class:`KeyError` that names
+        them.
+        """
+        index = []
+        for dim in self._dimensions:
+            if dim.name not in record:
+                raise KeyError(f"missing coordinate for dimension {dim.name!r}")
+            index.append(dim.encode(record[dim.name]))
+        if len(record) > len(index):
+            extra = set(record) - set(self.names)
+            raise KeyError(f"unknown dimensions {sorted(extra)}")
+        return tuple(index)
 
     def __getitem__(self, key) -> Dimension:
         if isinstance(key, str):

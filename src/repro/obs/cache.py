@@ -2,24 +2,13 @@
 
 :class:`LRUCache` is the storage behind the server's assembled-view result
 cache: bounded by entry count and optionally by total *weight* (cells, for
-arrays), with hit/miss/eviction/clear counters and size gauges registered
-under a configurable name prefix so several caches can share a registry.
+arrays), with hit/miss/eviction/clear/patch counters and size gauges
+registered under a configurable name prefix so several caches can share a
+registry.
 
-Entries carry a **generation tag** for incremental maintenance.  A data
-update has three invalidation granularities, coarsest to finest:
-
-- :meth:`clear` — drop everything eagerly (the pre-delta behaviour, still
-  what a selection change wants);
-- :meth:`bump_generation` — the coarse *epoch* fallback: every current
-  entry becomes stale and is dropped lazily on its next lookup (counted as
-  ``{name}_stale_drops_total``), so untouched keys cost nothing until
-  they are actually consulted;
-- :meth:`patch` / :meth:`mark_stale` — the fine-grained path: a linear
-  delta is folded into a cached value *in place* (the entry stays a hit,
-  counted as ``{name}_patches_total``), or a single touched key is marked
-  stale for lazy repair while every other key stays valid.  Values whose
-  owner repairs many at once outside the cache are counted the same way
-  (:meth:`count_patches`).
+The cache keeps no notion of staleness.  Its owner repairs cached values
+in place when the data changes — :meth:`patch` runs that repair and counts
+what it patched — or, when it cannot, drops everything with :meth:`clear`.
 """
 
 from __future__ import annotations
@@ -35,14 +24,13 @@ __all__ = ["LRUCache"]
 
 
 class _Entry:
-    """One cached value with its weight and generation stamp."""
+    """One cached value with its weight."""
 
-    __slots__ = ("value", "weight", "generation")
+    __slots__ = ("value", "weight")
 
-    def __init__(self, value, weight: float, generation: int):
+    def __init__(self, value, weight: float):
         self.value = value
         self.weight = weight
-        self.generation = generation
 
 
 class LRUCache:
@@ -63,9 +51,8 @@ class LRUCache:
         Metrics land in ``registry`` (default: the current registry) as
         ``{name}_hits_total``, ``{name}_misses_total``,
         ``{name}_evictions_total``, ``{name}_clears_total``,
-        ``{name}_patches_total``, ``{name}_stale_drops_total``,
-        ``{name}_generation_bumps_total`` and the gauges
-        ``{name}_size`` / ``{name}_weight``.
+        ``{name}_patches_total`` and the gauges ``{name}_size`` /
+        ``{name}_weight``.
 
     All operations take an internal lock, so concurrent query threads can
     share one cache; racing writers at worst recompute a value, never
@@ -88,7 +75,6 @@ class LRUCache:
         self._weigh = weigh or (lambda _value: 1.0)
         self._entries: OrderedDict[Any, _Entry] = OrderedDict()
         self._weight = 0.0
-        self._generation = 0
         registry = registry if registry is not None else current_registry()
         self.name = name
 
@@ -112,13 +98,6 @@ class LRUCache:
             "patches_total",
             "cached values repaired in place by delta patching",
         )
-        self._stale_drops = counter(
-            "stale_drops_total", "stale entries dropped lazily on lookup"
-        )
-        self._generation_bumps = counter(
-            "generation_bumps_total",
-            "coarse generation bumps (lazy whole-cache invalidations)",
-        )
         self._size_gauge = gauge("size", "entries currently cached")
         self._weight_gauge = gauge("weight", "summed weight of cached values")
         self._size_gauge.set(0)
@@ -127,23 +106,11 @@ class LRUCache:
     # ------------------------------------------------------------------
 
     def get(self, key, default=None):
-        """The cached value (refreshing recency), or ``default`` on a miss.
-
-        An entry stamped before the last :meth:`bump_generation` (or
-        :meth:`mark_stale`) is dropped here and reported as a miss — the
-        lazy arm of the coarse invalidation path.
-        """
+        """The cached value (refreshing recency), or ``default`` on a miss."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
                 self._misses.inc()
-                return default
-            if entry.generation != self._generation:
-                del self._entries[key]
-                self._weight -= entry.weight
-                self._stale_drops.inc()
-                self._misses.inc()
-                self._sync_gauges()
                 return default
             self._entries.move_to_end(key)
             self._hits.inc()
@@ -160,7 +127,7 @@ class LRUCache:
                 # Heavier than the whole budget: drop rather than thrash.
                 self._sync_gauges()
                 return
-            self._entries[key] = _Entry(value, weight, self._generation)
+            self._entries[key] = _Entry(value, weight)
             self._weight += weight
             while len(self._entries) > self.max_entries or (
                 self.max_weight is not None and self._weight > self.max_weight
@@ -179,58 +146,18 @@ class LRUCache:
             self._weight = 0.0
             self._sync_gauges()
 
-    # ------------------------------------------------------------------
-    # Incremental maintenance
+    def patch(self, repair: Callable[[], int]) -> int:
+        """Repair cached values in place: ``repair()`` mutates them and
+        returns how many it patched, which are counted and returned.
 
-    @property
-    def generation(self) -> int:
-        """The current data generation new entries are stamped with."""
-        with self._lock:
-            return self._generation
-
-    def bump_generation(self) -> None:
-        """Coarse fallback: mark every current entry stale, lazily.
-
-        Nothing is freed here; each stale entry is dropped (and counted)
-        on its next lookup, or evicted by ordinary capacity pressure.  Use
-        when a data change cannot be expressed as an in-place patch.
+        Runs with no cache lock held — the owner repairs its values under
+        its own lock.  Recency is *not* refreshed: patching maintains a
+        value, it does not signal demand.
         """
-        with self._lock:
-            self._generation += 1
-            self._generation_bumps.inc()
-
-    def mark_stale(self, key) -> bool:
-        """Scoped invalidation: stale exactly one key, others stay valid."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                return False
-            entry.generation = self._generation - 1
-            return True
-
-    def patch(self, key, fn: Callable[[Any], bool]) -> bool:
-        """Repair one cached value in place.
-
-        ``fn(value)`` mutates the cached value and returns ``True`` when it
-        patched (``False`` = leave untouched and uncounted, e.g. the value
-        aliases storage that was already patched).  Stale or absent keys
-        return ``False`` without calling ``fn``.  Recency is *not*
-        refreshed — patching maintains a value, it does not signal demand.
-        """
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None or entry.generation != self._generation:
-                return False
-            if not fn(entry.value):
-                return False
-            self._patches.inc()
-            return True
-
-    def count_patches(self, n: int) -> None:
-        """Count ``n`` cached values repaired in place without :meth:`patch`
-        (their owner scattered into many at once)."""
-        if n:
-            self._patches.inc(n)
+        patched = repair()
+        if patched:
+            self._patches.inc(patched)
+        return patched
 
     # ------------------------------------------------------------------
 
@@ -240,8 +167,7 @@ class LRUCache:
 
     def __contains__(self, key) -> bool:
         with self._lock:
-            entry = self._entries.get(key)
-            return entry is not None and entry.generation == self._generation
+            return key in self._entries
 
     def __len__(self) -> int:
         with self._lock:
@@ -261,24 +187,17 @@ class LRUCache:
         return hits / lookups if lookups else 0.0
 
     def keys(self) -> tuple:
-        """Non-stale cached keys, least recently used first."""
+        """Cached keys, least recently used first."""
         with self._lock:
-            return tuple(
-                key
-                for key, entry in self._entries.items()
-                if entry.generation == self._generation
-            )
+            return tuple(self._entries)
 
     def items(self) -> list:
-        """Non-stale ``(key, value)`` pairs, in no particular order.
+        """``(key, value)`` pairs, in no particular order.
 
         Walked over the table itself: a recency-ordered walk of the
         ``OrderedDict`` looks every value up again, re-hashing its key.
         """
         with self._lock:
-            generation = self._generation
             return [
-                (key, entry.value)
-                for key, entry in dict.items(self._entries)
-                if entry.generation == generation
+                (key, entry.value) for key, entry in dict.items(self._entries)
             ]

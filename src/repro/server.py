@@ -30,10 +30,12 @@ Serving amenities that live only here:
   invalidate every cached answer); data updates (:meth:`update` /
   :meth:`update_many`) *patch* cached answers in place — every element is
   linear in the cube, so a delta lands on exactly one cell per cached
-  array (see :mod:`repro.core.delta`); once the server ingests, answers
-  are cached in slabs, patched one scatter per slab — with a coarse lazy
-  generation bump as the fallback.  Hits, misses, evictions, and patches
-  are exposed through the same registry.
+  array (see :mod:`repro.core.delta`).  Every warm answer is repaired in
+  the range engine's slabs, one scatter per slab: once the server ingests
+  answers are cached there, and those cached before join at the first
+  burst, in place.  A repair that fails clears the cache instead.  Hits,
+  misses, evictions, clears and patches are exposed through the same
+  registry.
 - **Resilience** — the serving surface is bounded and failure-tolerant:
 
   * *Snapshot serving state.*  ``(materialized, range_engine, epoch,
@@ -84,7 +86,7 @@ import numpy as np
 
 from .core import exec as batch_exec
 from .core.adaptive import AccessTracker
-from .core.delta import DeltaBatch, patch_array
+from .core.delta import DeltaBatch
 from .core.element import ElementId
 from .core.engine import SelectionEngine
 from .core.kernels import POOL_MAX_CELLS, POOL_MIN_CELLS
@@ -1725,30 +1727,27 @@ class OLAPServer:
     # Maintenance
 
     def update(self, delta: float, **coordinates) -> None:
-        """Apply a single-record update incrementally.
+        """Apply a single-record update: a one-row :meth:`update_many`.
 
-        Adjusts the base cube and propagates the delta into every stored
-        element, every cached query answer, and every range-engine
-        intermediate in O(depth) each (no recomputation, no invalidation
-        on the linear path — see :meth:`update_many`).  The epoch is *not*
-        bumped: the selection is unchanged.
+        ``coordinates`` name one domain value per dimension, as
+        :meth:`cell` takes them.  The epoch is *not* bumped: the selection
+        is unchanged.
         """
-        index = tuple(
-            dim.encode(coordinates[dim.name]) for dim in self.cube.dimensions
-        )
-        self._apply_updates(DeltaBatch(self.shape, [index], [delta]))
+        self.update_many([coordinates], [delta])
 
     def update_many(self, coordinates, deltas) -> None:
         """Bulk streaming ingest: apply a batch of cell deltas at once.
 
         ``coordinates`` is either an ``(n, d)`` array of already-encoded
         integer cell indices or a sequence of ``{dimension: value}``
-        mappings (encoded as :meth:`update` does); ``deltas`` is the
-        matching ``(n,)`` batch of values added.  The burst is validated
-        once, where its :class:`~repro.core.delta.DeltaBatch` is built: a
-        cell outside the cube, a non-integral coordinate or a non-finite
-        delta raises :class:`~repro.errors.InvalidUpdateError` before
-        anything is logged or changed, and an empty batch is a no-op.
+        mappings (encoded as :meth:`cell` encodes its arguments: a missing
+        or unknown dimension, or an unknown value, is a :class:`KeyError`);
+        ``deltas`` is the matching ``(n,)`` batch of values added.  The
+        burst is validated once, where its
+        :class:`~repro.core.delta.DeltaBatch` is built: a cell outside the
+        cube, a non-integral coordinate or a non-finite delta raises
+        :class:`~repro.errors.InvalidUpdateError`.  Either way nothing is
+        logged or changed, and an empty batch is a no-op.
 
         One call takes the reconfiguration ordering guarantee once, routes
         the batch through ``MaterializedSet.apply_updates`` /
@@ -1758,26 +1757,20 @@ class OLAPServer:
         place from the same batch.  Every view element is linear in the
         cube values (P1/R1 are signed pair sums), so each delta lands on
         exactly one cell per cached array with a computable sign — the
-        patch is exact for integer cubes.  From the first burst on, the
-        warm answers and intermediates are pure partial sums packed into
-        slabs, repaired with one ``np.add.at`` per slab rather than one
-        per array (:meth:`_patch_warm_state`).  A value the cache shares
-        with storage (stored arrays and the base cube are served by
-        reference) is skipped: it was already patched at the source.  An
-        answer assembled from storage read while the burst runs is served
-        but not cached.  Any failure on this path falls back to the
-        coarse lazy generation bump, never to a wrong answer.
+        patch is exact for integer cubes.  The warm answers and
+        intermediates are pure partial sums in slabs, repaired with one
+        ``np.add.at`` per slab rather than one per array
+        (:meth:`_propagate_updates`).  A value the cache shares with
+        storage (stored arrays and the base cube are served by reference)
+        is skipped: it was already patched at the source.  An answer
+        assembled from storage read while the burst runs is served but
+        not cached.  Any failure on this path clears the warm state —
+        cold, never a wrong answer.
         """
         if len(coordinates) and isinstance(coordinates[0], Mapping):
+            encode = self.cube.dimensions.encode
             coordinates = np.array(
-                [
-                    tuple(
-                        dim.encode(record[dim.name])
-                        for dim in self.cube.dimensions
-                    )
-                    for record in coordinates
-                ],
-                dtype=np.int64,
+                [encode(record) for record in coordinates], dtype=np.int64
             )
         batch = DeltaBatch(self.shape, coordinates, deltas)
         if len(batch):
@@ -1842,66 +1835,46 @@ class OLAPServer:
     def _propagate_updates(
         self, state: _ServingState, batch: DeltaBatch, counter: OpCounter
     ) -> tuple[int, int]:
-        """Repair the snapshot's warm state for a delta batch.
+        """Repair the snapshot's warm state for a delta batch; returns
+        ``(entries patched, coarse invalidations)``.
 
-        Returns ``(entries patched, coarse invalidations)``.  The patch
-        path walks the result cache and the range engine's assembled
-        intermediates; any failure on it takes the coarse path, which
-        lazily stales the whole cache and drops the intermediates —
-        correct for *any* change, just cold."""
+        Every cached answer and range intermediate lives in the engine's
+        slabs (:class:`~repro.core.delta.SlabStore`), under one label
+        each, and each label is repaired by one scatter per slab.  Answers
+        cached before the server first ingested join the slabs here, in
+        place.  Serving hands out stored arrays (and, on the degraded
+        path, the base cube's own root) by reference, so a cache entry may
+        *be* the storage that ``apply_updates`` already repaired — those
+        are recognised by object identity and never join.  No answer is
+        cached while a burst runs (:meth:`_admit`), so the entries seen
+        here are the ones patched.  Any failure takes the coarse path,
+        which clears the cache and drops the intermediates — correct for
+        *any* change, just cold.
+        """
+        slabs = state.range_engine.slabs
+
+        def repair() -> int:
+            with slabs.lock:
+                storage = self._storage_ids(state)
+                cached = state.cache.items()
+                slabs.join(
+                    CACHE_PATCH,
+                    [(k[0], v) for k, v in cached if id(v) not in storage],
+                )
+                return slabs.patch(batch, counter, CACHE_PATCH)
+
         with span("update.propagate", cells=len(batch)) as sp:
             try:
-                patched = self._patch_warm_state(state, batch, counter)
+                patched = state.cache.patch(repair)
+                patched += state.range_engine.apply_updates(
+                    batch, counter=counter
+                )
             except Exception:
-                self._coarse_invalidate(state)
+                state.cache.clear()
+                state.range_engine.invalidate()
+                self._m.update_cache_cleared.inc()
                 sp.set(mode="fallback", patched=0)
                 return 0, 1
             self._m.update_cache_patched.inc(patched)
             sp.set(mode="patch", patched=patched)
             return patched, 0
-
-    def _patch_warm_state(
-        self, state: _ServingState, batch: DeltaBatch, counter: OpCounter
-    ) -> int:
-        """Patch every cached answer and range intermediate in place.
-
-        Answers cached since the server first ingested and the range
-        intermediates live in the engine's slabs
-        (:class:`~repro.core.delta.SlabStore`), under one label each:
-        each label is repaired by one scatter per slab.  What is left for
-        the per-array walk — :func:`patch_array` through
-        :meth:`LRUCache.patch` — is the answers cached before the first
-        burst.  Serving hands out stored arrays
-        (and, on the degraded path, the base cube's own root) by
-        reference, so a cache entry may *be* the storage that
-        ``apply_updates`` already repaired — those are recognised by
-        object identity and skipped, never patched twice.  No answer is
-        cached while a burst runs (:meth:`_admit`), so the entries seen
-        here are the ones patched.
-        """
-        slabs = state.range_engine.slabs
-        skip = self._storage_ids(state) | slabs.held[CACHE_PATCH]
-        patched = 0
-        for key, values in state.cache.items():
-            if id(values) in skip:
-                continue
-
-            def _patch(values, element=key[0]):
-                patch_array(
-                    element, values, batch, counter=counter, label=CACHE_PATCH
-                )
-                return True
-
-            if state.cache.patch(key, _patch):
-                patched += 1
-        in_slabs = slabs.patch(batch, counter, CACHE_PATCH)
-        state.cache.count_patches(in_slabs)
-        patched += in_slabs
-        patched += state.range_engine.apply_updates(batch, counter=counter)
-        return patched
-
-    def _coarse_invalidate(self, state: _ServingState) -> None:
-        """Fallback: lazily stale the result cache, drop intermediates."""
-        state.cache.bump_generation()
-        state.range_engine.invalidate()
-        self._m.update_cache_cleared.inc()

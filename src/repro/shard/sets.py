@@ -2,7 +2,7 @@
 
 :class:`ShardedSet` speaks the :class:`~repro.core.materialize.
 MaterializedSet` protocol the server and range engine consume — ``store``
-/ ``assemble`` / ``assemble_batch`` / ``apply_update`` / ``quarantined``
+/ ``assemble`` / ``assemble_batch`` / ``apply_updates`` / ``quarantined``
 / ``pool_stats`` — but holds the cube as ``S`` slabs (one
 :class:`MaterializedSet`, buffer pool, and epoch per shard, see
 :class:`~repro.shard.partition.CubePartition`).
@@ -227,25 +227,10 @@ class ShardedSet:
             self._plan_cache.clear()
             self._cost_memos.clear()
 
-    def apply_update(
-        self,
-        coordinates: tuple[int, ...],
-        delta: float,
-        counter: OpCounter | None = None,
-    ) -> None:
-        """Route a single-cell update to the owning shard."""
-        coords = tuple(int(c) for c in coordinates)
-        s = self.partition.shard_of(coords[self.partition.axis])
-        self._shards[s].apply_update(
-            self.partition.local_coordinates(coords), delta, counter=counter
-        )
-        self._epochs[s] += 1
-
     def apply_updates(
         self,
         batch: DeltaBatch,
         counter: OpCounter | None = None,
-        label: str = "batch update",
     ) -> None:
         """Route a delta batch to the owning shards in one grouped pass.
 
@@ -263,8 +248,6 @@ class ShardedSet:
                 f"batch of a {batch.shape.sizes} cube routed to a "
                 f"{self.shape.sizes} set"
             )
-        if not len(batch):
-            return
         axis = self.partition.axis
         extent = self.partition.shard_extent
         owners = batch.coordinates[:, axis] // extent
@@ -276,7 +259,6 @@ class ShardedSet:
             shard.apply_updates(
                 DeltaBatch(shard.shape, local, batch.deltas[rows]),
                 counter=counter,
-                label=label,
             )
             self._epochs[int(s)] += 1
 

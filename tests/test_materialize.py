@@ -168,7 +168,7 @@ class TestMaterializedSet:
 
 
 class TestIncrementalMaintenance:
-    """apply_update propagates single-cell deltas into stored elements."""
+    """A one-row batch propagates a single-cell delta into stored elements."""
 
     def test_update_matches_recompute(self, shape_4x4, cube_4x4, rng):
         from repro.core.bases import random_wavelet_packet_basis
@@ -180,7 +180,7 @@ class TestIncrementalMaintenance:
             coords = tuple(int(rng.integers(n)) for n in shape_4x4.sizes)
             delta = float(rng.integers(-5, 6))
             updated[coords] += delta
-            ms.apply_update(coords, delta)
+            ms.apply_updates(DeltaBatch(shape_4x4, [coords], [delta]))
         fresh = MaterializedSet.from_cube(updated, basis)
         for element in basis:
             np.testing.assert_allclose(
@@ -191,7 +191,7 @@ class TestIncrementalMaintenance:
         ms = MaterializedSet.from_cube(
             cube_4x4, wavelet_basis(shape_4x4)
         )
-        ms.apply_update((1, 2), 7.0)
+        ms.apply_updates(DeltaBatch(shape_4x4, [(1, 2)], [7.0]))
         expected = cube_4x4.copy()
         expected[1, 2] += 7.0
         np.testing.assert_allclose(ms.reconstruct_cube(), expected)
@@ -199,15 +199,15 @@ class TestIncrementalMaintenance:
     def test_update_cost_is_one_op_per_element(self, shape_4x4, cube_4x4):
         ms = MaterializedSet.from_cube(cube_4x4, wavelet_basis(shape_4x4))
         counter = OpCounter()
-        ms.apply_update((0, 0), 1.0, counter=counter)
+        ms.apply_updates(DeltaBatch(shape_4x4, [(0, 0)], [1.0]), counter=counter)
         assert counter.total == len(ms)
 
     def test_update_validation(self, shape_4x4, cube_4x4):
         ms = MaterializedSet.from_cube(cube_4x4, [shape_4x4.root()])
         with pytest.raises(ValueError, match="coordinates"):
-            ms.apply_update((1,), 1.0)
+            ms.apply_updates(DeltaBatch(shape_4x4, [(1,)], [1.0]))
         with pytest.raises(ValueError, match="outside"):
-            ms.apply_update((4, 0), 1.0)
+            ms.apply_updates(DeltaBatch(shape_4x4, [(4, 0)], [1.0]))
 
     def test_residual_sign_handling(self):
         """Updating an odd coordinate flips residual coefficients."""
@@ -216,7 +216,7 @@ class TestIncrementalMaintenance:
         p = shape.root().partial_child(0)
         r = shape.root().residual_child(0)
         ms = MaterializedSet.from_cube(data, [p, r])
-        ms.apply_update((1,), 5.0)
+        ms.apply_updates(DeltaBatch(shape, [(1,)], [5.0]))
         assert ms.array(p)[0] == 9.0  # 4 + 5
         assert ms.array(r)[0] == -3.0  # 2 - 5
 
@@ -232,7 +232,7 @@ class TestBatchUpdates:
         deltas = rng.integers(-5, 6, size=20).astype(float)
         a.apply_updates(DeltaBatch(shape_4x4, coords, deltas))
         for (x, y), delta in zip(coords, deltas):
-            b.apply_update((int(x), int(y)), float(delta))
+            b.apply_updates(DeltaBatch(shape_4x4, [(x, y)], [delta]))
         for element in basis:
             np.testing.assert_allclose(a.array(element), b.array(element))
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro.core.bases import random_wavelet_packet_basis
 from repro.core.costs import support_cost
+from repro.core.delta import DeltaBatch
 from repro.core.element import CubeShape, ElementId
 from repro.core.engine import SelectionEngine
 from repro.core.graph import ViewElementGraph
@@ -209,7 +210,7 @@ class TestAssemblyConsistency:
         ms = MaterializedSet.from_cube(data, basis)
         coords = tuple(int(rng.integers(n)) for n in shape.sizes)
         delta = float(rng.integers(1, 9))
-        ms.apply_update(coords, delta)
+        ms.apply_updates(DeltaBatch(shape, [coords], [delta]))
         updated = data.copy()
         updated[coords] += delta
         target = _random_element(shape, rng)

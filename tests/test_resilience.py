@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.delta import DeltaBatch
 from repro.core.element import CubeShape
 from repro.core.materialize import MaterializedSet
 from repro.core.operators import OpCounter
@@ -388,7 +389,7 @@ class TestStoredIntegrity:
 
     def test_update_reseal_keeps_verification_honest(self, rng):
         ms, _, _ = self._set(rng)
-        ms.apply_update((0, 0), 5.0)
+        ms.apply_updates(DeltaBatch(ms.shape, [(0, 0)], [5.0]))
         for element in ms.elements:
             assert ms.verify(element)
 

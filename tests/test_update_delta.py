@@ -3,9 +3,9 @@
 The filter bank is linear (P1/R1 are signed pair sums), so a cube-cell
 delta touches exactly one cell of every view element with a computable
 sign.  These tests pin that law (:mod:`repro.core.delta`) against brute
-recomputation, then the machinery built on it: generation-tagged LRU
-entries, range-engine intermediate patching, sharded batch routing, and
-the server's patch-instead-of-clear update path.
+recomputation, then the machinery built on it: the result cache's one
+repair entry, range-engine intermediate patching, sharded batch routing,
+and the server's patch-instead-of-clear update path.
 """
 
 from __future__ import annotations
@@ -254,72 +254,40 @@ class TestPatchArray:
         assert not values.any()
 
 
-class TestCacheGenerations:
-    def _cache(self, **kw):
+class TestCacheRepair:
+    def test_patch_counts_the_repair_and_a_failed_one_clears(self, monkeypatch):
+        """``LRUCache.patch`` counts what its owner's repair patched; a
+        repair that raises clears the cache and the intermediates
+        eagerly, and the cold answers are exact."""
         registry = MetricsRegistry()
-        return LRUCache(registry=registry, name="c", **kw), registry
-
-    def test_bump_generation_lazily_drops_stale_entries(self):
-        cache, registry = self._cache(max_entries=4)
+        cache = LRUCache(registry=registry, name="c")
         cache.put("a", 1)
-        cache.put("b", 2)
-        cache.bump_generation()
-        assert len(cache) == 2  # nothing freed eagerly
-        assert "a" not in cache
-        assert cache.get("a") is None  # dropped on lookup, counted
-        assert registry.counter("c_stale_drops_total").total() == 1
-        assert registry.counter("c_generation_bumps_total").total() == 1
-        cache.put("a", 3)
-        assert cache.get("a") == 3  # fresh entries live at the new gen
+        assert cache.patch(lambda: 3) == 3
+        assert cache.patch(lambda: 0) == 0
+        assert registry.counter("c_patches_total").total() == 3
+        assert cache.get("a") == 1 and len(cache) == 1
 
-    def test_keys_exclude_stale_entries(self):
-        cache, _ = self._cache(max_entries=4)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.keys() == ("a", "b")
-        cache.mark_stale("a")
-        assert cache.keys() == ("b",)
-        assert cache.get("b") == 2
-
-    def test_mark_stale_is_scoped_to_one_key(self):
-        cache, registry = self._cache(max_entries=4)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.mark_stale("a")
-        assert not cache.mark_stale("missing")
-        assert cache.get("a") is None
-        assert cache.get("b") == 2
-        assert registry.counter("c_stale_drops_total").total() == 1
-
-    def test_patch_repairs_in_place_and_counts(self):
-        cache, registry = self._cache(max_entries=4)
-        box = {"v": 1}
-        cache.put("a", box)
-
-        def bump(value):
-            value["v"] += 10
-            return True
-
-        assert cache.patch("a", bump)
-        assert cache.get("a")["v"] == 11
-        assert registry.counter("c_patches_total").total() == 1
-
-    def test_patch_skip_protocol_and_stale_keys(self):
-        cache, registry = self._cache(max_entries=4)
-        cache.put("a", object())
-        assert not cache.patch("a", lambda _v: False)  # alias skip
-        assert not cache.patch("missing", lambda _v: True)
-        cache.bump_generation()
-        assert not cache.patch("a", lambda _v: True)  # stale: fn not run
-        assert registry.counter("c_patches_total").total() == 0
-
-    def test_stale_weight_is_released_on_drop(self):
-        cache, _ = self._cache(max_entries=4, weigh=lambda v: v)
-        cache.put("a", 10.0)
-        cache.bump_generation()
-        assert cache.weight == 10.0
-        cache.get("a")
-        assert cache.weight == 0.0
+        server, base = _make_server()
+        ranges = ((1, 7), (3, 13))
+        server.view(["d0"])
+        server.range_sum(ranges)
+        state = server._state
+        assert len(state.cache) and state.range_engine._cache
+        clears = server.metrics.counter("view_cache_clears_total")
+        monkeypatch.setattr(
+            RangeQueryEngine,
+            "apply_updates",
+            lambda *a, **k: (_ for _ in ()).throw(RuntimeError("boom")),
+        )
+        server.update(4.0, d0=2, d1=2)
+        monkeypatch.undo()
+        assert clears.total() == 1
+        assert server.health()["updates_cache_cleared"] == 1
+        assert not len(state.cache) and not state.range_engine._cache
+        ref = base.copy()
+        ref[2, 2] += 4.0
+        assert np.array_equal(server.view(["d0"]).ravel(), ref.sum(axis=1))
+        assert server.range_sum(ranges) == ref[1:7, 3:13].sum()
 
 
 class TestRangeEnginePatch:
@@ -382,7 +350,7 @@ class TestShardedBatchRouting:
         deltas = rng.integers(-5, 6, size=10).astype(np.float64)
         sharded.apply_updates(DeltaBatch(shape, coords, deltas))
         for row, delta in zip(coords, deltas):
-            single.apply_update(tuple(int(c) for c in row), float(delta))
+            single.apply_updates(DeltaBatch(shape, [row], [delta]))
         assert (
             sharded.assemble(shape.root()).tobytes()
             == single.assemble(shape.root()).tobytes()
@@ -699,6 +667,60 @@ class TestRejectedBatchChangesNothing:
             # The next good batch is the next record: nothing was skipped.
             server.update_many([[0, 0, 0]], [1.0])
             assert server._wal.last_seq == before[6] + 1
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (
+                lambda server: server.update(1.0, d0=1, d1=2, d2=0, d9=3),
+                r"unknown dimensions \['d9'\]",
+            ),
+            (
+                lambda server: server.update_many(
+                    [{"d0": 1, "d1": 2, "d2": 0, "typo": 0}], [1.0]
+                ),
+                r"unknown dimensions \['typo'\]",
+            ),
+            (
+                lambda server: server.update(1.0, d0=1, d2=0),
+                "missing coordinate for dimension 'd1'",
+            ),
+            (
+                lambda server: server.update_many(
+                    [{"d0": 1, "d1": 99, "d2": 0}], [1.0]
+                ),
+                "unknown value 99 for dimension 'd1'",
+            ),
+        ],
+        ids=["extra-key", "extra-key-many", "missing-key", "unknown-value"],
+    )
+    def test_a_record_that_names_no_cell_is_refused(
+        self, call, message, tmp_path
+    ):
+        """A record is encoded as ``cell`` encodes its arguments: an extra
+        key is refused like a missing one, before the WAL sees it."""
+        server, base = _make_server(
+            sizes=(8, 4, 4), seed=37, durability=_durable(tmp_path)
+        )
+        with server:
+            server.update_many([[1, 1, 1]], [4.0])
+
+            def logged():
+                return [
+                    (r.seq, r.coordinates.tobytes(), r.deltas.tobytes())
+                    for r in server._wal.replay()
+                ]
+
+            before = logged()
+            with pytest.raises(KeyError, match=message):
+                call(server)
+            assert logged() == before
+            assert server._applied_seq == server._wal.last_seq == before[-1][0]
+            expected = base.copy()
+            expected[1, 1, 1] += 4.0
+            assert server.cube.values.tobytes() == expected.tobytes()
+            with pytest.raises(KeyError, match=r"unknown dimensions \['d9'\]"):
+                server.cell(d0=1, d1=2, d2=0, d9=3)
 
     def test_single_cell_update_rejects_non_finite(self):
         server, base = _make_server()

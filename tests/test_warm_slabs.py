@@ -4,9 +4,10 @@ and readers racing update bursts — as counts and exact answers.
 Once a server has applied an update, the answers it caches and the range
 intermediates it assembles are pure partial sums packed into slabs
 (:class:`repro.core.delta.SlabStore`), and a burst repairs them with one
-``np.add.at`` per slab.  What still goes through
+``np.add.at`` per slab; those warmed before the first burst join as slabs
+of their own, in place.  What still goes through
 :func:`repro.core.delta.patch_array` one array at a time is the stored
-elements and the answers cached before the first burst.
+elements, nothing else.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from repro.core.materialize import MaterializedSet, compute_element
 from repro.core.range_query import RangeQueryEngine
 from repro.replay import seeded_cube
 from repro.server import OLAPServer
-from repro import server as server_module
 
 from .test_slab_store import _Counting
 
@@ -70,8 +70,15 @@ class TestBurstBudget:
     def test_one_scatter_per_slab_and_patch_array_only_for_the_rest(
         self, monkeypatch
     ):
+        """``patch_array`` runs once per stored element and nowhere else;
+        every warm answer and intermediate is repaired by its slab's one
+        ``np.add.at`` — on a server's first burst too, where what it
+        warmed before joins the slabs as slabs of their own."""
+        fresh = OLAPServer(seeded_cube(3, SIZES))
+        early = fresh.view(["d0"])
+        _warm(fresh)
         server = OLAPServer(seeded_cube(3, SIZES))
-        server.view(["d0"])  # cached before any update: stays per-array
+        server.view(["d0"])
         _warm(server)
         _burst(server, 1)
         server.reconfigure()  # stores a selection with residual elements
@@ -79,42 +86,44 @@ class TestBurstBudget:
         _burst(server, 2)
         _warm(server)
         _warm(server)
-        state = server._state
-        slabs = state.range_engine.slabs
-        assert any(e.is_residual for e in state.materialized.elements)
-        storage = server._storage_ids(state)
-        non_slab = [
-            key
-            for key, values in state.cache.items()
-            if id(values) not in storage and id(values) not in slabs.held["cache patch"]
-        ]
+        assert any(e.is_residual for e in server.materialized.elements)
 
-        patch_calls = []
-        for module in (materialize, server_module):
-            original = module.patch_array
+        for target, seed in ((fresh, 3), (server, 3)):
+            state = target._state
+            slabs = state.range_engine.slabs
+            storage = target._storage_ids(state)
+            patch_calls = []
+            for module in (delta, materialize):
+                original = module.patch_array
 
-            def counted(*args, _original=original, **kwargs):
-                patch_calls.append(args[0])
-                return _original(*args, **kwargs)
+                def counted(*args, _original=original, **kwargs):
+                    patch_calls.append(args[0])
+                    return _original(*args, **kwargs)
 
-            monkeypatch.setattr(module, "patch_array", counted)
-        counting = _Counting()
-        monkeypatch.setattr(delta, "np", counting)
-        patched = server.metrics.counter("server_update_cache_patched_total")
-        before = patched.total()
-        _burst(server, 3)
-        monkeypatch.undo()
+                monkeypatch.setattr(module, "patch_array", counted)
+            counting = _Counting()
+            monkeypatch.setattr(delta, "np", counting)
+            patched = target.metrics.counter("server_update_cache_patched_total")
+            before = patched.total()
+            _burst(target, seed)
+            monkeypatch.undo()
 
-        live_slabs = sum(len(slabs._slabs[label]) for label in slabs._slabs)
-        assert live_slabs >= 2  # the cache's and the engine's
-        assert len(patch_calls) <= len(state.materialized.elements) + len(non_slab)
-        assert counting.calls == len(patch_calls) + live_slabs
-        # The same warm entries are repaired as by the per-array walk.
-        assert patched.total() - before == (
-            sum(id(v) not in storage for _, v in state.cache.items())
-            + len(state.range_engine._cache)
-        )
+            live_slabs = sum(len(slabs._slabs[label]) for label in slabs._slabs)
+            assert live_slabs >= 2  # the cache's and the engine's
+            assert sorted(patch_calls, key=repr) == sorted(
+                state.materialized.elements, key=repr
+            )
+            assert counting.calls == len(patch_calls) + live_slabs
+            # Every warm entry is repaired, once.
+            assert patched.total() - before == (
+                sum(id(v) not in storage for _, v in state.cache.items())
+                + len(state.range_engine._cache)
+            )
+        # Joined in place: the caller still holds the cached answer.
+        assert early is fresh.view(["d0"])
+        assert np.array_equal(early, fresh.cube.values.sum(axis=(1, 2), keepdims=True))
         server.close()
+        fresh.close()
 
     def test_a_superseded_state_is_freed_without_the_cycle_collector(self):
         """The engine registers its liveness with the store it owns; a
