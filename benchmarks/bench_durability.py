@@ -139,7 +139,7 @@ def measure_recovery(sizes, lengths, repeats: int) -> list[dict]:
                 best = min(best, time.perf_counter() - t0)
                 try:
                     restored_ok = restored_ok and (
-                        restored._replayed_records == length
+                        restored._lineage.replayed_records == length
                         and restored.cube.values.tobytes()
                         == replica.tobytes()
                     )

@@ -26,7 +26,7 @@ def test_fig9_tradeoff_curves(benchmark):
     assert result.curve_elements[-1][1] == pytest.approx(0.0, abs=1.0)
     assert 1.0 <= result.d_storage_to_match_v_start <= 1.6
     print()
-    from repro.reporting import ascii_table
+    from repro.obs.reporting import ascii_table
 
     print(
         ascii_table(

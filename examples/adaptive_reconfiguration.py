@@ -26,8 +26,8 @@ from repro import (
     QueryPopulation,
     select_minimum_cost_basis,
 )
+from repro.obs.reporting import ascii_table
 from repro.workloads import SalesConfig, sales_cube
-from repro.reporting import ascii_table
 
 
 PHASES = [

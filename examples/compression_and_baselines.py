@@ -27,7 +27,7 @@ from repro import (
 from repro.baselines import ViewLattice, hru_greedy
 from repro.core.costs import element_population_cost
 from repro.cube import SparseCube, view_element_of
-from repro.reporting import ascii_table
+from repro.obs.reporting import ascii_table
 from repro.workloads import SalesConfig, sales_cube
 
 

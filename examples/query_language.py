@@ -11,9 +11,9 @@ Run::
 
 from __future__ import annotations
 
+from repro.obs.reporting import ascii_table
 from repro.query import execute
 from repro.relational import group_by_sum_dict
-from repro.reporting import ascii_table
 from repro.server import OLAPServer
 from repro.workloads import SalesConfig, generate_sales_records, sales_table
 

@@ -26,7 +26,7 @@ from repro import (
 )
 from repro.core.costs import element_population_cost
 from repro.cube import build_cube
-from repro.reporting import ascii_table
+from repro.obs.reporting import ascii_table
 
 
 def main() -> None:

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro import OpCounter, RangeQueryEngine
 from repro.core.range_query import range_sum_direct
-from repro.reporting import ascii_table
+from repro.obs.reporting import ascii_table
 from repro.workloads import SalesConfig, sales_cube
 
 

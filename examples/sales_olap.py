@@ -29,8 +29,8 @@ from repro import (
     select_minimum_cost_basis,
 )
 from repro.cube import view_element_of
+from repro.obs.reporting import ascii_table
 from repro.relational import group_by_sum_dict
-from repro.reporting import ascii_table
 from repro.workloads import SalesConfig, sales_cube, sales_table
 
 

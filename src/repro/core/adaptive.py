@@ -142,7 +142,6 @@ class CostModelMonitor:
         self.decay = decay
         self.profiles_ingested = 0
         self._mean_divergence: float | None = None
-        self._element_divergence: dict[str, float] = {}
 
     def record(self, planned: float, measured: float) -> None:
         """Fold one planned/measured pair into the decayed mean."""
@@ -164,8 +163,6 @@ class CostModelMonitor:
             return
         self.profiles_ingested += 1
         self.record(totals.get("planned", 0), totals.get("measured", 0))
-        for element, agg in profile.get("elements", {}).items():
-            self._element_divergence[element] = agg.get("divergence", 1.0)
         current_registry().gauge(
             "cost_model_mean_divergence",
             "decayed mean of measured/planned operations (1.0 = exact)",
@@ -177,10 +174,6 @@ class CostModelMonitor:
         return (
             self._mean_divergence if self._mean_divergence is not None else 1.0
         )
-
-    def element_divergences(self) -> dict[str, float]:
-        """Last observed divergence per view element (described)."""
-        return dict(self._element_divergence)
 
     def should_reconfigure(self) -> bool:
         """Whether divergence has drifted beyond ``tolerance``."""

@@ -277,11 +277,6 @@ class BatchPlan:
         self.refcounts = tuple(refcounts)
 
     @property
-    def shared_nodes(self) -> int:
-        """Nodes feeding more than one consumer (the CSE payoff)."""
-        return sum(1 for readers in self.dependents if len(readers) > 1)
-
-    @property
     def cse_ratio(self) -> float:
         """Fraction of the naive (per-target) cost eliminated by sharing."""
         if self.naive_cost <= 0:

@@ -32,7 +32,6 @@ allowed to depend on resurrecting the exact process topology that died.
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
 import signal
@@ -112,7 +111,7 @@ def _child_main(payload: dict) -> None:
     with open(payload["acks"], "a") as acks, injector.activate():
         for _, op, _, _ in replay(server, _trace(config), workers=config.workers):
             if op["op"] in MUTATIONS:
-                acks.write(f"{server._applied_seq}\n")
+                acks.write(f"{server._lineage.applied_seq}\n")
                 acks.flush()
                 os.fsync(acks.fileno())
                 mutations += 1
@@ -144,7 +143,7 @@ def _verify_restore(
 
     server = OLAPServer.restore(directory, shards=restore_shards)
     try:
-        applied = server._applied_seq
+        applied = server._lineage.applied_seq
         # The reference: base cube + exactly the restored mutation prefix.
         replica = Replica(seeded_cube(config.seed, config.sizes).values)
         replica.apply(mutation_ops[:applied])
@@ -155,7 +154,7 @@ def _verify_restore(
         return {
             "restore_shards": restore_shards,
             "applied": applied,
-            "replayed": server._replayed_records,
+            "replayed": server._lineage.replayed_records,
             "acked": max_acked,
             "lost_acked": lost,
             "unacked_tail": tail,
@@ -343,7 +342,3 @@ def render_report(report: dict) -> str:
         + ("PASS" if report["ok"] else "FAIL")
     )
     return "\n".join(lines)
-
-
-def save_report(report: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(report, indent=2) + "\n")

@@ -126,16 +126,15 @@ def write_snapshot(
     try:
         fault_point("snapshot.write", file="cube")
         save_cube(cube, staging / "cube")
+        selection = list(materialized.elements)
         if partition is None:
             files = ["set.npz"]
-            selection = list(materialized.elements)
             shard_epochs = None
             fault_point("snapshot.write", file="set")
             save_materialized_set(materialized, staging / "set")
         else:
             local_sets = materialized.local_sets()
             files = [f"shard-{s}.npz" for s in range(len(local_sets))]
-            selection = list(materialized.elements)
             shard_epochs = list(materialized.epochs)
             for s, local in enumerate(local_sets):
                 fault_point("snapshot.write", file=f"shard-{s}")

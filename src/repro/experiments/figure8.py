@@ -27,7 +27,7 @@ from ..core.costs import basis_population_cost, element_population_cost
 from ..core.element import CubeShape
 from ..core.population import QueryPopulation
 from ..core.select_fast import select_minimum_cost_basis_fast
-from ..reporting import ascii_plot, ascii_table
+from ..obs.reporting import ascii_plot, ascii_table
 from .common import trial_rngs
 
 __all__ = ["Figure8Config", "TrialResult", "Figure8Result", "run", "main"]

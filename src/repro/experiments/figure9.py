@@ -37,7 +37,7 @@ from ..core.element import CubeShape
 from ..core.engine import SelectionEngine
 from ..core.population import QueryPopulation
 from ..core.select_basis import select_minimum_cost_basis
-from ..reporting import ascii_plot, ascii_table
+from ..obs.reporting import ascii_plot, ascii_table
 from .common import trial_rngs
 
 __all__ = ["Figure9Config", "Figure9Result", "run", "main"]

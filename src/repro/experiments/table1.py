@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from ..core.element import CubeShape
 from ..core.graph import ViewElementGraph
-from ..reporting import ascii_table
+from ..obs.reporting import ascii_table
 
 __all__ = ["PAPER_TABLE1", "Table1Row", "run", "main"]
 

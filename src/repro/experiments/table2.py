@@ -39,7 +39,7 @@ from ..core.frequency import is_complete, is_non_redundant
 from ..core.population import QueryPopulation
 from ..core.select_basis import select_minimum_cost_basis
 from ..core.select_redundant import total_processing_cost
-from ..reporting import ascii_table
+from ..obs.reporting import ascii_table
 
 __all__ = [
     "PAPER_TABLE2",

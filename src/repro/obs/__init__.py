@@ -22,7 +22,8 @@ this package:
 - :mod:`repro.obs.export` — Chrome trace-event JSON and Prometheus text
   exposition;
 - :mod:`repro.obs.http` — the stdlib ``/metrics`` + ``/health`` endpoint;
-- :mod:`repro.obs.reporting` — text/JSON export (the ``repro stats`` CLI).
+- :mod:`repro.obs.reporting` — ASCII tables and plots (the experiment
+  reports) and the text/JSON export of the ``repro stats`` CLI.
 
 Instrumentation is *ambient*: library code writes to whatever registry,
 tracer, and event log are currently activated (see :class:`Observability`),

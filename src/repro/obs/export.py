@@ -22,7 +22,7 @@ import json
 import re
 
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .tracing import Span, Tracer
+from .tracing import Tracer
 
 __all__ = [
     "chrome_trace",
@@ -34,10 +34,6 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # Chrome trace events
-
-
-def _lane_sort_key(span: Span) -> tuple:
-    return (span.process_id, span.thread_id)
 
 
 def chrome_trace(tracer: Tracer, trace_id: int | None = None) -> dict:

@@ -23,7 +23,7 @@ real signal, not noise.
 
 from __future__ import annotations
 
-from ..reporting import ascii_table, format_ratio
+from .reporting import ascii_table, format_ratio
 from .tracing import Span, Tracer
 
 __all__ = ["query_profile", "render_profile"]

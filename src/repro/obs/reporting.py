@@ -1,21 +1,145 @@
-"""Render a registry + tracer (+ events, health) as JSON or aligned text.
+"""Plain-text and JSON reporting: the experiment drivers' tables and
+plots, and the ``repro stats`` rendering of a registry + tracer.
 
-The ``python -m repro stats`` subcommand and the examples use this to turn
-an :class:`~repro.obs.Observability` triple into something a person (text)
-or a scraper (JSON) can read.  Text rendering reuses the repository's ASCII
-table helper so stats reports look like the experiment reports.
+The reproduction regenerates the paper's tables and figures as text: tables
+render with aligned columns, figures as simple character-grid scatter/line
+plots — enough to read off the qualitative shapes (who wins, by what factor,
+where curves cross) that the reproduction must match.  The same table
+helper renders an :class:`~repro.obs.Observability` triple (+ events,
+health) for a person, and :func:`render_json` renders it for a scraper.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping, Sequence
 
-from ..reporting import ascii_table, format_duration
 from .events import EventLog
 from .metrics import MetricsRegistry
 from .tracing import Tracer
 
-__all__ = ["stats_payload", "render_json", "render_text"]
+__all__ = [
+    "ascii_table",
+    "ascii_plot",
+    "format_number",
+    "format_duration",
+    "format_ratio",
+    "stats_payload",
+    "render_json",
+    "render_text",
+]
+
+
+def format_duration(seconds: float) -> str:
+    """Human-scale duration: picks s / ms / µs to keep 3-ish digits."""
+    if seconds != seconds:  # NaN
+        return "nan"
+    magnitude = abs(seconds)
+    if magnitude >= 1.0:
+        return f"{seconds:.3f}s"
+    if magnitude >= 1e-3:
+        return f"{seconds * 1e3:.3f}ms"
+    return f"{seconds * 1e6:.1f}us"
+
+
+def format_ratio(value: float) -> str:
+    """A measured/planned style ratio: ``1.00x``, ``inf``, or ``nan``."""
+    if value != value:  # NaN
+        return "nan"
+    if value in (float("inf"), float("-inf")):
+        return "inf" if value > 0 else "-inf"
+    return f"{value:.2f}x"
+
+
+def format_number(value, precision: int = 3) -> str:
+    """Compact numeric formatting: thousands separators, trimmed floats."""
+    if isinstance(value, bool):
+        return str(value)
+    if isinstance(value, int):
+        return f"{value:,}"
+    if isinstance(value, float):
+        if value != value:  # NaN
+            return "nan"
+        if value == int(value) and abs(value) < 1e15:
+            return f"{int(value):,}"
+        return f"{value:,.{precision}f}"
+    return str(value)
+
+
+def ascii_table(
+    headers: Sequence[str],
+    rows: Sequence[Sequence],
+    title: str | None = None,
+    precision: int = 3,
+) -> str:
+    """Render rows as an aligned text table."""
+    formatted = [
+        [format_number(cell, precision) for cell in row] for row in rows
+    ]
+    widths = [
+        max(len(str(h)), *(len(r[i]) for r in formatted)) if formatted else len(str(h))
+        for i, h in enumerate(headers)
+    ]
+    lines = []
+    if title:
+        lines.append(title)
+    header_line = "  ".join(str(h).rjust(w) for h, w in zip(headers, widths))
+    lines.append(header_line)
+    lines.append("-" * len(header_line))
+    for row in formatted:
+        lines.append("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
+    return "\n".join(lines)
+
+
+def ascii_plot(
+    series: Mapping[str, Sequence[tuple[float, float]]],
+    width: int = 72,
+    height: int = 20,
+    title: str | None = None,
+    xlabel: str = "x",
+    ylabel: str = "y",
+) -> str:
+    """Render ``{name: [(x, y), ...]}`` series on a character grid.
+
+    Each series is marked with a distinct character (its position in the
+    mapping: ``*``, ``o``, ``+``, ``x``...).  Axis ranges cover all points.
+    """
+    markers = "*o+x#@%&"
+    points = [
+        (x, y) for pts in series.values() for x, y in pts
+    ]
+    if not points:
+        raise ValueError("no points to plot")
+    xs = [p[0] for p in points]
+    ys = [p[1] for p in points]
+    x_min, x_max = min(xs), max(xs)
+    y_min, y_max = min(ys), max(ys)
+    x_span = (x_max - x_min) or 1.0
+    y_span = (y_max - y_min) or 1.0
+
+    grid = [[" "] * width for _ in range(height)]
+    for marker, (name, pts) in zip(markers, series.items()):
+        for x, y in pts:
+            col = int(round((x - x_min) / x_span * (width - 1)))
+            row = height - 1 - int(round((y - y_min) / y_span * (height - 1)))
+            grid[row][col] = marker
+
+    lines = []
+    if title:
+        lines.append(title)
+    legend = "   ".join(
+        f"{marker}={name}" for marker, name in zip(markers, series.keys())
+    )
+    lines.append(f"legend: {legend}")
+    lines.append(f"{ylabel}: [{format_number(y_min)}, {format_number(y_max)}]")
+    lines.append("+" + "-" * width + "+")
+    for row in grid:
+        lines.append("|" + "".join(row) + "|")
+    lines.append("+" + "-" * width + "+")
+    lines.append(
+        f"{xlabel}: [{format_number(x_min)}, {format_number(x_max)}]"
+    )
+    return "\n".join(lines)
 
 
 def stats_payload(

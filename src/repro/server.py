@@ -8,67 +8,34 @@ with per-query operation accounting throughout.
 
 Every answer it gives can also be computed with the public pieces
 (``repro.cube``, ``repro.core``) directly; what exists only here is the
-serving machinery around them.  Each per-query mechanism exists once: one
-serve envelope that every view, batch and range passes through
-(:class:`_Serve` — admission, deadline, one span, one accounting),
-one retry loop shared with the shards
-(:func:`repro.resilience.retry.retry_transient`), one routine that publishes
-a serving state, one workload table (:class:`~repro.core.adaptive.
-AccessTracker`), and the ``server_*`` metrics declared once at construction.
-
-Serving amenities that live only here:
+serving machinery around them.  Each mechanism exists once: one serve
+envelope that every view, batch and range passes through (:class:`_Serve`
+— admission, deadline, one span, one accounting), one retry loop shared
+with the shards (:func:`repro.resilience.retry.retry_transient`), one
+routine that publishes a serving state, one migration that builds a new
+stored set from an old one (:meth:`OLAPServer._migrate`), one workload
+table (:class:`~repro.core.adaptive.AccessTracker`), and the ``server_*``
+metrics declared once at construction.
 
 - **Observability** — every server owns a :class:`~repro.obs.Observability`
-  pair (metrics registry + tracer).  Query and reconfiguration paths run
-  with it activated, so the ambient instrumentation in ``repro.core``
-  (assembly spans, engine sweeps, range lookups) lands in the server's own
-  registry.  ``python -m repro stats`` renders it, including a ``health``
-  section (:meth:`health`).
-- **Result cache** — assembled aggregated views and roll-ups are kept in a
-  bounded LRU keyed by ``(ElementId, selection epoch)``.  The epoch is
-  bumped by :meth:`reconfigure` (so Algorithm-2 re-selections atomically
-  invalidate every cached answer); data updates (:meth:`update` /
-  :meth:`update_many`) *patch* cached answers in place — every element is
-  linear in the cube, so a delta lands on exactly one cell per cached
-  array (see :mod:`repro.core.delta`).  Every warm answer is repaired in
-  the range engine's slabs, one scatter per slab: once the server ingests
-  answers are cached there, and those cached before join at the first
-  burst, in place.  A repair that fails clears the cache instead.  Hits,
-  misses, evictions, clears and patches are exposed through the same
-  registry.
-- **Resilience** — the serving surface is bounded and failure-tolerant:
-
-  * *Snapshot serving state.*  ``(materialized, range_engine, epoch,
-    cache)`` live in one immutable :class:`_ServingState`; every query
-    reads the reference once and :meth:`reconfigure` swaps a fully built
-    replacement in a single assignment, so concurrent queries see either
-    the old or the new selection, never a mix.
-  * *Admission control.*  ``max_in_flight`` bounds concurrently admitted
-    queries with a semaphore; at capacity the server fail-fasts with
-    :class:`~repro.errors.AdmissionRejected` (or waits up to
-    ``admission_wait_ms``).
-  * *Deadlines.*  A per-call ``deadline_ms`` (or the constructor's
-    ``default_deadline_ms``) propagates by contextvar into the assembly
-    recursion and the DAG executor, which checks it between node
-    dispatches and cancels outstanding work; expiry raises
-    :class:`~repro.errors.QueryTimeout` and frees the admission slot.
-  * *Retries.*  :class:`~repro.errors.TransientFault`\\ s (fault injection,
-    flaky substrate) are retried up to ``max_retries`` times with
-    exponential backoff bounded by the remaining deadline.
-  * *Graceful degradation.*  Stored elements are checksummed at store time
-    and verified on first use; damaged elements are quarantined and
-    queries transparently re-route to surviving ancestors — or, when the
-    remaining set is incomplete, to the base cube itself
-    (``degrade_to_base``), which the paper's perfect-reconstruction
-    property guarantees can answer anything.
-
-- **Durability** — with ``durability=`` set, every update batch is
-  appended to a write-ahead log before it is acknowledged,
-  :meth:`snapshot` persists the whole serving state atomically (on demand
-  or on a background cadence, pruning covered WAL segments), and
-  :meth:`restore` rebuilds a server — same layout or re-sharded — from
-  snapshot + WAL replay with zero lost acknowledged updates.  See
-  :mod:`repro.durability` and the ``python -m repro recover`` gate.
+  triple; query, reconfiguration and update paths run with it activated,
+  so the ambient instrumentation in ``repro.core`` lands in the server's
+  own registry.  ``python -m repro stats`` renders it with :meth:`health`.
+- **Result cache** — assembled views and roll-ups live in a bounded LRU
+  keyed by ``(ElementId, selection epoch)``.  :meth:`reconfigure` bumps the
+  epoch; updates *patch* warm answers in place (every element is linear in
+  the cube; see :meth:`OLAPServer._propagate_updates`).
+- **Resilience** — ``(materialized, range_engine, epoch, cache)`` live in
+  one immutable :class:`_ServingState` swapped in a single assignment, so
+  a query sees one selection, never a mix.  Admission control, deadlines,
+  transient-fault retries and graceful degradation (quarantined elements
+  re-route to surviving ancestors, or to the base cube, which perfect
+  reconstruction guarantees can answer anything) are constructor knobs.
+- **Durability** — one attribute, a :class:`~repro.durability.Lineage`,
+  holds the WAL, sequence state and snapshotter.  :meth:`snapshot` takes
+  the consistent cut; :meth:`restore` installs a snapshot written on the
+  same layout and rebuilds any other through :meth:`reconfigure`'s
+  migration, then replays the WAL into the in-memory half of ingest.
 """
 
 from __future__ import annotations
@@ -98,13 +65,8 @@ from .core.select_basis import select_minimum_cost_basis
 from .cube.builder import build_cube
 from .cube.datacube import DataCube
 from .cube.hierarchy import rollup_element
-from .durability import (
-    DurabilityConfig,
-    WriteAheadLog,
-    latest_snapshot,
-    load_snapshot,
-    write_snapshot,
-)
+from .durability import DurabilityConfig, Lineage
+from .durability.lineage import restored_layout, write_cut
 from .errors import (
     AdmissionRejected,
     IncompleteSetError,
@@ -172,13 +134,10 @@ class ServerStats:
 class _ServingState:
     """One consistent serving configuration, swapped atomically.
 
-    Queries read ``server._state`` exactly once and work against that
-    snapshot; :meth:`OLAPServer.reconfigure` builds a complete replacement
-    off to the side and publishes it with a single reference assignment
-    (atomic under the GIL), so no query can observe a new materialized set
-    with an old epoch or a stale range engine.  The range engine's
-    ``slabs`` also hold the result cache's warm arrays once the server
-    ingests, and order what readers cache against update bursts.
+    Queries read ``server._state`` exactly once; :meth:`OLAPServer._publish`
+    replaces it with one reference assignment (atomic under the GIL).  The
+    range engine's ``slabs`` also hold the result cache's warm arrays once
+    the server ingests, and order what readers cache against update bursts.
     """
 
     materialized: MaterializedSet
@@ -370,19 +329,12 @@ class OLAPServer:
         supplies a shared metrics registry + tracer (one is created
         otherwise).
 
-        The performance constants are module constants beside the code
-        that reads them, not constructor arguments: the executor's
-        :data:`repro.core.exec.DISPATCH_THRESHOLD`, the buffer pools'
-        :data:`repro.core.kernels.POOL_MIN_CELLS` / ``POOL_MAX_CELLS``, the
-        plan caches' ``_PLAN_CACHE_ENTRIES`` (:mod:`repro.core.materialize`,
-        :mod:`repro.shard.sets`), the flight recorder's ``MAX_TRACES`` /
-        ``HEAD_SAMPLE`` (:mod:`repro.obs.flight`), the alert windows
-        (:mod:`repro.obs.alerts`) and this module's :data:`MAX_WORKERS`.
-        ``cache_entries``, ``cache_cells``, ``max_retries`` and
-        ``retry_backoff_ms`` are arguments because callers pass different
-        values; their defaults are :data:`CACHE_ENTRIES`, unbounded,
-        :data:`MAX_RETRIES` and :data:`RETRY_BACKOFF_MS`.  :meth:`health`
-        reports every value in effect under ``"tuning"``.
+        Performance constants are module constants beside the code that
+        reads them, not arguments: :data:`repro.core.exec.DISPATCH_THRESHOLD`,
+        the pools' ``POOL_MIN_CELLS`` / ``POOL_MAX_CELLS``, the plan caches'
+        ``_PLAN_CACHE_ENTRIES``, the flight recorder's ``MAX_TRACES`` /
+        ``HEAD_SAMPLE``, the alert windows and :data:`MAX_WORKERS`.
+        :meth:`health` reports every value in effect under ``"tuning"``.
 
         Resilience knobs: ``max_in_flight`` bounds admitted queries
         (``None`` = unbounded) with ``admission_wait_ms`` of bounded wait
@@ -401,14 +353,10 @@ class OLAPServer:
         float cubes when the shard axis is the last dimension.
 
         ``durability`` (a :class:`~repro.durability.DurabilityConfig` or a
-        bare directory path) makes acknowledged updates survive crashes:
-        every update batch is appended to a write-ahead log before
-        returning, :meth:`snapshot` persists the full serving state, and
-        :meth:`restore` rebuilds a server from snapshot + WAL replay.  The
-        directory must be *fresh* — construction bootstraps an initial
-        snapshot so recovery is possible from the first update, and an
-        existing lineage must be reopened through :meth:`restore`
-        instead.
+        bare directory path) starts a new lineage there: every update batch
+        is logged before it returns, and an initial snapshot makes
+        recovery possible from the first update.  The directory must be
+        fresh; reopen an existing one with :meth:`restore`.
 
         Incident observability: ``alerts`` enables the multi-window SLO
         burn-rate engine (pass an :class:`~repro.obs.alerts.AlertEngine`
@@ -493,20 +441,15 @@ class OLAPServer:
         materialized = self._new_materialized()
         materialized.store(self.shape.root(), cube.values)
         self._publish(materialized, epoch=0)
-        # Durability: attached last, so the bootstrap snapshot captures a
-        # fully constructed server.
-        self._durability: DurabilityConfig | None = None
-        self._wal: WriteAheadLog | None = None
-        self._applied_seq = 0
-        self._snapshot_seq = 0
-        self._snapshots_taken = 0
-        self._replayed_records = 0
-        self._last_snapshot_monotonic: float | None = None
-        self._replaying = False
-        self._snapshot_stop = threading.Event()
-        self._snapshot_thread: threading.Thread | None = None
+        # Durability: a new lineage, started last so its first snapshot
+        # captures a fully constructed server.
+        self._lineage: Lineage | None = None
         if durability is not None:
-            self._attach_durability(durability, bootstrap=True)
+            self._lineage = Lineage.create(durability)
+            self.snapshot()
+            self._lineage.start_snapshotter(
+                self.snapshot, self.obs, self._m.snapshot_failures
+            )
 
     def _declare_metrics(self) -> SimpleNamespace:
         """Every metric this class writes, declared once: the serving paths
@@ -641,9 +584,8 @@ class OLAPServer:
         )
 
     # ------------------------------------------------------------------
-    # Snapshot-state accessors (kept for compatibility: these always read
-    # the *current* state; hold ``self._state`` yourself for a consistent
-    # multi-field view).
+    # Serving-state accessors: each reads the *current* state; hold
+    # ``self._state`` yourself for a consistent multi-field view.
 
     @property
     def materialized(self) -> MaterializedSet:
@@ -850,10 +792,7 @@ class OLAPServer:
         :meth:`view` calls, and land in the result cache.  The whole batch
         holds one admission slot and shares one deadline.
 
-        ``max_workers`` defaults to :data:`MAX_WORKERS` — safe for any
-        batch size, because the executor's cost-aware dispatch demotes
-        itself to serial unless some DAG node's modeled cost reaches
-        :data:`repro.core.exec.DISPATCH_THRESHOLD`.
+        ``max_workers`` defaults to :data:`MAX_WORKERS`.
         """
         elements = [self._element_for(dims) for dims in requests]
         return self._serve_batch(elements, "view", max_workers, deadline_ms)
@@ -1047,12 +986,10 @@ class OLAPServer:
     ) -> tuple[int, float]:
         """Re-select and re-materialize; returns ``(storage, expected cost)``.
 
-        Uses the observed workload by default.  The new set is computed
-        from the current one (assembly, not a cube rescan).  The entire
-        serving state — materialized set, range engine, epoch, result
-        cache — is built off to the side and swapped in atomically, so
-        concurrent queries see either the old or the new configuration in
-        full; the epoch bump invalidates every cached query answer.
+        Uses the observed workload by default.  :meth:`_migrate` builds the
+        new set from the current one (assembly, not a cube rescan), and the
+        whole serving state is swapped in atomically; the epoch bump
+        invalidates every cached answer.
         """
         with self._reconfigure_lock, self.obs.activate(), span(
             "server.reconfigure"
@@ -1082,24 +1019,7 @@ class OLAPServer:
                 expected = result.final_cost
 
             migration = OpCounter()
-            new_set = self._new_materialized()
-            if self._partition is not None:
-                # Shard-local migration: each shard assembles its slab of
-                # every selected element from the old shard's storage —
-                # no global array is ever materialized.
-                new_set.migrate_selection(
-                    sorted(set(elements), key=lambda e: e.depth),
-                    state.materialized,
-                    migration,
-                )
-            else:
-                for element in sorted(set(elements), key=lambda e: e.depth):
-                    new_set.store(
-                        element,
-                        self._assemble_resilient(
-                            state.materialized, element, migration
-                        ),
-                    )
+            new_set = self._migrate(elements, state.materialized, migration)
             new_state = self._publish(new_set, state.epoch + 1)
             # Release the superseded cache's arrays promptly; in-flight
             # queries holding the old state at worst recompute on a miss.
@@ -1124,107 +1044,49 @@ class OLAPServer:
             )
             return new_set.storage, float(expected)
 
-    # ------------------------------------------------------------------
-    # Durability: WAL attachment, snapshot, restore
-
-    def _attach_durability(
-        self, durability: DurabilityConfig | str | Path, *, bootstrap: bool
-    ) -> None:
-        """Open the WAL (and, on first attach, bootstrap a snapshot).
-
-        ``bootstrap=True`` is the constructor path and requires a fresh
-        directory: an existing WAL or snapshot means this directory
-        already belongs to a server lineage, and silently starting a new
-        one over it would orphan acknowledged state — reopen it with
-        :meth:`restore` instead.
-        """
-        if not isinstance(durability, DurabilityConfig):
-            durability = DurabilityConfig(durability)
-        wal = WriteAheadLog(
-            durability.wal_dir,
-            fsync=durability.fsync,
-            fsync_interval_ms=durability.fsync_interval_ms,
-            segment_bytes=durability.segment_bytes,
-        )
-        if bootstrap and (
-            wal.last_seq or latest_snapshot(durability.snapshot_dir)
-        ):
-            wal.close()
-            raise ValueError(
-                f"durability directory {durability.directory} already holds "
-                "serving state; reopen it with OLAPServer.restore()"
+    def _migrate(self, elements, source, counter: OpCounter):
+        """A new set of ``elements``, each assembled from ``source``,
+        ancestors first: :meth:`reconfigure`'s migration, and the rebuild
+        of a snapshot restored onto another layout."""
+        ordered = sorted(set(elements), key=lambda e: e.depth)
+        new_set = self._new_materialized()
+        if self._partition is not None:
+            # Shard-local: each shard assembles its slab of every element
+            # from the old shard's storage; no global array is built.
+            new_set.migrate_selection(ordered, source, counter)
+            return new_set
+        for element in ordered:
+            new_set.store(
+                element, self._assemble_resilient(source, element, counter)
             )
-        self._durability = durability
-        self._wal = wal
-        self._applied_seq = wal.last_seq
-        if bootstrap:
-            self.snapshot()
-            # On the restore path the snapshotter must not start yet:
-            # until _replay_wal resets _applied_seq and applies the
-            # suffix, a snapshot would claim coverage of WAL records the
-            # in-memory state does not hold and prune them.  restore()
-            # starts it after replay completes.
-            if durability.snapshot_interval_s is not None:
-                self.start_snapshotter(durability.snapshot_interval_s)
+        return new_set
+
+    # ------------------------------------------------------------------
+    # Durability: snapshot, restore and close over the lineage
 
     def snapshot(self, directory: str | Path | None = None) -> Path:
         """Atomically persist the current serving state; returns its path.
 
-        Runs under the reconfigure lock — the same ordering guarantee
-        updates and re-selections take — so the written cube, materialized
-        arrays, selection, epoch, and last-applied WAL sequence are one
-        consistent cut.  With no ``directory`` the snapshot lands in the
-        durability directory and WAL segments it fully covers are pruned;
-        an explicit ``directory`` writes an export copy and leaves the
-        WAL alone.
+        Runs under the reconfigure lock, as updates and re-selections do, so
+        the cube, stored arrays, selection, epoch and last-applied WAL
+        sequence written are one consistent cut.  With no ``directory`` it
+        is the lineage's own snapshot (covered WAL segments are pruned); an
+        explicit ``directory`` writes an export copy.
         """
         with self._reconfigure_lock, self.obs.activate(), span(
             "server.snapshot"
         ) as sp:
             state = self._state
-            if directory is not None:
-                snap_dir = Path(directory)
-            elif self._durability is not None:
-                snap_dir = self._durability.snapshot_dir
-            else:
-                raise ValueError(
-                    "no snapshot directory: pass one, or construct the "
-                    "server with durability="
-                )
-            retain = (
-                self._durability.retain_snapshots
-                if self._durability is not None
-                else 2
-            )
-            path = write_snapshot(
-                snap_dir,
+            path, last_seq, pruned = write_cut(
+                self._lineage,
+                directory,
                 cube=self.cube,
                 materialized=state.materialized,
                 partition=self._partition,
                 epoch=state.epoch,
-                last_seq=self._applied_seq,
-                retain=retain,
             )
-            pruned = 0
-            if directory is None:
-                self._snapshots_taken += 1
-                self._snapshot_seq = self._applied_seq
-                self._last_snapshot_monotonic = time.monotonic()
-                if self._wal is not None:
-                    pruned = self._wal.prune(self._snapshot_seq)
             self._m.snapshots.inc()
-            log_event(
-                "snapshot_taken",
-                path=str(path),
-                last_seq=self._applied_seq,
-                epoch=state.epoch,
-                wal_segments_pruned=pruned,
-            )
-            sp.set(
-                last_seq=self._applied_seq,
-                epoch=state.epoch,
-                pruned=pruned,
-            )
+            sp.set(last_seq=last_seq, epoch=state.epoch, pruned=pruned)
             return path
 
     @classmethod
@@ -1238,172 +1100,67 @@ class OLAPServer:
     ) -> "OLAPServer":
         """Rebuild a server from its durability directory.
 
-        Loads the newest complete snapshot, installs its serving state,
-        then replays the WAL suffix (records after the snapshot's
-        ``last_seq``) through the normal update path — so the restored
-        server contains **every acknowledged update**, including the ones
-        that never made a snapshot, and stays open for business: the WAL
-        keeps appending where it left off.
-
-        By default the snapshot's own layout is restored directly (per-
-        shard local sets installed as-is).  Passing a different ``shards``
-        / ``shard_axis`` re-shards on restore: the snapshot's selection is
-        rebuilt from the restored base cube under the new partition —
+        Installs the newest complete snapshot, then replays the WAL suffix
+        past it through the in-memory half of ingest, so the server holds
+        **every acknowledged update** and keeps appending where the log
+        left off.  The snapshot's own layout installs as written; another
+        ``shards`` / ``shard_axis`` rebuilds its selection with
+        :meth:`reconfigure`'s migration from the restored root-only set —
         exact, because every element is a pure function of the cube.
-        Remaining ``kwargs`` go to the constructor (budgets, cache sizes,
-        resilience knobs).
+        Remaining ``kwargs`` go to the constructor.
         """
-        if not isinstance(durability, DurabilityConfig):
-            durability = DurabilityConfig(durability)
-        snap = latest_snapshot(durability.snapshot_dir)
-        if snap is None:
-            raise FileNotFoundError(
-                f"no snapshot under {durability.snapshot_dir}; nothing to "
-                "restore (a durable server bootstraps one at construction)"
+        lineage, loaded = Lineage.reopen(durability)
+        shards, shard_axis, same_layout = restored_layout(
+            loaded["manifest"], shards, shard_axis
+        )
+        try:
+            server = cls(
+                loaded["cube"], shards=shards, shard_axis=shard_axis, **kwargs
             )
-        loaded = load_snapshot(snap)
-        manifest = loaded["manifest"]
-        target_shards = manifest["shards"] if shards is None else int(shards)
-        if shard_axis is not None:
-            target_axis = shard_axis
-        elif target_shards == manifest["shards"]:
-            # An explicit shards= equal to the snapshot's own count is the
-            # same layout — inherit the snapshot's axis so restore takes
-            # the direct-install path instead of a rebuild.
-            target_axis = manifest["shard_axis"]
-        else:
-            target_axis = None
-        same_layout = (
-            target_shards == manifest["shards"]
-            and (target_shards == 1 or target_axis == manifest["shard_axis"])
+            server._install_snapshot(loaded, same_layout=same_layout)
+        except BaseException:
+            lineage.close()
+            raise
+        server._lineage = lineage
+        with server._reconfigure_lock, server.obs.activate():
+            lineage.replay(server.shape, server._absorb)
+        # Only now: a snapshot during replay would claim records the
+        # in-memory state does not hold yet, and prune them.
+        lineage.start_snapshotter(
+            server.snapshot, server.obs, server._m.snapshot_failures
         )
-        server = cls(
-            loaded["cube"],
-            shards=target_shards,
-            shard_axis=target_axis,
-            **kwargs,
-        )
-        server._install_snapshot(loaded, same_layout=same_layout)
-        server._attach_durability(durability, bootstrap=False)
-        server._replay_wal(manifest["last_seq"], snapshot_path=snap)
-        if durability.snapshot_interval_s is not None:
-            server.start_snapshotter(durability.snapshot_interval_s)
         return server
 
     def _install_snapshot(self, loaded: dict, *, same_layout: bool) -> None:
-        """Swap in a snapshot's serving state (selection, arrays, epoch).
-
-        Same layout: the loaded arrays are adopted directly.  Different
-        layout (re-shard on restore): the selection is rebuilt from the
-        restored base cube — depth-ordered stores for a monolithic
-        target, a base-slab migration for a sharded one.
-        """
+        """Swap in a snapshot's serving state (selection, arrays, epoch):
+        the loaded arrays on the same layout, else :meth:`_migrate` from
+        this server's root-only set."""
         manifest = loaded["manifest"]
-        elements = loaded["elements"]
-        epoch = int(manifest["epoch"])
         with self._reconfigure_lock, self.obs.activate(), span(
             "server.restore_install", same_layout=same_layout
         ):
-            if same_layout and self._partition is None:
+            if not same_layout:
+                new_set = self._migrate(
+                    loaded["elements"], self._state.materialized, OpCounter()
+                )
+            elif self._partition is None:
                 new_set = loaded["sets"][0]
-            elif same_layout:
+            else:
                 new_set = self._new_materialized()
                 new_set.install_restored(
-                    elements, loaded["sets"], manifest["shard_epochs"]
+                    loaded["elements"], loaded["sets"], manifest["shard_epochs"]
                 )
-            else:
-                counter = OpCounter()
-                new_set = self._new_materialized()
-                ordered = sorted(set(elements), key=lambda e: e.depth)
-                if self._partition is not None:
-                    # An empty sharded source with base slabs attached:
-                    # every projected local is computed from the restored
-                    # cube's slab (migrate_selection's degraded route).
-                    new_set.migrate_selection(
-                        ordered, self._new_materialized(), counter
-                    )
-                else:
-                    for element in ordered:
-                        new_set.store(
-                            element,
-                            compute_element(
-                                self.cube.values, element, counter=counter
-                            ),
-                        )
-            self._publish(new_set, epoch)
-
-    def _replay_wal(self, after_seq: int, snapshot_path: Path) -> None:
-        """Apply the WAL suffix through the normal update path."""
-        self._applied_seq = int(after_seq)
-        self._snapshot_seq = int(after_seq)
-        self._last_snapshot_monotonic = time.monotonic()
-        count = 0
-        self._replaying = True
-        try:
-            with self.obs.activate():
-                for record in self._wal.replay(after_seq=after_seq):
-                    self._apply_updates(
-                        DeltaBatch(
-                            self.shape, record.coordinates, record.deltas
-                        )
-                    )
-                    self._applied_seq = record.seq
-                    count += 1
-        finally:
-            self._replaying = False
-        self._replayed_records = count
-        with self.obs.activate():
-            log_event(
-                "recovery_replayed",
-                snapshot=str(snapshot_path),
-                records=count,
-                from_seq=int(after_seq),
-                to_seq=self._applied_seq,
-            )
-
-    def start_snapshotter(self, interval_s: float) -> None:
-        """Snapshot on a background cadence until :meth:`close`.
-
-        Failures are counted and logged, never raised into the serving
-        path; the next tick tries again.
-        """
-        if self._snapshot_thread is not None:
-            return
-
-        def _loop() -> None:
-            while not self._snapshot_stop.wait(interval_s):
-                try:
-                    self.snapshot()
-                except Exception as exc:  # noqa: BLE001 - keep the cadence
-                    self._m.snapshot_failures.inc()
-                    with self.obs.activate():
-                        log_event(
-                            "snapshot_failed",
-                            error=type(exc).__name__,
-                            detail=str(exc),
-                        )
-
-        self._snapshot_thread = threading.Thread(
-            target=_loop, name="repro-snapshotter", daemon=True
-        )
-        self._snapshot_thread.start()
+            self._publish(new_set, int(manifest["epoch"]))
 
     def close(self) -> None:
-        """Stop the background snapshotter and close the WAL (final sync).
-
-        Idempotent; a server without durability closes as a no-op.
-        """
-        self._snapshot_stop.set()
-        thread = self._snapshot_thread
-        if thread is not None:
-            thread.join(timeout=5.0)
-            self._snapshot_thread = None
+        """Stop the snapshotter, close the WAL (final sync) and the flight
+        recorder; idempotent."""
+        if self._lineage is not None:
+            self._lineage.close()
         if self.flight is not None:
             self.flight.close()
         if self.profiler is not None:
             self.profiler.close()
-        if self._wal is not None:
-            self._wal.close()
 
     def __enter__(self) -> "OLAPServer":
         return self
@@ -1523,27 +1280,8 @@ class OLAPServer:
                 "shard_retries": _total("shard_retries_total"),
                 "shard_degraded": _total("shard_degraded_total"),
             }
-        if self._wal is not None:
-            age = (
-                round(time.monotonic() - self._last_snapshot_monotonic, 3)
-                if self._last_snapshot_monotonic is not None
-                else None
-            )
-            payload["durability"] = {
-                "path": str(self._durability.directory),
-                "fsync": self._wal.fsync,
-                "wal": self._wal.stats(),
-                "wal_appends_total": _total("wal_appends_total"),
-                "wal_replayed_total": _total("wal_replayed_total"),
-                "applied_seq": self._applied_seq,
-                "snapshots_taken": self._snapshots_taken,
-                "last_snapshot_seq": self._snapshot_seq,
-                "snapshot_age_s": age,
-                # WAL records an eventual restore must replay: how far the
-                # log has run ahead of the newest snapshot.
-                "replay_lag": self._applied_seq - self._snapshot_seq,
-                "replayed_records": self._replayed_records,
-            }
+        if self._lineage is not None:
+            payload["durability"] = self._lineage.health(_total)
         if self.flight is not None:
             # Each health poll leaves a compact SLO snapshot in the
             # recorder's bounded ring, so a diag bundle shows how the
@@ -1727,12 +1465,8 @@ class OLAPServer:
     # Maintenance
 
     def update(self, delta: float, **coordinates) -> None:
-        """Apply a single-record update: a one-row :meth:`update_many`.
-
-        ``coordinates`` name one domain value per dimension, as
-        :meth:`cell` takes them.  The epoch is *not* bumped: the selection
-        is unchanged.
-        """
+        """A one-row :meth:`update_many`: ``coordinates`` name one domain
+        value per dimension, as :meth:`cell` takes them."""
         self.update_many([coordinates], [delta])
 
     def update_many(self, coordinates, deltas) -> None:
@@ -1749,23 +1483,12 @@ class OLAPServer:
         :class:`~repro.errors.InvalidUpdateError`.  Either way nothing is
         logged or changed, and an empty batch is a no-op.
 
-        One call takes the reconfiguration ordering guarantee once, routes
-        the batch through ``MaterializedSet.apply_updates`` /
-        ``ShardedSet.apply_updates`` (sharded cubes: only owning shards
-        re-seal and bump epochs — untouched shards keep all warm state),
-        then *patches* cached assembled answers and range intermediates in
-        place from the same batch.  Every view element is linear in the
-        cube values (P1/R1 are signed pair sums), so each delta lands on
-        exactly one cell per cached array with a computable sign — the
-        patch is exact for integer cubes.  The warm answers and
-        intermediates are pure partial sums in slabs, repaired with one
-        ``np.add.at`` per slab rather than one per array
-        (:meth:`_propagate_updates`).  A value the cache shares with
-        storage (stored arrays and the base cube are served by reference)
-        is skipped: it was already patched at the source.  An answer
-        assembled from storage read while the burst runs is served but
-        not cached.  Any failure on this path clears the warm state —
-        cold, never a wrong answer.
+        One call takes the reconfiguration ordering guarantee once: the
+        batch is logged (with durability), applied to storage (sharded: only
+        owning shards re-seal and bump epochs) and the base cube, and every
+        warm answer and range intermediate is patched in place
+        (:meth:`_propagate_updates`) — exact for integer cubes.  Any failure
+        there clears the warm state: cold, never a wrong answer.
         """
         if len(coordinates) and isinstance(coordinates[0], Mapping):
             encode = self.cube.dimensions.encode
@@ -1777,60 +1500,54 @@ class OLAPServer:
             self._apply_updates(batch)
 
     def _apply_updates(self, batch: DeltaBatch) -> None:
-        """Shared delta path: storage + base cube + warm-state propagation.
-
-        ``batch`` was validated where it was built — before the WAL append
-        below, so a refused batch is never made durable.
-
-        Runs under ``_reconfigure_lock`` — the same ordering guarantee the
-        snapshot swap uses — so a concurrent :meth:`reconfigure` either
-        completes before the update (and its new set is patched) or builds
-        its new set from a base cube that already carries the delta; the
-        in-flight delta can never miss the next snapshot.
+        """Live ingest: the WAL append, then the in-memory half
+        (:meth:`_absorb`), under ``_reconfigure_lock`` — so a concurrent
+        :meth:`reconfigure` either completes first (and its new set is
+        patched) or builds from a cube that already carries the delta, and
+        no delta can miss the next snapshot.  ``batch`` was validated where
+        it was built, so a refused batch is never made durable.
         """
         with self._reconfigure_lock, self.obs.activate(), span(
             "server.update", cells=len(batch)
         ):
-            state = self._state
-            seq = None
-            if self._wal is not None and not self._replaying:
-                # Write-ahead: the record is durable (flushed, fsynced per
-                # policy) before any in-memory state changes, so returning
-                # from update()/update_many() — the acknowledgement — is
-                # covered by the log.  Replayed records skip this (they
-                # are already in the log).
-                seq = self._wal.append(
-                    batch.coordinates, batch.deltas, epoch=state.epoch
-                )
-            counter = OpCounter()
-            # Readers that read storage from here on cache nothing they
-            # assembled (``SlabStore.settled``).
-            state.range_engine.slabs.begin_burst()
-            try:
-                state.materialized.apply_updates(batch, counter=counter)
-                np.add.at(
-                    self.cube.values, tuple(batch.coordinates.T), batch.deltas
-                )
-                patched, cleared = self._propagate_updates(
-                    state, batch, counter
-                )
-            finally:
-                state.range_engine.slabs.end_burst()
-            if seq is not None:
-                # Only now does the record count as applied: advancing
-                # _applied_seq before the in-memory apply would let a
-                # snapshot claim (and prune) a record the state never
-                # absorbed if apply_updates raised above.
-                self._applied_seq = seq
-            self.fingerprints.note_ingest(len(batch))
-            self._m.updates.inc(len(batch))
-            self._m.operations.inc(counter.total)
-            log_event(
-                "update",
-                cells=len(batch),
-                patched=patched,
-                cleared=cleared,
+            lineage = self._lineage
+            if lineage is None:
+                self._absorb(batch)
+                return
+            # Write-ahead: the record is durable (flushed, fsynced per
+            # policy) before any in-memory state changes, so returning from
+            # update()/update_many() — the acknowledgement — is covered by
+            # the log.
+            seq = lineage.wal.append(
+                batch.coordinates, batch.deltas, epoch=self._state.epoch
             )
+            self._absorb(batch)
+            # Only now does the record count as applied: a snapshot must
+            # not claim (and prune) a record the state never absorbed
+            # because the apply above raised.
+            lineage.applied_seq = seq
+
+    def _absorb(self, batch: DeltaBatch) -> None:
+        """The in-memory half of an update — storage, base cube, warm
+        state — for a live batch or a replayed WAL record.  The caller
+        holds ``_reconfigure_lock``."""
+        state = self._state
+        counter = OpCounter()
+        # Readers that read storage from here on cache nothing they
+        # assembled (``SlabStore.settled``).
+        state.range_engine.slabs.begin_burst()
+        try:
+            state.materialized.apply_updates(batch, counter=counter)
+            np.add.at(
+                self.cube.values, tuple(batch.coordinates.T), batch.deltas
+            )
+            patched, cleared = self._propagate_updates(state, batch, counter)
+        finally:
+            state.range_engine.slabs.end_burst()
+        self.fingerprints.note_ingest(len(batch))
+        self._m.updates.inc(len(batch))
+        self._m.operations.inc(counter.total)
+        log_event("update", cells=len(batch), patched=patched, cleared=cleared)
 
     def _propagate_updates(
         self, state: _ServingState, batch: DeltaBatch, counter: OpCounter

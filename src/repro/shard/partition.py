@@ -122,16 +122,6 @@ class CubePartition:
             )
         return values[self.slab_slices(shard)]
 
-    def shard_of(self, axis_coordinate: int) -> int:
-        """The shard owning a global coordinate on the shard axis."""
-        return int(axis_coordinate) // self.shard_extent
-
-    def local_coordinates(self, coordinates: tuple[int, ...]) -> tuple[int, ...]:
-        """Global cell coordinates → coordinates within the owning slab."""
-        local = list(int(c) for c in coordinates)
-        local[self.axis] %= self.shard_extent
-        return tuple(local)
-
     # ------------------------------------------------------------------
     # Element projection and merge
 

@@ -565,12 +565,7 @@ class ShardedSet:
         """The per-shard local sets, in shard order (for snapshotting)."""
         return tuple(self._shards)
 
-    def install_restored(
-        self,
-        elements,
-        local_sets,
-        epochs=None,
-    ) -> None:
+    def install_restored(self, elements, local_sets, epochs) -> None:
         """Adopt snapshot-loaded per-shard sets as this set's storage.
 
         The same-layout restore path: ``local_sets`` were written by
@@ -578,7 +573,7 @@ class ShardedSet:
         identical shard count and axis, so each is installed directly —
         no reassembly, no projection.  ``elements`` is the *global*
         selection the locals realize; ``epochs`` restores the per-shard
-        storage epochs (defaults to all zeros).
+        storage epochs.
         """
         local_sets = list(local_sets)
         if len(local_sets) != self.num_shards:
@@ -593,11 +588,7 @@ class ShardedSet:
                 )
         self._shards = local_sets
         self._stored = dict.fromkeys(elements)
-        self._epochs = (
-            [int(e) for e in epochs]
-            if epochs is not None
-            else [0] * self.num_shards
-        )
+        self._epochs = [int(e) for e in epochs]
         with self._plan_lock:
             self._plan_cache.clear()
             self._cost_memos.clear()

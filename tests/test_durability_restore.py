@@ -5,7 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.durability import DurabilityConfig, latest_snapshot, list_snapshots
+from repro.core.materialize import compute_element
+from repro.cube.datacube import DataCube
+from repro.cube.dimensions import Dimension
+from repro.durability import (
+    DurabilityConfig,
+    Lineage,
+    latest_snapshot,
+    list_snapshots,
+)
 from repro.replay import Replica, seeded_cube
 from repro.resilience import FaultInjector, FaultRule
 from repro.server import OLAPServer
@@ -46,7 +54,7 @@ class TestBootstrap:
     def test_fresh_directory_bootstraps_a_snapshot(self, tmp_path, rng):
         config = _config(tmp_path)
         with OLAPServer(_cube(rng), durability=config) as server:
-            assert server._applied_seq == 0
+            assert server._lineage.applied_seq == 0
         assert latest_snapshot(config.snapshot_dir) is not None
 
     def test_existing_lineage_rejected(self, tmp_path, rng):
@@ -69,14 +77,14 @@ class TestRoundTrip:
             server.snapshot()
             _mutate(server, rng, 3)  # WAL-only suffix
             expected = _answers(server)
-            applied = server._applied_seq
+            applied = server._lineage.applied_seq
         with OLAPServer.restore(config) as restored:
-            assert restored._applied_seq == applied == 7
-            assert restored._replayed_records == 3
+            assert restored._lineage.applied_seq == applied == 7
+            assert restored._lineage.replayed_records == 3
             assert _answers(restored) == expected
             # The lineage stays open for business.
             restored.update(2.0, d0=1, d1=2, d2=3)
-            assert restored._applied_seq == applied + 1
+            assert restored._lineage.applied_seq == applied + 1
 
     def test_sharded_same_layout(self, tmp_path, rng):
         config = _config(tmp_path)
@@ -87,7 +95,7 @@ class TestRoundTrip:
             expected = _answers(server)
         with OLAPServer.restore(config) as restored:
             assert restored.shards == 2
-            assert restored._replayed_records == 2
+            assert restored._lineage.replayed_records == 2
             assert _answers(restored) == expected
 
     def test_explicit_matching_shards_takes_direct_install(
@@ -167,6 +175,66 @@ class TestRoundTrip:
             assert _answers(restored) == expected
 
 
+class TestCrossLayoutRestore:
+    """A snapshot restored onto another shard count is rebuilt by
+    ``reconfigure()``'s migration from the restored root-only set: a
+    healthy rebuild, not one shard degradation per stored element."""
+
+    @staticmethod
+    def _cube(kind: str, sizes=(8, 4, 8)):
+        if kind == "int":
+            return seeded_cube(17, sizes)
+        dims = [Dimension(f"d{i}", list(range(n))) for i, n in enumerate(sizes)]
+        values = np.random.default_rng(17).random(sizes)
+        return DataCube(values, dims, measure="amount")
+
+    @pytest.mark.parametrize("kind", ["int", "float"])
+    @pytest.mark.parametrize("source, target", [(1, 2), (2, 1), (4, 2), (1, 4)])
+    def test_rebuild_is_healthy_and_equals_a_recompute(
+        self, tmp_path, kind, source, target
+    ):
+        config = _config(tmp_path)
+        cube = self._cube(kind)
+        with OLAPServer(cube, shards=source, durability=config) as server:
+            server.update_many([[1, 2, 3], [7, 0, 5]], [3.0, -2.0])
+            for dims in (["d0"], ["d1", "d2"], ["d0", "d2"]):
+                server.view(dims)
+            server.rollup({"d0": 1, "d2": 2})
+            server.reconfigure()
+            server.snapshot()  # no WAL suffix: storage is the rebuild itself
+            selection = server.materialized.elements
+            expected = _answers(server)
+        with OLAPServer.restore(config, shards=target) as restored:
+            health = restored.health()
+            assert restored.shards == target
+            assert not restored.obs.events.events("shard_degraded")
+            assert health["status"] == "ok"
+            stored = restored.materialized
+            values = restored.cube.values
+            if target == 1:
+                assert set(stored.elements) == set(selection)
+                for element in selection:
+                    assert (
+                        stored.array(element).tobytes()
+                        == compute_element(values, element).tobytes()
+                    )
+            else:
+                assert health["shards"]["shard_degraded"] == 0
+                partition = stored.partition
+                projected = {partition.project(e) for e in selection}
+                for s, local in enumerate(stored.local_sets()):
+                    slab = partition.slab(values, s)
+                    assert set(local.elements) == projected
+                    for element in projected:
+                        assert (
+                            local.array(element).tobytes()
+                            == compute_element(slab, element).tobytes()
+                        )
+            assert _answers(restored)["cube"] == expected["cube"]
+            if kind == "int":
+                assert _answers(restored) == expected
+
+
 class TestApplyFailure:
     def test_failed_apply_does_not_advance_applied_seq(self, tmp_path, rng):
         """If the in-memory apply raises after the WAL append, the record
@@ -188,13 +256,13 @@ class TestApplyFailure:
                     server.update(1.0, d0=0, d1=0, d2=0)
             finally:
                 state.materialized.apply_updates = original
-            assert server._wal.last_seq == 3  # write-ahead happened
-            assert server._applied_seq == 2  # but it was never applied
+            assert server._lineage.wal.last_seq == 3  # write-ahead happened
+            assert server._lineage.applied_seq == 2  # but it was never applied
             server.snapshot()
             # The unapplied record stays replayable past the snapshot.
+            lineage = server._lineage
             assert [
-                r.seq
-                for r in server._wal.replay(after_seq=server._snapshot_seq)
+                r.seq for r in lineage.wal.replay(after_seq=lineage.snapshot_seq)
             ] == [3]
 
 
@@ -207,21 +275,21 @@ class TestSnapshotterOrdering:
         start the background snapshotter until replay is done."""
         config = _config(tmp_path, snapshot_interval_s=3600.0)
         with OLAPServer(_cube(rng), durability=config) as server:
-            assert server._snapshot_thread is not None
+            assert server._lineage.snapshotter is not None
             _mutate(server, rng, 3)
         calls = []
-        orig_replay = OLAPServer._replay_wal
-        orig_start = OLAPServer.start_snapshotter
+        orig_replay = Lineage.replay
+        orig_start = Lineage.start_snapshotter
         monkeypatch.setattr(
-            OLAPServer,
-            "_replay_wal",
+            Lineage,
+            "replay",
             lambda self, *a, **k: (
                 calls.append("replay"),
                 orig_replay(self, *a, **k),
             )[-1],
         )
         monkeypatch.setattr(
-            OLAPServer,
+            Lineage,
             "start_snapshotter",
             lambda self, *a, **k: (
                 calls.append("snapshotter"),
@@ -230,8 +298,8 @@ class TestSnapshotterOrdering:
         )
         with OLAPServer.restore(config) as restored:
             assert calls == ["replay", "snapshotter"]
-            assert restored._snapshot_thread is not None
-            assert restored._applied_seq == 3
+            assert restored._lineage.snapshotter is not None
+            assert restored._lineage.applied_seq == 3
 
 
 class TestHousekeeping:
@@ -239,9 +307,9 @@ class TestHousekeeping:
         config = _config(tmp_path, segment_bytes=256)
         with OLAPServer(_cube(rng), durability=config) as server:
             _mutate(server, rng, 10)
-            assert len(server._wal.segments()) > 1
+            assert len(server._lineage.wal.segments()) > 1
             server.snapshot()
-            assert len(server._wal.segments()) == 1
+            assert len(server._lineage.wal.segments()) == 1
             assert server.health()["durability"]["replay_lag"] == 0
 
     def test_retain_snapshots(self, tmp_path, rng):
@@ -256,12 +324,12 @@ class TestHousekeeping:
         config = _config(tmp_path, segment_bytes=256)
         with OLAPServer(_cube(rng), durability=config) as server:
             _mutate(server, rng, 8)
-            segments = len(server._wal.segments())
-            taken = server._snapshots_taken
+            segments = len(server._lineage.wal.segments())
+            taken = server._lineage.snapshots_taken
             export = server.snapshot(tmp_path / "export")
             assert export.parent == tmp_path / "export"
-            assert len(server._wal.segments()) == segments
-            assert server._snapshots_taken == taken
+            assert len(server._lineage.wal.segments()) == segments
+            assert server._lineage.snapshots_taken == taken
 
     def test_health_reports_durability(self, tmp_path, rng):
         config = _config(tmp_path)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.reporting import ascii_plot, ascii_table, format_number
+from repro.obs.reporting import ascii_plot, ascii_table, format_number
 
 
 class TestFormatNumber:

@@ -650,11 +650,11 @@ class TestRejectedBatchChangesNothing:
                     server.view(["d1", "d2"]).tobytes(),
                     server.range_sum(whole),
                     server.range_sum(((1, 7), (1, 3), (0, 4))),
-                    server._applied_seq,
-                    server._wal.last_seq,
+                    server._lineage.applied_seq,
+                    server._lineage.wal.last_seq,
                     [
                         (r.seq, r.coordinates.tobytes(), r.deltas.tobytes())
-                        for r in server._wal.replay()
+                        for r in server._lineage.wal.replay()
                     ],
                 )
 
@@ -666,7 +666,7 @@ class TestRejectedBatchChangesNothing:
             assert before[3] == base.sum() + 4.0
             # The next good batch is the next record: nothing was skipped.
             server.update_many([[0, 0, 0]], [1.0])
-            assert server._wal.last_seq == before[6] + 1
+            assert server._lineage.wal.last_seq == before[6] + 1
 
     @pytest.mark.parametrize(
         "call, message",
@@ -708,14 +708,14 @@ class TestRejectedBatchChangesNothing:
             def logged():
                 return [
                     (r.seq, r.coordinates.tobytes(), r.deltas.tobytes())
-                    for r in server._wal.replay()
+                    for r in server._lineage.wal.replay()
                 ]
 
             before = logged()
             with pytest.raises(KeyError, match=message):
                 call(server)
             assert logged() == before
-            assert server._applied_seq == server._wal.last_seq == before[-1][0]
+            assert server._lineage.applied_seq == server._lineage.wal.last_seq == before[-1][0]
             expected = base.copy()
             expected[1, 1, 1] += 4.0
             assert server.cube.values.tobytes() == expected.tobytes()
@@ -736,8 +736,8 @@ class TestRejectedBatchChangesNothing:
             sizes=(8, 4, 4), durability=_durable(tmp_path)
         )
         with server:
-            seq = server._wal.last_seq
+            seq = server._lineage.wal.last_seq
             server.update_many(coordinates, [])
-            assert server._wal.last_seq == seq
+            assert server._lineage.wal.last_seq == seq
             assert server.health()["updates"] == 0
             assert np.array_equal(server.cube.values, base)
