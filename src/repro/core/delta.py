@@ -13,33 +13,33 @@ in O(1) per update cell instead of recomputed.
 Both halves of that law separate by dimension: along dimension ``m`` an
 element at node ``(level, index)`` is touched at ``coordinate >> level``,
 and its sign flips once per set bit of ``index`` whose cascade step meets
-a set bit of the coordinate.  Neither depends on the element's other
-dimensions, so one burst needs them once per ``(dimension, node)``, not
-once per patched array.  :class:`DeltaBatch` is that table: built once
-per burst and coordinate frame, it validates the burst and memoises each
-node's positions and flip parity as the patch loop first asks for them.
-An element's cells are then a tuple of table entries.  A *pure
-partial-sum* element (every ``index == 0``: all range intermediates, all
-aggregated views and roll-ups) has no residual step, hence no sign at
-all — its signed deltas are the burst's deltas themselves.
+a set bit of the coordinate.  Neither depends on the burst, so they are
+*lookup tables*: per dimension, one row of ``n_m`` entries per array.  A
+*pure partial-sum* element (every ``index == 0``: all range intermediates,
+all aggregated views and roll-ups) has no residual step, hence no sign.
 
-This module is the single home of that math, and a delta reaches an
-array by what the array is:
+Arrays are repaired through a :class:`SlabStore`: each array is a *slot*
+of a flat buffer — packed side by side into a shared slab, or a slab of
+its own over its own memory — and the store compiles the live slots of
+its owners into one index, rebuilt only when that slot set changes.  Per
+dimension the index holds a ``(slots, n_m)`` table of flat buffer offsets
+(the slot's offset folded into dimension 0) and, where a slot has
+residual steps, a ``(slots, n_m)`` table of ``±1``.  A burst is then one
+``take`` per dimension, a product of signs, and one ``np.add.at`` per
+buffer:
 
-- a *signed* array — a stored element, which may have residual steps — is
-  patched by :func:`patch_array`, one scatter per array
-  (:meth:`repro.core.materialize.MaterializedSet.apply_updates`);
-- a *pure* warm array — a server's cached answers and its range engine's
-  intermediates — is patched through a :class:`SlabStore`, one scatter
-  per *slab* for many arrays at once.  A pure element's patch is the
-  burst's deltas at ``coordinate >> level`` per dimension, so arrays
-  packed side by side in one flat buffer are patched by one flat index:
-  the slot's offset plus the strided sum of those positions.  Arrays
-  warmed before the first burst join as slabs of their own, in place.
+- a server's stored elements (signed) are one owner of the set's own
+  store (:meth:`repro.core.materialize.MaterializedSet.apply_updates`,
+  per shard when sharded), each array a slot over its own buffer;
+- its cached answers and its range engine's intermediates (pure) are two
+  owners of one shared store, repaired by one scatter
+  (:meth:`repro.core.range_query.RangeQueryEngine.apply_updates`).
 
-:meth:`repro.shard.sets.ShardedSet.apply_updates` re-frames a global
-batch into one shard-local :class:`DeltaBatch` per owning shard.  The
-scalar walk the table is tested against lives in ``tests/oracles.py``.
+:func:`patch_array` is the one-array reference the index is tested
+against; the scalar walk it is tested against lives in
+``tests/oracles.py``.  :meth:`repro.shard.sets.ShardedSet.apply_updates`
+re-frames a global batch into one shard-local :class:`DeltaBatch` per
+owning shard.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from collections.abc import Callable, Collection
 import numpy as np
 
 from ..errors import InvalidUpdateError
-from .element import CubeShape, DimNode, ElementId
+from .element import CubeShape, ElementId
 from .operators import OpCounter
 
 __all__ = [
@@ -71,18 +71,26 @@ class DeltaBatch:
     ``coordinates`` is an ``(n, d)`` batch of cells of a cube of ``shape``
     and ``deltas`` the ``(n,)`` values added to them.  Construction is the
     only validation a burst gets: rank, integral in-bounds coordinates and
-    finite deltas, or :class:`~repro.errors.InvalidUpdateError`.  Any
+    finite real deltas, or :class:`~repro.errors.InvalidUpdateError`.  Any
     zero-size input is the empty batch.  Arrays already of the right dtype
     are kept by reference: do not write to them while the batch is in use.
     """
 
-    __slots__ = (
-        "shape", "coordinates", "deltas", "_columns", "_nodes", "_negated"
-    )
+    __slots__ = ("shape", "coordinates", "deltas", "_columns")
 
     def __init__(self, shape: CubeShape, coordinates, deltas) -> None:
         coordinates = np.asarray(coordinates)
-        deltas = np.asarray(deltas, dtype=np.float64)
+        deltas = np.asarray(deltas)
+        # Complex, text and date deltas are refused, not cast: a cast would
+        # drop an imaginary part or parse "1.5".
+        if deltas.dtype.kind not in "biufO":
+            raise InvalidUpdateError(
+                f"deltas must be real numbers; got dtype {deltas.dtype}"
+            )
+        try:
+            deltas = deltas.astype(np.float64, copy=False)
+        except (TypeError, ValueError):
+            raise InvalidUpdateError("deltas must be real numbers") from None
         if coordinates.size == 0:
             coordinates = np.empty((0, shape.ndim), dtype=np.int64)
         if coordinates.ndim != 2 or coordinates.shape[1] != shape.ndim:
@@ -112,58 +120,9 @@ class DeltaBatch:
         self.deltas = deltas
         #: One contiguous row per dimension (``coordinates`` is row-major).
         self._columns = np.ascontiguousarray(self.coordinates.T)
-        #: Per dimension: ``{(level, index): (positions, flips | None)}``.
-        self._nodes: tuple[dict, ...] = tuple({} for _ in shape.sizes)
-        self._negated: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.deltas)
-
-    def _resolve_node(self, m: int, node: DimNode) -> tuple:
-        """Positions and flip parity of one dimension node for this burst.
-
-        The cascade runs LSB-first over the coordinate while ``index``
-        records it MSB-first: step ``s`` is ``R1`` when bit
-        ``level - 1 - s`` of ``index`` is set, and ``R1`` negates the odd
-        slot — bit ``s`` of the coordinate.
-        """
-        level, index = node
-        column = self._columns[m]
-        positions = column >> level if level else column
-        flips = None
-        if index:
-            parity = np.zeros_like(column)
-            for step in range(level):
-                if (index >> (level - 1 - step)) & 1:
-                    parity ^= column >> step
-            flips = (parity & 1).astype(bool)
-        entry = self._nodes[m][node] = (positions, flips)
-        return entry
-
-    def resolve(self, element: ElementId) -> tuple[tuple, np.ndarray]:
-        """``(cells, signed deltas)`` of the burst in ``element``'s array.
-
-        ``cells`` is one position array per dimension (an ``np.add.at``
-        index); the signed deltas are ``deltas`` itself unless some
-        dimension of ``element`` has a residual step.
-        """
-        if element.shape is not self.shape and element.shape != self.shape:
-            raise ValueError(
-                f"element of a {element.shape.sizes} cube patched from a "
-                f"{self.shape.sizes} batch"
-            )
-        cells = []
-        flips = None
-        for m, node in enumerate(element.nodes):
-            entry = self._nodes[m].get(node) or self._resolve_node(m, node)
-            cells.append(entry[0])
-            if entry[1] is not None:
-                flips = entry[1] if flips is None else flips ^ entry[1]
-        if flips is None:
-            return tuple(cells), self.deltas
-        if self._negated is None:
-            self._negated = -self.deltas
-        return tuple(cells), np.where(flips, self._negated, self.deltas)
 
 
 def patch_array(
@@ -175,19 +134,48 @@ def patch_array(
 ) -> int:
     """Patch ``element``'s materialized array in place for a delta batch.
 
-    ``batch`` is in ``element``'s coordinate frame.  Exact for
-    integer-valued cubes (every route through the filter bank is a signed
-    integer sum); for float data the patch equals the recomputation up to
-    the usual reassociation error.  Duplicate cells accumulate in row
-    order.  Returns the number of deltas applied.
+    The one-array reference of the compiled scatter (:class:`SlabStore`),
+    derived per dimension straight from the law: position ``coordinate >>
+    level``, and a flip per ``R1`` step — step ``s`` is ``R1`` when bit
+    ``level - 1 - s`` of ``index`` is set — that meets bit ``s`` of the
+    coordinate (the odd slot ``R1`` negates).  ``batch`` is in
+    ``element``'s coordinate frame.  Exact for integer-valued cubes (every
+    route through the filter bank is a signed integer sum); for float data
+    the patch equals the recomputation up to the usual reassociation
+    error.  Duplicate cells accumulate in row order.  Returns the number
+    of deltas applied.
     """
+    if element.shape is not batch.shape and element.shape != batch.shape:
+        raise ValueError(
+            f"element of a {element.shape.sizes} cube patched from a "
+            f"{batch.shape.sizes} batch"
+        )
     applied = len(batch)
     if applied:
-        cells, signed = batch.resolve(element)
-        np.add.at(values, cells, signed)
+        cells = []
+        parity = np.zeros(applied, dtype=np.int64)
+        for column, (level, index) in zip(batch._columns, element.nodes):
+            cells.append(column >> level)
+            for step in range(level):
+                if (index >> (level - 1 - step)) & 1:
+                    parity ^= column >> step
+        signed = np.where(parity & 1, -batch.deltas, batch.deltas)
+        np.add.at(values, tuple(cells), signed)
         if counter is not None:
             counter.add(additions=applied, label=label)
     return applied
+
+
+def _sign_table(cells: np.ndarray, levels: np.ndarray, indices: np.ndarray):
+    """``±1.0`` per ``(slot, coordinate)`` along one dimension: the flip
+    parity :func:`patch_array` derives per burst, for every coordinate of
+    the extent ``cells`` and every slot's ``(levels, indices)`` column."""
+    parity = np.zeros((len(levels), len(cells)), dtype=np.int64)
+    for step in range(int(levels.max())):
+        # Whether step ``step`` is an R1 step of each slot's cascade.
+        r1 = ((indices >> np.maximum(levels - 1 - step, 0)) & 1) * (levels > step)
+        parity ^= r1 & (cells >> step)
+    return 1.0 - 2.0 * (parity & 1)
 
 
 class _Slab:
@@ -198,32 +186,35 @@ class _Slab:
     def __init__(self, buffer: np.ndarray) -> None:
         self.buffer = buffer
         self.used = 0
-        #: ``(view, [offset, levels..., strides in cells...])`` per live
-        #: slot, in adoption order.
+        #: ``(view, [offset, levels..., indices..., strides in cells...])``
+        #: per live slot, in adoption order.
         self.slots: list[tuple[np.ndarray, np.ndarray]] = []
 
 
 class SlabStore:
-    """Warm pure partial-sum arrays packed into slabs, one scatter per slab.
+    """Arrays of one cube repaired in place, one compiled scatter per burst.
 
-    Every array in a store is a pure partial-sum element (every ``index ==
-    0``) of one cube ``shape``, so a burst lands on it unsigned at
-    ``coordinate >> level`` per dimension.  :meth:`adopt` copies an array
-    into the current slab of its ``label`` (an array of at least
-    :data:`SLAB_CELLS` cells is a slab of its own, not copied) and returns
-    the slab view that replaces it; :meth:`join` makes arrays a caller may
-    already hold slabs of their own, in place; :meth:`patch` repairs every
-    live slot of a label with one ``np.add.at`` per slab.  Slots are
-    disjoint and a slot's duplicate cells accumulate in burst row order,
-    so the bytes equal :func:`patch_array` per array, and the additions
-    are charged under ``label`` exactly as it would.
+    Each *owner* — a label — holds arrays of elements of one cube
+    ``shape``.  :meth:`adopt` copies a pure partial-sum array (every
+    ``index == 0``: a warm answer or intermediate) into the current slab
+    of its label (an array of at least :data:`SLAB_CELLS` cells is a slab
+    of its own, not copied) and returns the slab view that replaces it;
+    :meth:`join` makes arrays a caller may already hold — of any element,
+    signed by its residual steps — slabs of their own, in place.
+    :meth:`patch` repairs the live slots of one owner, or of every owner,
+    through one index compiled from those slots (rebuilt only when they
+    change): a ``take`` per dimension and one ``np.add.at`` per slab.
+    Slots are disjoint and a slot's duplicate cells accumulate in burst
+    row order, so the bytes equal :func:`patch_array` per array, and the
+    additions are charged under each owner's label exactly as it would.
+    The index costs ``slots × sum(shape.sizes)`` cells per table.
 
-    Each label's owner says which views are still live
-    (:meth:`track`: the ids of the arrays it holds).  Liveness is swept at
-    each :meth:`patch` and before a new slab is allocated: a dead slot is
-    never patched nor reused — a caller may still hold its view — and a
-    slab with no live slot is dropped, so a label's slabs hold at most its
-    live cells plus one :data:`SLAB_CELLS` per live slot.
+    Each owner says which views are still live (:meth:`track`: the ids
+    of the arrays it holds).  Liveness is swept at each :meth:`patch` and
+    before a new slab is allocated: a dead slot is never patched nor
+    reused — a caller may still hold its view — and a slab with no live
+    slot is dropped, so a label's slabs hold at most its live cells plus
+    one :data:`SLAB_CELLS` per live slot.
 
     The store is also where readers and bursts meet: :attr:`sequence` is
     bumped under :attr:`lock` when a burst begins and when it ends (odd
@@ -250,8 +241,8 @@ class SlabStore:
         #: Per label, the ids of the arrays in its slabs — views handed
         #: out and arrays joined — not yet swept (read under :attr:`lock`).
         self.held: dict[str, set[int]] = {}
-        #: Per label, :meth:`_index` until its slots change.
-        self._indexes: dict[str, tuple] = {}
+        #: Per tuple of labels, :meth:`_compile` until a slot changes.
+        self._indexes: dict[tuple[str, ...], tuple] = {}
 
     def track(self, label: str, live: Callable[[], Collection[int]]) -> None:
         """Register ``label``'s owner: ``live()`` returns the ids of the
@@ -276,14 +267,14 @@ class SlabStore:
     def adopt(
         self, element: ElementId, values: np.ndarray, label: str
     ) -> np.ndarray:
-        """Pack ``element``'s array into ``label``'s slabs; returns the view
-        that replaces it.  Call with :attr:`lock` held."""
+        """Pack pure ``element``'s array into ``label``'s slabs; returns the
+        view that replaces it.  Call with :attr:`lock` held."""
+        self._check(element, pure=True)
         cells = values.size
         if cells >= SLAB_CELLS:
             view = np.ascontiguousarray(values)
             self.join(label, [(element, view)])
             return view
-        self._check(element)
         slab = self._open.get(label)
         if (
             slab is None
@@ -316,9 +307,10 @@ class SlabStore:
             self._slabs[label].append(slab)
             self._slot(slab, element, values, label)
 
-    def _check(self, element: ElementId) -> None:
-        if not element.is_intermediate or element.shape != self.shape:
-            raise ValueError(f"{element!r} is not a pure element of this cube")
+    def _check(self, element: ElementId, pure: bool = False) -> None:
+        if element.shape != self.shape or (pure and not element.is_intermediate):
+            kind = "a pure" if pure else "an"
+            raise ValueError(f"{element!r} is not {kind} element of this cube")
 
     def _slot(
         self, slab: _Slab, element: ElementId, view: np.ndarray, label: str
@@ -326,10 +318,11 @@ class SlabStore:
         """Append ``view`` to ``slab``'s live slots."""
         row = [slab.used]
         row += [level for level, _ in element.nodes]
+        row += [index for _, index in element.nodes]
         row += [stride // view.itemsize for stride in view.strides]
         slab.slots.append((view, np.array(row, dtype=np.int64)))
         slab.used += view.size
-        self._indexes.pop(label, None)
+        self._indexes.clear()
         self.held[label].add(id(view))
 
     def _allocate(self, label: str, buffer: np.ndarray) -> _Slab:
@@ -346,7 +339,7 @@ class SlabStore:
             if not dead:
                 return
             held -= dead
-            self._indexes.pop(label, None)
+            self._indexes.clear()
             kept = []
             for slab in self._slabs[label]:
                 slab.slots = [
@@ -359,60 +352,87 @@ class SlabStore:
             self._slabs[label] = kept
 
     def patch(
-        self, batch: DeltaBatch, counter: OpCounter | None, label: str
-    ) -> int:
-        """Scatter ``batch`` into every live slot of ``label``: one
-        ``np.add.at`` per slab.  Returns the number of slots patched."""
+        self,
+        batch: DeltaBatch,
+        counter: OpCounter | None,
+        label: str | None = None,
+    ):
+        """Scatter ``batch`` into every live slot of ``label`` — or, with
+        no label, of every owner — through one compiled index: one
+        ``np.add.at`` per slab.  Returns the number of slots patched: of
+        ``label``, or ``{label: slots}`` per owner."""
         if batch.shape is not self.shape and batch.shape != self.shape:
             raise ValueError(
                 f"slabs of a {self.shape.sizes} cube patched from a "
                 f"{batch.shape.sizes} batch"
             )
+        labels = tuple(self._live) if label is None else (label,)
+        counts = dict.fromkeys(labels, 0)
         n = len(batch)
         with self.lock:
             self.active = True
-            if not n:
-                return 0
-            self.sweep(label)
-            patched = len(self.held[label])
-            if not patched:
-                return 0
-            offsets, levels, strides, spans = self._index(label)
-            # Row s of ``flat``: slot s's cell of every burst row.
-            columns = batch._columns
-            flat = offsets + (columns[0] >> levels[0]) * strides[0]
-            for m in range(1, len(columns)):
-                flat += (columns[m] >> levels[m]) * strides[m]
+            if n:
+                for each in labels:
+                    self.sweep(each)
+                counts = dict(self._scatter(batch, labels))
+        if counter is not None:
+            for each, slots in counts.items():
+                if slots:
+                    counter.add(additions=n * slots, label=each)
+        return counts if label is None else counts[label]
+
+    def _scatter(self, batch: DeltaBatch, labels: tuple[str, ...]) -> dict:
+        """Apply ``batch`` through ``labels``' index; returns its counts."""
+        index = self._indexes.get(labels)
+        if index is None:
+            index = self._indexes[labels] = self._compile(labels)
+        tables, signs, spans, counts = index
+        if not spans:
+            return counts
+        columns = batch._columns
+        # Row s of ``flat``: slot s's cell of every burst row.
+        flat = tables[0][:, columns[0]]
+        for m in range(1, len(columns)):
+            flat += tables[m][:, columns[m]]
+        if signs:
+            signed = batch.deltas * signs[0][1][:, columns[signs[0][0]]]
+            for m, table in signs[1:]:
+                signed *= table[:, columns[m]]
+            signed = signed.ravel()
+        else:
             # Tiled, not broadcast: numpy 2.4's ``np.add.at`` reads past the
             # values when they broadcast over a 2-D index.
-            signed = np.tile(batch.deltas, patched)
-            for buffer, start, stop in spans:
-                np.add.at(
-                    buffer,
-                    flat[start:stop].ravel(),
-                    signed[start * n : stop * n],
-                )
-        if counter is not None:
-            counter.add(additions=n * patched, label=label)
-        return patched
+            signed = np.tile(batch.deltas, len(flat))
+        flat, n = flat.ravel(), len(batch)
+        for buffer, start, stop in spans:
+            np.add.at(buffer, flat[start * n : stop * n], signed[start * n : stop * n])
+        return counts
 
-    def _index(self, label: str) -> tuple:
-        """``(offsets (k, 1), levels (d, k, 1), strides (d, k, 1), spans)``
-        over ``label``'s live slots, slab by slab; ``spans`` is one
-        ``(buffer, first slot, stop slot)`` per slab."""
-        index = self._indexes.get(label)
-        if index is None:
-            rows, spans = [], []
-            for slab in self._slabs[label]:
+    def _compile(self, labels: tuple[str, ...]) -> tuple:
+        """``(tables, signs, spans, counts)`` over ``labels``' live slots,
+        slab by slab: per dimension a ``(slots, n_m)`` table of flat
+        offsets; ``(m, ±1 table)`` per dimension where some slot has a
+        residual step; one ``(buffer, first slot, stop slot)`` per slab;
+        and the slots per label."""
+        rows, spans, counts = [], [], {}
+        for label in labels:
+            slabs = self._slabs[label]
+            for slab in slabs:
                 stop = len(rows) + len(slab.slots)
                 spans.append((slab.buffer, len(rows), stop))
                 rows += [row for _, row in slab.slots]
-            d = self.shape.ndim
-            rows = np.concatenate(rows).reshape(len(rows), 1 + 2 * d)
-            index = self._indexes[label] = (
-                rows[:, :1],
-                rows[:, 1 : 1 + d].T[:, :, None],
-                rows[:, 1 + d :].T[:, :, None],
-                spans,
-            )
-        return index
+            counts[label] = sum(len(slab.slots) for slab in slabs)
+        if not rows:
+            return [], [], [], counts
+        d = self.shape.ndim
+        rows = np.stack(rows)
+        tables, signs = [], []
+        for m, extent in enumerate(self.shape.sizes):
+            cells = np.arange(extent)
+            levels = rows[:, 1 + m, None]
+            indices = rows[:, 1 + d + m, None]
+            tables.append((cells >> levels) * rows[:, 1 + 2 * d + m, None])
+            if indices.any():
+                signs.append((m, _sign_table(cells, levels, indices)))
+        tables[0] += rows[:, :1]
+        return tables, signs, spans, counts

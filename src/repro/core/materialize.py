@@ -28,7 +28,7 @@ from ..errors import IncompleteSetError
 from ..obs import add_span_event, current_registry, log_event, span
 from ..resilience.deadline import check_deadline
 from ..resilience.faults import corrupt_array, fault_point
-from .delta import DeltaBatch, patch_array
+from .delta import DeltaBatch, SlabStore
 from .element import CubeShape, ElementId
 from .exec import PlanCache, execute_plan, plan_batch
 from .kernels import (
@@ -43,6 +43,10 @@ from .planning import RouteTable, route_table
 from .select_redundant import generation_cost
 
 __all__ = ["compute_element", "MaterializedSet", "element_checksum"]
+
+#: The stored elements' slab label, and the label their patch additions
+#: are charged under.
+BATCH_UPDATE = "batch update"
 
 
 def element_checksum(values: np.ndarray) -> int:
@@ -142,6 +146,11 @@ class MaterializedSet:
         self._verified: set[ElementId] = set()
         self._quarantined: dict[ElementId, str] = {}
         self._integrity_lock = threading.Lock()
+        #: The stored arrays as signed slots over their own buffers, so a
+        #: burst repairs all of them through one compiled index.
+        self._slabs = SlabStore(shape)
+        arrays = self._arrays
+        self._slabs.track(BATCH_UPDATE, lambda: set(map(id, arrays.values())))
 
     # ------------------------------------------------------------------
     # Construction
@@ -606,11 +615,14 @@ class MaterializedSet:
         batch).  Every view element is a linear functional of the cube, so
         a delta touches exactly one coefficient per stored element, with a
         sign flipped by each residual step that split the coordinate into
-        the odd half (the math lives in :mod:`repro.core.delta`).  Each
-        stored element costs one lookup in the batch's position table and
-        one scatter-add (:func:`repro.core.delta.patch_array`) — suitable
-        for refreshing a materialized set from a day's worth of new fact
-        rows without recomputation.
+        the odd half (the math lives in :mod:`repro.core.delta`).  The
+        stored arrays stay where they are: each is a signed slot of the
+        set's :class:`~repro.core.delta.SlabStore`, whose index — compiled
+        once per stored-set change — repairs all of them with one lookup
+        per dimension and one scatter-add per array, charged one addition
+        per delta and element under ``"batch update"``.  Suitable for
+        refreshing a materialized set from a day's worth of new fact rows
+        without recomputation.
         """
         if not len(batch):
             return
@@ -618,8 +630,11 @@ class MaterializedSet:
         # Verify before mutating (corruption folded into an update would be
         # sealed over and become undetectable), reseal after.
         self._verify_unverified()
-        for element, values in list(self._arrays.items()):
-            patch_array(element, values, batch, counter=counter)
+        arrays = list(self._arrays.items())
+        with self._slabs.lock:
+            self._slabs.join(BATCH_UPDATE, arrays)
+            self._slabs.patch(batch, counter, BATCH_UPDATE)
+        for element, _ in arrays:
             self._seal(element)
 
     def assemble_view(

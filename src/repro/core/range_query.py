@@ -144,8 +144,7 @@ class RangeQueryEngine:
         # intermediates) alive in a reference cycle.
         engine = weakref.ref(self)
         self.slabs.track(
-            RANGE_PATCH,
-            lambda: {id(values) for values in engine()._cache.values()},
+            RANGE_PATCH, lambda: set(map(id, engine()._cache.values()))
         )
         #: ``(registry, handles)`` of :meth:`_bound_metrics`.
         self._metrics: tuple | None = None
@@ -170,31 +169,33 @@ class RangeQueryEngine:
         self,
         batch: DeltaBatch,
         counter: OpCounter | None = None,
-    ) -> int:
-        """Patch every on-demand assembled intermediate for a delta batch.
+    ) -> dict[str, int]:
+        """Patch every warm array in :attr:`slabs` for a delta batch.
 
         ``batch`` is a validated :class:`~repro.core.delta.DeltaBatch` of
         cube cells.  Each cached intermediate is a pure partial-sum
         element (no residual steps), so a delta lands on exactly one cell
         per intermediate with sign ``+1``.  The intermediates live in
         :attr:`slabs` — those assembled before the first burst join them
-        now, in place, every later one is adopted as it is assembled — so
-        the repair is one scatter per slab, charged one addition per delta
-        and intermediate, and the warm cache survives the update.
-        Stored elements are the owning set's job
-        (:meth:`MaterializedSet.apply_updates`) — the engine's cache never
-        holds them (only elements absent from the set are ever assembled
-        into it), so nothing here is double-patched.
+        then, in place, every later one is adopted as it is assembled —
+        beside whatever else an owner packed there (a server's cached
+        answers), and one compiled scatter repairs every owner's slots,
+        charged one addition per delta and array under each owner's
+        label, so the warm cache survives the update.  Stored elements are
+        the owning set's job (:meth:`MaterializedSet.apply_updates`) — the
+        engine's cache never holds them (only elements absent from the set
+        are ever assembled into it), so nothing here is double-patched.
 
-        Returns the number of cached intermediates patched.
+        Returns the number of arrays patched per owner (slab label).
         """
         if not len(batch):
-            return 0
+            return {}
         with self.slabs.lock:
-            self.slabs.join(RANGE_PATCH, self._cache.items())
-            patched = self.slabs.patch(batch, counter, RANGE_PATCH)
-        if patched:
-            self._bound_metrics().patched.inc(patched)
+            if not self.slabs.active:
+                self.slabs.join(RANGE_PATCH, self._cache.items())
+            patched = self.slabs.patch(batch, counter)
+        if patched[RANGE_PATCH]:
+            self._bound_metrics().patched.inc(patched[RANGE_PATCH])
         return patched
 
     @classmethod

@@ -185,6 +185,8 @@ class WriteAheadLog:
         self._appends = 0
         self._rotations = 0
         self._torn_discarded = 0
+        #: ``(registry, series)`` of :meth:`_appends_series`.
+        self._appended: tuple | None = None
         self._recover()
 
     # ------------------------------------------------------------------
@@ -302,10 +304,20 @@ class WriteAheadLog:
             self._maybe_fsync(fh)
             self._last_seq = seq
             self._appends += 1
-        current_registry().counter(
-            "wal_appends_total", "update batches appended to the WAL"
-        ).inc()
+        self._appends_series().inc()
         return seq
+
+    def _appends_series(self):
+        """``wal_appends_total``'s series in the current registry, bound on
+        first use per registry so an append makes no by-name lookup."""
+        registry = current_registry()
+        bound = self._appended
+        if bound is None or bound[0] is not registry:
+            series = registry.counter(
+                "wal_appends_total", "update batches appended to the WAL"
+            ).labels()
+            bound = self._appended = (registry, series)
+        return bound[1]
 
     def _maybe_fsync(self, fh) -> None:
         if self.fsync == "off":

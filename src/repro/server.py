@@ -46,6 +46,7 @@ import time
 from collections.abc import Iterable, Mapping, Sequence
 from contextvars import ContextVar
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -560,7 +561,7 @@ class OLAPServer:
         if previous is not None:
             slabs.active = previous.range_engine.slabs.active
         slabs.track(
-            CACHE_PATCH, lambda: {id(values) for _, values in cache.items()}
+            CACHE_PATCH, lambda: set(map(id, map(itemgetter(1), cache.items())))
         )
         state = _ServingState(
             materialized=materialized,
@@ -1557,41 +1558,42 @@ class OLAPServer:
 
         Every cached answer and range intermediate lives in the engine's
         slabs (:class:`~repro.core.delta.SlabStore`), under one label
-        each, and each label is repaired by one scatter per slab.  Answers
-        cached before the server first ingested join the slabs here, in
-        place.  Serving hands out stored arrays (and, on the degraded
-        path, the base cube's own root) by reference, so a cache entry may
-        *be* the storage that ``apply_updates`` already repaired — those
-        are recognised by object identity and never join.  No answer is
-        cached while a burst runs (:meth:`_admit`), so the entries seen
-        here are the ones patched.  Any failure takes the coarse path,
-        which clears the cache and drops the intermediates — correct for
-        *any* change, just cold.
+        each, and one compiled scatter repairs both labels
+        (:meth:`RangeQueryEngine.apply_updates`).  Answers cached before
+        the server first ingested join the slabs at its first burst, in
+        place; later ones were adopted as they were cached (:meth:`_admit`).
+        Serving hands out stored arrays (and, on the degraded path, the
+        base cube's own root) by reference, so a cache entry may *be* the
+        storage that ``apply_updates`` already repaired — those are
+        recognised by object identity and never join.  Any failure takes
+        the coarse path, which clears the cache and drops the
+        intermediates — correct for *any* change, just cold.
         """
         slabs = state.range_engine.slabs
+        counts: dict[str, int] = {}
 
         def repair() -> int:
             with slabs.lock:
-                storage = self._storage_ids(state)
-                cached = state.cache.items()
-                slabs.join(
-                    CACHE_PATCH,
-                    [(k[0], v) for k, v in cached if id(v) not in storage],
-                )
-                return slabs.patch(batch, counter, CACHE_PATCH)
+                if not slabs.active:
+                    storage = self._storage_ids(state)
+                    cached = state.cache.items()
+                    slabs.join(
+                        CACHE_PATCH,
+                        [(k[0], v) for k, v in cached if id(v) not in storage],
+                    )
+                counts.update(state.range_engine.apply_updates(batch, counter))
+            return counts[CACHE_PATCH]
 
         with span("update.propagate", cells=len(batch)) as sp:
             try:
-                patched = state.cache.patch(repair)
-                patched += state.range_engine.apply_updates(
-                    batch, counter=counter
-                )
+                state.cache.patch(repair)
             except Exception:
                 state.cache.clear()
                 state.range_engine.invalidate()
                 self._m.update_cache_cleared.inc()
                 sp.set(mode="fallback", patched=0)
                 return 0, 1
+            patched = sum(counts.values())
             self._m.update_cache_patched.inc(patched)
             sp.set(mode="patch", patched=patched)
             return patched, 0

@@ -19,8 +19,9 @@ from hypothesis import strategies as st
 
 from repro.core import delta
 from repro.core.delta import DeltaBatch, SlabStore, patch_array
-from repro.core.element import CubeShape
+from repro.core.element import CubeShape, ElementId
 from repro.core.operators import OpCounter
+from repro.shard.partition import CubePartition
 
 LABELS = ("first", "second")
 
@@ -213,3 +214,123 @@ def test_every_pure_element_of_a_small_shape_round_trips():
             for (element, reference), view in zip(references, views):
                 patch_array(element, reference, batch)
                 assert view.tobytes() == reference.tobytes()
+
+
+#: The owners of a server's two stores, and whether each holds pure
+#: partial sums only: the stored elements (signed, in place), the result
+#: cache's answers (packed) and the range engine's intermediates (in place).
+OWNERS = {
+    "batch update": False,
+    "cache patch": True,
+    "range intermediate patch": True,
+}
+
+
+def _nodes(shape: CubeShape, pure: bool):
+    """One ``(level, index)`` per dimension; index 0 throughout if pure."""
+    return st.tuples(
+        *(
+            st.integers(0, depth).flatmap(
+                lambda level: st.tuples(
+                    st.just(level),
+                    st.just(0) if pure else st.integers(0, (1 << level) - 1),
+                )
+            )
+            for depth in shape.depths
+        )
+    )
+
+
+def _reframe(partition, coords, deltas) -> list[DeltaBatch]:
+    """One shard-local batch per shard, re-framed as ``ShardedSet`` does."""
+    axis, extent = partition.axis, partition.shard_extent
+    owners = coords[:, axis] // extent
+    batches = []
+    for shard in range(partition.num_shards):
+        rows = owners == shard
+        local = coords[rows]
+        local[:, axis] %= extent
+        batches.append(DeltaBatch(partition.local_shape, local, deltas[rows]))
+    return batches
+
+
+def _turn_over(draw, store: SlabStore, held: dict, value) -> None:
+    """Each owner drops some of its arrays and takes on new ones."""
+    for label, pure in OWNERS.items():
+        held[label][:] = [slot for slot in held[label] if draw(st.booleans())]
+        for nodes in draw(st.lists(_nodes(store.shape, pure), max_size=3)):
+            element = ElementId(store.shape, nodes)
+            size = element.volume
+            values = np.array(draw(st.lists(value, min_size=size, max_size=size)))
+            values = values.reshape(element.data_shape)
+            reference = values.copy()
+            with store.lock:
+                if label == "cache patch":
+                    values = store.adopt(element, values, label)
+                else:
+                    store.join(label, [(element, values)])
+            held[label].append((element, values, reference))
+
+
+class TestCompiledIndex:
+    """One index over signed stored elements and pure warm slots, in the
+    monolithic frame and in 2-shard local frames, across bursts between
+    which slots die and join: the bytes, the slots counted per owner and
+    the additions charged per label equal per-array :func:`patch_array`."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_equals_per_array_patching_across_bursts(self, data):
+        draw = data.draw
+        sizes = draw(st.lists(st.sampled_from((2, 4, 8)), min_size=1, max_size=3))
+        shape = CubeShape(tuple(sizes))
+        partition = draw(st.sampled_from((None, CubePartition.for_shape(shape, 2))))
+        frames = [shape] if partition is None else [partition.local_shape] * 2
+        value = st.one_of(
+            st.integers(-50, 50).map(float),
+            st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+        )
+        # Per frame: its store and, per owner, ``(element, view, reference)``
+        # for each array it holds.
+        stores = []
+        for frame in frames:
+            store, held = SlabStore(frame), {label: [] for label in OWNERS}
+            for label in OWNERS:
+                store.track(
+                    label,
+                    lambda held=held[label]: {id(view) for _, view, _ in held},
+                )
+            stores.append((store, held))
+        cell = st.tuples(*(st.integers(0, n - 1) for n in sizes))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(delta, "SLAB_CELLS", draw(st.sampled_from((1, 4, 16, 64))))
+            for _ in range(draw(st.integers(1, 3))):
+                for store, held in stores:
+                    _turn_over(draw, store, held, value)
+                rows = draw(st.lists(cell, min_size=1, max_size=8))
+                rows += draw(st.lists(st.sampled_from(rows), max_size=4))
+                coords = np.array(rows)
+                deltas = np.array(
+                    draw(st.lists(value, min_size=len(rows), max_size=len(rows)))
+                )
+                batches = (
+                    [DeltaBatch(shape, coords, deltas)]
+                    if partition is None
+                    else _reframe(partition, coords, deltas)
+                )
+                for (store, held), batch in zip(stores, batches):
+                    counter, expected = OpCounter(), OpCounter()
+                    counts = store.patch(batch, counter)
+                    for label, slots in held.items():
+                        for element, _, reference in slots:
+                            patch_array(
+                                element, reference, batch, expected, label
+                            )
+                    assert counts == {
+                        label: len(slots) if len(batch) else 0
+                        for label, slots in held.items()
+                    }
+                    assert _charged(counter) == _charged(expected)
+                    for slots in held.values():
+                        for _, view, reference in slots:
+                            assert view.tobytes() == reference.tobytes()

@@ -16,11 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.delta import DeltaBatch, patch_array
+from repro.core.delta import DeltaBatch, SlabStore, patch_array
 from repro.core.element import CubeShape, ElementId
 from repro.errors import InvalidUpdateError, ReproError
 from repro.core.materialize import MaterializedSet, compute_element
-from repro.core.range_query import RangeQueryEngine
+from repro.core.range_query import RANGE_PATCH, RangeQueryEngine
 from repro.cube.datacube import DataCube
 from repro.cube.dimensions import Dimension
 from repro.obs import LRUCache
@@ -101,13 +101,26 @@ class TestDeltaCell:
 
 
 def _assert_matches_oracle(batch: DeltaBatch, element: ElementId) -> None:
-    """``batch.resolve`` row by row against the scalar cascade walk."""
-    cells, signed = batch.resolve(element)
-    assert len(cells) == element.shape.ndim
+    """Each row of ``batch`` alone, patched into zeros by
+    :func:`patch_array` and by a signed slot of a :class:`SlabStore`'s
+    compiled index, lands on the scalar cascade walk's cell with its
+    sign."""
+    store = SlabStore(element.shape)
+    slot = np.zeros(element.data_shape)
+    store.track("slot", lambda: {id(slot)})
+    with store.lock:
+        store.join("slot", [(element, slot)])
     for row in range(len(batch)):
-        cell, sign = delta_cell(element, tuple(batch.coordinates[row]))
-        assert tuple(int(axis[row]) for axis in cells) == cell
-        assert signed[row] == sign * batch.deltas[row]
+        coordinates = tuple(batch.coordinates[row])
+        one = DeltaBatch(batch.shape, [coordinates], batch.deltas[row : row + 1])
+        cell, sign = delta_cell(element, coordinates)
+        expected = np.zeros(element.data_shape)
+        expected[cell] += sign * batch.deltas[row]
+        values = np.zeros(element.data_shape)
+        patch_array(element, values, one)
+        slot[...] = 0.0
+        assert store.patch(one, None, "slot") == 1
+        assert values.tobytes() == slot.tobytes() == expected.tobytes()
 
 
 @st.composite
@@ -145,9 +158,7 @@ class TestDeltaBatchProperty:
         shape, coords, deltas, element = burst
         batch = DeltaBatch(shape, coords, deltas)
         _assert_matches_oracle(batch, element)
-        # A second element sharing nodes reads the memoised table entries.
         _assert_matches_oracle(batch, shape.root())
-        _assert_matches_oracle(batch, element)
 
     @settings(max_examples=60, deadline=None)
     @given(_bursts())
@@ -162,12 +173,33 @@ class TestDeltaBatchProperty:
 
     def test_pure_partial_sums_carry_no_sign(self):
         # Every range intermediate, view and roll-up has index 0 in every
-        # dimension: no R1 step, so the deltas are scattered as they are.
+        # dimension: no R1 step, so the deltas are scattered as they are
+        # and the compiled index carries no sign table.
         shape = CubeShape((8, 4))
         batch = DeltaBatch(shape, [[7, 3], [1, 1]], [2.0, -3.0])
+        store = SlabStore(shape)
+        slots = []
+        store.track("pure", lambda: {id(v) for _, v in slots})
         for levels in ((0, 0), (3, 0), (1, 2), (3, 2)):
             element = ElementId(shape, tuple((k, 0) for k in levels))
-            assert batch.resolve(element)[1] is batch.deltas
+            slots.append((element, np.zeros(element.data_shape)))
+            expected = np.zeros(element.data_shape)
+            np.add.at(
+                expected,
+                tuple(batch.coordinates.T >> np.array(levels)[:, None]),
+                batch.deltas,
+            )
+            values = np.zeros(element.data_shape)
+            patch_array(element, values, batch)
+            assert values.tobytes() == expected.tobytes()
+        with store.lock:
+            store.join("pure", slots)
+        assert store.patch(batch, None, "pure") == 4
+        assert store._compile(("pure",))[1] == []
+        for element, values in slots:
+            reference = np.zeros(element.data_shape)
+            patch_array(element, reference, batch)
+            assert values.tobytes() == reference.tobytes()
 
 
 class TestValidate:
@@ -193,6 +225,8 @@ class TestValidate:
             ([[float("inf"), 0]], [1.0], "outside"),
             ([[True, False]], [1.0], "integers"),
             ([["0", "1"]], [1.0], "integers"),
+            ([[0, 0]], [1 + 2j], "real"),
+            ([[0, 0]], ["abc"], "real"),
         ],
     )
     def test_rejects_what_would_poison_or_truncate(
@@ -223,8 +257,13 @@ class TestValidate:
 
     def test_element_of_another_cube_is_refused(self):
         batch = DeltaBatch(CubeShape((4, 4)), [[0, 0]], [1.0])
+        foreign = CubeShape((4, 8)).root()
         with pytest.raises(ValueError, match="cube"):
-            batch.resolve(CubeShape((4, 8)).root())
+            patch_array(foreign, np.zeros(foreign.data_shape), batch)
+        store = SlabStore(batch.shape)
+        store.track("slot", set)
+        with pytest.raises(ValueError, match="cube"), store.lock:
+            store.join("slot", [(foreign, np.zeros(foreign.data_shape))])
 
 
 class TestPatchArray:
@@ -307,7 +346,7 @@ class TestRangeEnginePatch:
         materialized.apply_updates(batch)
         np.add.at(base, tuple(coords.T), deltas)
         patched = engine.apply_updates(batch)
-        assert patched == len(engine._cache)
+        assert patched == {RANGE_PATCH: len(engine._cache)}
 
         fresh = RangeQueryEngine(
             MaterializedSet.from_cube(base.copy(), [shape.root()])
@@ -327,7 +366,7 @@ class TestRangeEnginePatch:
         assert engine._cache
         with pytest.raises(ValueError, match="cube"):
             engine.apply_updates(DeltaBatch(CubeShape((4, 8)), [[0, 0]], [1.0]))
-        assert engine.apply_updates(DeltaBatch(shape, [], [])) == 0
+        assert engine.apply_updates(DeltaBatch(shape, [], [])) == {}
 
 
 class TestShardedBatchRouting:
@@ -632,6 +671,8 @@ class TestRejectedBatchChangesNothing:
             ([[0.7, 0, 0]], [1.0]),
             ([[0, 0, 99]], [1.0]),
             ([[0, 0, 0]], [1.0, 2.0]),
+            ([[0, 0, 0]], [1 + 2j]),
+            ([[0, 0, 0]], ["abc"]),
         ],
     )
     def test_server_and_wal_are_unchanged(self, coordinates, deltas, tmp_path):

@@ -3,11 +3,11 @@ and readers racing update bursts — as counts and exact answers.
 
 Once a server has applied an update, the answers it caches and the range
 intermediates it assembles are pure partial sums packed into slabs
-(:class:`repro.core.delta.SlabStore`), and a burst repairs them with one
-``np.add.at`` per slab; those warmed before the first burst join as slabs
-of their own, in place.  What still goes through
-:func:`repro.core.delta.patch_array` one array at a time is the stored
-elements, nothing else.
+(:class:`repro.core.delta.SlabStore`); those warmed before the first burst
+join as slabs of their own, in place.  The stored elements are signed
+slots of their set's own store.  A burst repairs each store through one
+index compiled from its live slots — one ``np.add.at`` per buffer — and
+:func:`repro.core.delta.patch_array` is the per-array reference only.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.core import delta, materialize
+from repro.core import delta
 from repro.core.delta import SLAB_CELLS, SlabStore
 from repro.core.materialize import MaterializedSet, compute_element
 from repro.core.range_query import RangeQueryEngine
@@ -66,14 +66,27 @@ def _slab_cells(store: SlabStore) -> tuple[int, int]:
     return buffers, live
 
 
+def _buffers(*stores: SlabStore) -> int:
+    """Distinct buffers of the stores' live slabs."""
+    return len(
+        {
+            slab.buffer.__array_interface__["data"][0]
+            for store in stores
+            for slabs in store._slabs.values()
+            for slab in slabs
+        }
+    )
+
+
 class TestBurstBudget:
     def test_one_scatter_per_slab_and_patch_array_only_for_the_rest(
         self, monkeypatch
     ):
-        """``patch_array`` runs once per stored element and nowhere else;
-        every warm answer and intermediate is repaired by its slab's one
-        ``np.add.at`` — on a server's first burst too, where what it
-        warmed before joins the slabs as slabs of their own."""
+        """A burst makes one ``np.add.at`` per distinct buffer — each slab
+        of warm answers and intermediates, each stored array — and no
+        ``patch_array`` call, on a server's first burst too, where what it
+        warmed before joins the slabs as slabs of their own.  A second
+        burst over the same slots compiles no index."""
         fresh = OLAPServer(seeded_cube(3, SIZES))
         early = fresh.view(["d0"])
         _warm(fresh)
@@ -92,30 +105,39 @@ class TestBurstBudget:
             state = target._state
             slabs = state.range_engine.slabs
             storage = target._storage_ids(state)
-            patch_calls = []
-            for module in (delta, materialize):
-                original = module.patch_array
-
-                def counted(*args, _original=original, **kwargs):
-                    patch_calls.append(args[0])
-                    return _original(*args, **kwargs)
-
-                monkeypatch.setattr(module, "patch_array", counted)
+            patch_calls, compiled = [], []
+            original = delta.patch_array
+            monkeypatch.setattr(
+                delta,
+                "patch_array",
+                lambda *args, **kwargs: patch_calls.append(args[0])
+                or original(*args, **kwargs),
+            )
+            compile_ = SlabStore._compile
+            monkeypatch.setattr(
+                SlabStore,
+                "_compile",
+                lambda self, labels: compiled.append(labels)
+                or compile_(self, labels),
+            )
             counting = _Counting()
             monkeypatch.setattr(delta, "np", counting)
             patched = target.metrics.counter("server_update_cache_patched_total")
             before = patched.total()
             _burst(target, seed)
+            first = counting.calls
+            del compiled[:]
+            _burst(target, seed + 1)
             monkeypatch.undo()
 
-            live_slabs = sum(len(slabs._slabs[label]) for label in slabs._slabs)
-            assert live_slabs >= 2  # the cache's and the engine's
-            assert sorted(patch_calls, key=repr) == sorted(
-                state.materialized.elements, key=repr
-            )
-            assert counting.calls == len(patch_calls) + live_slabs
-            # Every warm entry is repaired, once.
-            assert patched.total() - before == (
+            assert len(slabs._slabs) == 2  # the cache's and the engine's
+            buffers = _buffers(slabs, state.materialized._slabs)
+            assert buffers >= len(state.materialized.elements) + 2
+            assert first == counting.calls - first == buffers
+            assert patch_calls == []
+            assert compiled == []
+            # Every warm entry is repaired, once per burst.
+            assert patched.total() - before == 2 * (
                 sum(id(v) not in storage for _, v in state.cache.items())
                 + len(state.range_engine._cache)
             )
