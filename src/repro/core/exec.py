@@ -567,6 +567,7 @@ def _compute_node(
     slots: list,
     counter: OpCounter,
     pool: BufferPool,
+    dst: np.ndarray | None,
 ) -> np.ndarray:
     """Compute one non-stored instruction, output buffers from the pool.
 
@@ -581,16 +582,17 @@ def _compute_node(
     op = ins.op
     values = slots[ins.inputs[0]]
     if op == "fused":
-        return fused_cascade(values, ins.arg, counter=counter, pool=pool)
+        return fused_cascade(values, ins.arg, counter=counter, pool=pool, out=dst)
     if op == "step":
         dim, residual = ins.arg
-        out = pool.take(ins.shape, values.dtype)
+        out = dst if dst is not None else pool.take(ins.shape, values.dtype)
         if residual:
             return partial_residual(values, dim, counter=counter, out=out)
         return partial_sum(values, dim, counter=counter, out=out)
-    out = pool.take(ins.shape, np.float64)
+    if dst is None or not dst.flags.c_contiguous:
+        dst = pool.take(ins.shape, np.float64)
     return synthesize(
-        values, slots[ins.inputs[1]], ins.arg, counter=counter, out=out
+        values, slots[ins.inputs[1]], ins.arg, counter=counter, out=dst
     )
 
 
@@ -609,16 +611,26 @@ def _run_node(
     counter delta) plus the thread the node actually ran on.  Its
     attributes were built with the plan; untraced (``tracer`` is
     ``None``), a node costs no attribute strings and no counter delta.
+
+    A slot already holding an ``out`` view keeps it; a result that is not
+    that view is copied in.
     """
+    dst = slots[ins.out]
     if ins.op == "stored":
-        return arrays[ins.arg]
-    if tracer is None:
-        return _compute_node(ins, slots, counter, buf_pool)
-    with tracer.span("exec.node", **ins.attrs) as sp:
-        before = counter.total
-        out = _compute_node(ins, slots, counter, buf_pool)
-        sp.set(operations=counter.total - before)
-    return out
+        values = arrays[ins.arg]
+    elif tracer is None:
+        values = _compute_node(ins, slots, counter, buf_pool, dst)
+    else:
+        with tracer.span("exec.node", **ins.attrs) as sp:
+            before = counter.total
+            values = _compute_node(ins, slots, counter, buf_pool, dst)
+            sp.set(operations=counter.total - before)
+    if dst is None or values is dst:
+        return values
+    np.copyto(dst, values)
+    if ins.op != "stored":
+        buf_pool.give(values)
+    return dst
 
 
 def execute_plan(
@@ -631,12 +643,17 @@ def execute_plan(
     pool: BufferPool | None = None,
     stats: dict | None = None,
     span_attrs: dict | None = None,
+    out: Mapping[ElementId, np.ndarray] | None = None,
 ) -> dict[ElementId, np.ndarray]:
     """Run a :class:`BatchPlan` against the stored ``arrays``.
 
     ``span_attrs`` adds caller attributes to the ``exec.execute`` span —
     the shard layer tags each scatter leg with its shard index so one
     ``query_batch`` trace shows per-shard execution lanes.
+
+    ``out`` maps targets to writable views (a shard leg's slabs of the
+    gathered buffers): a target's last kernel writes into its view; a stored
+    read, or a synthesis into a strided view, is ``np.copyto``'d in.
 
     Returns ``{target: values}``.  Parallelism is **cost-aware**: a node is
     dispatched to a worker only when its modeled cost reaches
@@ -653,7 +670,7 @@ def execute_plan(
     run — into ``pool`` (a fresh :class:`BufferPool` with the
     :data:`~repro.core.kernels.POOL_MIN_CELLS` floor when none is given),
     so later nodes reuse them as ``out=`` buffers instead of allocating.
-    Stored targets are returned by reference, exactly like
+    Other stored targets are returned by reference, exactly like
     :meth:`MaterializedSet.assemble` (treat results as read-only).
     """
     own = counter if counter is not None else OpCounter()
@@ -662,6 +679,10 @@ def execute_plan(
     )
     if pool is None:
         pool = BufferPool(min_cells=POOL_MIN_CELLS)
+    slots: list = [None] * len(plan.program)
+    if out:
+        for target, slot in zip(plan.targets, plan.target_slots):
+            slots[slot] = out.get(target)
     largest = plan.largest_cost
     requested = max_workers
     demoted = False
@@ -676,10 +697,10 @@ def execute_plan(
     ) as sp:
         start = time.perf_counter()
         if max_workers <= 1:
-            slots, busy = _execute_serial(plan, arrays, own, pool)
+            busy = _execute_serial(plan, arrays, own, pool, slots)
         else:
-            slots, busy = _execute_pooled(
-                plan, arrays, own, max_workers, pool, threshold
+            busy = _execute_pooled(
+                plan, arrays, own, max_workers, pool, threshold, slots
             )
         wall = time.perf_counter() - start
         utilization = (
@@ -731,9 +752,9 @@ def _execute_serial(
     arrays: Mapping[ElementId, np.ndarray],
     counter: OpCounter,
     buf_pool: BufferPool,
-) -> tuple[list, float]:
-    """The program, top to bottom, on the calling thread."""
-    slots: list = [None] * len(plan.program)
+    slots: list,
+) -> float:
+    """The program, top to bottom, on the calling thread, into ``slots``."""
     tracer = current_tracer()
     busy = 0.0
     for ins in plan.program:
@@ -747,7 +768,7 @@ def _execute_serial(
             # can back a later node's ``out=``.
             buf_pool.give(slots[slot])
             slots[slot] = None
-    return slots, busy
+    return busy
 
 
 def _execute_pooled(
@@ -757,7 +778,8 @@ def _execute_pooled(
     max_workers: int,
     buf_pool: BufferPool,
     threshold: int,
-) -> tuple[list, float]:
+    slots: list,
+) -> float:
     """Scheduler loop: all bookkeeping on the calling thread, work on the
     pool.  Each node gets its own :class:`OpCounter`, merged on completion,
     so accounting stays exact without cross-thread contention.
@@ -778,7 +800,6 @@ def _execute_pooled(
     never leaks work past the batch, and accounting reflects exactly the
     work performed."""
     program, dependents = plan.program, plan.dependents
-    slots: list = [None] * len(program)
     remaining = list(plan.refcounts)
     pending = list(plan.pending)
     ready = deque(slot for slot, n in enumerate(pending) if n == 0)
@@ -884,4 +905,4 @@ def _execute_pooled(
                     if partial is not None:
                         counter.merge(partial)
             raise
-    return slots, busy
+    return busy

@@ -33,7 +33,10 @@ bit-identity property for int and float dtypes across 1-4 dimensions.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
 import threading
 
 import numpy as np
@@ -45,6 +48,7 @@ __all__ = [
     "POOL_MIN_CELLS",
     "POOL_MAX_CELLS",
     "BufferPool",
+    "pin_allocator_thresholds",
     "canonical_steps",
     "fused_cascade",
     "fused_partial_sum_k",
@@ -67,6 +71,22 @@ POOL_MIN_CELLS = 1 << 12
 #: Retention bound of a :class:`BufferPool` (total cells held across all
 #: shapes); returns beyond it are dropped to the allocator.
 POOL_MAX_CELLS = 1 << 22
+
+
+@functools.cache
+def pin_allocator_thresholds() -> bool:
+    """Pin glibc's mmap and trim thresholds at the ceilings its dynamic
+    heuristic reaches (32 and 64 MiB on 64-bit), so that freeing one batch's
+    MiB-sized answers cannot trim the heap the next batch re-faults.  Once
+    per process; returns whether it took (a no-op off glibc)."""
+    if "CS_GNU_LIBC_VERSION" not in getattr(os, "confstr_names", ()):
+        return False
+    if not (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc"):
+        return False
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    # M_MMAP_THRESHOLD is -3 and M_TRIM_THRESHOLD -1 in <malloc.h>.
+    return all([mallopt(-3, 32 << 20), mallopt(-1, 64 << 20)])
 
 
 class BufferPool:
@@ -119,14 +139,12 @@ class BufferPool:
     def give(self, array: np.ndarray | None) -> None:
         """Return a no-longer-referenced temporary for reuse.
 
-        Only C-contiguous writable arrays at least ``min_cells`` large are
-        retained (a strided view cannot safely back a future ``reshape``;
-        a small block is cheaper to take from the allocator than from the
-        pool).
+        Only C-contiguous writable arrays at least ``min_cells`` large that
+        own their memory are retained (a view — strided, or one shard's slab
+        of a gathered answer — is part of an array someone still holds; a
+        small block is cheaper to take from the allocator than the pool).
         """
-        if array is None:
-            return
-        if array.size < self.min_cells:
+        if array is None or array.size < self.min_cells or array.base is not None:
             return
         if not (array.flags.c_contiguous and array.flags.writeable):
             return
@@ -182,6 +200,7 @@ def fused_cascade(
     steps,
     counter: OpCounter | None = None,
     pool: BufferPool | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Run a ``P1``/``R1`` step chain as one fused kernel (Eqs 6-9).
 
@@ -193,8 +212,10 @@ def fused_cascade(
     holds at most two scratch arrays at once.  An empty chain returns the
     input unchanged (same aliasing contract as a zero-step descent).
 
-    The returned array is *not* registered with the pool — the caller owns
-    it and may hand it back via :meth:`BufferPool.give` when done.
+    ``out``, if given, takes the final step in place (it may be strided:
+    one shard's slab of a gathered buffer); an empty chain ignores it.  The
+    returned array is *not* registered with the pool — the caller owns it
+    and may hand it back via :meth:`BufferPool.give` when done.
 
     Bit-identical to applying :func:`~repro.core.operators.partial_sum` /
     :func:`~repro.core.operators.partial_residual` per step: the arithmetic
@@ -211,11 +232,12 @@ def fused_cascade(
         axis = _normalize_axis(cur, dim)
         _require_even(cur, axis)
         out_shape = cur.shape[:axis] + (cur.shape[axis] // 2,) + cur.shape[axis + 1 :]
-        dst = (
-            pool.take(out_shape, cur.dtype)
-            if pool is not None
-            else np.empty(out_shape, dtype=cur.dtype)
-        )
+        if out is not None and i == len(steps) - 1:
+            dst = out
+        elif pool is not None:
+            dst = pool.take(out_shape, cur.dtype)
+        else:
+            dst = np.empty(out_shape, dtype=cur.dtype)
         even, odd = _even_odd(cur, axis)
         if residual:
             np.subtract(even, odd, out=dst)

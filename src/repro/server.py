@@ -57,7 +57,7 @@ from .core.adaptive import AccessTracker
 from .core.delta import DeltaBatch
 from .core.element import ElementId
 from .core.engine import SelectionEngine
-from .core.kernels import POOL_MAX_CELLS, POOL_MIN_CELLS
+from .core.kernels import POOL_MAX_CELLS, POOL_MIN_CELLS, pin_allocator_thresholds
 from .core.materialize import MaterializedSet, compute_element
 from .core.operators import OpCounter
 from .core.population import QueryPopulation
@@ -375,6 +375,7 @@ class OLAPServer:
                 "max_retries and retry_backoff_ms must be non-negative, got "
                 f"{max_retries!r} / {retry_backoff_ms!r}"
             )
+        pin_allocator_thresholds()
         self.cube = cube
         self.shape = cube.shape_id
         self.storage_budget = storage_budget

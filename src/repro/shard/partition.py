@@ -22,7 +22,7 @@ where the concatenation stacks the per-shard local results along the axis
 in shard order.  :meth:`CubePartition.merge_steps` returns exactly those
 low-bit steps in canonical (MSB-first) order, ready for
 :func:`~repro.core.kernels.fused_cascade`; when ``k <= w`` the merge is
-empty and the gather is a pure concatenation.  Both ``P1`` and ``R1``
+empty and the gathered buffer is the answer.  Both ``P1`` and ``R1``
 (partial *and* residual) steps satisfy the split, so arbitrary stored
 bases — wavelet, Algorithm 1 output — shard without restriction.
 

@@ -14,19 +14,19 @@ A batch is served in three phases:
    *one* :func:`~repro.core.exec.plan_batch` CSE DAG (the common case:
    all shards store the same projected selection, so planning cost is
    paid once, not ``S`` times).
-2. **Scatter** — each shard runs the plan against its own snapshot with
+2. **Scatter** — one buffer per gathered element is taken first; each
+   shard runs the plan against its own snapshot with
    :func:`~repro.core.exec.execute_plan` (shard-tagged span lanes,
-   per-shard ``OpCounter``).  A shard
-   whose signature cannot reach the targets — a quarantined array, a
-   mid-migration divergence — falls back to recomputing its local targets
-   from its base slab: degradation is *per shard*, the other shards still
-   serve from their materialized elements.
-3. **Gather** — per target, the local results are concatenated along the
-   shard axis into a pooled buffer and the cross-shard merge cascade
-   (:meth:`CubePartition.merge_steps`) runs as one fused kernel.  The
-   merge is exact by distributivity; for integer-valued cubes the results
-   are bit-identical to monolithic assembly on any axis, for float data
-   on the last-dimension axis (canonical step order is preserved).
+   per-shard ``OpCounter``), writing its local targets into its own slab
+   of those buffers (``out=``).  A shard whose signature cannot reach the
+   targets — a quarantined array, a mid-migration divergence — recomputes
+   them from its base slab into the same slabs: degradation is *per shard*.
+3. **Gather** — nothing is concatenated: only the cross-shard merge
+   cascade (:meth:`CubePartition.merge_steps`) runs, as one fused kernel
+   on the gathered buffer.  The merge is exact by distributivity; for
+   integer-valued cubes the results are bit-identical to monolithic
+   assembly on any axis, for float data on the last-dimension axis
+   (canonical step order is preserved).
 
 Fault sites: ``materialize.assemble`` fires once per shard leg (with a
 ``shard=`` context), ``exec.compute_node`` fires per DAG node per shard
@@ -162,8 +162,11 @@ class ShardedSet:
         return tuple(out)
 
     def pool_stats(self) -> dict:
-        """Gather-pool counters (per-shard pools: :meth:`shards_health`)."""
-        return self._pool.stats()
+        """The shards' kernel pools plus the gather pool, summed per key."""
+        pools = [ms.pool_stats() for ms in self._shards] + [self._pool.stats()]
+        totals = {key: sum(p[key] for p in pools) for key in pools[-1]}
+        totals["min_cells"] = self._pool.min_cells  # one floor, not a sum
+        return totals
 
     def can_assemble(self, target: ElementId) -> bool:
         local = self.partition.project(target)
@@ -277,7 +280,10 @@ class ShardedSet:
         max_workers: int = 1,
         cost_memo: dict | None = None,
     ) -> dict[ElementId, np.ndarray]:
-        """Scatter the batch to every shard, merge the partials exactly."""
+        """Scatter the batch to every shard, merge the partials exactly.
+
+        Legs write into slabs of buffers taken before the scatter, so an
+        answer never aliases a stored array, on any shard count."""
         ordered = list(dict.fromkeys(targets))
         if not ordered:
             return {}
@@ -288,29 +294,37 @@ class ShardedSet:
                 )
         check_deadline("shard.scatter")
         local_of = {t: self.partition.project(t) for t in ordered}
-        local_targets = list(dict.fromkeys(local_of.values()))
         s_count = self.num_shards
+        # Gathered elements and local targets correspond one to one.
+        gathered: dict[ElementId, np.ndarray] = {}
+        slabs: list[dict] = [{} for _ in range(s_count)]
+        for target, local in local_of.items():
+            if local in gathered:
+                continue
+            element = self.partition.gathered_element(target)
+            buf = gathered[local] = self._pool.take(element.data_shape)
+            for s, out in enumerate(slabs):
+                out[local] = buf[self.partition.data_slab_slices(element, s)]
 
         with span(
             "shard.scatter", shards=s_count, targets=len(ordered)
         ) as sp:
             snapshots = [ms.arrays_snapshot() for ms in self._shards]
-            plans, plan_groups = self._plans_for(local_targets, snapshots)
+            plans, plan_groups = self._plans_for(list(gathered), snapshots)
             counters = [OpCounter() for _ in range(s_count)]
             degraded: list[int] = []
 
-            def leg(s: int, workers: int):
-                return self._execute_shard(
+            def leg(s: int, workers: int) -> None:
+                self._execute_shard(
                     s,
                     plans[s],
                     snapshots[s],
-                    local_targets,
+                    slabs[s],
                     counters[s],
                     degraded,
                     max_workers=workers,
                 )
 
-            partials: list[dict] = [None] * s_count  # type: ignore[list-item]
             if max_workers > 1 and s_count > 1:
                 lanes = min(s_count, max_workers)
                 # Lanes already occupy ``lanes`` CPUs; a leg's own pool
@@ -324,17 +338,13 @@ class ShardedSet:
                         )
                         for s in range(s_count)
                     ]
-                    errors = []
-                    for s, future in enumerate(futures):
-                        try:
-                            partials[s] = future.result()
-                        except BaseException as exc:  # noqa: BLE001
-                            errors.append(exc)
+                    # Every leg is waited for, and its outcome read.
+                    errors = [e for e in (f.exception() for f in futures) if e]
                     if errors:
                         raise errors[0]
             else:
                 for s in range(s_count):
-                    partials[s] = leg(s, max_workers)
+                    leg(s, max_workers)
 
             # Merge per-shard counters in shard order: one batch, one
             # deterministic accounting regardless of lane interleaving.
@@ -345,10 +355,7 @@ class ShardedSet:
             check_deadline("shard.gather")
             t0 = time.perf_counter()
             merge_counter = OpCounter()
-            results = {
-                t: self._gather(t, local_of[t], partials, merge_counter)
-                for t in ordered
-            }
+            results = self._gather(local_of, gathered, merge_counter)
             own.merge(merge_counter)
             gather_ms = (time.perf_counter() - t0) * 1e3
 
@@ -372,7 +379,7 @@ class ShardedSet:
                 degraded=len(set(degraded)),
                 merge_ops=merge_counter.total,
             )
-        return {t: results[t] for t in dict.fromkeys(targets)}
+        return results
 
     # ------------------------------------------------------------------
     # Internals
@@ -414,30 +421,24 @@ class ShardedSet:
         s: int,
         plan,
         snapshot,
-        local_targets,
+        out: dict[ElementId, np.ndarray],
         counter: OpCounter,
         degraded: list,
         *,
         max_workers: int,
-    ) -> dict[ElementId, np.ndarray]:
-        """One scatter leg: retries, then per-shard degraded fallback."""
+    ) -> None:
+        """One scatter leg into its slabs: retries, then degraded fallback."""
         in_flight = current_registry().gauge(
             "shard_in_flight", "scatter legs currently executing"
         )
         in_flight.inc(shard=str(s))
         try:
-            with span(
-                "shard.execute", shard=s, targets=len(local_targets)
-            ):
-                fault_point(
-                    "materialize.assemble",
-                    shard=s,
-                    batch=len(local_targets),
-                )
+            with span("shard.execute", shard=s, targets=len(out)):
+                fault_point("materialize.assemble", shard=s, batch=len(out))
                 check_deadline("shard.execute")
                 if plan is not None:
                     try:
-                        return self._retry(
+                        self._retry(
                             s,
                             lambda scratch: execute_plan(
                                 plan,
@@ -446,19 +447,22 @@ class ShardedSet:
                                 max_workers=max_workers,
                                 pool=self._shards[s].pool,
                                 span_attrs={"shard": s},
+                                out=out,
                             ),
                             counter,
                         )
+                        return
                     except TransientFault:
                         pass  # budget spent: this leg serves from its slab
-                return self._degraded_shard(s, local_targets, counter)
+                degraded.append(s)
+                self._degraded_shard(s, out, counter)
         finally:
             in_flight.inc(-1.0, shard=str(s))
 
     def _degraded_shard(
-        self, s: int, local_targets, counter: OpCounter
-    ) -> dict[ElementId, np.ndarray]:
-        """Recompute one shard's targets from its base slab.
+        self, s: int, out: dict[ElementId, np.ndarray], counter: OpCounter
+    ) -> None:
+        """Recompute one shard's targets from its base slab into ``out``.
 
         The re-route is shard-local: the other legs keep serving from
         their materialized elements, so a quarantined (or persistently
@@ -475,36 +479,36 @@ class ShardedSet:
             "shard_degraded_total",
             "scatter legs re-routed to the shard's base slab",
         ).inc(shard=str(s))
-        log_event("shard_degraded", shard=s, targets=len(local_targets))
+        log_event("shard_degraded", shard=s, targets=len(out))
         scratch = OpCounter()
-        results = {
-            le: compute_element(slab, le, counter=scratch)
-            for le in local_targets
-        }
+        for le, view in out.items():
+            np.copyto(view, compute_element(slab, le, counter=scratch))
         counter.merge(scratch)
-        return results
 
     def _gather(
         self,
-        target: ElementId,
-        local: ElementId,
-        partials,
+        local_of: dict[ElementId, ElementId],
+        gathered: dict[ElementId, np.ndarray],
         counter: OpCounter,
-    ) -> np.ndarray:
-        """Concatenate shard partials and run the cross-shard merge."""
-        fault_point("shard.gather", element=target)
-        gathered = self.partition.gathered_element(target)
-        buf = self._pool.take(gathered.data_shape)
-        for s in range(self.num_shards):
-            buf[self.partition.data_slab_slices(gathered, s)] = partials[s][
-                local
-            ]
-        steps = self.partition.merge_steps(target)
-        if not steps:
-            return buf
-        merged = fused_cascade(buf, list(steps), counter=counter, pool=self._pool)
-        self._pool.give(buf)
-        return merged
+    ) -> dict[ElementId, np.ndarray]:
+        """Run each target's cross-shard merge on its filled buffer (a
+        target within the slab depth *is* its buffer); buffers no answer is
+        go back to the pool."""
+        results = {}
+        for target, local in local_of.items():
+            fault_point("shard.gather", element=target)
+            steps = self.partition.merge_steps(target)
+            buf = gathered[local]
+            results[target] = (
+                fused_cascade(buf, steps, counter=counter, pool=self._pool)
+                if steps
+                else buf
+            )
+        served = {id(values) for values in results.values()}
+        for buf in gathered.values():
+            if id(buf) not in served:
+                self._pool.give(buf)
+        return results
 
     def _retry(self, s: int, attempt, counter: OpCounter):
         """:func:`retry_transient` on this set's budget, counted per shard."""
@@ -605,4 +609,6 @@ class ShardedSet:
                 counter,
             )
         except (TransientFault, IncompleteSetError):
-            return self._degraded_shard(s, [local], counter)[local]
+            values = np.empty(local.data_shape)
+            self._degraded_shard(s, {local: values}, counter)
+            return values

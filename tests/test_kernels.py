@@ -126,6 +126,20 @@ class TestFusedCascadeBitIdentity:
             fused_cascade(a, steps), naive_cascade(a, steps)
         )
 
+    def test_final_step_writes_into_a_strided_out(self, rng):
+        """``out=`` takes the last step in place — here the right half of
+        a gathered buffer, as a shard leg on the last axis writes it."""
+        a = rng.standard_normal((8, 8))
+        steps = ((0, False), (1, True), (0, False))
+        gathered = np.zeros((2, 8))
+        slab = gathered[:, 4:]
+        pool = BufferPool()
+        assert fused_cascade(a, steps, pool=pool, out=slab) is slab
+        assert slab.tobytes() == naive_cascade(a, steps).tobytes()
+        assert not gathered[:, :4].any()
+        with pytest.raises(ValueError):
+            fused_cascade(a, steps, out=np.empty((4, 4)))
+
     def test_odd_extent_rejected_with_operator_taxonomy(self, rng):
         a = rng.standard_normal((3, 4))
         with pytest.raises(ValueError, match="even extent"):
@@ -204,6 +218,18 @@ class TestBufferPool:
         pool = BufferPool()
         pool.give(np.empty((4, 4)).T[:, ::2])
         assert pool.stats()["returned"] == 0
+
+    def test_view_not_retained(self):
+        """A contiguous, writeable view — one shard's slab of a gathered
+        answer along axis 0 — is part of an array its owner still holds."""
+        pool = BufferPool()
+        answer = np.empty((4, 4))
+        slab = answer[:2]
+        assert slab.flags.c_contiguous and slab.flags.writeable
+        pool.give(slab)
+        pool.give(answer.reshape(16))
+        assert pool.stats()["returned"] == 0
+        assert pool.take((2, 4)) is not slab
 
     def test_max_cells_bound_drops(self):
         pool = BufferPool(max_cells=10)
