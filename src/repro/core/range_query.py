@@ -154,6 +154,20 @@ class RangeQueryEngine:
         """Shape of the cube the engine answers over."""
         return self.materialized.shape
 
+    def warm(self, element: ElementId) -> np.ndarray | None:
+        """The intermediate this engine assembled for ``element``, or ``None``.
+
+        A roll-up or aggregated view *is* the range intermediate of its
+        level vector (range extraction commutes with ``P1``, PAPER §6), so
+        a caller serving ``element`` may hand this array out as it is:
+        every burst repairs it in place (:meth:`apply_updates`).  Treat it
+        as read-only.
+        """
+        values = self._cache.get(element)
+        if values is not None:
+            self._bound_metrics().served.inc()
+        return values
+
     def invalidate(self) -> None:
         """Drop on-demand assembled intermediates (after data updates).
 
@@ -278,6 +292,10 @@ class RangeQueryEngine:
                     "range_intermediate_patched_total",
                     "on-demand assembled intermediates repaired in place by "
                     "deltas",
+                ),
+                served=counter(
+                    "range_intermediate_served_total",
+                    "roll-ups and views served as an assembled intermediate",
                 ),
             )
             bound = self._metrics = (registry, handles)

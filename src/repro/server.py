@@ -22,9 +22,9 @@ metrics declared once at construction.
   so the ambient instrumentation in ``repro.core`` lands in the server's
   own registry.  ``python -m repro stats`` renders it with :meth:`health`.
 - **Result cache** — assembled views and roll-ups live in a bounded LRU
-  keyed by ``(ElementId, selection epoch)``.  :meth:`reconfigure` bumps the
-  epoch; updates *patch* warm answers in place (every element is linear in
-  the cube; see :meth:`OLAPServer._propagate_updates`).
+  keyed by ``(ElementId, selection epoch)``; a miss the range engine holds
+  as an intermediate is served from there.  :meth:`reconfigure` bumps the
+  epoch; updates *patch* warm answers in place (see ``_propagate_updates``).
 - **Resilience** — ``(materialized, range_engine, epoch, cache)`` live in
   one immutable :class:`_ServingState` swapped in a single assignment, so
   a query sees one selection, never a mix.  Admission control, deadlines,
@@ -813,14 +813,19 @@ class OLAPServer:
         elements = [rollup_element(self.cube, levels) for levels in levels_list]
         return self._serve_batch(elements, "rollup", max_workers, deadline_ms)
 
-    def _cache_get(self, state: _ServingState, key):
-        """Result-cache consult that degrades to a miss on cache faults."""
+    def _cache_get(self, state: _ServingState, element: ElementId):
+        """The warm answer for ``element``: the result cache's, else the
+        range engine's intermediate (a roll-up or view is one, PAPER §6),
+        served as it is and never cached twice.  ``None`` on a miss; a
+        cache fault degrades the lookup to one."""
+        key = (element, state.epoch)
         try:
             fault_point("server.cache_lookup", key=key)
-            return state.cache.get(key)
+            values = state.cache.get(key)
         except TransientFault:
             self._m.cache_bypass.inc()
             return None
+        return state.range_engine.warm(element) if values is None else values
 
     def _admit(
         self,
@@ -871,11 +876,11 @@ class OLAPServer:
         kind: str,
         deadline_ms: float | None = None,
     ) -> np.ndarray:
-        """Serve one assembled element, consulting the result cache.
+        """Serve one element: warm (:meth:`_cache_get`), else assembled.
 
-        Cached answers are the same arrays a cold assembly produced (the
-        assemble contract already says "treat as read-only"), so hits are
-        bit-identical to misses and cost zero scalar operations.
+        A warm answer is the array a cold assembly produced (the assemble
+        contract already says "treat as read-only"), so it is bit-identical
+        to a miss and costs zero scalar operations.
         """
         with _Serve(
             self,
@@ -886,8 +891,7 @@ class OLAPServer:
             element=element.describe(),
         ) as call:
             state = call.state
-            key = (element, state.epoch)
-            values = self._cache_get(state, key)
+            values = self._cache_get(state, element)
             if values is not None:
                 call.attrs["cache"] = "hit"
                 return values
@@ -907,7 +911,7 @@ class OLAPServer:
     ) -> list[np.ndarray]:
         """Serve a batch of elements through one shared plan.
 
-        Cache-aware: epoch-cached targets are pruned before planning (and
+        Warm targets (:meth:`_cache_get`) are pruned before planning (and
         stored targets cost the plan nothing), so only genuinely missing
         work reaches the executor.
         """
@@ -923,16 +927,11 @@ class OLAPServer:
             requests=len(elements),
         ) as call:
             state = call.state
-            answers: dict[ElementId, np.ndarray] = {}
-            missing: list[ElementId] = []
-            hits = 0
-            for element in dict.fromkeys(elements):
-                cached = self._cache_get(state, (element, state.epoch))
-                if cached is not None:
-                    answers[element] = cached
-                    hits += 1
-                else:
-                    missing.append(element)
+            answers = {
+                e: self._cache_get(state, e) for e in dict.fromkeys(elements)
+            }
+            missing = [e for e, values in answers.items() if values is None]
+            hits = len(answers) - len(missing)
             if missing:
                 mark = state.range_engine.slabs.sequence
                 assembled = self._assemble_batch_resilient(
@@ -1239,6 +1238,7 @@ class OLAPServer:
             "updates_cache_patched": m.update_cache_patched.total(),
             "updates_cache_cleared": m.update_cache_cleared.total(),
             "cache_bypasses": m.cache_bypass.total(),
+            "cache_warm_reads": _total("range_intermediate_served_total"),
             "integrity_failures": _total("integrity_failures_total"),
             "faults_injected": _total("faults_injected_total"),
             "buffer_pool": state.materialized.pool_stats(),
