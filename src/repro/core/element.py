@@ -405,7 +405,12 @@ class ElementId:
         derivable from it by further partial/residual aggregation.
         """
         self._check_same_shape(other)
-        return all(_dim_contains(a, b) for a, b in zip(self.nodes, other.nodes))
+        # ``_dim_contains`` per dimension, inlined: the warm-ancestor
+        # lookup runs this over every warm array on a miss.
+        for (ok, oj), (ik, ij) in zip(self.nodes, other.nodes):
+            if ik < ok or ij >> (ik - ok) != oj:
+                return False
+        return True
 
     def intersects(self, other: "ElementId") -> bool:
         """Whether the frequency rectangles overlap (Eq 24).
@@ -441,7 +446,7 @@ class ElementId:
         return math.prod(1.0 / 2**k for k, _ in self.nodes)
 
     def _check_same_shape(self, other: "ElementId") -> None:
-        if self.shape != other.shape:
+        if self.shape is not other.shape and self.shape != other.shape:
             raise ValueError("elements belong to cubes of different shapes")
 
     # ------------------------------------------------------------------

@@ -80,6 +80,51 @@ def _descend(
     )
 
 
+def warm_routes(targets, warm, price) -> dict:
+    """The targets cheaper to aggregate from a warm ancestor than to
+    assemble from storage: ``{target: (ancestor, values)}``.
+
+    ``warm(target)`` names the smallest warm proper ancestor of ``target``
+    with its array, or ``None`` (:meth:`repro.core.range_query.
+    RangeQueryEngine.warm_ancestor`); ``price(target)`` is the stored
+    route's Procedure 3 cost (``inf`` when storage cannot produce it).
+    Aggregating the ancestor down costs ``Vol(ancestor) - Vol(target)``
+    (Eq 28); a tie keeps the stored route.  A proper ancestor holds at
+    least twice the target's cells, so a stored route costing at most
+    ``Vol(target)`` is kept without a lookup.
+    """
+    chosen = {}
+    if warm is not None:
+        for target in targets:
+            cost = price(target)
+            if cost <= target.volume:
+                continue
+            source = warm(target)
+            if source is not None and source[0].volume - target.volume < cost:
+                chosen[target] = source
+    return chosen
+
+
+def derive(
+    chosen: dict,
+    counter: OpCounter | None,
+    pool: BufferPool | None,
+) -> dict[ElementId, np.ndarray]:
+    """Run :func:`warm_routes`' choices: each target is one fused cascade
+    down from its warm ancestor, into a fresh buffer (an ancestor is
+    always a *proper* one, so nothing aliases the warm array), counted in
+    ``assemble_derived_total``."""
+    if chosen:
+        current_registry().counter(
+            "assemble_derived_total",
+            "targets aggregated from a warm ancestor instead of storage",
+        ).inc(len(chosen))
+    return {
+        target: _descend(values, ancestor, target, counter, pool)
+        for target, (ancestor, values) in chosen.items()
+    }
+
+
 def compute_element(
     cube_values: np.ndarray,
     element: ElementId,
@@ -411,7 +456,10 @@ class MaterializedSet:
         return cost, memo
 
     def assemble(
-        self, target: ElementId, counter: OpCounter | None = None
+        self,
+        target: ElementId,
+        counter: OpCounter | None = None,
+        warm=None,
     ) -> np.ndarray:
         """Produce the data of ``target`` from the stored elements.
 
@@ -421,6 +469,11 @@ class MaterializedSet:
         synthesis from the cheapest child pair (``Vol(target)`` ops plus the
         children's own assembly costs).  Raises :class:`ValueError` when the
         stored set cannot produce ``target``.
+
+        ``warm`` (:func:`warm_routes`) offers warm arrays as a third
+        source: when aggregating the smallest warm ancestor down is
+        cheaper than the stored route — or storage cannot produce
+        ``target`` at all — that one cascade is the answer.
 
         A stored target is returned by reference (the zero-cost read the
         cost model promises); treat the result as read-only.
@@ -439,13 +492,22 @@ class MaterializedSet:
             arrays = dict(self._arrays)
             stored = tuple(arrays)
             cost, cost_memo = self._price(target, stored)
-            if cost == float("inf"):
+            chosen = warm_routes((target,), warm, lambda _: cost)
+            if chosen:
+                ancestor, _ = chosen[target]
+                cost = ancestor.volume - target.volume
+                values = derive(chosen, own, self._pool)[target]
+            elif cost == float("inf"):
                 raise IncompleteSetError(
                     f"stored set is not complete with respect to {target!r}"
                 )
-            values = self._assemble(
-                target, route_table(self.shape, stored, cost_memo), own, arrays
-            )
+            else:
+                values = self._assemble(
+                    target,
+                    route_table(self.shape, stored, cost_memo),
+                    own,
+                    arrays,
+                )
             ops = own.total - ops_before
             registry = current_registry()
             registry.counter(
@@ -464,7 +526,12 @@ class MaterializedSet:
                     "cost_model_divergence",
                     "measured over planned scalar operations (1.0 = exact)",
                 ).observe(ops / cost, path="assemble")
-            sp.set(operations=ops, modeled_cost=cost, stored=target in self._arrays)
+            sp.set(
+                operations=ops,
+                modeled_cost=cost,
+                stored=target in self._arrays,
+                derived=bool(chosen),
+            )
         return values
 
     def _assemble(
@@ -514,6 +581,7 @@ class MaterializedSet:
         counter: OpCounter | None = None,
         max_workers: int = 1,
         cost_memo: dict | None = None,
+        warm=None,
     ) -> dict[ElementId, np.ndarray]:
         """Assemble several targets as one shared-plan DAG.
 
@@ -531,6 +599,10 @@ class MaterializedSet:
         Procedure 3 prices are reused across batches through the set's
         persistent cost memo (valid until the stored element set changes);
         pass ``cost_memo`` explicitly to substitute an external one.
+
+        ``warm`` works as in :meth:`assemble`: a target cheaper to
+        aggregate from its smallest warm ancestor is that one cascade, and
+        only the rest are planned.
 
         Returns ``{target: values}`` (duplicates deduplicated).  Raises
         :class:`ValueError` when the stored set cannot produce some target.
@@ -550,31 +622,54 @@ class MaterializedSet:
             arrays = dict(self._arrays)
             stored = tuple(arrays)
             distinct = tuple(dict.fromkeys(targets))
-            # Validated against this snapshot: a cached plan can outlive
-            # a quarantine that raced the cache clear, and is never
-            # executed against missing arrays.
-            plan = self._plan_cache.plan(
-                distinct,
-                stored,
-                self._cost_memo if cost_memo is None else cost_memo,
+            chosen = warm_routes(
+                distinct, warm, lambda t: self._price(t, stored)[0]
             )
-            if plan is None:
-                # A plan racing a store can re-insert stale prices from
-                # the pre-store element set after the clear; retry the
-                # infeasibility verdict on a fresh memo before trusting
-                # it.
-                plan = plan_batch(distinct, stored, cost_memo={})
-            exec_stats: dict = {}
-            results = execute_plan(
-                plan,
-                arrays,
-                counter=own,
-                max_workers=max_workers,
-                pool=self._pool,
-                stats=exec_stats,
-            )
-            ops = own.total - ops_before
+            planned = tuple(t for t in distinct if t not in chosen)
             registry = current_registry()
+            results: dict[ElementId, np.ndarray] = {}
+            if planned:
+                # Validated against this snapshot: a cached plan can
+                # outlive a quarantine that raced the cache clear, and is
+                # never executed against missing arrays.
+                plan = self._plan_cache.plan(
+                    planned,
+                    stored,
+                    self._cost_memo if cost_memo is None else cost_memo,
+                )
+                if plan is None:
+                    # A plan racing a store can re-insert stale prices
+                    # from the pre-store element set after the clear;
+                    # retry the infeasibility verdict on a fresh memo
+                    # before trusting it.
+                    plan = plan_batch(planned, stored, cost_memo={})
+                exec_stats: dict = {}
+                results = execute_plan(
+                    plan,
+                    arrays,
+                    counter=own,
+                    max_workers=max_workers,
+                    pool=self._pool,
+                    stats=exec_stats,
+                )
+                if plan.planned_cost > 0:
+                    registry.histogram(
+                        "cost_model_divergence",
+                        "measured over planned scalar operations (1.0 = exact)",
+                    ).observe(
+                        (own.total - ops_before) / plan.planned_cost,
+                        path="batch",
+                    )
+                sp.set(
+                    planned_cost=plan.planned_cost,
+                    naive_cost=plan.naive_cost,
+                    cse_ratio=round(plan.cse_ratio, 4),
+                    dag_nodes=len(plan.nodes),
+                    workers_effective=exec_stats.get("workers_effective"),
+                    demoted=exec_stats.get("demoted"),
+                )
+            results.update(derive(chosen, own, self._pool))
+            ops = own.total - ops_before
             registry.counter(
                 "assemble_batch_total", "shared-plan batch assemblies"
             ).inc()
@@ -584,20 +679,7 @@ class MaterializedSet:
             registry.histogram(
                 "assemble_batch_operations", "scalar operations per batch"
             ).observe(ops)
-            if plan.planned_cost > 0:
-                registry.histogram(
-                    "cost_model_divergence",
-                    "measured over planned scalar operations (1.0 = exact)",
-                ).observe(ops / plan.planned_cost, path="batch")
-            sp.set(
-                operations=ops,
-                planned_cost=plan.planned_cost,
-                naive_cost=plan.naive_cost,
-                cse_ratio=round(plan.cse_ratio, 4),
-                dag_nodes=len(plan.nodes),
-                workers_effective=exec_stats.get("workers_effective"),
-                demoted=exec_stats.get("demoted"),
-            )
+            sp.set(operations=ops, derived=len(chosen))
         return results
 
     # ------------------------------------------------------------------

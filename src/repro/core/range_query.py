@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import itertools
+import math
 import weakref
 from types import SimpleNamespace
 
@@ -137,6 +138,16 @@ class RangeQueryEngine:
         self.materialized = materialized
         self.assemble_missing = assemble_missing
         self._cache: dict[ElementId, np.ndarray] = {}
+        #: The same arrays keyed by level vector (every one is a pure
+        #: partial sum), so :meth:`range_sum` finds them without resolving
+        #: or hashing an element per level combination.
+        self._by_levels: dict[tuple[int, ...], np.ndarray] = {}
+        #: :meth:`warm_ancestor`'s answer per target, replaced (not
+        #: cleared, so a lookup racing the change writes into the old one)
+        #: whenever ``_cache`` gains or loses an entry.  Keyed by target
+        #: element, so bounded by ``N_ve`` — ``N_iv`` (Eq 19) for the pure
+        #: targets serving asks for.
+        self._ancestors: dict[ElementId, ElementId | None] = {}
         #: Where the assembled intermediates are packed once updates arrive
         #: (a server packs its result cache's answers here too).
         self.slabs = SlabStore(materialized.shape)
@@ -154,19 +165,51 @@ class RangeQueryEngine:
         """Shape of the cube the engine answers over."""
         return self.materialized.shape
 
-    def warm(self, element: ElementId) -> np.ndarray | None:
-        """The intermediate this engine assembled for ``element``, or ``None``.
+    def warm(self, elements) -> list[np.ndarray | None]:
+        """Per element, the intermediate this engine assembled for it, or
+        ``None``.
 
         A roll-up or aggregated view *is* the range intermediate of its
         level vector (range extraction commutes with ``P1``, PAPER §6), so
-        a caller serving ``element`` may hand this array out as it is:
+        a caller serving an element may hand this array out as it is:
         every burst repairs it in place (:meth:`apply_updates`).  Treat it
-        as read-only.
+        as read-only.  The arrays found are counted once per call.
         """
-        values = self._cache.get(element)
-        if values is not None:
-            self._bound_metrics().served.inc()
-        return values
+        found = list(map(self._cache.get, elements))
+        served = sum(values is not None for values in found)
+        if served:
+            self._bound_metrics().served.inc(served)
+        return found
+
+    def warm_ancestor(
+        self, target: ElementId
+    ) -> tuple[ElementId, np.ndarray] | None:
+        """The smallest warm proper ancestor of ``target`` and its array.
+
+        Every warm array is a pure partial sum, of ``Vol(A) / 2^Σlevels``
+        cells, so the smallest ancestor is the one with the largest level
+        sum; aggregating it down to ``target`` costs ``Vol(ancestor) -
+        Vol(target)`` (Procedure 3's aggregation option, Eq 28, over warm
+        arrays instead of stored ones — SUM is distributive).  The
+        assembly entry points take this method as their ``warm=`` source.
+        ``None`` when nothing warm contains ``target``.
+        """
+        memo = self._ancestors
+        ancestor = memo.get(target, target)
+        if ancestor is target:
+            ancestor = None
+            for element in tuple(self._cache):
+                if (
+                    (ancestor is None or element.volume < ancestor.volume)
+                    and element.contains(target)
+                    and element != target
+                ):
+                    ancestor = element
+            memo[target] = ancestor
+        if ancestor is None:
+            return None
+        values = self._cache.get(ancestor)
+        return None if values is None else (ancestor, values)
 
     def invalidate(self) -> None:
         """Drop on-demand assembled intermediates (after data updates).
@@ -178,6 +221,8 @@ class RangeQueryEngine:
         :meth:`apply_updates`, which repairs the copies in place.
         """
         self._cache.clear()
+        self._by_levels.clear()
+        self._ancestors = {}
 
     def apply_updates(
         self,
@@ -196,9 +241,12 @@ class RangeQueryEngine:
         answers), and one compiled scatter repairs every owner's slots,
         charged one addition per delta and array under each owner's
         label, so the warm cache survives the update.  Stored elements are
-        the owning set's job (:meth:`MaterializedSet.apply_updates`) — the
-        engine's cache never holds them (only elements absent from the set
-        are ever assembled into it), so nothing here is double-patched.
+        the owning set's job (:meth:`MaterializedSet.apply_updates`), and
+        nothing here is double-patched: over a :class:`MaterializedSet`
+        the cache never holds a stored array (only elements absent from
+        the set are assembled into it), and over a ``ShardedSet`` — which
+        holds no global array, so every lookup misses — what it holds,
+        the gathered root included, are gather buffers no shard stores.
 
         Returns the number of arrays patched per owner (slab label).
         """
@@ -310,9 +358,14 @@ class RangeQueryEngine:
     ) -> dict[ElementId, np.ndarray]:
         """Assemble ``missing`` as one shared-plan DAG and cache the results
         (:meth:`MaterializedSet.assemble_batch` — fused cascades, CSE
-        across the levels, buffer-pool reuse) as :meth:`_keep` allows."""
+        across the levels, buffer-pool reuse, and each one that a warm
+        ancestor reaches more cheaply aggregated from it) as :meth:`_keep`
+        allows."""
         assembled = self.materialized.assemble_batch(
-            missing, counter=counter, max_workers=max_workers
+            missing,
+            counter=counter,
+            max_workers=max_workers,
+            warm=self.warm_ancestor,
         )
         self._keep(assembled, mark)
         return assembled
@@ -330,6 +383,8 @@ class RangeQueryEngine:
                 if slabs.active:
                     values = slabs.adopt(element, values, RANGE_PATCH)
                 self._cache[element] = values
+                self._by_levels[tuple(k for k, _ in element.nodes)] = values
+            self._ancestors = {}
 
     def prefetch(
         self,
@@ -395,14 +450,15 @@ class RangeQueryEngine:
         dimension the dyadic blocks are grouped by level (at most two
         cells each), and every combination of levels names one
         intermediate element (:meth:`CubeShape.intermediate`), looked up
-        once — stored (verified on first use; a quarantined one falls
-        through), else assembled earlier, else assembled now, all missing
-        ones as one shared-plan batch — before its ``<= 2**d`` cells are
-        read.  Cells are added in a fixed order: level combinations in
-        ascending lexicographic order, last dimension fastest, and within
-        one intermediate its cells in ascending index order, last
-        dimension fastest.  (Sums of integer-valued cubes do not depend on
-        the order; float cubes get one documented order.)
+        once — assembled earlier (found by its level vector: the engine
+        only assembles what storage lacks), else stored (verified on first
+        use; a quarantined one falls through), else assembled now, all
+        missing ones as one shared-plan batch — before its ``<= 2**d``
+        cells are read.  Cells are added in a fixed order: level
+        combinations in ascending lexicographic order, last dimension
+        fastest, and within one intermediate its cells in ascending index
+        order, last dimension fastest.  (Sums of integer-valued cubes do
+        not depend on the order; float cubes get one documented order.)
 
         Every answer is the sum over one state of the cube: a burst that
         begins while the query reads (the slab sequence moved —
@@ -416,48 +472,57 @@ class RangeQueryEngine:
 
         with span("range.range_sum") as sp:
             own_counter = OpCounter()
-            materialized, cache = self.materialized, self._cache
+            materialized = self.materialized
             intermediate = self.shape.intermediate
             slabs = self.slabs
             metrics = self._bound_metrics()
+            # Per level combination (lexicographic, last dimension fastest)
+            # its level vector and its per-dimension cell indices: the
+            # cells read are their product.
+            combos = list(
+                itertools.product(*[[k for k, _ in dim] for dim in groups])
+            )
+            blocks = list(
+                itertools.product(*[[ix for _, ix in dim] for dim in groups])
+            )
+            cells = math.prod(
+                sum(len(ix) for _, ix in dim) for dim in groups
+            )
             while True:
                 mark = slabs.sequence
-                # ``(element, values | None, cell index tuples)`` per level
-                # combination.  Arrays are looked up per query, so updates,
+                # ``values`` per level combination.  What the engine holds
+                # is found by level vector, with no element resolved (it
+                # only ever assembles what storage lacks); every other
+                # combination resolves its element once — stored, else
+                # missing.  Arrays are looked up per query, so updates,
                 # invalidation and quarantine need no bookkeeping here.
-                reads = []
-                missing = []
-                stored_cells = cells = 0
-                for combo in itertools.product(*groups):
-                    element = intermediate([level for level, _ in combo])
-                    indices = list(
-                        itertools.product(*[ix for _, ix in combo])
-                    )
-                    cells += len(indices)
-                    values = None
+                reads = list(map(self._by_levels.get, combos))
+                missing: dict[int, ElementId] = {}
+                stored_cells = 0
+                for i, values in enumerate(reads):
+                    if values is not None:
+                        continue
+                    element = intermediate(combos[i])
                     if element in materialized:
                         try:
-                            values = materialized.array(element)
+                            reads[i] = materialized.array(element)
                         except KeyError:
                             # Quarantined by first-use verification between
                             # the membership check and the read: not stored.
                             pass
                         else:
-                            stored_cells += len(indices)
-                    if values is None:
-                        values = cache.get(element)
-                        if values is None:
-                            missing.append(element)
-                    reads.append((element, values, indices))
+                            stored_cells += math.prod(map(len, blocks[i]))
+                            continue
+                    missing[i] = element
                 if missing:
                     if not self.assemble_missing:
+                        first = next(iter(missing.values()))
                         raise KeyError(
-                            f"intermediate element {missing[0]!r} is not "
-                            "materialized"
+                            f"intermediate element {first!r} is not materialized"
                         )
                     try:
                         assembled = self._assemble_missing(
-                            missing, own_counter, mark
+                            list(missing.values()), own_counter, mark
                         )
                     except TransientFault:
                         # A shared-plan batch is all-or-nothing and rolls
@@ -467,18 +532,20 @@ class RangeQueryEngine:
                         # (with its own fault exposure, which the caller's
                         # retry policy handles).
                         assembled = {}
-                        for element in missing:
+                        for element in missing.values():
                             assembled[element] = materialized.assemble(
-                                element, counter=own_counter
+                                element,
+                                counter=own_counter,
+                                warm=self.warm_ancestor,
                             )
                             self._keep({element: assembled[element]}, mark)
+                    for i, element in missing.items():
+                        reads[i] = assembled[element]
                     metrics.assembled.inc(len(missing))
                 total = 0.0
-                for element, values, indices in reads:
-                    if values is None:
-                        values = assembled[element]
+                for values, block in zip(reads, blocks):
                     item = values.item
-                    for cell in indices:
+                    for cell in itertools.product(*block):
                         total += item(cell)
                 if slabs.settled(mark):
                     break

@@ -21,10 +21,10 @@ metrics declared once at construction.
   triple; query, reconfiguration and update paths run with it activated,
   so the ambient instrumentation in ``repro.core`` lands in the server's
   own registry.  ``python -m repro stats`` renders it with :meth:`health`.
-- **Result cache** — assembled views and roll-ups live in a bounded LRU
-  keyed by ``(ElementId, selection epoch)``; a miss the range engine holds
-  as an intermediate is served from there.  :meth:`reconfigure` bumps the
-  epoch; updates *patch* warm answers in place (see ``_propagate_updates``).
+- **Result cache** — the range engine's intermediates first, then a bounded
+  LRU keyed by ``(ElementId, selection epoch)``; a miss aggregates its
+  smallest warm ancestor where that is cheaper than storage.
+  :meth:`reconfigure` bumps the epoch; updates *patch* warm answers in place.
 - **Resilience** — ``(materialized, range_engine, epoch, cache)`` live in
   one immutable :class:`_ServingState` swapped in a single assignment, so
   a query sees one selection, never a mix.  Admission control, deadlines,
@@ -220,9 +220,11 @@ class _Serve:
             if server._admission is not None:
                 server._acquire_slot(kind)
                 self._admitted = True
-            deadline = server._deadline_for(self.deadline_ms)
-            if deadline is not None:
-                self._deadline = deadline_scope(deadline)
+            ms = self.deadline_ms
+            if ms is None:
+                ms = server.default_deadline_ms
+            if ms is not None:
+                self._deadline = deadline_scope(Deadline.after(ms / 1e3))
                 self._deadline.__enter__()
             self._open_span = span(self._span_name)
             self._span = self._open_span.__enter__()
@@ -640,13 +642,6 @@ class OLAPServer:
             )
         self._m.in_flight.inc(1)
 
-    def _deadline_for(self, deadline_ms: float | None) -> Deadline | None:
-        if deadline_ms is None:
-            deadline_ms = self.default_deadline_ms
-        if deadline_ms is None:
-            return None
-        return Deadline.after(deadline_ms / 1e3)
-
     def _retry(self, attempt, counter: OpCounter, *, fatal: bool = True):
         """:func:`retry_transient` on this server's budget, with telemetry.
 
@@ -684,8 +679,10 @@ class OLAPServer:
         materialized: MaterializedSet,
         element: ElementId,
         counter: OpCounter,
+        warm=None,
     ) -> np.ndarray:
-        """Assemble one element with retries and base-cube degradation.
+        """Assemble one element (from a ``warm`` ancestor where cheaper)
+        with retries and base-cube degradation.
 
         A quarantine-induced incomplete set falls back to the perfect
         reconstruction route from the base cube (bit-identical for the
@@ -693,7 +690,7 @@ class OLAPServer:
         counter, like the retry loop's, is merged only once it served."""
         try:
             return self._retry(
-                lambda scratch: materialized.assemble(element, counter=scratch),
+                lambda s: materialized.assemble(element, counter=s, warm=warm),
                 counter,
             )
         except IncompleteSetError:
@@ -709,12 +706,12 @@ class OLAPServer:
 
     def _assemble_batch_resilient(
         self,
-        materialized: MaterializedSet,
+        state: _ServingState,
         missing: Sequence[ElementId],
         counter: OpCounter,
         max_workers: int,
     ) -> dict[ElementId, np.ndarray]:
-        """Batch analogue of :meth:`_assemble_resilient`.
+        """Batch analogue of :meth:`_assemble_resilient` over ``state``.
 
         A shared-plan execution is all-or-nothing, and retrying the whole
         batch re-rolls every node's fault dice — under a per-node fault
@@ -723,10 +720,11 @@ class OLAPServer:
         set went incomplete mid-plan), recovery proceeds per element, where
         each target gets its own independent retry/degradation budget.
         """
+        materialized, warm = state.materialized, state.range_engine.warm_ancestor
         try:
             return self._retry(
                 lambda scratch: materialized.assemble_batch(
-                    missing, counter=scratch, max_workers=max_workers
+                    missing, counter=scratch, max_workers=max_workers, warm=warm
                 ),
                 counter,
                 fatal=False,
@@ -737,8 +735,8 @@ class OLAPServer:
             if not self.degrade_to_base:
                 raise
         return {
-            element: self._assemble_resilient(materialized, element, counter)
-            for element in dict.fromkeys(missing)
+            e: self._assemble_resilient(materialized, e, counter, warm)
+            for e in dict.fromkeys(missing)
         }
 
     # ------------------------------------------------------------------
@@ -813,19 +811,21 @@ class OLAPServer:
         elements = [rollup_element(self.cube, levels) for levels in levels_list]
         return self._serve_batch(elements, "rollup", max_workers, deadline_ms)
 
-    def _cache_get(self, state: _ServingState, element: ElementId):
-        """The warm answer for ``element``: the result cache's, else the
-        range engine's intermediate (a roll-up or view is one, PAPER §6),
-        served as it is and never cached twice.  ``None`` on a miss; a
-        cache fault degrades the lookup to one."""
-        key = (element, state.epoch)
-        try:
-            fault_point("server.cache_lookup", key=key)
-            values = state.cache.get(key)
-        except TransientFault:
-            self._m.cache_bypass.inc()
-            return None
-        return state.range_engine.warm(element) if values is None else values
+    def _cache_get(self, state: _ServingState, elements) -> list:
+        """Per element, its warm answer or ``None``: the range engine's
+        intermediate (a roll-up or view is one, PAPER §6; a cached copy
+        holds the same bytes), never cached twice; else the result cache's,
+        where a cache fault degrades the lookup to a miss."""
+        answers = state.range_engine.warm(elements)
+        for i, values in enumerate(answers):
+            if values is None:
+                key = (elements[i], state.epoch)
+                try:
+                    fault_point("server.cache_lookup", key=key)
+                    answers[i] = state.cache.get(key)
+                except TransientFault:
+                    self._m.cache_bypass.inc()
+        return answers
 
     def _admit(
         self,
@@ -891,13 +891,14 @@ class OLAPServer:
             element=element.describe(),
         ) as call:
             state = call.state
-            values = self._cache_get(state, element)
+            values = self._cache_get(state, (element,))[0]
             if values is not None:
                 call.attrs["cache"] = "hit"
                 return values
-            mark = state.range_engine.slabs.sequence
+            engine = state.range_engine
+            mark = engine.slabs.sequence
             values = self._assemble_resilient(
-                state.materialized, element, call.counter
+                state.materialized, element, call.counter, engine.warm_ancestor
             )
             call.attrs["cache"] = "miss"
             return self._admit(state, mark, {element: values})[element]
@@ -927,15 +928,14 @@ class OLAPServer:
             requests=len(elements),
         ) as call:
             state = call.state
-            answers = {
-                e: self._cache_get(state, e) for e in dict.fromkeys(elements)
-            }
+            distinct = list(dict.fromkeys(elements))
+            answers = dict(zip(distinct, self._cache_get(state, distinct)))
             missing = [e for e, values in answers.items() if values is None]
             hits = len(answers) - len(missing)
             if missing:
                 mark = state.range_engine.slabs.sequence
                 assembled = self._assemble_batch_resilient(
-                    state.materialized, missing, call.counter, max_workers
+                    state, missing, call.counter, max_workers
                 )
                 answers.update(self._admit(state, mark, assembled))
             self._m.batches_of[kind].inc()

@@ -28,8 +28,13 @@ A batch is served in three phases:
    assembly on any axis, for float data on the last-dimension axis
    (canonical step order is preserved).
 
+A target the caller's warm arrays reach more cheaply than storage does
+(``warm=``) skips all three: it is aggregated from its smallest warm
+ancestor on the whole array, as :class:`MaterializedSet` does.
+
 Fault sites: ``materialize.assemble`` fires once per shard leg (with a
-``shard=`` context), ``exec.compute_node`` fires per DAG node per shard
+``shard=`` context) and once before the warm derivations of a batch,
+``exec.compute_node`` fires per DAG node per shard
 inside the executors, ``materialize.store`` fires per shard store, and
 ``shard.gather`` fires once per gathered target.  Deadlines are checked
 at scatter entry, inside every executor, and before the gather.
@@ -54,8 +59,14 @@ from ..core.delta import DeltaBatch
 from ..core.element import CubeShape, ElementId
 from ..core.exec import PlanCache, execute_plan
 from ..core.kernels import POOL_MIN_CELLS, BufferPool, fused_cascade
-from ..core.materialize import MaterializedSet, compute_element
+from ..core.materialize import (
+    MaterializedSet,
+    compute_element,
+    derive,
+    warm_routes,
+)
 from ..core.operators import OpCounter
+from ..core.select_redundant import generation_cost
 from ..errors import IncompleteSetError, TransientFault
 from ..obs import current_registry, log_event, span
 from ..resilience import check_deadline, fault_point, retry_transient
@@ -105,6 +116,9 @@ class ShardedSet:
         #: already-seen signature are a merge of routes already resolved.
         #: Cleared with the plan cache whenever shard storage changes.
         self._cost_memos: dict[frozenset, tuple[tuple, dict]] = {}
+        #: Procedure 3 prices over the *global* elements (:meth:`_price`),
+        #: replaced whenever they change.
+        self._global_memo: dict = {}
         self._plan_lock = threading.Lock()
         self.last_scatter_stats: dict = {}
 
@@ -229,6 +243,7 @@ class ShardedSet:
         with self._plan_lock:
             self._plan_cache.clear()
             self._cost_memos.clear()
+            self._global_memo = {}
 
     def apply_updates(
         self,
@@ -269,9 +284,21 @@ class ShardedSet:
     # Assembly: scatter–gather
 
     def assemble(
-        self, target: ElementId, counter: OpCounter | None = None
+        self, target: ElementId, counter: OpCounter | None = None, warm=None
     ) -> np.ndarray:
-        return self.assemble_batch([target], counter=counter)[target]
+        return self.assemble_batch([target], counter=counter, warm=warm)[target]
+
+    def _price(self, target: ElementId) -> float:
+        """Procedure 3 price of ``target`` over the global elements.
+
+        Memoized until the stored set changes; an infeasibility verdict is
+        only trusted from a fresh memo (a price racing a store may land in
+        the old one)."""
+        stored = tuple(self._stored)
+        cost = generation_cost(target, stored, _memo=self._global_memo)
+        if cost == float("inf"):
+            cost = generation_cost(target, stored, _memo={})
+        return cost
 
     def assemble_batch(
         self,
@@ -279,11 +306,17 @@ class ShardedSet:
         counter: OpCounter | None = None,
         max_workers: int = 1,
         cost_memo: dict | None = None,
+        warm=None,
     ) -> dict[ElementId, np.ndarray]:
         """Scatter the batch to every shard, merge the partials exactly.
 
         Legs write into slabs of buffers taken before the scatter, so an
-        answer never aliases a stored array, on any shard count."""
+        answer never aliases a stored array, on any shard count.  A target
+        that its smallest ``warm`` ancestor (a global array,
+        :func:`~repro.core.materialize.warm_routes`) reaches more cheaply
+        than its stored route over the global elements is aggregated from
+        it in one cascade, after the ``materialize.assemble`` fault site
+        and a deadline check; only the rest are scattered."""
         ordered = list(dict.fromkeys(targets))
         if not ordered:
             return {}
@@ -293,6 +326,20 @@ class ShardedSet:
                     "assemble_batch target from a different cube shape"
                 )
         check_deadline("shard.scatter")
+        chosen = warm_routes(ordered, warm, self._price)
+        results: dict[ElementId, np.ndarray] = {}
+        if chosen:
+            fault_point("materialize.assemble", batch=len(chosen))
+            check_deadline("materialize.assemble")
+            own = counter if counter is not None else OpCounter()
+            results = derive(chosen, own, self._pool)
+            ordered = [t for t in ordered if t not in chosen]
+        if ordered:
+            results.update(self._scatter_gather(ordered, counter, max_workers))
+        return results
+
+    def _scatter_gather(self, ordered, counter, max_workers):
+        """Plan, scatter and gather ``ordered`` (distinct global targets)."""
         local_of = {t: self.partition.project(t) for t in ordered}
         s_count = self.num_shards
         # Gathered elements and local targets correspond one to one.
@@ -561,6 +608,7 @@ class ShardedSet:
         with self._plan_lock:
             self._plan_cache.clear()
             self._cost_memos.clear()
+            self._global_memo = {}
 
     # ------------------------------------------------------------------
     # Durability
@@ -596,6 +644,7 @@ class ShardedSet:
         with self._plan_lock:
             self._plan_cache.clear()
             self._cost_memos.clear()
+            self._global_memo = {}
 
     def _local_assemble_resilient(
         self, source: "ShardedSet", s: int, local: ElementId, counter: OpCounter
