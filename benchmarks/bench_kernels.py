@@ -4,17 +4,18 @@ Measures the two layers the fused-kernel work touches:
 
 - ``cascade``: one ``P1``/``R1`` chain run step-by-step through the
   :mod:`repro.core.operators` functions vs one :func:`~repro.core.kernels.
-  fused_cascade` call against a warm :class:`~repro.core.kernels.BufferPool`
-  — dispatch/allocation overhead only, the arithmetic is bit-identical.
+  fused_cascade` call — dispatch overhead only, the arithmetic is
+  bit-identical.
 - ``batch`` workloads: the full serving path (every ``2^d`` group-by view of
-  a star-schema cube).  Sequential per-target assembly is the PR3 baseline;
+  a star-schema cube).  Sequential per-target assembly is the baseline;
   against it we run the unfused DAG, the fused DAG, and the cost-aware
-  executor at 1/2/4 workers.  ``tracemalloc`` peaks and buffer-pool
-  hit/miss deltas quantify the drop in temporary allocations.
+  executor at 1/2/4 workers.  ``tracemalloc`` peaks show the temporaries
+  each path holds at once.
 
-Wall time is min-of-N steady-state serving (plan cache warm, buffer pool
-warm); scalar operations are exact (:class:`OpCounter`).  Every strategy's
-answers are asserted byte-identical to the sequential baseline.
+Wall time is min-of-N steady-state serving (plan cache warm, allocator
+pinned by :class:`~repro.core.materialize.MaterializedSet`); scalar
+operations are exact (:class:`OpCounter`).  Every strategy's answers are
+asserted byte-identical to the sequential baseline.
 
 Runs standalone (writes ``BENCH_kernels.json``)::
 
@@ -38,15 +39,14 @@ from _gates import REGRESSION_FACTOR, build_parser, finish, ratio_regressed
 
 from repro.core.element import CubeShape
 from repro.core.exec import execute_plan, plan_batch
-from repro.core.kernels import POOL_MIN_CELLS, BufferPool, fused_cascade
+from repro.core.kernels import fused_cascade
 from repro.core.materialize import MaterializedSet
 from repro.core.operators import OpCounter, partial_residual, partial_sum
 
 WORKERS = (2, 4)
 
 #: A mixed P1/R1 chain over a 2-d cube — the shape every cascade section uses,
-#: so ``--compare`` matches the section across reports.  Large enough that
-#: every interior clears the pool's engagement floor.
+#: so ``--compare`` matches the section across reports.
 CASCADE_SHAPE = (1024, 1024)
 CASCADE_STEPS = (
     (0, False),
@@ -109,28 +109,16 @@ def measure_cascade(repeats: int) -> dict:
             )
         return cur
 
-    pool = BufferPool(min_cells=POOL_MIN_CELLS)
-
     def fused():
-        out = fused_cascade(a, CASCADE_STEPS, pool=pool)
-        pool.give(out)  # steady state: the consumer recycles the result
-        return out
+        return fused_cascade(a, CASCADE_STEPS)
 
     expected = step_by_step()
-    got = fused_cascade(a, CASCADE_STEPS, pool=pool)
-    assert got.tobytes() == expected.tobytes(), "fused cascade not bit-identical"
-    pool.give(got)
+    assert fused().tobytes() == expected.tobytes(), "fused cascade not bit-identical"
 
-    fused()  # warm the pool: every interior shape is now resident
     step_wall = _best_wall(step_by_step, repeats)
     fused_wall = _best_wall(fused, repeats)
-    # Allocation footprint of ONE call: the step path allocates every
-    # interior; the warm fused path draws them all from the pool.
     step_peak = _traced_peak(step_by_step)
     fused_peak = _traced_peak(fused)
-    before = pool.stats()
-    fused()
-    after = pool.stats()
 
     return {
         "shape": list(CASCADE_SHAPE),
@@ -139,16 +127,12 @@ def measure_cascade(repeats: int) -> dict:
         "step_by_step": {
             "wall_ms": step_wall * 1e3,
             "peak_bytes": step_peak,
-            "allocations": len(CASCADE_STEPS),
         },
-        "fused_warm_pool": {
+        "fused": {
             "wall_ms": fused_wall * 1e3,
             "peak_bytes": fused_peak,
-            "allocations": after["misses"] - before["misses"],
-            "pool_hits_per_call": after["hits"] - before["hits"],
         },
         "wall_speedup": step_wall / fused_wall,
-        "peak_bytes_drop": step_peak - fused_peak,
     }
 
 
@@ -175,8 +159,8 @@ def star_schema_workload(small: bool):
 
 
 def dense_cube_workload(small: bool):
-    """A cube whose interior temporaries clear the pool engagement floor —
-    the workload where buffer recycling (not just fusion) is measurable."""
+    """A cube whose interior temporaries are large enough that holding
+    fewer of them at once (not just fusion) is measurable."""
     sizes = (32, 32, 8) if small else (64, 64, 16)
     shape = CubeShape(sizes)
     ms = MaterializedSet(shape)
@@ -203,14 +187,10 @@ def measure_batch(name, ms, targets, repeats: int) -> dict:
     arrays = {e: ms.array(e) for e in ms.elements}
     plan_unfused = plan_batch(targets, ms.elements, fuse=False)
     plan_fused = plan_batch(targets, ms.elements)
-    exec_pool = BufferPool(min_cells=POOL_MIN_CELLS)
 
     def run_plan(plan):
         counter = OpCounter()
-        return (
-            execute_plan(plan, arrays, counter=counter, pool=exec_pool),
-            counter,
-        )
+        return execute_plan(plan, arrays, counter=counter), counter
 
     unfused_values, unfused_counter = run_plan(plan_unfused)
     fused_values, fused_counter = run_plan(plan_fused)
@@ -246,7 +226,7 @@ def measure_batch(name, ms, targets, repeats: int) -> dict:
         "fusion_dispatch_speedup": unfused_wall / fused_wall,
     }
 
-    # Serving path (plan cache + shared buffer pool) at 1/2/4 workers.
+    # Serving path (plan cache) at 1/2/4 workers.
     for label, workers in [("fused_1_worker", 1)] + [
         (f"fused_{w}_workers", w) for w in WORKERS
     ]:
@@ -269,16 +249,7 @@ def measure_batch(name, ms, targets, repeats: int) -> dict:
             "wall_ms": wall * 1e3,
         }
         if workers == 1:
-            pool_before = ms.pool_stats()
-            peak = _traced_peak(serve)
-            pool_after = ms.pool_stats()
-            entry["peak_bytes_warm"] = peak
-            entry["pool_hits_per_batch"] = (
-                pool_after["hits"] - pool_before["hits"]
-            )
-            entry["pool_misses_per_batch"] = (
-                pool_after["misses"] - pool_before["misses"]
-            )
+            entry["peak_bytes_warm"] = _traced_peak(serve)
         result[label] = entry
 
     one = result["fused_1_worker"]
@@ -326,26 +297,19 @@ def run(small: bool = False, repeats: int | None = None) -> dict:
 #: gets a smoke threshold.
 SPEEDUP_FLOOR = {"star_schema": 3.0, "star_schema_small": 1.5}
 
-#: Workloads whose temporaries clear POOL_MIN_CELLS — only these can be
-#: gated on buffer-pool recycling; the star shapes are below the floor by
-#: design (the allocator serves them faster than the pool would).
-POOL_GATED = ("dense_cube", "dense_cube_small")
-
+#: Workloads whose temporaries are large enough for the shared plan's
+#: early release to show in the traced peak; the star shapes' are a few
+#: hundred bytes, below tracemalloc's noise.
+PEAK_GATED = ("dense_cube", "dense_cube_small")
 
 def check(report: dict) -> None:
-    """Smoke gates: fused must win, pool must recycle, threads must not lose."""
+    """Smoke gates: fused must win, threads must not lose."""
     cascade = report["cascade"]
     assert cascade["bit_identical"]
-    assert cascade["fused_warm_pool"]["allocations"] == 0, (
-        "warm fused cascade must be allocation-free"
-    )
     # The chain is memory-bandwidth-bound, so fused wall tracks step-by-step
-    # (the win is allocations, not arithmetic); gate on "did not regress".
+    # (the win is dispatch, not arithmetic); gate on "did not regress".
     assert cascade["wall_speedup"] > 0.8, (
         f"fused cascade regressed vs step-by-step: {cascade['wall_speedup']:.2f}x"
-    )
-    assert cascade["peak_bytes_drop"] > 0, (
-        "warm fused cascade must allocate fewer peak bytes than step-by-step"
     )
     for wl in report["batches"]:
         floor = SPEEDUP_FLOOR.get(wl["name"], 1.0)
@@ -364,10 +328,7 @@ def check(report: dict) -> None:
         assert wl["fused_exec"]["operations"] == wl["unfused_exec"]["operations"], (
             f"{wl['name']}: fusion changed the op count"
         )
-        if wl["name"] in POOL_GATED:
-            assert wl["fused_1_worker"]["pool_hits_per_batch"] > 0, (
-                f"{wl['name']}: buffer pool never recycled an allocation"
-            )
+        if wl["name"] in PEAK_GATED:
             assert wl["peak_temp_bytes_saved"] > 0, (
                 f"{wl['name']}: warm fused batch did not reduce peak allocations"
             )
@@ -418,9 +379,8 @@ def render(report: dict) -> str:
     lines = [
         f"cascade {tuple(cascade['shape'])} x{cascade['steps']} steps: "
         f"step-by-step {cascade['step_by_step']['wall_ms']:.4f} ms | "
-        f"fused {cascade['fused_warm_pool']['wall_ms']:.4f} ms "
-        f"({cascade['wall_speedup']:.2f}x, "
-        f"{cascade['fused_warm_pool']['allocations']} allocs/call)"
+        f"fused {cascade['fused']['wall_ms']:.4f} ms "
+        f"({cascade['wall_speedup']:.2f}x)"
     ]
     for wl in report["batches"]:
         lines.append(
@@ -458,11 +418,8 @@ def test_fused_kernels_small(benchmark):
     check(report)
 
 
-def test_fused_cascade_warm_pool_is_allocation_free():
-    cascade = measure_cascade(repeats=20)
-    assert cascade["bit_identical"]
-    assert cascade["fused_warm_pool"]["allocations"] == 0
-    assert cascade["fused_warm_pool"]["pool_hits_per_call"] == len(CASCADE_STEPS)
+def test_fused_cascade_is_bit_identical():
+    assert measure_cascade(repeats=3)["bit_identical"]
 
 
 if __name__ == "__main__":  # pragma: no cover - CLI entry

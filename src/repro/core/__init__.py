@@ -43,8 +43,6 @@ from .frequency import (
 )
 from .graph import ViewElementGraph
 from .kernels import (
-    POOL_MIN_CELLS,
-    BufferPool,
     canonical_steps,
     fused_aggregate,
     fused_cascade,
@@ -85,9 +83,7 @@ __all__ = [
     "AssemblyPlan",
     "BasisSelection",
     "BatchPlan",
-    "BufferPool",
     "DISPATCH_THRESHOLD",
-    "POOL_MIN_CELLS",
     "PlanNode",
     "canonical_steps",
     "execute_plan",

@@ -23,8 +23,8 @@ done at the granularity at which it repeats:
   (Eqs 6-9): a maximal run of single-consumer ``P1``/``R1`` step nodes is
   mathematically one block reduction, so it collapses into a single
   ``"fused"`` node executed by :func:`repro.core.kernels.fused_cascade` —
-  one kernel call instead of a chain of dispatches, with interior
-  temporaries ping-ponged through the buffer pool.  Shared interiors
+  one kernel call instead of a chain of dispatches, each interior freed
+  once the next step has read it.  Shared interiors
   (more than one consumer) and interiors that are themselves batch targets
   stay as explicit nodes, so CSE sharing and the result surface are
   unchanged; the fused node's modeled cost is exactly the sum of the
@@ -37,9 +37,10 @@ done at the granularity at which it repeats:
   the result — per element for single targets, least-recently-used for
   target sets.
 - **Per run** — :func:`execute_plan` drives the program over a list of
-  slots.  Temporaries are released after their last reader — into a
-  :class:`~repro.core.kernels.BufferPool`, so interior arrays are recycled
-  as ``out=`` buffers instead of reallocated per node.  Dispatch is
+  slots.  A temporary's slot is cleared after its last reader has run, so
+  the array goes back to the allocator at once (the pinned glibc heap of
+  :func:`~repro.core.kernels.pin_allocator_thresholds` keeps it resident
+  for the next node's output).  Dispatch is
   **cost-aware**: nodes below :data:`DISPATCH_THRESHOLD` modeled operations
   run inline on the scheduler thread (a pool round-trip costs more than a
   tiny GIL-bound reduction saves), larger ready nodes run concurrently on a
@@ -87,7 +88,7 @@ from ..obs import current_registry, current_tracer, span
 from ..resilience.deadline import check_deadline, current_deadline
 from ..resilience.faults import fault_point
 from .element import ElementId
-from .kernels import POOL_MIN_CELLS, BufferPool, fused_cascade
+from .kernels import fused_cascade
 from .operators import OpCounter, partial_residual, partial_sum, synthesize
 from .planning import route_table
 from .select_redundant import priced_states
@@ -163,8 +164,6 @@ class Instruction(NamedTuple):
     #: ``stored``: the element to read; ``step``: ``(dim, residual?)``;
     #: ``fused``: the step sequence; ``synthesize``: the dimension.
     arg: object
-    #: Output shape, for the kernels that are handed an ``out=`` buffer.
-    shape: tuple[int, ...] | None
     #: Recyclable slots nothing later in program order reads.
     release: tuple[int, ...]
     cost: int
@@ -240,7 +239,7 @@ class BatchPlan:
                 refcounts[slot] = 0
                 stored_reads.append(element)
                 program.append(
-                    Instruction(kind, slot, inputs, element, None, (), 0, element, None)
+                    Instruction(kind, slot, inputs, element, (), 0, element, None)
                 )
                 continue
             if refcounts[slot]:
@@ -252,11 +251,11 @@ class BatchPlan:
             if cost > largest:
                 largest = cost
             if kind == "fused":
-                arg, shape = node.steps, None
+                arg = node.steps
             elif kind == "step":
-                arg, shape = (node.dim, node.residual), element.data_shape
+                arg = (node.dim, node.residual)
             else:
-                arg, shape = node.dim, element.data_shape
+                arg = node.dim
             attrs = {
                 "element": element.describe(),
                 "kind": kind,
@@ -264,7 +263,7 @@ class BatchPlan:
             }
             program.append(
                 Instruction(
-                    kind, slot, inputs, arg, shape, tuple(release[slot]), cost,
+                    kind, slot, inputs, arg, tuple(release[slot]), cost,
                     element, attrs,
                 )
             )
@@ -566,10 +565,9 @@ def _compute_node(
     ins: Instruction,
     slots: list,
     counter: OpCounter,
-    pool: BufferPool,
     dst: np.ndarray | None,
 ) -> np.ndarray:
-    """Compute one non-stored instruction, output buffers from the pool.
+    """Compute one non-stored instruction, into ``dst`` when it can.
 
     The chaos fault site fires exactly once per non-stored node — a fused
     cascade is *one* node, so fusing a chain replaces its per-step site
@@ -582,15 +580,14 @@ def _compute_node(
     op = ins.op
     values = slots[ins.inputs[0]]
     if op == "fused":
-        return fused_cascade(values, ins.arg, counter=counter, pool=pool, out=dst)
+        return fused_cascade(values, ins.arg, counter=counter, out=dst)
     if op == "step":
         dim, residual = ins.arg
-        out = dst if dst is not None else pool.take(ins.shape, values.dtype)
         if residual:
-            return partial_residual(values, dim, counter=counter, out=out)
-        return partial_sum(values, dim, counter=counter, out=out)
-    if dst is None or not dst.flags.c_contiguous:
-        dst = pool.take(ins.shape, np.float64)
+            return partial_residual(values, dim, counter=counter, out=dst)
+        return partial_sum(values, dim, counter=counter, out=dst)
+    if dst is not None and not dst.flags.c_contiguous:
+        dst = None  # synthesis writes C-order; the caller copies it in
     return synthesize(
         values, slots[ins.inputs[1]], ins.arg, counter=counter, out=dst
     )
@@ -601,7 +598,6 @@ def _run_node(
     slots: list,
     arrays: Mapping[ElementId, np.ndarray],
     counter: OpCounter,
-    buf_pool: BufferPool,
     tracer,
 ) -> np.ndarray:
     """Run one instruction, inside an ``exec.node`` span when tracing.
@@ -619,17 +615,15 @@ def _run_node(
     if ins.op == "stored":
         values = arrays[ins.arg]
     elif tracer is None:
-        values = _compute_node(ins, slots, counter, buf_pool, dst)
+        values = _compute_node(ins, slots, counter, dst)
     else:
         with tracer.span("exec.node", **ins.attrs) as sp:
             before = counter.total
-            values = _compute_node(ins, slots, counter, buf_pool, dst)
+            values = _compute_node(ins, slots, counter, dst)
             sp.set(operations=counter.total - before)
     if dst is None or values is dst:
         return values
     np.copyto(dst, values)
-    if ins.op != "stored":
-        buf_pool.give(values)
     return dst
 
 
@@ -640,7 +634,6 @@ def execute_plan(
     max_workers: int = 1,
     *,
     dispatch_threshold: int | None = None,
-    pool: BufferPool | None = None,
     stats: dict | None = None,
     span_attrs: dict | None = None,
     out: Mapping[ElementId, np.ndarray] | None = None,
@@ -667,18 +660,15 @@ def execute_plan(
     in the metrics registry, and in ``stats`` when a dict is supplied.
 
     Non-target temporaries are freed as soon as their last consumer has
-    run — into ``pool`` (a fresh :class:`BufferPool` with the
-    :data:`~repro.core.kernels.POOL_MIN_CELLS` floor when none is given),
-    so later nodes reuse them as ``out=`` buffers instead of allocating.
-    Other stored targets are returned by reference, exactly like
-    :meth:`MaterializedSet.assemble` (treat results as read-only).
+    run: the run drops its only reference, and the allocator reuses the
+    memory for later nodes.  Other stored targets are returned by
+    reference, exactly like :meth:`MaterializedSet.assemble` (treat
+    results as read-only).
     """
     own = counter if counter is not None else OpCounter()
     threshold = (
         DISPATCH_THRESHOLD if dispatch_threshold is None else dispatch_threshold
     )
-    if pool is None:
-        pool = BufferPool(min_cells=POOL_MIN_CELLS)
     slots: list = [None] * len(plan.program)
     if out:
         for target, slot in zip(plan.targets, plan.target_slots):
@@ -697,10 +687,10 @@ def execute_plan(
     ) as sp:
         start = time.perf_counter()
         if max_workers <= 1:
-            busy = _execute_serial(plan, arrays, own, pool, slots)
+            busy = _execute_serial(plan, arrays, own, slots)
         else:
             busy = _execute_pooled(
-                plan, arrays, own, max_workers, pool, threshold, slots
+                plan, arrays, own, max_workers, threshold, slots
             )
         wall = time.perf_counter() - start
         utilization = (
@@ -734,7 +724,6 @@ def execute_plan(
         }
         if stats is not None:
             stats.update(decision)
-            stats["buffer_pool"] = pool.stats()
         sp.set(
             operations=own.total,
             exec_ms=wall * 1e3,
@@ -751,7 +740,6 @@ def _execute_serial(
     plan: BatchPlan,
     arrays: Mapping[ElementId, np.ndarray],
     counter: OpCounter,
-    buf_pool: BufferPool,
     slots: list,
 ) -> float:
     """The program, top to bottom, on the calling thread, into ``slots``."""
@@ -760,13 +748,11 @@ def _execute_serial(
     for ins in plan.program:
         check_deadline("exec.serial")
         t0 = time.perf_counter()
-        slots[ins.out] = _run_node(ins, slots, arrays, counter, buf_pool, tracer)
+        slots[ins.out] = _run_node(ins, slots, arrays, counter, tracer)
         busy += time.perf_counter() - t0
         for slot in ins.release:
-            # A released interior is a fresh, single-owner buffer (stored
-            # reads are aliases into ``arrays`` and never released), so it
-            # can back a later node's ``out=``.
-            buf_pool.give(slots[slot])
+            # The run's only reference to a released interior: clearing it
+            # frees the array before the next node allocates.
             slots[slot] = None
     return busy
 
@@ -776,7 +762,6 @@ def _execute_pooled(
     arrays: Mapping[ElementId, np.ndarray],
     counter: OpCounter,
     max_workers: int,
-    buf_pool: BufferPool,
     threshold: int,
     slots: list,
 ) -> float:
@@ -786,7 +771,7 @@ def _execute_pooled(
 
     The same program as :func:`_execute_serial`, run in completion order:
     what is ready comes from the plan's ``pending`` / ``dependents``
-    tables, and a slot is recycled when its ``refcounts`` entry runs out
+    tables, and a slot is cleared when its ``refcounts`` entry runs out
     rather than at a fixed instruction.
 
     Dispatch is cost-aware: only nodes whose modeled cost reaches
@@ -808,17 +793,15 @@ def _execute_pooled(
     busy = 0.0
     deadline = current_deadline()
 
-    def complete(slot: int, out, local: OpCounter, elapsed: float) -> None:
+    def complete(slot: int, local: OpCounter, elapsed: float) -> None:
         nonlocal busy
-        slots[slot] = out
         busy += elapsed
         counter.merge(local)
         for dep in program[slot].inputs:
             remaining[dep] -= 1
             if remaining[dep] == 0:
-                # Safe to recycle: every consumer has finished, so no
-                # worker can still be reading the buffer.
-                buf_pool.give(slots[dep])
+                # Every consumer has finished, so no worker can still be
+                # reading the buffer: drop the run's reference.
                 slots[dep] = None
         for consumer in dependents[slot]:
             pending[consumer] -= 1
@@ -826,15 +809,17 @@ def _execute_pooled(
                 ready.append(consumer)
 
     def work(slot: int):
+        # The node fills its own slot, so no future's result holds an
+        # array past the release in ``complete``.
         local = OpCounter()
         t0 = time.perf_counter()
         try:
-            out = _run_node(program[slot], slots, arrays, local, buf_pool, tracer)
+            slots[slot] = _run_node(program[slot], slots, arrays, local, tracer)
         except BaseException as exc:
             # Keep the partial counter reachable for the drain path.
             exc.partial_counter = local  # type: ignore[attr-defined]
             raise
-        return slot, out, local, time.perf_counter() - t0
+        return slot, local, time.perf_counter() - t0
 
     futures: set = set()
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
@@ -877,7 +862,7 @@ def _execute_pooled(
                 failure: BaseException | None = None
                 for future in done:
                     try:
-                        slot, out, local, elapsed = future.result()
+                        slot, local, elapsed = future.result()
                     except BaseException as exc:
                         partial = getattr(exc, "partial_counter", None)
                         if partial is not None:
@@ -885,7 +870,7 @@ def _execute_pooled(
                         if failure is None:
                             failure = exc
                         continue
-                    complete(slot, out, local, elapsed)
+                    complete(slot, local, elapsed)
                 if failure is not None:
                     raise failure
         except BaseException:
@@ -897,7 +882,7 @@ def _execute_pooled(
                     continue
                 exc = future.exception()
                 if exc is None:
-                    _, _, local, elapsed = future.result()
+                    _, local, elapsed = future.result()
                     busy += elapsed
                     counter.merge(local)
                 else:

@@ -1,4 +1,4 @@
-"""Fused Haar cascade kernels and the executor's buffer pool.
+"""Fused Haar cascade kernels and the allocator pin they rely on.
 
 The paper's distributivity property (Property 2, Eqs 6-9) says a cascade of
 ``P1`` steps *is* the higher-order partial aggregation ``Pk`` — the chain is
@@ -11,13 +11,19 @@ time for the cell counts real cube workloads produce.
 This module collapses a whole ``P1``/``R1`` chain into one kernel call:
 
 - :func:`fused_cascade` runs an arbitrary step sequence with exactly one
-  ufunc call per step over even/odd strided views, ping-ponging interior
-  temporaries through a :class:`BufferPool` so a k-step cascade allocates
-  at most one array beyond its output.
+  ufunc call per step over even/odd strided views; each interior is freed
+  as soon as the next step has read it, so a k-step cascade holds at most
+  two arrays at once.
 - :func:`fused_partial_sum_k` / :func:`fused_aggregate` are the ``Pk`` and
   multi-axis aggregation entry points (Eqs 8, 16) built on it.
-- :func:`fused_synthesize` is the pool-aware perfect-reconstruction kernel
-  for synthesis cascades (Eqs 3-4).
+- :func:`fused_synthesize` is the perfect-reconstruction kernel for
+  synthesis cascades (Eqs 3-4).
+
+Temporaries are recycled by the allocator, not by this module:
+:func:`pin_allocator_thresholds` (called by every
+:class:`~repro.core.materialize.MaterializedSet`) keeps glibc from handing
+MiB-sized frees back to the kernel, so a freed interior stays resident in
+the heap and the next allocation of any shape reuses it without faulting.
 
 **Bit-identity.**  Fusion never changes arithmetic: each fused step performs
 the same single ``np.add``/``np.subtract`` over the same even/odd pairs, in
@@ -35,9 +41,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import math
 import os
-import threading
 
 import numpy as np
 
@@ -45,9 +49,6 @@ from .element import ElementId
 from .operators import OpCounter, _normalize_axis, _require_even, synthesize
 
 __all__ = [
-    "POOL_MIN_CELLS",
-    "POOL_MAX_CELLS",
-    "BufferPool",
     "pin_allocator_thresholds",
     "canonical_steps",
     "fused_cascade",
@@ -58,19 +59,6 @@ __all__ = [
 
 #: One fused step: ``(dim, residual?)`` — ``P1`` when ``residual`` is False.
 Step = tuple[int, bool]
-
-#: Below this many cells, pooling loses: the allocator serves small blocks
-#: from thread-local bins in well under a microsecond, while a pool cycle
-#: pays key construction plus a lock.  Above it, a recycled buffer also
-#: skips the page faults a fresh ``mmap``-backed allocation must take on
-#: first touch, which is where the pool's real win lives.  Executor-owned
-#: pools are created with this floor; ``BufferPool()`` defaults to 0 so the
-#: pool's own unit tests exercise exact recycling on tiny arrays.
-POOL_MIN_CELLS = 1 << 12
-
-#: Retention bound of a :class:`BufferPool` (total cells held across all
-#: shapes); returns beyond it are dropped to the allocator.
-POOL_MAX_CELLS = 1 << 22
 
 
 @functools.cache
@@ -87,89 +75,6 @@ def pin_allocator_thresholds() -> bool:
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     # M_MMAP_THRESHOLD is -3 and M_TRIM_THRESHOLD -1 in <malloc.h>.
     return all([mallopt(-3, 32 << 20), mallopt(-1, 64 << 20)])
-
-
-class BufferPool:
-    """Refcount-aware recycling of executor temporaries.
-
-    The DAG executor frees an interior temporary when its last consumer has
-    run; instead of returning the array to the allocator, it lands here and
-    the next node of the same shape and dtype reuses it.  Pool buffers are
-    always C-contiguous (they are allocated by :func:`numpy.empty` or are
-    contiguous kernel outputs), so ``reshape`` views over them never copy.
-
-    ``max_cells`` bounds the total cells retained across all shapes; a
-    returned buffer that would exceed the bound is simply dropped.
-    ``min_cells`` is the engagement floor: requests and returns smaller
-    than it bypass the pool entirely (counted under ``bypassed``) — see
-    :data:`POOL_MIN_CELLS`.  All pooled operations take an internal lock —
-    one pool may serve the scheduler thread and its workers concurrently.
-    """
-
-    def __init__(self, max_cells: int = POOL_MAX_CELLS, min_cells: int = 0):
-        self.max_cells = int(max_cells)
-        self.min_cells = int(min_cells)
-        self._free: dict[tuple, list[np.ndarray]] = {}
-        self._lock = threading.Lock()
-        self._cells = 0
-        self.hits = 0
-        self.misses = 0
-        self.returned = 0
-        self.dropped = 0
-        self.bypassed = 0
-
-    def take(self, shape, dtype=np.float64) -> np.ndarray:
-        """A writable array of ``shape``/``dtype`` — recycled if available."""
-        shape = tuple(shape)
-        if math.prod(shape) < self.min_cells:
-            with self._lock:
-                self.bypassed += 1
-            return np.empty(shape, dtype=dtype)
-        key = (shape, np.dtype(dtype).str)
-        with self._lock:
-            stack = self._free.get(key)
-            if stack:
-                buf = stack.pop()
-                self._cells -= buf.size
-                self.hits += 1
-                return buf
-            self.misses += 1
-        return np.empty(shape, dtype=dtype)
-
-    def give(self, array: np.ndarray | None) -> None:
-        """Return a no-longer-referenced temporary for reuse.
-
-        Only C-contiguous writable arrays at least ``min_cells`` large that
-        own their memory are retained (a view — strided, or one shard's slab
-        of a gathered answer — is part of an array someone still holds; a
-        small block is cheaper to take from the allocator than the pool).
-        """
-        if array is None or array.size < self.min_cells or array.base is not None:
-            return
-        if not (array.flags.c_contiguous and array.flags.writeable):
-            return
-        key = (array.shape, array.dtype.str)
-        with self._lock:
-            if self._cells + array.size > self.max_cells:
-                self.dropped += 1
-                return
-            self._free.setdefault(key, []).append(array)
-            self._cells += array.size
-            self.returned += 1
-
-    def stats(self) -> dict:
-        """JSON-friendly ``{hits, misses, ...}`` snapshot."""
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "returned": self.returned,
-                "dropped": self.dropped,
-                "bypassed": self.bypassed,
-                "free_cells": self._cells,
-                "max_cells": self.max_cells,
-                "min_cells": self.min_cells,
-            }
 
 
 def canonical_steps(source: ElementId, target: ElementId) -> tuple[Step, ...]:
@@ -199,23 +104,19 @@ def fused_cascade(
     a: np.ndarray,
     steps,
     counter: OpCounter | None = None,
-    pool: BufferPool | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Run a ``P1``/``R1`` step chain as one fused kernel (Eqs 6-9).
 
     ``steps`` is a sequence of ``(dim, residual?)`` pairs.  Each step is one
     ufunc call (``np.add`` for ``P1``, ``np.subtract`` for ``R1``) over
-    even/odd strided views of the previous result, written into a buffer
-    from ``pool`` (or a fresh array); interior temporaries are returned to
-    the pool as soon as the next step has consumed them, so the whole chain
-    holds at most two scratch arrays at once.  An empty chain returns the
-    input unchanged (same aliasing contract as a zero-step descent).
+    even/odd strided views of the previous result, written into a fresh
+    array; an interior is freed when the next step rebinds it, so the whole
+    chain holds at most two scratch arrays at once.  An empty chain returns
+    the input unchanged (same aliasing contract as a zero-step descent).
 
     ``out``, if given, takes the final step in place (it may be strided:
-    one shard's slab of a gathered buffer); an empty chain ignores it.  The
-    returned array is *not* registered with the pool — the caller owns it
-    and may hand it back via :meth:`BufferPool.give` when done.
+    one shard's slab of a gathered buffer); an empty chain ignores it.
 
     Bit-identical to applying :func:`~repro.core.operators.partial_sum` /
     :func:`~repro.core.operators.partial_residual` per step: the arithmetic
@@ -227,31 +128,23 @@ def fused_cascade(
     steps = tuple(steps)
     if not steps:
         return cur
-    recyclable: np.ndarray | None = None
     for i, (dim, residual) in enumerate(steps):
         axis = _normalize_axis(cur, dim)
         _require_even(cur, axis)
         out_shape = cur.shape[:axis] + (cur.shape[axis] // 2,) + cur.shape[axis + 1 :]
         if out is not None and i == len(steps) - 1:
             dst = out
-        elif pool is not None:
-            dst = pool.take(out_shape, cur.dtype)
         else:
             dst = np.empty(out_shape, dtype=cur.dtype)
-        even, odd = _even_odd(cur, axis)
-        if residual:
-            np.subtract(even, odd, out=dst)
-        else:
-            np.add(even, odd, out=dst)
+        # No name keeps the even/odd views, so rebinding ``cur`` below
+        # frees the interior they were taken from.
+        (np.subtract if residual else np.add)(*_even_odd(cur, axis), out=dst)
         if counter is not None:
             if residual:
                 counter.add(subtractions=dst.size, label=f"R1 axis={axis}")
             else:
                 counter.add(additions=dst.size, label=f"P1 axis={axis}")
-        if recyclable is not None and pool is not None:
-            pool.give(recyclable)
         cur = dst
-        recyclable = dst if i < len(steps) - 1 else None
     return cur
 
 
@@ -260,7 +153,6 @@ def fused_partial_sum_k(
     axis: int,
     k: int,
     counter: OpCounter | None = None,
-    pool: BufferPool | None = None,
 ) -> np.ndarray:
     """Fused k-th partial aggregation ``Pk`` (Eq 8).
 
@@ -269,14 +161,13 @@ def fused_partial_sum_k(
     """
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
-    return fused_cascade(a, ((axis, False),) * k, counter=counter, pool=pool)
+    return fused_cascade(a, ((axis, False),) * k, counter=counter)
 
 
 def fused_aggregate(
     a: np.ndarray,
     levels,
     counter: OpCounter | None = None,
-    pool: BufferPool | None = None,
 ) -> np.ndarray:
     """Fused multi-axis partial aggregation (Eqs 8 + 16 via Property 4).
 
@@ -297,7 +188,7 @@ def fused_aggregate(
     steps = tuple(
         (dim, False) for dim, k in enumerate(levels) for _ in range(k)
     )
-    return fused_cascade(a, steps, counter=counter, pool=pool)
+    return fused_cascade(a, steps, counter=counter)
 
 
 def fused_synthesize(
@@ -305,21 +196,8 @@ def fused_synthesize(
     r: np.ndarray,
     axis: int,
     counter: OpCounter | None = None,
-    pool: BufferPool | None = None,
 ) -> np.ndarray:
-    """Pool-aware perfect reconstruction (Eqs 3-4) for synthesis cascades.
-
-    Identical arithmetic to :func:`repro.core.operators.synthesize`; the
-    output buffer is drawn from ``pool`` so reconstruction chains recycle
-    their interiors like aggregation chains do.
-    """
-    out = None
-    if pool is not None:
-        p_arr = np.asarray(p)
-        ax = axis % p_arr.ndim
-        out_shape = (
-            p_arr.shape[:ax] + (p_arr.shape[ax] * 2,) + p_arr.shape[ax + 1 :]
-        )
-        out = pool.take(out_shape, np.float64)
-    return synthesize(p, r, axis, counter=counter, out=out)
-
+    """Perfect reconstruction (Eqs 3-4) for synthesis cascades: the
+    kernels' entry point to :func:`repro.core.operators.synthesize`, with
+    identical arithmetic."""
+    return synthesize(p, r, axis, counter=counter)

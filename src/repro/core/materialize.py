@@ -32,11 +32,10 @@ from .delta import DeltaBatch, SlabStore
 from .element import CubeShape, ElementId
 from .exec import PlanCache, execute_plan, plan_batch
 from .kernels import (
-    POOL_MIN_CELLS,
-    BufferPool,
     canonical_steps,
     fused_cascade,
     fused_synthesize,
+    pin_allocator_thresholds,
 )
 from .operators import OpCounter
 from .planning import RouteTable, route_table
@@ -50,8 +49,10 @@ BATCH_UPDATE = "batch update"
 
 
 def element_checksum(values: np.ndarray) -> int:
-    """CRC-32 of an element array's bytes (the stored-integrity seal)."""
-    return zlib.crc32(np.ascontiguousarray(values).tobytes())
+    """CRC-32 of an element array's bytes (the stored-integrity seal),
+    read through the buffer protocol: a C-contiguous array is hashed in
+    place, without a ``tobytes()`` copy."""
+    return zlib.crc32(np.ascontiguousarray(values))
 
 
 def _descend(
@@ -59,7 +60,6 @@ def _descend(
     source: ElementId,
     target: ElementId,
     counter: OpCounter | None,
-    pool: BufferPool | None = None,
 ) -> np.ndarray:
     """Cascade ``values`` (the data of ``source``) down to ``target``.
 
@@ -69,15 +69,12 @@ def _descend(
     bits of the target's dyadic index — ``P1`` for 0, ``R1`` for 1 — which
     costs ``Vol(source) - Vol(target)`` scalar operations in total.  The
     whole chain runs as one fused kernel (bit-identical to the per-step
-    operators; see :mod:`repro.core.kernels`), drawing scratch buffers
-    from ``pool`` when one is supplied.  A zero-step descent returns the
-    input by reference.
+    operators; see :mod:`repro.core.kernels`).  A zero-step descent returns
+    the input by reference.
     """
     if not source.contains(target):
         raise ValueError("target is not a descendant of source")
-    return fused_cascade(
-        values, canonical_steps(source, target), counter=counter, pool=pool
-    )
+    return fused_cascade(values, canonical_steps(source, target), counter=counter)
 
 
 def warm_routes(targets, warm, price) -> dict:
@@ -105,11 +102,7 @@ def warm_routes(targets, warm, price) -> dict:
     return chosen
 
 
-def derive(
-    chosen: dict,
-    counter: OpCounter | None,
-    pool: BufferPool | None,
-) -> dict[ElementId, np.ndarray]:
+def derive(chosen: dict, counter: OpCounter | None) -> dict[ElementId, np.ndarray]:
     """Run :func:`warm_routes`' choices: each target is one fused cascade
     down from its warm ancestor, into a fresh buffer (an ancestor is
     always a *proper* one, so nothing aliases the warm array), counted in
@@ -120,7 +113,7 @@ def derive(
             "targets aggregated from a warm ancestor instead of storage",
         ).inc(len(chosen))
     return {
-        target: _descend(values, ancestor, target, counter, pool)
+        target: _descend(values, ancestor, target, counter)
         for target, (ancestor, values) in chosen.items()
     }
 
@@ -152,11 +145,12 @@ class MaterializedSet:
     stores it, and :meth:`assemble` serves arbitrary view elements (in
     particular aggregated views) on demand.
 
-    Constants: the set's buffer pool engages at
-    :data:`repro.core.kernels.POOL_MIN_CELLS` and retains up to
-    ``POOL_MAX_CELLS``; batches dispatch against
+    Constants: batches dispatch against
     :data:`repro.core.exec.DISPATCH_THRESHOLD`; ``_PLAN_CACHE_ENTRIES``
-    (below) multi-target plans are kept.
+    (below) multi-target plans are kept.  Temporaries and answers come
+    from the allocator, which :func:`~repro.core.kernels.
+    pin_allocator_thresholds` (applied by the constructor, once per
+    process) keeps from trimming freed buffers back to the kernel.
     """
 
     #: Multi-target batch plans retained, least recently used first out
@@ -167,6 +161,7 @@ class MaterializedSet:
     _PLAN_CACHE_ENTRIES = 32
 
     def __init__(self, shape: CubeShape):
+        pin_allocator_thresholds()
         self.shape = shape
         self._arrays: dict[ElementId, np.ndarray] = {}
         self._plan_cache = PlanCache(self._PLAN_CACHE_ENTRIES)
@@ -178,10 +173,6 @@ class MaterializedSet:
         #: never-before-seen targets is a merge of the routes its elements
         #: already have.
         self._cost_memo: dict = {}
-        #: Buffer pool shared by every assembly this set serves: interior
-        #: temporaries of one query become the ``out=`` buffers of the
-        #: next, so steady-state serving allocates almost nothing.
-        self._pool = BufferPool(min_cells=POOL_MIN_CELLS)
         #: Integrity state: every stored array is *sealed* with a CRC-32 at
         #: store time and verified on first use; a failed verification
         #: quarantines the element, and assembly transparently re-routes
@@ -245,7 +236,7 @@ class MaterializedSet:
             ]
             if candidates:
                 source, source_values = min(candidates, key=lambda sv: sv[0].volume)
-            values = _descend(source_values, source, element, counter, out._pool)
+            values = _descend(source_values, source, element, counter)
             if values is source_values:
                 # Zero-step descent aliases the source; stored arrays must
                 # be owned so apply_updates never mutates caller data.
@@ -353,15 +344,10 @@ class MaterializedSet:
                 self.quarantine(element, reason="checksum mismatch")
 
     def pool_stats(self) -> dict:
-        """Buffer-pool recycling counters for this set (JSON-friendly)."""
-        return self._pool.stats()
-
-    @property
-    def pool(self):
-        """This set's :class:`BufferPool` — for callers (the shard layer)
-        that run :func:`~repro.core.exec.execute_plan` directly against the
-        stored arrays and want temporaries recycled into the same pool."""
-        return self._pool
+        """Always ``{"hits": 0, "misses": 0}``: the buffer pools are gone
+        (the pinned allocator recycles temporaries), and the end-to-end
+        benchmark's traced run still reads these two keys."""
+        return {"hits": 0, "misses": 0}
 
     def array_refs(self) -> dict[ElementId, np.ndarray]:
         """Identity snapshot of the stored arrays, *without* verification.
@@ -496,7 +482,7 @@ class MaterializedSet:
             if chosen:
                 ancestor, _ = chosen[target]
                 cost = ancestor.volume - target.volume
-                values = derive(chosen, own, self._pool)[target]
+                values = derive(chosen, own)[target]
             elif cost == float("inf"):
                 raise IncompleteSetError(
                     f"stored set is not complete with respect to {target!r}"
@@ -556,24 +542,11 @@ class MaterializedSet:
                 arrays[route.source],
                 [(dim, residual) for dim, residual, _ in route.skeleton],
                 counter=counter,
-                pool=self._pool,
             )
         (_, _, p_child), (_, _, r_child) = route.skeleton
         p_values = self._assemble(p_child, routes, counter, arrays)
         r_values = self._assemble(r_child, routes, counter, arrays)
-        result = fused_synthesize(
-            p_values, r_values, route.dim, counter=counter, pool=self._pool
-        )
-        # The recursion memoizes nothing, so a non-stored child array is a
-        # fresh buffer this frame uniquely owns — recycle it.  (Stored
-        # children alias ``arrays`` and must survive; a non-stored target
-        # always descends at least one step, so nothing below aliases a
-        # stored array either.)
-        if p_child not in arrays:
-            self._pool.give(p_values)
-        if r_child not in arrays:
-            self._pool.give(r_values)
-        return result
+        return fused_synthesize(p_values, r_values, route.dim, counter=counter)
 
     def assemble_batch(
         self,
@@ -649,7 +622,6 @@ class MaterializedSet:
                     arrays,
                     counter=own,
                     max_workers=max_workers,
-                    pool=self._pool,
                     stats=exec_stats,
                 )
                 if plan.planned_cost > 0:
@@ -668,7 +640,7 @@ class MaterializedSet:
                     workers_effective=exec_stats.get("workers_effective"),
                     demoted=exec_stats.get("demoted"),
                 )
-            results.update(derive(chosen, own, self._pool))
+            results.update(derive(chosen, own))
             ops = own.total - ops_before
             registry.counter(
                 "assemble_batch_total", "shared-plan batch assemblies"

@@ -57,7 +57,6 @@ from .core.adaptive import AccessTracker
 from .core.delta import DeltaBatch
 from .core.element import ElementId
 from .core.engine import SelectionEngine
-from .core.kernels import POOL_MAX_CELLS, POOL_MIN_CELLS, pin_allocator_thresholds
 from .core.materialize import MaterializedSet, compute_element
 from .core.operators import OpCounter
 from .core.population import QueryPopulation
@@ -334,8 +333,7 @@ class OLAPServer:
 
         Performance constants are module constants beside the code that
         reads them, not arguments: :data:`repro.core.exec.DISPATCH_THRESHOLD`,
-        the pools' ``POOL_MIN_CELLS`` / ``POOL_MAX_CELLS``, the plan caches'
-        ``_PLAN_CACHE_ENTRIES``, the flight recorder's ``MAX_TRACES`` /
+        the plan caches' ``_PLAN_CACHE_ENTRIES``, the flight recorder's ``MAX_TRACES`` /
         ``HEAD_SAMPLE``, the alert windows and :data:`MAX_WORKERS`.
         :meth:`health` reports every value in effect under ``"tuning"``.
 
@@ -377,7 +375,6 @@ class OLAPServer:
                 "max_retries and retry_backoff_ms must be non-negative, got "
                 f"{max_retries!r} / {retry_backoff_ms!r}"
             )
-        pin_allocator_thresholds()
         self.cube = cube
         self.shape = cube.shape_id
         self.storage_budget = storage_budget
@@ -1241,11 +1238,8 @@ class OLAPServer:
             "cache_warm_reads": _total("range_intermediate_served_total"),
             "integrity_failures": _total("integrity_failures_total"),
             "faults_injected": _total("faults_injected_total"),
-            "buffer_pool": state.materialized.pool_stats(),
             "tuning": {
                 "dispatch_threshold": batch_exec.DISPATCH_THRESHOLD,
-                "pool_min_cells": POOL_MIN_CELLS,
-                "pool_max_cells": POOL_MAX_CELLS,
                 "cache_entries": self._cache_entries,
                 "cache_cells": self._cache_cells,
                 "max_workers": MAX_WORKERS,

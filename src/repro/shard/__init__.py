@@ -4,8 +4,8 @@
   slabs along one axis, element projection onto the slab shape, and the
   exact cross-shard merge cascade (distributivity of ``P1``/``R1``).
 - :mod:`repro.shard.sets` — :class:`ShardedSet`: one
-  :class:`~repro.core.materialize.MaterializedSet`, buffer pool, and
-  epoch per shard behind the monolithic storage protocol; batches
+  :class:`~repro.core.materialize.MaterializedSet` and epoch per
+  shard behind the monolithic storage protocol; batches
   scatter to per-shard executors and gather through fused merge kernels,
   with per-shard retry/degradation (a quarantined shard re-routes to its
   base slab, the others keep serving).

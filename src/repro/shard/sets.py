@@ -4,7 +4,7 @@
 MaterializedSet` protocol the server and range engine consume — ``store``
 / ``assemble`` / ``assemble_batch`` / ``apply_updates`` / ``quarantined``
 / ``pool_stats`` — but holds the cube as ``S`` slabs (one
-:class:`MaterializedSet`, buffer pool, and epoch per shard, see
+:class:`MaterializedSet` and epoch per shard, see
 :class:`~repro.shard.partition.CubePartition`).
 
 A batch is served in three phases:
@@ -39,10 +39,12 @@ inside the executors, ``materialize.store`` fires per shard store, and
 ``shard.gather`` fires once per gathered target.  Deadlines are checked
 at scatter entry, inside every executor, and before the gather.
 
-Constants: every shard's set and the gather pool use
-:data:`repro.core.kernels.POOL_MIN_CELLS` / ``POOL_MAX_CELLS``, each leg
-dispatches against :data:`repro.core.exec.DISPATCH_THRESHOLD`, and the
-shared-plan cache keeps ``_PLAN_CACHE_ENTRIES`` (this module) target sets.
+Constants: each leg dispatches against
+:data:`repro.core.exec.DISPATCH_THRESHOLD`, and the shared-plan cache keeps
+``_PLAN_CACHE_ENTRIES`` (this module) target sets.  Gather buffers come
+from ``np.empty``; the shards' sets pin the allocator
+(:func:`repro.core.kernels.pin_allocator_thresholds`), so a freed answer's
+pages are reused by the next batch's buffers.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ import numpy as np
 from ..core.delta import DeltaBatch
 from ..core.element import CubeShape, ElementId
 from ..core.exec import PlanCache, execute_plan
-from ..core.kernels import POOL_MIN_CELLS, BufferPool, fused_cascade
+from ..core.kernels import fused_cascade
 from ..core.materialize import (
     MaterializedSet,
     compute_element,
@@ -104,9 +106,6 @@ class ShardedSet:
             else [None] * s
         )
         self._epochs = [0] * s
-        #: The gather's buffer pool, with the same engagement floor as the
-        #: shards' own (:data:`repro.core.kernels.POOL_MIN_CELLS`).
-        self._pool = BufferPool(min_cells=POOL_MIN_CELLS)
         self._stored: dict[ElementId, None] = {}
         self._plan_cache = PlanCache(_PLAN_CACHE_ENTRIES)
         #: Per storage signature, the stored tuple every shard exposing it
@@ -176,11 +175,10 @@ class ShardedSet:
         return tuple(out)
 
     def pool_stats(self) -> dict:
-        """The shards' kernel pools plus the gather pool, summed per key."""
-        pools = [ms.pool_stats() for ms in self._shards] + [self._pool.stats()]
-        totals = {key: sum(p[key] for p in pools) for key in pools[-1]}
-        totals["min_cells"] = self._pool.min_cells  # one floor, not a sum
-        return totals
+        """Always ``{"hits": 0, "misses": 0}``, as
+        :meth:`MaterializedSet.pool_stats`: no buffer pool is left, and the
+        end-to-end benchmark's traced run still reads these two keys."""
+        return {"hits": 0, "misses": 0}
 
     def can_assemble(self, target: ElementId) -> bool:
         local = self.partition.project(target)
@@ -193,7 +191,6 @@ class ShardedSet:
         """JSON-friendly shards section for ``health()``/``repro stats``."""
         per_shard = []
         for s, ms in enumerate(self._shards):
-            pool = ms.pool_stats()
             per_shard.append(
                 {
                     "shard": s,
@@ -201,8 +198,6 @@ class ShardedSet:
                     "stored": len(ms),
                     "storage": ms.storage,
                     "quarantined": len(ms.quarantined),
-                    "pool_hits": pool["hits"],
-                    "pool_misses": pool["misses"],
                 }
             )
         return {
@@ -332,7 +327,7 @@ class ShardedSet:
             fault_point("materialize.assemble", batch=len(chosen))
             check_deadline("materialize.assemble")
             own = counter if counter is not None else OpCounter()
-            results = derive(chosen, own, self._pool)
+            results = derive(chosen, own)
             ordered = [t for t in ordered if t not in chosen]
         if ordered:
             results.update(self._scatter_gather(ordered, counter, max_workers))
@@ -349,7 +344,7 @@ class ShardedSet:
             if local in gathered:
                 continue
             element = self.partition.gathered_element(target)
-            buf = gathered[local] = self._pool.take(element.data_shape)
+            buf = gathered[local] = np.empty(element.data_shape)
             for s, out in enumerate(slabs):
                 out[local] = buf[self.partition.data_slab_slices(element, s)]
 
@@ -492,7 +487,6 @@ class ShardedSet:
                                 snapshot,
                                 counter=scratch,
                                 max_workers=max_workers,
-                                pool=self._shards[s].pool,
                                 span_attrs={"shard": s},
                                 out=out,
                             ),
@@ -539,22 +533,16 @@ class ShardedSet:
         counter: OpCounter,
     ) -> dict[ElementId, np.ndarray]:
         """Run each target's cross-shard merge on its filled buffer (a
-        target within the slab depth *is* its buffer); buffers no answer is
-        go back to the pool."""
+        target within the slab depth *is* its buffer); a buffer no answer
+        is dies with ``gathered``."""
         results = {}
         for target, local in local_of.items():
             fault_point("shard.gather", element=target)
             steps = self.partition.merge_steps(target)
             buf = gathered[local]
             results[target] = (
-                fused_cascade(buf, steps, counter=counter, pool=self._pool)
-                if steps
-                else buf
+                fused_cascade(buf, steps, counter=counter) if steps else buf
             )
-        served = {id(values) for values in results.values()}
-        for buf in gathered.values():
-            if id(buf) not in served:
-                self._pool.give(buf)
         return results
 
     def _retry(self, s: int, attempt, counter: OpCounter):

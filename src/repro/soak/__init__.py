@@ -16,8 +16,7 @@ Both drive :func:`repro.replay.replay` and check against the one
   and ``benchmarks/bench_soak.py`` the gated benchmark.
 
 The server runs with the constants it ships with —
-:data:`repro.core.exec.DISPATCH_THRESHOLD`,
-:data:`repro.core.kernels.POOL_MIN_CELLS`, :data:`repro.server.MAX_WORKERS`
+:data:`repro.core.exec.DISPATCH_THRESHOLD`, :data:`repro.server.MAX_WORKERS`
 and the rest are module constants, not soak inputs.
 """
 

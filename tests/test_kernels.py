@@ -1,4 +1,4 @@
-"""Fused Haar cascade kernels: bit-identity, pooling, plan fusion, dispatch.
+"""Fused Haar cascade kernels: bit-identity, release, plan fusion, dispatch.
 
 The fused execution layer (:mod:`repro.core.kernels` + the plan rewrite and
 cost-aware dispatch in :mod:`repro.core.exec`) promises three things:
@@ -30,7 +30,6 @@ from repro.core.exec import (
     plan_batch,
 )
 from repro.core.kernels import (
-    BufferPool,
     canonical_steps,
     fused_aggregate,
     fused_cascade,
@@ -104,15 +103,16 @@ class TestFusedCascadeBitIdentity:
     @settings(max_examples=30, deadline=None)
     @given(case=cascade_cases())
     def test_fused_with_pool_equals_naive(self, case):
-        """Buffer recycling never changes the answer."""
+        """A recycled output buffer — ``out=`` full of another answer's
+        garbage, as the allocator hands back freed memory — never changes
+        the answer."""
         sizes, steps, seed = case
         rng = np.random.default_rng(seed)
         a = rng.standard_normal(sizes)
-        pool = BufferPool()
-        # Warm the pool with same-shaped garbage so hits actually occur.
-        fused_cascade(a, steps, pool=pool)
         expected = naive_cascade(a, steps)
-        actual = fused_cascade(a, steps, pool=pool)
+        recycled = np.full(expected.shape, np.nan)
+        actual = fused_cascade(a, steps, out=recycled)
+        assert actual is (recycled if steps else a)  # an empty chain ignores out
         assert actual.tobytes() == expected.tobytes()
 
     def test_empty_chain_aliases_input(self, rng):
@@ -133,8 +133,7 @@ class TestFusedCascadeBitIdentity:
         steps = ((0, False), (1, True), (0, False))
         gathered = np.zeros((2, 8))
         slab = gathered[:, 4:]
-        pool = BufferPool()
-        assert fused_cascade(a, steps, pool=pool, out=slab) is slab
+        assert fused_cascade(a, steps, out=slab) is slab
         assert slab.tobytes() == naive_cascade(a, steps).tobytes()
         assert not gathered[:, :4].any()
         with pytest.raises(ValueError):
@@ -185,82 +184,12 @@ class TestFusedEntryPoints:
     def test_synthesize_matches(self, rng):
         a = rng.standard_normal((4, 4))
         p, r = partial_sum(a, 1), partial_residual(a, 1)
-        pool = BufferPool()
         counter = OpCounter()
         reference = OpCounter()
         expected = synthesize(p, r, 1, counter=reference)
-        actual = fused_synthesize(p, r, 1, counter=counter, pool=pool)
+        actual = fused_synthesize(p, r, 1, counter=counter)
         assert actual.tobytes() == expected.tobytes()
         assert counter.total == reference.total
-
-
-class TestBufferPool:
-    def test_take_recycles_given_buffer(self):
-        pool = BufferPool()
-        a = np.empty((4, 4))
-        pool.give(a)
-        assert pool.take((4, 4), np.float64) is a
-        assert pool.stats()["hits"] == 1
-
-    def test_miss_allocates(self):
-        pool = BufferPool()
-        out = pool.take((2, 2), np.int64)
-        assert out.shape == (2, 2) and out.dtype == np.int64
-        assert pool.stats()["misses"] == 1
-
-    def test_shape_and_dtype_keyed(self):
-        pool = BufferPool()
-        pool.give(np.empty((4, 4), dtype=np.float64))
-        assert pool.take((4, 4), np.int64).dtype == np.int64
-        assert pool.stats()["hits"] == 0
-
-    def test_noncontiguous_not_retained(self):
-        pool = BufferPool()
-        pool.give(np.empty((4, 4)).T[:, ::2])
-        assert pool.stats()["returned"] == 0
-
-    def test_view_not_retained(self):
-        """A contiguous, writeable view — one shard's slab of a gathered
-        answer along axis 0 — is part of an array its owner still holds."""
-        pool = BufferPool()
-        answer = np.empty((4, 4))
-        slab = answer[:2]
-        assert slab.flags.c_contiguous and slab.flags.writeable
-        pool.give(slab)
-        pool.give(answer.reshape(16))
-        assert pool.stats()["returned"] == 0
-        assert pool.take((2, 4)) is not slab
-
-    def test_max_cells_bound_drops(self):
-        pool = BufferPool(max_cells=10)
-        pool.give(np.empty(8))
-        pool.give(np.empty(8))  # would exceed the bound
-        stats = pool.stats()
-        assert stats["returned"] == 1
-        assert stats["dropped"] == 1
-        assert stats["free_cells"] <= 10
-
-    def test_give_none_is_noop(self):
-        pool = BufferPool()
-        pool.give(None)
-        assert pool.stats()["returned"] == 0
-
-    def test_min_cells_floor_bypasses_small_buffers(self):
-        """Sub-floor requests skip the pool: no retention, no recycling,
-        just a fresh allocation counted under ``bypassed``."""
-        pool = BufferPool(min_cells=16)
-        small = np.empty((2, 4))  # 8 cells < 16
-        pool.give(small)
-        assert pool.stats()["returned"] == 0
-        out = pool.take((2, 4), np.float64)
-        assert out is not small and out.shape == (2, 4)
-        stats = pool.stats()
-        assert stats["bypassed"] == 1
-        assert stats["hits"] == 0 and stats["misses"] == 0
-        # At or above the floor, recycling works as usual.
-        big = np.empty((4, 4))
-        pool.give(big)
-        assert pool.take((4, 4), np.float64) is big
 
 
 def all_group_bys(shape: CubeShape):
@@ -423,32 +352,3 @@ class TestCostAwareDispatch:
         assert counter.total == plan.planned_cost
         for target in targets:
             np.testing.assert_array_equal(results[target], ms.assemble(target))
-
-    def test_buffer_pool_stats_recorded(self, shape_3d, rng):
-        ms = pyramid_from_root(shape_3d, rng)
-        targets = all_group_bys(shape_3d)
-        plan = plan_batch(targets, ms.elements)
-        stats: dict = {}
-        # Zero engagement floor: the test cube's temporaries are tiny.
-        execute_plan(
-            plan,
-            {e: ms.array(e) for e in ms.elements},
-            stats=stats,
-            pool=BufferPool(),
-        )
-        bp = stats["buffer_pool"]
-        assert bp["returned"] > 0  # interiors were recycled
-
-    def test_pool_reuse_across_batches(self, rng):
-        """The MaterializedSet-owned pool turns the second identical batch
-        into mostly buffer hits.  The cube must be large enough that its
-        interiors clear the pool's POOL_MIN_CELLS engagement floor."""
-        ms = pyramid_from_root(CubeShape((128, 64)), rng)
-        targets = all_group_bys(CubeShape((128, 64)))
-        ms.assemble_batch(targets)
-        before = ms.pool_stats()["hits"]
-        expected = {t: ms.assemble(t) for t in targets}
-        results = ms.assemble_batch(targets)
-        assert ms.pool_stats()["hits"] > before
-        for target in targets:
-            np.testing.assert_array_equal(results[target], expected[target])

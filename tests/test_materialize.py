@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from repro.core.bases import random_wavelet_packet_basis, wavelet_basis
 from repro.core.delta import DeltaBatch
 from repro.core.element import CubeShape, ElementId
 from repro.core.graph import ViewElementGraph
-from repro.core.materialize import MaterializedSet, compute_element
+from repro.core.materialize import MaterializedSet, compute_element, element_checksum
 from repro.core.operators import OpCounter
 from repro.core.select_redundant import generation_cost
 
@@ -269,3 +271,27 @@ class TestBatchUpdates:
         ms = MaterializedSet.from_cube(cube_4x4, [shape_4x4.root()])
         ms.apply_updates(DeltaBatch(shape_4x4, [[0, 0], [0, 0]], [2.0, 3.0]))
         assert ms.array(shape_4x4.root())[0, 0] == cube_4x4[0, 0] + 5.0
+
+
+class TestElementChecksum:
+    """The seal hashes the array through the buffer protocol; it must be
+    the CRC of ``tobytes()`` — the form every existing snapshot and cube
+    file was sealed with — for any layout."""
+
+    @staticmethod
+    def _layouts(dtype):
+        base = (np.arange(96) * 7 - 300).astype(dtype).reshape(4, 6, 4)
+        return {
+            "c_order": base,
+            "fortran": np.asfortranarray(base),
+            "strided": base[:, ::2, 1:],
+            "transposed": base.transpose(2, 0, 1),
+            "zero_d": np.asarray(base[1, 2, 3]),
+            "empty": base[:, :0],
+        }
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64, np.float32, np.float64])
+    def test_matches_the_tobytes_crc(self, dtype):
+        for name, values in self._layouts(dtype).items():
+            expected = zlib.crc32(np.ascontiguousarray(values).tobytes())
+            assert element_checksum(values) == expected, name

@@ -220,7 +220,7 @@ class TestBundleSchema:
         assert manifest["contents"] == sorted(bundle)
         # tuning.json is the health section, not a second source.
         assert bundle["tuning"] == bundle["health"]["tuning"]
-        assert len(bundle["tuning"]) == 13
+        assert len(bundle["tuning"]) == 11
         server.close()
 
     def test_bundle_sections_match_documented_constants(self):

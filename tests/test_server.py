@@ -7,7 +7,6 @@ import pytest
 
 from repro import server as server_module
 from repro.core import exec as batch_exec
-from repro.core import kernels
 from repro.cube.datacube import DataCube
 from repro.cube.dimensions import Dimension
 from repro.errors import QueryTimeout
@@ -340,8 +339,6 @@ class TestConstants:
     def test_health_reports_the_constants_in_effect(self, server):
         assert server.health()["tuning"] == {
             "dispatch_threshold": batch_exec.DISPATCH_THRESHOLD,
-            "pool_min_cells": kernels.POOL_MIN_CELLS,
-            "pool_max_cells": kernels.POOL_MAX_CELLS,
             "cache_entries": server_module.CACHE_ENTRIES,
             "cache_cells": None,
             "max_workers": server_module.MAX_WORKERS,
@@ -378,6 +375,4 @@ class TestConstants:
         stored = built.materialized
         sets = [stored] if shards == 1 else [stored, *stored._shards]
         for one in sets:
-            assert one._pool.min_cells == kernels.POOL_MIN_CELLS
-            assert one._pool.max_cells == kernels.POOL_MAX_CELLS
             assert one._plan_cache.entries == 32
