@@ -14,6 +14,7 @@ import pytest
 
 from repro.core.element import CubeShape
 from repro.core.engine import SelectionEngine
+from repro.core import select_redundant
 from repro.core.population import QueryPopulation
 from repro.core.select_basis import select_minimum_cost_basis
 from repro.core.select_redundant import (
@@ -65,21 +66,25 @@ def test_greedy_stage_engine(benchmark, setting):
     assert result.final_cost <= result.stages[0].cost
 
 
-def test_greedy_stage_reference_view_candidates(benchmark, setting):
+def test_greedy_stage_reference_view_candidates(
+    benchmark, setting, monkeypatch
+):
     """The reference greedy is only usable with tiny candidate pools."""
     shape, population, basis, _ = setting
     views = list(shape.aggregated_views())
+    # Pin the explicit recursion: this bench exists to compare it against
+    # the engine, so delegation must not kick in on the 2,401-element
+    # Figure 9 graph.
+    monkeypatch.setattr(
+        select_redundant, "ENGINE_DELEGATION_THRESHOLD", float("inf")
+    )
 
     def run():
-        # engine="reference" pins the explicit recursion: this bench exists
-        # to compare it against the engine, so auto-delegation must not kick
-        # in on the 2,401-element Figure 9 graph.
         return greedy_redundant_selection(
             [shape.root()],
             population,
             storage_budget=1.3 * shape.volume,
             candidates=views,
-            engine="reference",
         )
 
     result = benchmark.pedantic(run, rounds=2, iterations=1)

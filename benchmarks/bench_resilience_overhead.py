@@ -76,7 +76,7 @@ def timed_rounds(server: OLAPServer, rounds: int, deadline_ms=None) -> float:
 def run(sizes, rounds=REPEATS) -> dict:
     plain = make_server(sizes)
     plain.reconfigure()
-    bounded = make_server(sizes, max_in_flight=8, default_deadline_ms=None)
+    bounded = make_server(sizes, max_in_flight=8)
     bounded.reconfigure()
 
     plain_s = timed_rounds(plain, rounds)

@@ -227,7 +227,6 @@ class DynamicViewAssembler:
         storage_budget: int | None = None,
         reconfigure_every: int = 64,
         decay: float = 0.98,
-        use_fast_engine: bool = True,
     ):
         cube_values = np.asarray(cube_values, dtype=np.float64)
         if cube_values.shape != shape.sizes:
@@ -240,7 +239,7 @@ class DynamicViewAssembler:
         self.tracker = AccessTracker(decay=decay)
         self.stats = _ServiceStats()
         self.history: list[ReconfigurationRecord] = []
-        self._engine = SelectionEngine(shape) if use_fast_engine else None
+        self._engine = SelectionEngine(shape)
         #: Measured-vs-planned feedback (fed by :meth:`observe_profile`).
         self.cost_monitor = CostModelMonitor()
         # Start from the trivial basis: the cube itself.
@@ -318,7 +317,6 @@ class DynamicViewAssembler:
         if (
             self.storage_budget is not None
             and self.storage_budget > self.shape.volume
-            and self._engine is not None
         ):
             result = self._engine.greedy_redundant_selection(
                 elements, population, storage_budget=self.storage_budget

@@ -633,7 +633,6 @@ def execute_plan(
     counter: OpCounter | None = None,
     max_workers: int = 1,
     *,
-    dispatch_threshold: int | None = None,
     stats: dict | None = None,
     span_attrs: dict | None = None,
     out: Mapping[ElementId, np.ndarray] | None = None,
@@ -650,10 +649,9 @@ def execute_plan(
 
     Returns ``{target: values}``.  Parallelism is **cost-aware**: a node is
     dispatched to a worker only when its modeled cost reaches
-    ``dispatch_threshold`` (default :data:`DISPATCH_THRESHOLD`, read when
-    the call is made) scalar operations — smaller nodes run inline on the
-    scheduler thread, where a tiny numpy reduction is cheaper than a pool
-    round-trip.  When *no*
+    :data:`DISPATCH_THRESHOLD` (read when the call is made) scalar
+    operations — smaller nodes run inline on the scheduler thread, where a
+    tiny numpy reduction is cheaper than a pool round-trip.  When *no*
     node clears the threshold, a ``max_workers > 1`` request is demoted to
     serial execution outright (the measured fix for the thread pool losing
     to one worker on small cubes); the decision is recorded on the span,
@@ -666,9 +664,7 @@ def execute_plan(
     results as read-only).
     """
     own = counter if counter is not None else OpCounter()
-    threshold = (
-        DISPATCH_THRESHOLD if dispatch_threshold is None else dispatch_threshold
-    )
+    threshold = DISPATCH_THRESHOLD
     slots: list = [None] * len(plan.program)
     if out:
         for target, slot in zip(plan.targets, plan.target_slots):

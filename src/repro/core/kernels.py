@@ -46,7 +46,13 @@ import os
 import numpy as np
 
 from .element import ElementId
-from .operators import OpCounter, _normalize_axis, _require_even, synthesize
+from .operators import (
+    OpCounter,
+    _normalize_axis,
+    _operand,
+    _require_even,
+    synthesize,
+)
 
 __all__ = [
     "pin_allocator_thresholds",
@@ -113,7 +119,8 @@ def fused_cascade(
     even/odd strided views of the previous result, written into a fresh
     array; an interior is freed when the next step rebinds it, so the whole
     chain holds at most two scratch arrays at once.  An empty chain returns
-    the input unchanged (same aliasing contract as a zero-step descent).
+    the operand unchanged — the input itself unless it widened (same
+    aliasing contract as a zero-step descent).
 
     ``out``, if given, takes the final step in place (it may be strided:
     one shard's slab of a gathered buffer); an empty chain ignores it.
@@ -122,9 +129,10 @@ def fused_cascade(
     :func:`~repro.core.operators.partial_residual` per step: the arithmetic
     and its order are unchanged, only dispatch and allocation are fused.
     Operation accounting matches too — each step adds its output size under
-    the same ``P1 axis=…`` / ``R1 axis=…`` label.
+    the same ``P1 axis=…`` / ``R1 axis=…`` label — and so does the dtype:
+    integer input is aggregated in ``int64`` (``operators._operand``).
     """
-    cur = np.asarray(a)
+    cur = _operand(a)
     steps = tuple(steps)
     if not steps:
         return cur
@@ -176,7 +184,7 @@ def fused_aggregate(
     the canonical order every other execution path uses — so the result is
     bit-identical to nesting :func:`partial_sum_k` per dimension.
     """
-    a = np.asarray(a)
+    a = _operand(a)
     levels = tuple(int(k) for k in levels)
     if len(levels) != a.ndim:
         raise ValueError(

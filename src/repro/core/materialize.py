@@ -553,7 +553,6 @@ class MaterializedSet:
         targets: Iterable[ElementId],
         counter: OpCounter | None = None,
         max_workers: int = 1,
-        cost_memo: dict | None = None,
         warm=None,
     ) -> dict[ElementId, np.ndarray]:
         """Assemble several targets as one shared-plan DAG.
@@ -570,8 +569,7 @@ class MaterializedSet:
         bit-identical to per-target :meth:`assemble` calls and never cost
         more scalar operations; the total is usually strictly lower.
         Procedure 3 prices are reused across batches through the set's
-        persistent cost memo (valid until the stored element set changes);
-        pass ``cost_memo`` explicitly to substitute an external one.
+        persistent cost memo (valid until the stored element set changes).
 
         ``warm`` works as in :meth:`assemble`: a target cheaper to
         aggregate from its smallest warm ancestor is that one cascade, and
@@ -605,11 +603,7 @@ class MaterializedSet:
                 # Validated against this snapshot: a cached plan can
                 # outlive a quarantine that raced the cache clear, and is
                 # never executed against missing arrays.
-                plan = self._plan_cache.plan(
-                    planned,
-                    stored,
-                    self._cost_memo if cost_memo is None else cost_memo,
-                )
+                plan = self._plan_cache.plan(planned, stored, self._cost_memo)
                 if plan is None:
                     # A plan racing a store can re-insert stale prices
                     # from the pre-store element set after the clear;

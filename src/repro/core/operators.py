@@ -19,6 +19,11 @@ Together the pair satisfies the four properties the paper relies on:
 - *Separability* (Property 4, Eq 14): operators on different dimensions
   commute, so multi-dimensional cascades may be applied in any order.
 
+Integer operands are aggregated in ``int64`` (:func:`_operand`): a sum of
+two ``int32`` cells near the maximum would wrap in ``int32``, and a
+residual of unsigned cells is negative.  Float operands pass through
+uncopied, in their own dtype.
+
 All functions accept an optional :class:`OpCounter` that accumulates the
 number of scalar additions/subtractions actually performed.  This is the
 empirical counterpart of the paper's analytic cost model (Eqs 26-28) and lets
@@ -30,6 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from ..errors import InvalidQueryError
 
 __all__ = [
     "OpCounter",
@@ -87,6 +94,23 @@ class OpCounter:
         self.events.clear()
 
 
+def _operand(a) -> np.ndarray:
+    """``a`` as an array the operators aggregate exactly: booleans and
+    integers narrower than 64 bits widen to ``int64`` (a copy), ``int64``
+    and floats pass through uncopied.  ``uint64`` raises
+    :class:`~repro.errors.InvalidQueryError`: no ``int64`` holds all of
+    it, and its residuals are negative."""
+    a = np.asarray(a)
+    if a.dtype.kind in "biu" and a.dtype != np.int64:
+        if a.dtype == np.uint64:
+            raise InvalidQueryError(
+                "uint64 operands cannot be aggregated exactly; convert "
+                "them to int64 or float64"
+            )
+        a = a.astype(np.int64)
+    return a
+
+
 def _normalize_axis(a: np.ndarray, axis: int) -> int:
     """Resolve a possibly-negative axis, rejecting out-of-range values."""
     if a.ndim == 0:
@@ -140,10 +164,10 @@ def partial_sum(
 
     Sums neighbouring pairs of cells along ``axis`` and subsamples by two.
     The result has half the extent along ``axis``.  ``out``, if given,
-    receives the result in place (it must have exactly the result shape);
-    the input's dtype is preserved either way.
+    receives the result in place (it must have exactly the result shape).
+    The result is ``int64`` for integer input, else the input's dtype.
     """
-    even, odd, out = _halved(np.asarray(a), axis, out)
+    even, odd, out = _halved(_operand(a), axis, out)
     out = np.add(even, odd, out=out)
     if counter is not None:
         counter.add(additions=out.size, label=f"P1 axis={axis}")
@@ -162,7 +186,7 @@ def partial_residual(
     ``axis`` and subsamples by two.  ``out`` behaves as in
     :func:`partial_sum`.
     """
-    even, odd, out = _halved(np.asarray(a), axis, out)
+    even, odd, out = _halved(_operand(a), axis, out)
     out = np.subtract(even, odd, out=out)
     if counter is not None:
         counter.add(subtractions=out.size, label=f"R1 axis={axis}")
@@ -177,6 +201,7 @@ def analyze(
     Returns ``(partial, residual)``.  By Property 3 the two outputs together
     occupy exactly the volume of the input.
     """
+    a = _operand(a)
     return (
         partial_sum(a, axis, counter=counter),
         partial_residual(a, axis, counter=counter),
@@ -197,8 +222,8 @@ def synthesize(
     a C-contiguous float64 array of the parent's shape; the reconstruction
     is written into it allocation-free.
     """
-    p = np.asarray(p, dtype=np.float64)
-    r = np.asarray(r, dtype=np.float64)
+    p = np.asarray(_operand(p), dtype=np.float64)
+    r = np.asarray(_operand(r), dtype=np.float64)
     if p.shape != r.shape:
         raise ValueError(f"partial {p.shape} and residual {r.shape} shapes differ")
     axis = axis % p.ndim
@@ -239,7 +264,7 @@ def partial_sum_k(
     """k-th partial aggregation ``Pk`` via the telescopic cascade (Eq 8)."""
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
-    out = np.asarray(a)
+    out = _operand(a)
     for _ in range(k):
         out = partial_sum(out, axis, counter=counter)
     return out
@@ -250,7 +275,7 @@ def total_sum(a: np.ndarray, axis: int, counter: OpCounter | None = None) -> np.
 
     Cascades ``P1`` ``log2(n)`` times, leaving extent 1 along ``axis``.
     """
-    a = np.asarray(a)
+    a = _operand(a)
     n = a.shape[axis % a.ndim]
     k = int(n).bit_length() - 1
     if 2**k != n:
@@ -266,7 +291,7 @@ def total_aggregate(
     By separability (Property 4) the per-dimension cascades may be applied in
     any order; we apply them in ascending axis order.
     """
-    out = np.asarray(a)
-    for axis in sorted(ax % a.ndim for ax in axes):
+    out = _operand(a)
+    for axis in sorted(ax % out.ndim for ax in axes):
         out = total_sum(out, axis, counter=counter)
     return out

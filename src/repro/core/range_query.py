@@ -17,9 +17,11 @@ Intermediate elements are served by a :class:`~repro.core.materialize.
 MaterializedSet` — a Gaussian pyramid (Section 4.3) makes every lookup a
 single stored-cell read.
 
-Cost accounting counts one addition per extra cell summed; missing
-intermediate elements can either be assembled on demand (their assembly cost
-is counted) or the engine falls back to scanning the raw cube.
+Cost accounting counts one addition per extra cell summed; a missing
+intermediate element is assembled on demand, and its assembly cost is
+counted.  :func:`range_sum_direct` is the raw-cube scan of Eq 36, which
+the server falls back to when quarantine leaves the stored set
+incomplete.
 """
 
 from __future__ import annotations
@@ -127,16 +129,10 @@ class RangeAnswer:
 class RangeQueryEngine:
     """Answers range-SUM queries from materialized intermediate elements."""
 
-    def __init__(
-        self,
-        materialized: MaterializedSet,
-        assemble_missing: bool = True,
-    ):
-        """``assemble_missing`` controls whether intermediate elements absent
-        from the set are assembled on demand (costed) or cause a fallback to
-        raising :class:`KeyError` from the lookup."""
+    def __init__(self, materialized: MaterializedSet):
+        """Intermediate elements absent from ``materialized`` are assembled
+        on demand (costed) and kept."""
         self.materialized = materialized
-        self.assemble_missing = assemble_missing
         self._cache: dict[ElementId, np.ndarray] = {}
         #: The same arrays keyed by level vector (every one is a pure
         #: partial sum), so :meth:`range_sum` finds them without resolving
@@ -358,9 +354,8 @@ class RangeQueryEngine:
     ) -> dict[ElementId, np.ndarray]:
         """Assemble ``missing`` as one shared-plan DAG and cache the results
         (:meth:`MaterializedSet.assemble_batch` — fused cascades, CSE
-        across the levels, buffer-pool reuse, and each one that a warm
-        ancestor reaches more cheaply aggregated from it) as :meth:`_keep`
-        allows."""
+        across the levels, and each one that a warm ancestor reaches more
+        cheaply aggregated from it) as :meth:`_keep` allows."""
         assembled = self.materialized.assemble_batch(
             missing,
             counter=counter,
@@ -515,11 +510,6 @@ class RangeQueryEngine:
                             continue
                     missing[i] = element
                 if missing:
-                    if not self.assemble_missing:
-                        first = next(iter(missing.values()))
-                        raise KeyError(
-                            f"intermediate element {first!r} is not materialized"
-                        )
                     try:
                         assembled = self._assemble_missing(
                             list(missing.values()), own_counter, mark

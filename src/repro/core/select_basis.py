@@ -66,7 +66,6 @@ class BasisSelection:
 def select_minimum_cost_basis(
     shape: CubeShape,
     population: QueryPopulation,
-    max_elements: int | None = None,
 ) -> BasisSelection:
     """Algorithm 1: the complete, non-redundant basis of minimum cost.
 
@@ -76,9 +75,6 @@ def select_minimum_cost_basis(
         Cube shape whose view element graph is searched.
     population:
         Query population ``{(Z_k, f_k)}`` defining the support costs.
-    max_elements:
-        Safety valve on extraction — raise if the optimal basis has more
-        members (the *cost* is always computed; only listing them is capped).
 
     Returns
     -------
@@ -91,18 +87,16 @@ def select_minimum_cost_basis(
     if population.is_aggregated_view_population():
         fast = select_minimum_cost_basis_fast(shape, population)
         return BasisSelection(
-            tuple(extract_basis(shape, fast.decision, max_elements)),
+            tuple(extract_basis(shape, fast.decision)),
             fast.cost,
             selector="reduced",
             states=fast.states,
         )
-    return _select_explicit(shape, population, max_elements)
+    return _select_explicit(shape, population)
 
 
 def _select_explicit(
-    shape: CubeShape,
-    population: QueryPopulation,
-    max_elements: int | None = None,
+    shape: CubeShape, population: QueryPopulation
 ) -> BasisSelection:
     """Algorithm 1 memoized over explicit view elements (any population)."""
     support_memo: dict[ElementId, float] = {}
@@ -134,7 +128,7 @@ def _select_explicit(
 
     cost, _ = value(shape.root())
     return BasisSelection(
-        tuple(extract_basis(shape, lambda node: value(node)[1], max_elements)),
+        tuple(extract_basis(shape, lambda node: value(node)[1])),
         float(cost),
         selector="general",
         states=len(value_memo),

@@ -73,30 +73,20 @@ class FastBasisResult:
         """The split dimension chosen at ``node`` (-1 = keep it)."""
         return self._decisions[_state_of(node)]
 
-    def extract_elements(self, limit: int | None = None):
-        """Yield the members of the optimal basis (Procedure 2).
-
-        Raises :class:`RuntimeError` if more than ``limit`` members would be
-        produced.
-        """
-        return extract_basis(self.shape, self.decision, limit)
+    def extract_elements(self):
+        """Yield the members of the optimal basis (Procedure 2)."""
+        return extract_basis(self.shape, self.decision)
 
 
-def extract_basis(shape: CubeShape, decision, limit: int | None = None):
+def extract_basis(shape: CubeShape, decision):
     """Procedure 2: follow the split decisions from the root and yield every
     terminal element (``decision(node)``: -1 = keep, ``m`` = split along
-    ``m``); :class:`RuntimeError` past ``limit`` members."""
-    produced = 0
+    ``m``)."""
     stack = [shape.root()]
     while stack:
         node = stack.pop()
         dim = decision(node)
         if dim < 0:
-            produced += 1
-            if limit is not None and produced > limit:
-                raise RuntimeError(
-                    f"optimal basis exceeds the limit (max_elements={limit})"
-                )
             yield node
         else:
             stack.append(node.partial_child(dim))

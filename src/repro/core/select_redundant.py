@@ -304,11 +304,14 @@ def greedy_redundant_selection(
     population: QueryPopulation,
     storage_budget: float,
     candidates: Iterable[ElementId] | None = None,
-    stop_at_zero: bool = True,
     remove_obsolete: bool = False,
-    engine: str = "auto",
 ) -> GreedyResult:
     """Algorithm 2: greedily add redundant elements under a storage budget.
+
+    Stops early once the total cost reaches zero.  A graph of more than
+    :data:`ENGINE_DELEGATION_THRESHOLD` view elements is handed to the
+    vectorized :class:`~repro.core.engine.SelectionEngine`, which computes
+    the same trajectory.
 
     Parameters
     ----------
@@ -324,19 +327,10 @@ def greedy_redundant_selection(
         Pool of addable elements.  Defaults to every view element of the
         graph (feasible for small shapes only); pass the aggregated views to
         emulate the view-only [D] strategy.
-    stop_at_zero:
-        Stop early once the total cost reaches zero.
     remove_obsolete:
         The Section 7.2.2 refinement: after each addition, drop selected
         elements whose removal leaves the total cost unchanged (largest
         volume first), freeing storage for later stages.
-    engine:
-        ``"auto"`` (default) delegates to the vectorized
-        :class:`~repro.core.engine.SelectionEngine` when the graph exceeds
-        :data:`ENGINE_DELEGATION_THRESHOLD` view elements (both compute
-        identical trajectories; the engine evaluates a whole greedy stage
-        in a few dense array passes).  ``"reference"`` forces the explicit
-        recursion here; ``"vectorized"`` forces the engine.
 
     Returns
     -------
@@ -344,13 +338,7 @@ def greedy_redundant_selection(
         The stage-by-stage storage/cost trajectory and final selection.
     """
     shape = population.shape
-    if engine not in ("auto", "reference", "vectorized"):
-        raise ValueError(f"unknown engine {engine!r}")
-    use_engine = engine == "vectorized" or (
-        engine == "auto"
-        and shape.num_view_elements() > ENGINE_DELEGATION_THRESHOLD
-    )
-    if use_engine:
+    if shape.num_view_elements() > ENGINE_DELEGATION_THRESHOLD:
         from .engine import SelectionEngine
 
         return SelectionEngine(shape).greedy_redundant_selection(
@@ -358,7 +346,6 @@ def greedy_redundant_selection(
             population,
             storage_budget,
             candidates=candidates,
-            stop_at_zero=stop_at_zero,
             remove_obsolete=remove_obsolete,
         )
     selected = list(initial)
@@ -371,7 +358,7 @@ def greedy_redundant_selection(
     stages = [GreedyStage(added=None, storage=storage, cost=cost)]
 
     while pool:
-        if stop_at_zero and cost <= 0.0:
+        if cost <= 0.0:
             break
         best_cost = cost
         best_idx = -1

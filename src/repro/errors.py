@@ -26,7 +26,9 @@ branch on the concrete type for policy:
 - :class:`InvalidQueryError` — a read request named a roll-up level or a
   range bound that is not an integer (``1.9``, ``True``); refused before
   anything is resolved instead of being truncated to a different request.
-  Subclasses :class:`ValueError` likewise.
+  The partial-aggregation operators raise it for a ``uint64`` operand,
+  which no signed 64-bit sum or difference holds exactly.  Subclasses
+  :class:`ValueError` likewise.
 
 The taxonomy is deliberately small: everything else propagating out of the
 library is a programming error, not a serving condition.
@@ -109,4 +111,5 @@ class InvalidUpdateError(ReproError, ValueError):
 
 
 class InvalidQueryError(ReproError, ValueError):
-    """A request's level or bound is not an integer; nothing was served."""
+    """A request's level or bound is not an integer, or an operand's dtype
+    cannot be aggregated exactly; nothing was served."""

@@ -149,16 +149,13 @@ class Observability:
 
     def __init__(
         self,
-        registry: MetricsRegistry | None = None,
-        tracer: Tracer | None = None,
         max_spans: int = 4096,
-        events: EventLog | None = None,
         max_events: int = 4096,
         tracing: bool = True,
     ):
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.tracer = tracer if tracer is not None else Tracer(max_spans=max_spans)
-        self.events = events if events is not None else EventLog(max_events=max_events)
+        self.registry = MetricsRegistry()
+        self.tracer = Tracer(max_spans=max_spans)
+        self.events = EventLog(max_events=max_events)
         self.tracing = tracing
 
     def activate(self) -> "_Activation":

@@ -50,6 +50,8 @@ __all__ = [
 #: blips.
 FAST_WINDOW_S = 60.0
 SLOW_WINDOW_S = 600.0
+#: Fire/resolve events an :class:`AlertEngine` keeps for ``history()``.
+MAX_HISTORY = 128
 
 
 class ManualClock:
@@ -230,7 +232,6 @@ class AlertEngine:
         self,
         rules: tuple[BurnRateRule, ...] | None = None,
         clock=time.monotonic,
-        max_history: int = 128,
     ):
         self.rules = tuple(rules) if rules is not None else default_rules()
         names = [rule.name for rule in self.rules]
@@ -241,7 +242,7 @@ class AlertEngine:
         self.on_resolve: list = []
         self._lock = threading.Lock()
         self._states = {rule.name: _RuleState(rule) for rule in self.rules}
-        self._history: deque = deque(maxlen=max_history)
+        self._history: deque = deque(maxlen=MAX_HISTORY)
         self._records = 0
         self._evaluations = 0
         self._fired_total = 0

@@ -41,6 +41,16 @@ __all__ = [
 
 QUERY_KINDS = ("view", "rollup", "range")
 
+#: :class:`FingerprintTracker`'s per-query forgetting factor, and how many
+#: of the hottest elements its ``hot_share`` covers.
+DECAY = 0.995
+HOT_TOP = 8
+#: :class:`SiteProfiler`'s EWMA weight, per-site reservoir of recent
+#: durations, and site-table bound.
+SITE_ALPHA = 0.05
+RESERVOIR_SIZE = 64
+MAX_SITES = 64
+
 
 @dataclass(frozen=True)
 class WorkloadFingerprint:
@@ -103,17 +113,13 @@ class FingerprintTracker:
     """Decayed workload accounting feeding :class:`WorkloadFingerprint`.
 
     Every counter is a ``[value, last_tick]`` slot decayed lazily by
-    ``decay ** (tick - last_tick)`` — one global tick per query.
-    ``hot_top`` is how many of the hottest elements ``hot_share`` covers;
-    the share itself is handed to :meth:`fingerprint` / :meth:`snapshot`
-    by whoever owns the per-element table.
+    ``DECAY ** (tick - last_tick)`` — one global tick per query.
+    :data:`HOT_TOP` is how many of the hottest elements ``hot_share``
+    covers; the share itself is handed to :meth:`fingerprint` /
+    :meth:`snapshot` by whoever owns the per-element table.
     """
 
-    def __init__(self, decay: float = 0.995, hot_top: int = 8):
-        if not 0.0 < decay <= 1.0:
-            raise ValueError("decay must be in (0, 1]")
-        self.decay = float(decay)
-        self.hot_top = int(hot_top)
+    def __init__(self):
         self._lock = threading.Lock()
         self._tick = 0
         self._kinds = {kind: [0.0, 0] for kind in QUERY_KINDS}
@@ -125,11 +131,11 @@ class FingerprintTracker:
 
     def _bump(self, slot: list, amount: float) -> None:
         value, last = slot
-        slot[0] = value * self.decay ** (self._tick - last) + amount
+        slot[0] = value * DECAY ** (self._tick - last) + amount
         slot[1] = self._tick
 
     def _effective(self, slot: list) -> float:
-        return slot[0] * self.decay ** (self._tick - slot[1])
+        return slot[0] * DECAY ** (self._tick - slot[1])
 
     def note_query(self, kind: str, n: int = 1) -> None:
         """Account ``n`` served queries (``kind`` in :data:`QUERY_KINDS`).
@@ -191,8 +197,8 @@ class FingerprintTracker:
                 "fingerprint": fp.to_dict(),
                 "queries": self.queries,
                 "ingest_batches": self.ingest_batches,
-                "decay": self.decay,
-                "hot_top": self.hot_top,
+                "decay": DECAY,
+                "hot_top": HOT_TOP,
             }
 
 
@@ -214,20 +220,11 @@ class SiteProfiler:
     count, an EWMA, and a bounded sliding reservoir of recent durations
     (slot ``count % size`` is overwritten — deterministic, no RNG), from
     which :meth:`snapshot` derives p50/p95.  The site table is bounded;
-    span names past ``max_sites`` are counted in ``overflow_sites``.
+    span names past :data:`MAX_SITES` are counted in ``overflow_sites``.
     """
 
-    def __init__(
-        self,
-        tracer: Tracer,
-        alpha: float = 0.05,
-        reservoir_size: int = 64,
-        max_sites: int = 64,
-    ):
+    def __init__(self, tracer: Tracer):
         self.tracer = tracer
-        self.alpha = float(alpha)
-        self.reservoir_size = int(reservoir_size)
-        self.max_sites = int(max_sites)
         self._lock = threading.Lock()
         self._sites: dict[str, _SiteStats] = {}
         self.overflow_sites = 0
@@ -247,18 +244,18 @@ class SiteProfiler:
         duration_ms = (end - span.start) * 1e3
         stats = self._sites.get(span.name)
         if stats is None:
-            if len(self._sites) >= self.max_sites:
+            if len(self._sites) >= MAX_SITES:
                 self.overflow_sites += 1
                 return
             stats = self._sites[span.name] = _SiteStats()
         if stats.count == 0:
             stats.ewma_ms = duration_ms
         else:
-            stats.ewma_ms += self.alpha * (duration_ms - stats.ewma_ms)
-        if len(stats.reservoir) < self.reservoir_size:
+            stats.ewma_ms += SITE_ALPHA * (duration_ms - stats.ewma_ms)
+        if len(stats.reservoir) < RESERVOIR_SIZE:
             stats.reservoir.append(duration_ms)
         else:
-            stats.reservoir[stats.count % self.reservoir_size] = duration_ms
+            stats.reservoir[stats.count % RESERVOIR_SIZE] = duration_ms
         stats.count += 1
         stats.total_ms += duration_ms
         stats.max_ms = max(stats.max_ms, duration_ms)

@@ -67,6 +67,18 @@ KEEP_REASONS = ("error", "event", "slow", "head")
 #: ``(name, kind)``; 0 disables head sampling).
 MAX_TRACES = 64
 HEAD_SAMPLE = 64
+#: The tail-sampling latency bar: this quantile of a ``WINDOW`` of recent
+#: root durations per ``(root name, kind)``, re-estimated every
+#: ``REFRESH_EVERY`` roots once ``MIN_SAMPLES`` have been seen.
+SLOW_QUANTILE = 0.95
+MIN_SAMPLES = 24
+WINDOW = 256
+REFRESH_EVERY = 32
+#: Bounds: traces parked awaiting their root, spans parked per trace, and
+#: the ring of :meth:`FlightRecorder.note_health` snapshots.
+MAX_PENDING = 64
+MAX_SPANS_PER_TRACE = 512
+MAX_HEALTH = 8
 
 
 @dataclass(frozen=True)
@@ -101,64 +113,37 @@ class _RootStats:
 
     __slots__ = ("seen", "ring", "threshold")
 
-    def __init__(self, window: int):
+    def __init__(self):
         self.seen = 0
-        self.ring: deque = deque(maxlen=window)
+        self.ring: deque = deque(maxlen=WINDOW)
         self.threshold: float | None = None
 
 
 class FlightRecorder:
     """Bounded, tail-biased capture of recent traces (see module docs)."""
 
-    def __init__(
-        self,
-        tracer: Tracer,
-        registry: MetricsRegistry | None = None,
-        max_traces: int = MAX_TRACES,
-        head_sample: int = HEAD_SAMPLE,
-        slow_quantile: float = 0.95,
-        min_samples: int = 24,
-        window: int = 256,
-        refresh_every: int = 32,
-        max_pending: int = 64,
-        max_spans_per_trace: int = 512,
-        max_health: int = 8,
-    ):
-        """``head_sample`` keeps 1 in N healthy roots (0 disables head
-        sampling); ``slow_quantile`` is the tail-sampling latency bar,
-        estimated over a ``window`` of recent root durations per
-        ``(root name, kind)`` and refreshed every ``refresh_every`` roots
-        once ``min_samples`` have been seen."""
+    def __init__(self, tracer: Tracer, registry: MetricsRegistry):
+        """Listens to ``tracer`` and counts kept traces in ``registry``;
+        the bounds and sampling rates are this module's constants."""
         self.tracer = tracer
-        self.registry = registry
-        self.max_traces = int(max_traces)
-        self.head_sample = int(head_sample)
-        self.slow_quantile = float(slow_quantile)
-        self.min_samples = int(min_samples)
-        self.window = int(window)
-        self.refresh_every = max(1, int(refresh_every))
-        self.max_pending = int(max_pending)
-        self.max_spans_per_trace = int(max_spans_per_trace)
         self._lock = threading.Lock()
         self._pending: dict[int, list[Span]] = {}
-        self._kept: deque[KeptTrace] = deque(maxlen=max(1, self.max_traces))
+        self._kept: deque[KeptTrace] = deque(maxlen=max(1, MAX_TRACES))
         self._roots: dict[tuple[str, str], _RootStats] = {}
-        self._health: deque[dict] = deque(maxlen=max_health)
+        self._health: deque[dict] = deque(maxlen=MAX_HEALTH)
         self.traces_seen = 0
         self.kept_counts = {reason: 0 for reason in KEEP_REASONS}
         self.pending_dropped = 0
         self.trace_spans_dropped = 0
         self.kept_evicted = 0
+        kept = registry.counter(
+            "flight_traces_kept_total",
+            "traces kept by the flight recorder, by keep reason",
+        )
         #: ``flight_traces_kept_total`` series by keep reason, bound once.
-        self._kept_series = None
-        if registry is not None:
-            kept = registry.counter(
-                "flight_traces_kept_total",
-                "traces kept by the flight recorder, by keep reason",
-            )
-            self._kept_series = {
-                reason: kept.labels(reason=reason) for reason in KEEP_REASONS
-            }
+        self._kept_series = {
+            reason: kept.labels(reason=reason) for reason in KEEP_REASONS
+        }
         tracer.add_listener(self.on_trace)
 
     def close(self) -> None:
@@ -182,7 +167,7 @@ class FlightRecorder:
                     kept = self._close_trace(span)
                 else:
                     self._buffer(span)
-        if kept is not None and self._kept_series is not None:
+        if kept is not None:
             self._kept_series[kept.reason].inc()
 
     def on_span(self, span: Span) -> None:
@@ -193,13 +178,13 @@ class FlightRecorder:
         """Park a non-root span until its root arrives (lock held)."""
         bucket = self._pending.get(span.trace_id)
         if bucket is None:
-            if len(self._pending) >= self.max_pending:
+            if len(self._pending) >= MAX_PENDING:
                 # Shed the oldest in-flight trace, not the newest:
                 # it is the one most likely orphaned.
                 self._pending.pop(next(iter(self._pending)))
                 self.pending_dropped += 1
             bucket = self._pending[span.trace_id] = []
-        if len(bucket) >= self.max_spans_per_trace:
+        if len(bucket) >= MAX_SPANS_PER_TRACE:
             self.trace_spans_dropped += 1
         else:
             bucket.append(span)
@@ -243,7 +228,7 @@ class FlightRecorder:
         key = (root.name, kind)
         stats = self._roots.get(key)
         if stats is None:
-            stats = self._roots[key] = _RootStats(self.window)
+            stats = self._roots[key] = _RootStats()
         stats.seen = seen = stats.seen + 1
         ring = stats.ring
         reason: str | None = None
@@ -255,19 +240,19 @@ class FlightRecorder:
                     reason = "event"
                     break
         if reason is None:
-            warm = len(ring) >= self.min_samples
+            warm = len(ring) >= MIN_SAMPLES
             if warm and (
-                stats.threshold is None or seen % self.refresh_every == 0
+                stats.threshold is None or seen % REFRESH_EVERY == 0
             ):
                 ordered = sorted(ring)
                 index = min(
                     len(ordered) - 1,
-                    int(round(self.slow_quantile * (len(ordered) - 1))),
+                    int(round(SLOW_QUANTILE * (len(ordered) - 1))),
                 )
                 stats.threshold = ordered[index]
             if warm and duration_ms >= stats.threshold:
                 reason = "slow"
-            elif self.head_sample and (seen - 1) % self.head_sample == 0:
+            elif HEAD_SAMPLE and (seen - 1) % HEAD_SAMPLE == 0:
                 reason = "head"
         ring.append(duration_ms)
         return reason
@@ -317,9 +302,9 @@ class FlightRecorder:
             return {
                 "traces_seen": self.traces_seen,
                 "kept_now": len(self._kept),
-                "max_traces": self.max_traces,
-                "head_sample": self.head_sample,
-                "slow_quantile": self.slow_quantile,
+                "max_traces": MAX_TRACES,
+                "head_sample": HEAD_SAMPLE,
+                "slow_quantile": SLOW_QUANTILE,
                 "kept": dict(self.kept_counts),
                 "slow_thresholds_ms": {
                     f"{name}|{kind}": round(stats.threshold, 3)

@@ -17,9 +17,13 @@ from ..core.operators import OpCounter
 from ..errors import TransientFault
 from .deadline import current_deadline
 
-__all__ = ["retry_transient"]
+__all__ = ["BACKOFF_MS", "retry_transient"]
 
 T = TypeVar("T")
+
+#: Base of the exponential backoff between retries, in milliseconds; read
+#: when the sleep is taken, so a test patches it here.
+BACKOFF_MS = 5.0
 
 
 def retry_transient(
@@ -27,7 +31,6 @@ def retry_transient(
     counter: OpCounter,
     *,
     max_retries: int,
-    backoff_ms: float,
     on_retry: Callable[[int], None] | None = None,
 ) -> T:
     """Run ``attempt(scratch)`` until it returns, retrying transient faults.
@@ -38,7 +41,7 @@ def retry_transient(
     :class:`~repro.errors.TransientFault` calls ``on_retry(n)`` with the
     number of faults so far (1, 2, …); after more than ``max_retries`` of
     them the last fault is re-raised, otherwise the loop sleeps
-    ``backoff_ms * 2**(n - 1)`` — never longer than the ambient
+    ``BACKOFF_MS * 2**(n - 1)`` milliseconds — never longer than the ambient
     :class:`~repro.resilience.deadline.Deadline` has left, and an expired
     deadline raises :class:`~repro.errors.QueryTimeout` instead of
     sleeping.  Any other exception propagates untouched.
@@ -54,7 +57,7 @@ def retry_transient(
                 on_retry(faults)
             if faults > max_retries:
                 raise
-            delay = (backoff_ms / 1e3) * (2 ** (faults - 1))
+            delay = (BACKOFF_MS / 1e3) * (2 ** (faults - 1))
             deadline = current_deadline()
             if deadline is not None:
                 deadline.check("retry")

@@ -27,10 +27,11 @@ metrics declared once at construction.
   :meth:`reconfigure` bumps the epoch; updates *patch* warm answers in place.
 - **Resilience** — ``(materialized, range_engine, epoch, cache)`` live in
   one immutable :class:`_ServingState` swapped in a single assignment, so
-  a query sees one selection, never a mix.  Admission control, deadlines,
-  transient-fault retries and graceful degradation (quarantined elements
+  a query sees one selection, never a mix.  Fail-fast admission control
+  (``max_in_flight``), per-call deadlines, transient-fault retries
+  (``max_retries``) and graceful degradation: quarantined elements
   re-route to surviving ancestors, or to the base cube, which perfect
-  reconstruction guarantees can answer anything) are constructor knobs.
+  reconstruction guarantees can answer anything.
 - **Durability** — one attribute, a :class:`~repro.durability.Lineage`,
   holds the WAL, sequence state and snapshotter.  :meth:`snapshot` takes
   the consistent cut; :meth:`restore` installs a snapshot written on the
@@ -76,7 +77,12 @@ from .errors import (
 from .obs import LRUCache, Observability, add_span_event, log_event, span
 from .obs.alerts import FAST_WINDOW_S, SLOW_WINDOW_S, AlertEngine
 from .obs.export import prometheus_text
-from .obs.fingerprint import QUERY_KINDS, FingerprintTracker, SiteProfiler
+from .obs.fingerprint import (
+    HOT_TOP,
+    QUERY_KINDS,
+    FingerprintTracker,
+    SiteProfiler,
+)
 from .obs.flight import (
     BUNDLE_FORMAT,
     HEAD_SAMPLE,
@@ -86,6 +92,7 @@ from .obs.flight import (
 )
 from .obs.http import TelemetryServer
 from .obs.profile import query_profile
+from .resilience import retry
 from .resilience.deadline import Deadline, deadline_scope
 from .resilience.faults import fault_point
 from .resilience.retry import retry_transient
@@ -99,10 +106,15 @@ CACHE_ENTRIES = 128
 #: Executor workers a batch call asks for when it passes no ``max_workers``
 #: (cost-aware dispatch demotes to serial when no node is worth a thread).
 MAX_WORKERS = 4
-#: Transient-fault retries before a query fails, and the base of their
-#: exponential backoff, when the constructor is given none.
+#: Transient-fault retries before a query fails when the constructor is
+#: given none (the backoff between them is
+#: :data:`repro.resilience.retry.BACKOFF_MS`).
 MAX_RETRIES = 2
-RETRY_BACKOFF_MS = 5.0
+#: The workload tracker's per-access forgetting factor, and the smoothing
+#: mass :meth:`OLAPServer.observed_population` spreads over every
+#: aggregated view so none is priced as never queried.
+DECAY = 0.98
+SMOOTHING = 0.01
 #: The result cache's slab label, and the label its patch additions are
 #: charged under.
 CACHE_PATCH = "cache patch"
@@ -219,11 +231,10 @@ class _Serve:
             if server._admission is not None:
                 server._acquire_slot(kind)
                 self._admitted = True
-            ms = self.deadline_ms
-            if ms is None:
-                ms = server.default_deadline_ms
-            if ms is not None:
-                self._deadline = deadline_scope(Deadline.after(ms / 1e3))
+            if self.deadline_ms is not None:
+                self._deadline = deadline_scope(
+                    Deadline.after(self.deadline_ms / 1e3)
+                )
                 self._deadline.__enter__()
             self._open_span = span(self._span_name)
             self._span = self._open_span.__enter__()
@@ -306,17 +317,11 @@ class OLAPServer:
         self,
         cube: DataCube,
         storage_budget: int | None = None,
-        decay: float = 0.98,
-        smoothing: float = 0.01,
         cache_entries: int = CACHE_ENTRIES,
         cache_cells: int | None = None,
         observability: Observability | None = None,
         max_in_flight: int | None = None,
-        admission_wait_ms: float = 0.0,
-        default_deadline_ms: float | None = None,
         max_retries: int = MAX_RETRIES,
-        retry_backoff_ms: float = RETRY_BACKOFF_MS,
-        degrade_to_base: bool = True,
         shards: int = 1,
         shard_axis: int | None = None,
         durability: DurabilityConfig | str | Path | None = None,
@@ -325,28 +330,27 @@ class OLAPServer:
         diagnostics_dir: str | Path | None = None,
     ):
         """``storage_budget`` (cells) enables Algorithm 2 redundancy when it
-        exceeds the cube volume; ``decay``/``smoothing`` configure workload
-        tracking.  ``cache_entries``/``cache_cells`` bound the assembled-view
-        result cache (entries and total cached cells); ``observability``
-        supplies a shared metrics registry + tracer (one is created
-        otherwise).
+        exceeds the cube volume.  ``cache_entries``/``cache_cells`` bound
+        the assembled-view result cache (entries and total cached cells);
+        ``observability`` supplies a shared metrics registry + tracer (one
+        is created otherwise).
 
-        Performance constants are module constants beside the code that
-        reads them, not arguments: :data:`repro.core.exec.DISPATCH_THRESHOLD`,
-        the plan caches' ``_PLAN_CACHE_ENTRIES``, the flight recorder's ``MAX_TRACES`` /
-        ``HEAD_SAMPLE``, the alert windows and :data:`MAX_WORKERS`.
-        :meth:`health` reports every value in effect under ``"tuning"``.
+        Values with one setting are module constants beside the code that
+        reads them, not arguments: :data:`DECAY` and :data:`SMOOTHING` for
+        workload tracking, :data:`MAX_WORKERS`,
+        :data:`repro.core.exec.DISPATCH_THRESHOLD`, the plan caches'
+        ``_PLAN_CACHE_ENTRIES``, :data:`repro.resilience.retry.BACKOFF_MS`,
+        the flight recorder's and profiler's bounds and the alert windows.
+        :meth:`health` reports the serving ones under ``"tuning"``.
 
-        Resilience knobs: ``max_in_flight`` bounds admitted queries
-        (``None`` = unbounded) with ``admission_wait_ms`` of bounded wait
-        before :class:`AdmissionRejected` (0 = fail-fast);
-        ``default_deadline_ms`` applies to calls that pass no deadline;
-        ``max_retries``/``retry_backoff_ms`` govern
-        :class:`TransientFault` retries; ``degrade_to_base`` allows
-        falling back to recomputation from the base cube when quarantine
-        leaves the stored set incomplete.
+        Resilience: ``max_in_flight`` bounds admitted queries (``None`` =
+        unbounded); a query past it raises :class:`AdmissionRejected` at
+        once.  ``max_retries`` bounds :class:`TransientFault` retries.
+        Deadlines are per call (``deadline_ms=``).  When quarantine leaves
+        the stored set incomplete, answers are recomputed from the base
+        cube.
 
-        ``shards > 1`` (a power of two) partitions the cube into slabs
+        ``shards`` above 1 (a power of two) partitions the cube into slabs
         along ``shard_axis`` (default: the largest extent, ties last) and
         serves every query scatter–gather over per-shard materialized
         sets — see :mod:`repro.shard`.  Answers are bit-identical to
@@ -370,16 +374,21 @@ class OLAPServer:
             raise ValueError(
                 f"cache_cells must be positive or None, got {cache_cells!r}"
             )
-        if max_retries < 0 or retry_backoff_ms < 0:
+        if max_retries < 0:
             raise ValueError(
-                "max_retries and retry_backoff_ms must be non-negative, got "
-                f"{max_retries!r} / {retry_backoff_ms!r}"
+                f"max_retries must be non-negative, got {max_retries!r}"
+            )
+        if shards < 1:
+            raise ValueError(f"shards must be at least 1, got {shards!r}")
+        if max_in_flight is not None and max_in_flight < 1:
+            raise ValueError(
+                "max_in_flight must be at least 1 or None, got "
+                f"{max_in_flight!r}"
             )
         self.cube = cube
         self.shape = cube.shape_id
         self.storage_budget = storage_budget
-        self.smoothing = smoothing
-        self.tracker = AccessTracker(decay=decay)
+        self.tracker = AccessTracker(decay=DECAY)
         self.stats = ServerStats()
         #: Guards ``stats`` and ``tracker`` so concurrent queries (client
         #: threads, or :meth:`query_batch` callers) account exactly.  The
@@ -400,7 +409,7 @@ class OLAPServer:
         self.flight: FlightRecorder | None = None
         self.profiler: SiteProfiler | None = None
         if flight and self.obs.tracing:
-            self.flight = FlightRecorder(self.tracer, registry=self.metrics)
+            self.flight = FlightRecorder(self.tracer, self.metrics)
             self.profiler = SiteProfiler(self.tracer)
         self.fingerprints = FingerprintTracker()
         if isinstance(alerts, AlertEngine):
@@ -419,11 +428,7 @@ class OLAPServer:
             self.alerts.on_fire.append(self._on_alert_fire)
             self.alerts.on_resolve.append(self._on_alert_resolve)
         self.max_in_flight = max_in_flight
-        self.admission_wait_ms = admission_wait_ms
-        self.default_deadline_ms = default_deadline_ms
         self.max_retries = int(max_retries)
-        self.retry_backoff_ms = float(retry_backoff_ms)
-        self.degrade_to_base = degrade_to_base
         self._admission = (
             threading.BoundedSemaphore(max_in_flight)
             if max_in_flight is not None
@@ -581,7 +586,6 @@ class OLAPServer:
             self._partition,
             base_values=self.cube.values,
             max_retries=self.max_retries,
-            retry_backoff_ms=self.retry_backoff_ms,
         )
 
     # ------------------------------------------------------------------
@@ -622,13 +626,9 @@ class OLAPServer:
     # The serve envelope: admission, deadline, span, accounting, retries
 
     def _acquire_slot(self, kind: str) -> None:
-        """Take one admission slot or raise :class:`AdmissionRejected`.
-
-        At capacity, waits up to ``admission_wait_ms`` (0 = fail-fast)."""
-        wait = self.admission_wait_ms / 1e3
-        if not self._admission.acquire(
-            blocking=wait > 0, timeout=wait if wait > 0 else None
-        ):
+        """Take one admission slot or, at capacity, raise
+        :class:`AdmissionRejected` at once."""
+        if not self._admission.acquire(blocking=False):
             self._m.admission_rejected.inc(kind=kind)
             log_event(
                 "admission_rejected", kind=kind, limit=self.max_in_flight
@@ -659,7 +659,6 @@ class OLAPServer:
             attempt,
             counter,
             max_retries=self.max_retries,
-            backoff_ms=self.retry_backoff_ms,
             on_retry=note,
         )
 
@@ -691,8 +690,6 @@ class OLAPServer:
                 counter,
             )
         except IncompleteSetError:
-            if not self.degrade_to_base:
-                raise
             scratch = OpCounter()
             values = compute_element(
                 self.cube.values, element, counter=scratch
@@ -726,11 +723,8 @@ class OLAPServer:
                 counter,
                 fatal=False,
             )
-        except TransientFault:
+        except (TransientFault, IncompleteSetError):
             pass
-        except IncompleteSetError:
-            if not self.degrade_to_base:
-                raise
         return {
             e: self._assemble_resilient(materialized, e, counter, warm)
             for e in dict.fromkeys(missing)
@@ -955,8 +949,6 @@ class OLAPServer:
                 )
                 value, cells_read = answer.value, answer.cells_read
             except IncompleteSetError:
-                if not self.degrade_to_base:
-                    raise
                 value = range_sum_direct(
                     self.cube.values, ranges, counter=counter
                 )
@@ -975,7 +967,7 @@ class OLAPServer:
     def observed_population(self) -> QueryPopulation:
         """The tracked workload, smoothed over all aggregated views."""
         return self.tracker.population(
-            smoothing=self.smoothing,
+            smoothing=SMOOTHING,
             universe=list(self.shape.aggregated_views()),
         )
 
@@ -1244,7 +1236,7 @@ class OLAPServer:
                 "cache_cells": self._cache_cells,
                 "max_workers": MAX_WORKERS,
                 "max_retries": self.max_retries,
-                "retry_backoff_ms": self.retry_backoff_ms,
+                "retry_backoff_ms": retry.BACKOFF_MS,
                 "plan_cache_entries": MaterializedSet._PLAN_CACHE_ENTRIES,
                 "flight_max_traces": MAX_TRACES,
                 "flight_head_sample": HEAD_SAMPLE,
@@ -1261,7 +1253,7 @@ class OLAPServer:
             tracked = self.tracker.weights()
         weights = sorted(tracked.values(), reverse=True)
         total = sum(weights)
-        hot = sum(weights[: self.fingerprints.hot_top])
+        hot = sum(weights[:HOT_TOP])
         fingerprint = self.fingerprints.snapshot(
             hot_share=hot / total if total > 0.0 else 0.0
         )

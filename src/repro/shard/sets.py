@@ -85,26 +85,20 @@ class ShardedSet:
     def __init__(
         self,
         partition: CubePartition,
-        base_values: np.ndarray | None = None,
+        base_values: np.ndarray,
         *,
         max_retries: int = 2,
-        retry_backoff_ms: float = 5.0,
     ):
         self.partition = partition
         self.shape: CubeShape = partition.shape
         self.max_retries = int(max_retries)
-        self.retry_backoff_ms = float(retry_backoff_ms)
         s = partition.num_shards
         self._shards = [
             MaterializedSet(partition.local_shape) for _ in range(s)
         ]
         # Views, not copies: the server mutates the base cube in place on
         # update(), and the degraded path must see those writes.
-        self._base_slabs = (
-            [partition.slab(base_values, i) for i in range(s)]
-            if base_values is not None
-            else [None] * s
-        )
+        self._base_slabs = [partition.slab(base_values, i) for i in range(s)]
         self._epochs = [0] * s
         self._stored: dict[ElementId, None] = {}
         self._plan_cache = PlanCache(_PLAN_CACHE_ENTRIES)
@@ -181,11 +175,9 @@ class ShardedSet:
         return {"hits": 0, "misses": 0}
 
     def can_assemble(self, target: ElementId) -> bool:
-        local = self.partition.project(target)
-        return all(
-            ms.can_assemble(local) or slab is not None
-            for ms, slab in zip(self._shards, self._base_slabs)
-        )
+        """Always ``True``: a shard whose storage cannot reach ``target``
+        recomputes its slab of it from its base slab."""
+        return True
 
     def shards_health(self) -> dict:
         """JSON-friendly shards section for ``health()``/``repro stats``."""
@@ -300,7 +292,6 @@ class ShardedSet:
         targets,
         counter: OpCounter | None = None,
         max_workers: int = 1,
-        cost_memo: dict | None = None,
         warm=None,
     ) -> dict[ElementId, np.ndarray]:
         """Scatter the batch to every shard, merge the partials exactly.
@@ -510,11 +501,6 @@ class ShardedSet:
         faulting) shard degrades only its own slab of the answer.
         """
         slab = self._base_slabs[s]
-        if slab is None:
-            raise IncompleteSetError(
-                f"shard {s} storage is not complete for the requested "
-                "targets and no base slab is attached"
-            )
         registry = current_registry()
         registry.counter(
             "shard_degraded_total",
@@ -558,7 +544,6 @@ class ShardedSet:
             attempt,
             counter,
             max_retries=self.max_retries,
-            backoff_ms=self.retry_backoff_ms,
             on_retry=count,
         )
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs import alerts
 from repro.obs.alerts import (
     FAST_BUCKETS,
     AlertEngine,
@@ -27,9 +28,9 @@ RULE = BurnRateRule(
 )
 
 
-def make_engine(rule=RULE, **kwargs):
+def make_engine(rule=RULE):
     clock = ManualClock()
-    engine = AlertEngine(rules=(rule,), clock=clock, **kwargs)
+    engine = AlertEngine(rules=(rule,), clock=clock)
     return engine, clock
 
 
@@ -230,8 +231,9 @@ class TestEngineMechanics:
         feed(engine, clock, ["ok"] * 40)
         assert seen == [("errors", 1), ("errors", 1)]
 
-    def test_history_is_bounded(self):
-        engine, clock = make_engine(max_history=4)
+    def test_history_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(alerts, "MAX_HISTORY", 4)
+        engine, clock = make_engine()
         # Each cycle must burn >25% of a *full* slow window (60 buckets)
         # to re-fire, hence 20 errors; the ok run rotates them back out.
         for _ in range(6):

@@ -7,7 +7,8 @@ import pytest
 
 from repro.cube.datacube import DataCube
 from repro.cube.dimensions import Dimension
-from repro.obs import Tracer
+from repro import server as server_module
+from repro.obs import Tracer, fingerprint
 from repro.obs.fingerprint import (
     FingerprintTracker,
     SiteProfiler,
@@ -42,8 +43,9 @@ class TestWorkloadFingerprint:
 
 
 class TestFingerprintTracker:
-    def test_mix_fractions(self):
-        tracker = FingerprintTracker(decay=1.0)
+    def test_mix_fractions(self, monkeypatch):
+        monkeypatch.setattr(fingerprint, "DECAY", 1.0)
+        tracker = FingerprintTracker()
         for _ in range(7):
             tracker.note_query("view")
         for _ in range(2):
@@ -62,8 +64,9 @@ class TestFingerprintTracker:
         tracker.note_query("mystery")
         assert tracker.queries == 0
 
-    def test_decay_forgets_old_regime(self):
-        tracker = FingerprintTracker(decay=0.5)
+    def test_decay_forgets_old_regime(self, monkeypatch):
+        monkeypatch.setattr(fingerprint, "DECAY", 0.5)
+        tracker = FingerprintTracker()
         for _ in range(20):
             tracker.note_query("view")
         for _ in range(20):
@@ -72,9 +75,10 @@ class TestFingerprintTracker:
         # After 20 half-life ticks the view era is noise.
         assert fp.range_frac > 0.99
 
-    def test_hot_share_reflects_skew(self):
+    def test_hot_share_reflects_skew(self, monkeypatch):
         # Key skew is read from the server's one per-element table (the
         # AccessTracker the serve envelope feeds), not a second one here.
+        monkeypatch.setattr(server_module, "DECAY", 1.0)
         names = [f"d{i}" for i in range(4)]
         subsets = [
             [name for bit, name in enumerate(names) if mask >> bit & 1]
@@ -84,7 +88,7 @@ class TestFingerprintTracker:
         def served(requests) -> dict:
             dims = [Dimension(name, list(range(4))) for name in names]
             cube = DataCube(np.ones((4, 4, 4, 4)), dims, measure="amount")
-            with OLAPServer(cube, decay=1.0) as server:
+            with OLAPServer(cube) as server:
                 for retained in requests:
                     server.view(retained)
                 section = server.health()["fingerprint"]
@@ -103,8 +107,9 @@ class TestFingerprintTracker:
             hot_top / 16
         )
 
-    def test_ingest_and_divergence_norms(self):
-        tracker = FingerprintTracker(decay=1.0)
+    def test_ingest_and_divergence_norms(self, monkeypatch):
+        monkeypatch.setattr(fingerprint, "DECAY", 1.0)
+        tracker = FingerprintTracker()
         tracker.note_query("view")
         tracker.note_ingest(3)
         fp = tracker.fingerprint()
@@ -145,9 +150,10 @@ class TestSiteProfiler:
         assert site["max_ms"] >= site["p95_ms"]
         profiler.close()
 
-    def test_site_table_bounded(self):
+    def test_site_table_bounded(self, monkeypatch):
+        monkeypatch.setattr(fingerprint, "MAX_SITES", 2)
         tracer = Tracer()
-        profiler = SiteProfiler(tracer, max_sites=2)
+        profiler = SiteProfiler(tracer)
         with tracer.activate():
             for name in ("a", "b", "c", "d"):
                 with tracer.span(name):

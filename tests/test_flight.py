@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from repro.obs import MetricsRegistry, Tracer, add_span_event
+from repro.obs import MetricsRegistry, Tracer, add_span_event, flight
 from repro.obs.flight import (
     BUNDLE_FORMAT,
     BUNDLE_REQUIRED_KEYS,
@@ -23,9 +23,13 @@ from repro.obs.flight import (
 )
 
 
-def make_recorder(**kwargs):
+def make_recorder(monkeypatch=None, **constants):
+    """A recorder on a fresh tracer, built with the named module
+    ``constants`` of :mod:`repro.obs.flight` patched."""
+    for name, value in constants.items():
+        monkeypatch.setattr(flight, name, value)
     tracer = Tracer(max_spans=4096)
-    recorder = FlightRecorder(tracer, **kwargs)
+    recorder = FlightRecorder(tracer, MetricsRegistry())
     return tracer, recorder
 
 
@@ -65,25 +69,33 @@ class TestKeepDecisions:
         (trace,) = recorder.kept()
         assert trace.reason == "error"
 
-    def test_head_sampling_keeps_one_in_n(self):
-        tracer, recorder = make_recorder(head_sample=8, min_samples=10**9)
+    def test_head_sampling_keeps_one_in_n(self, monkeypatch):
+        tracer, recorder = make_recorder(
+            monkeypatch, HEAD_SAMPLE=8, MIN_SAMPLES=10**9
+        )
         for _ in range(24):
             run_trace(tracer)
         heads = recorder.kept("head")
         assert len(heads) == 3  # roots 1, 9, 17
         assert recorder.traces_seen == 24
 
-    def test_head_sampling_disabled(self):
-        tracer, recorder = make_recorder(head_sample=0, min_samples=10**9)
+    def test_head_sampling_disabled(self, monkeypatch):
+        tracer, recorder = make_recorder(
+            monkeypatch, HEAD_SAMPLE=0, MIN_SAMPLES=10**9
+        )
         for _ in range(16):
             run_trace(tracer)
         assert recorder.kept() == ()
 
-    def test_slow_tail_sampling_by_quantile(self):
+    def test_slow_tail_sampling_by_quantile(self, monkeypatch):
         import time
 
         tracer, recorder = make_recorder(
-            head_sample=0, min_samples=8, refresh_every=1, slow_quantile=0.9
+            monkeypatch,
+            HEAD_SAMPLE=0,
+            MIN_SAMPLES=8,
+            REFRESH_EVERY=1,
+            SLOW_QUANTILE=0.9,
         )
         for _ in range(12):
             run_trace(tracer)  # fast baseline
@@ -97,13 +109,13 @@ class TestKeepDecisions:
         key = "serve|view"
         assert key in recorder.snapshot()["slow_thresholds_ms"]
 
-    def test_quantile_is_per_name_kind_site(self):
+    def test_quantile_is_per_name_kind_site(self, monkeypatch):
         # A slow *rollup* must not be judged against *view* latencies:
-        # before "rollup" has min_samples of its own, nothing is kept.
+        # before "rollup" has MIN_SAMPLES of its own, nothing is kept.
         import time
 
         tracer, recorder = make_recorder(
-            head_sample=0, min_samples=8, refresh_every=1
+            monkeypatch, HEAD_SAMPLE=0, MIN_SAMPLES=8, REFRESH_EVERY=1
         )
         for _ in range(12):
             run_trace(tracer, kind="view")
@@ -127,17 +139,17 @@ class TestKeepDecisions:
 
 
 class TestBounds:
-    def test_kept_ring_evicts_and_counts(self):
-        tracer, recorder = make_recorder(max_traces=4)
+    def test_kept_ring_evicts_and_counts(self, monkeypatch):
+        tracer, recorder = make_recorder(monkeypatch, MAX_TRACES=4)
         for _ in range(10):
             run_trace(tracer, fail=True)
         assert len(recorder.kept()) == 4
         assert recorder.loss()["kept_traces_evicted"] == 6
 
-    def test_pending_traces_are_bounded(self):
+    def test_pending_traces_are_bounded(self, monkeypatch):
         from repro.obs import Span
 
-        _, recorder = make_recorder(max_pending=2)
+        _, recorder = make_recorder(monkeypatch, MAX_PENDING=2)
         # Three in-flight traces whose children finish but whose roots
         # never do: the third sheds the oldest (most likely orphaned).
         for trace_id in (1, 2, 3):
@@ -148,8 +160,8 @@ class TestBounds:
         assert recorder.loss()["pending_traces_dropped"] == 1
         assert set(recorder._pending) == {2, 3}
 
-    def test_spans_per_trace_are_bounded(self):
-        tracer, recorder = make_recorder(max_spans_per_trace=4)
+    def test_spans_per_trace_are_bounded(self, monkeypatch):
+        tracer, recorder = make_recorder(monkeypatch, MAX_SPANS_PER_TRACE=4)
         with tracer.activate():
             with tracer.span("serve", kind="view"):
                 for _ in range(10):
@@ -169,8 +181,10 @@ class TestBounds:
 
 
 class TestExemplars:
-    def test_problems_first_then_heads(self):
-        tracer, recorder = make_recorder(head_sample=1, min_samples=10**9)
+    def test_problems_first_then_heads(self, monkeypatch):
+        tracer, recorder = make_recorder(
+            monkeypatch, HEAD_SAMPLE=1, MIN_SAMPLES=10**9
+        )
         run_trace(tracer)  # head
         run_trace(tracer, fail=True)  # error (also head slot 2, error wins)
         run_trace(tracer, event="retry")
@@ -186,8 +200,8 @@ class TestExemplars:
         assert doc["spans"] == 2
         assert len(doc["chrome_trace"]["traceEvents"]) >= 2
 
-    def test_health_ring_is_bounded(self):
-        _, recorder = make_recorder(max_health=2)
+    def test_health_ring_is_bounded(self, monkeypatch):
+        _, recorder = make_recorder(monkeypatch, MAX_HEALTH=2)
         for i in range(5):
             recorder.note_health({"i": i})
         snaps = recorder.health_snapshots()

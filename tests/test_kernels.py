@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import exec as exec_mod
 from repro.core.element import CubeShape, ElementId
 from repro.core.exec import (
     DISPATCH_THRESHOLD,
@@ -312,16 +313,16 @@ class TestCostAwareDispatch:
         assert stats["workers_effective"] == 1
         assert stats["dispatch_threshold"] == DISPATCH_THRESHOLD
 
-    def test_zero_threshold_keeps_workers(self, shape_3d, rng):
+    def test_zero_threshold_keeps_workers(self, shape_3d, rng, monkeypatch):
         ms = pyramid_from_root(shape_3d, rng)
         targets = all_group_bys(shape_3d)
         plan = plan_batch(targets, ms.elements)
+        monkeypatch.setattr(exec_mod, "DISPATCH_THRESHOLD", 0)
         stats: dict = {}
         results = execute_plan(
             plan,
             {e: ms.array(e) for e in ms.elements},
             max_workers=2,
-            dispatch_threshold=0,
             stats=stats,
         )
         assert stats["demoted"] is False
@@ -329,7 +330,7 @@ class TestCostAwareDispatch:
         for target in targets:
             np.testing.assert_array_equal(results[target], ms.assemble(target))
 
-    def test_mixed_inline_and_pooled_bit_identical(self, rng):
+    def test_mixed_inline_and_pooled_bit_identical(self, rng, monkeypatch):
         """With the threshold between node sizes, small nodes run inline
         and large ones on the pool — answers unchanged, accounting exact."""
         shape = CubeShape((16, 16))
@@ -338,6 +339,7 @@ class TestCostAwareDispatch:
         plan = plan_batch(targets, ms.elements)
         costs = sorted({n.cost for n in plan.nodes.values() if n.cost})
         threshold = costs[len(costs) // 2]
+        monkeypatch.setattr(exec_mod, "DISPATCH_THRESHOLD", threshold)
         counter = OpCounter()
         stats: dict = {}
         results = execute_plan(
@@ -345,7 +347,6 @@ class TestCostAwareDispatch:
             {e: ms.array(e) for e in ms.elements},
             counter=counter,
             max_workers=2,
-            dispatch_threshold=threshold,
             stats=stats,
         )
         assert stats["demoted"] is False

@@ -8,6 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.core.kernels import (
+    fused_aggregate,
+    fused_cascade,
+    fused_partial_sum_k,
+    fused_synthesize,
+)
 from repro.core.operators import (
     OpCounter,
     analyze,
@@ -18,6 +24,7 @@ from repro.core.operators import (
     total_aggregate,
     total_sum,
 )
+from repro.errors import InvalidQueryError
 
 
 def _pow2_arrays(max_side: int = 8, max_dims: int = 3):
@@ -272,3 +279,73 @@ class TestOutBuffers:
             partial_sum(np.zeros((3, 2)), 0, out=np.empty((1, 2)))
         with pytest.raises(ValueError, match="out of bounds"):
             partial_residual(np.zeros((2, 2)), 5, out=np.empty((1, 2)))
+
+
+NARROW = [np.int8, np.int16, np.int32, np.uint8, np.uint16, np.uint32]
+
+
+def _near_max(dtype) -> np.ndarray:
+    """A 4x4 block at the top of ``dtype``'s range, with a few minimum
+    cells so residuals change sign."""
+    info = np.iinfo(dtype)
+    values = np.full((4, 4), info.max, dtype=dtype)
+    values[::3, 1::2] = info.min
+    values[1, 1] = info.max - 1
+    return values
+
+
+def _entry_points():
+    """Every public operator and kernel entry point, as ``f(values)``."""
+    return {
+        "partial_sum": lambda a: partial_sum(a, 0),
+        "partial_residual": lambda a: partial_residual(a, 1),
+        "analyze": lambda a: np.stack(analyze(a, 0)),
+        "synthesize": lambda a: synthesize(a, a[::-1], 1),
+        "partial_sum_k": lambda a: partial_sum_k(a, 1, 2),
+        "total_sum": lambda a: total_sum(a, 0),
+        "total_aggregate": lambda a: total_aggregate(a, (0, 1)),
+        "fused_cascade": lambda a: fused_cascade(
+            a, ((0, False), (1, True), (0, True))
+        ),
+        "fused_partial_sum_k": lambda a: fused_partial_sum_k(a, 0, 2),
+        "fused_aggregate": lambda a: fused_aggregate(a, (1, 2)),
+        "fused_synthesize": lambda a: fused_synthesize(a, a.T, 0),
+    }
+
+
+class TestIntegerOperands:
+    """Integer cells aggregate in int64: no entry point wraps a narrow
+    dtype, and residuals of unsigned cells keep their sign."""
+
+    def test_a_wrapping_pair_is_exact(self):
+        pair = np.array([2**30, 2**30], dtype=np.int32)
+        assert partial_sum(pair, 0).tolist() == [2**31]
+        assert fused_cascade(pair, ((0, False),)).tolist() == [2**31]
+        assert partial_residual(np.array([0, 1], np.uint8), 0).tolist() == [-1]
+
+    @pytest.mark.parametrize("name", sorted(_entry_points()))
+    @pytest.mark.parametrize("dtype", NARROW, ids=lambda d: d.__name__)
+    def test_near_the_maximum_equals_the_int64_computation(self, dtype, name):
+        values = _near_max(dtype)
+        operator = _entry_points()[name]
+        got = operator(values)
+        expected = operator(values.astype(np.int64))
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(_entry_points()))
+    def test_uint64_is_refused(self, name):
+        with pytest.raises(InvalidQueryError, match="uint64"):
+            _entry_points()[name](np.ones((4, 4), dtype=np.uint64))
+
+    def test_float64_passes_through_bit_identical(self):
+        values = np.random.default_rng(3).normal(size=(8, 4))
+        assert fused_cascade(values, ()) is values
+        assert partial_sum_k(values, 0, 0) is values
+        pairs = values[0::2] + values[1::2]
+        assert partial_sum(values, 0).tobytes() == pairs.tobytes()
+        residuals = values[:, 0::2] - values[:, 1::2]
+        assert partial_residual(values, 1).tobytes() == residuals.tobytes()
+        steps = ((0, False), (1, True))
+        expected = partial_residual(partial_sum(values, 0), 1)
+        assert fused_cascade(values, steps).tobytes() == expected.tobytes()

@@ -132,18 +132,6 @@ class TestRangeQueryEngine:
         answer = engine.range_sum(ranges)
         assert answer.value == pytest.approx(cube_4x4[1:3, :].sum())
 
-    def test_missing_intermediates_strict_mode(self, shape_4x4, cube_4x4):
-        ms = MaterializedSet.from_cube(
-            cube_4x4, [shape_4x4.root()]
-        )
-        engine = RangeQueryEngine(ms, assemble_missing=False)
-        # Level-0 lookups come straight from the stored cube...
-        answer = engine.range_sum(((0, 1), (0, 1)))
-        assert answer.value == pytest.approx(cube_4x4[0, 0])
-        # ...but coarser blocks need missing intermediates.
-        with pytest.raises(KeyError, match="not materialized"):
-            engine.range_sum(((0, 4), (0, 4)))
-
     def test_pyramid_storage_bound(self, shape_4x4, cube_4x4):
         """The full intermediate pyramid is bounded by prod(2 - 1/?)."""
         engine = RangeQueryEngine.with_gaussian_pyramid(cube_4x4, shape_4x4)

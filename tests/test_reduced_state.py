@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import exec as exec_mod
 from repro.core.adaptive import DynamicViewAssembler
 from repro.core.element import CubeShape
 from repro.core.exec import execute_plan, plan_batch
@@ -149,14 +150,15 @@ class TestRouteTable:
         serial_counter, pooled_counter = OpCounter(), OpCounter()
         serial = execute_plan(plan, arrays, counter=serial_counter)
         stats: dict = {}
-        pooled = execute_plan(
-            plan,
-            arrays,
-            counter=pooled_counter,
-            max_workers=4,
-            dispatch_threshold=1,
-            stats=stats,
-        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(exec_mod, "DISPATCH_THRESHOLD", 1)
+            pooled = execute_plan(
+                plan,
+                arrays,
+                counter=pooled_counter,
+                max_workers=4,
+                stats=stats,
+            )
         assert serial_counter.total == pooled_counter.total == plan.planned_cost
         assert stats["workers_effective"] == (4 if plan.planned_cost else 1)
         for target in targets:

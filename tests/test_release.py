@@ -105,11 +105,11 @@ class TestExecutorRelease:
             return values
 
         monkeypatch.setattr(exec_mod, "_compute_node", watched)
+        monkeypatch.setattr(exec_mod, "DISPATCH_THRESHOLD", threshold)
         arrays = {e: ms.array(e) for e in ms.elements}
         stats: dict = {}
         results = execute_plan(
-            plan, arrays, max_workers=workers, dispatch_threshold=threshold,
-            stats=stats,
+            plan, arrays, max_workers=workers, stats=stats
         )
         assert stats["workers_effective"] == workers
         assert checked

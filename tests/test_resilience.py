@@ -101,6 +101,10 @@ class TestDeadline:
 
 
 class TestRetryTransient:
+    @pytest.fixture(autouse=True)
+    def _no_backoff(self, monkeypatch):
+        monkeypatch.setattr("repro.resilience.retry.BACKOFF_MS", 0.0)
+
     @staticmethod
     def _flaky(failures: int, cost: int = 5):
         """An attempt that charges ``cost`` and faults ``failures`` times."""
@@ -120,7 +124,7 @@ class TestRetryTransient:
         counter = OpCounter()
         seen = []
         result = retry_transient(
-            attempt, counter, max_retries=2, backoff_ms=0, on_retry=seen.append
+            attempt, counter, max_retries=2, on_retry=seen.append
         )
         assert result == "served on try 1"
         assert counter.total == 5
@@ -131,7 +135,7 @@ class TestRetryTransient:
         counter = OpCounter()
         seen = []
         result = retry_transient(
-            attempt, counter, max_retries=2, backoff_ms=0, on_retry=seen.append
+            attempt, counter, max_retries=2, on_retry=seen.append
         )
         assert result == "served on try 3"
         assert seen == [1, 2]
@@ -148,7 +152,6 @@ class TestRetryTransient:
                 attempt,
                 counter,
                 max_retries=0,
-                backoff_ms=0,
                 on_retry=seen.append,
             )
         assert seen == [1] and len(calls) == 1
@@ -162,7 +165,6 @@ class TestRetryTransient:
                 attempt,
                 OpCounter(),
                 max_retries=3,
-                backoff_ms=0,
                 on_retry=seen.append,
             )
         assert seen == [1, 2, 3, 4] and len(calls) == 4
@@ -177,7 +179,6 @@ class TestRetryTransient:
                 attempt,
                 OpCounter(),
                 max_retries=3,
-                backoff_ms=0,
                 on_retry=seen.append,
             )
         assert seen == []
@@ -187,16 +188,16 @@ class TestRetryTransient:
         monkeypatch.setattr(
             "repro.resilience.retry.time.sleep", sleeps.append
         )
+        monkeypatch.setattr("repro.resilience.retry.BACKOFF_MS", 10.0)
         attempt, _ = self._flaky(failures=3)
-        retry_transient(attempt, OpCounter(), max_retries=3, backoff_ms=10.0)
+        retry_transient(attempt, OpCounter(), max_retries=3)
         assert sleeps == [0.010, 0.020, 0.040]
 
         sleeps.clear()
+        monkeypatch.setattr("repro.resilience.retry.BACKOFF_MS", 1000.0)
         attempt, _ = self._flaky(failures=2)
         with deadline_scope(Deadline.after(0.050)) as deadline:
-            retry_transient(
-                attempt, OpCounter(), max_retries=2, backoff_ms=1000.0
-            )
+            retry_transient(attempt, OpCounter(), max_retries=2)
         # 1 s and 2 s of backoff were asked for; at most what was left
         # of the 50 ms budget was slept (the patched sleep takes no time).
         assert len(sleeps) == 2
@@ -210,12 +211,11 @@ class TestRetryTransient:
         monkeypatch.setattr(
             "repro.resilience.retry.time.sleep", sleeps.append
         )
+        monkeypatch.setattr("repro.resilience.retry.BACKOFF_MS", 10.0)
         attempt, calls = self._flaky(failures=5)
         with deadline_scope(Deadline.after(-0.001)):
             with pytest.raises(QueryTimeout):
-                retry_transient(
-                    attempt, OpCounter(), max_retries=5, backoff_ms=10.0
-                )
+                retry_transient(attempt, OpCounter(), max_retries=5)
         assert sleeps == [] and len(calls) == 1
 
 

@@ -54,22 +54,6 @@ class TestDeadlines:
         result = server.view(["d0"])
         assert np.array_equal(result, _make_server().view(["d0"]))
 
-    def test_default_deadline_applies_when_call_passes_none(self):
-        server = _make_server(default_deadline_ms=10.0, max_retries=0)
-        stall = FaultInjector(
-            [
-                FaultRule(
-                    site="materialize.assemble",
-                    kind="latency",
-                    latency_ms=50.0,
-                )
-            ],
-            seed=1,
-        )
-        with stall.activate():
-            with pytest.raises(QueryTimeout):
-                server.view(["d0"])
-
     def test_generous_deadline_does_not_interfere(self):
         server = _make_server()
         plain = _make_server()
@@ -236,12 +220,6 @@ class TestDegradation:
         result = server.view(["d0"])
         assert np.array_equal(result, expected)
         assert server.metrics.counter("server_degraded_total").total() >= 1
-
-    def test_degrade_disabled_raises_incomplete_set(self):
-        server = _make_server(degrade_to_base=False)
-        server.materialized.quarantine(server.shape.root(), reason="test")
-        with pytest.raises(ValueError):
-            server.view(["d0"])
 
     def test_range_sum_degrades_to_direct_scan(self):
         server = _make_server()

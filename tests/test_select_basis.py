@@ -104,11 +104,6 @@ class TestBasisValidity:
         with pytest.raises(ValueError, match="different cube shape"):
             select_minimum_cost_basis(shape_4x4, population)
 
-    def test_max_elements_guard(self, shape_4x4, rng):
-        population = QueryPopulation.random_over_views(shape_4x4, rng)
-        with pytest.raises(RuntimeError, match="max_elements"):
-            select_minimum_cost_basis(shape_4x4, population, max_elements=1)
-
 
 class TestPedagogicalExample:
     def test_optimum_is_three(self):
@@ -180,13 +175,6 @@ class TestFastEquivalence:
         population = QueryPopulation.from_pairs([(element, 1.0)])
         with pytest.raises(ValueError, match="aggregated-view"):
             select_minimum_cost_basis_fast(shape_4x4, population)
-
-    def test_fast_extraction_limit(self, shape_4x4, rng):
-        population = QueryPopulation.random_over_views(shape_4x4, rng)
-        fast = select_minimum_cost_basis_fast(shape_4x4, population)
-        if fast.num_elements > 1:
-            with pytest.raises(RuntimeError, match="limit"):
-                list(fast.extract_elements(limit=1))
 
     def test_experiment1_scale(self):
         """The paper's 923,521-node graph solves in well under a second."""

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.element import CubeShape, ElementId
+from repro.core.engine import SelectionEngine
 from repro.core.population import QueryPopulation
 from repro.core.select_basis import select_minimum_cost_basis
 from repro.core.select_redundant import (
@@ -156,7 +157,7 @@ class TestGreedy:
 
 
 class TestEngineDelegation:
-    """``engine="auto"`` hands large graphs to the vectorized engine."""
+    """Graphs over ``ENGINE_DELEGATION_THRESHOLD`` go to the vectorized engine."""
 
     def _setting(self, shape_4x4, rng):
         population = QueryPopulation.random_over_views(shape_4x4, rng)
@@ -168,15 +169,11 @@ class TestEngineDelegation:
 
         initial, population = self._setting(shape_4x4, rng)
         budget = 1.5 * shape_4x4.volume
-        reference = greedy_redundant_selection(
-            initial, population, budget, engine="reference"
-        )
+        reference = greedy_redundant_selection(initial, population, budget)
         # Force delegation on this small shape and check the trajectories
         # agree stage by stage.
         monkeypatch.setattr(sr, "ENGINE_DELEGATION_THRESHOLD", 0)
-        delegated = greedy_redundant_selection(
-            initial, population, budget, engine="auto"
-        )
+        delegated = greedy_redundant_selection(initial, population, budget)
         assert delegated.final_storage == reference.final_storage
         assert delegated.final_cost == pytest.approx(reference.final_cost)
         assert len(delegated.stages) == len(reference.stages)
@@ -194,20 +191,11 @@ class TestEngineDelegation:
     def test_explicit_vectorized_matches_reference(self, shape_4x4, rng):
         initial, population = self._setting(shape_4x4, rng)
         budget = 1.5 * shape_4x4.volume
-        reference = greedy_redundant_selection(
-            initial, population, budget, engine="reference"
-        )
-        vectorized = greedy_redundant_selection(
-            initial, population, budget, engine="vectorized"
+        reference = greedy_redundant_selection(initial, population, budget)
+        vectorized = SelectionEngine(shape_4x4).greedy_redundant_selection(
+            initial, population, budget
         )
         assert vectorized.final_cost == pytest.approx(reference.final_cost)
         assert [s.added for s in vectorized.stages] == [
             s.added for s in reference.stages
         ]
-
-    def test_unknown_engine_rejected(self, shape_4x4, rng):
-        initial, population = self._setting(shape_4x4, rng)
-        with pytest.raises(ValueError, match="unknown engine"):
-            greedy_redundant_selection(
-                initial, population, 2 * shape_4x4.volume, engine="numpy"
-            )

@@ -11,7 +11,7 @@ from repro.cube.datacube import DataCube
 from repro.cube.dimensions import Dimension
 from repro.errors import QueryTimeout
 from repro.obs import alerts, flight
-from repro.resilience import FaultInjector, FaultRule
+from repro.resilience import FaultInjector, FaultRule, retry
 from repro.server import OLAPServer
 from repro.workloads import SalesConfig, generate_sales_records
 
@@ -343,7 +343,7 @@ class TestConstants:
             "cache_cells": None,
             "max_workers": server_module.MAX_WORKERS,
             "max_retries": server_module.MAX_RETRIES,
-            "retry_backoff_ms": server_module.RETRY_BACKOFF_MS,
+            "retry_backoff_ms": retry.BACKOFF_MS,
             "plan_cache_entries": 32,
             "flight_max_traces": flight.MAX_TRACES,
             "flight_head_sample": flight.HEAD_SAMPLE,
@@ -363,10 +363,18 @@ class TestConstants:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"cache_cells": 0}, {"max_retries": -1}, {"retry_backoff_ms": -1.0}],
+        [
+            {"cache_cells": 0},
+            {"max_retries": -1},
+            {"shards": 0},
+            {"shards": -4},
+            {"max_in_flight": 0},
+            {"max_in_flight": -1},
+        ],
     )
     def test_out_of_range_arguments_rejected(self, server, kwargs):
-        with pytest.raises(ValueError):
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=name):
             OLAPServer(server.cube, **kwargs)
 
     @pytest.mark.parametrize("shards", [1, 2])

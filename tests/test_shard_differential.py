@@ -112,7 +112,7 @@ class TestPartitionMath:
     def test_unsplittable_store_rejected(self):
         shape = CubeShape((4, 8))
         part = CubePartition.for_shape(shape, 4)  # w=1
-        sharded = ShardedSet(part)
+        sharded = ShardedSet(part, np.zeros(shape.sizes))
         deep = ElementId(shape, ((0, 0), (3, 0)))
         with pytest.raises(ValueError, match="does not split"):
             sharded.store(deep, np.zeros(deep.data_shape))

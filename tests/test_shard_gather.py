@@ -27,6 +27,7 @@ from repro.core.element import CubeShape, ElementId
 from repro.core.kernels import pin_allocator_thresholds
 from repro.core.materialize import MaterializedSet
 from repro.replay import seeded_cube
+from repro.resilience import retry
 from repro.resilience.faults import FaultInjector, FaultRule
 from repro.server import OLAPServer
 from repro.shard import CubePartition, ShardedSet
@@ -78,7 +79,7 @@ class TestInPlaceGather:
         children = [_element(shape, **{o1: (2, j), o2: (1, 0)}) for j in (0, 1)]
         mono = MaterializedSet(shape)
         mono.store(shape.root(), values)
-        sharded = ShardedSet(part, base_values=values, retry_backoff_ms=0.0)
+        sharded = ShardedSet(part, base_values=values)
         sharded.store(shape.root(), values)
         if case["redundant"]:
             for child in children:
@@ -118,7 +119,10 @@ class TestInPlaceGather:
                     max_fires=1,
                 )
             )
-        with FaultInjector(rules, seed=case["seed"]).activate():
+        with pytest.MonkeyPatch.context() as patch, FaultInjector(
+            rules, seed=case["seed"]
+        ).activate():
+            patch.setattr(retry, "BACKOFF_MS", 0.0)
             actual = sharded.assemble_batch(targets, max_workers=case["workers"])
         if s is not None and s < shards:
             assert sharded.last_scatter_stats["degraded_shards"] == [s]

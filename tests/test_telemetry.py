@@ -104,8 +104,9 @@ class TestPooledTrace:
 
 
 class TestChaosEventsOnSpans:
-    def test_retry_events_attach_to_the_query_span(self):
-        server = _make_server(max_retries=2, retry_backoff_ms=0.0)
+    def test_retry_events_attach_to_the_query_span(self, monkeypatch):
+        monkeypatch.setattr("repro.resilience.retry.BACKOFF_MS", 0.0)
+        server = _make_server(max_retries=2)
         injector = FaultInjector(
             [
                 FaultRule(
@@ -154,9 +155,10 @@ class TestChaosEventsOnSpans:
             server.metrics.counter("server_retry_exhausted_total").total(),
         )
 
-    def test_batch_that_recovers_per_element_is_not_exhausted(self):
+    def test_batch_that_recovers_per_element_is_not_exhausted(self, monkeypatch):
+        monkeypatch.setattr("repro.resilience.retry.BACKOFF_MS", 0.0)
         expected = _make_server().query_batch([["d0"], ["d1"]])
-        server = _make_server(max_retries=2, retry_backoff_ms=0.0)
+        server = _make_server(max_retries=2)
         # Three faults spend the whole batch budget; the per-element
         # recovery then serves both answers.
         with self._assemble_faults(max_fires=3).activate():
@@ -172,8 +174,11 @@ class TestChaosEventsOnSpans:
             e["exhausted"] for e in server.obs.events.events("retry")
         )
 
-    def test_exhaustion_is_counted_when_the_call_fails_with_the_fault(self):
-        server = _make_server(max_retries=2, retry_backoff_ms=0.0)
+    def test_exhaustion_is_counted_when_the_call_fails_with_the_fault(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr("repro.resilience.retry.BACKOFF_MS", 0.0)
+        server = _make_server(max_retries=2)
         with self._assemble_faults(max_fires=None).activate():
             with pytest.raises(TransientFault):
                 server.query_batch([["d0"], ["d1"]])
@@ -187,9 +192,12 @@ class TestChaosEventsOnSpans:
         ]
         assert flagged == [3]
 
-    def test_shard_legs_that_fall_back_to_their_slabs_are_not_exhausted(self):
+    def test_shard_legs_that_fall_back_to_their_slabs_are_not_exhausted(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr("repro.resilience.retry.BACKOFF_MS", 0.0)
         expected = _make_server().view(["d0"])
-        server = _make_server(shards=2, max_retries=2, retry_backoff_ms=0.0)
+        server = _make_server(shards=2, max_retries=2)
         broken_nodes = FaultInjector(
             [FaultRule(site="exec.compute_node", kind="error")], seed=3
         )
@@ -206,7 +214,7 @@ class TestChaosEventsOnSpans:
         assert self._retry_counts(server) == (0, 0)
 
     def test_fallback_event_attaches_when_set_goes_incomplete(self):
-        server = _make_server(degrade_to_base=True)
+        server = _make_server()
         expected = _make_server().view(["d0"])
         # Quarantine the only stored element: assembly must degrade to a
         # base-cube recompute, annotated on the query span.
@@ -379,8 +387,9 @@ class TestServerSLO:
         assert slo["tracer_dropped_spans"] == 0
         assert slo["events_dropped"] == 0
 
-    def test_retry_rate_counts_chaos(self):
-        server = _make_server(max_retries=2, retry_backoff_ms=0.0)
+    def test_retry_rate_counts_chaos(self, monkeypatch):
+        monkeypatch.setattr("repro.resilience.retry.BACKOFF_MS", 0.0)
+        server = _make_server(max_retries=2)
         injector = FaultInjector(
             [
                 FaultRule(

@@ -242,12 +242,14 @@ class TestResilience:
 
 class TestAnIncompleteSet:
     def test_a_server_serves_what_a_warm_ancestor_reaches(self):
-        server = _warm_server(1, degrade_to_base=False)
+        server = _warm_server(1)
         server.materialized.quarantine(server.shape.root())
         replica = Replica(server.cube.values)
         assert np.array_equal(server.view(VIEW), replica.view(VIEW))
-        with pytest.raises(IncompleteSetError):
-            server.view(["d0"])  # levels (0, 3, 2): nothing warm holds it
+        assert server.health()["degraded_serves"] == 0
+        # Levels (0, 3, 2): nothing warm holds it, so the base cube does.
+        assert np.array_equal(server.view(["d0"]), replica.view(["d0"]))
+        assert server.health()["degraded_serves"] == 1
         server.close()
 
     @SHARDS
@@ -257,7 +259,7 @@ class TestAnIncompleteSet:
         store = (
             MaterializedSet(shape)
             if shards == 1
-            else ShardedSet(CubePartition.for_shape(shape, shards))
+            else ShardedSet(CubePartition.for_shape(shape, shards), cube)
         )
         ancestor = shape.intermediate(FINE)
         values = compute_element(cube, ancestor)
@@ -267,8 +269,14 @@ class TestAnIncompleteSet:
             return (ancestor, values) if inside else None
 
         target = shape.intermediate((4, 3, 0))
-        with pytest.raises(IncompleteSetError):
-            store.assemble(target)
+        if shards == 1:
+            with pytest.raises(IncompleteSetError):
+                store.assemble(target)
+        else:
+            # Each shard recomputes its slab from its base slab.
+            assert np.array_equal(
+                store.assemble(target), compute_element(cube, target)
+            )
         got = store.assemble(target, warm=warm)
         assert got is not values
         assert np.array_equal(got, compute_element(cube, target))
