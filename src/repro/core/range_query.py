@@ -34,7 +34,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ..errors import TransientFault
+from ..errors import InvalidQueryError, TransientFault
 from ..obs import current_registry, span
 from .delta import DeltaBatch, SlabStore
 from .element import CubeShape, ElementId, as_index
@@ -67,7 +67,9 @@ def dyadic_levels(
     block off each end of the range per level.
     """
     if not 0 <= start <= stop <= extent:
-        raise ValueError(f"range [{start}, {stop}) outside [0, {extent})")
+        raise InvalidQueryError(
+            f"range [{start}, {stop}) outside [0, {extent})"
+        )
     groups: list[tuple[int, tuple[int, ...]]] = []
     level = 0
     while start < stop:

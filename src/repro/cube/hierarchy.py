@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.element import ElementId, as_index
+from ..errors import InvalidQueryError
 from ..core.materialize import MaterializedSet
 from ..core.operators import OpCounter, partial_sum_k
 from .datacube import DataCube
@@ -143,8 +144,8 @@ def rollup_element(
     ``levels`` maps dimension names to either a named hierarchy level (for
     :class:`HierarchicalDimension`) or an integer cascade depth.  Omitted
     dimensions stay at leaf granularity.  A depth that is not an integer
-    (``1.9``, ``True``) is an :class:`~repro.errors.InvalidQueryError`,
-    never truncated.  The result is the shape's one interned object for
+    (``1.9``, ``True``), or is above the dimension's hierarchy, is an
+    :class:`~repro.errors.InvalidQueryError`, never truncated.  The result is the shape's one interned object for
     that level vector (:meth:`CubeShape.intermediate`).
     """
     dims = cube.dimensions
@@ -169,7 +170,7 @@ def rollup_element(
         else:
             k = as_index(spec, f"level of dimension {name!r}")
         if not 0 <= k <= depths[axis]:
-            raise ValueError(
+            raise InvalidQueryError(
                 f"level {k} outside [0, {depths[axis]}] for dimension {name!r}"
             )
         resolved[axis] = k

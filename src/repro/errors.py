@@ -111,5 +111,7 @@ class InvalidUpdateError(ReproError, ValueError):
 
 
 class InvalidQueryError(ReproError, ValueError):
-    """A request's level or bound is not an integer, or an operand's dtype
-    cannot be aggregated exactly; nothing was served."""
+    """A request's level or bound is not an integer or lies outside the
+    cube (a range bound past an extent, a level above a hierarchy's
+    depth), or an operand's dtype cannot be aggregated exactly; nothing
+    was served."""

@@ -21,7 +21,9 @@ evaluates on records, never on wall-clock timers or threads.  A record
 triggers an evaluation pass only when a transition is possible — some rule
 is firing (it may resolve) or holds a bad sample in its slow window (it may
 fire) — which yields exactly the fire/resolve sequence of evaluating after
-every record, at the cost of a few additions on an all-healthy stream.
+every record.  On an all-healthy stream no transition is possible at all,
+so a good record only queues its clock reading, and the queue is counted
+per bucket when the engine is next read or recorded into.
 
 Alert lifecycle is transition-based: one ``firing`` event when a rule
 crosses its threshold, one ``resolved`` event when it drops back, with
@@ -34,8 +36,9 @@ from __future__ import annotations
 import math
 import threading
 import time
+from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "AlertEngine",
@@ -52,6 +55,9 @@ FAST_WINDOW_S = 60.0
 SLOW_WINDOW_S = 600.0
 #: Fire/resolve events an :class:`AlertEngine` keeps for ``history()``.
 MAX_HISTORY = 128
+#: Good samples waiting in an engine's inbox before ``record()`` folds
+#: them itself, without waiting for a reader.
+FOLD_AT = 1024
 
 
 class ManualClock:
@@ -180,26 +186,37 @@ class _RuleState:
         self.firing_event: dict | None = None
 
     def add(self, now: float, bad: bool) -> bool:
-        """Count one sample; whether this rule could change state now.
+        """Count one sample; whether this rule could change state now."""
+        self._count(int(now // self.width), 1, int(bad))
+        return self.armed
 
-        It can resolve only while firing, and fire only with a bad sample
-        in its slow window (or a burn threshold no burn rate is below).
-        """
-        index = int(now // self.width)
+    def add_good(self, runs: list[list[int]]) -> None:
+        """Count good samples given as ``[bucket index, count]`` runs in
+        clock order: what :meth:`add` would leave, one step per bucket."""
+        for index, count in runs:
+            self._count(index, count, 0)
+
+    def _count(self, index: int, total: int, bad: int) -> None:
         buckets = self.buckets
         if buckets and buckets[-1][0] == index:
             newest = buckets[-1]
-            newest[1] += 1
+            newest[1] += total
             newest[2] += bad
         else:
-            buckets.append([index, 1, int(bad)])
+            buckets.append([index, total, bad])
             horizon = index - self.keep
             while buckets[0][0] <= horizon:
-                _, total, bad_count = buckets.popleft()
-                self.slow_total -= total
-                self.slow_bad -= bad_count
-        self.slow_total += 1
+                _, old_total, old_bad = buckets.popleft()
+                self.slow_total -= old_total
+                self.slow_bad -= old_bad
+        self.slow_total += total
         self.slow_bad += bad
+
+    @property
+    def armed(self) -> bool:
+        """Whether a sample could change this rule's state: it can
+        resolve only while firing, and fire only with a bad sample in its
+        slow window (or a burn threshold no burn rate is below)."""
         return (
             self.firing
             or self.slow_bad > 0
@@ -218,13 +235,37 @@ class _RuleState:
         return fast_total, fast_bad, self.slow_total, self.slow_bad
 
 
+def _bucket_runs(times: list[float], width: float) -> list[list[int]]:
+    """``[bucket index, samples]`` runs of clock-ordered ``times``: one
+    binary search per bucket, since the bucket index never decreases."""
+
+    def bucket(now: float) -> int:
+        return int(now // width)
+
+    runs: list[list[int]] = []
+    start = 0
+    while start < len(times):
+        index = bucket(times[start])
+        stop = bisect_right(times, index, lo=start, key=bucket)
+        runs.append([index, stop - start])
+        start = stop
+    return runs
+
+
 class AlertEngine:
     """Evaluates burn-rate rules over a stream of serving outcomes.
 
     ``record()`` is called once per finished query (the server's serve
-    envelope does this) and is O(rules); an evaluation pass runs only on
-    the records where a rule could change state (see the module notes).
-    Thread-safe; fire/resolve callbacks run outside the lock and are
+    envelope does this).  A good outcome while every rule is quiet only
+    appends its clock reading to an inbox: no rule can change state on
+    it.  The inbox is folded — its samples counted per bucket, in clock
+    order — by every reader (:meth:`evaluate`, :meth:`active`,
+    :meth:`history`, :meth:`snapshot`), whenever :data:`FOLD_AT` samples
+    are waiting, and before any other record.  A bad outcome, or any
+    outcome while a rule is firing or holds a bad sample, takes the
+    per-record path: folded first, then counted, and evaluated when a
+    rule could change state (see the module notes).  Thread-safe;
+    fire/resolve callbacks run outside the lock and are
     exception-isolated.
     """
 
@@ -246,6 +287,27 @@ class AlertEngine:
         self._records = 0
         self._evaluations = 0
         self._fired_total = 0
+        #: Clock readings of good samples not yet folded.
+        self._inbox: deque = deque()
+        #: The latest clock reading counted, so a sample that raced in
+        #: late never lands in a bucket older than the newest.
+        self._last_now = -math.inf
+        #: Whether some rule is armed (:attr:`_RuleState.armed`).
+        self._armed = any(state.armed for state in self._states.values())
+        #: What any rule counts as bad, so ``record()`` can tell a good
+        #: outcome without asking every rule.
+        self._bad_outcomes = frozenset(
+            outcome for rule in self.rules for outcome in rule.bad_outcomes
+        )
+        self._bad_if_degraded = any(r.bad_if_degraded for r in self.rules)
+        self._latency_bar = min(
+            (
+                rule.latency_over_ms
+                for rule in self.rules
+                if rule.latency_over_ms is not None
+            ),
+            default=math.inf,
+        )
 
     # ------------------------------------------------------------------
     # Feeding
@@ -257,24 +319,91 @@ class AlertEngine:
         degraded: bool = False,
     ) -> list[dict]:
         """Account one finished query; returns any fire/resolve events."""
+        if not (
+            self._armed
+            or outcome in self._bad_outcomes
+            or (degraded and self._bad_if_degraded)
+            or latency_ms >= self._latency_bar
+        ):
+            inbox = self._inbox
+            inbox.append(self.clock())
+            if len(inbox) >= FOLD_AT:
+                self.fold()
+            return []
         with self._lock:
-            now = self.clock()
-            self._records += 1
-            possible = False
-            for state in self._states.values():
-                possible |= state.add(
-                    now, state.rule.is_bad(outcome, latency_ms, degraded)
-                )
-            if not possible:
-                return []
-            transitions = self._evaluate_locked(now)
+            transitions = self._fold_locked()
+            now = max(self.clock(), self._last_now)
+            bad = [r.is_bad(outcome, latency_ms, degraded) for r in self.rules]
+            transitions += self._count_locked(now, bad)
         self._notify(transitions)
+        return transitions
+
+    def _count_locked(self, now: float, bad: list[bool]) -> list[dict]:
+        """The per-record path: one sample per rule, evaluated when a rule
+        could change state (lock held)."""
+        self._last_now = now
+        self._records += 1
+        possible = False
+        for state, is_bad in zip(self._states.values(), bad):
+            possible |= state.add(now, is_bad)
+        self._armed = possible
+        if not possible:
+            return []
+        transitions = self._evaluate_locked(now)
+        self._armed = any(state.armed for state in self._states.values())
+        return transitions
+
+    def fold(self) -> None:
+        """Count every waiting good sample (what every reader does first)."""
+        if not self._inbox:
+            return
+        with self._lock:
+            transitions = self._fold_locked()
+        self._notify(transitions)
+
+    def _fold_locked(self) -> list[dict]:
+        """Count every waiting good sample, in clock order (lock held).
+
+        While a rule is armed (only when a sample raced in behind the
+        record that armed it) samples take the per-record path; the rest
+        cannot change any rule's state and are counted per bucket.
+        """
+        inbox = self._inbox
+        if not inbox:
+            return []
+        pop = inbox.popleft
+        times = [pop() for _ in range(len(inbox))]
+        times.sort()
+        if times[0] < self._last_now:
+            last = self._last_now
+            times = [max(now, last) for now in times]
+        transitions: list[dict] = []
+        good = [False] * len(self.rules)
+        start = 0
+        while start < len(times) and self._armed:
+            transitions += self._count_locked(times[start], good)
+            start += 1
+        if start < len(times):
+            times = times[start:]
+            # Rules of one fast window share their bucket width.
+            runs_of: dict[float, list[list[int]]] = {}
+            for state in self._states.values():
+                runs = runs_of.get(state.width)
+                if runs is None:
+                    runs = runs_of[state.width] = _bucket_runs(
+                        times, state.width
+                    )
+                state.add_good(runs)
+            self._records += len(times)
+            self._last_now = times[-1]
         return transitions
 
     def evaluate(self) -> list[dict]:
         """Force an evaluation pass (e.g. on a health() poll)."""
         with self._lock:
-            transitions = self._evaluate_locked(self.clock())
+            transitions = self._fold_locked()
+            transitions += self._evaluate_locked(self.clock())
+            self._armed = any(state.armed for state in self._states.values())
         self._notify(transitions)
         return transitions
 
@@ -354,6 +483,7 @@ class AlertEngine:
 
     def active(self) -> tuple[dict, ...]:
         """Currently-firing alerts (their original firing events)."""
+        self.fold()
         with self._lock:
             return tuple(
                 state.firing_event
@@ -362,11 +492,13 @@ class AlertEngine:
             )
 
     def history(self) -> tuple[dict, ...]:
+        self.fold()
         with self._lock:
             return tuple(self._history)
 
     def snapshot(self) -> dict:
         """JSON-friendly engine state for ``health()`` and diag bundles."""
+        self.fold()
         with self._lock:
             now = self.clock()
             rules = {}

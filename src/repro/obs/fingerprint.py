@@ -19,8 +19,9 @@ into an answer to "what regime is this server in right now?":
   per-element table it already keeps (the server's
   :class:`~repro.core.adaptive.AccessTracker`).
 
-Decay is tick-based and lazy (per-slot ``value * decay**(tick - last)``),
-so ``note_query`` is a handful of float operations — the overhead gate
+Decay is tick-based and lazy (per-slot ``value * decay**(tick - last)``).
+Both consumers are fed by appending to an inbox and fold it when read, so
+the per-query cost is one append — the overhead gate
 (``bench_flight_overhead``) covers this path.
 """
 
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import math
 import threading
+from collections import deque
 from dataclasses import asdict, dataclass
 
 from .tracing import Span, Tracer
@@ -50,6 +52,9 @@ HOT_TOP = 8
 SITE_ALPHA = 0.05
 RESERVOIR_SIZE = 64
 MAX_SITES = 64
+#: Notes (queries, or finished traces for the profiler) waiting in an
+#: inbox before the writer folds them itself, without waiting for a reader.
+FOLD_AT = 1024
 
 
 @dataclass(frozen=True)
@@ -114,13 +119,21 @@ class FingerprintTracker:
 
     Every counter is a ``[value, last_tick]`` slot decayed lazily by
     ``DECAY ** (tick - last_tick)`` — one global tick per query.
-    :data:`HOT_TOP` is how many of the hottest elements ``hot_share``
-    covers; the share itself is handed to :meth:`fingerprint` /
-    :meth:`snapshot` by whoever owns the per-element table.
+    :meth:`note_query` only appends ``(kind, n)``; the ticks are taken
+    when the queue is folded, in arrival order — by :meth:`fingerprint`
+    and :meth:`snapshot`, by the eager writers :meth:`note_ingest` and
+    :meth:`note_divergence` before they write (so ticks interleave as if
+    every query had been counted at once), and whenever :data:`FOLD_AT`
+    notes are waiting.  :data:`HOT_TOP` is how many of the hottest
+    elements ``hot_share`` covers; the share itself is handed to
+    :meth:`fingerprint` / :meth:`snapshot` by whoever owns the
+    per-element table.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
+        #: ``(kind, n)`` query notes not yet folded, in arrival order.
+        self._inbox: deque = deque()
         self._tick = 0
         self._kinds = {kind: [0.0, 0] for kind in QUERY_KINDS}
         self._ingest = [0.0, 0]
@@ -141,20 +154,46 @@ class FingerprintTracker:
         """Account ``n`` served queries (``kind`` in :data:`QUERY_KINDS`).
 
         One tick per query, as if noted one by one — a batch request
-        counts its members — but under one lock acquisition.
+        counts its members.  Only appends; the fold takes the ticks.
         """
-        slot = self._kinds.get(kind)
-        if slot is None:
-            return
-        with self._lock:
-            for _ in range(n):
-                self._tick += 1
-                self._bump(slot, 1.0)
+        inbox = self._inbox
+        inbox.append((kind, n))
+        if len(inbox) >= FOLD_AT:
+            self.fold()
+
+    def fold(self) -> None:
+        """Tick every waiting query note (what every reader does first)."""
+        if self._inbox:
+            with self._lock:
+                self._fold_locked()
+
+    def _fold_locked(self) -> None:
+        """Tick every waiting query note, in arrival order (lock held).
+
+        A note of ``n`` queries of one kind is one :meth:`_bump`, then
+        ``n - 1`` ticks one apart, where the decay factor is ``DECAY``.
+        """
+        inbox = self._inbox
+        pop = inbox.popleft
+        kinds = self._kinds
+        for _ in range(len(inbox)):
+            kind, n = pop()
+            slot = kinds.get(kind)
+            if slot is None:
+                continue
+            self._tick += 1
+            self._bump(slot, 1.0)
+            value = slot[0]
+            for _ in range(n - 1):
+                value = value * DECAY + 1.0
+            self._tick += n - 1
+            slot[0], slot[1] = value, self._tick
             self.queries += n
 
     def note_ingest(self, cells: int) -> None:
         """Account one applied ingest batch of ``cells`` updates."""
         with self._lock:
+            self._fold_locked()
             self.ingest_batches += 1
             self._bump(self._ingest, float(cells))
 
@@ -162,6 +201,7 @@ class FingerprintTracker:
         """Feed a planned-vs-measured cost divergence observation."""
         value = abs(float(divergence))
         with self._lock:
+            self._fold_locked()
             if self._divergence is None:
                 self._divergence = value
             else:
@@ -170,6 +210,7 @@ class FingerprintTracker:
 
     def fingerprint(self, hot_share: float = 0.0) -> WorkloadFingerprint:
         with self._lock:
+            self._fold_locked()
             kinds = {
                 kind: self._effective(slot)
                 for kind, slot in self._kinds.items()
@@ -221,47 +262,87 @@ class SiteProfiler:
     (slot ``count % size`` is overwritten — deterministic, no RNG), from
     which :meth:`snapshot` derives p50/p95.  The site table is bounded;
     span names past :data:`MAX_SITES` are counted in ``overflow_sites``.
+
+    The listener only appends the finished trace; the spans are accounted
+    when the inbox is folded, in arrival order — by :meth:`snapshot` and
+    :meth:`close`, and whenever :data:`FOLD_AT` traces are waiting.
     """
 
     def __init__(self, tracer: Tracer):
         self.tracer = tracer
         self._lock = threading.Lock()
+        #: Finished traces not yet folded, in arrival order.
+        self._inbox: deque = deque()
         self._sites: dict[str, _SiteStats] = {}
         self.overflow_sites = 0
         tracer.add_listener(self.on_trace)
 
     def close(self) -> None:
+        """Fold what is waiting and detach from the tracer (idempotent)."""
         self.tracer.remove_listener(self.on_trace)
+        self.fold()
 
     def on_trace(self, spans: tuple[Span, ...]) -> None:
-        """Tracer listener: account every span of one finished trace."""
-        with self._lock:
-            for span in spans:
-                self._account(span)
+        """Tracer listener: queue one finished trace for the fold."""
+        inbox = self._inbox
+        inbox.append(spans)
+        if len(inbox) >= FOLD_AT:
+            self.fold()
 
-    def _account(self, span: Span) -> None:
-        end = span.end if span.end is not None else span.start
-        duration_ms = (end - span.start) * 1e3
-        stats = self._sites.get(span.name)
+    def fold(self) -> None:
+        """Account every waiting trace's spans, in arrival order."""
+        if not self._inbox:
+            return
+        with self._lock:
+            inbox = self._inbox
+            pop = inbox.popleft
+            by_site: dict[str, list[float]] = {}
+            for _ in range(len(inbox)):
+                for span in pop():
+                    end = span.end if span.end is not None else span.start
+                    durations = by_site.get(span.name)
+                    if durations is None:
+                        durations = by_site[span.name] = []
+                    durations.append((end - span.start) * 1e3)
+            for name, durations in by_site.items():
+                self._account(name, durations)
+
+    def _account(self, name: str, durations: list[float]) -> None:
+        """One site's durations of a fold, in arrival order (lock held).
+
+        The EWMA and the running total are sequential sums, one step per
+        span; the reservoir keeps only the last :data:`RESERVOIR_SIZE`
+        writes, so it is filled or overwritten by slot arithmetic.
+        """
+        stats = self._sites.get(name)
         if stats is None:
             if len(self._sites) >= MAX_SITES:
-                self.overflow_sites += 1
+                self.overflow_sites += len(durations)
                 return
-            stats = self._sites[span.name] = _SiteStats()
+            stats = self._sites[name] = _SiteStats()
+        ewma, total = stats.ewma_ms, stats.total_ms
         if stats.count == 0:
-            stats.ewma_ms = duration_ms
-        else:
-            stats.ewma_ms += SITE_ALPHA * (duration_ms - stats.ewma_ms)
-        if len(stats.reservoir) < RESERVOIR_SIZE:
-            stats.reservoir.append(duration_ms)
-        else:
-            stats.reservoir[stats.count % RESERVOIR_SIZE] = duration_ms
-        stats.count += 1
-        stats.total_ms += duration_ms
-        stats.max_ms = max(stats.max_ms, duration_ms)
+            ewma = durations[0]  # its own step below adds exactly 0
+        for duration_ms in durations:
+            ewma += SITE_ALPHA * (duration_ms - ewma)
+            total += duration_ms
+        reservoir = stats.reservoir
+        count = stats.count
+        fill = min(RESERVOIR_SIZE - len(reservoir), len(durations))
+        reservoir.extend(durations[:fill])
+        rest = durations[fill:]
+        tail = rest[-RESERVOIR_SIZE:]
+        count += fill + len(rest) - len(tail)
+        for offset, duration_ms in enumerate(tail):
+            reservoir[(count + offset) % RESERVOIR_SIZE] = duration_ms
+        stats.count += len(durations)
+        stats.ewma_ms = ewma
+        stats.total_ms = total
+        stats.max_ms = max(stats.max_ms, max(durations))
 
     def snapshot(self) -> dict:
         """Per-site latency profile: count, EWMA, p50/p95/max."""
+        self.fold()
         with self._lock:
             out = {}
             for name in sorted(self._sites):

@@ -6,8 +6,10 @@ been evicted by thousands of healthy ones.  The
 :class:`FlightRecorder` is the black box that fixes this: the tracer hands
 it every finished trace (:meth:`~repro.obs.tracing.Tracer.add_listener`:
 one call per root, the whole trace at once; stragglers that outlive their
-root arrive alone and wait, bounded, in ``_pending``), and when a trace's
-*root* span arrives it decides whether the whole trace is worth keeping:
+root arrive alone and wait, bounded, in ``_pending``).  The listener only
+queues the trace; when the queue is folded — by any reader, or once
+:data:`FOLD_AT` traces wait — the recorder decides, per trace and in
+arrival order, whether the whole trace is worth keeping:
 
 - **error** — the root carries an ``error`` attribute (the tracer stamps
   the exception type on any span that ended in an exception: timeouts,
@@ -44,6 +46,8 @@ from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .export import chrome_trace_from_spans
 from .metrics import MetricsRegistry
 from .tracing import Span, Tracer
@@ -79,11 +83,15 @@ REFRESH_EVERY = 32
 MAX_PENDING = 64
 MAX_SPANS_PER_TRACE = 512
 MAX_HEALTH = 8
+#: Finished traces waiting in a recorder's inbox before the listener folds
+#: them itself, without waiting for a reader (:meth:`FlightRecorder.fold`).
+FOLD_AT = 1024
 
 
 @dataclass(frozen=True)
 class KeptTrace:
-    """One full trace the recorder decided to keep."""
+    """One full trace the recorder decided to keep (``unix_ts``: its
+    root's end on the wall clock)."""
 
     trace_id: int
     reason: str  # one of KEEP_REASONS
@@ -115,23 +123,39 @@ class _RootStats:
 
     def __init__(self):
         self.seen = 0
-        self.ring: deque = deque(maxlen=WINDOW)
+        #: The last ``WINDOW`` durations, oldest first.
+        self.ring: list[float] = []
         self.threshold: float | None = None
 
 
 class FlightRecorder:
-    """Bounded, tail-biased capture of recent traces (see module docs)."""
+    """Bounded, tail-biased capture of recent traces (see module docs).
+
+    The tracer listener only appends the finished trace to an inbox; the
+    keep decisions are made when the inbox is *folded*, in arrival order —
+    by every reader (:meth:`kept`, :meth:`exemplars`, :meth:`snapshot`,
+    :meth:`loss`, :attr:`traces_seen`, :meth:`close`, and a read of the
+    metrics registry, where the fold is a pre-read hook) and whenever
+    :data:`FOLD_AT` traces are waiting.  Folding after every trace and
+    folding once at the end leave the same state.
+    """
 
     def __init__(self, tracer: Tracer, registry: MetricsRegistry):
         """Listens to ``tracer`` and counts kept traces in ``registry``;
         the bounds and sampling rates are this module's constants."""
         self.tracer = tracer
+        self.registry = registry
         self._lock = threading.Lock()
+        #: Finished traces not yet folded, in arrival order.
+        self._inbox: deque = deque()
         self._pending: dict[int, list[Span]] = {}
         self._kept: deque[KeptTrace] = deque(maxlen=max(1, MAX_TRACES))
         self._roots: dict[tuple[str, str], _RootStats] = {}
         self._health: deque[dict] = deque(maxlen=MAX_HEALTH)
-        self.traces_seen = 0
+        #: Span clocks are ``perf_counter``; a kept trace's ``unix_ts`` is
+        #: its root's end moved onto the wall clock by this offset.
+        self._wall_offset = time.time() - time.perf_counter()
+        self._traces_seen = 0
         self.kept_counts = {reason: 0 for reason in KEEP_REASONS}
         self.pending_dropped = 0
         self.trace_spans_dropped = 0
@@ -145,10 +169,13 @@ class FlightRecorder:
             reason: kept.labels(reason=reason) for reason in KEEP_REASONS
         }
         tracer.add_listener(self.on_trace)
+        registry.add_pre_read(self.fold)
 
     def close(self) -> None:
-        """Detach from the tracer (idempotent)."""
+        """Fold what is waiting and detach from the tracer (idempotent)."""
         self.tracer.remove_listener(self.on_trace)
+        self.fold()
+        self.registry.remove_pre_read(self.fold)
 
     # ------------------------------------------------------------------
     # Capture
@@ -156,23 +183,126 @@ class FlightRecorder:
     def on_trace(self, spans: tuple[Span, ...]) -> None:
         """Tracer listener: one finished trace (root last), or a straggler.
 
-        Runs on whatever thread finished the root.  One lock acquisition
-        per call: spans below a root are buffered under their trace id,
-        the root collects them and the keep decision is made.
+        Runs on whatever thread finished the root, and only appends.
         """
-        kept: KeptTrace | None = None
-        with self._lock:
-            for span in spans:
-                if span.parent_id is None:
-                    kept = self._close_trace(span)
-                else:
-                    self._buffer(span)
-        if kept is not None:
-            self._kept_series[kept.reason].inc()
+        inbox = self._inbox
+        inbox.append(spans)
+        if len(inbox) >= FOLD_AT:
+            self.fold()
 
     def on_span(self, span: Span) -> None:
         """One span on its own (what a straggler's delivery looks like)."""
         self.on_trace((span,))
+
+    def fold(self) -> None:
+        """Decide on every waiting trace, in arrival order."""
+        if not self._inbox:
+            return
+        with self._lock:
+            kept = self._fold_locked()
+        for reason, count in kept.items():
+            self._kept_series[reason].inc(count)
+
+    def _fold_locked(self) -> dict[str, int]:
+        """Drain the inbox: park children, classify roots, keep some.
+
+        Returns the traces kept, by reason.  Per trace this only finds the
+        root and what it says about itself (error, events, duration); the
+        slow and head tests run per ``(name, kind)`` over the whole batch
+        in :meth:`_classify`, and only kept traces build a
+        :class:`KeptTrace`.
+        """
+        inbox = self._inbox
+        pop = inbox.popleft
+        pending = self._pending
+        # Per root, in arrival order (parallel lists), and per
+        # ``(name, kind)`` the positions of its roots.
+        roots: list[Span] = []
+        traces: list[tuple[Span, ...]] = []
+        kinds: list[str] = []
+        durations: list[float] = []
+        reasons: list[str | None] = []
+        groups: dict[tuple[str, str], list[int]] = {}
+        for _ in range(len(inbox)):
+            spans = pop()
+            root = spans[-1]
+            if root.parent_id is not None:
+                for span in spans:
+                    self._buffer(span)
+                continue
+            if pending and root.trace_id in pending or (
+                len(spans) > 1
+                and (
+                    len(spans) > MAX_SPANS_PER_TRACE + 1
+                    or len(pending) >= MAX_PENDING
+                )
+            ):
+                # The general path: park the children first, exactly as
+                # spans delivered one by one would be.
+                for span in spans[:-1]:
+                    self._buffer(span)
+                parked = pending.pop(root.trace_id, None)
+                spans = (*parked, root) if parked else (root,)
+            attributes = root.attributes
+            kind = attributes.get("kind", "")
+            if type(kind) is not str:
+                kind = str(kind)
+            end = root.end
+            if end is None:
+                end = root.start
+            if "error" in attributes:
+                reason = "error"
+            else:
+                reason = None
+                for span in spans:
+                    if span.events:
+                        reason = "event"
+                        break
+            key = (root.name, kind)
+            group = groups.get(key)
+            if group is None:
+                group = groups[key] = []
+            group.append(len(roots))
+            roots.append(root)
+            traces.append(spans)
+            kinds.append(kind)
+            durations.append((end - root.start) * 1e3)
+            reasons.append(reason)
+        self._traces_seen += len(roots)
+        for key, group in groups.items():
+            stats = self._roots.get(key)
+            if stats is None:
+                stats = self._roots[key] = _RootStats()
+            for index, reason in self._classify(
+                stats,
+                [durations[at] for at in group],
+                [reasons[at] is None for at in group],
+            ):
+                reasons[group[index]] = reason
+        counts: dict[str, int] = {}
+        kept_ring = self._kept
+        for at, reason in enumerate(reasons):
+            if reason is None:
+                continue
+            counts[reason] = counts.get(reason, 0) + 1
+            if len(kept_ring) == kept_ring.maxlen:
+                self.kept_evicted += 1
+            root = roots[at]
+            end = root.end if root.end is not None else root.start
+            kept_ring.append(
+                KeptTrace(
+                    trace_id=root.trace_id,
+                    reason=reason,
+                    root_name=root.name,
+                    kind=kinds[at],
+                    duration_ms=durations[at],
+                    unix_ts=end + self._wall_offset,
+                    spans=traces[at],
+                )
+            )
+        for reason, count in counts.items():
+            self.kept_counts[reason] += count
+        return counts
 
     def _buffer(self, span: Span) -> None:
         """Park a non-root span until its root arrives (lock held)."""
@@ -189,73 +319,66 @@ class FlightRecorder:
         else:
             bucket.append(span)
 
-    def _close_trace(self, root: Span) -> KeptTrace | None:
-        """A root arrived: classify its trace and keep it or not (lock
-        held)."""
-        pending = self._pending
-        parked = pending.pop(root.trace_id, None) if pending else None
-        spans = (*parked, root) if parked else (root,)
-        self.traces_seen += 1
-        kind = str(root.attributes.get("kind", ""))
-        end = root.end if root.end is not None else root.start
-        duration_ms = (end - root.start) * 1e3
-        reason = self._classify(root, spans, kind, duration_ms)
-        if reason is None:
-            return None
-        self.kept_counts[reason] += 1
-        if len(self._kept) == self._kept.maxlen:
-            self.kept_evicted += 1
-        kept = KeptTrace(
-            trace_id=root.trace_id,
-            reason=reason,
-            root_name=root.name,
-            kind=kind,
-            duration_ms=duration_ms,
-            unix_ts=time.time(),
-            spans=spans,
-        )
-        self._kept.append(kept)
-        return kept
-
     def _classify(
-        self,
-        root: Span,
-        spans: tuple[Span, ...],
-        kind: str,
-        duration_ms: float,
-    ) -> str | None:
-        """Keep reason of one finished root, or ``None`` (lock held)."""
-        key = (root.name, kind)
-        stats = self._roots.get(key)
-        if stats is None:
-            stats = self._roots[key] = _RootStats()
-        stats.seen = seen = stats.seen + 1
-        ring = stats.ring
-        reason: str | None = None
-        if "error" in root.attributes:
-            reason = "error"
-        else:
-            for span in spans:
-                if span.events:
-                    reason = "event"
-                    break
-        if reason is None:
-            warm = len(ring) >= MIN_SAMPLES
-            if warm and (
-                stats.threshold is None or seen % REFRESH_EVERY == 0
-            ):
-                ordered = sorted(ring)
-                index = min(
-                    len(ordered) - 1,
-                    int(round(SLOW_QUANTILE * (len(ordered) - 1))),
-                )
-                stats.threshold = ordered[index]
-            if warm and duration_ms >= stats.threshold:
-                reason = "slow"
-            elif HEAD_SAMPLE and (seen - 1) % HEAD_SAMPLE == 0:
-                reason = "head"
-        ring.append(duration_ms)
-        return reason
+        self, stats: _RootStats, durations: list[float], open_: list[bool]
+    ) -> list[tuple[int, str]]:
+        """Slow and head tests for one ``(name, kind)``'s roots of a fold,
+        in arrival order (lock held): ``(index, reason)`` of each kept one
+        (``open_`` is false where error/event already decided).
+
+        Root ``i`` is judged as if it had arrived alone: the window is the
+        :data:`WINDOW` durations before it, the threshold is re-estimated
+        on its own open roots at every :data:`REFRESH_EVERY`-th root seen
+        (or on the first once the window is warm), and an error/event
+        root neither tests nor refreshes.  The threshold only changes at
+        those roots, so each chunk between two of them is one pass against
+        one order statistic (``np.partition`` selects the same element
+        ``sorted`` would); refresh points and head samples are index
+        arithmetic on the seen count.
+        """
+        m = len(durations)
+        seen = stats.seen  # root i is the (seen + 1 + i)-th
+        before = len(stats.ring)
+        window = stats.ring + durations
+        # Root i sees min(WINDOW, before + i) durations before it.
+        warm_from = (
+            max(0, MIN_SAMPLES - before) if MIN_SAMPLES <= WINDOW else m
+        )
+        first = warm_from + (-(seen + 1 + warm_from)) % REFRESH_EVERY
+        points = [i for i in range(first, m, REFRESH_EVERY) if open_[i]]
+        threshold = stats.threshold
+        if threshold is None:
+            start = next(
+                (i for i in range(warm_from, m) if open_[i]), None
+            )
+            if start is not None and (not points or start < points[0]):
+                points.insert(0, start)
+        kept: dict[int, str] = {}
+
+        def test(start: int, stop: int) -> None:
+            for i in range(start, stop):
+                if open_[i] and durations[i] >= threshold:
+                    kept[i] = "slow"
+
+        if threshold is not None:
+            test(warm_from, points[0] if points else m)
+        if points:
+            # The order statistic by selection, not a sort per chunk.
+            values = np.array(window)
+        for start, stop in zip(points, [*points[1:], m]):
+            end = before + start
+            tail = values[max(0, end - WINDOW) : end]
+            k = min(len(tail) - 1, int(round(SLOW_QUANTILE * (len(tail) - 1))))
+            threshold = float(np.partition(tail, k)[k])
+            test(start, stop)
+        if HEAD_SAMPLE:
+            for i in range((-seen) % HEAD_SAMPLE, m, HEAD_SAMPLE):
+                if open_[i] and i not in kept:
+                    kept[i] = "head"
+        stats.seen += m
+        stats.ring = window[-WINDOW:] if WINDOW else []
+        stats.threshold = threshold
+        return sorted(kept.items())
 
     def note_health(self, snapshot: dict) -> None:
         """Attach a health snapshot to the recorder's bounded ring."""
@@ -265,8 +388,15 @@ class FlightRecorder:
     # ------------------------------------------------------------------
     # Reading
 
+    @property
+    def traces_seen(self) -> int:
+        """Root spans classified so far."""
+        self.fold()
+        return self._traces_seen
+
     def kept(self, reason: str | None = None) -> tuple[KeptTrace, ...]:
         """Kept traces, oldest first, optionally filtered by reason."""
+        self.fold()
         with self._lock:
             snapshot = tuple(self._kept)
         if reason is None:
@@ -277,8 +407,7 @@ class FlightRecorder:
         """Up to ``limit`` kept traces, tail-biased: the most recent
         problem traces (error/event/slow) first, healthy head samples
         filling any remaining room."""
-        with self._lock:
-            snapshot = tuple(self._kept)
+        snapshot = self.kept()
         problems = [t for t in reversed(snapshot) if t.reason != "head"]
         heads = [t for t in reversed(snapshot) if t.reason == "head"]
         return tuple((problems + heads)[: max(0, limit)])
@@ -289,18 +418,23 @@ class FlightRecorder:
 
     def loss(self) -> dict:
         """Sheds, so truncated evidence is self-describing."""
+        self.fold()
         with self._lock:
-            return {
-                "pending_traces_dropped": self.pending_dropped,
-                "trace_spans_dropped": self.trace_spans_dropped,
-                "kept_traces_evicted": self.kept_evicted,
-            }
+            return self._loss_locked()
+
+    def _loss_locked(self) -> dict:
+        return {
+            "pending_traces_dropped": self.pending_dropped,
+            "trace_spans_dropped": self.trace_spans_dropped,
+            "kept_traces_evicted": self.kept_evicted,
+        }
 
     def snapshot(self) -> dict:
         """JSON-friendly recorder state for ``health()`` and bundles."""
+        self.fold()
         with self._lock:
             return {
-                "traces_seen": self.traces_seen,
+                "traces_seen": self._traces_seen,
                 "kept_now": len(self._kept),
                 "max_traces": MAX_TRACES,
                 "head_sample": HEAD_SAMPLE,
@@ -311,11 +445,7 @@ class FlightRecorder:
                     for (name, kind), stats in sorted(self._roots.items())
                     if stats.threshold is not None
                 },
-                "loss": {
-                    "pending_traces_dropped": self.pending_dropped,
-                    "trace_spans_dropped": self.trace_spans_dropped,
-                    "kept_traces_evicted": self.kept_evicted,
-                },
+                "loss": self._loss_locked(),
             }
 
 

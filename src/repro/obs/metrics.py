@@ -37,6 +37,13 @@ and each folded write increments ``metrics_dropped_series_total`` (labelled
 by metric), so a high-cardinality star schema — per-element or per-shard
 labels gone wild — degrades into one visible overflow bucket instead of an
 unbounded registry.
+
+Consumers that fold deferred records into a metric when it is read (the
+flight recorder's ``flight_traces_kept_total``) register a *pre-read hook*
+(:meth:`MetricsRegistry.add_pre_read`): every read of the registry —
+:meth:`~MetricsRegistry.get`, :meth:`~MetricsRegistry.snapshot`, the
+Prometheus export, or a read of any metric it holds — runs the hooks
+first, outside every metric lock.
 """
 
 from __future__ import annotations
@@ -85,6 +92,9 @@ class _Metric:
     kind = "metric"
     #: The bound-series class of this kind (set by each subclass).
     _bound: type
+    #: The owning registry's :meth:`MetricsRegistry.pre_read`, run before
+    #: every read (``None`` for a metric outside a registry).
+    _pre_read = None
 
     def __init__(
         self,
@@ -131,13 +141,19 @@ class _Metric:
             self._on_overflow(self.name)
         return OVERFLOW_KEY
 
+    def _before_read(self) -> None:
+        if self._pre_read is not None:
+            self._pre_read()
+
     def labelsets(self) -> tuple[LabelKey, ...]:
         """All label combinations observed so far."""
+        self._before_read()
         with self._lock:
             return tuple(self._series)
 
     def snapshot(self) -> dict:
         """``{"type", "description", "values"}`` with rendered label keys."""
+        self._before_read()
         with self._lock:
             values = {
                 _render_labels(key): (
@@ -187,6 +203,7 @@ class _BoundScalar(_BoundSeries):
     def value(self) -> float:
         """Current value of the series (0 when never written)."""
         metric = self._metric
+        metric._before_read()
         with metric._lock:
             return float(metric._series.get(self._key, 0.0))
 
@@ -265,6 +282,7 @@ class Counter(_Metric):
 
     def total(self) -> float:
         """Sum over every label combination."""
+        self._before_read()
         with self._lock:
             return float(sum(self._series.values()))
 
@@ -366,6 +384,7 @@ class Histogram(_Metric):
         """Estimated q-quantile (0 <= q <= 1) of the labelled series."""
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile {q} outside [0, 1]")
+        self._before_read()
         with self._lock:
             stats = self._series.get(_label_key(labels))
             if stats is None:
@@ -374,6 +393,7 @@ class Histogram(_Metric):
 
     def stats(self, **labels) -> dict:
         """``{count, sum, min, max, mean, p50, p95, p99}`` of the series."""
+        self._before_read()
         with self._lock:
             stats = self._series.get(_label_key(labels))
             if stats is None:
@@ -400,6 +420,7 @@ class Histogram(_Metric):
         The final pair has ``float("inf")`` as its bound and equals the
         total observation count.
         """
+        self._before_read()
         with self._lock:
             stats = self._series.get(_label_key(labels))
             counts = list(stats["buckets"]) if stats else [0] * (
@@ -429,6 +450,27 @@ class MetricsRegistry:
         #: Per-metric bound on distinct label combinations (``None`` =
         #: unbounded, the pre-guard behaviour).
         self.max_label_sets = max_label_sets
+        #: Pre-read hooks (see the module notes), an immutable tuple so a
+        #: read runs them without the lock.
+        self._pre_read_hooks: tuple = ()
+
+    def add_pre_read(self, hook) -> None:
+        """Run ``hook()`` before every read of this registry or its
+        metrics; it must not read the registry itself."""
+        with self._lock:
+            self._pre_read_hooks = self._pre_read_hooks + (hook,)
+
+    def remove_pre_read(self, hook) -> None:
+        """Detach a hook added with :meth:`add_pre_read` (idempotent)."""
+        with self._lock:
+            self._pre_read_hooks = tuple(
+                fn for fn in self._pre_read_hooks if fn != hook
+            )
+
+    def pre_read(self) -> None:
+        """Run the pre-read hooks (every read does, first)."""
+        for hook in self._pre_read_hooks:
+            hook()
 
     def _note_series_overflow(self, metric_name: str) -> None:
         """One write folded into an overflow series (guard hook).
@@ -445,6 +487,7 @@ class MetricsRegistry:
                 "label-cardinality guard",
                 self._lock,
             )
+            counter._pre_read = self.pre_read
             self._metrics["metrics_dropped_series_total"] = counter
         counter.inc(metric=metric_name)
 
@@ -465,6 +508,7 @@ class MetricsRegistry:
                     max_series=self.max_label_sets,
                     on_overflow=self._note_series_overflow,
                 )
+                metric._pre_read = self.pre_read
                 self._metrics[name] = metric
             elif not isinstance(metric, cls):
                 raise TypeError(
@@ -502,6 +546,7 @@ class MetricsRegistry:
                     max_series=self.max_label_sets,
                     on_overflow=self._note_series_overflow,
                 )
+                metric._pre_read = self.pre_read
                 self._metrics[name] = metric
             elif not isinstance(metric, Histogram):
                 raise TypeError(
@@ -511,6 +556,7 @@ class MetricsRegistry:
 
     def get(self, name: str) -> _Metric | None:
         """The named metric, or ``None`` when absent."""
+        self.pre_read()
         with self._lock:
             return self._metrics.get(name)
 
@@ -526,6 +572,7 @@ class MetricsRegistry:
 
     def snapshot(self) -> dict:
         """``{name: metric.snapshot()}`` for every registered metric."""
+        self.pre_read()
         with self._lock:
             metrics = dict(self._metrics)
         return {name: metrics[name].snapshot() for name in sorted(metrics)}

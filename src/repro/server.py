@@ -71,6 +71,7 @@ from .durability.lineage import restored_layout, write_cut
 from .errors import (
     AdmissionRejected,
     IncompleteSetError,
+    InvalidQueryError,
     QueryTimeout,
     TransientFault,
 )
@@ -169,11 +170,16 @@ class _Serve:
     ``attrs``; they are set on the span once, when it closes.  When the
     body returns, the call is accounted once: ``stats``, one tracker
     record per ``tracked`` element, the operations counter, the quarantine
-    gauge when the count moved.  Every call — served, timed out, rejected
-    or failed — lands one observation in the ``server_latency_ms``
-    histogram (labelled by kind and outcome), which is where
-    :meth:`OLAPServer.health`'s SLO quantiles come from, and one
-    alert-engine record.
+    gauge when the count moved.  Every call — served, timed out, rejected,
+    invalid (:class:`InvalidQueryError`) or failed — lands one observation
+    in the ``server_latency_ms`` histogram (labelled by kind and outcome),
+    which is where :meth:`OLAPServer.health`'s SLO quantiles come from,
+    and one alert-engine record.
+
+    The incident layer only appends: the fingerprint note, a good alert
+    record while no rule is armed, and the trace handed to the flight
+    recorder and profiler are queued, and folded when a reader runs
+    (:meth:`OLAPServer.health`, a metrics read) or the queue fills.
 
     A slotted class, not a generator: the envelope is most of what a
     cache hit costs, and every metric it writes is a series bound in
@@ -278,6 +284,8 @@ class _Serve:
                 )
             elif issubclass(exc_type, AdmissionRejected):
                 outcome = "rejected"
+            elif issubclass(exc_type, InvalidQueryError):
+                outcome = "invalid"
             else:
                 outcome = "error"
             latency_ms = (time.perf_counter() - self._start) * 1e3
@@ -412,12 +420,9 @@ class OLAPServer:
             self.flight = FlightRecorder(self.tracer, self.metrics)
             self.profiler = SiteProfiler(self.tracer)
         self.fingerprints = FingerprintTracker()
-        if isinstance(alerts, AlertEngine):
-            self.alerts: AlertEngine | None = alerts
-        elif alerts:
-            self.alerts = AlertEngine()
-        else:
-            self.alerts = None
+        if not isinstance(alerts, AlertEngine):
+            alerts = AlertEngine() if alerts else None
+        self.alerts: AlertEngine | None = alerts
         self.diagnostics_dir = (
             Path(diagnostics_dir) if diagnostics_dir is not None else None
         )
@@ -1254,11 +1259,10 @@ class OLAPServer:
         weights = sorted(tracked.values(), reverse=True)
         total = sum(weights)
         hot = sum(weights[:HOT_TOP])
-        fingerprint = self.fingerprints.snapshot(
+        payload["fingerprint"] = fingerprint = self.fingerprints.snapshot(
             hot_share=hot / total if total > 0.0 else 0.0
         )
         fingerprint["tracked_elements"] = len(weights)
-        payload["fingerprint"] = fingerprint
         if self.flight is not None:
             payload["flight"] = self.flight.snapshot()
         if self._partition is not None:
@@ -1397,13 +1401,9 @@ class OLAPServer:
                 count = self._dump_count
             path = self.diagnostics_dir / f"diag-manual-{count:03d}.json"
         health = self.health()
-        kept = (
-            self.flight.exemplars(limit=exemplars)
-            if self.flight is not None
-            else ()
-        )
-        flight_section = None
+        kept, flight_section = (), None
         if self.flight is not None:
+            kept = self.flight.exemplars(limit=exemplars)
             flight_section = self.flight.snapshot()
             # The ring of recent health() polls: how the SLO rates
             # evolved *up to* the incident, not just at dump time.

@@ -5,7 +5,12 @@ import threading
 import numpy as np
 import pytest
 
-from repro.errors import AdmissionRejected, QueryTimeout, TransientFault
+from repro.errors import (
+    AdmissionRejected,
+    InvalidQueryError,
+    QueryTimeout,
+    TransientFault,
+)
 from repro.replay import seeded_cube
 from repro.resilience import FaultInjector, FaultRule
 from repro.server import OLAPServer
@@ -263,3 +268,28 @@ class TestHealth:
             with pytest.raises(QueryTimeout):
                 server.view(["d0"], deadline_ms=10.0)
         assert server.health()["timeouts"] == 1
+
+
+class TestMalformedRequests:
+    def test_out_of_extent_ranges_burn_no_failure_budget(self, tmp_path):
+        # A client bug, not a server failure: labelled ``invalid``, which
+        # no stock rule counts as bad, so nothing fires and nothing dumps.
+        server = _make_server(sizes=(8, 4, 4), diagnostics_dir=tmp_path)
+        for _ in range(100):
+            with pytest.raises(InvalidQueryError, match="outside"):
+                server.range_sum(((0, 30), (0, 4), (0, 4)))
+        health = server.health()
+        assert health["alerts"]["fired_total"] == 0
+        assert health["alerts"]["records"] == 100
+        assert list(tmp_path.iterdir()) == []
+        latency = server.metrics.get("server_latency_ms")
+        assert latency.stats(kind="range", outcome="error")["count"] == 0
+        assert latency.stats(kind="range", outcome="invalid")["count"] == 100
+        assert health["slo"]["latency_ms"] == {}
+        server.close()
+
+    def test_a_level_above_the_hierarchy_is_an_invalid_query(self):
+        server = _make_server(sizes=(8, 4))
+        with pytest.raises(InvalidQueryError, match="outside"):
+            server.rollup({"d0": 4})
+        assert server.health()["alerts"]["records"] == 0

@@ -4,7 +4,9 @@ A cached view, a cached roll-up batch and a range sum each pay for a fixed,
 small amount of telemetry: every metric through a series bound at
 construction (no label key built, no by-name registry lookup), no alert
 evaluation pass on a healthy stream, no generator-based context manager in
-the envelope, one span for the call.  A timing gate would need a quiet
+the envelope, one span for the call — and no incident-layer work: the
+flight recorder, site profiler, alert rules and fingerprint only append,
+and fold when read.  A timing gate would need a quiet
 machine; these counts repeat exactly.
 
 The second half pins that the cheaper write paths are the *same*
@@ -28,7 +30,10 @@ import pytest
 
 from repro.obs import MetricsRegistry, Observability, SiteProfiler, Tracer
 from repro.obs import metrics as metrics_module
+from repro.obs import alerts as alerts_module
 from repro.obs.alerts import AlertEngine
+from repro.obs.fingerprint import FingerprintTracker
+from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import MAX_LABEL_SETS, OVERFLOW_KEY
 from repro.replay import Replica, replay, seeded_cube
 from repro.server import OLAPServer
@@ -82,6 +87,11 @@ def test_warm_call_stays_inside_the_budget(name, monkeypatch):
     calls.watch(MetricsRegistry, "_get_or_create", "by-name lookups")
     calls.watch(MetricsRegistry, "histogram", "by-name lookups (histogram)")
     calls.watch(AlertEngine, "_evaluate_locked", "alert evaluation passes")
+    # The incident layer only appends during the call; it folds when read.
+    calls.watch(FlightRecorder, "_classify", "flight classifications")
+    calls.watch(SiteProfiler, "_account", "profiler site accounts")
+    calls.watch(alerts_module._RuleState, "add", "alert rule adds")
+    calls.watch(FingerprintTracker, "_bump", "fingerprint ticks")
     calls.watch(
         contextlib._GeneratorContextManagerBase,
         "__init__",
@@ -98,6 +108,10 @@ def test_warm_call_stays_inside_the_budget(name, monkeypatch):
         "by-name lookups (histogram)": 0,
         "alert evaluation passes": 0,
         "generator context managers": 0,
+        "flight classifications": 0,
+        "profiler site accounts": 0,
+        "alert rule adds": 0,
+        "fingerprint ticks": 0,
     }
     assert len(recorded) == spans
     assert [s.name for s in recorded if s.parent_id is None] == [
