@@ -1,10 +1,10 @@
-"""Ablation: explicit element-level DP vs the reduced-state DP.
+"""Ablation: explicit element-level DP vs the signature DP.
 
-DESIGN.md calls out the reduced-state collapse (per-dimension ``(level,
-index == 0)`` states) as the implementation choice that makes the paper's
-Experiment 1 feasible.  This bench quantifies it: both DPs compute the
-*identical* optimum, but the reduced DP visits thousands of states where the
-general DP visits every view element.
+DESIGN.md calls out the reduced-state collapse (per-dimension containment
+signatures against the query intervals) as the implementation choice that
+makes the paper's Experiment 1 feasible.  This bench quantifies it: both
+DPs compute the *identical* optimum, but the signature DP visits thousands
+of states where the explicit DP visits every view element.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ import pytest
 
 from repro.core.element import CubeShape
 from repro.core.population import QueryPopulation
-from repro.core.select_basis import _select_explicit
-from repro.core.select_fast import select_minimum_cost_basis_fast
+from repro.core.select_basis import _select_explicit, select_minimum_cost_basis
 
 
 @pytest.fixture(scope="module")
@@ -29,24 +28,23 @@ def setting():
 
 def test_general_dp(benchmark, setting):
     shape, population = setting
-    # The public entry point would dispatch this view population to the
-    # reduced DP; the ablation times the explicit recursion it replaced.
+    # The ablation times the explicit recursion the signature DP replaced.
     selection = benchmark(_select_explicit, shape, population)
-    fast = select_minimum_cost_basis_fast(shape, population)
-    assert selection.cost == fast.cost
+    reduced = select_minimum_cost_basis(shape, population)
+    assert selection.cost == reduced.cost
 
 
 def test_reduced_dp(benchmark, setting):
     shape, population = setting
-    result = benchmark(select_minimum_cost_basis_fast, shape, population)
+    result = benchmark(select_minimum_cost_basis, shape, population)
     assert result.storage == shape.volume
 
 
 def test_reduced_dp_at_experiment1_scale(benchmark):
-    """The general DP cannot touch this shape; the reduced DP is instant."""
+    """The explicit DP cannot touch this shape; the signature DP is instant."""
     shape = CubeShape((16,) * 4)
     population = QueryPopulation.random_over_views(
         shape, np.random.default_rng(6)
     )
-    result = benchmark(select_minimum_cost_basis_fast, shape, population)
+    result = benchmark(select_minimum_cost_basis, shape, population)
     assert result.storage == shape.volume

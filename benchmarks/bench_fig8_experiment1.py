@@ -15,18 +15,18 @@ import numpy as np
 from repro.core.costs import element_population_cost
 from repro.core.element import CubeShape
 from repro.core.population import QueryPopulation
-from repro.core.select_fast import select_minimum_cost_basis_fast
+from repro.core.select_basis import select_minimum_cost_basis
 from repro.experiments import figure8
 
 
 def test_fig8_single_trial_selection(benchmark):
-    """Algorithm 1 (reduced DP) on the 923,521-node graph, one trial."""
+    """Algorithm 1 (signature DP) on the 923,521-node graph, one trial."""
     shape = CubeShape((16,) * 4)
     population = QueryPopulation.random_over_views(
         shape, np.random.default_rng(0)
     )
 
-    result = benchmark(select_minimum_cost_basis_fast, shape, population)
+    result = benchmark(select_minimum_cost_basis, shape, population)
     assert result.storage == shape.volume
     assert result.cost < element_population_cost(shape.root(), population)
 

@@ -73,7 +73,6 @@ def main() -> None:
         population,
         storage_budget=budget,
         candidates=pool,
-        max_stages=8,
     )
     materialized = MaterializedSet.from_cube(cube.values, redundant.selected)
     print(

@@ -43,7 +43,6 @@ from .core import (
     CubeShape,
     DynamicViewAssembler,
     ElementId,
-    FastBasisResult,
     GreedyResult,
     MaterializedSet,
     OpCounter,
@@ -60,7 +59,6 @@ from .core import (
     is_non_redundant,
     is_non_redundant_basis,
     select_minimum_cost_basis,
-    select_minimum_cost_basis_fast,
     total_processing_cost,
     view_hierarchy,
     wavelet_basis,
@@ -103,7 +101,6 @@ __all__ = [
     "TransientFault",
     "DynamicViewAssembler",
     "ElementId",
-    "FastBasisResult",
     "GreedyResult",
     "LRUCache",
     "MaterializedSet",
@@ -125,7 +122,6 @@ __all__ = [
     "is_non_redundant",
     "is_non_redundant_basis",
     "select_minimum_cost_basis",
-    "select_minimum_cost_basis_fast",
     "total_processing_cost",
     "view_hierarchy",
     "wavelet_basis",

@@ -69,7 +69,6 @@ from .range_query import (
     range_sum_direct,
 )
 from .select_basis import BasisSelection, select_minimum_cost_basis
-from .select_fast import FastBasisResult, select_minimum_cost_basis_fast
 from .select_redundant import (
     GreedyResult,
     GreedyStage,
@@ -97,7 +96,6 @@ __all__ = [
     "CubeShape",
     "DynamicViewAssembler",
     "ElementId",
-    "FastBasisResult",
     "GreedyResult",
     "GreedyStage",
     "MaterializedSet",
@@ -131,7 +129,6 @@ __all__ = [
     "random_wavelet_packet_basis",
     "range_sum_direct",
     "select_minimum_cost_basis",
-    "select_minimum_cost_basis_fast",
     "storage_volume",
     "support_cost",
     "synthesize",

@@ -239,7 +239,9 @@ class DynamicViewAssembler:
         self.tracker = AccessTracker(decay=decay)
         self.stats = _ServiceStats()
         self.history: list[ReconfigurationRecord] = []
-        self._engine = SelectionEngine(shape)
+        #: Built on first use: its tables are ``O(N_ve)``, and only a
+        #: storage budget above ``Vol(A)`` needs them.
+        self._engine: SelectionEngine | None = None
         #: Measured-vs-planned feedback (fed by :meth:`observe_profile`).
         self.cost_monitor = CostModelMonitor()
         # Start from the trivial basis: the cube itself.
@@ -318,6 +320,8 @@ class DynamicViewAssembler:
             self.storage_budget is not None
             and self.storage_budget > self.shape.volume
         ):
+            if self._engine is None:
+                self._engine = SelectionEngine(self.shape)
             result = self._engine.greedy_redundant_selection(
                 elements, population, storage_budget=self.storage_budget
             )

@@ -29,12 +29,19 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import reduce
 
 from ..errors import InvalidQueryError
 
-__all__ = ["CubeShape", "ElementId", "DimNode", "as_index"]
+__all__ = [
+    "CubeShape",
+    "ContainmentSignatures",
+    "ElementId",
+    "DimNode",
+    "as_index",
+]
 
 #: A per-dimension node: ``(level, index)``.
 DimNode = tuple[int, int]
@@ -211,6 +218,72 @@ def _dim_contains(outer: DimNode, inner: DimNode) -> bool:
     if ik < ok:
         return False
     return (ij >> (ik - ok)) == oj
+
+
+class ContainmentSignatures:
+    """One dimension's dyadic intervals, up to nesting with a fixed set.
+
+    The reduced-state recursions over the view element graph — Algorithm 1
+    against the query intervals, Procedure 3 against the stored ones — read,
+    along each dimension, only how an interval ``(k, j)`` nests with the
+    listed intervals ``I``.  ``(k, j)`` either
+
+    - contains or equals a member of ``I`` — then it is its own signature
+      (at most ``K + 1`` ancestors-or-self per member); or
+    - does not — then neither does any interval below it, and the members
+      containing it or any of its descendants all contain ``(k, j)``
+      itself: ancestors of one node, hence a chain, named by its deepest
+      member (the *anchor*).  The signature is ``(k, -1 - anchor
+      number)``, number 0 for "none".
+
+    Intervals with one signature have the same level, the same members of
+    ``I`` containing them and inside them, and children with equal
+    signatures (both children of an anchored ``(k, t)`` are ``(k + 1,
+    t)``); ``docs/paper_notes.md`` has the argument.
+    """
+
+    def __init__(self, intervals: Iterable[DimNode]):
+        self._numbers: dict[DimNode, int] = {}
+        self._covering: set[DimNode] = set()
+        for node in intervals:
+            if node in self._numbers:
+                continue
+            self._numbers[node] = len(self._numbers) + 1
+            k, j = node
+            while k >= 0 and (k, j) not in self._covering:
+                self._covering.add((k, j))
+                k, j = k - 1, j >> 1
+        #: Signature -> one interval of its class, for containment tests.
+        self.member: dict[DimNode, DimNode] = {}
+        self._kids: dict[DimNode, tuple[DimNode, DimNode]] = {}
+
+    def of(self, k: int, j: int) -> DimNode:
+        """The signature of interval ``(k, j)``."""
+        if (k, j) in self._covering:
+            sig = (k, j)
+        else:
+            number, ak, aj = 0, k - 1, j >> 1
+            while ak >= 0 and not number:
+                number = self._numbers.get((ak, aj), 0)
+                ak, aj = ak - 1, aj >> 1
+            sig = (k, -1 - number)
+        self.member.setdefault(sig, (k, j))
+        return sig
+
+    def children(self, sig: DimNode) -> tuple[DimNode, DimNode]:
+        """The signatures of the ``P1`` and ``R1`` children of ``sig``."""
+        kids = self._kids.get(sig)
+        if kids is None:
+            k, tag = sig
+            if tag < 0:
+                kid = (k + 1, tag)
+                mk, mj = self.member[sig]
+                self.member.setdefault(kid, (mk + 1, 2 * mj))
+                kids = (kid, kid)
+            else:
+                kids = (self.of(k + 1, 2 * tag), self.of(k + 1, 2 * tag + 1))
+            self._kids[sig] = kids
+        return kids
 
 
 @dataclass(frozen=True)

@@ -185,8 +185,6 @@ class SelectionEngine:
         population: QueryPopulation,
         storage_budget: float,
         candidates: Iterable[ElementId] | None = None,
-        stop_at_zero: bool = True,
-        max_stages: int | None = None,
         remove_obsolete: bool = False,
     ) -> GreedyResult:
         """Algorithm 2 with batched candidate evaluation.
@@ -208,8 +206,6 @@ class SelectionEngine:
                 population,
                 storage_budget,
                 candidates,
-                stop_at_zero,
-                max_stages,
                 remove_obsolete,
             )
             sp.set(
@@ -225,8 +221,6 @@ class SelectionEngine:
         population: QueryPopulation,
         storage_budget: float,
         candidates: Iterable[ElementId] | None,
-        stop_at_zero: bool,
-        max_stages: int | None,
         remove_obsolete: bool,
     ) -> GreedyResult:
         stage_counter = current_registry().counter(
@@ -251,9 +245,7 @@ class SelectionEngine:
         stages = [GreedyStage(added=None, storage=int(storage), cost=cost)]
 
         while cand_idx.size:
-            if stop_at_zero and cost <= 1e-12:
-                break
-            if max_stages is not None and len(stages) - 1 >= max_stages:
+            if cost <= 1e-12:
                 break
             affordable = cand_idx[
                 storage + self.volume[cand_idx] <= storage_budget + 1e-9

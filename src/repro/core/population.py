@@ -9,6 +9,7 @@ populations used in the paper's experiments (Section 7.2).
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
@@ -40,6 +41,9 @@ class QueryPopulation:
         for q in self.queries:
             if q.shape != shape:
                 raise ValueError("all queries must target the same cube shape")
+        for index, f in enumerate(self.frequencies):
+            if not math.isfinite(f):
+                raise ValueError(f"frequency {index} is not finite: {f!r}")
         total = float(sum(self.frequencies))
         if total <= 0:
             raise ValueError("frequencies must have a positive sum")
@@ -65,10 +69,6 @@ class QueryPopulation:
 
     def __iter__(self):
         return iter(zip(self.queries, self.frequencies))
-
-    def is_aggregated_view_population(self) -> bool:
-        """True when every query is one of the ``2**d`` aggregated views."""
-        return all(q.is_aggregated_view for q in self.queries)
 
     def frequency_of(self, query: ElementId) -> float:
         """Frequency of ``query`` (0.0 when absent)."""

@@ -11,44 +11,41 @@ the paper's Algorithm 1:
 
 with terminal elements forced to ``D = C_n``.
 
-:func:`select_minimum_cost_basis` is the single entry point and picks the
-state space from the population itself:
-
-- every query an *aggregated view* (always true of the population
-  ``OLAPServer.reconfigure`` observes, and of ``DynamicViewAssembler`` as
-  long as only views were queried) — the reduced ``(level, index == 0)``
-  recursion of :mod:`repro.core.select_fast`: ``prod(2 K_m + 1)`` states
-  however large the graph, the same ``<`` / dimension-order tie-breaking,
-  hence the same element set and a bit-equal cost;
-- any other population — the recursion memoized over explicit
-  :class:`ElementId` nodes below, exact for *any* population but walking
-  all ``N_ve`` nodes.  It is also the oracle the test-suite checks the
-  reduced recursion against.
+:func:`select_minimum_cost_basis` runs it on per-dimension containment
+signatures against the population's query intervals
+(:class:`~repro.core.element.ContainmentSignatures`) rather than on view
+elements: ``C_n(V)`` needs, per query, only whether the rectangles meet and
+the extent of their overlap, which the signatures fix, and children of
+equivalent elements are equivalent.  That is exact for any population, and
+the state space does not grow with the graph — ``prod(2 K_m + 1)`` states
+when every query is an aggregated view (6,561 for Figure 8's 923,521-node
+graph).  :func:`_select_explicit`, the recursion over explicit
+:class:`ElementId` nodes, walks all ``N_ve`` of them; it is the oracle the
+test-suite checks the signature recursion against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial, reduce
+from operator import mul
 
 from .costs import element_population_cost
-from .element import CubeShape, ElementId
+from .element import ContainmentSignatures, CubeShape, ElementId
 from .population import QueryPopulation
-from .select_fast import extract_basis, select_minimum_cost_basis_fast
 
-__all__ = ["BasisSelection", "select_minimum_cost_basis"]
+__all__ = ["BasisSelection", "extract_basis", "select_minimum_cost_basis"]
 
 
 @dataclass(frozen=True)
 class BasisSelection:
     """Result of Algorithm 1: the chosen basis and its expected cost.
 
-    ``selector`` names the recursion that produced it (``"reduced"`` or
-    ``"general"``) and ``states`` the number of DP states it evaluated.
+    ``states`` is the number of DP states the recursion evaluated.
     """
 
     elements: tuple[ElementId, ...]
     cost: float
-    selector: str = "general"
     states: int = 0
 
     @property
@@ -69,6 +66,11 @@ def select_minimum_cost_basis(
 ) -> BasisSelection:
     """Algorithm 1: the complete, non-redundant basis of minimum cost.
 
+    The recursion makes the explicit DP's ``<`` comparisons in its
+    dimension order on values that are bit-equal class by class, so it
+    takes the same decisions, lists the basis in the same Procedure 2
+    order and returns a bit-equal cost.
+
     Parameters
     ----------
     shape:
@@ -84,15 +86,84 @@ def select_minimum_cost_basis(
     """
     if population.shape != shape:
         raise ValueError("population targets a different cube shape")
-    if population.is_aggregated_view_population():
-        fast = select_minimum_cost_basis_fast(shape, population)
-        return BasisSelection(
-            tuple(extract_basis(shape, fast.decision)),
-            fast.cost,
-            selector="reduced",
-            states=fast.states,
-        )
-    return _select_explicit(shape, population)
+    sizes, depths = shape.sizes, shape.depths
+    queries = [(q, f) for q, f in population if f > 0]
+    weights = [(q.volume, f) for q, f in queries]
+    intervals = [[q.nodes[m] for q, _ in queries] for m in range(shape.ndim)]
+    dims = [ContainmentSignatures(nodes) for nodes in intervals]
+    overlaps: list[dict] = [{} for _ in dims]
+
+    def overlap(m: int, sig) -> list[int]:
+        """Per query, the extent along ``m`` of its overlap with the
+        intervals of class ``sig`` (0: disjoint); kept in ``overlaps``."""
+        k, j = dims[m].member[sig]
+        row = overlaps[m][sig] = []
+        for qk, qj in intervals[m]:
+            # Dyadic intervals nest or are disjoint; nested ones overlap
+            # on the deeper.
+            nested = j >> (k - qk) == qj if qk <= k else qj >> (qk - k) == j
+            row.append(sizes[m] >> max(k, qk) if nested else 0)
+        return row
+
+    #: Signature key -> ``D`` / decision (-1 = keep, m = split).
+    memo: dict[tuple, float] = {}
+    decisions: dict[tuple, int] = {}
+
+    def value(key: tuple, volume: int) -> float:
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
+        # C_n (Eqs 26-29): per query, the overlap's volume is the product
+        # of its per-dimension extents.
+        rows = [overlaps[m].get(sig) or overlap(m, sig) for m, sig in enumerate(key)]
+        best, best_dim = 0.0, -1
+        for (q_volume, f), common in zip(weights, reduce(partial(map, mul), rows)):
+            if common:
+                best += f * ((volume - common) + (q_volume - common))
+        half = volume >> 1
+        for m, sig in enumerate(key):
+            if sig[0] >= depths[m]:
+                continue
+            p_sig, r_sig = dims[m].children(sig)
+            total = value(key[:m] + (p_sig,) + key[m + 1 :], half) + value(
+                key[:m] + (r_sig,) + key[m + 1 :], half
+            )
+            if total < best:
+                best, best_dim = total, m
+        memo[key] = best
+        decisions[key] = best_dim
+        return best
+
+    root_key = tuple(dim.of(0, 0) for dim in dims)
+    cost = value(root_key, shape.volume)
+    # Procedure 2, walking each element's signature key beside it.
+    elements = []
+    stack = [(shape.root(), root_key)]
+    while stack:
+        node, key = stack.pop()
+        m = decisions[key]
+        if m < 0:
+            elements.append(node)
+            continue
+        p_sig, r_sig = dims[m].children(key[m])
+        stack.append((node.partial_child(m), key[:m] + (p_sig,) + key[m + 1 :]))
+        stack.append((node.residual_child(m), key[:m] + (r_sig,) + key[m + 1 :]))
+    return BasisSelection(tuple(elements), float(cost), states=len(memo))
+
+
+def extract_basis(shape: CubeShape, decision):
+    """Procedure 2: follow the split decisions from the root and yield every
+    terminal element (``decision(node)``: -1 = keep, ``m`` = split along
+    ``m``)."""
+    stack = [shape.root()]
+    while stack:
+        node = stack.pop()
+        dim = decision(node)
+        if dim < 0:
+            yield node
+        else:
+            stack.append(node.partial_child(dim))
+            stack.append(node.residual_child(dim))
 
 
 def _select_explicit(
@@ -130,6 +201,5 @@ def _select_explicit(
     return BasisSelection(
         tuple(extract_basis(shape, lambda node: value(node)[1])),
         float(cost),
-        selector="general",
         states=len(value_memo),
     )

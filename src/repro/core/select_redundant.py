@@ -33,7 +33,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
-from .element import CubeShape, DimNode, ElementId
+from .element import ContainmentSignatures, CubeShape, DimNode, ElementId
 from .graph import ViewElementGraph
 from .population import QueryPopulation
 
@@ -62,22 +62,12 @@ class _SignaturePricer:
 
     What ``T(V)`` depends on is which selected elements contain ``V`` and
     its descendants, and along one dimension that is a relation between
-    dyadic intervals.  ``V``'s interval ``(k, j)`` either
-
-    - contains or equals some selected interval — then it is kept exactly,
-      as ``(k, j)`` (at most ``K_m`` ancestors per selected interval); or
-    - does not — then neither does any interval below it, so every
-      selected interval that contains a descendant already contains
-      ``(k, j)`` itself.  Those are ancestors of one node, hence a chain,
-      hence named by their deepest member (the *anchor*): the signature is
-      ``(k, -1 - anchor)``, with anchor 0 for "none".
-
-    Equivalent elements have equivalent children (both children of a
-    ``(k, -1 - a)`` interval are ``(k + 1, -1 - a)``), the same volume and
-    the same containing selected elements, so the recursion of Eqs 32-33
-    is well defined — and exact — on ``O(prod K_m |I_m|)`` signatures
-    instead of explicit view elements (``docs/paper_notes.md`` has the
-    argument in full).
+    dyadic intervals: :class:`~repro.core.element.ContainmentSignatures`
+    against the selected intervals names it.  Equivalent elements have
+    equivalent children, the same volume and the same containing selected
+    elements, so the recursion of Eqs 32-33 is well defined — and exact —
+    on ``O(prod K_m |I_m|)`` signatures instead of explicit view elements
+    (``docs/paper_notes.md`` has the argument in full).
 
     Selected elements are numbered by ascending volume and sets of them
     are int bitmasks: a signature's containers are the AND of its
@@ -91,70 +81,37 @@ class _SignaturePricer:
         self.states: dict[tuple, float] = {}
         ranked = sorted(selected, key=lambda e: e.volume)
         self._volumes = [e.volume for e in ranked]
-        #: Per dimension: selected interval -> ``(anchor id, mask of the
-        #: selected elements whose interval contains it)``.
-        self._anchors: list[dict[DimNode, tuple[int, int]]] = []
-        #: Per dimension: the intervals containing or equal to a selected
-        #: one (every ancestor-or-self of a selected interval).
-        self._covering: list[set[DimNode]] = []
-        #: Per dimension: signature -> container mask / child signatures.
+        #: Per dimension: selected interval -> mask of the selected
+        #: elements occupying it.
+        self._exact: list[dict[DimNode, int]] = []
+        self._dims: list[ContainmentSignatures] = []
+        #: Per dimension: signature -> mask of the selected elements whose
+        #: interval contains it.
         self._masks: list[dict[DimNode, int]] = []
-        self._kids: list[dict[DimNode, tuple[DimNode, DimNode]]] = []
         for m in range(shape.ndim):
             exact: dict[DimNode, int] = {}
             for bit, element in enumerate(ranked):
                 node = element.nodes[m]
                 exact[node] = exact.get(node, 0) | (1 << bit)
-            anchors: dict[DimNode, tuple[int, int]] = {}
-            covering: set[DimNode] = set()
-            for number, node in enumerate(exact, start=1):
-                mask = 0
-                k, j = node
-                while k >= 0:
-                    covering.add((k, j))
-                    mask |= exact.get((k, j), 0)
-                    k, j = k - 1, j >> 1
-                anchors[node] = (number, mask)
-            self._anchors.append(anchors)
-            self._covering.append(covering)
+            self._exact.append(exact)
+            self._dims.append(ContainmentSignatures(exact))
             self._masks.append({})
-            self._kids.append({})
 
-    def _signature(self, m: int, k: int, j: int) -> DimNode:
-        """The signature of interval ``(k, j)`` along dimension ``m``."""
-        anchors = self._anchors[m]
-        anchor, mask = 0, 0
-        ak, aj = k, j
-        while ak >= 0:
-            found = anchors.get((ak, aj))
-            if found is not None:
-                anchor, mask = found
-                break
-            ak, aj = ak - 1, aj >> 1
-        sig = (k, j) if (k, j) in self._covering[m] else (k, -1 - anchor)
+    def _containers(self, m: int, sig: DimNode) -> int:
+        """The mask of the selected elements whose interval along ``m``
+        contains class ``sig``'s; kept in ``_masks``."""
+        exact, mask = self._exact[m], 0
+        k, j = self._dims[m].member[sig]
+        while k >= 0:
+            mask |= exact.get((k, j), 0)
+            k, j = k - 1, j >> 1
         self._masks[m][sig] = mask
-        return sig
-
-    def _children(self, m: int, sig: DimNode) -> tuple[DimNode, DimNode]:
-        kids = self._kids[m].get(sig)
-        if kids is None:
-            k, tag = sig
-            if tag < 0:
-                kid = (k + 1, tag)
-                self._masks[m][kid] = self._masks[m][sig]
-                kids = (kid, kid)
-            else:
-                kids = (
-                    self._signature(m, k + 1, 2 * tag),
-                    self._signature(m, k + 1, 2 * tag + 1),
-                )
-            self._kids[m][sig] = kids
-        return kids
+        return mask
 
     def price(self, element: ElementId) -> float:
         """``T(element)`` (``inf`` when the selection cannot produce it)."""
         key = tuple(
-            self._signature(m, k, j) for m, (k, j) in enumerate(element.nodes)
+            dim.of(k, j) for dim, (k, j) in zip(self._dims, element.nodes)
         )
         return self._cost(key, element.volume)
 
@@ -163,8 +120,9 @@ class _SignaturePricer:
         if cached is not None:
             return cached
         containers = -1
-        for masks, sig in zip(self._masks, key):
-            containers &= masks[sig]
+        for m, (masks, sig) in enumerate(zip(self._masks, key)):
+            mask = masks.get(sig)
+            containers &= self._containers(m, sig) if mask is None else mask
         if containers:
             # Lowest bit = smallest container; one of equal volume is the
             # element itself (selected: free), else aggregate down (Eq 28).
@@ -184,7 +142,7 @@ class _SignaturePricer:
             for m, sig in enumerate(key):
                 if sig[0] >= self.depths[m]:
                     continue
-                p_sig, r_sig = self._children(m, sig)
+                p_sig, r_sig = self._dims[m].children(sig)
                 partial_bound = volume + self._cost(
                     key[:m] + (p_sig,) + key[m + 1 :], half
                 )

@@ -9,7 +9,7 @@ expected processing cost of answering the view population:
 - ``[D]`` — store only the data cube (cost of the root's basis ``{A}``);
 - ``[W]`` — store the wavelet view element basis;
 - ``[V]`` — the best non-redundant view element basis from Algorithm 1
-  (computed exactly by the reduced-state DP).
+  (computed exactly on query containment signatures).
 
 Paper result: ``[V]`` always wins; on average it costs 53.8% of ``[D]``, and
 ``[W]`` is worse than both.  The reproduction reports the same per-trial
@@ -26,7 +26,7 @@ from ..core.bases import wavelet_basis
 from ..core.costs import basis_population_cost, element_population_cost
 from ..core.element import CubeShape
 from ..core.population import QueryPopulation
-from ..core.select_fast import select_minimum_cost_basis_fast
+from ..core.select_basis import select_minimum_cost_basis
 from ..obs.reporting import ascii_plot, ascii_table
 from .common import trial_rngs
 
@@ -111,7 +111,7 @@ def run(config: Figure8Config | None = None) -> Figure8Result:
         )
         cost_d = element_population_cost(root, population)
         cost_w = basis_population_cost(wavelet, population)
-        cost_v = select_minimum_cost_basis_fast(shape, population).cost
+        cost_v = select_minimum_cost_basis(shape, population).cost
         trials.append(
             TrialResult(
                 trial=trial,

@@ -995,7 +995,6 @@ class OLAPServer:
             select_start = time.perf_counter()
             selection = select_minimum_cost_basis(self.shape, population)
             selected_by = dict(
-                selector=selection.selector,
                 states=selection.states,
                 select_ms=(time.perf_counter() - select_start) * 1e3,
             )

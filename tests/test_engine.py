@@ -105,17 +105,6 @@ class TestGreedyAgreement:
         )
         assert all(s.storage <= budget for s in result.stages)
 
-    def test_max_stages(self, engine_4x4, rng):
-        shape = engine_4x4.shape
-        population = QueryPopulation.random_over_views(shape, rng)
-        result = engine_4x4.greedy_redundant_selection(
-            [shape.root()],
-            population,
-            storage_budget=3 * shape.volume,
-            max_stages=2,
-        )
-        assert len(result.stages) <= 3
-
     def test_remove_obsolete_matches_reference(self):
         shape = CubeShape((2, 2))
         view = shape.aggregated_view([0])

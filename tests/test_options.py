@@ -107,6 +107,13 @@ SIGNATURES = {
             ),
         },
     ),
+    "repro.core.engine:SelectionEngine.greedy_redundant_selection": (
+        ("initial", "population", "storage_budget"),
+        {
+            "candidates": "src/repro/experiments/figure9.py",
+            "remove_obsolete": "src/repro/experiments/figure9.py",
+        },
+    ),
     "repro.core.select_basis:select_minimum_cost_basis": (
         ("shape", "population"),
         {},

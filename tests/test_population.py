@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.core.element import CubeShape
 from repro.core.population import QueryPopulation
+from repro.cube.datacube import DataCube
+from repro.cube.dimensions import Dimension
+from repro.server import OLAPServer
 
 
 class TestValidation:
@@ -28,6 +33,26 @@ class TestValidation:
         views = tuple(shape_4x4.aggregated_views())[:2]
         with pytest.raises(ValueError, match="positive sum"):
             QueryPopulation(views, (0.0, 0.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_frequency_names_its_index(self, shape_4x4, bad):
+        views = tuple(shape_4x4.aggregated_views())
+        with pytest.raises(ValueError, match="frequency 0 is not finite"):
+            QueryPopulation(views, (bad, 1.0, 1.0, 1.0))
+        with pytest.raises(ValueError, match="frequency 2 is not finite"):
+            QueryPopulation.from_pairs(zip(views, (1.0, 1.0, bad, 1.0)))
+
+    def test_a_server_is_not_reconfigured_on_a_non_finite_frequency(self):
+        values = np.arange(64, dtype=np.float64).reshape(8, 8)
+        dims = [Dimension(f"d{i}", list(range(8))) for i in range(2)]
+        server = OLAPServer(DataCube(values, dims, measure="amount"))
+        stored = server.materialized.elements
+        views = tuple(server.shape.aggregated_views())
+        with pytest.raises(ValueError, match="frequency 0 is not finite"):
+            server.reconfigure(QueryPopulation(views, (math.nan, 1, 1, 1)))
+        assert server.materialized.elements == stored
+        assert server.stats.reconfigurations == 0
+        server.close()
 
     def test_mixed_shapes(self, shape_4x4):
         other = CubeShape((8, 8)).root()
@@ -95,13 +120,6 @@ class TestAccessors:
         population = QueryPopulation.from_pairs([(views[0], 0.4), (views[1], 0.6)])
         assert population.frequency_of(views[0]) == pytest.approx(0.4)
         assert population.frequency_of(views[3]) == 0.0
-
-    def test_is_aggregated_view_population(self, shape_4x4):
-        population = QueryPopulation.uniform_over_views(shape_4x4)
-        assert population.is_aggregated_view_population()
-        element = shape_4x4.root().partial_child(0)
-        mixed = QueryPopulation.from_pairs([(element, 1.0)])
-        assert not mixed.is_aggregated_view_population()
 
     def test_restricted_to_support(self, shape_4x4):
         views = list(shape_4x4.aggregated_views())

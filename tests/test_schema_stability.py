@@ -127,7 +127,7 @@ class TestStatsPayload:
 
 
 class TestAdaptCycleAttributes:
-    """What a dashboard reads to tell a reduced-state re-selection and a
+    """What a dashboard reads to tell a signature-level re-selection and a
     cold plan from a graph walk (``docs/observability.md``)."""
 
     def test_reconfigure_span_and_epoch_bump_event(self):
@@ -140,11 +140,9 @@ class TestAdaptCycleAttributes:
             "epoch",
             "storage",
             "expected_cost",
-            "selector",
             "states",
             "select_ms",
         }
-        assert span.attributes["selector"] in ("reduced", "general")
         event = server.obs.events.events("epoch_bump")[-1]
         assert set(event) == {
             "seq",
@@ -153,7 +151,6 @@ class TestAdaptCycleAttributes:
             "epoch",
             "stored_elements",
             "expected_cost",
-            "selector",
             "states",
             "select_ms",
         }

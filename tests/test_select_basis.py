@@ -12,7 +12,6 @@ from repro.core.element import CubeShape, ElementId
 from repro.core.frequency import is_non_redundant_basis
 from repro.core.population import QueryPopulation
 from repro.core.select_basis import _select_explicit, select_minimum_cost_basis
-from repro.core.select_fast import select_minimum_cost_basis_fast
 
 
 def _all_bases(element: ElementId):
@@ -136,7 +135,7 @@ class TestPedagogicalExample:
 
 
 class TestFastEquivalence:
-    """The reduced-state DP is exact for aggregated-view populations."""
+    """The signature recursion matches the explicit one on view populations."""
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -145,7 +144,7 @@ class TestFastEquivalence:
         rng = np.random.default_rng(seed)
         population = QueryPopulation.random_over_views(shape, rng)
         general = _select_explicit(shape, population)
-        fast = select_minimum_cost_basis_fast(shape, population)
+        fast = select_minimum_cost_basis(shape, population)
         assert fast.cost == general.cost
 
     @settings(max_examples=8, deadline=None)
@@ -155,26 +154,18 @@ class TestFastEquivalence:
         rng = np.random.default_rng(seed)
         population = QueryPopulation.random_over_views(shape, rng)
         general = _select_explicit(shape, population)
-        fast = select_minimum_cost_basis_fast(shape, population)
+        fast = select_minimum_cost_basis(shape, population)
         assert fast.cost == general.cost
 
     def test_fast_extraction_is_valid_basis(self, shape_4x4, rng):
         population = QueryPopulation.random_over_views(shape_4x4, rng)
-        fast = select_minimum_cost_basis_fast(shape_4x4, population)
-        elements = list(fast.extract_elements())
+        fast = select_minimum_cost_basis(shape_4x4, population)
+        elements = list(fast.elements)
         assert is_non_redundant_basis(elements)
-        assert len(elements) == fast.num_elements
-        assert sum(e.volume for e in elements) == fast.storage
         assert fast.storage == shape_4x4.volume
         assert basis_population_cost(elements, population) == pytest.approx(
             fast.cost
         )
-
-    def test_fast_rejects_general_population(self, shape_4x4):
-        element = shape_4x4.root().partial_child(0)
-        population = QueryPopulation.from_pairs([(element, 1.0)])
-        with pytest.raises(ValueError, match="aggregated-view"):
-            select_minimum_cost_basis_fast(shape_4x4, population)
 
     def test_experiment1_scale(self):
         """The paper's 923,521-node graph solves in well under a second."""
@@ -182,8 +173,9 @@ class TestFastEquivalence:
         population = QueryPopulation.random_over_views(
             shape, np.random.default_rng(0)
         )
-        result = select_minimum_cost_basis_fast(shape, population)
+        result = select_minimum_cost_basis(shape, population)
         assert result.storage == shape.volume
+        assert result.states == 9**4
         assert 0 < result.cost < element_population_cost(
             shape.root(), population
         )
