@@ -7,7 +7,8 @@ Measures the three serving strategies over two workloads:
 - a star-schema cube (``repro.workloads.star_schema.sales_cube``,
   8x4x8x16) with all ``2^4`` group-by views.
 
-Strategies: per-target :meth:`MaterializedSet.assemble` (sequential), the
+Strategies: per-target :meth:`MaterializedSet.assemble` (sequential: a
+batch of one per target, so nothing is shared between targets), the
 shared-plan executor at one worker (the pure algorithmic win — CSE, no
 threads), the thread-pool executor at 2 and 4 workers, and the
 **server-default path** (:data:`repro.server.MAX_WORKERS` workers with
@@ -15,8 +16,8 @@ cost-aware dispatch free to demote) — ``--check`` asserts the demoted
 multi-worker walls stay within :data:`DEMOTED_WALL_FACTOR` of the
 1-worker wall on the Table 2 cube, holding the small-batch cliff shut.  Scalar
 operations are exact (:class:`OpCounter`); wall time is min-of-N and
-measures steady-state serving — repeated batches hit the set's plan cache
-(sequential assembly has no analogue: it re-prices its routes per call).
+measures steady-state serving — repeated batches hit the set's plan cache,
+as each sequential target hits its own single-target plan.
 
 Runs standalone (writes ``BENCH_batch.json``)::
 

@@ -29,8 +29,10 @@ from .exec import (
     BatchPlan,
     PlanNode,
     execute_plan,
+    explain,
     fuse_plan,
     plan_batch,
+    render_plan,
 )
 from .frequency import (
     covered_measure,
@@ -60,7 +62,6 @@ from .operators import (
     total_aggregate,
     total_sum,
 )
-from .planning import AssemblyPlan, explain, render_plan
 from .population import QueryPopulation
 from .range_query import (
     RangeAnswer,
@@ -79,7 +80,6 @@ from .select_redundant import (
 
 __all__ = [
     "AccessTracker",
-    "AssemblyPlan",
     "BasisSelection",
     "BatchPlan",
     "DISPATCH_THRESHOLD",

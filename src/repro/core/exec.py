@@ -1,12 +1,14 @@
 """Shared-plan batch assembly: route table -> compiled program -> two drivers.
 
 The paper's central idea is that views are *assembled* from shared view
-elements — yet serving each query with an independent
-:meth:`~repro.core.materialize.MaterializedSet.assemble` recursion recomputes
-every common intermediate per query.  This module executes a *batch* of
-targets as one shared DAG, the way Gray et al.'s cube operator computes the
-``2^d`` group-bys in a single cascade instead of ``2^d`` scans.  Work is
-done at the granularity at which it repeats:
+elements — yet serving each query with an independent Procedure 3
+recursion recomputes every common intermediate per query.  This module
+executes a *batch* of targets as one shared DAG, the way Gray et al.'s cube
+operator computes the ``2^d`` group-bys in a single cascade instead of
+``2^d`` scans.  It is the only executor: a single target is a batch of one
+(:meth:`~repro.core.materialize.MaterializedSet.assemble`), and
+:func:`explain` renders the program that runs.  Work is done at the
+granularity at which it repeats:
 
 - **Per element, once per stored set** — the Procedure 3 route (stored /
   aggregate from the smallest stored ancestor / synthesize) is resolved by
@@ -55,14 +57,16 @@ done at the granularity at which it repeats:
   per-node counters merged into the caller's counter as nodes complete.
 
 **Bit-identity.**  Every DAG node's producing expression is exactly the one
-sequential assembly would evaluate: both read the same
+Procedure 3's recursion evaluates for its target alone — the reference is
+``assemble_recursive`` in the test-suite's ``tests/oracles.py``, which
+never touches this module: both follow the same
 :class:`~repro.core.planning.Route` (aggregation wins ties), and a
 decomposed cascade applies the same numpy operations in the same canonical
-dimension-major order as ``MaterializedSet._assemble``.  Cascade interiors
-are only shared under an element's own key when that element's canonical
-route is the same cascade; otherwise they live under a ``(source, element)``
-chain key so a differently-routed canonical node can coexist.  Batch results
-are therefore bit-identical to per-target :meth:`assemble` calls.
+dimension-major order.  Cascade interiors are only shared under an
+element's own key when that element's canonical route is the same cascade;
+otherwise they live under a ``(source, element)`` chain key so a
+differently-routed canonical node can coexist.  A batch's results are
+therefore bit-identical to assembling each target alone.
 
 **Cost accounting under CSE.**  Each node is priced once — a ``P1``/``R1``
 step or a synthesis of volume ``v`` costs exactly ``v`` scalar operations,
@@ -101,6 +105,8 @@ __all__ = [
     "plan_batch",
     "fuse_plan",
     "execute_plan",
+    "explain",
+    "render_plan",
     "DISPATCH_THRESHOLD",
 ]
 
@@ -487,6 +493,42 @@ def plan_batch(
             priced_states=max(0, priced_states(memo) - states_before),
         )
     return plan
+
+
+def explain(
+    target: ElementId, selected: tuple[ElementId, ...] | list[ElementId]
+) -> BatchPlan:
+    """EXPLAIN: the program that assembles ``target`` from ``selected`` —
+    the fused :func:`plan_batch` of the batch of one, as it runs.
+
+    Raises :class:`ValueError` when the selection cannot produce the target
+    (i.e. Procedure 3 prices it at infinity).
+    """
+    try:
+        return plan_batch([target], tuple(selected))
+    except IncompleteSetError:
+        raise ValueError(f"selection cannot generate {target!r}") from None
+
+
+def render_plan(plan: BatchPlan) -> str:
+    """One line per instruction, in program order: a stored ``read``, an
+    ``aggregate`` (a fused cascade or a single step) from the element it
+    reads, or a ``synthesize`` along a dimension — each with its modeled
+    scalar operations, which sum to ``plan.planned_cost``."""
+    program = plan.program
+    lines = []
+    for ins in program:
+        target = ins.element.describe() or "."
+        if ins.op == "stored":
+            lines.append(f"read {target}  [stored, 0 ops]")
+        elif ins.op == "synthesize":
+            lines.append(
+                f"synthesize {target} along dim {ins.arg}  [{ins.cost} ops]"
+            )
+        else:
+            source = program[ins.inputs[0]].element.describe() or "."
+            lines.append(f"aggregate {target} from {source}  [{ins.cost} ops]")
+    return "\n".join(lines)
 
 
 class PlanCache:

@@ -24,21 +24,14 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from ..errors import IncompleteSetError
 from ..obs import add_span_event, current_registry, log_event, span
 from ..resilience.deadline import check_deadline
 from ..resilience.faults import corrupt_array, fault_point
 from .delta import DeltaBatch, SlabStore
 from .element import CubeShape, ElementId
 from .exec import PlanCache, execute_plan, plan_batch
-from .kernels import (
-    canonical_steps,
-    fused_cascade,
-    fused_synthesize,
-    pin_allocator_thresholds,
-)
+from .kernels import canonical_steps, fused_cascade, pin_allocator_thresholds
 from .operators import OpCounter
-from .planning import RouteTable, route_table
 from .select_redundant import generation_cost
 
 __all__ = ["compute_element", "MaterializedSet", "element_checksum"]
@@ -422,24 +415,18 @@ class MaterializedSet:
 
     def can_assemble(self, target: ElementId) -> bool:
         """Whether the stored set is complete with respect to ``target``."""
-        return self._price(target, self.elements)[0] != float("inf")
+        return self._price(target, self.elements) != float("inf")
 
-    def _price(
-        self, target: ElementId, stored: tuple[ElementId, ...]
-    ) -> tuple[float, dict]:
-        """Procedure 3 price of ``target`` and the memo that holds it.
-
-        Prices through the set's persistent memo.  A plan racing a store
-        can re-insert stale prices from the pre-store element set after
-        the clear, so an infeasibility verdict is only trusted from a
-        fresh memo.
+    def _price(self, target: ElementId, stored: tuple[ElementId, ...]) -> float:
+        """Procedure 3 price of ``target``, through the set's persistent
+        memo.  A plan racing a store can re-insert stale prices from the
+        pre-store element set after the clear, so an infeasibility verdict
+        is only trusted from a fresh memo.
         """
-        memo = self._cost_memo
-        cost = generation_cost(target, stored, _memo=memo)
+        cost = generation_cost(target, stored, _memo=self._cost_memo)
         if cost == float("inf"):
-            memo = {}
-            cost = generation_cost(target, stored, _memo=memo)
-        return cost, memo
+            cost = generation_cost(target, stored, _memo={})
+        return cost
 
     def assemble(
         self,
@@ -447,106 +434,11 @@ class MaterializedSet:
         counter: OpCounter | None = None,
         warm=None,
     ) -> np.ndarray:
-        """Produce the data of ``target`` from the stored elements.
-
-        Recursively chooses, per element, the cheaper of the two Procedure 3
-        options — aggregation from the smallest stored ancestor
-        (``Vol(ancestor) - Vol(target)`` ops) or perfect-reconstruction
-        synthesis from the cheapest child pair (``Vol(target)`` ops plus the
-        children's own assembly costs).  Raises :class:`ValueError` when the
-        stored set cannot produce ``target``.
-
-        ``warm`` (:func:`warm_routes`) offers warm arrays as a third
-        source: when aggregating the smallest warm ancestor down is
-        cheaper than the stored route — or storage cannot produce
-        ``target`` at all — that one cascade is the answer.
-
-        A stored target is returned by reference (the zero-cost read the
-        cost model promises); treat the result as read-only.
-        """
-        if target.shape != self.shape:
-            raise ValueError("target belongs to a different cube shape")
-        with span("materialize.assemble", element=target.describe()) as sp:
-            fault_point("materialize.assemble", element=target)
-            check_deadline("materialize.assemble")
-            self._verify_unverified()
-            own = counter if counter is not None else OpCounter()
-            ops_before = own.total
-            # Consistent snapshot: routing and reads use one view of the
-            # stored set, so a concurrent store/quarantine cannot strand
-            # the recursion between route choice and array access.
-            arrays = dict(self._arrays)
-            stored = tuple(arrays)
-            cost, cost_memo = self._price(target, stored)
-            chosen = warm_routes((target,), warm, lambda _: cost)
-            if chosen:
-                ancestor, _ = chosen[target]
-                cost = ancestor.volume - target.volume
-                values = derive(chosen, own)[target]
-            elif cost == float("inf"):
-                raise IncompleteSetError(
-                    f"stored set is not complete with respect to {target!r}"
-                )
-            else:
-                values = self._assemble(
-                    target,
-                    route_table(self.shape, stored, cost_memo),
-                    own,
-                    arrays,
-                )
-            ops = own.total - ops_before
-            registry = current_registry()
-            registry.counter(
-                "assemble_total", "view element assemblies"
-            ).inc()
-            if target in self._arrays:
-                registry.counter(
-                    "assemble_stored_reads_total",
-                    "assemblies answered by a zero-cost stored read",
-                ).inc()
-            registry.histogram(
-                "assemble_operations", "scalar operations per assembly"
-            ).observe(ops)
-            if cost > 0:
-                registry.histogram(
-                    "cost_model_divergence",
-                    "measured over planned scalar operations (1.0 = exact)",
-                ).observe(ops / cost, path="assemble")
-            sp.set(
-                operations=ops,
-                modeled_cost=cost,
-                stored=target in self._arrays,
-                derived=bool(chosen),
-            )
-        return values
-
-    def _assemble(
-        self,
-        target: ElementId,
-        routes: RouteTable,
-        counter: OpCounter | None,
-        arrays: dict[ElementId, np.ndarray],
-    ) -> np.ndarray:
-        """Recursive Procedure 3 execution.
-
-        ``arrays`` is snapshotted once per :meth:`assemble` call and
-        ``routes`` is the table of that same stored set, so the recursion
-        never rescans the stored set or prices anything twice.
-        """
-        route = routes.route(target)
-        if route.kind == "stored":
-            return arrays[target]
-        check_deadline("materialize.assemble")
-        if route.kind == "aggregate":
-            return fused_cascade(
-                arrays[route.source],
-                [(dim, residual) for dim, residual, _ in route.skeleton],
-                counter=counter,
-            )
-        (_, _, p_child), (_, _, r_child) = route.skeleton
-        p_values = self._assemble(p_child, routes, counter, arrays)
-        r_values = self._assemble(r_child, routes, counter, arrays)
-        return fused_synthesize(p_values, r_values, route.dim, counter=counter)
+        """Produce the data of ``target`` from the stored elements: a batch
+        of one (:meth:`assemble_batch`).  A stored target is returned by
+        reference (the zero-cost read the cost model promises); treat the
+        result as read-only."""
+        return self.assemble_batch([target], counter=counter, warm=warm)[target]
 
     def assemble_batch(
         self,
@@ -555,28 +447,32 @@ class MaterializedSet:
         max_workers: int = 1,
         warm=None,
     ) -> dict[ElementId, np.ndarray]:
-        """Assemble several targets as one shared-plan DAG.
+        """Assemble several targets as one shared-plan DAG — the one
+        executor every assembly runs through.
 
         The batch planner (:func:`repro.core.exec.plan_batch`) merges every
-        target's Procedure 3 route into one DAG with common-subexpression
-        elimination, so intermediates shared between targets — e.g. the
-        partial-sum ancestors common to the ``2^d`` group-by views — are
-        computed once, and single-consumer cascades run as fused kernels.
-        The executor dispatches cost-aware: requesting ``max_workers > 1``
-        is safe even for tiny batches — it demotes itself to serial when no
-        node's modeled cost reaches
-        :data:`repro.core.exec.DISPATCH_THRESHOLD`.  Results are
-        bit-identical to per-target :meth:`assemble` calls and never cost
-        more scalar operations; the total is usually strictly lower.
+        target's Procedure 3 route — the cheaper of aggregating the
+        smallest stored ancestor and synthesizing from the cheapest child
+        pair — into one DAG with common-subexpression elimination, so
+        intermediates shared between targets (e.g. the partial-sum
+        ancestors common to the ``2^d`` group-by views) are computed once,
+        and single-consumer cascades run as fused kernels.  The executor
+        dispatches cost-aware: requesting ``max_workers > 1`` is safe even
+        for tiny batches — it demotes itself to serial when no node's
+        modeled cost reaches :data:`repro.core.exec.DISPATCH_THRESHOLD`.
+        Results are bit-identical to assembling each target alone and never
+        cost more scalar operations; the total is usually strictly lower.
         Procedure 3 prices are reused across batches through the set's
         persistent cost memo (valid until the stored element set changes).
 
-        ``warm`` works as in :meth:`assemble`: a target cheaper to
-        aggregate from its smallest warm ancestor is that one cascade, and
-        only the rest are planned.
+        ``warm`` (:func:`warm_routes`) offers warm arrays as a third
+        source: a target cheaper to aggregate from its smallest warm
+        ancestor — or one storage cannot produce at all — is that one
+        cascade, and only the rest are planned.
 
-        Returns ``{target: values}`` (duplicates deduplicated).  Raises
-        :class:`ValueError` when the stored set cannot produce some target.
+        Returns ``{target: values}`` (duplicates deduplicated; stored
+        targets by reference).  Raises :class:`ValueError` when the stored
+        set cannot produce some target.
         """
         targets = list(targets)
         if not targets:
@@ -593,9 +489,7 @@ class MaterializedSet:
             arrays = dict(self._arrays)
             stored = tuple(arrays)
             distinct = tuple(dict.fromkeys(targets))
-            chosen = warm_routes(
-                distinct, warm, lambda t: self._price(t, stored)[0]
-            )
+            chosen = warm_routes(distinct, warm, lambda t: self._price(t, stored))
             planned = tuple(t for t in distinct if t not in chosen)
             registry = current_registry()
             results: dict[ElementId, np.ndarray] = {}
@@ -684,14 +578,6 @@ class MaterializedSet:
             self._slabs.patch(batch, counter, BATCH_UPDATE)
         for element, _ in arrays:
             self._seal(element)
-
-    def assemble_view(
-        self, aggregated_dims, counter: OpCounter | None = None
-    ) -> np.ndarray:
-        """Assemble the aggregated view over ``aggregated_dims``."""
-        return self.assemble(
-            self.shape.aggregated_view(aggregated_dims), counter=counter
-        )
 
     def reconstruct_cube(self, counter: OpCounter | None = None) -> np.ndarray:
         """Perfectly reconstruct the original cube (root element)."""

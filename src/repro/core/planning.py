@@ -1,30 +1,21 @@
-"""EXPLAIN-style assembly plans for view element generation (Procedure 3).
+"""Procedure 3 routes: how each view element is produced from a stored set.
 
 The cost numbers of the selection algorithms answer "how much"; this module
-answers "how": given a stored element set and a target, :func:`explain`
-produces the cheapest generation plan as an explicit tree —
+answers "how": per element, whether it is
 
-- ``stored`` leaves (zero cost),
-- ``aggregate`` nodes (cascade down from a stored ancestor, Eq 28),
-- ``synthesize`` nodes (perfect reconstruction from two child plans,
-  Eq 32) —
+- ``stored`` (a zero-cost read),
+- ``aggregate`` (cascaded down from the smallest stored ancestor, Eq 28),
+- ``synthesize`` (perfect reconstruction from two children, Eq 32).
 
-mirroring exactly the routes Procedure 3 prices and
-:meth:`~repro.core.materialize.MaterializedSet.assemble` executes.  The
-rendered plan is the debugging/observability surface a production system
-would expose as ``EXPLAIN``.
-
-"Exactly" is by construction: the choice between the options is made in
-one place, once per element per stored set — :class:`RouteTable`, kept in
-the cost memo beside the prices — and sequential assembly, the batch
-planner (:mod:`repro.core.exec`) and :func:`explain` all read the
-:class:`Route` it resolved.
+The choice between the options is made in one place, once per element per
+stored set — :class:`RouteTable`, kept in the cost memo beside the prices —
+and the batch planner (:mod:`repro.core.exec`), which every assembly and
+:func:`~repro.core.exec.explain` run through, reads the :class:`Route` it
+resolved.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 from ..errors import IncompleteSetError
@@ -32,38 +23,7 @@ from .element import CubeShape, ElementId
 from .kernels import canonical_steps
 from .select_redundant import generation_cost, validated_pricer
 
-__all__ = [
-    "AssemblyPlan",
-    "Route",
-    "RouteTable",
-    "best_route",
-    "explain",
-    "render_plan",
-    "route_table",
-]
-
-
-@dataclass(frozen=True)
-class AssemblyPlan:
-    """One node of an assembly plan tree."""
-
-    target: ElementId
-    kind: str  # "stored" | "aggregate" | "synthesize"
-    cost: float
-    source: ElementId | None = None  # for "aggregate"
-    dim: int | None = None  # for "synthesize"
-    children: tuple["AssemblyPlan", ...] = ()
-
-    @cached_property
-    def total_cost(self) -> float:
-        """Cost of this node plus all descendants."""
-        return self.cost + sum(child.total_cost for child in self.children)
-
-    def walk(self):
-        """Yield every plan node, depth-first."""
-        yield self
-        for child in self.children:
-            yield from child.walk()
+__all__ = ["Route", "RouteTable", "best_route", "route_table"]
 
 
 def sorted_by_volume(selected) -> list[ElementId]:
@@ -89,9 +49,8 @@ def best_route(
     selected ancestor and its Eq 28 aggregation cost (``None``/``inf`` when
     no ancestor is selected), and the cheapest synthesis dimension with its
     Eq 32 cost (``-1``/``inf`` when the target is terminal).  Aggregation
-    wins ties, matching :meth:`MaterializedSet._assemble` exactly — every
-    plan consumer must use the same rule so that plans, batch DAGs, and
-    direct assembly compute bit-identical arrays.
+    wins ties — the one rule every route is resolved by, so a plan of any
+    target set computes the arrays assembling each target alone would.
     """
     agg_cost = float("inf")
     agg_source: ElementId | None = None
@@ -212,59 +171,3 @@ def route_table(
     if table is None:
         table = memo[_ROUTES] = RouteTable(pricer.selected, memo)
     return table
-
-
-def explain(
-    target: ElementId, selected: tuple[ElementId, ...] | list[ElementId]
-) -> AssemblyPlan:
-    """Build the cheapest generation plan for ``target`` from ``selected``.
-
-    Raises :class:`ValueError` when the selection cannot produce the target
-    (i.e. Procedure 3 prices it at infinity).
-    """
-    try:
-        return _plan(target, route_table(target.shape, tuple(selected), {}))
-    except IncompleteSetError:
-        raise ValueError(f"selection cannot generate {target!r}") from None
-
-
-def _plan(target: ElementId, table: RouteTable) -> AssemblyPlan:
-    route = table.route(target)
-    if route.kind == "stored":
-        return AssemblyPlan(target=target, kind="stored", cost=0.0)
-    if route.kind == "aggregate":
-        return AssemblyPlan(
-            target=target,
-            kind="aggregate",
-            cost=float(route.cost),
-            source=route.source,
-        )
-    return AssemblyPlan(
-        target=target,
-        kind="synthesize",
-        cost=float(target.volume),
-        dim=route.dim,
-        children=tuple(_plan(child, table) for _, _, child in route.skeleton),
-    )
-
-
-def render_plan(plan: AssemblyPlan, indent: str = "") -> str:
-    """Pretty-print a plan tree, EXPLAIN style."""
-    target = plan.target.describe() or "."
-    if plan.kind == "stored":
-        line = f"{indent}read {target}  [stored, 0 ops]"
-    elif plan.kind == "aggregate":
-        source = plan.source.describe() or "."
-        line = (
-            f"{indent}aggregate {target} from {source}  "
-            f"[{plan.cost:.0f} ops]"
-        )
-    else:
-        line = (
-            f"{indent}synthesize {target} along dim {plan.dim}  "
-            f"[{plan.cost:.0f} ops + children]"
-        )
-    lines = [line]
-    for child in plan.children:
-        lines.append(render_plan(child, indent + "  "))
-    return "\n".join(lines)

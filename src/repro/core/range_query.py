@@ -281,18 +281,27 @@ class RangeQueryEngine:
         """Per dimension, the :func:`dyadic_levels` of one range query.
 
         The one front :meth:`range_sum` and :meth:`prefetch` parse a
-        request through: arity, exact-integer bounds (a bound like ``0.9``
-        is refused, not truncated) and the cube's extents are checked
-        here.  ``None`` when the range is empty along some dimension.
+        request through: arity, one ``(start, stop)`` pair per dimension,
+        exact-integer bounds (a bound like ``0.9`` is refused, not
+        truncated) and the cube's extents are checked here, each an
+        :class:`InvalidQueryError`.  ``None`` when the range is empty along
+        some dimension.
         """
         ranges = tuple(ranges)
         sizes = self.shape.sizes
         if len(ranges) != len(sizes):
-            raise ValueError(
+            raise InvalidQueryError(
                 f"{len(ranges)} ranges for a {len(sizes)}-dimensional cube"
             )
         groups = []
-        for m, ((lo, hi), n) in enumerate(zip(ranges, sizes)):
+        for m, (bound, n) in enumerate(zip(ranges, sizes)):
+            try:
+                lo, hi = bound
+            except (TypeError, ValueError):
+                raise InvalidQueryError(
+                    f"range of dimension {m} must be a (start, stop) pair, "
+                    f"got {bound!r}"
+                ) from None
             if type(lo) is not int or type(hi) is not int:
                 lo = as_index(lo, f"range start of dimension {m}")
                 hi = as_index(hi, f"range stop of dimension {m}")

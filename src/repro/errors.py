@@ -113,5 +113,6 @@ class InvalidUpdateError(ReproError, ValueError):
 class InvalidQueryError(ReproError, ValueError):
     """A request's level or bound is not an integer or lies outside the
     cube (a range bound past an extent, a level above a hierarchy's
-    depth), or an operand's dtype cannot be aggregated exactly; nothing
-    was served."""
+    depth), a range is not one ``(start, stop)`` pair per dimension, a
+    deadline is NaN, ``max_workers`` is below 1, or an operand's dtype
+    cannot be aggregated exactly; nothing was served."""

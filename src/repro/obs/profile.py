@@ -13,12 +13,12 @@ signal that the configuration no longer matches reality and
 executor's per-node spans carry each node's modeled cost
 (``planned_cost``), its measured :class:`~repro.core.operators.OpCounter`
 total (``operations``), and its wall time; the planner span carries the
-whole batch's planned cost; the serial assembly spans carry the Procedure 3
-``modeled_cost``.  The profile groups nodes per view element and reports
-measured/planned divergence per node, per element, and per query.  On the
-unfaulted path measured operation counts equal the plan exactly — the
-executors preserve the paper's accounting — so any nonzero divergence is
-real signal, not noise.
+whole batch's planned cost.  Every assembly — a single target is a batch
+of one — runs through that executor.  The profile groups nodes per view
+element and reports measured/planned divergence per node, per element,
+and per query.  On the unfaulted path measured operation counts equal the
+plan exactly — the executors preserve the paper's accounting — so any
+nonzero divergence is real signal, not noise.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from .tracing import Span, Tracer
 
 __all__ = ["query_profile", "render_profile"]
 
-#: Span names that represent costed work units joinable against the model.
-_NODE_SPANS = ("exec.node", "materialize.assemble")
+#: The span of a costed work unit joinable against the model.
+_NODE_SPAN = "exec.node"
 
 #: Span names that can root a query profile (preferred first).
 _ROOT_SPANS = (
@@ -37,7 +37,6 @@ _ROOT_SPANS = (
     "server.query",
     "adaptive.query",
     "materialize.assemble_batch",
-    "materialize.assemble",
 )
 
 
@@ -72,9 +71,8 @@ def query_profile(tracer: Tracer, trace_id: int | None = None) -> dict:
                      "nodes", "spans"},
         }
 
-    ``nodes`` lists every costed work unit — DAG nodes (fused or not) from
-    the batch executor and Procedure 3 assemblies from the serial path —
-    in execution order.
+    ``nodes`` lists every costed work unit — the executor's DAG nodes,
+    fused or not — in execution order.
     """
     spans = tracer.trace(trace_id)
     if not spans:
@@ -105,17 +103,17 @@ def query_profile(tracer: Tracer, trace_id: int | None = None) -> dict:
 
     nodes: list[dict] = []
     for s in spans:
-        if s.name not in _NODE_SPANS:
+        if s.name != _NODE_SPAN:
             continue
         attrs = s.attributes
-        planned = attrs.get("planned_cost", attrs.get("modeled_cost"))
+        planned = attrs.get("planned_cost")
         measured = attrs.get("operations")
         if planned is None or measured is None:
             continue
         nodes.append(
             {
                 "element": attrs.get("element", "?"),
-                "kind": attrs.get("kind", "assemble"),
+                "kind": attrs.get("kind", "?"),
                 "planned": int(planned),
                 "measured": int(measured),
                 "wall_ms": s.duration * 1e3,

@@ -15,9 +15,9 @@ failure; this package holds the machinery that exercises and bounds it:
 - :mod:`repro.resilience.retry` — :func:`retry_transient`, the one
   transient-fault retry loop: fresh scratch counter per try (merged only
   for the try that served), exponential backoff bounded by the ambient
-  deadline, the last fault re-raised on exhaustion.  Its five callers keep
-  only their own fallback: ``OLAPServer._assemble_resilient`` (base cube),
-  ``OLAPServer._assemble_batch_resilient`` (per-element recovery),
+  deadline, the last fault re-raised on exhaustion.  Its four callers keep
+  only their own fallback: ``OLAPServer._assemble_resilient`` (a shared
+  batch recovers per element, and one element from the base cube),
   ``OLAPServer.range_sum`` (direct range sum over the base cube),
   ``ShardedSet._execute_shard`` and ``ShardedSet._local_assemble_resilient``
   (the shard's base slab).

@@ -8,9 +8,9 @@ dispatches — calls :func:`check_deadline`, which raises
 no-op when no deadline is active.
 
 Propagation uses :mod:`contextvars` (exactly like :mod:`repro.obs`), so a
-deadline set by the server is visible throughout the assembly recursion and
-in the executor's scheduler loop without threading an argument through
-every call.  Worker threads of a :class:`~concurrent.futures.ThreadPoolExecutor`
+deadline set by the server is visible throughout assembly and in the
+executor's scheduler loop without threading an argument through every
+call.  Worker threads of a :class:`~concurrent.futures.ThreadPoolExecutor`
 do not inherit the context, but the scheduler loop runs on the calling
 thread, which is where cancellation decisions are made.
 """
@@ -21,7 +21,7 @@ import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 
-from ..errors import QueryTimeout
+from ..errors import InvalidQueryError, QueryTimeout
 
 __all__ = ["Deadline", "current_deadline", "deadline_scope", "check_deadline"]
 
@@ -37,7 +37,11 @@ class Deadline:
 
     @classmethod
     def after(cls, seconds: float) -> "Deadline":
-        """A deadline ``seconds`` from now (negative means already expired)."""
+        """A deadline ``seconds`` from now (negative means already expired,
+        ``inf`` never expires).  A NaN budget would silently never expire,
+        so it is refused as an :class:`InvalidQueryError`."""
+        if seconds != seconds:
+            raise InvalidQueryError("deadline_ms must not be NaN")
         return cls(time.monotonic() + seconds, budget_ms=seconds * 1e3)
 
     def remaining(self) -> float:

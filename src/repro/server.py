@@ -678,62 +678,53 @@ class OLAPServer:
     def _assemble_resilient(
         self,
         materialized: MaterializedSet,
-        element: ElementId,
+        elements: Sequence[ElementId],
         counter: OpCounter,
+        max_workers: int = 1,
         warm=None,
-    ) -> np.ndarray:
-        """Assemble one element (from a ``warm`` ancestor where cheaper)
-        with retries and base-cube degradation.
-
-        A quarantine-induced incomplete set falls back to the perfect
-        reconstruction route from the base cube (bit-identical for the
-        integer-valued measures the chaos gate replays); its scratch
-        counter, like the retry loop's, is merged only once it served."""
-        try:
-            return self._retry(
-                lambda s: materialized.assemble(element, counter=s, warm=warm),
-                counter,
-            )
-        except IncompleteSetError:
-            scratch = OpCounter()
-            values = compute_element(
-                self.cube.values, element, counter=scratch
-            )
-            counter.merge(scratch)
-            self._note_degraded()
-            return values
-
-    def _assemble_batch_resilient(
-        self,
-        state: _ServingState,
-        missing: Sequence[ElementId],
-        counter: OpCounter,
-        max_workers: int,
     ) -> dict[ElementId, np.ndarray]:
-        """Batch analogue of :meth:`_assemble_resilient` over ``state``.
+        """``{element: values}`` for ``elements`` (from a ``warm`` ancestor
+        where cheaper), with retries and base-cube degradation.
 
-        A shared-plan execution is all-or-nothing, and retrying the whole
-        batch re-rolls every node's fault dice — under a per-node fault
-        rate the batch-level failure probability does not shrink with the
-        batch's size.  So after the batch retry budget is spent (or the
-        set went incomplete mid-plan), recovery proceeds per element, where
-        each target gets its own independent retry/degradation budget.
-        """
-        materialized, warm = state.materialized, state.range_engine.warm_ancestor
-        try:
-            return self._retry(
-                lambda scratch: materialized.assemble_batch(
-                    missing, counter=scratch, max_workers=max_workers, warm=warm
-                ),
-                counter,
-                fatal=False,
-            )
-        except (TransientFault, IncompleteSetError):
-            pass
-        return {
-            e: self._assemble_resilient(materialized, e, counter, warm)
-            for e in dict.fromkeys(missing)
-        }
+        Several elements first try one shared plan under the retry budget.
+        That execution is all-or-nothing and a retry re-rolls every node's
+        fault dice, so its failure probability does not shrink with the
+        batch's size: once the budget is spent (or the set went incomplete
+        mid-plan), and at once for one element, each element is a retried
+        batch of one with its own budget.  A quarantine-induced incomplete
+        set falls back to the perfect reconstruction route from the base
+        cube (bit-identical for the integer-valued measures the chaos gate
+        replays); its scratch counter, like the retry loop's, is merged
+        only once it served."""
+        elements = list(dict.fromkeys(elements))
+        if len(elements) > 1:
+            try:
+                return self._retry(
+                    lambda s: materialized.assemble_batch(
+                        elements, counter=s, max_workers=max_workers, warm=warm
+                    ),
+                    counter,
+                    fatal=False,
+                )
+            except (TransientFault, IncompleteSetError):
+                pass
+        answers = {}
+        for element in elements:
+            try:
+                answers[element] = self._retry(
+                    lambda s: materialized.assemble_batch(
+                        [element], counter=s, max_workers=max_workers, warm=warm
+                    )[element],
+                    counter,
+                )
+            except IncompleteSetError:
+                scratch = OpCounter()
+                answers[element] = compute_element(
+                    self.cube.values, element, counter=scratch
+                )
+                counter.merge(scratch)
+                self._note_degraded()
+        return answers
 
     # ------------------------------------------------------------------
     # Query surface
@@ -893,11 +884,11 @@ class OLAPServer:
                 return values
             engine = state.range_engine
             mark = engine.slabs.sequence
-            values = self._assemble_resilient(
-                state.materialized, element, call.counter, engine.warm_ancestor
+            assembled = self._assemble_resilient(
+                state.materialized, [element], call.counter, 1, engine.warm_ancestor
             )
             call.attrs["cache"] = "miss"
-            return self._admit(state, mark, {element: values})[element]
+            return self._admit(state, mark, assembled)[element]
 
     def _serve_batch(
         self,
@@ -914,6 +905,10 @@ class OLAPServer:
         """
         if max_workers is None:
             max_workers = MAX_WORKERS
+        elif not max_workers >= 1:
+            raise InvalidQueryError(
+                f"max_workers must be at least 1, got {max_workers!r}"
+            )
         with _Serve(
             self,
             "server.query_batch",
@@ -930,8 +925,12 @@ class OLAPServer:
             hits = len(answers) - len(missing)
             if missing:
                 mark = state.range_engine.slabs.sequence
-                assembled = self._assemble_batch_resilient(
-                    state, missing, call.counter, max_workers
+                assembled = self._assemble_resilient(
+                    state.materialized,
+                    missing,
+                    call.counter,
+                    max_workers,
+                    state.range_engine.warm_ancestor,
                 )
                 answers.update(self._admit(state, mark, assembled))
             self._m.batches_of[kind].inc()
@@ -1050,9 +1049,8 @@ class OLAPServer:
             new_set.migrate_selection(ordered, source, counter)
             return new_set
         for element in ordered:
-            new_set.store(
-                element, self._assemble_resilient(source, element, counter)
-            )
+            values = self._assemble_resilient(source, [element], counter)
+            new_set.store(element, values[element])
         return new_set
 
     # ------------------------------------------------------------------

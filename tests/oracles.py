@@ -1,14 +1,22 @@
 """Reference implementations the test-suite compares the serving code against.
 
 The planners' are the explicit-:class:`ElementId` forms the serving code
-used before it moved to reduced states; :func:`delta_cell` is the scalar
-cascade walk :class:`repro.core.delta.DeltaBatch` tabulates.  Kept here,
-and only here, as oracles.
+used before it moved to reduced states; :func:`assemble_recursive` is
+Procedure 3 run as the recursion the paper states, one target at a time,
+which the one executor (:mod:`repro.core.exec`) must match bit for bit;
+:func:`delta_cell` is the scalar cascade walk
+:class:`repro.core.delta.DeltaBatch` tabulates.  Kept here, and only here,
+as oracles.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.element import ElementId
+from repro.core.kernels import fused_cascade, fused_synthesize
+from repro.core.operators import OpCounter
+from repro.core.planning import RouteTable, route_table
 
 _INF = float("inf")
 
@@ -82,6 +90,45 @@ def explicit_best_route(target: ElementId, selected, memo: dict):
         if candidate < synth_cost:
             synth_cost, synth_dim = candidate, dim
     return source, synth_dim
+
+
+def assemble_recursive(
+    target: ElementId,
+    arrays: dict[ElementId, np.ndarray],
+    counter: OpCounter | None = None,
+) -> np.ndarray:
+    """Procedure 3 by recursion over the stored ``{element: values}``.
+
+    Per element, the stored set's route: a stored read (by reference),
+    one fused cascade down from the smallest stored ancestor (Eq 28), or
+    the synthesis of its two children (Eq 32), each assembled by this same
+    recursion.  Nothing from the batch planner or its executor is used;
+    :class:`~repro.errors.IncompleteSetError` when the set cannot produce
+    ``target``.
+    """
+    routes = route_table(target.shape, tuple(arrays), {})
+    return _assemble(target, routes, arrays, counter)
+
+
+def _assemble(
+    target: ElementId,
+    routes: RouteTable,
+    arrays: dict[ElementId, np.ndarray],
+    counter: OpCounter | None,
+) -> np.ndarray:
+    route = routes.route(target)
+    if route.kind == "stored":
+        return arrays[target]
+    if route.kind == "aggregate":
+        return fused_cascade(
+            arrays[route.source],
+            [(dim, residual) for dim, residual, _ in route.skeleton],
+            counter=counter,
+        )
+    (_, _, p_child), (_, _, r_child) = route.skeleton
+    p_values = _assemble(p_child, routes, arrays, counter)
+    r_values = _assemble(r_child, routes, arrays, counter)
+    return fused_synthesize(p_values, r_values, route.dim, counter=counter)
 
 
 def delta_cell(

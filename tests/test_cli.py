@@ -55,7 +55,7 @@ class TestStatsCLI:
         assert metrics["server_epoch"]["values"][""] == 1.0
         # Per-stage spans with op counts are present.
         names = {s["name"] for s in payload["spans"]}
-        assert {"server.query", "materialize.assemble", "range.range_sum"} <= names
+        assert {"server.query", "exec.node", "range.range_sum"} <= names
         query_spans = [
             s for s in payload["spans"] if s["name"] == "server.query"
         ]

@@ -2,26 +2,32 @@
 
 The batch planner merges the per-target assembly routes of
 :mod:`repro.core.planning` into one DAG with common-subexpression
-elimination, and the executor runs it serially or on a thread pool.  The
-contract under test: answers are *bit-identical* to sequential
-:meth:`MaterializedSet.assemble` calls, the operation counter is exact
-(``counter.total == plan.planned_cost``), and for workloads with shared
-structure (the 2^d group-by views) the shared plan performs *strictly
-fewer* scalar operations than the per-view assembles combined.
+elimination, and the executor runs it serially or on a thread pool; it is
+the only executor (a single target is a batch of one).  The contract under
+test: answers are *bit-identical* to Procedure 3's recursion run per
+target (:func:`tests.oracles.assemble_recursive`), the operation counter
+is exact (``counter.total == plan.planned_cost``), and for workloads with
+shared structure (the 2^d group-by views) the shared plan performs
+*strictly fewer* scalar operations than the per-view recursions combined.
 """
 
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.element import CubeShape
+from repro.core.element import CubeShape, ElementId
 from repro.core.exec import BatchPlan, execute_plan, plan_batch
 from repro.core.materialize import MaterializedSet
 from repro.core.operators import OpCounter
 from repro.core.population import QueryPopulation
-from repro.core.bases import wavelet_basis
+from repro.core.bases import random_wavelet_packet_basis, wavelet_basis
 from repro.core.select_basis import select_minimum_cost_basis
+from repro.core.select_redundant import generation_cost
+
+from .oracles import assemble_recursive
 
 
 def all_group_bys(shape: CubeShape):
@@ -95,8 +101,12 @@ class TestBatchVsSequential:
         ms = pyramid_from_root(shape, rng)
         targets = all_group_bys(shape)
 
+        arrays = ms.arrays_snapshot()
         seq_counter = OpCounter()
-        expected = {t: ms.assemble(t, counter=seq_counter) for t in targets}
+        expected = {
+            t: assemble_recursive(t, arrays, counter=seq_counter)
+            for t in targets
+        }
         batch_counter = OpCounter()
         actual = ms.assemble_batch(targets, counter=batch_counter)
 
@@ -119,7 +129,8 @@ class TestBatchVsSequential:
             rng.standard_normal(shape_3d.sizes), wavelet_basis(shape_3d)
         )
         targets = all_group_bys(shape_3d)
-        expected = {t: ms.assemble(t) for t in targets}
+        arrays = ms.arrays_snapshot()
+        expected = {t: assemble_recursive(t, arrays) for t in targets}
         actual = ms.assemble_batch(targets)
         for target in targets:
             np.testing.assert_array_equal(actual[target], expected[target])
@@ -131,8 +142,12 @@ class TestBatchVsSequential:
             rng.standard_normal(shape_3d.sizes), list(selection.elements)
         )
         targets = [query for query, f in population if f > 0]
+        arrays = ms.arrays_snapshot()
         seq_counter = OpCounter()
-        expected = {t: ms.assemble(t, counter=seq_counter) for t in targets}
+        expected = {
+            t: assemble_recursive(t, arrays, counter=seq_counter)
+            for t in targets
+        }
         batch_counter = OpCounter()
         actual = ms.assemble_batch(targets, counter=batch_counter)
         for target in targets:
@@ -150,6 +165,43 @@ class TestBatchVsSequential:
     def test_empty_batch(self, shape_4x4, rng):
         ms = pyramid_from_root(shape_4x4, rng)
         assert ms.assemble_batch([]) == {}
+
+
+def random_element(shape: CubeShape, rng) -> ElementId:
+    nodes = []
+    for depth in shape.depths:
+        level = int(rng.integers(0, depth + 1))
+        nodes.append((level, int(rng.integers(0, 1 << level))))
+    return ElementId(shape, tuple(nodes))
+
+
+class TestABatchOfOne:
+    """A single target runs the one executor: the recursion's answer, bit
+    for bit, at exactly Procedure 3's price."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sizes=st.lists(st.sampled_from([1, 2, 4, 8]), min_size=1, max_size=3),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        redundant=st.integers(min_value=0, max_value=3),
+    )
+    def test_assemble_equals_the_recursion(self, sizes, seed, redundant):
+        shape = CubeShape(tuple(sizes))
+        rng = np.random.default_rng(seed)
+        # A random complete basis, plus a few redundant elements.
+        stored = random_wavelet_packet_basis(shape, rng)
+        stored += [random_element(shape, rng) for _ in range(redundant)]
+        ms = MaterializedSet.from_cube(rng.standard_normal(shape.sizes), stored)
+        arrays = ms.arrays_snapshot()
+        targets = [random_element(shape, rng) for _ in range(6)]
+        targets += [shape.root(), shape.total_aggregation(), stored[0]]
+        for target in targets:
+            counter = OpCounter()
+            got = ms.assemble(target, counter=counter)
+            want = assemble_recursive(target, arrays)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert counter.total == generation_cost(target, ms.elements)
 
 
 class TestThreadedExecution:
@@ -172,10 +224,13 @@ class TestThreadedExecution:
             rng.standard_normal(shape_3d.sizes), wavelet_basis(shape_3d)
         )
         targets = all_group_bys(shape_3d)
+        arrays = ms.arrays_snapshot()
+        expected = {t: assemble_recursive(t, arrays) for t in targets}
         serial = ms.assemble_batch(targets)
         threaded = ms.assemble_batch(targets, max_workers=3)
         for target in targets:
-            np.testing.assert_array_equal(serial[target], threaded[target])
+            np.testing.assert_array_equal(serial[target], expected[target])
+            np.testing.assert_array_equal(threaded[target], expected[target])
 
     def test_default_threshold_engages_the_pool(self, rng):
         """A cube whose first cascade step clears DISPATCH_THRESHOLD runs on

@@ -114,9 +114,9 @@ class TestMaterializedSet:
             predicted = generation_cost(view, ms.elements)
             assert counter.total == predicted
 
-    def test_assemble_view_helper(self, shape_3d, cube_3d):
+    def test_assemble_an_aggregated_view(self, shape_3d, cube_3d):
         ms = MaterializedSet.from_cube(cube_3d, [shape_3d.root()])
-        values = ms.assemble_view([0, 1])
+        values = ms.assemble(shape_3d.aggregated_view([0, 1]))
         np.testing.assert_array_equal(
             values, cube_3d.sum(axis=(0, 1), keepdims=True)
         )

@@ -288,6 +288,71 @@ class TestMalformedRequests:
         assert health["slo"]["latency_ms"] == {}
         server.close()
 
+    @pytest.mark.parametrize(
+        "ranges",
+        [
+            ((0, 8), (0, 4)),
+            ((0, 8), (0, 4), (0, 4), (0, 1)),
+            ((0, 8), (0, 4), 4),
+            ((0, 8), (0, 4), (0, 2, 4)),
+            ((0, 8), (0, 4), (1,)),
+            ((0, 8), (0, 4), None),
+        ],
+        ids=["too few", "too many", "int", "triple", "single", "None"],
+    )
+    def test_a_malformed_range_burns_no_failure_budget(self, ranges, tmp_path):
+        # Wrong arity or a bound that is not a (start, stop) pair is the
+        # same client bug as an out-of-extent bound: ``invalid``, no page.
+        server = _make_server(sizes=(8, 4, 4), diagnostics_dir=tmp_path)
+        for _ in range(100):
+            with pytest.raises(InvalidQueryError):
+                server.range_sum(ranges)
+        health = server.health()
+        assert health["alerts"]["fired_total"] == 0
+        assert list(tmp_path.iterdir()) == []
+        latency = server.metrics.get("server_latency_ms")
+        assert latency.stats(kind="range", outcome="error")["count"] == 0
+        assert latency.stats(kind="range", outcome="invalid")["count"] == 100
+        server.close()
+
+    @pytest.mark.parametrize("call", ["view", "query_batch", "range_sum"])
+    def test_a_nan_deadline_is_an_invalid_query(self, call):
+        server = _make_server(sizes=(8, 4))
+        ask, kind = {
+            "view": (lambda ms: server.view(["d0"], deadline_ms=ms), "view"),
+            "query_batch": (
+                lambda ms: server.query_batch([["d0"], ["d1"]], deadline_ms=ms),
+                "view",
+            ),
+            "range_sum": (
+                lambda ms: server.range_sum(((0, 8), (0, 4)), deadline_ms=ms),
+                "range",
+            ),
+        }[call]
+        with pytest.raises(InvalidQueryError, match="NaN"):
+            ask(float("nan"))
+        latency = server.metrics.get("server_latency_ms")
+        assert latency.stats(kind=kind, outcome="invalid")["count"] == 1
+        assert server.stats.operations == 0
+        # An infinite deadline stays "unbounded".
+        ask(float("inf"))
+        assert latency.stats(kind=kind, outcome="ok")["count"] == 1
+        server.close()
+
+    @pytest.mark.parametrize("shards", [1, 2], ids=["1 shard", "2 shards"])
+    @pytest.mark.parametrize("max_workers", [0, -1])
+    def test_max_workers_below_one_is_refused_before_any_work(
+        self, shards, max_workers
+    ):
+        server = _make_server(sizes=(8, 4), shards=shards)
+        with pytest.raises(InvalidQueryError, match="max_workers"):
+            server.query_batch([["d0"], ["d1"]], max_workers=max_workers)
+        with pytest.raises(InvalidQueryError, match="max_workers"):
+            server.rollup_batch([{"d0": 1}], max_workers=max_workers)
+        assert server.stats.queries == server.stats.operations == 0
+        assert len(server._state.cache) == 0
+        server.close()
+
     def test_a_level_above_the_hierarchy_is_an_invalid_query(self):
         server = _make_server(sizes=(8, 4))
         with pytest.raises(InvalidQueryError, match="outside"):

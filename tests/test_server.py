@@ -252,8 +252,8 @@ class TestResultCache:
         assert [s.attributes["cache"] for s in spans] == ["miss", "hit"]
         assert spans[0].attributes["operations"] > 0
         assert spans[1].attributes["operations"] == 0
-        # The cold query produced nested assembly spans with op counts.
-        assembly = server.tracer.spans("materialize.assemble")
+        # The cold query produced nested executor spans with op counts.
+        assembly = server.tracer.spans("exec.node")
         assert assembly and all(
             "operations" in s.attributes for s in assembly
         )

@@ -133,7 +133,7 @@ class TestChaosEventsOnSpans:
             if any(e["name"] == "fault_injected" for e in s.events)
         ]
         assert fault_spans
-        assert all(s.name == "materialize.assemble" for s in fault_spans)
+        assert all(s.name == "materialize.assemble_batch" for s in fault_spans)
 
     @staticmethod
     def _assemble_faults(max_fires):

@@ -53,11 +53,10 @@ def _warm_server(shards: int, seed: int = 4, **kwargs) -> OLAPServer:
 
 
 def _planned(monkeypatch) -> list:
-    """Record every stored-route assembly: the monolithic recursion and
-    batch plan, and the sharded scatter."""
+    """Record every stored-route assembly: the monolithic program run (a
+    single target is a batch of one) and the sharded scatter."""
     calls = []
     for owner, name in (
-        (MaterializedSet, "_assemble"),
         (materialize, "execute_plan"),
         (ShardedSet, "_scatter_gather"),
     ):
@@ -191,7 +190,7 @@ class TestTheStoredRouteWhenItIsCheaper:
         assert _derived(server) == derived
         assert np.array_equal(got, want)
         if shards == 1:
-            assert planned == ["_assemble"]
+            assert planned == ["execute_plan"]
             assert server.stats.operations - operations == cost
             if target == "stored":
                 assert got is server.materialized.array(stored)

@@ -28,16 +28,16 @@ ROLLUP_RANGE = ((4, 8), (2, 4), (3, 4))
 
 
 def _assemblies(monkeypatch, owner) -> list:
-    """Record the targets of every assembly ``owner`` runs, per call."""
+    """Record the targets of every assembly ``owner`` runs, per call (a
+    single target is a batch of one, so every assembly is a batch)."""
     calls = []
-    for name in ("assemble", "assemble_batch"):
-        original = getattr(owner, name)
+    original = owner.assemble_batch
 
-        def wrapped(self, targets, *args, _original=original, **kwargs):
-            calls.append(list(targets) if isinstance(targets, list) else [targets])
-            return _original(self, targets, *args, **kwargs)
+    def wrapped(self, targets, *args, **kwargs):
+        calls.append(list(targets))
+        return original(self, targets, *args, **kwargs)
 
-        monkeypatch.setattr(owner, name, wrapped)
+    monkeypatch.setattr(owner, "assemble_batch", wrapped)
     return calls
 
 
