@@ -14,7 +14,8 @@ import pytest
 
 from repro.core.element import CubeShape
 from repro.core.population import QueryPopulation
-from repro.core.select_basis import _select_explicit, select_minimum_cost_basis
+from repro.core.select_basis import select_minimum_cost_basis
+from tests.oracles import _select_explicit
 
 
 @pytest.fixture(scope="module")

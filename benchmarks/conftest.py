@@ -12,8 +12,16 @@ Run with::
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+# The ablation benches time the explicit oracles of ``tests/oracles.py``
+# against the one implementation in ``src/``, so ``tests`` must import as
+# a package however pytest was launched.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 
 @pytest.fixture

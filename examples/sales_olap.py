@@ -25,7 +25,7 @@ from repro import (
     MaterializedSet,
     OpCounter,
     QueryPopulation,
-    SelectionEngine,
+    greedy_redundant_selection,
     select_minimum_cost_basis,
 )
 from repro.cube import view_element_of
@@ -58,7 +58,6 @@ def main() -> None:
 
     # --- strategy 1: the paper's method -------------------------------
     selection = select_minimum_cost_basis(shape, population)
-    engine = SelectionEngine(shape)
     budget = int(1.5 * shape.volume)
     # Candidate pool for redundant additions: the aggregated views plus the
     # intermediate elements (the elements range queries also benefit from).
@@ -68,7 +67,7 @@ def main() -> None:
     pool = list(shape.aggregated_views()) + list(
         ViewElementGraph(shape).intermediate_elements()
     )
-    redundant = engine.greedy_redundant_selection(
+    redundant = greedy_redundant_selection(
         list(selection.elements),
         population,
         storage_budget=budget,

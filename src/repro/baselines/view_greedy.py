@@ -12,10 +12,9 @@ configure the two strategies inconsistently.
 from __future__ import annotations
 
 from ..core.element import CubeShape
-from ..core.engine import SelectionEngine
 from ..core.population import QueryPopulation
 from ..core.select_basis import select_minimum_cost_basis
-from ..core.select_redundant import GreedyResult
+from ..core.select_redundant import GreedyResult, greedy_redundant_selection
 
 __all__ = ["greedy_view_selection", "greedy_view_element_selection"]
 
@@ -24,14 +23,13 @@ def greedy_view_selection(
     shape: CubeShape,
     population: QueryPopulation,
     storage_budget: float,
-    engine: SelectionEngine | None = None,
 ) -> GreedyResult:
     """The [D] strategy of Figure 9.
 
-    Initial selection: the data cube only.  Candidates: aggregated views.
+    Initial selection: the data cube only.  Candidates: the ``2**d``
+    aggregated views (Gray et al.'s group-bys).
     """
-    engine = engine if engine is not None else SelectionEngine(shape)
-    return engine.greedy_redundant_selection(
+    return greedy_redundant_selection(
         initial=[shape.root()],
         population=population,
         storage_budget=storage_budget,
@@ -43,7 +41,6 @@ def greedy_view_element_selection(
     shape: CubeShape,
     population: QueryPopulation,
     storage_budget: float,
-    engine: SelectionEngine | None = None,
     remove_obsolete: bool = False,
 ) -> GreedyResult:
     """The [V] strategy of Figure 9.
@@ -52,9 +49,8 @@ def greedy_view_element_selection(
     Candidates: every view element of the graph (views included — the view
     dependency hierarchy is embedded in the view element graph, Section 5).
     """
-    engine = engine if engine is not None else SelectionEngine(shape)
     basis = select_minimum_cost_basis(shape, population)
-    return engine.greedy_redundant_selection(
+    return greedy_redundant_selection(
         initial=list(basis.elements),
         population=population,
         storage_budget=storage_budget,

@@ -25,11 +25,10 @@ import numpy as np
 
 from ..obs import current_registry, span
 from .element import CubeShape, ElementId
-from .engine import SelectionEngine
 from .materialize import MaterializedSet
 from .operators import OpCounter
 from .population import QueryPopulation
-from .select_basis import select_minimum_cost_basis
+from .select_redundant import check_storage_budget, reselect
 
 __all__ = [
     "AccessTracker",
@@ -179,6 +178,19 @@ class CostModelMonitor:
         """Whether divergence has drifted beyond ``tolerance``."""
         return abs(self.divergence - 1.0) > self.tolerance
 
+    def observe(self, profile: dict) -> "CostModelMonitor | None":
+        """Ingest ``profile``; once it trips, the monitor to judge by next.
+
+        ``None`` while the divergence is within ``tolerance``.  Past it, a
+        fresh monitor with the same tolerance and decay: the caller
+        re-selects and then swaps it in, so the evidence about the
+        superseded configuration cannot re-trip the new one.
+        """
+        self.ingest(profile)
+        if not self.should_reconfigure():
+            return None
+        return CostModelMonitor(tolerance=self.tolerance, decay=self.decay)
+
 
 @dataclass(frozen=True)
 class ReconfigurationRecord:
@@ -213,9 +225,10 @@ class DynamicViewAssembler:
         Cube shape.
     storage_budget:
         Optional cell budget; when larger than ``Vol(A)``, Algorithm 2 adds
-        redundant elements after Algorithm 1 picks the basis.
+        redundant elements after Algorithm 1 picks the basis.  NaN or
+        negative is a :class:`ValueError`.
     reconfigure_every:
-        Re-run selection after this many recorded accesses.
+        Re-run selection after this many recorded accesses (at least 1).
     decay:
         Forgetting factor of the access tracker.
     """
@@ -233,15 +246,18 @@ class DynamicViewAssembler:
             raise ValueError(
                 f"cube data shape {cube_values.shape} does not match {shape.sizes}"
             )
+        check_storage_budget(storage_budget)
+        if reconfigure_every < 1:
+            raise ValueError(
+                "reconfigure_every must be at least 1, "
+                f"got {reconfigure_every!r}"
+            )
         self.shape = shape
         self.storage_budget = storage_budget
         self.reconfigure_every = reconfigure_every
         self.tracker = AccessTracker(decay=decay)
         self.stats = _ServiceStats()
         self.history: list[ReconfigurationRecord] = []
-        #: Built on first use: its tables are ``O(N_ve)``, and only a
-        #: storage budget above ``Vol(A)`` needs them.
-        self._engine: SelectionEngine | None = None
         #: Measured-vs-planned feedback (fed by :meth:`observe_profile`).
         self.cost_monitor = CostModelMonitor()
         # Start from the trivial basis: the cube itself.
@@ -282,17 +298,12 @@ class DynamicViewAssembler:
         instead of waiting out ``reconfigure_every``.  Returns the
         :class:`ReconfigurationRecord` when one was triggered.
         """
-        self.cost_monitor.ingest(profile)
-        if self.cost_monitor.should_reconfigure():
-            record = self.reconfigure()
-            # A fresh selection resets the evidence: start measuring the
-            # new configuration from scratch.
-            self.cost_monitor = CostModelMonitor(
-                tolerance=self.cost_monitor.tolerance,
-                decay=self.cost_monitor.decay,
-            )
-            return record
-        return None
+        fresh = self.cost_monitor.observe(profile)
+        if fresh is None:
+            return None
+        record = self.reconfigure()
+        self.cost_monitor = fresh
+        return record
 
     # ------------------------------------------------------------------
 
@@ -312,22 +323,9 @@ class DynamicViewAssembler:
         return record
 
     def _reconfigure(self) -> ReconfigurationRecord:
-        population = self.tracker.population()
-        selection = select_minimum_cost_basis(self.shape, population)
-        elements = list(selection.elements)
-        expected = selection.cost
-        if (
-            self.storage_budget is not None
-            and self.storage_budget > self.shape.volume
-        ):
-            if self._engine is None:
-                self._engine = SelectionEngine(self.shape)
-            result = self._engine.greedy_redundant_selection(
-                elements, population, storage_budget=self.storage_budget
-            )
-            elements = list(result.selected)
-            expected = result.final_cost
-
+        elements, expected, _ = reselect(
+            self.shape, self.tracker.population(), self.storage_budget
+        )
         migration = OpCounter()
         new_set = MaterializedSet(self.shape)
         for element in sorted(set(elements), key=lambda e: e.depth):

@@ -1,11 +1,15 @@
-"""Vectorized Procedure 3 / Algorithm 2 engine.
+"""Algorithm 2's one implementation: the vectorized Procedure 3 engine.
 
-The reference implementations in :mod:`repro.core.select_redundant` recurse
-over explicit :class:`ElementId` objects — clear but too slow for the paper's
-Experiment 2, where every greedy stage must evaluate thousands of candidate
-additions over a 2,401-node graph.  This engine flattens the graph into numpy
-index arrays (see :meth:`repro.core.graph.ViewElementGraph.index_arrays`) and
-evaluates *batches* of selection scenarios with two level sweeps:
+Every run of Algorithm 2 — the servers' reconfigurations, the [D] and [V]
+baselines of Figure 9, the examples — goes through
+:func:`repro.core.select_redundant.greedy_redundant_selection`, which builds
+a :class:`SelectionEngine` for the population's shape and runs
+:meth:`SelectionEngine.greedy_redundant_selection`.  A greedy stage must
+price thousands of candidate additions (2,401 on Figure 9's graph), so
+rather than recurse over explicit :class:`ElementId` objects the engine
+flattens the graph into numpy index arrays (see
+:meth:`repro.core.graph.ViewElementGraph.index_arrays`) and evaluates
+*batches* of selection scenarios with two level sweeps:
 
 1. *Top-down* (shallow to deep): ``M(V)`` = volume of the smallest selected
    element containing ``V``; propagates through per-dimension parents.
@@ -17,12 +21,15 @@ evaluates *batches* of selection scenarios with two level sweeps:
 Both sweeps are exact DAG dynamic programs because parents are strictly
 shallower and children strictly deeper.  A batch row is one scenario
 (baseline selection, or baseline plus one candidate), so a whole greedy stage
-is a few dense array passes.
+is a few dense array passes.  The explicit greedy the paper states, priced
+by Procedure 3 one selection at a time, is the test-suite's oracle
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,11 +37,41 @@ from ..obs import current_registry, span
 from .element import CubeShape, ElementId
 from .graph import ViewElementGraph
 from .population import QueryPopulation
-from .select_redundant import GreedyResult, GreedyStage
 
-__all__ = ["SelectionEngine"]
+__all__ = ["GreedyResult", "GreedyStage", "SelectionEngine"]
 
 _INF = np.inf
+
+
+@dataclass(frozen=True)
+class GreedyStage:
+    """One point of the storage/processing trade-off curve."""
+
+    added: ElementId | None
+    storage: int
+    cost: float
+
+    def normalized(self, cube_volume: int) -> tuple[float, float]:
+        """``(storage / Vol(A), cost)`` as plotted in the paper's Figure 9."""
+        return self.storage / cube_volume, self.cost
+
+
+@dataclass(frozen=True)
+class GreedyResult:
+    """Full trajectory of Algorithm 2 (stage 0 is the initial selection)."""
+
+    stages: tuple[GreedyStage, ...]
+    selected: tuple[ElementId, ...]
+
+    @property
+    def final_cost(self) -> float:
+        """Total processing cost after the last stage."""
+        return self.stages[-1].cost
+
+    @property
+    def final_storage(self) -> int:
+        """Storage cells after the last stage."""
+        return self.stages[-1].storage
 
 
 class SelectionEngine:
@@ -140,32 +177,6 @@ class SelectionEngine:
             t_vals[level_nodes] = best_children
         return t_vals
 
-    # ------------------------------------------------------------------
-    # Public evaluation API
-
-    def _selection_column(self, selected: Sequence[ElementId]) -> np.ndarray:
-        column = np.zeros((self.num_nodes, 1), dtype=bool)
-        column[self.indices_of(selected), 0] = True
-        return column
-
-    def total_processing_cost(
-        self, selected: Sequence[ElementId], population: QueryPopulation
-    ) -> float:
-        """Procedure 3 total cost — vectorized twin of
-        :func:`repro.core.select_redundant.total_processing_cost`."""
-        with span("engine.total_processing_cost") as sp:
-            q_idx, freqs = self._population_arrays(population)
-            t_vals = self._generation_costs(self._selection_column(selected))
-            cost = float((t_vals[q_idx, 0] * freqs).sum())
-            sp.set(selected=len(selected), cost=cost)
-        return cost
-
-    def node_generation_costs(
-        self, selected: Sequence[ElementId]
-    ) -> np.ndarray:
-        """``T(V)`` for every node in flat-index order (single scenario)."""
-        return self._generation_costs(self._selection_column(selected))[:, 0]
-
     def _population_arrays(
         self, population: QueryPopulation
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -184,19 +195,15 @@ class SelectionEngine:
         initial: Sequence[ElementId],
         population: QueryPopulation,
         storage_budget: float,
-        candidates: Iterable[ElementId] | None = None,
-        remove_obsolete: bool = False,
+        candidates: Iterable[ElementId] | None,
+        remove_obsolete: bool,
     ) -> GreedyResult:
         """Algorithm 2 with batched candidate evaluation.
 
-        Same semantics and return type as
-        :func:`repro.core.select_redundant.greedy_redundant_selection`;
-        each stage evaluates every affordable candidate in one batch.
-
-        ``remove_obsolete`` enables the paper's Section 7.2.2 refinement:
-        after each addition, selected elements whose removal leaves the
-        total cost unchanged are dropped (largest volume first), freeing
-        storage for later stages.
+        Reached through
+        :func:`repro.core.select_redundant.greedy_redundant_selection`,
+        which documents the parameters; each stage evaluates every
+        affordable candidate in one batch.
         """
         with span(
             "engine.greedy_selection", budget=float(storage_budget)
@@ -264,7 +271,7 @@ class SelectionEngine:
             cand_idx = cand_idx[cand_idx != chosen]
             stage_counter.inc()
             if remove_obsolete:
-                storage = self._drop_obsolete(
+                storage = self._remove_obsolete(
                     selected_idx, base_row, q_idx, freqs, cost, storage
                 )
             stages.append(
@@ -302,7 +309,7 @@ class SelectionEngine:
             ).sum(axis=0)
         return totals
 
-    def _drop_obsolete(
+    def _remove_obsolete(
         self,
         selected_idx: list[int],
         base_row: np.ndarray,

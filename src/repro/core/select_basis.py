@@ -19,9 +19,9 @@ the extent of their overlap, which the signatures fix, and children of
 equivalent elements are equivalent.  That is exact for any population, and
 the state space does not grow with the graph — ``prod(2 K_m + 1)`` states
 when every query is an aggregated view (6,561 for Figure 8's 923,521-node
-graph).  :func:`_select_explicit`, the recursion over explicit
-:class:`ElementId` nodes, walks all ``N_ve`` of them; it is the oracle the
-test-suite checks the signature recursion against.
+graph).  The recursion over explicit :class:`ElementId` nodes, which walks
+all ``N_ve`` of them, is the oracle in ``tests/oracles.py`` the test-suite
+checks this one against; ``src/`` holds only the signature recursion.
 """
 
 from __future__ import annotations
@@ -30,11 +30,10 @@ from dataclasses import dataclass
 from functools import partial, reduce
 from operator import mul
 
-from .costs import element_population_cost
 from .element import ContainmentSignatures, CubeShape, ElementId
 from .population import QueryPopulation
 
-__all__ = ["BasisSelection", "extract_basis", "select_minimum_cost_basis"]
+__all__ = ["BasisSelection", "select_minimum_cost_basis"]
 
 
 @dataclass(frozen=True)
@@ -149,57 +148,3 @@ def select_minimum_cost_basis(
         stack.append((node.partial_child(m), key[:m] + (p_sig,) + key[m + 1 :]))
         stack.append((node.residual_child(m), key[:m] + (r_sig,) + key[m + 1 :]))
     return BasisSelection(tuple(elements), float(cost), states=len(memo))
-
-
-def extract_basis(shape: CubeShape, decision):
-    """Procedure 2: follow the split decisions from the root and yield every
-    terminal element (``decision(node)``: -1 = keep, ``m`` = split along
-    ``m``)."""
-    stack = [shape.root()]
-    while stack:
-        node = stack.pop()
-        dim = decision(node)
-        if dim < 0:
-            yield node
-        else:
-            stack.append(node.partial_child(dim))
-            stack.append(node.residual_child(dim))
-
-
-def _select_explicit(
-    shape: CubeShape, population: QueryPopulation
-) -> BasisSelection:
-    """Algorithm 1 memoized over explicit view elements (any population)."""
-    support_memo: dict[ElementId, float] = {}
-    value_memo: dict[ElementId, tuple[float, int]] = {}
-
-    def support(node: ElementId) -> float:
-        cached = support_memo.get(node)
-        if cached is None:
-            cached = element_population_cost(node, population)
-            support_memo[node] = cached
-        return cached
-
-    def value(node: ElementId) -> tuple[float, int]:
-        """Return ``(D(node), decision)``; decision -1 = keep, m = split."""
-        cached = value_memo.get(node)
-        if cached is not None:
-            return cached
-        own = support(node)
-        best_cost, best_dim = own, -1
-        for dim in node.splittable_dims():
-            p_cost, _ = value(node.partial_child(dim))
-            r_cost, _ = value(node.residual_child(dim))
-            total = p_cost + r_cost
-            if total < best_cost:
-                best_cost, best_dim = total, dim
-        result = (best_cost, best_dim)
-        value_memo[node] = result
-        return result
-
-    cost, _ = value(shape.root())
-    return BasisSelection(
-        tuple(extract_basis(shape, lambda node: value(node)[1])),
-        float(cost),
-        states=len(value_memo),
-    )

@@ -20,41 +20,37 @@ prices routes with (:func:`generation_cost`, through
 :func:`repro.core.planning.best_route`), so it does not recurse over explicit
 view elements: it memoizes on per-dimension *containment signatures* against
 the selected intervals (:class:`_SignaturePricer`), an exact value function
-on a state space that does not grow with the graph.  The explicit
-:class:`ElementId` recursion survives as the test-suite's oracle
-(``tests/oracles.py``).  Algorithm 2 below is the clear reference form; the
-vectorized engine in :mod:`repro.core.engine` computes identical numbers
-with numpy level sweeps and is what the Figure 9 experiment uses; the
-test-suite checks they agree.
+on a state space that does not grow with the graph.
+
+Algorithm 2 has one entry point, :func:`greedy_redundant_selection`, and one
+implementation, the vectorized :class:`~repro.core.engine.SelectionEngine`
+it builds for every shape; :func:`reselect` is the reconfiguration step
+(Algorithm 1, then Algorithm 2 under a budget above ``Vol(A)``) the servers
+share.  The explicit forms — Procedure 3 over :class:`ElementId` nodes and
+the greedy the paper states — are the test-suite's oracles
+(``tests/oracles.py``), and nothing in ``src/`` calls them.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 
 from .element import ContainmentSignatures, CubeShape, DimNode, ElementId
-from .graph import ViewElementGraph
+from .engine import GreedyResult, GreedyStage, SelectionEngine
 from .population import QueryPopulation
+from .select_basis import select_minimum_cost_basis
 
 __all__ = [
-    "ENGINE_DELEGATION_THRESHOLD",
+    "check_storage_budget",
     "generation_cost",
     "total_processing_cost",
     "GreedyStage",
     "GreedyResult",
     "greedy_redundant_selection",
+    "reselect",
 ]
 
 _INF = float("inf")
-
-#: Graph size (``N_ve``) above which :func:`greedy_redundant_selection`
-#: delegates to the vectorized :class:`~repro.core.engine.SelectionEngine`.
-#: The explicit recursion below stays authoritative for small shapes (all
-#: paper examples and the test-suite), but a greedy stage over thousands of
-#: candidates is many full Procedure 3 recursions per candidate — on the
-#: Figure 9 graph that dominates server reconfiguration wall time.
-ENGINE_DELEGATION_THRESHOLD = 512
 
 
 class _SignaturePricer:
@@ -226,35 +222,18 @@ def total_processing_cost(
     return total
 
 
-@dataclass(frozen=True)
-class GreedyStage:
-    """One point of the storage/processing trade-off curve."""
+def check_storage_budget(storage_budget: float | None) -> None:
+    """Refuse a NaN or negative storage budget.
 
-    added: ElementId | None
-    storage: int
-    cost: float
-
-    def normalized(self, cube_volume: int) -> tuple[float, float]:
-        """``(storage / Vol(A), cost)`` as plotted in the paper's Figure 9."""
-        return self.storage / cube_volume, self.cost
-
-
-@dataclass(frozen=True)
-class GreedyResult:
-    """Full trajectory of Algorithm 2 (stage 0 is the initial selection)."""
-
-    stages: tuple[GreedyStage, ...]
-    selected: tuple[ElementId, ...]
-
-    @property
-    def final_cost(self) -> float:
-        """Total processing cost after the last stage."""
-        return self.stages[-1].cost
-
-    @property
-    def final_storage(self) -> int:
-        """Storage cells after the last stage."""
-        return self.stages[-1].storage
+    ``None`` and any budget of at most ``Vol(A)`` mean "no redundancy";
+    ``inf`` is unbounded.  A NaN would compare false against every
+    candidate, so it is refused rather than read as either.
+    """
+    if storage_budget is not None and not storage_budget >= 0:
+        raise ValueError(
+            "storage_budget must be a non-negative number or None, "
+            f"got {storage_budget!r}"
+        )
 
 
 def greedy_redundant_selection(
@@ -266,10 +245,10 @@ def greedy_redundant_selection(
 ) -> GreedyResult:
     """Algorithm 2: greedily add redundant elements under a storage budget.
 
-    Stops early once the total cost reaches zero.  A graph of more than
-    :data:`ENGINE_DELEGATION_THRESHOLD` view elements is handed to the
-    vectorized :class:`~repro.core.engine.SelectionEngine`, which computes
-    the same trajectory.
+    The one entry point: every shape runs on a
+    :class:`~repro.core.engine.SelectionEngine` built for
+    ``population.shape`` (construction is well under the cost of one
+    greedy stage).  Stops early once the total cost reaches zero.
 
     Parameters
     ----------
@@ -280,11 +259,12 @@ def greedy_redundant_selection(
         Query population defining the total cost (Procedure 3).
     storage_budget:
         Maximum total cells ``S_T``; candidates that would exceed it are
-        not considered (Algorithm 2, step 2).
+        not considered (Algorithm 2, step 2).  NaN or negative is a
+        :class:`ValueError`.
     candidates:
         Pool of addable elements.  Defaults to every view element of the
-        graph (feasible for small shapes only); pass the aggregated views to
-        emulate the view-only [D] strategy.
+        graph; pass the aggregated views to emulate the view-only [D]
+        strategy.
     remove_obsolete:
         The Section 7.2.2 refinement: after each addition, drop selected
         elements whose removal leaves the total cost unchanged (largest
@@ -295,71 +275,28 @@ def greedy_redundant_selection(
     GreedyResult
         The stage-by-stage storage/cost trajectory and final selection.
     """
-    shape = population.shape
-    if shape.num_view_elements() > ENGINE_DELEGATION_THRESHOLD:
-        from .engine import SelectionEngine
-
-        return SelectionEngine(shape).greedy_redundant_selection(
-            initial,
-            population,
-            storage_budget,
-            candidates=candidates,
-            remove_obsolete=remove_obsolete,
-        )
-    selected = list(initial)
-    if candidates is None:
-        candidates = ViewElementGraph(shape).elements()
-    pool = [c for c in candidates if c not in set(selected)]
-
-    storage = sum(e.volume for e in selected)
-    cost = total_processing_cost(selected, population)
-    stages = [GreedyStage(added=None, storage=storage, cost=cost)]
-
-    while pool:
-        if cost <= 0.0:
-            break
-        best_cost = cost
-        best_idx = -1
-        for idx, candidate in enumerate(pool):
-            if storage + candidate.volume > storage_budget:
-                continue
-            trial_cost = total_processing_cost(selected + [candidate], population)
-            if trial_cost < best_cost - 1e-12:
-                best_cost = trial_cost
-                best_idx = idx
-        if best_idx < 0:
-            break
-        chosen = pool.pop(best_idx)
-        selected.append(chosen)
-        storage += chosen.volume
-        cost = best_cost
-        if remove_obsolete:
-            storage = _drop_obsolete(selected, population, cost, storage)
-        stages.append(GreedyStage(added=chosen, storage=storage, cost=cost))
-
-    return GreedyResult(stages=tuple(stages), selected=tuple(selected))
+    check_storage_budget(storage_budget)
+    return SelectionEngine(population.shape).greedy_redundant_selection(
+        initial, population, storage_budget, candidates, remove_obsolete
+    )
 
 
-def _drop_obsolete(
-    selected: list[ElementId],
+def reselect(
+    shape: CubeShape,
     population: QueryPopulation,
-    cost: float,
-    storage: int,
-) -> int:
-    """Drop selected elements whose removal keeps the total cost unchanged.
+    storage_budget: float | None,
+) -> tuple[list[ElementId], float, int]:
+    """Algorithm 1, then Algorithm 2 when the budget exceeds ``Vol(A)``.
 
-    Largest volume first; repeats until no element is obsolete.  Mutates
-    ``selected``; returns the updated storage.
+    The reconfiguration step of :class:`~repro.server.OLAPServer` and
+    :class:`~repro.core.adaptive.DynamicViewAssembler`.  Returns the
+    elements to materialize, their expected processing cost, and the DP
+    states Algorithm 1 evaluated.
     """
-    while len(selected) > 1:
-        removable = []
-        for element in selected:
-            remaining = [e for e in selected if e != element]
-            if total_processing_cost(remaining, population) <= cost + 1e-9:
-                removable.append(element)
-        if not removable:
-            return storage
-        victim = max(removable, key=lambda e: e.volume)
-        selected.remove(victim)
-        storage -= victim.volume
-    return storage
+    basis = select_minimum_cost_basis(shape, population)
+    if storage_budget is None or storage_budget <= shape.volume:
+        return list(basis.elements), basis.cost, basis.states
+    result = greedy_redundant_selection(
+        basis.elements, population, storage_budget
+    )
+    return list(result.selected), result.final_cost, basis.states

@@ -33,10 +33,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..baselines.view_greedy import (
+    greedy_view_element_selection,
+    greedy_view_selection,
+)
 from ..core.element import CubeShape
-from ..core.engine import SelectionEngine
 from ..core.population import QueryPopulation
-from ..core.select_basis import select_minimum_cost_basis
 from ..obs.reporting import ascii_plot, ascii_table
 from .common import trial_rngs
 
@@ -105,9 +107,7 @@ def run(config: Figure9Config | None = None) -> Figure9Result:
     """Run Experiment 2 (a per-budget greedy sweep per trial)."""
     config = config if config is not None else Figure9Config()
     shape = config.shape
-    engine = SelectionEngine(shape)
     budgets = config.budgets
-    views = list(shape.aggregated_views())
 
     costs_d = np.zeros((config.num_trials, budgets.size))
     costs_v = np.zeros((config.num_trials, budgets.size))
@@ -117,19 +117,13 @@ def run(config: Figure9Config | None = None) -> Figure9Result:
         population = QueryPopulation.random_over_views(
             shape, rng, include_root=config.include_root_query
         )
-        basis = select_minimum_cost_basis(shape, population)
         for j, budget_ratio in enumerate(budgets):
             budget = budget_ratio * shape.volume
-            result_d = engine.greedy_redundant_selection(
-                initial=[shape.root()],
-                population=population,
-                storage_budget=budget,
-                candidates=views,
-            )
-            result_v = engine.greedy_redundant_selection(
-                initial=list(basis.elements),
-                population=population,
-                storage_budget=budget,
+            result_d = greedy_view_selection(shape, population, budget)
+            result_v = greedy_view_element_selection(
+                shape,
+                population,
+                budget,
                 remove_obsolete=config.remove_obsolete,
             )
             costs_d[trial, j] = result_d.final_cost

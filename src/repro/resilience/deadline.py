@@ -23,7 +23,13 @@ from contextvars import ContextVar
 
 from ..errors import InvalidQueryError, QueryTimeout
 
-__all__ = ["Deadline", "current_deadline", "deadline_scope", "check_deadline"]
+__all__ = [
+    "SERVING",
+    "Deadline",
+    "current_deadline",
+    "deadline_scope",
+    "check_deadline",
+]
 
 
 class Deadline:
@@ -71,6 +77,14 @@ class Deadline:
 _ACTIVE_DEADLINE: ContextVar[Deadline | None] = ContextVar(
     "repro_deadline", default=None
 )
+
+#: The serve envelope of the call being served (``None`` outside one, e.g.
+#: during a migration).  A path that answers from a fallback calls its
+#: ``note_degraded(target, targets)``: that counts ``server_degraded_total``
+#: and marks the envelope, which the alert feed reads when the call ends.
+#: Scatter legs run under :func:`contextvars.copy_context`, so they mark
+#: the envelope object this variable holds, never the variable itself.
+SERVING: ContextVar = ContextVar("repro_serving", default=None)
 
 
 def current_deadline() -> Deadline | None:

@@ -45,7 +45,6 @@ import sys
 import threading
 import time
 from collections.abc import Iterable, Mapping, Sequence
-from contextvars import ContextVar
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
@@ -57,12 +56,11 @@ from .core import exec as batch_exec
 from .core.adaptive import AccessTracker
 from .core.delta import DeltaBatch
 from .core.element import ElementId
-from .core.engine import SelectionEngine
 from .core.materialize import MaterializedSet, compute_element
 from .core.operators import OpCounter
 from .core.population import QueryPopulation
 from .core.range_query import RangeQueryEngine, range_sum_direct
-from .core.select_basis import select_minimum_cost_basis
+from .core.select_redundant import check_storage_budget, reselect
 from .cube.builder import build_cube
 from .cube.datacube import DataCube
 from .cube.hierarchy import rollup_element
@@ -94,7 +92,7 @@ from .obs.flight import (
 from .obs.http import TelemetryServer
 from .obs.profile import query_profile
 from .resilience import retry
-from .resilience.deadline import Deadline, deadline_scope
+from .resilience.deadline import SERVING, Deadline, deadline_scope
 from .resilience.faults import fault_point
 from .resilience.retry import retry_transient
 from .shard.partition import CubePartition
@@ -119,13 +117,6 @@ SMOOTHING = 0.01
 #: The result cache's slab label, and the label its patch additions are
 #: charged under.
 CACHE_PATCH = "cache patch"
-
-#: The :class:`_Serve` envelope of the call being served: resilience paths
-#: mark it (``degraded``) and the alert feed reads it — without threading a
-#: handle through every serve method.
-_SERVING: ContextVar["_Serve | None"] = ContextVar(
-    "repro_serving", default=None
-)
 
 
 @dataclass
@@ -232,7 +223,7 @@ class _Serve:
         self._activation = server.obs.activate()
         self._activation.__enter__()
         self._start = time.perf_counter()
-        self._token = _SERVING.set(self)
+        self._token = SERVING.set(self)
         try:
             if server._admission is not None:
                 server._acquire_slot(kind)
@@ -273,7 +264,7 @@ class _Serve:
             exc_type = type(failure)
             raise
         finally:
-            _SERVING.reset(self._token)
+            SERVING.reset(self._token)
             if exc_type is None:
                 outcome = "ok"
             elif issubclass(exc_type, QueryTimeout):
@@ -299,6 +290,11 @@ class _Serve:
                 )
             self._activation.__exit__(None, None, None)
         return False
+
+    def note_degraded(self, target: str, targets: int) -> None:
+        """``targets`` answers of this call fell back to ``target``; safe
+        from a scatter leg's thread (see :data:`SERVING`)."""
+        self.server._note_degraded(target, targets)
 
     def _account(self) -> None:
         """The served call's one accounting (the body returned)."""
@@ -338,8 +334,9 @@ class OLAPServer:
         diagnostics_dir: str | Path | None = None,
     ):
         """``storage_budget`` (cells) enables Algorithm 2 redundancy when it
-        exceeds the cube volume.  ``cache_entries``/``cache_cells`` bound
-        the assembled-view result cache (entries and total cached cells);
+        exceeds the cube volume (NaN or negative: :class:`ValueError`).
+        ``cache_entries``/``cache_cells`` bound the assembled-view result
+        cache (entries and total cached cells);
         ``observability`` supplies a shared metrics registry + tracer (one
         is created otherwise).
 
@@ -388,6 +385,7 @@ class OLAPServer:
             )
         if shards < 1:
             raise ValueError(f"shards must be at least 1, got {shards!r}")
+        check_storage_budget(storage_budget)
         if max_in_flight is not None and max_in_flight < 1:
             raise ValueError(
                 "max_in_flight must be at least 1 or None, got "
@@ -441,7 +439,6 @@ class OLAPServer:
         )
         self._cache_entries = int(cache_entries)
         self._cache_cells = cache_cells
-        self._engine: SelectionEngine | None = None
         self.shards = int(shards)
         self._partition = (
             CubePartition.for_shape(self.shape, self.shards, axis=shard_axis)
@@ -667,11 +664,15 @@ class OLAPServer:
             on_retry=note,
         )
 
-    def _note_degraded(self) -> None:
-        self._m.degraded.inc()
-        add_span_event("fallback", target="base_cube")
-        log_event("fallback", target="base_cube")
-        serving = _SERVING.get()
+    def _note_degraded(
+        self, target: str = "base_cube", targets: int = 1
+    ) -> None:
+        """Count ``targets`` answers served from ``target`` (the base cube,
+        or a shard's base slab) and mark the call being served degraded."""
+        self._m.degraded.inc(targets)
+        add_span_event("fallback", target=target)
+        log_event("fallback", target=target)
+        serving = SERVING.get()
         if serving is not None:
             serving.degraded = True
 
@@ -992,24 +993,13 @@ class OLAPServer:
             if population is None:
                 population = self.observed_population()
             select_start = time.perf_counter()
-            selection = select_minimum_cost_basis(self.shape, population)
+            elements, expected, states = reselect(
+                self.shape, population, self.storage_budget
+            )
             selected_by = dict(
-                states=selection.states,
+                states=states,
                 select_ms=(time.perf_counter() - select_start) * 1e3,
             )
-            elements = list(selection.elements)
-            expected = selection.cost
-            if (
-                self.storage_budget is not None
-                and self.storage_budget > self.shape.volume
-            ):
-                if self._engine is None:
-                    self._engine = SelectionEngine(self.shape)
-                result = self._engine.greedy_redundant_selection(
-                    elements, population, storage_budget=self.storage_budget
-                )
-                elements = list(result.selected)
-                expected = result.final_cost
 
             migration = OpCounter()
             new_set = self._migrate(elements, state.materialized, migration)

@@ -72,6 +72,7 @@ from ..core.select_redundant import generation_cost
 from ..errors import IncompleteSetError, TransientFault
 from ..obs import current_registry, log_event, span
 from ..resilience import check_deadline, fault_point, retry_transient
+from ..resilience.deadline import SERVING
 from .partition import CubePartition
 
 __all__ = ["ShardedSet"]
@@ -498,7 +499,8 @@ class ShardedSet:
 
         The re-route is shard-local: the other legs keep serving from
         their materialized elements, so a quarantined (or persistently
-        faulting) shard degrades only its own slab of the answer.
+        faulting) shard degrades only its own slab of the answer.  Inside
+        a served call the leg's targets also count as degraded serves.
         """
         slab = self._base_slabs[s]
         registry = current_registry()
@@ -507,6 +509,9 @@ class ShardedSet:
             "scatter legs re-routed to the shard's base slab",
         ).inc(shard=str(s))
         log_event("shard_degraded", shard=s, targets=len(out))
+        serving = SERVING.get()
+        if serving is not None:
+            serving.note_degraded(f"shard {s}", len(out))
         scratch = OpCounter()
         for le, view in out.items():
             np.copyto(view, compute_element(slab, le, counter=scratch))

@@ -68,15 +68,13 @@ class AdaptationLoop:
         decay: float = 0.9,
     ):
         self.server = server
-        self.tolerance = tolerance
-        self.decay = decay
         self.monitor = CostModelMonitor(tolerance=tolerance, decay=decay)
         self.divergences: list[float] = []
         self.reconfigurations: list[dict] = []
 
     def observe(self, profile: dict) -> bool:
         """Fold one profile in; returns True when it tripped re-selection."""
-        self.monitor.ingest(profile)
+        fresh = self.monitor.observe(profile)
         divergence = self.monitor.divergence
         self.divergences.append(divergence)
         # Feed the live workload fingerprint: cost-model divergence is one
@@ -84,7 +82,7 @@ class AdaptationLoop:
         note = getattr(self.server, "note_divergence", None)
         if note is not None:
             note(divergence)
-        if not self.monitor.should_reconfigure():
+        if fresh is None:
             return False
         storage, expected = self.server.reconfigure()
         self.reconfigurations.append(
@@ -95,11 +93,7 @@ class AdaptationLoop:
                 "expected_cost": float(expected),
             }
         )
-        # Fresh monitor: the old divergence described the superseded
-        # configuration and must not immediately re-trip the new one.
-        self.monitor = CostModelMonitor(
-            tolerance=self.tolerance, decay=self.decay
-        )
+        self.monitor = fresh
         return True
 
 

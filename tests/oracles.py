@@ -1,22 +1,38 @@
 """Reference implementations the test-suite compares the serving code against.
 
-The planners' are the explicit-:class:`ElementId` forms the serving code
-used before it moved to reduced states; :func:`assemble_recursive` is
-Procedure 3 run as the recursion the paper states, one target at a time,
-which the one executor (:mod:`repro.core.exec`) must match bit for bit;
-:func:`delta_cell` is the scalar cascade walk
-:class:`repro.core.delta.DeltaBatch` tabulates.  Kept here, and only here,
-as oracles.
+``src/`` holds one implementation of each paper algorithm; the explicit
+forms the paper states live here, and only here, as oracles:
+
+- :func:`explicit_generation_cost` / :func:`explicit_best_route` —
+  Procedure 3 over explicit :class:`ElementId` nodes, which the planners'
+  signature pricer must match;
+- :func:`_select_explicit` / :func:`extract_basis` — Algorithm 1 memoized
+  over explicit view elements, then Procedure 2, which
+  :func:`repro.core.select_basis.select_minimum_cost_basis` must match;
+- :func:`greedy_explicit` — Algorithm 2 as the paper states it, one
+  Procedure 3 total per trial selection, which
+  :func:`repro.core.select_redundant.greedy_redundant_selection` (the
+  vectorized engine) must match stage for stage;
+- :func:`assemble_recursive` — Procedure 3 run as a recursion over stored
+  arrays, one target at a time, which the one executor
+  (:mod:`repro.core.exec`) must match bit for bit;
+- :func:`delta_cell` — the scalar cascade walk
+  :class:`repro.core.delta.DeltaBatch` tabulates.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.element import ElementId
+from repro.core.costs import element_population_cost
+from repro.core.element import CubeShape, ElementId
+from repro.core.graph import ViewElementGraph
 from repro.core.kernels import fused_cascade, fused_synthesize
 from repro.core.operators import OpCounter
 from repro.core.planning import RouteTable, route_table
+from repro.core.population import QueryPopulation
+from repro.core.select_basis import BasisSelection
+from repro.core.select_redundant import GreedyResult, GreedyStage
 
 _INF = float("inf")
 
@@ -90,6 +106,145 @@ def explicit_best_route(target: ElementId, selected, memo: dict):
         if candidate < synth_cost:
             synth_cost, synth_dim = candidate, dim
     return source, synth_dim
+
+
+def extract_basis(shape: CubeShape, decision):
+    """Procedure 2: follow the split decisions from the root and yield every
+    terminal element (``decision(node)``: -1 = keep, ``m`` = split along
+    ``m``)."""
+    stack = [shape.root()]
+    while stack:
+        node = stack.pop()
+        dim = decision(node)
+        if dim < 0:
+            yield node
+        else:
+            stack.append(node.partial_child(dim))
+            stack.append(node.residual_child(dim))
+
+
+def _select_explicit(
+    shape: CubeShape, population: QueryPopulation
+) -> BasisSelection:
+    """Algorithm 1 memoized over explicit view elements (any population)."""
+    support_memo: dict[ElementId, float] = {}
+    value_memo: dict[ElementId, tuple[float, int]] = {}
+
+    def support(node: ElementId) -> float:
+        cached = support_memo.get(node)
+        if cached is None:
+            cached = element_population_cost(node, population)
+            support_memo[node] = cached
+        return cached
+
+    def value(node: ElementId) -> tuple[float, int]:
+        """Return ``(D(node), decision)``; decision -1 = keep, m = split."""
+        cached = value_memo.get(node)
+        if cached is not None:
+            return cached
+        own = support(node)
+        best_cost, best_dim = own, -1
+        for dim in node.splittable_dims():
+            p_cost, _ = value(node.partial_child(dim))
+            r_cost, _ = value(node.residual_child(dim))
+            total = p_cost + r_cost
+            if total < best_cost:
+                best_cost, best_dim = total, dim
+        result = (best_cost, best_dim)
+        value_memo[node] = result
+        return result
+
+    cost, _ = value(shape.root())
+    return BasisSelection(
+        tuple(extract_basis(shape, lambda node: value(node)[1])),
+        float(cost),
+        states=len(value_memo),
+    )
+
+
+def explicit_total_cost(selected, population: QueryPopulation) -> float:
+    """Procedure 3's total (Eq 34) by the explicit recursion."""
+    selected = tuple(selected)
+    memo: dict = {}
+    total = 0.0
+    for query, f in population:
+        if f <= 0:
+            continue
+        total += f * _generation_cost(query, selected, memo)
+    return total
+
+
+def greedy_explicit(
+    initial,
+    population: QueryPopulation,
+    storage_budget: float,
+    candidates=None,
+    remove_obsolete: bool = False,
+) -> GreedyResult:
+    """Algorithm 2 as stated: each stage prices every affordable candidate
+    with a full Procedure 3 total and keeps the first strictly cheapest.
+
+    Same parameters and result as
+    :func:`repro.core.select_redundant.greedy_redundant_selection`.
+    """
+    selected = list(initial)
+    if candidates is None:
+        candidates = ViewElementGraph(population.shape).elements()
+    pool = [c for c in candidates if c not in set(selected)]
+
+    storage = sum(e.volume for e in selected)
+    cost = explicit_total_cost(selected, population)
+    stages = [GreedyStage(added=None, storage=storage, cost=cost)]
+
+    while pool:
+        if cost <= 0.0:
+            break
+        best_cost = cost
+        best_idx = -1
+        for idx, candidate in enumerate(pool):
+            if storage + candidate.volume > storage_budget:
+                continue
+            trial = selected + [candidate]
+            trial_cost = explicit_total_cost(trial, population)
+            if trial_cost < best_cost - 1e-12:
+                best_cost = trial_cost
+                best_idx = idx
+        if best_idx < 0:
+            break
+        chosen = pool.pop(best_idx)
+        selected.append(chosen)
+        storage += chosen.volume
+        cost = best_cost
+        if remove_obsolete:
+            storage = _drop_obsolete(selected, population, cost, storage)
+        stages.append(GreedyStage(added=chosen, storage=storage, cost=cost))
+
+    return GreedyResult(stages=tuple(stages), selected=tuple(selected))
+
+
+def _drop_obsolete(
+    selected: list[ElementId],
+    population: QueryPopulation,
+    cost: float,
+    storage: int,
+) -> int:
+    """Drop selected elements whose removal keeps the total cost unchanged.
+
+    Largest volume first; repeats until no element is obsolete.  Mutates
+    ``selected``; returns the updated storage.
+    """
+    while len(selected) > 1:
+        removable = []
+        for element in selected:
+            remaining = [e for e in selected if e != element]
+            if explicit_total_cost(remaining, population) <= cost + 1e-9:
+                removable.append(element)
+        if not removable:
+            return storage
+        victim = max(removable, key=lambda e: e.volume)
+        selected.remove(victim)
+        storage -= victim.volume
+    return storage
 
 
 def assemble_recursive(

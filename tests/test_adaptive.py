@@ -226,3 +226,13 @@ class TestDynamicViewAssembler:
     def test_shape_mismatch(self, shape):
         with pytest.raises(ValueError, match="does not match"):
             DynamicViewAssembler(np.zeros((2, 2)), shape)
+
+    @pytest.mark.parametrize("budget", [float("nan"), -1])
+    def test_a_nan_or_negative_budget_is_refused(self, data, shape, budget):
+        with pytest.raises(ValueError, match="storage_budget"):
+            DynamicViewAssembler(data, shape, storage_budget=budget)
+
+    @pytest.mark.parametrize("every", [0, -3])
+    def test_reconfigure_every_must_be_positive(self, data, shape, every):
+        with pytest.raises(ValueError, match="reconfigure_every"):
+            DynamicViewAssembler(data, shape, reconfigure_every=every)

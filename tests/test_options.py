@@ -100,19 +100,19 @@ SIGNATURES = {
     "repro.core.select_redundant:greedy_redundant_selection": (
         ("initial", "population", "storage_budget"),
         {
-            "candidates": "benchmarks/bench_ablation_engine.py",
-            "remove_obsolete": Exempt(
-                "the reference oracle of SelectionEngine."
-                "greedy_redundant_selection, which figure9.py sets it on"
-            ),
+            "candidates": "src/repro/baselines/view_greedy.py",
+            "remove_obsolete": "src/repro/baselines/view_greedy.py",
         },
     ),
     "repro.core.engine:SelectionEngine.greedy_redundant_selection": (
-        ("initial", "population", "storage_budget"),
-        {
-            "candidates": "src/repro/experiments/figure9.py",
-            "remove_obsolete": "src/repro/experiments/figure9.py",
-        },
+        (
+            "initial",
+            "population",
+            "storage_budget",
+            "candidates",
+            "remove_obsolete",
+        ),
+        {},
     ),
     "repro.core.select_basis:select_minimum_cost_basis": (
         ("shape", "population"),

@@ -31,6 +31,8 @@ from repro.core.population import QueryPopulation
 from repro.core.select_basis import select_minimum_cost_basis
 from repro.core.select_redundant import generation_cost, total_processing_cost
 
+from .test_engine import _node_costs, _total_cost
+
 SHAPES = [CubeShape((4, 4)), CubeShape((8, 2)), CubeShape((2, 2, 4))]
 
 
@@ -367,7 +369,7 @@ class TestEngineDifferential:
         ]
         selected = list({shape.root(), *extras})
         reference = total_processing_cost(selected, population)
-        fast = engine.total_processing_cost(selected, population)
+        fast = _total_cost(engine, selected, population)
         assert fast == pytest.approx(reference, rel=1e-12, abs=1e-9)
 
     @settings(max_examples=20, deadline=None)
@@ -382,7 +384,7 @@ class TestEngineDifferential:
         keep = max(1, int(rng.integers(1, len(basis) + 1)))
         selected = list(basis[:keep])
         reference = total_processing_cost(selected, population)
-        fast = engine.total_processing_cost(selected, population)
+        fast = _total_cost(engine, selected, population)
         if reference == float("inf"):
             assert fast == float("inf")
         else:
@@ -397,7 +399,7 @@ class TestEngineDifferential:
         selected = list(
             {shape.root(), *(_random_element(shape, rng) for _ in range(2))}
         )
-        t_vals = engine.node_generation_costs(selected)
+        t_vals = _node_costs(engine, selected)
         memo: dict = {}
         for _ in range(5):
             target = _random_element(shape, rng)

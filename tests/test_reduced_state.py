@@ -25,14 +25,18 @@ from repro.core.materialize import MaterializedSet
 from repro.core.operators import OpCounter
 from repro.core.planning import best_route, route_table, sorted_by_volume
 from repro.core.population import QueryPopulation
-from repro.core.select_basis import _select_explicit, select_minimum_cost_basis
+from repro.core.select_basis import select_minimum_cost_basis
 from repro.core.select_redundant import generation_cost, priced_states
 from repro.cube.datacube import DataCube
 from repro.cube.dimensions import Dimension
 from repro.errors import IncompleteSetError
 from repro.server import OLAPServer
 
-from .oracles import explicit_best_route, explicit_generation_cost
+from .oracles import (
+    _select_explicit,
+    explicit_best_route,
+    explicit_generation_cost,
+)
 
 SHAPES = [
     (4,), (16,), (2, 2), (4, 4), (8, 2), (16, 4), (2, 2, 2), (4, 4, 4), (8, 4, 2),

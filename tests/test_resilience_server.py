@@ -233,6 +233,58 @@ class TestDegradation:
         assert server.range_sum(((1, 7), (2, 5))) == expected
 
 
+class TestShardDegradedServes:
+    """A shard leg that falls back to its base slab is a degraded serve,
+    exactly as the one-shard fallback to the base cube is."""
+
+    @staticmethod
+    def _server_with_root_quarantined(shards):
+        server = OLAPServer(seeded_cube(7, (8, 4, 8)), shards=shards)
+        root = server.shape.root()
+        if shards == 1:
+            server.materialized.quarantine(root, reason="test")
+        else:
+            sharded = server.materialized
+            sharded.local_sets()[1].quarantine(
+                sharded.partition.project(root), reason="test"
+            )
+        return server
+
+    @staticmethod
+    def _degraded(server):
+        health = server.health()
+        bad = server.alerts.snapshot()["rules"]["degraded"]["fast"]["bad"]
+        return health["degraded_serves"], health["slo"]["degraded_rate"], bad
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_a_degraded_view_counts_once(self, shards):
+        server = self._server_with_root_quarantined(shards)
+        server.view(["d0"])
+        assert self._degraded(server) == (1.0, 1.0, 1)
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_a_degraded_batch_counts_each_target(self, shards):
+        server = self._server_with_root_quarantined(shards)
+        server.query_batch([["d0"], ["d1"], ["d0", "d2"]])
+        assert self._degraded(server) == (3.0, 1.0, 1)
+
+    def test_the_fallback_event_names_the_shard(self):
+        server = self._server_with_root_quarantined(2)
+        server.view(["d0"])
+        events = [
+            event
+            for sp in server.tracer.spans("shard.execute")
+            for event in sp.events
+            if event["name"] == "fallback"
+        ]
+        assert [e["target"] for e in events] == ["shard 1"]
+
+    def test_a_migration_is_not_a_degraded_serve(self):
+        server = self._server_with_root_quarantined(2)
+        server.reconfigure()
+        assert server.health()["degraded_serves"] == 0.0
+
+
 class TestHealth:
     def test_healthy_server_reports_ok(self):
         server = _make_server(max_in_flight=4)

@@ -11,7 +11,9 @@ from repro.core.costs import basis_population_cost, element_population_cost
 from repro.core.element import CubeShape, ElementId
 from repro.core.frequency import is_non_redundant_basis
 from repro.core.population import QueryPopulation
-from repro.core.select_basis import _select_explicit, select_minimum_cost_basis
+from repro.core.select_basis import select_minimum_cost_basis
+
+from .oracles import _select_explicit
 
 
 def _all_bases(element: ElementId):

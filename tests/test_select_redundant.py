@@ -15,6 +15,8 @@ from repro.core.select_redundant import (
     total_processing_cost,
 )
 
+from .oracles import greedy_explicit
+
 
 class TestGenerationCost:
     def test_selected_is_free(self, shape_4x4):
@@ -157,45 +159,81 @@ class TestGreedy:
 
 
 class TestEngineDelegation:
-    """Graphs over ``ENGINE_DELEGATION_THRESHOLD`` go to the vectorized engine."""
+    """Every shape goes to the vectorized engine, which takes the explicit
+    greedy's trajectory (``tests/oracles.greedy_explicit``)."""
 
-    def _setting(self, shape_4x4, rng):
-        population = QueryPopulation.random_over_views(shape_4x4, rng)
-        basis = select_minimum_cost_basis(shape_4x4, population)
+    def _setting(self, shape, rng):
+        population = QueryPopulation.random_over_views(shape, rng)
+        basis = select_minimum_cost_basis(shape, population)
         return list(basis.elements), population
 
-    def test_auto_delegates_above_threshold(self, shape_4x4, rng, monkeypatch):
-        import repro.core.select_redundant as sr
+    def test_large_graph_matches_the_oracle(self, rng):
+        """A 961-element graph (past the size the explicit greedy once
+        served alone) with the [D] strategy's view candidates."""
+        shape = CubeShape((16, 16))
+        assert shape.num_view_elements() > 512
+        population = QueryPopulation.random_over_views(shape, rng)
+        views = list(shape.aggregated_views())
+        budget = 1.3 * shape.volume
+        ours = greedy_redundant_selection(
+            [shape.root()], population, budget, candidates=views
+        )
+        oracle = greedy_explicit(
+            [shape.root()], population, budget, candidates=views
+        )
+        assert len(ours.stages) > 1
+        assert [s.added for s in ours.stages] == [
+            s.added for s in oracle.stages
+        ]
+        assert [s.storage for s in ours.stages] == [
+            s.storage for s in oracle.stages
+        ]
+        for got, want in zip(ours.stages, oracle.stages):
+            assert got.cost == pytest.approx(want.cost, rel=1e-12)
 
+    def test_small_graph_runs_the_engine(self, shape_4x4, rng, monkeypatch):
+        """A 49-element graph runs the engine too: there is no size fork."""
         initial, population = self._setting(shape_4x4, rng)
+        runs = []
+        engine_greedy = SelectionEngine.greedy_redundant_selection
+
+        def spy(engine, *args):
+            runs.append(engine.shape)
+            return engine_greedy(engine, *args)
+
+        monkeypatch.setattr(SelectionEngine, "greedy_redundant_selection", spy)
         budget = 1.5 * shape_4x4.volume
-        reference = greedy_redundant_selection(initial, population, budget)
-        # Force delegation on this small shape and check the trajectories
-        # agree stage by stage.
-        monkeypatch.setattr(sr, "ENGINE_DELEGATION_THRESHOLD", 0)
-        delegated = greedy_redundant_selection(initial, population, budget)
-        assert delegated.final_storage == reference.final_storage
-        assert delegated.final_cost == pytest.approx(reference.final_cost)
-        assert len(delegated.stages) == len(reference.stages)
-        for ours, theirs in zip(delegated.stages, reference.stages):
-            assert ours.added == theirs.added
-            assert ours.storage == theirs.storage
-            assert ours.cost == pytest.approx(theirs.cost)
-
-    def test_auto_stays_reference_below_threshold(self, shape_4x4, rng):
-        """Small shapes (49 elements) never delegate under the default."""
-        import repro.core.select_redundant as sr
-
-        assert shape_4x4.num_view_elements() <= sr.ENGINE_DELEGATION_THRESHOLD
+        ours = greedy_redundant_selection(initial, population, budget)
+        assert runs == [shape_4x4]
+        oracle = greedy_explicit(initial, population, budget)
+        assert [s.added for s in ours.stages] == [
+            s.added for s in oracle.stages
+        ]
 
     def test_explicit_vectorized_matches_reference(self, shape_4x4, rng):
         initial, population = self._setting(shape_4x4, rng)
         budget = 1.5 * shape_4x4.volume
-        reference = greedy_redundant_selection(initial, population, budget)
-        vectorized = SelectionEngine(shape_4x4).greedy_redundant_selection(
-            initial, population, budget
-        )
+        reference = greedy_explicit(initial, population, budget)
+        vectorized = greedy_redundant_selection(initial, population, budget)
         assert vectorized.final_cost == pytest.approx(reference.final_cost)
         assert [s.added for s in vectorized.stages] == [
             s.added for s in reference.stages
         ]
+
+
+class TestBudgetValidation:
+    """A NaN or negative budget is refused; ``inf`` is unbounded."""
+
+    @pytest.mark.parametrize("budget", [float("nan"), -1.0, -5])
+    def test_bad_budget_raises(self, shape_4x4, budget):
+        population = QueryPopulation.uniform_over_views(shape_4x4)
+        with pytest.raises(ValueError, match="storage_budget"):
+            greedy_redundant_selection([shape_4x4.root()], population, budget)
+
+    def test_infinite_budget_is_unbounded(self, shape_4x4):
+        population = QueryPopulation.uniform_over_views(shape_4x4)
+        result = greedy_redundant_selection(
+            [shape_4x4.root()], population, float("inf")
+        )
+        assert result.final_cost == 0.0
+        assert len(result.stages) > 1

@@ -164,6 +164,21 @@ class TestReconfiguration:
             view, server.cube.values.sum(axis=axes, keepdims=True), atol=1e-9
         )
 
+    @pytest.mark.parametrize("budget", [float("nan"), -5])
+    def test_a_nan_or_negative_budget_is_refused(self, budget):
+        from repro.replay import seeded_cube
+
+        with pytest.raises(ValueError, match="storage_budget"):
+            OLAPServer(seeded_cube(3, (8, 4, 4)), storage_budget=budget)
+
+    @pytest.mark.parametrize("budget", [0, 8 * 4 * 4])
+    def test_a_budget_within_the_cube_adds_no_redundancy(self, budget):
+        from repro.replay import seeded_cube
+
+        server = OLAPServer(seeded_cube(3, (8, 4, 4)), storage_budget=budget)
+        server.view(["d0"])
+        assert server.reconfigure()[0] == server.shape.volume
+
     def test_range_queries_after_reconfigure(self, server):
         server.view(["product"])
         server.reconfigure()
