@@ -41,7 +41,6 @@ from .core import (
     BatchPlan,
     CompressedCube,
     CubeShape,
-    DynamicViewAssembler,
     ElementId,
     GreedyResult,
     MaterializedSet,
@@ -99,7 +98,6 @@ __all__ = [
     "QueryTimeout",
     "ReproError",
     "TransientFault",
-    "DynamicViewAssembler",
     "ElementId",
     "GreedyResult",
     "LRUCache",

@@ -58,6 +58,37 @@ import argparse
 import sys
 
 
+def _integer(text: str, least: int) -> int:
+    """``text`` as an integer of at least ``least``, or a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = least - 1
+    if value < least:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= {least}, got {text!r}"
+        )
+    return value
+
+
+def _non_negative(text: str) -> int:
+    return _integer(text, 0)
+
+
+def _positive(text: str) -> int:
+    return _integer(text, 1)
+
+
+def _shard_counts(text: str) -> tuple[int, ...]:
+    """Comma-separated shard counts, each a power of two."""
+    counts = tuple(_positive(part) for part in text.split(",") if part)
+    if not counts or any(n & (n - 1) for n in counts):
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated powers of two, got {text!r}"
+        )
+    return counts
+
+
 def _run_table1() -> str:
     from .experiments import table1
 
@@ -292,9 +323,7 @@ def _run_gate(name: str, args) -> int:
     module = importlib.import_module(f"repro.{module_name}")
     fields = {"seed": default_seed if args.seed is None else args.seed}
     if sharded:
-        fields["shard_counts"] = tuple(
-            int(s) for s in args.shards.split(",") if s
-        )
+        fields["shard_counts"] = args.shards
         fields["workers"] = args.workers
     extra = {}
     if name == "update" and args.trace:
@@ -425,13 +454,13 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--trials",
-        type=int,
+        type=_positive,
         default=None,
         help="number of random-workload trials (figure8/figure9)",
     )
     parser.add_argument(
         "--budgets",
-        type=int,
+        type=_positive,
         default=13,
         help="number of storage budget points (figure9)",
     )
@@ -454,13 +483,13 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--queries",
-        type=int,
+        type=_positive,
         default=8,
         help="with 'stats': demo queries per phase",
     )
     parser.add_argument(
         "--seed",
-        type=int,
+        type=_non_negative,
         default=None,
         help="with 'stats'/'chaos'/'trace': demo data / fault plan seed",
     )
@@ -479,18 +508,19 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--workers",
-        type=int,
+        type=_positive,
         default=4,
         help="with 'trace': executor workers for the traced batch",
     )
     parser.add_argument(
         "--batches",
-        type=int,
+        type=_positive,
         default=None,
         help="with 'soak': override the soak batch count",
     )
     parser.add_argument(
         "--shards",
+        type=_shard_counts,
         default="1,2,4",
         help="with 'update'/'recover': comma-separated shard counts to gate "
         "(each a power of two); with 'stats': shard count of the demo "
@@ -519,7 +549,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.experiment == "stats":
         seed = 19 if args.seed is None else args.seed
-        shards = int(args.shards.split(",")[0])
+        shards = args.shards[0]
         print(_run_stats(args.json, args.queries, seed, args.serve, shards))
         return 0
     if args.experiment == "diag":

@@ -7,7 +7,7 @@ cost model, both selection algorithms, materialization/assembly, and
 range-aggregation support.
 """
 
-from .adaptive import AccessTracker, DynamicViewAssembler, ReconfigurationRecord
+from .adaptive import AccessTracker
 from .bases import (
     gaussian_pyramid,
     random_wavelet_packet_basis,
@@ -94,7 +94,6 @@ __all__ = [
     "plan_batch",
     "CompressedCube",
     "CubeShape",
-    "DynamicViewAssembler",
     "ElementId",
     "GreedyResult",
     "GreedyStage",
@@ -103,7 +102,6 @@ __all__ = [
     "QueryPopulation",
     "RangeAnswer",
     "RangeQueryEngine",
-    "ReconfigurationRecord",
     "SelectionEngine",
     "ViewElementGraph",
     "aggregation_cost",

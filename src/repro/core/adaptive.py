@@ -2,40 +2,33 @@
 
 Section 5 of the paper notes that the view-access frequencies "can be
 observed on-line, allowing the system to dynamically reconfigure".  This
-module supplies that closed loop:
+module supplies the two signals that loop reads:
 
 - :class:`AccessTracker` maintains exponentially decayed access counts per
   view, yielding a :class:`~repro.core.population.QueryPopulation` estimate.
-- :class:`DynamicViewAssembler` serves aggregated views from a
-  :class:`~repro.core.materialize.MaterializedSet`, records each access, and
-  periodically re-runs the selection algorithms (Algorithm 1, optionally
-  followed by Algorithm 2 under a storage budget) to re-materialize the set
-  that is optimal for the *observed* workload.
+- :class:`CostModelMonitor` folds planned-vs-measured query profiles into a
+  decayed divergence and says when it has left the tolerance band.
 
-Reconfiguration reuses the current materialized set to compute the new
-elements (via :meth:`MaterializedSet.assemble`), so migration cost is itself
-governed by the view-element machinery rather than a fresh cube scan.
+:class:`~repro.server.OLAPServer` owns both and is the one class that
+re-selects: :meth:`~repro.server.OLAPServer.reconfigure` re-runs the
+selection algorithms for the tracked workload, and
+:meth:`~repro.server.OLAPServer.observe_profile` does so when the monitor
+trips.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
-
-from ..obs import current_registry, span
-from .element import CubeShape, ElementId
-from .materialize import MaterializedSet
-from .operators import OpCounter
+from ..obs import current_registry
+from .element import ElementId
 from .population import QueryPopulation
-from .select_redundant import check_storage_budget, reselect
 
-__all__ = [
-    "AccessTracker",
-    "CostModelMonitor",
-    "ReconfigurationRecord",
-    "DynamicViewAssembler",
-]
+__all__ = ["AccessTracker", "CostModelMonitor"]
+
+#: How far the decayed measured/planned ratio may stray from 1.0 before
+#: :class:`CostModelMonitor` trips, and the weight its mean keeps per
+#: profile.
+TOLERANCE = 0.25
+DECAY = 0.9
 
 
 class AccessTracker:
@@ -123,22 +116,17 @@ class CostModelMonitor:
     telemetry layer's planned-vs-measured profiles
     (:func:`repro.obs.profile.query_profile`): feed it one profile per
     traced query (:meth:`ingest`), and :meth:`should_reconfigure` reports
-    when the decayed mean divergence has drifted past ``tolerance`` — the
-    measured signal that the stored configuration no longer matches the
-    model and a re-selection (Algorithm 1/2) is due.
+    when the decayed mean divergence (weight :data:`DECAY` per profile)
+    has drifted past :data:`TOLERANCE` — the measured signal that the
+    stored configuration no longer matches the model and a re-selection
+    (Algorithm 1/2) is due.
 
     On the unfaulted path the executors' operation accounting equals the
     plan exactly, so the divergence sits at 1.0 and never triggers; only
     genuine re-routing moves it.
     """
 
-    def __init__(self, tolerance: float = 0.25, decay: float = 0.9):
-        if tolerance <= 0:
-            raise ValueError(f"tolerance must be positive, got {tolerance}")
-        if not 0.0 < decay <= 1.0:
-            raise ValueError(f"decay must be in (0, 1], got {decay}")
-        self.tolerance = tolerance
-        self.decay = decay
+    def __init__(self):
         self.profiles_ingested = 0
         self._mean_divergence: float | None = None
 
@@ -151,8 +139,7 @@ class CostModelMonitor:
             self._mean_divergence = divergence
         else:
             self._mean_divergence = (
-                self.decay * self._mean_divergence
-                + (1.0 - self.decay) * divergence
+                DECAY * self._mean_divergence + (1.0 - DECAY) * divergence
             )
 
     def ingest(self, profile: dict) -> None:
@@ -175,180 +162,10 @@ class CostModelMonitor:
         )
 
     def should_reconfigure(self) -> bool:
-        """Whether divergence has drifted beyond ``tolerance``."""
-        return abs(self.divergence - 1.0) > self.tolerance
+        """Whether divergence has drifted beyond :data:`TOLERANCE`.
 
-    def observe(self, profile: dict) -> "CostModelMonitor | None":
-        """Ingest ``profile``; once it trips, the monitor to judge by next.
-
-        ``None`` while the divergence is within ``tolerance``.  Past it, a
-        fresh monitor with the same tolerance and decay: the caller
-        re-selects and then swaps it in, so the evidence about the
-        superseded configuration cannot re-trip the new one.
+        A caller that re-selects on ``True`` starts a fresh monitor, so the
+        evidence about the superseded configuration cannot re-trip the new
+        one.
         """
-        self.ingest(profile)
-        if not self.should_reconfigure():
-            return None
-        return CostModelMonitor(tolerance=self.tolerance, decay=self.decay)
-
-
-@dataclass(frozen=True)
-class ReconfigurationRecord:
-    """One reconfiguration event of :class:`DynamicViewAssembler`."""
-
-    at_access: int
-    elements: tuple[ElementId, ...]
-    expected_cost: float
-    migration_operations: int
-    storage: int
-
-
-@dataclass
-class _ServiceStats:
-    queries_served: int = 0
-    operations: int = 0
-
-    def snapshot(self) -> tuple[int, int]:
-        """``(queries served, total operations)`` so far."""
-        return self.queries_served, self.operations
-
-
-class DynamicViewAssembler:
-    """Serves views from an adaptively re-selected view element set.
-
-    Parameters
-    ----------
-    cube_values:
-        The raw data cube (kept only for initial materialization; later
-        reconfigurations assemble from the current set).
-    shape:
-        Cube shape.
-    storage_budget:
-        Optional cell budget; when larger than ``Vol(A)``, Algorithm 2 adds
-        redundant elements after Algorithm 1 picks the basis.  NaN or
-        negative is a :class:`ValueError`.
-    reconfigure_every:
-        Re-run selection after this many recorded accesses (at least 1).
-    decay:
-        Forgetting factor of the access tracker.
-    """
-
-    def __init__(
-        self,
-        cube_values: np.ndarray,
-        shape: CubeShape,
-        storage_budget: int | None = None,
-        reconfigure_every: int = 64,
-        decay: float = 0.98,
-    ):
-        cube_values = np.asarray(cube_values, dtype=np.float64)
-        if cube_values.shape != shape.sizes:
-            raise ValueError(
-                f"cube data shape {cube_values.shape} does not match {shape.sizes}"
-            )
-        check_storage_budget(storage_budget)
-        if reconfigure_every < 1:
-            raise ValueError(
-                "reconfigure_every must be at least 1, "
-                f"got {reconfigure_every!r}"
-            )
-        self.shape = shape
-        self.storage_budget = storage_budget
-        self.reconfigure_every = reconfigure_every
-        self.tracker = AccessTracker(decay=decay)
-        self.stats = _ServiceStats()
-        self.history: list[ReconfigurationRecord] = []
-        #: Measured-vs-planned feedback (fed by :meth:`observe_profile`).
-        self.cost_monitor = CostModelMonitor()
-        # Start from the trivial basis: the cube itself.
-        self.materialized = MaterializedSet(shape)
-        self.materialized.store(shape.root(), cube_values)
-        self._since_reconfigure = 0
-
-    # ------------------------------------------------------------------
-
-    def query(self, view: ElementId) -> np.ndarray:
-        """Serve one aggregated view (or any element), tracking the access."""
-        with span("adaptive.query", element=view.describe()) as sp:
-            counter = OpCounter()
-            values = self.materialized.assemble(view, counter=counter)
-            self.stats.queries_served += 1
-            self.stats.operations += counter.total
-            current_registry().counter(
-                "adaptive_queries_total", "queries served by the assembler"
-            ).inc()
-            sp.set(operations=counter.total)
-            self.tracker.record(view)
-            self._since_reconfigure += 1
-            if self._since_reconfigure >= self.reconfigure_every:
-                self.reconfigure()
-        return values
-
-    def query_view(self, aggregated_dims) -> np.ndarray:
-        """Serve the aggregated view over ``aggregated_dims``."""
-        return self.query(self.shape.aggregated_view(aggregated_dims))
-
-    def observe_profile(self, profile: dict) -> ReconfigurationRecord | None:
-        """Feed one planned-vs-measured query profile into the adapt loop.
-
-        Ingests the profile into :attr:`cost_monitor`; when the decayed
-        divergence has drifted past the monitor's tolerance — execution is
-        systematically costing more (or less) than the model that chose
-        the current basis — a reconfiguration is triggered immediately
-        instead of waiting out ``reconfigure_every``.  Returns the
-        :class:`ReconfigurationRecord` when one was triggered.
-        """
-        fresh = self.cost_monitor.observe(profile)
-        if fresh is None:
-            return None
-        record = self.reconfigure()
-        self.cost_monitor = fresh
-        return record
-
-    # ------------------------------------------------------------------
-
-    def reconfigure(self) -> ReconfigurationRecord:
-        """Re-select and re-materialize for the observed workload."""
-        with span("adaptive.reconfigure") as sp:
-            record = self._reconfigure()
-            current_registry().counter(
-                "adaptive_reconfigurations_total",
-                "dynamic re-selections performed",
-            ).inc()
-            sp.set(
-                operations=record.migration_operations,
-                expected_cost=record.expected_cost,
-                storage=record.storage,
-            )
-        return record
-
-    def _reconfigure(self) -> ReconfigurationRecord:
-        elements, expected, _ = reselect(
-            self.shape, self.tracker.population(), self.storage_budget
-        )
-        migration = OpCounter()
-        new_set = MaterializedSet(self.shape)
-        for element in sorted(set(elements), key=lambda e: e.depth):
-            new_set.store(
-                element, self.materialized.assemble(element, counter=migration)
-            )
-        self.materialized = new_set
-        self._since_reconfigure = 0
-        record = ReconfigurationRecord(
-            at_access=self.tracker.total_accesses,
-            elements=tuple(new_set.elements),
-            expected_cost=float(expected),
-            migration_operations=migration.total,
-            storage=new_set.storage,
-        )
-        self.history.append(record)
-        return record
-
-    # ------------------------------------------------------------------
-
-    @property
-    def average_operations_per_query(self) -> float:
-        """Mean assembly operations per served query so far."""
-        if not self.stats.queries_served:
-            return 0.0
-        return self.stats.operations / self.stats.queries_served
+        return abs(self.divergence - 1.0) > TOLERANCE

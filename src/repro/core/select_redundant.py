@@ -288,10 +288,9 @@ def reselect(
 ) -> tuple[list[ElementId], float, int]:
     """Algorithm 1, then Algorithm 2 when the budget exceeds ``Vol(A)``.
 
-    The reconfiguration step of :class:`~repro.server.OLAPServer` and
-    :class:`~repro.core.adaptive.DynamicViewAssembler`.  Returns the
-    elements to materialize, their expected processing cost, and the DP
-    states Algorithm 1 evaluated.
+    The reconfiguration step of :class:`~repro.server.OLAPServer`.  Returns
+    the elements to materialize, their expected processing cost, and the
+    DP states Algorithm 1 evaluated.
     """
     basis = select_minimum_cost_basis(shape, population)
     if storage_budget is None or storage_budget <= shape.volume:

@@ -43,7 +43,7 @@ from shutil import rmtree
 
 from ..replay import MUTATIONS, Replica, replay, seeded_cube, sweep
 from ..workloads.traces import flat_trace
-from . import DurabilityConfig
+from . import DurabilityConfig, latest_snapshot
 
 __all__ = ["RecoveryGateConfig", "run_recovery_gate", "render_report"]
 
@@ -67,6 +67,11 @@ class RecoveryGateConfig:
     include_clean: bool = True
     cross_restore: bool = True
     timeout_s: float = 90.0
+
+    def __post_init__(self):
+        for count in self.shard_counts:
+            if count < 1 or count & (count - 1):
+                raise ValueError(f"shard count {count} is not a power of two")
 
 
 def _trace(config: RecoveryGateConfig) -> list[dict]:
@@ -265,11 +270,16 @@ def run_recovery_gate(
             exitcode = child.exitcode
             killed = exitcode == -signal.SIGKILL
             max_acked = _read_last_ack(acks)
+            # A child that died before its first snapshot (a crash while
+            # starting up) left nothing to restore: the scenario fails on
+            # its exit code alone.
+            snapshot = latest_snapshot(DurabilityConfig(directory).snapshot_dir)
             restores = [
                 _verify_restore(
                     directory, target, max_acked, mutation_ops, config
                 )
                 for target in scenario["restore_shards"]
+                if snapshot is not None
             ]
             expected_exit = (
                 killed if scenario["kill_site"] else exitcode == 0
@@ -277,6 +287,7 @@ def run_recovery_gate(
             scenario_ok = (
                 not timed_out
                 and expected_exit
+                and bool(restores)
                 and all(r["ok"] for r in restores)
             )
             if scenario["kill_site"] and killed:
@@ -327,6 +338,7 @@ def render_report(report: dict) -> str:
         lines.append(
             f"  shards={scn['shards']} {site}@{scn['kill_after']}: {death}, "
             f"acked seq {scn['acked']}"
+            + ("" if scn["restores"] else ", no snapshot to restore -> FAILED")
         )
         for r in scn["restores"]:
             verdict = "OK" if r["ok"] else "FAILED"

@@ -35,7 +35,6 @@ _NODE_SPAN = "exec.node"
 _ROOT_SPANS = (
     "server.query_batch",
     "server.query",
-    "adaptive.query",
     "materialize.assemble_batch",
 )
 

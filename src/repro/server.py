@@ -53,7 +53,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .core import exec as batch_exec
-from .core.adaptive import AccessTracker
+from .core.adaptive import AccessTracker, CostModelMonitor
 from .core.delta import DeltaBatch
 from .core.element import ElementId
 from .core.materialize import MaterializedSet, compute_element
@@ -396,8 +396,8 @@ class OLAPServer:
         self.storage_budget = storage_budget
         self.tracker = AccessTracker(decay=DECAY)
         self.stats = ServerStats()
-        #: Guards ``stats`` and ``tracker`` so concurrent queries (client
-        #: threads, or :meth:`query_batch` callers) account exactly.  The
+        #: Guards ``stats``, ``tracker`` and ``cost_monitor`` so concurrent
+        #: callers (client threads, :meth:`query_batch`) account exactly.  The
         #: metrics registry and the result cache carry their own locks.
         self._stats_lock = threading.Lock()
         #: Serializes reconfigurations (queries are never blocked by it).
@@ -418,6 +418,8 @@ class OLAPServer:
             self.flight = FlightRecorder(self.tracer, self.metrics)
             self.profiler = SiteProfiler(self.tracer)
         self.fingerprints = FingerprintTracker()
+        #: Planned-vs-measured feedback, fed by :meth:`observe_profile`.
+        self.cost_monitor = CostModelMonitor()
         if not isinstance(alerts, AlertEngine):
             alerts = AlertEngine() if alerts else None
         self.alerts: AlertEngine | None = alerts
@@ -570,13 +572,7 @@ class OLAPServer:
         slabs.track(
             CACHE_PATCH, lambda: set(map(id, map(itemgetter(1), cache.items())))
         )
-        state = _ServingState(
-            materialized=materialized,
-            range_engine=engine,
-            epoch=epoch,
-            cache=cache,
-        )
-        self._state = state
+        self._state = state = _ServingState(materialized, engine, epoch, cache)
         self._m.epoch.set(epoch)
         return state
 
@@ -585,9 +581,7 @@ class OLAPServer:
         if self._partition is None:
             return MaterializedSet(self.shape)
         return ShardedSet(
-            self._partition,
-            base_values=self.cube.values,
-            max_retries=self.max_retries,
+            self._partition, self.cube.values, max_retries=self.max_retries
         )
 
     # ------------------------------------------------------------------
@@ -658,10 +652,7 @@ class OLAPServer:
                 self._m.retry_exhausted.inc()
 
         return retry_transient(
-            attempt,
-            counter,
-            max_retries=self.max_retries,
-            on_retry=note,
+            attempt, counter, max_retries=self.max_retries, on_retry=note
         )
 
     def _note_degraded(
@@ -731,6 +722,11 @@ class OLAPServer:
     # Query surface
 
     def _element_for(self, retained_dims: Iterable[str]) -> ElementId:
+        if isinstance(retained_dims, (str, bytes)):
+            raise InvalidQueryError(
+                "retained dimensions must be a collection of names, not "
+                f"{type(retained_dims).__name__} {retained_dims!r}"
+            )
         dims = self.cube.dimensions
         aggregated = set(range(len(dims)))
         unknown = set()
@@ -925,13 +921,11 @@ class OLAPServer:
             missing = [e for e, values in answers.items() if values is None]
             hits = len(answers) - len(missing)
             if missing:
-                mark = state.range_engine.slabs.sequence
+                engine = state.range_engine
+                mark = engine.slabs.sequence
                 assembled = self._assemble_resilient(
-                    state.materialized,
-                    missing,
-                    call.counter,
-                    max_workers,
-                    state.range_engine.warm_ancestor,
+                    state.materialized, missing, call.counter, max_workers,
+                    engine.warm_ancestor,
                 )
                 answers.update(self._admit(state, mark, assembled))
             self._m.batches_of[kind].inc()
@@ -1274,11 +1268,7 @@ class OLAPServer:
                     "rejection_rate": slo["rejection_rate"],
                     "retry_rate": slo["retry_rate"],
                     "degraded_rate": slo["degraded_rate"],
-                    "firing": (
-                        payload["alerts"]["firing_now"]
-                        if self.alerts is not None
-                        else []
-                    ),
+                    "firing": payload.get("alerts", {}).get("firing_now", []),
                 }
             )
         return payload
@@ -1310,14 +1300,22 @@ class OLAPServer:
         """
         return query_profile(self.tracer, trace_id)
 
-    def note_divergence(self, divergence: float) -> None:
-        """Feed a planned-vs-measured cost divergence observation.
-
-        A caller that measures cost-model divergence (e.g. from
-        :meth:`query_profile`) reports it here; it becomes the
-        fingerprint's ``divergence_norm`` coordinate.
-        """
-        self.fingerprints.note_divergence(divergence)
+    def observe_profile(self, profile: dict) -> bool:
+        """Fold one planned-vs-measured profile (:meth:`query_profile`)
+        into :attr:`cost_monitor`, whose divergence is also the
+        fingerprint's ``divergence_norm``.  When it trips, a fresh monitor
+        judges the selection :meth:`reconfigure` installs.  Returns whether
+        it re-selected."""
+        with self._stats_lock, self.obs.activate():
+            monitor = self.cost_monitor
+            monitor.ingest(profile)
+            tripped = monitor.should_reconfigure()
+            if tripped:  # swapped under the lock: one caller re-selects
+                self.cost_monitor = CostModelMonitor()
+        self.fingerprints.note_divergence(monitor.divergence)
+        if tripped:
+            self.reconfigure()
+        return tripped
 
     def _telemetry_loss(self) -> dict:
         """Every bounded-telemetry shed, so evidence is self-describing."""

@@ -11,9 +11,10 @@ Both drive :func:`repro.replay.replay` and check against the one
 - :mod:`~repro.soak.harness` — the drifting soak (``python -m repro
   soak``): a :func:`~repro.workloads.traces.drifting_trace` replayed
   while SLO quantiles come from the existing ``server_latency_ms``
-  histograms and :class:`AdaptationLoop` re-selects the stored elements
-  from live cost-model telemetry; ``--check`` is its bit-identity gate
-  and ``benchmarks/bench_soak.py`` the gated benchmark.
+  histograms and :meth:`~repro.server.OLAPServer.observe_profile`
+  re-selects the stored elements from live cost-model telemetry;
+  ``--check`` is its bit-identity gate and ``benchmarks/bench_soak.py``
+  the gated benchmark.
 
 The server runs with the constants it ships with —
 :data:`repro.core.exec.DISPATCH_THRESHOLD`, :data:`repro.server.MAX_WORKERS`
@@ -23,7 +24,6 @@ and the rest are module constants, not soak inputs.
 from ..workloads.traces import SoakConfig
 from .harness import (
     GATE_CONFIG,
-    AdaptationLoop,
     render_check_report,
     render_soak_report,
     run_soak,
@@ -32,7 +32,6 @@ from .harness import (
 from .update import UpdateStreamConfig, run_update_differential
 
 __all__ = [
-    "AdaptationLoop",
     "GATE_CONFIG",
     "SoakConfig",
     "UpdateStreamConfig",

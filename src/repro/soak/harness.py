@@ -10,12 +10,11 @@ no second latency bookkeeping).  On top of raw latency it measures
 **adaptation lag**: after each ``drift`` marker, how many batches until
 latency falls back under 1.5x the pre-drift median.
 
-:class:`AdaptationLoop` closes the cost-model feedback loop during the
-soak: every batch's planned-vs-measured profile
-(:meth:`OLAPServer.query_profile`) feeds a
-:class:`~repro.core.adaptive.CostModelMonitor`, and a tripped monitor
-triggers ``server.reconfigure()`` — the paper's dynamic re-selection,
-now driven by live execution telemetry instead of a synthetic schedule.
+With ``adaptation`` on, every assembly batch's planned-vs-measured
+profile (:meth:`OLAPServer.query_profile`) goes to
+:meth:`OLAPServer.observe_profile`: the server's own cost-model monitor
+re-selects when it trips — the paper's dynamic re-selection, driven by
+live execution telemetry instead of a synthetic schedule.
 
 :func:`run_soak_check` is the correctness gate (``python -m repro soak
 --check``): the full drifting replay — ingest bursts, a re-selection at
@@ -29,12 +28,10 @@ from __future__ import annotations
 
 import statistics
 
-from ..core.adaptive import CostModelMonitor
 from ..replay import Replica, replay, seeded_cube
 from ..workloads.traces import SoakConfig, drifting_trace
 
 __all__ = [
-    "AdaptationLoop",
     "GATE_CONFIG",
     "run_soak",
     "run_soak_check",
@@ -47,54 +44,6 @@ __all__ = [
 LAG_RECOVERY_FACTOR = 1.5
 #: How many pre-drift batch walls the recovery baseline medians over.
 LAG_BASELINE_WINDOW = 5
-
-
-class AdaptationLoop:
-    """Cost-model feedback: profiles in, re-selections out.
-
-    Wraps a server and a :class:`CostModelMonitor`; feed it each batch's
-    ``query_profile()`` via :meth:`observe`.  When the decayed
-    planned-vs-measured divergence trips the monitor's tolerance, the
-    loop calls ``server.reconfigure()`` (epoch bump, fresh result cache)
-    and restarts the monitor so the new configuration is judged on its
-    own telemetry.  Deterministic and injectable: tests drive it with
-    synthetic profiles, the soak harness with live ones.
-    """
-
-    def __init__(
-        self,
-        server: "OLAPServer",
-        tolerance: float = 0.25,
-        decay: float = 0.9,
-    ):
-        self.server = server
-        self.monitor = CostModelMonitor(tolerance=tolerance, decay=decay)
-        self.divergences: list[float] = []
-        self.reconfigurations: list[dict] = []
-
-    def observe(self, profile: dict) -> bool:
-        """Fold one profile in; returns True when it tripped re-selection."""
-        fresh = self.monitor.observe(profile)
-        divergence = self.monitor.divergence
-        self.divergences.append(divergence)
-        # Feed the live workload fingerprint: cost-model divergence is one
-        # of its axes (tests drive the loop with bare fakes, hence getattr).
-        note = getattr(self.server, "note_divergence", None)
-        if note is not None:
-            note(divergence)
-        if fresh is None:
-            return False
-        storage, expected = self.server.reconfigure()
-        self.reconfigurations.append(
-            {
-                "epoch": self.server.epoch,
-                "divergence": round(divergence, 4),
-                "storage": int(storage),
-                "expected_cost": float(expected),
-            }
-        )
-        self.monitor = fresh
-        return True
 
 
 def _quantile(walls: list[float], q: float) -> float:
@@ -115,8 +64,8 @@ def run_soak(
     """Replay one drifting trace; report SLO quantiles and adaptation lag.
 
     ``check_answers`` maintains an ndarray replica and byte-compares
-    every answer (slow; the gate path).  ``adaptation`` runs an
-    :class:`AdaptationLoop` over the server.
+    every answer (slow; the gate path).  ``adaptation`` feeds each
+    assembly batch's profile to :meth:`OLAPServer.observe_profile`.
     """
     config = config or SoakConfig()
     if trace is None:
@@ -128,7 +77,8 @@ def run_soak(
         seeded_cube(config.seed, config.sizes), **(server_kwargs or {})
     )
     replica = Replica(server.cube.values) if check_answers else None
-    loop = AdaptationLoop(server) if adaptation else None
+    reconfigurations: list[dict] = []  # the server's own re-selections
+    divergence = None  # the monitor's after the last profile
 
     walls: list[float] = []  # timed (query/rollup/range) batch walls, ms
     wall_kinds: list[str] = []  # parallel to walls
@@ -144,8 +94,19 @@ def run_soak(
         queries += len(answers)
         walls.append(wall_ms)
         wall_kinds.append(kind)
-        if loop is not None and kind in ("query_batch", "rollup_batch"):
-            loop.observe(server.query_profile())
+        if adaptation and kind in ("query_batch", "rollup_batch"):
+            monitor = server.cost_monitor
+            tripped = server.observe_profile(server.query_profile())
+            divergence = monitor.divergence
+            if tripped:
+                reconfigurations.append(
+                    {
+                        "epoch": server.epoch,
+                        "divergence": round(divergence, 4),
+                        "storage": int(server.materialized.storage),
+                        "expected_cost": server.stats.last_expected_cost,
+                    }
+                )
 
     health = server.health()
     latency = health["slo"]["latency_ms"]
@@ -187,11 +148,9 @@ def run_soak(
         "p99_ms": round(headline, 3),
         "drift": lags,
         "adaptation": {
-            "reconfigurations": loop.reconfigurations if loop else [],
+            "reconfigurations": reconfigurations,
             "final_divergence": (
-                round(loop.divergences[-1], 4)
-                if loop and loop.divergences
-                else None
+                round(divergence, 4) if divergence is not None else None
             ),
         },
         "cache_hit_rate": round(server._view_cache.hit_rate, 4),

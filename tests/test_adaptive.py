@@ -9,10 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.adaptive import AccessTracker, DynamicViewAssembler
+from repro.core.adaptive import AccessTracker
 from repro.core.element import CubeShape
 from repro.core.population import QueryPopulation
 from repro.core.select_basis import select_minimum_cost_basis
+from repro.cube.datacube import DataCube
+from repro.cube.dimensions import Dimension
+from repro.server import OLAPServer
 
 
 @pytest.fixture
@@ -159,80 +162,90 @@ class TestAccessTrackerScale:
         assert selected.cost == pytest.approx(expected.cost, rel=1e-12)
 
 
+def make_server(data: np.ndarray, **kwargs) -> OLAPServer:
+    dims = [Dimension(f"d{i}", list(range(n))) for i, n in enumerate(data.shape)]
+    return OLAPServer(DataCube(data.copy(), dims), **kwargs)
+
+
+def retained(view) -> list[str]:
+    """The dimension names ``view`` keeps, as :meth:`OLAPServer.view` takes."""
+    return [
+        f"d{axis}"
+        for axis in range(view.shape.ndim)
+        if axis not in view.aggregated_dims
+    ]
+
+
 class TestDynamicViewAssembler:
-    def test_serves_correct_views(self, data, shape):
-        assembler = DynamicViewAssembler(data, shape, reconfigure_every=1000)
-        values = assembler.query_view([0, 1])
+    """Dynamic view assembly on :class:`OLAPServer`, the one class that
+    tracks accesses and re-selects."""
+
+    def test_serves_correct_views(self, data):
+        server = make_server(data)
         np.testing.assert_array_equal(
-            values, data.sum(axis=(0, 1), keepdims=True)
+            server.view(["d2"]), data.sum(axis=(0, 1), keepdims=True)
         )
 
     def test_answers_survive_reconfiguration(self, data, shape):
-        assembler = DynamicViewAssembler(data, shape, reconfigure_every=5)
+        server = make_server(data)
         views = list(shape.aggregated_views())
         for i in range(20):
             view = views[i % len(views)]
-            values = assembler.query(view)
-            expected = data.sum(
-                axis=tuple(view.aggregated_dims), keepdims=True
-            )
-            np.testing.assert_allclose(values, expected)
-        assert len(assembler.history) == 4
+            expected = data.sum(axis=tuple(view.aggregated_dims), keepdims=True)
+            np.testing.assert_allclose(server.view(retained(view)), expected)
+            if (i + 1) % 5 == 0:
+                server.reconfigure()
+        assert server.stats.reconfigurations == 4
+        assert server.epoch == 4
 
-    def test_reconfiguration_reduces_cost_for_hot_view(self, data, shape):
-        """After reconfiguring for a single hot view, serving it is free."""
-        assembler = DynamicViewAssembler(data, shape, reconfigure_every=10_000)
-        hot = shape.aggregated_view([0, 1, 2])
+    def test_reconfiguration_reduces_cost_for_hot_view(self, data):
+        """After re-selecting for one hot view, its first read in the new
+        epoch (a result-cache miss) is served from storage at 0 ops."""
+        server = make_server(data)
+        hot = server.shape.aggregated_view([0, 1, 2])
         for _ in range(10):
-            assembler.query(hot)
-        record = assembler.reconfigure()
-        assert record.expected_cost == pytest.approx(0.0)
-        assert hot in assembler.materialized.elements
-        before = assembler.stats.operations
-        assembler.query(hot)
-        assert assembler.stats.operations == before  # zero-op serve
+            server.view([])
+        server.reconfigure()
+        assert hot in server.materialized.elements
+        before = server.stats.operations
+        np.testing.assert_array_equal(
+            server.view([]), data.sum(keepdims=True)
+        )
+        assert server.stats.operations == before
 
     def test_storage_budget_adds_redundancy(self, data, shape):
-        assembler = DynamicViewAssembler(
-            data,
-            shape,
-            storage_budget=int(1.5 * shape.volume),
-            reconfigure_every=10_000,
-        )
+        budget = int(1.5 * shape.volume)
+        server = make_server(data, storage_budget=budget)
         views = list(shape.aggregated_views())
         rng = np.random.default_rng(4)
         for _ in range(30):
-            assembler.query(views[int(rng.integers(len(views)))])
-        record = assembler.reconfigure()
-        assert record.storage <= 1.5 * shape.volume
-        # Cube remains reconstructable from the adaptive selection.
-        np.testing.assert_allclose(
-            assembler.materialized.reconstruct_cube(), data
-        )
+            server.view(retained(views[int(rng.integers(len(views)))]))
+        storage, _ = server.reconfigure()
+        assert shape.volume < storage <= budget
+        assert server.materialized.storage == storage
+        # The cube stays reconstructable from the adaptive selection.
+        np.testing.assert_allclose(server.materialized.reconstruct_cube(), data)
 
-    def test_migration_operations_recorded(self, data, shape):
-        assembler = DynamicViewAssembler(data, shape, reconfigure_every=10_000)
-        assembler.query_view([0])
-        record = assembler.reconfigure()
-        assert record.migration_operations >= 0
-        assert record.at_access == 1
+    def test_migration_operations_recorded(self, data):
+        server = make_server(data)
+        server.view(["d1", "d2"])
+        server.reconfigure()
+        span = server.tracer.spans("server.reconfigure")[-1]
+        assert span.attributes["operations"] >= 0
+        assert server.tracker.total_accesses == 1
 
-    def test_average_operations_counter(self, data, shape):
-        assembler = DynamicViewAssembler(data, shape, reconfigure_every=10_000)
-        assert assembler.average_operations_per_query == 0.0
-        assembler.query_view([0, 1, 2])
-        assert assembler.average_operations_per_query > 0.0
+    def test_average_operations_counter(self, data):
+        server = make_server(data)
+        assert server.stats.operations_per_query == 0.0
+        server.view([])
+        assert server.stats.operations_per_query > 0.0
 
-    def test_shape_mismatch(self, shape):
+    def test_shape_mismatch(self):
+        dims = [Dimension(f"d{i}", list(range(4))) for i in range(3)]
         with pytest.raises(ValueError, match="does not match"):
-            DynamicViewAssembler(np.zeros((2, 2)), shape)
+            OLAPServer(DataCube(np.zeros((2, 2)), dims))
 
     @pytest.mark.parametrize("budget", [float("nan"), -1])
-    def test_a_nan_or_negative_budget_is_refused(self, data, shape, budget):
+    def test_a_nan_or_negative_budget_is_refused(self, data, budget):
         with pytest.raises(ValueError, match="storage_budget"):
-            DynamicViewAssembler(data, shape, storage_budget=budget)
-
-    @pytest.mark.parametrize("every", [0, -3])
-    def test_reconfigure_every_must_be_positive(self, data, shape, every):
-        with pytest.raises(ValueError, match="reconfigure_every"):
-            DynamicViewAssembler(data, shape, reconfigure_every=every)
+            make_server(data, storage_budget=budget)

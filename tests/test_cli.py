@@ -150,3 +150,40 @@ class TestRemovedTuningCLI:
             main(["soak", "--tuning", "x.json"])
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --tuning" in capsys.readouterr().err
+
+
+class TestIntegerFlags:
+    """A bad integer flag is a usage error naming it, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["chaos", "--seed", "-1"], "--seed"),
+            (["update", "--seed", "-1"], "--seed"),
+            (["diag", "--seed", "-1"], "--seed"),
+            (["soak", "--seed", "-1"], "--seed"),
+            (["soak", "--batches", "0"], "--batches"),
+            (["figure9", "--budgets", "0"], "--budgets"),
+            (["figure8", "--trials", "0"], "--trials"),
+            (["trace", "--workers", "0"], "--workers"),
+            (["update", "--shards", "3"], "--shards"),
+            (["recover", "--shards", "1,3"], "--shards"),
+            (["update", "--shards", "1,two"], "--shards"),
+            (["stats", "--queries", "-1"], "--queries"),
+            (["stats", "--seed", "x"], "--seed"),
+        ],
+    )
+    def test_is_refused_with_a_usage_message(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert f"argument {flag}:" in err
+
+    def test_stats_serves_on_the_first_shard_count(self, capsys):
+        import json
+
+        assert main(["stats", "--json", "--queries", "2", "--shards", "2,4"]) == 0
+        health = json.loads(capsys.readouterr().out)["health"]
+        assert health["shards"]["count"] == 2

@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.adaptive import DynamicViewAssembler
 from repro.core.materialize import MaterializedSet
 from repro.core.operators import OpCounter
 from repro.core.population import QueryPopulation
@@ -20,6 +19,7 @@ from repro.core.select_basis import select_minimum_cost_basis
 from repro.core.select_redundant import generation_cost
 from repro.cube import build_cube, view_element_of
 from repro.relational import cube_by, group_by_sum_dict
+from repro.server import OLAPServer
 from repro.workloads import SalesConfig, sales_cube, sales_table
 
 
@@ -129,24 +129,42 @@ class TestRangeQueriesOnSalesCube:
 
 class TestAdaptiveOnSalesWorkload:
     def test_drifting_workload_adaptation(self, cube):
-        """The assembler tracks a drifting workload and keeps answers
-        exact while reducing per-query work on the hot views."""
-        shape = cube.shape_id
-        assembler = DynamicViewAssembler(
-            cube.values, shape, reconfigure_every=30, decay=0.9
-        )
-        views = list(shape.aggregated_views())
+        """The server tracks a drifting workload, re-selecting after each
+        phase, and keeps answers exact while reducing per-query work on
+        the hot views."""
+        server = OLAPServer(cube)
+        names = cube.dimensions.names
+        views = list(cube.shape_id.aggregated_views())
         hot_phases = [views[3], views[9]]
+
+        def read(view) -> int:
+            """Serve ``view``, check it, return the operations it took."""
+            kept = [
+                name
+                for axis, name in enumerate(names)
+                if axis not in view.aggregated_dims
+            ]
+            expected = cube.values.sum(
+                axis=tuple(view.aggregated_dims), keepdims=True
+            )
+            before = server.stats.operations
+            np.testing.assert_allclose(server.view(kept), expected, atol=1e-9)
+            return server.stats.operations - before
+
+        costs = []
         for phase_view in hot_phases:
-            for _ in range(35):
-                values = assembler.query(phase_view)
-                expected = cube.values.sum(
-                    axis=tuple(phase_view.aggregated_dims), keepdims=True
-                )
-                np.testing.assert_allclose(values, expected, atol=1e-9)
-        assert len(assembler.history) >= 2
-        # After adapting, the hot view is materialized directly.
-        assert hot_phases[-1] in assembler.materialized.elements
+            untuned = read(phase_view)
+            for _ in range(34):
+                read(phase_view)
+            server.reconfigure()
+            # The first read of the new epoch misses the result cache.
+            costs.append((untuned, read(phase_view)))
+        assert server.stats.reconfigurations == 2
+        # Phase 1's hot view is stored outright.  Phase 2's shares the
+        # decayed population with phase 1's, so the basis cannot store
+        # both; it is still assembled far more cheaply than before.
+        assert costs[0][1] == 0 < costs[0][0]
+        assert costs[1][1] < costs[1][0]
 
 
 class TestSparsePath:

@@ -211,3 +211,20 @@ class TestRequestsAreNotTruncated:
             server.range_sum([(0, 8), (0, 4)])
         with pytest.raises(ValueError, match=r"range \[5, 2\) outside \[0, 8\)"):
             server.range_sum([(5, 2), (0, 4), (0, 2)])
+
+    @pytest.mark.parametrize(
+        "request_", ["ab", b"ab", "a"], ids=["str", "bytes", "name"]
+    )
+    def test_a_bare_string_is_not_a_list_of_names(self, request_):
+        """``view("ab")`` once kept ``a`` and ``b`` (a string iterates by
+        character); a bare name is refused the same way everywhere."""
+        server = OLAPServer(make_cube())
+        kind = type(request_).__name__
+        with pytest.raises(InvalidQueryError, match=f"not {kind}"):
+            server.view(request_)
+        with pytest.raises(InvalidQueryError, match=f"not {kind}"):
+            server.query_batch([["a"], request_])
+        assert server.stats.queries == 0
+        np.testing.assert_array_equal(
+            server.view(["a", "b"]), server.cube.values.sum(axis=2, keepdims=True)
+        )

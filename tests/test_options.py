@@ -118,14 +118,8 @@ SIGNATURES = {
         ("shape", "population"),
         {},
     ),
-    "repro.core.adaptive:DynamicViewAssembler.__init__": (
-        ("cube_values", "shape"),
-        {
-            "storage_budget": ALGORITHM_2,
-            "reconfigure_every": "benchmarks/bench_ablation_adaptive.py",
-            "decay": "benchmarks/bench_ablation_adaptive.py",
-        },
-    ),
+    "repro.core.adaptive:CostModelMonitor.__init__": ((), {}),
+    "repro.server:OLAPServer.observe_profile": (("profile",), {}),
     "repro.obs:Observability.__init__": (
         (),
         {

@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import exec as exec_mod
-from repro.core.adaptive import DynamicViewAssembler
 from repro.core.element import CubeShape
 from repro.core.exec import execute_plan, plan_batch
 from repro.core.graph import ViewElementGraph
@@ -292,25 +291,27 @@ class TestServerReconfigure:
         server.close()
 
     def test_assembler_with_a_non_view_in_its_history_matches_explicit(self):
-        shape = CubeShape((4, 4, 4))
-        values = np.arange(shape.volume, dtype=np.float64).reshape(shape.sizes)
-        assembler = DynamicViewAssembler(values, shape, reconfigure_every=10_000)
-        for view in shape.aggregated_views():
-            assembler.query(view)
-        assembler.query(shape.root().residual_child(1))  # not a view
-        explicit = _select_explicit(shape, assembler.tracker.population())
-        record = assembler.reconfigure()
-        assert set(record.elements) == set(explicit.elements)
-        assert record.expected_cost == explicit.cost
+        server, _ = make_server((4, 4, 4))
+        shape = server.shape
+        residual = shape.root().residual_child(1)  # not a view
+        population = QueryPopulation.from_pairs(
+            [(view, 1.0) for view in shape.aggregated_views()]
+            + [(residual, 1.0)]
+        )
+        explicit = _select_explicit(shape, population)
+        storage, expected = server.reconfigure(population)
+        assert set(server.materialized.elements) == set(explicit.elements)
+        assert expected == explicit.cost  # bit-equal
+        assert storage == explicit.storage
 
 
 class TestLargeCubeAdaptCycle:
     """256x64x32: 4.1 M graph nodes, so the explicit planners cannot run.
 
     Bounds are well over ten times what the steps take (0.1 s, 0.2 s,
-    0.02 s against a 37-element basis; 0.05 s for the assembler's
-    re-selection): they catch a planner walking the graph again, not a
-    slow machine.
+    0.02 s against a 37-element basis; 0.02 s for the re-selection with
+    a residual in the population): they catch a planner walking the graph
+    again, not a slow machine.
     """
 
     SIZES = (256, 64, 32)
@@ -349,18 +350,19 @@ class TestLargeCubeAdaptCycle:
         server.close()
 
     def test_assembler_reconfigures_past_a_residual(self):
-        shape = CubeShape(self.SIZES)
-        values = (
-            np.random.default_rng(3).integers(0, 10, size=self.SIZES).astype(np.float64)
-        )
-        assembler = DynamicViewAssembler(values, shape, reconfigure_every=10_000)
-        for view in shape.aggregated_views():
-            assembler.query(view)
+        server, values = make_server(self.SIZES)
+        shape = server.shape
         residual = shape.root().residual_child(1)  # not a view
-        before = assembler.query(residual)
+        population = QueryPopulation.from_pairs(
+            [(view, 1.0) for view in shape.aggregated_views()]
+            + [(residual, 1.0)]
+        )
+        before = server.materialized.assemble(residual)
 
         start = time.perf_counter()
-        record = assembler.reconfigure()
+        storage, _ = server.reconfigure(population)
         assert time.perf_counter() - start < 5.0
-        assert record.storage == values.size
-        assert np.array_equal(assembler.query(residual), before)
+        assert storage == values.size
+        assert residual in server.materialized.elements
+        assert np.array_equal(server.materialized.assemble(residual), before)
+        server.close()

@@ -105,3 +105,23 @@ class TestHarness:
         that never reconfigured has not tested it."""
         (run,) = run_soak_check(TINY)["runs"]
         assert run["reconfigurations"] >= 1
+
+    def test_every_server_reselection_is_reported(self, monkeypatch):
+        """With a tolerance every profile exceeds, each assembly batch's
+        ``observe_profile`` re-selects; the report lists each one."""
+        monkeypatch.setattr("repro.core.adaptive.TOLERANCE", -1.0)
+        report = run_soak(TINY)
+        reconfigurations = report["adaptation"]["reconfigurations"]
+        assert len(reconfigurations) == report["epoch"]
+        assert report["epoch"] == report["assembly_ms"]["count"]
+        assert [r["epoch"] for r in reconfigurations] == list(
+            range(1, report["epoch"] + 1)
+        )
+        for record in reconfigurations:
+            assert set(record) == {
+                "epoch", "divergence", "storage", "expected_cost"
+            }
+            assert record["divergence"] == 1.0  # unfaulted: model-exact
+            assert record["storage"] == 16 * 8 * 4
+            assert record["expected_cost"] >= 0
+        assert report["adaptation"]["final_divergence"] == 1.0

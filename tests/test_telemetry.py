@@ -20,8 +20,7 @@ from urllib.request import urlopen
 import numpy as np
 import pytest
 
-from repro.core.adaptive import CostModelMonitor, DynamicViewAssembler
-from repro.core.element import CubeShape
+from repro.core.adaptive import CostModelMonitor
 from repro.errors import TransientFault
 from repro.obs import (
     EventLog,
@@ -405,7 +404,7 @@ class TestServerSLO:
 
 class TestCostModelFeedback:
     def test_unfaulted_profiles_never_trigger(self):
-        monitor = CostModelMonitor(tolerance=0.25)
+        monitor = CostModelMonitor()
         for _ in range(10):
             monitor.ingest(
                 {"totals": {"nodes": 3, "planned": 100, "measured": 100}}
@@ -414,7 +413,7 @@ class TestCostModelFeedback:
         assert not monitor.should_reconfigure()
 
     def test_sustained_divergence_triggers(self):
-        monitor = CostModelMonitor(tolerance=0.25, decay=0.5)
+        monitor = CostModelMonitor()
         for _ in range(10):
             monitor.ingest(
                 {"totals": {"nodes": 3, "planned": 100, "measured": 200}}
@@ -428,29 +427,28 @@ class TestCostModelFeedback:
         assert monitor.profiles_ingested == 0
 
     def test_observe_profile_reconfigures_the_assembler(self):
-        rng = np.random.default_rng(5)
-        shape = CubeShape((8, 8))
-        assembler = DynamicViewAssembler(
-            rng.integers(0, 50, size=(8, 8)).astype(np.float64),
-            shape,
-            reconfigure_every=10_000,
-        )
-        assembler.query(shape.aggregated_view([0]))
+        """``OLAPServer.observe_profile`` folds the profile into the
+        server's own monitor and re-selects when it trips."""
+        server = _make_server(sizes=(8, 8))
+        server.view(["d1"])
         divergent = {
             "totals": {"nodes": 2, "planned": 100, "measured": 300},
             "elements": {"A(1,0)": {"divergence": 3.0}},
         }
-        record = None
-        monitor = assembler.cost_monitor
-        for _ in range(10):
-            record = assembler.observe_profile(divergent)
-            if record is not None:
-                break
-        assert record is not None
-        assert assembler.history[-1] is record
+        monitor = server.cost_monitor
+        # The first profile seeds the decayed mean at 3.0: past tolerance.
+        assert server.observe_profile(divergent) is True
+        assert server.stats.reconfigurations == 1
+        assert server.epoch == 1
+        assert monitor.divergence == 3.0
+        assert server.metrics.get("cost_model_mean_divergence").value() == 3.0
+        assert server.fingerprints.fingerprint().divergence_norm == 0.75
         # The evidence resets with the new configuration.
-        assert assembler.cost_monitor is not monitor
-        assert assembler.cost_monitor.divergence == 1.0
+        assert server.cost_monitor is not monitor
+        assert server.cost_monitor.divergence == 1.0
+        exact = {"totals": {"nodes": 2, "planned": 100, "measured": 100}}
+        assert server.observe_profile(exact) is False
+        assert server.epoch == 1
 
     @pytest.mark.usefixtures("pool_every_node")
     def test_server_profile_feeds_the_monitor(self):
