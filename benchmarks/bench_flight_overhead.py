@@ -20,8 +20,8 @@ cost is bounded separately by ``bench_tracing_overhead.py``):
   incident telemetry off, isolating exactly the layer this gate bounds.
 
 and reports the min-of-N wall-time ratio on the two paths of
-``bench_tracing_overhead.py``: *assembly* (an untimed ``reconfigure()``
-before every round, so answers are assembled) and *warm* (no reconfigure:
+``bench_tracing_overhead.py``: *assembly* (an untimed
+``cold_reconfigure()`` before every round, so answers are assembled) and *warm* (no reconfigure:
 cache hits only).  The layer only appends during a call and folds what it
 queued when read, so every timed round of both paths ends with a reader —
 ``server.health()`` on both servers — and the fold is paid inside the
@@ -47,7 +47,12 @@ import sys
 import time
 
 from _gates import REGRESSION_FACTOR, build_parser, finish
-from bench_tracing_overhead import WARM_BLOCK, interleaved, serve_round
+from bench_tracing_overhead import (
+    WARM_BLOCK,
+    cold_reconfigure,
+    interleaved,
+    serve_round,
+)
 
 from repro.obs.flight import FOLD_AT
 from repro.replay import seeded_cube
@@ -88,11 +93,11 @@ def make_server(sizes, seed=2024, telemetry=True) -> OLAPServer:
 
 def timed_rounds(server: OLAPServer, rounds: int) -> float:
     """Min-of-N wall time of one assembling serving round and the
-    ``health()`` read that ends it (an untimed ``reconfigure()`` first, as
-    in ``bench_tracing_overhead.timed_rounds``)."""
+    ``health()`` read that ends it (an untimed ``cold_reconfigure()``
+    first, as in ``bench_tracing_overhead.timed_rounds``)."""
     best = float("inf")
     for _ in range(rounds):
-        server.reconfigure()
+        cold_reconfigure(server)
         t0 = time.perf_counter()
         serve_round(server)
         server.health()

@@ -30,6 +30,7 @@ import sys
 import time
 
 from _gates import build_parser, finish
+from bench_tracing_overhead import cold_reconfigure
 
 from repro.replay import seeded_cube
 from repro.server import OLAPServer
@@ -62,11 +63,11 @@ def serve_round(server: OLAPServer, deadline_ms=None) -> int:
 
 def timed_rounds(server: OLAPServer, rounds: int, deadline_ms=None) -> float:
     """Min-of-N wall time of one serving round (steady state: an untimed
-    ``reconfigure()`` between rounds drops the result cache and the range
-    intermediates, so assembly really runs)."""
+    ``cold_reconfigure()`` between rounds drops the result cache and the
+    range intermediates, so assembly really runs)."""
     best = float("inf")
     for _ in range(rounds):
-        server.reconfigure()
+        cold_reconfigure(server)
         t0 = time.perf_counter()
         serve_round(server, deadline_ms=deadline_ms)
         best = min(best, time.perf_counter() - t0)

@@ -105,10 +105,11 @@ def main() -> None:
     print(
         "\nthe adaptive server follows the drift: after each phase shift it "
         "re-selects for what its tracker observed and does less work than "
-        "the cube-only server.  Every re-selection also starts a new epoch "
-        "with an empty result cache, so on this cache-friendly sequence the "
-        "server tuned once for phase 1 does the least work: re-selecting "
-        "has a price, which a trigger must weigh against what it saves."
+        "the cube-only server.  Every re-selection that changes the stored "
+        "set also starts with an empty result cache, so on this "
+        "cache-friendly sequence the server tuned once for phase 1 does the "
+        "least work: re-selecting has a price, which a trigger must weigh "
+        "against what it saves."
     )
 
 

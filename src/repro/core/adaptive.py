@@ -44,7 +44,15 @@ class AccessTracker:
     however many views are tracked.  When the scale underflows
     :data:`_MIN_SCALE` it is folded back into the entries, and views whose
     weight has fallen below :data:`_DROP_SHARE` of the total are forgotten.
+
+    An owner that defers its records (the server logs one record per
+    served call) sets ``_pre_read`` to its fold: every reader —
+    :meth:`weights`, :meth:`population`, :attr:`total_accesses` — runs it
+    first.
     """
+
+    #: Run before every read (``None``: records are never deferred).
+    _pre_read = None
 
     #: Renormalise once the scale leaves ``[_MIN_SCALE, 1]``; stored weights
     #: stay far inside the float range (``1 / scale <= 1e100``).
@@ -58,13 +66,23 @@ class AccessTracker:
         self.decay = decay
         self._weights: dict[ElementId, float] = {}
         self._scale = 1.0
-        self.total_accesses = 0
+        self._accesses = 0
+
+    def _before_read(self) -> None:
+        if self._pre_read is not None:
+            self._pre_read()
+
+    @property
+    def total_accesses(self) -> int:
+        """Accesses recorded so far."""
+        self._before_read()
+        return self._accesses
 
     def record(self, view: ElementId) -> None:
         """Record one access to ``view``."""
         self._scale *= self.decay
         self._weights[view] = self._weights.get(view, 0.0) + 1.0 / self._scale
-        self.total_accesses += 1
+        self._accesses += 1
         if self._scale < self._MIN_SCALE:
             self._renormalise()
 
@@ -79,6 +97,7 @@ class AccessTracker:
 
     def weights(self) -> dict[ElementId, float]:
         """A copy of the current decayed weight of every tracked view."""
+        self._before_read()
         scale = self._scale
         return {view: w * scale for view, w in self._weights.items()}
 
@@ -91,6 +110,7 @@ class AccessTracker:
         ``universe`` (defaults to the observed views), so never-observed
         views keep a small positive frequency.
         """
+        self._before_read()
         if not self._weights and not universe:
             raise ValueError("no accesses recorded and no universe given")
         views = list(universe) if universe else list(self._weights)

@@ -145,9 +145,16 @@ def rollup_element(
     :class:`HierarchicalDimension`) or an integer cascade depth.  Omitted
     dimensions stay at leaf granularity.  A depth that is not an integer
     (``1.9``, ``True``), or is above the dimension's hierarchy, is an
-    :class:`~repro.errors.InvalidQueryError`, never truncated.  The result is the shape's one interned object for
-    that level vector (:meth:`CubeShape.intermediate`).
+    :class:`~repro.errors.InvalidQueryError`, never truncated; so is a
+    ``levels`` that is not a mapping (``"d0"``, ``[("d0", 1)]``).  The
+    result is the shape's one interned object for that level vector
+    (:meth:`CubeShape.intermediate`).
     """
+    if not isinstance(levels, Mapping):
+        raise InvalidQueryError(
+            "roll-up levels must be a mapping of dimension names to levels, "
+            f"not {type(levels).__name__} {levels!r}"
+        )
     dims = cube.dimensions
     shape = cube.shape_id
     depths = shape.depths

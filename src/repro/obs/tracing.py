@@ -22,9 +22,10 @@ records into the *currently active* tracer and is a cheap no-op when none is
 active — importing an instrumented module never forces tracing on.
 
 The tracer keeps a bounded ring of finished spans (oldest overwritten);
-overwrites are counted (``dropped_spans`` and the ``tracer_dropped_spans``
-metric), so a long-running server can stay instrumented without growing
-memory and still report how much history it shed.  Overwriting is
+overwrites are counted (``dropped_spans``, and the ``tracer_dropped_spans``
+counter, which catches up with it whenever its registry is read), so a
+long-running server can stay instrumented without growing memory and
+still report how much history it shed.  Overwriting is
 *retention*, not loss: every span was recorded and handed to the listeners
 before it aged out.
 
@@ -161,9 +162,11 @@ class Tracer:
         #: Trace listeners (flight recorder, site profiler), stored as an
         #: immutable tuple so the hot path reads it without the lock.
         self._listeners: tuple = ()
-        #: ``(registry, bound tracer_dropped_spans series)``: bound on the
-        #: first overwrite seen under each registry, not looked up per span.
-        self._dropped_series: tuple | None = None
+        #: ``tracer_dropped_spans`` on the registry current at the first
+        #: overwrite, and how many drops it has been told of: a pre-read
+        #: hook there folds the rest in (:meth:`_fold_drops`).
+        self._dropped_series = None
+        self._drops_folded = 0
 
     # ------------------------------------------------------------------
     # Recording
@@ -192,18 +195,28 @@ class Tracer:
                 fn for fn in self._listeners if fn != listener
             )
 
-    def _count_overwrite(self) -> None:
+    def _watch_drops(self) -> None:
+        """Bind ``tracer_dropped_spans`` on the current registry (the first
+        overwrite's) and fold :attr:`dropped_spans` into it whenever that
+        registry is read; an overwrite itself writes no metric."""
         registry = current_registry()
-        bound = self._dropped_series
-        if bound is None or bound[0] is not registry:
-            bound = self._dropped_series = (
-                registry,
-                registry.counter(
-                    "tracer_dropped_spans",
-                    "finished spans evicted from the tracer ring buffer",
-                ).labels(),
-            )
-        bound[1].inc()
+        series = registry.counter(
+            "tracer_dropped_spans",
+            "finished spans evicted from the tracer ring buffer",
+        ).labels()
+        with self._lock:
+            if self._dropped_series is not None:
+                return
+            self._dropped_series = series
+        registry.add_pre_read(self._fold_drops)
+
+    def _fold_drops(self) -> None:
+        """Registry pre-read hook: count the drops since the last read."""
+        with self._lock:
+            drops = self.dropped_spans - self._drops_folded
+            self._drops_folded = self.dropped_spans
+        if drops:
+            self._dropped_series.inc(drops)
 
     def _finish(self, span: Span) -> None:
         root = span._root
@@ -220,8 +233,8 @@ class Tracer:
             else:
                 trace = (*(span._parked or ()), span)
                 span._parked = None
-        if overwrote:
-            self._count_overwrite()
+        if overwrote and self._dropped_series is None:
+            self._watch_drops()
         if trace is not None:
             for listener in listeners:
                 try:

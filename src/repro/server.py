@@ -10,10 +10,10 @@ Every answer it gives can also be computed with the public pieces
 (``repro.cube``, ``repro.core``) directly; what exists only here is the
 serving machinery around them.  Each mechanism exists once: one serve
 envelope that every view, batch and range passes through (:class:`_Serve`
-— admission, deadline, one span, one accounting), one retry loop shared
-with the shards (:func:`repro.resilience.retry.retry_transient`), one
-routine that publishes a serving state, one migration that builds a new
-stored set from an old one (:meth:`OLAPServer._migrate`), one workload
+— admission, deadline, one span, one call-log record), one retry loop
+shared with the shards (:func:`repro.resilience.retry.retry_transient`),
+one routine that publishes a serving state, one migration that builds a
+new stored set from an old one (:meth:`OLAPServer._migrate`), one workload
 table (:class:`~repro.core.adaptive.AccessTracker`), and the ``server_*``
 metrics declared once at construction.
 
@@ -21,10 +21,13 @@ metrics declared once at construction.
   triple; query, reconfiguration and update paths run with it activated,
   so the ambient instrumentation in ``repro.core`` lands in the server's
   own registry.  ``python -m repro stats`` renders it with :meth:`health`.
+- **Call log** — a served call appends one record to a
+  :class:`~repro.calllog.CallLog`, folded into what it counts when read.
 - **Result cache** — the range engine's intermediates first, then a bounded
-  LRU keyed by ``(ElementId, selection epoch)``; a miss aggregates its
+  LRU keyed by ``ElementId``, one per serving state; a miss aggregates its
   smallest warm ancestor where that is cheaper than storage.
-  :meth:`reconfigure` bumps the epoch; updates *patch* warm answers in place.
+  :meth:`reconfigure` bumps the epoch and, when the stored set changes,
+  starts a fresh cache; updates *patch* warm answers in place.
 - **Resilience** — ``(materialized, range_engine, epoch, cache)`` live in
   one immutable :class:`_ServingState` swapped in a single assignment, so
   a query sees one selection, never a mix.  Fail-fast admission control
@@ -45,13 +48,14 @@ import sys
 import threading
 import time
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import itemgetter
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 
+from .calllog import CallLog, ServerStats
 from .core import exec as batch_exec
 from .core.adaptive import AccessTracker, CostModelMonitor
 from .core.delta import DeltaBatch
@@ -119,21 +123,6 @@ SMOOTHING = 0.01
 CACHE_PATCH = "cache patch"
 
 
-@dataclass
-class ServerStats:
-    """Cumulative service statistics."""
-
-    queries: int = 0
-    operations: int = 0
-    reconfigurations: int = 0
-    last_expected_cost: float = float("nan")
-
-    @property
-    def operations_per_query(self) -> float:
-        """Mean scalar operations per served query."""
-        return self.operations / self.queries if self.queries else 0.0
-
-
 @dataclass(frozen=True)
 class _ServingState:
     """One consistent serving configuration, swapped atomically.
@@ -156,21 +145,18 @@ class _Serve:
     Entering activates the server's observability, takes an admission
     slot (always released on exit, also when the query times out or
     fails), opens the deadline scope — when there is a deadline — and the
-    call's one span, and counts ``queries`` requests of ``kind``.  The body
-    reads ``state`` and ``counter`` and leaves span attributes in
-    ``attrs``; they are set on the span once, when it closes.  When the
-    body returns, the call is accounted once: ``stats``, one tracker
-    record per ``tracked`` element, the operations counter, the quarantine
-    gauge when the count moved.  Every call — served, timed out, rejected,
-    invalid (:class:`InvalidQueryError`) or failed — lands one observation
-    in the ``server_latency_ms`` histogram (labelled by kind and outcome),
-    which is where :meth:`OLAPServer.health`'s SLO quantiles come from,
-    and one alert-engine record.
+    call's one span.  The body reads ``state`` and ``counter`` and leaves
+    span attributes in ``attrs``; they are set on the span once, when it
+    closes.
 
-    The incident layer only appends: the fingerprint note, a good alert
-    record while no rule is armed, and the trace handed to the flight
-    recorder and profiler are queued, and folded when a reader runs
-    (:meth:`OLAPServer.health`, a metrics read) or the queue fills.
+    A served call appends one record to the server's
+    :class:`~repro.calllog.CallLog` (its queries, operations, ``tracked``
+    elements and latency), and writes nothing else but the quarantine
+    gauge when the count moved; the log is folded when read.  A call that
+    times out, is rejected, invalid (:class:`InvalidQueryError`) or fails
+    is written at once, labelled by its outcome (:meth:`CallLog.failed`).
+    Every call lands one alert-engine record.  The incident layer only
+    appends too, and folds when a reader runs.
 
     A slotted class, not a generator: the envelope is most of what a
     cache hit costs, and every metric it writes is a series bound in
@@ -219,14 +205,14 @@ class _Serve:
         self._deadline = self._span = None
 
     def __enter__(self) -> "_Serve":
-        server, kind = self.server, self.kind
+        server = self.server
         self._activation = server.obs.activate()
         self._activation.__enter__()
         self._start = time.perf_counter()
         self._token = SERVING.set(self)
         try:
             if server._admission is not None:
-                server._acquire_slot(kind)
+                server._acquire_slot(self.kind)
                 self._admitted = True
             if self.deadline_ms is not None:
                 self._deadline = deadline_scope(
@@ -235,8 +221,6 @@ class _Serve:
                 self._deadline.__enter__()
             self._open_span = span(self._span_name)
             self._span = self._open_span.__enter__()
-            server._m.queries_of[kind].inc(self.queries)
-            server.fingerprints.note_query(kind, self.queries)
             self.state = server._state
             self.counter = OpCounter()
         except BaseException:
@@ -251,7 +235,11 @@ class _Serve:
             try:
                 if self._span is not None:
                     if exc_type is None:
-                        self._account()
+                        self.attrs["operations"] = self.counter.total
+                        quarantined = len(self.state.materialized.quarantined)
+                        if quarantined != server._quarantined_reported:
+                            server._quarantined_reported = quarantined
+                            m.quarantined.set(quarantined)
                     self._span.set(kind=kind, **self.attrs)
                     self._open_span.__exit__(exc_type, exc, traceback)
                 if self._deadline is not None:
@@ -281,9 +269,15 @@ class _Serve:
                 outcome = "error"
             latency_ms = (time.perf_counter() - self._start) * 1e3
             if outcome == "ok":
-                m.latency_ok_of[kind].observe(latency_ms)
+                operations = self.attrs["operations"]
+                server._log.append(
+                    (kind, self.queries, operations, self.tracked, latency_ms)
+                )
             else:
-                m.latency.observe(latency_ms, kind=kind, outcome=outcome)
+                started = self._span is not None
+                server._log.failed(
+                    kind, self.queries, started, outcome, latency_ms
+                )
             if server.alerts is not None:
                 server.alerts.record(
                     outcome, latency_ms, degraded=self.degraded
@@ -295,23 +289,6 @@ class _Serve:
         """``targets`` answers of this call fell back to ``target``; safe
         from a scatter leg's thread (see :data:`SERVING`)."""
         self.server._note_degraded(target, targets)
-
-    def _account(self) -> None:
-        """The served call's one accounting (the body returned)."""
-        server = self.server
-        m = server._m
-        total = self.counter.total
-        with server._stats_lock:
-            server.stats.queries += self.queries
-            server.stats.operations += total
-            for element in self.tracked:
-                server.tracker.record(element)
-        m.operations.inc(total)
-        quarantined = len(self.state.materialized.quarantined)
-        if quarantined != server._quarantined_reported:
-            server._quarantined_reported = quarantined
-            m.quarantined.set(quarantined)
-        self.attrs["operations"] = total
 
 
 class OLAPServer:
@@ -395,11 +372,10 @@ class OLAPServer:
         self.shape = cube.shape_id
         self.storage_budget = storage_budget
         self.tracker = AccessTracker(decay=DECAY)
-        self.stats = ServerStats()
-        #: Guards ``stats``, ``tracker`` and ``cost_monitor`` so concurrent
-        #: callers (client threads, :meth:`query_batch`) account exactly.  The
+        #: Guards the call log's fold (so ``stats`` and ``tracker``) and
+        #: ``cost_monitor``; re-entrant (see :class:`CallLog`).  The
         #: metrics registry and the result cache carry their own locks.
-        self._stats_lock = threading.Lock()
+        self._stats_lock = threading.RLock()
         #: Serializes reconfigurations (queries are never blocked by it).
         self._reconfigure_lock = threading.Lock()
         self.obs = observability if observability is not None else Observability()
@@ -418,6 +394,11 @@ class OLAPServer:
             self.flight = FlightRecorder(self.tracer, self.metrics)
             self.profiler = SiteProfiler(self.tracer)
         self.fingerprints = FingerprintTracker()
+        self._log = CallLog(
+            self._m, self.tracker, self.fingerprints, self._stats_lock
+        )
+        self.stats: ServerStats = self._log.stats
+        self.metrics.add_pre_read(self._log.fold)
         #: Planned-vs-measured feedback, fed by :meth:`observe_profile`.
         self.cost_monitor = CostModelMonitor()
         if not isinstance(alerts, AlertEngine):
@@ -556,8 +537,13 @@ class OLAPServer:
         engine, empty result cache, the engine's empty slabs shared with
         the cache — in use from the start once this server has ingested)
         and publish it, with its epoch gauge, in one reference
-        assignment."""
+        assignment.  The set already serving keeps its warm engine and cache.
+        """
         previous = getattr(self, "_state", None)
+        if previous is not None and previous.materialized is materialized:
+            self._state = state = replace(previous, epoch=epoch)
+            self._m.epoch.set(epoch)
+            return state
         engine = RangeQueryEngine(materialized)
         cache = LRUCache(
             max_entries=self._cache_entries,
@@ -799,14 +785,15 @@ class OLAPServer:
         """Per element, its warm answer or ``None``: the range engine's
         intermediate (a roll-up or view is one, PAPER §6; a cached copy
         holds the same bytes), never cached twice; else the result cache's,
-        where a cache fault degrades the lookup to a miss."""
+        where a cache fault degrades the lookup to a miss.  Each state has
+        its own cache, keyed by element (the fault site sees the epoch)."""
         answers = state.range_engine.warm(elements)
         for i, values in enumerate(answers):
             if values is None:
                 key = (elements[i], state.epoch)
                 try:
                     fault_point("server.cache_lookup", key=key)
-                    answers[i] = state.cache.get(key)
+                    answers[i] = state.cache.get(key[0])
                 except TransientFault:
                     self._m.cache_bypass.inc()
         return answers
@@ -833,7 +820,7 @@ class OLAPServer:
                 return assembled
             if not slabs.active:
                 for element, values in assembled.items():
-                    state.cache.put((element, state.epoch), values)
+                    state.cache.put(element, values)
                 return assembled
             storage = self._storage_ids(state)
             for element, values in assembled.items():
@@ -841,7 +828,7 @@ class OLAPServer:
                     values = assembled[element] = slabs.adopt(
                         element, values, CACHE_PATCH
                     )
-                state.cache.put((element, state.epoch), values)
+                state.cache.put(element, values)
             # Drop the slots of what the puts evicted: slab memory stays
             # bounded by the live set.
             slabs.sweep(CACHE_PATCH)
@@ -977,12 +964,15 @@ class OLAPServer:
 
         Uses the observed workload by default.  :meth:`_migrate` builds the
         new set from the current one (assembly, not a cube rescan), and the
-        whole serving state is swapped in atomically; the epoch bump
-        invalidates every cached answer.
+        whole serving state is swapped in atomically with a fresh result
+        cache — unless the selection keeps the stored set (none quarantined;
+        epoch 0's root copy is the constructor's, not a selection): then the
+        next epoch keeps the set, range engine and cache, warm as they are.
         """
         with self._reconfigure_lock, self.obs.activate(), span(
             "server.reconfigure"
         ) as sp:
+            self._log.fold()
             state = self._state
             if population is None:
                 population = self.observed_population()
@@ -996,11 +986,16 @@ class OLAPServer:
             )
 
             migration = OpCounter()
-            new_set = self._migrate(elements, state.materialized, migration)
+            new_set = state.materialized
+            if not state.epoch or new_set.quarantined or (
+                set(elements) != set(new_set.elements)
+            ):
+                new_set = self._migrate(elements, new_set, migration)
             new_state = self._publish(new_set, state.epoch + 1)
-            # Release the superseded cache's arrays promptly; in-flight
-            # queries holding the old state at worst recompute on a miss.
-            state.cache.clear()
+            if new_state.cache is not state.cache:
+                # Release the superseded cache's arrays promptly; in-flight
+                # queries holding the old state at worst recompute on a miss.
+                state.cache.clear()
             self.stats.reconfigurations += 1
             self.stats.last_expected_cost = float(expected)
             self._m.reconfigurations.inc()
@@ -1052,6 +1047,7 @@ class OLAPServer:
         with self._reconfigure_lock, self.obs.activate(), span(
             "server.snapshot"
         ) as sp:
+            self._log.fold()
             state = self._state
             path, last_seq, pruned = write_cut(
                 self._lineage,
@@ -1130,7 +1126,8 @@ class OLAPServer:
 
     def close(self) -> None:
         """Stop the snapshotter, close the WAL (final sync) and the flight
-        recorder; idempotent."""
+        recorder; idempotent.  The call log stays a reader's to fold (its
+        registry hook stays too), so closing serves and counts nothing."""
         if self._lineage is not None:
             self._lineage.close()
         if self.flight is not None:
@@ -1166,9 +1163,8 @@ class OLAPServer:
             total = getattr(metric, "total", None)
             return float(total()) if callable(total) else 0.0
 
-        with self._stats_lock:
-            queries = self.stats.queries
-            reconfigurations = self.stats.reconfigurations
+        queries = self.stats.queries
+        reconfigurations = self.stats.reconfigurations
         m = self._m
         latency = m.latency
         latency_by_kind: dict[str, dict] = {}
@@ -1312,6 +1308,7 @@ class OLAPServer:
             tripped = monitor.should_reconfigure()
             if tripped:  # swapped under the lock: one caller re-selects
                 self.cost_monitor = CostModelMonitor()
+        self._log.fold()
         self.fingerprints.note_divergence(monitor.divergence)
         if tripped:
             self.reconfigure()
@@ -1517,6 +1514,7 @@ class OLAPServer:
             patched, cleared = self._propagate_updates(state, batch, counter)
         finally:
             state.range_engine.slabs.end_burst()
+        self._log.fold()
         self.fingerprints.note_ingest(len(batch))
         self._m.updates.inc(len(batch))
         self._m.operations.inc(counter.total)
@@ -1551,7 +1549,7 @@ class OLAPServer:
                     cached = state.cache.items()
                     slabs.join(
                         CACHE_PATCH,
-                        [(k[0], v) for k, v in cached if id(v) not in storage],
+                        [(k, v) for k, v in cached if id(v) not in storage],
                     )
                 counts.update(state.range_engine.apply_updates(batch, counter))
             return counts[CACHE_PATCH]

@@ -228,3 +228,22 @@ class TestRequestsAreNotTruncated:
         np.testing.assert_array_equal(
             server.view(["a", "b"]), server.cube.values.sum(axis=2, keepdims=True)
         )
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda server: server.rollup("a"),
+            lambda server: server.rollup([("a", 1)]),
+            lambda server: server.rollup_batch(["a"]),
+            lambda server: server.rollup_batch([{"a": 1}, ("a", 1)]),
+        ],
+        ids=["str", "pairs", "batch-of-str", "batch-with-tuple"],
+    )
+    def test_roll_up_levels_must_be_a_mapping(self, call):
+        """``rollup("a")`` once raised ``AttributeError`` from inside the
+        level walk; a request that is not a mapping is refused as an
+        invalid query naming its type, as ``view`` refuses a bare name."""
+        server = OLAPServer(make_cube())
+        with pytest.raises(InvalidQueryError, match="must be a mapping.* not (str|list|tuple)"):
+            call(server)
+        assert server.stats.queries == 0

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import server as server_module
 from repro.obs import (
     MetricsRegistry,
     Span,
@@ -359,4 +360,94 @@ def test_serving_threads_racing_a_health_poller_lose_nothing(monkeypatch):
     assert server.alerts.snapshot()["records"] == calls
     assert health["fingerprint"]["queries"] == queries
     assert health["alerts"]["fired_total"] == 0
+    server.close()
+
+
+def test_racing_callers_lose_no_accounting(monkeypatch):
+    # The server's call log folds at a tiny bound too: serving threads
+    # fold it while a poller folds it through every kind of reader.
+    set_fold_bound(monkeypatch, 3)
+    monkeypatch.setattr(server_module, "FOLD_AT", 3, raising=False)
+    server = OLAPServer(seeded_cube(3, (16, 8, 4)))
+    rollups = [{"d0": 1}, {"d1": 1}, {"d0": 2, "d2": 1}]
+    box = ((1, 15), (0, 8), (2, 4))
+    # Warm first, so every raced call costs what it costs warm: a view or
+    # a roll-up batch 0 operations, a range sum the cells it adds.
+    server.view(["d0"])
+    server.rollup_batch(rollups)
+    server.range_sum(box)
+    warm_operations = operations = server.stats.operations
+    server.range_sum(box)
+    range_operations = server.stats.operations - operations
+    assert range_operations > 0
+    calls_per_thread, threads = 150, 4
+    done = threading.Event()
+    failures: list[BaseException] = []
+
+    def client(offset: int) -> None:
+        try:
+            for i in range(calls_per_thread):
+                which = (i + offset) % 3
+                if which == 0:
+                    server.view(["d0"])
+                elif which == 1:
+                    server.rollup_batch(rollups)
+                else:
+                    server.range_sum(box)
+        except BaseException as exc:  # pragma: no cover - reported below
+            failures.append(exc)
+
+    def poller() -> None:
+        readers = (
+            server.health,
+            lambda: server.metrics.get("server_queries_total").total(),
+            lambda: server.stats.operations,
+            lambda: server.tracker.weights(),
+        )
+        i = 0
+        while not done.is_set():
+            readers[i % len(readers)]()
+            i += 1
+
+    clients = [
+        threading.Thread(target=client, args=(k,)) for k in range(threads)
+    ]
+    watcher = threading.Thread(target=poller)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        watcher.start()
+        for thread in clients:
+            thread.start()
+        for thread in clients:
+            thread.join(timeout=60)
+        done.set()
+        watcher.join(timeout=60)
+    finally:
+        done.set()
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in (*clients, watcher))
+    assert failures == []
+    # The threads make 200 calls of each kind, after the warm-up's; a
+    # batch counts its members.
+    each = threads * calls_per_thread // 3
+    views, ranges = 1 + each, 2 + each
+    rollup_queries = (1 + each) * len(rollups)
+    metrics = server.metrics
+    queries = metrics.get("server_queries_total")
+    assert {
+        kind: queries.value(kind=kind) for kind in ("view", "rollup", "range")
+    } == {"view": views, "rollup": rollup_queries, "range": ranges}
+    served = warm_operations + (1 + each) * range_operations
+    assert metrics.get("server_operations_total").total() == served
+    latency = metrics.get("server_latency_ms")
+    ok = sum(
+        latency.stats(**dict(key))["count"]
+        for key in latency.labelsets()
+        if dict(key)["outcome"] == "ok"
+    )
+    assert ok == 3 + 1 + threads * calls_per_thread
+    assert server.stats.queries == views + rollup_queries + ranges
+    assert server.stats.operations == served
+    assert server.tracker.total_accesses == views + rollup_queries
     server.close()

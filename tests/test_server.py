@@ -179,6 +179,28 @@ class TestReconfiguration:
         server.view(["d0"])
         assert server.reconfigure()[0] == server.shape.volume
 
+    def test_an_unchanged_reselection_keeps_warm_answers(self, server):
+        """Re-selecting the set already stored migrates nothing and keeps
+        the result cache: the next read is a hit at 0 operations."""
+        for _ in range(4):
+            server.view(["product"])
+            server.view(["store"])
+        server.reconfigure()
+        stored = server.materialized
+        server.view(["store"])  # a miss, cached at epoch 1
+        hits = server.metrics.get("view_cache_hits_total")
+        migrations = server.metrics.get("reconfigure_migration_operations")
+        before = hits.value(), server.stats.operations
+        server.reconfigure()
+        assert server.materialized is stored and server.epoch == 2
+        assert server.stats.reconfigurations == 2
+        assert migrations.stats()["count"] == 2
+        server.view(["store"])
+        assert (hits.value(), server.stats.operations) == (
+            before[0] + 1,
+            before[1],
+        )
+
     def test_range_queries_after_reconfigure(self, server):
         server.view(["product"])
         server.reconfigure()

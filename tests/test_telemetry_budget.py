@@ -28,6 +28,7 @@ from pathlib import Path
 
 import pytest
 
+import repro
 from repro.obs import MetricsRegistry, Observability, SiteProfiler, Tracer
 from repro.obs import metrics as metrics_module
 from repro.obs import alerts as alerts_module
@@ -125,6 +126,52 @@ def test_warm_call_stays_inside_the_budget(name, monkeypatch):
         server.metrics.counter("tracer_dropped_spans").total()
         == server.tracer.dropped_spans
     )
+    server.close()
+
+
+#: Per warm call: bound-series writes (``inc`` / ``observe``) and Python
+#: calls into ``repro``.  A served call appends one record to the call log
+#: and folds nothing, so what is left is the call's own work: a view's one
+#: write is the result cache's hit counter.  (With the envelope writing
+#: per call these were 5 / 10 / 9 writes and 51 / 133 / 92 calls.)
+HIT_PATH = {
+    "view": {"series writes": 1, "repro calls": 37},
+    "rollup_batch": {"series writes": 6, "repro calls": 108},
+    "range_sum": {"series writes": 4, "repro calls": 78},
+}
+REPRO = str(Path(repro.__file__).parent)
+
+
+@pytest.mark.parametrize("name", CALLS)
+def test_warm_call_writes_and_calls_stay_inside_the_budget(name, monkeypatch):
+    call, _ = CALLS[name]
+    server = OLAPServer(
+        seeded_cube(5, SIZES), observability=Observability(max_spans=4)
+    )
+    for _ in range(4):
+        call(server)
+    calls = Calls(monkeypatch)
+    calls.watch(metrics_module._BoundScalar, "inc", "series writes")
+    calls.watch(metrics_module._BoundHistogram, "observe", "histogram writes")
+    call(server)
+    monkeypatch.undo()
+    writes = calls.counts["series writes"] + calls.counts["histogram writes"]
+    # Calls are counted inside the package only: the standard library's
+    # own Python frames differ between the supported interpreters.
+    entered = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(REPRO):
+            entered.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        call(server)
+    finally:
+        sys.setprofile(None)
+    assert {"series writes": writes, "repro calls": len(entered)} == (
+        HIT_PATH[name]
+    ), entered
     server.close()
 
 

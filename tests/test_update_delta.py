@@ -627,7 +627,7 @@ class TestBurstLeavesEverythingExact:
         assert server.cube.values.tobytes() == updated.tobytes()
         for element, values, source in _stored_arrays(server, updated):
             assert values.tobytes() == compute_element(source, element).tobytes()
-        for (element, _epoch), values in cached.items():
+        for element, values in cached.items():
             assert values.tobytes() == compute_element(updated, element).tobytes()
         for element, values in state.range_engine._cache.items():
             assert values.tobytes() == compute_element(updated, element).tobytes()

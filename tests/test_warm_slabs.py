@@ -248,7 +248,7 @@ class TestConcurrentReadersAndBursts:
         assert not errors, errors
         assert server._state.range_engine.slabs.active
         cube = server.cube.values
-        for (element, _), values in server._state.cache.items():
+        for element, values in server._state.cache.items():
             assert values.tobytes() == compute_element(cube, element).tobytes()
         for element, values in server._state.range_engine._cache.items():
             assert values.tobytes() == compute_element(cube, element).tobytes()
