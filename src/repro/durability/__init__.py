@@ -22,16 +22,12 @@ patch all of it in place.  This package is the one durability layer under
   pointer swapped atomically after.  A crash mid-snapshot leaves only
   ignorable staging debris.
 - :mod:`repro.durability.lineage` — :class:`Lineage`, all the durability
-  state a server holds (one attribute): its :class:`DurabilityConfig`,
-  WAL, applied and snapshot sequence numbers, counters and background
-  snapshotter.  :meth:`OLAPServer.restore
-  <repro.server.OLAPServer.restore>` reopens a lineage at its newest
-  snapshot and replays the WAL suffix through the server's in-memory
-  ingest, losing **zero acknowledged updates**.  There is one rebuild
-  path: a snapshot restored onto its own layout is installed as written,
-  and one restored onto a *different* shard count is rebuilt by
-  ``reconfigure()``'s migration from the restored cube (every element is
-  a pure function of it).
+  state a server holds (one attribute: config, WAL, sequence numbers,
+  counters, snapshotter), and the server's snapshot and restore over it.
+  A restore reopens the lineage at its newest snapshot and replays the
+  WAL suffix through the server's in-memory ingest, losing **zero
+  acknowledged updates**; a snapshot restored onto another shard layout
+  is rebuilt by ``reconfigure()``'s migration from the restored cube.
 - :mod:`repro.durability.gate` — the crash-recovery differential gate
   behind ``python -m repro recover``: :func:`repro.replay.replay` a seeded
   update/query trace in a child process, ``SIGKILL`` it at seeded points

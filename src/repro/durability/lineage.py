@@ -1,11 +1,13 @@
 """One server lineage: the WAL, sequence state and snapshotter of a
-durability directory.
+durability directory, and a server's persistence over it.
 
 :class:`Lineage` is all the durability state an
 :class:`~repro.server.OLAPServer` holds.  :meth:`Lineage.create` starts one
 in a fresh directory, :meth:`Lineage.reopen` resumes one at its newest
 snapshot, and :meth:`Lineage.replay` feeds the WAL suffix back through the
-server's in-memory ingest.
+server's in-memory ingest.  :func:`write_cut` is the server's snapshot,
+:func:`restore` its restore sequence and :func:`install_snapshot` the
+serving state a restore swaps in.
 """
 
 from __future__ import annotations
@@ -18,11 +20,14 @@ from pathlib import Path
 
 from ..core.delta import DeltaBatch
 from ..core.element import CubeShape
-from ..obs import log_event
+from ..core.operators import OpCounter
+from ..obs import log_event, span
 from .snapshot import latest_snapshot, load_snapshot, write_snapshot
 from .wal import WriteAheadLog
 
-__all__ = ["DurabilityConfig", "Lineage", "restored_layout", "write_cut"]
+__all__ = [
+    "DurabilityConfig", "Lineage", "install_snapshot", "restore", "write_cut"
+]
 
 
 @dataclass(frozen=True)
@@ -209,52 +214,60 @@ class Lineage:
         self.wal.close()
 
 
-def write_cut(
-    lineage: Lineage | None, directory: str | Path | None, **cut
-) -> tuple[Path, int, int]:
-    """Write and log one consistent cut (:func:`write_snapshot`'s ``cube``
-    / ``materialized`` / ``partition`` / ``epoch``); returns ``(path,
-    last_seq, WAL segments pruned)``.
+def write_cut(server, directory: str | Path | None) -> Path:
+    """:meth:`OLAPServer.snapshot <repro.server.OLAPServer.snapshot>`:
+    write and log one consistent cut of ``server``; returns its path.
 
     With no ``directory`` the cut is the lineage's own snapshot: it
     advances ``snapshot_seq`` and prunes the WAL segments it covers.  An
     explicit ``directory`` is an export copy that leaves the lineage alone
     (a server without one exports as of sequence 0).
     """
-    own = directory is None
+    lineage, own = server._lineage, directory is None
     if own and lineage is None:
         raise ValueError(
             "no snapshot directory: pass one, or construct the server with "
             "durability="
         )
-    last_seq = lineage.applied_seq if lineage is not None else 0
-    path = write_snapshot(
-        lineage.config.snapshot_dir if own else directory,
-        last_seq=last_seq,
-        retain=lineage.config.retain_snapshots if lineage is not None else 2,
-        **cut,
-    )
-    pruned = 0
-    if own:
-        lineage.snapshots_taken += 1
-        lineage.snapshot_seq = last_seq
-        lineage.last_snapshot_monotonic = time.monotonic()
-        pruned = lineage.wal.prune(last_seq)
-    log_event(
-        "snapshot_taken",
-        path=str(path),
-        last_seq=last_seq,
-        epoch=cut["epoch"],
-        wal_segments_pruned=pruned,
-    )
-    return path, last_seq, pruned
+    with server._reconfigure_lock, server.obs.activate(), span(
+        "server.snapshot"
+    ) as sp:
+        server._log.fold()
+        state = server._state
+        last_seq = lineage.applied_seq if lineage is not None else 0
+        path = write_snapshot(
+            lineage.config.snapshot_dir if own else directory,
+            last_seq=last_seq,
+            retain=lineage.config.retain_snapshots if lineage else 2,
+            cube=server.cube,
+            materialized=state.materialized,
+            partition=server._partition,
+            epoch=state.epoch,
+        )
+        pruned = 0
+        if own:
+            lineage.snapshots_taken += 1
+            lineage.snapshot_seq = last_seq
+            lineage.last_snapshot_monotonic = time.monotonic()
+            pruned = lineage.wal.prune(last_seq)
+        log_event(
+            "snapshot_taken",
+            path=str(path),
+            last_seq=last_seq,
+            epoch=state.epoch,
+            wal_segments_pruned=pruned,
+        )
+        server._m.snapshots.inc()
+        sp.set(last_seq=last_seq, epoch=state.epoch, pruned=pruned)
+        return path
 
 
-def restored_layout(
-    manifest: dict, shards: int | None, shard_axis: int | None
-) -> tuple[int, int | None, bool]:
-    """``(shards, shard_axis, same layout?)`` of a restore that asks for
-    ``shards`` / ``shard_axis`` (``None`` = the snapshot's own)."""
+def restore(server_cls, durability, shards, shard_axis, **kwargs):
+    """:meth:`OLAPServer.restore <repro.server.OLAPServer.restore>` for
+    ``server_cls``: ``shards`` / ``shard_axis`` ``None`` keep the
+    snapshot's own layout, and ``kwargs`` go to the constructor."""
+    lineage, loaded = Lineage.reopen(durability)
+    manifest = loaded["manifest"]
     own_shards, own_axis = manifest["shards"], manifest["shard_axis"]
     shards = own_shards if shards is None else int(shards)
     if shard_axis is None and shards == own_shards:
@@ -262,7 +275,45 @@ def restored_layout(
         # same layout: inherit its axis, so the sets install as written.
         shard_axis = own_axis
     same = shards == own_shards and (shards == 1 or shard_axis == own_axis)
-    return shards, shard_axis, same
+    try:
+        server = server_cls(
+            loaded["cube"], shards=shards, shard_axis=shard_axis, **kwargs
+        )
+        install_snapshot(server, loaded, same_layout=same)
+    except BaseException:
+        lineage.close()
+        raise
+    server._lineage = lineage
+    with server._reconfigure_lock, server.obs.activate():
+        lineage.replay(server.shape, server._absorb)
+    # Only now: a snapshot during replay would claim records the in-memory
+    # state does not hold yet, and prune them.
+    lineage.start_snapshotter(
+        server.snapshot, server.obs, server._m.snapshot_failures
+    )
+    return server
+
+
+def install_snapshot(server, loaded: dict, *, same_layout: bool) -> None:
+    """Swap a snapshot's serving state (selection, arrays, epoch) into
+    ``server``: the loaded arrays on the same layout, else the server's
+    ``_migrate`` from its root-only set."""
+    manifest = loaded["manifest"]
+    with server._reconfigure_lock, server.obs.activate(), span(
+        "server.restore_install", same_layout=same_layout
+    ):
+        if not same_layout:
+            new_set = server._migrate(
+                loaded["elements"], server._state.materialized, OpCounter()
+            )
+        elif server._partition is None:
+            new_set = loaded["sets"][0]
+        else:
+            new_set = server._new_materialized()
+            new_set.install_restored(
+                loaded["elements"], loaded["sets"], manifest["shard_epochs"]
+            )
+        server._publish(new_set, int(manifest["epoch"]))
 
 
 def _config(durability: DurabilityConfig | str | Path) -> DurabilityConfig:

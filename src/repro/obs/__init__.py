@@ -22,6 +22,8 @@ this package:
 - :mod:`repro.obs.export` — Chrome trace-event JSON and Prometheus text
   exposition;
 - :mod:`repro.obs.http` — the stdlib ``/metrics`` + ``/health`` endpoint;
+- :mod:`repro.obs.incident` — a server's ``server_*`` series, ``health()``
+  payload, alert callbacks and diagnostic bundles;
 - :mod:`repro.obs.reporting` — ASCII tables and plots (the experiment
   reports) and the text/JSON export of the ``repro stats`` CLI.
 

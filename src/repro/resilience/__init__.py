@@ -1,9 +1,13 @@
-"""Resilience: fault injection, deadlines, and chaos replay.
+"""Resilience: the serve envelope, fault injection, deadlines, chaos.
 
 The serving stack (``repro.server``, ``repro.core.exec``,
 ``repro.core.materialize``, ``repro.io``) is hardened against partial
-failure; this package holds the machinery that exercises and bounds it:
+failure; this package holds the machinery that bounds and exercises it:
 
+- :mod:`repro.resilience.serve` — the envelope every served call runs in
+  (admission, deadline, span, call-log record) and the server's resilient
+  assembly: a shared batch recovers per element, and an element of an
+  incomplete set from the base cube.
 - :mod:`repro.resilience.faults` — a deterministic, seeded fault-injection
   harness.  Named sites in the hot path call :func:`fault_point`, which
   no-ops unless a :class:`FaultInjector` is activated (contextvar-scoped,
@@ -13,14 +17,9 @@ failure; this package holds the machinery that exercises and bounds it:
   by contextvar so the DAG executor can observe them between node
   dispatches without signature plumbing.
 - :mod:`repro.resilience.retry` — :func:`retry_transient`, the one
-  transient-fault retry loop: fresh scratch counter per try (merged only
-  for the try that served), exponential backoff bounded by the ambient
-  deadline, the last fault re-raised on exhaustion.  Its four callers keep
-  only their own fallback: ``OLAPServer._assemble_resilient`` (a shared
-  batch recovers per element, and one element from the base cube),
-  ``OLAPServer.range_sum`` (direct range sum over the base cube),
-  ``ShardedSet._execute_shard`` and ``ShardedSet._local_assemble_resilient``
-  (the shard's base slab).
+  transient-fault retry loop (fresh scratch counter per try, backoff
+  bounded by the ambient deadline); the envelope's assembly and range
+  sum and the sharded set's legs keep only their own fallback.
 - :mod:`repro.resilience.chaos` — the ``python -m repro chaos`` driver:
   :func:`repro.replay.replay` of a seeded trace under a seeded fault plan
   on a live server; survival is every answer bit-identical to the

@@ -74,9 +74,9 @@ SIGNATURES = {
     "repro.shard.sets:ShardedSet.assemble_batch": (
         ("targets",),
         {
-            "counter": "src/repro/server.py",
-            "max_workers": "src/repro/server.py",
-            "warm": "src/repro/server.py",
+            "counter": "src/repro/resilience/serve.py",
+            "max_workers": "src/repro/resilience/serve.py",
+            "warm": "src/repro/resilience/serve.py",
         },
     ),
     "repro.core.range_query:RangeQueryEngine.__init__": (
@@ -95,7 +95,7 @@ SIGNATURES = {
     ),
     "repro.resilience.retry:retry_transient": (
         ("attempt", "counter", "max_retries"),
-        {"on_retry": "src/repro/server.py"},
+        {"on_retry": "src/repro/resilience/serve.py"},
     ),
     "repro.core.select_redundant:greedy_redundant_selection": (
         ("initial", "population", "storage_budget"),
@@ -120,6 +120,13 @@ SIGNATURES = {
     ),
     "repro.core.adaptive:CostModelMonitor.__init__": ((), {}),
     "repro.server:OLAPServer.observe_profile": (("profile",), {}),
+    "repro.server:OLAPServer.dump_diagnostics": (
+        (),
+        {
+            "path": "src/repro/obs/incident.py",
+            "trigger": "src/repro/obs/incident.py",
+        },
+    ),
     "repro.obs:Observability.__init__": (
         (),
         {

@@ -11,6 +11,7 @@ from repro.errors import (
     QueryTimeout,
     TransientFault,
 )
+from repro.obs.alerts import AlertEngine, BurnRateRule, ManualClock
 from repro.replay import seeded_cube
 from repro.resilience import FaultInjector, FaultRule
 from repro.server import OLAPServer
@@ -405,8 +406,72 @@ class TestMalformedRequests:
         assert len(server._state.cache) == 0
         server.close()
 
+    @pytest.mark.parametrize(
+        "ask, kind, served",
+        [
+            (lambda s: s.view(["d0"], deadline_ms="5"), "view", True),
+            (lambda s: s.rollup({"d0": 1}, deadline_ms=[1]), "rollup", True),
+            (lambda s: s.range_sum(5), "range", True),
+            (lambda s: s.query_batch([["d0"]], max_workers="2"), "view", False),
+            (lambda s: s.query_batch(None), "view", False),
+            (lambda s: s.rollup_batch(None), "rollup", False),
+        ],
+        ids=[
+            "text deadline",
+            "list deadline",
+            "int ranges",
+            "text max_workers",
+            "no requests",
+            "no levels",
+        ],
+    )
+    def test_a_malformed_argument_is_an_invalid_query(self, ask, kind, served):
+        # Checked where the envelope takes it: inside a served call it is
+        # labelled ``invalid``; a batch's arguments are refused before its
+        # envelope opens, like ``max_workers=0``.  Neither burns budget.
+        server = _make_server(sizes=(8, 4))
+        for _ in range(3):
+            with pytest.raises(InvalidQueryError):
+                ask(server)
+        latency = server.metrics.get("server_latency_ms")
+        assert latency.stats(kind=kind, outcome="error")["count"] == 0
+        assert latency.stats(kind=kind, outcome="invalid")["count"] == (
+            3 if served else 0
+        )
+        failures = server.alerts.snapshot()["rules"]["failures"]
+        assert failures["fast"]["bad"] == 0
+        assert server.stats.operations == 0
+        server.close()
+
     def test_a_level_above_the_hierarchy_is_an_invalid_query(self):
         server = _make_server(sizes=(8, 4))
         with pytest.raises(InvalidQueryError, match="outside"):
             server.rollup({"d0": 4})
         assert server.health()["alerts"]["records"] == 0
+
+
+class TestDiagnosticDumps:
+    def test_manual_dumps_leave_the_auto_dump_budget(self, tmp_path):
+        clock = ManualClock()
+        rule = BurnRateRule(
+            name="errors",
+            objective=0.25,
+            fast_window_s=60.0,
+            slow_window_s=600.0,
+            min_samples=4,
+            bad_outcomes=("error",),
+        )
+        server = _make_server(
+            alerts=AlertEngine(rules=(rule,), clock=clock),
+            diagnostics_dir=tmp_path,
+        )
+        manual = [server.dump_diagnostics() for _ in range(8)]
+        assert [p.name for p in manual] == [
+            f"diag-manual-{i:03d}.json" for i in range(1, 9)
+        ]
+        for _ in range(8):
+            clock.advance(10.0)
+            server.alerts.record("error", 1.0)
+        assert server.alerts.snapshot()["fired_total"] == 1
+        assert (tmp_path / "diag-errors-001.json").is_file()
+        server.close()

@@ -133,11 +133,12 @@ def test_warm_call_stays_inside_the_budget(name, monkeypatch):
 #: calls into ``repro``.  A served call appends one record to the call log
 #: and folds nothing, so what is left is the call's own work: a view's one
 #: write is the result cache's hit counter.  (With the envelope writing
-#: per call these were 5 / 10 / 9 writes and 51 / 133 / 92 calls.)
+#: per call these were 5 / 10 / 9 writes and 51 / 133 / 92 calls; with it
+#: polling the stored set's quarantine, 37 / 108 / 78 calls.)
 HIT_PATH = {
-    "view": {"series writes": 1, "repro calls": 37},
-    "rollup_batch": {"series writes": 6, "repro calls": 108},
-    "range_sum": {"series writes": 4, "repro calls": 78},
+    "view": {"series writes": 1, "repro calls": 36},
+    "rollup_batch": {"series writes": 6, "repro calls": 107},
+    "range_sum": {"series writes": 4, "repro calls": 77},
 }
 REPRO = str(Path(repro.__file__).parent)
 
