@@ -3,20 +3,23 @@
 The paper prices a cached answer at zero scalar operations, so on a hot
 dashboard the bookkeeping around an answer is most of what the query
 costs.  An :class:`~repro.server.OLAPServer` call that is served appends
-one tuple, ``(kind, queries, operations, tracked, latency_ms)``, to its
-:class:`CallLog`.  :meth:`CallLog.fold` replays the records, in arrival
-order, through the writes each call used to make:
+one tuple, ``(kind, queries, operations, tracked, latency_ms, now)``, to
+its :class:`CallLog`.  :meth:`CallLog.fold` replays the records, in
+arrival order, through the writes each call used to make:
 
 - the ``server_queries_total`` and ``server_operations_total`` counters;
 - the ``server_latency_ms{outcome="ok"}`` histogram;
 - :class:`ServerStats`;
 - one :class:`~repro.core.adaptive.AccessTracker` record per tracked
   element;
-- the fingerprint's query note.
+- the fingerprint's query note;
+- the burn-rate engine's good sample, at ``now``, the engine clock's
+  reading at call time (``None`` when there is no engine, or the call was
+  recorded at once: :meth:`~repro.obs.alerts.AlertEngine.defer`).
 
 It runs whenever one of them is read — a metrics-registry read (a pre-read
-hook), a ``stats`` or tracker read, the server's own readers — and when
-:data:`FOLD_AT` records wait.  Aggregating at read time over an
+hook), a ``stats``, tracker or alert-engine read, the server's own readers
+— and when :data:`FOLD_AT` records wait.  Aggregating at read time over an
 append-only log is the column-store move of *Scalable Data Cube Analysis
 over Big Data* (PAPERS.md).
 """
@@ -77,21 +80,25 @@ class CallLog:
 
     ``series`` holds the server's bound series (``queries_of[kind]``,
     ``latency_ok_of[kind]``, ``latency``, ``operations``).  The log sets
-    itself as the pre-read hook of ``stats`` and ``tracker``.  ``lock``
+    itself as the pre-read hook of ``stats``, ``tracker`` and ``alerts``
+    (``None`` without an engine).  ``lock``
     guards the fold, and so both of them; it is re-entrant, so a reader
     that holds it may read through the tracker's hook.  The fold drains
     with ``popleft`` over the records present when it starts, so a record
     appended meanwhile waits for the next fold and none is lost.
     """
 
-    def __init__(self, series, tracker, fingerprints, lock):
+    def __init__(self, series, tracker, fingerprints, alerts, lock):
         self.records: deque = deque()
         self.stats = ServerStats()
         self.lock = lock
         self._series = series
         self._tracker = tracker
         self._fingerprints = fingerprints
+        self._alerts = alerts
         tracker._pre_read = self.stats._pre_read = self.fold
+        if alerts is not None:
+            alerts._pre_read = self.fold
 
     def append(self, record: tuple) -> None:
         """Log one served call; fold once :data:`FOLD_AT` records wait."""
@@ -110,19 +117,28 @@ class CallLog:
             queries_of, latency_of = series.queries_of, series.latency_ok_of
             note, record = self._fingerprints.note_query, self._tracker.record
             pop = records.popleft
-            queries = operations = 0
+            operations = 0
+            queries: dict[str, int] = {}  # per kind
+            times = []
             for _ in range(len(records)):
-                kind, n, spent, tracked, latency_ms = pop()
-                queries_of[kind].inc(n)
+                kind, n, spent, tracked, latency_ms, now = pop()
+                queries[kind] = queries.get(kind, 0) + n
                 note(kind, n)
                 latency_of[kind].observe(latency_ms)
-                queries += n
                 operations += spent
                 for element in tracked:
                     record(element)
-            self.stats._queries += queries
+                if now is not None:
+                    times.append(now)
+            for kind, n in queries.items():
+                queries_of[kind].inc(n)
+            self.stats._queries += sum(queries.values())
             self.stats._operations += operations
             series.operations.inc(operations)
+            if times:
+                # Under the lock, so samples reach the engine in arrival
+                # order; its callbacks run once every record is accounted.
+                self._alerts.record_good(times)
 
     def failed(
         self,

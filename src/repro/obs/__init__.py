@@ -35,104 +35,33 @@ the core modules costs one contextvar read per instrumented call.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 from .alerts import AlertEngine, BurnRateRule, ManualClock, default_rules
 from .cache import LRUCache
 from .events import _ACTIVE_EVENT_LOG, EventLog, current_event_log, log_event
 from .fingerprint import FingerprintTracker, SiteProfiler, WorkloadFingerprint
 from .flight import (
-    FlightRecorder,
-    KeptTrace,
-    load_bundle,
-    validate_bundle,
-    write_bundle,
+    FlightRecorder, KeptTrace, load_bundle, validate_bundle, write_bundle,
 )
 from .metrics import (
-    _ACTIVE_REGISTRY,
-    DEFAULT_BUCKETS,
-    MAX_LABEL_SETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    current_registry,
-    default_registry,
+    _ACTIVE_REGISTRY, DEFAULT_BUCKETS, MAX_LABEL_SETS, Counter, Gauge,
+    Histogram, MetricsRegistry, current_registry, default_registry,
 )
 from .tracing import (
-    _ACTIVE_TRACER,
-    Span,
-    Tracer,
-    add_span_event,
-    current_span,
-    current_tracer,
-    span,
-    tracing_active,
+    _ACTIVE_TRACER, Span, Tracer, add_span_event, current_span, current_tracer,
+    span, tracing_active,
 )
 
 __all__ = [
-    "AlertEngine",
-    "BurnRateRule",
-    "Counter",
-    "DEFAULT_BUCKETS",
-    "EventLog",
-    "FingerprintTracker",
-    "FlightRecorder",
-    "Gauge",
-    "Histogram",
-    "KeptTrace",
-    "LRUCache",
-    "MAX_LABEL_SETS",
-    "ManualClock",
-    "MetricsRegistry",
-    "Observability",
-    "SiteProfiler",
-    "Span",
-    "Tracer",
-    "WorkloadFingerprint",
-    "add_span_event",
-    "current_event_log",
-    "current_registry",
-    "current_span",
-    "current_tracer",
-    "default_registry",
-    "default_rules",
-    "load_bundle",
-    "log_event",
-    "span",
-    "tracing_active",
-    "validate_bundle",
-    "write_bundle",
+    "AlertEngine", "BurnRateRule", "Counter", "DEFAULT_BUCKETS", "EventLog",
+    "FingerprintTracker", "FlightRecorder", "Gauge", "Histogram", "KeptTrace",
+    "LRUCache", "MAX_LABEL_SETS", "ManualClock", "MetricsRegistry",
+    "Observability", "SiteProfiler", "Span", "Tracer", "WorkloadFingerprint",
+    "add_span_event", "current_event_log", "current_registry", "current_span",
+    "current_tracer", "default_registry", "default_rules", "load_bundle",
+    "log_event", "span", "tracing_active", "validate_bundle", "write_bundle",
 ]
-
-
-class _Activation:
-    """The ``with`` block of one :meth:`Observability.activate` call.
-
-    A plain slotted context manager over the three contextvars: every
-    served query enters one, where a generator-based manager per member
-    costs more than the three ``set`` calls it wraps.
-    """
-
-    __slots__ = ("_obs", "_tokens")
-
-    def __init__(self, obs: "Observability"):
-        self._obs = obs
-
-    def __enter__(self) -> "Observability":
-        obs = self._obs
-        self._tokens = (
-            _ACTIVE_REGISTRY.set(obs.registry),
-            _ACTIVE_TRACER.set(obs.tracer) if obs.tracing else None,
-            _ACTIVE_EVENT_LOG.set(obs.events),
-        )
-        return obs
-
-    def __exit__(self, *exc) -> bool:
-        registry, tracer, events = self._tokens
-        _ACTIVE_EVENT_LOG.reset(events)
-        if tracer is not None:
-            _ACTIVE_TRACER.reset(tracer)
-        _ACTIVE_REGISTRY.reset(registry)
-        return False
 
 
 class Observability:
@@ -160,9 +89,19 @@ class Observability:
         self.events = EventLog(max_events=max_events)
         self.tracing = tracing
 
-    def activate(self) -> "_Activation":
+    @contextmanager
+    def activate(self):
         """Make this triple the ambient instrumentation target."""
-        return _Activation(self)
+        registry = _ACTIVE_REGISTRY.set(self.registry)
+        tracer = _ACTIVE_TRACER.set(self.tracer) if self.tracing else None
+        events = _ACTIVE_EVENT_LOG.set(self.events)
+        try:
+            yield self
+        finally:
+            _ACTIVE_EVENT_LOG.reset(events)
+            if tracer is not None:
+                _ACTIVE_TRACER.reset(tracer)
+            _ACTIVE_REGISTRY.reset(registry)
 
     def reset(self) -> None:
         """Clear all metrics, finished spans, and logged events."""

@@ -23,7 +23,9 @@ is firing (it may resolve) or holds a bad sample in its slow window (it may
 fire) — which yields exactly the fire/resolve sequence of evaluating after
 every record.  On an all-healthy stream no transition is possible at all,
 so a good record only queues its clock reading, and the queue is counted
-per bucket when the engine is next read or recorded into.
+per bucket when the engine is next read or recorded into.  A server
+defers even that: an ``ok`` call's clock reading rides its call-log record
+(:meth:`AlertEngine.defer`, folded in by :meth:`AlertEngine.record_good`).
 
 Alert lifecycle is transition-based: one ``firing`` event when a rule
 crosses its threshold, one ``resolved`` event when it drops back, with
@@ -41,10 +43,7 @@ from collections import deque
 from dataclasses import dataclass
 
 __all__ = [
-    "AlertEngine",
-    "BurnRateRule",
-    "ManualClock",
-    "default_rules",
+    "AlertEngine", "BurnRateRule", "ManualClock", "default_rules",
 ]
 
 
@@ -269,6 +268,10 @@ class AlertEngine:
     exception-isolated.
     """
 
+    #: Run before every reader and bad record: the owning server's
+    #: call-log fold, which hands over the good samples it holds.
+    _pre_read = staticmethod(lambda: None)
+
     def __init__(
         self,
         rules: tuple[BurnRateRule, ...] | None = None,
@@ -330,6 +333,7 @@ class AlertEngine:
             if len(inbox) >= FOLD_AT:
                 self.fold()
             return []
+        self._pre_read()
         with self._lock:
             transitions = self._fold_locked()
             now = max(self.clock(), self._last_now)
@@ -353,8 +357,24 @@ class AlertEngine:
         self._armed = any(state.armed for state in self._states.values())
         return transitions
 
+    def defer(self, latency_ms: float, degraded: bool) -> float | None:
+        """The clock reading to record an ``ok`` outcome later with, or
+        ``None`` when a rule counts it bad and :meth:`record` takes it now."""
+        if degraded and self._bad_if_degraded or latency_ms >= self._latency_bar:
+            return None
+        return self.clock()
+
+    def record_good(self, times: list[float]) -> None:
+        """Account good outcomes :meth:`defer` read ``times`` for, in
+        arrival order: the state and events :meth:`record` would leave."""
+        with self._lock:
+            self._inbox.extend(times)
+            transitions = self._fold_locked()
+        self._notify(transitions)
+
     def fold(self) -> None:
         """Count every waiting good sample (what every reader does first)."""
+        self._pre_read()
         if not self._inbox:
             return
         with self._lock:
@@ -400,6 +420,7 @@ class AlertEngine:
 
     def evaluate(self) -> list[dict]:
         """Force an evaluation pass (e.g. on a health() poll)."""
+        self._pre_read()
         with self._lock:
             transitions = self._fold_locked()
             transitions += self._evaluate_locked(self.clock())

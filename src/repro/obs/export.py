@@ -25,9 +25,7 @@ from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .tracing import Tracer
 
 __all__ = [
-    "chrome_trace",
-    "chrome_trace_from_spans",
-    "render_chrome_trace",
+    "chrome_trace", "chrome_trace_from_spans", "render_chrome_trace",
     "prometheus_text",
 ]
 
@@ -172,44 +170,45 @@ def prometheus_text(registry: MetricsRegistry) -> str:
     ``_sum`` and ``_count``.
     """
     lines: list[str] = []
-    metrics = [registry.get(name) for name in registry.names()]
-    for metric in metrics:
-        if metric is None:
-            continue
-        name = _metric_name(metric.name)
-        kind = (
-            "counter"
-            if isinstance(metric, Counter)
-            else "gauge"
-            if isinstance(metric, Gauge)
-            else "histogram"
-        )
-        if metric.description:
-            lines.append(
-                f"# HELP {name} {_escape_label_value(metric.description)}"
+    with registry.reading():
+        metrics = [registry.get(name) for name in registry.names()]
+        for metric in metrics:
+            if metric is None:
+                continue
+            name = _metric_name(metric.name)
+            kind = (
+                "counter"
+                if isinstance(metric, Counter)
+                else "gauge"
+                if isinstance(metric, Gauge)
+                else "histogram"
             )
-        lines.append(f"# TYPE {name} {kind}")
-        for key in sorted(metric.labelsets()):
-            pairs = [(k, v) for k, v in key]
-            if isinstance(metric, Histogram):
-                labels = dict(key)
-                for bound, cum in metric.buckets(**labels):
-                    bucket_pairs = pairs + [("le", _format_value(bound))]
+            if metric.description:
+                lines.append(
+                    f"# HELP {name} {_escape_label_value(metric.description)}"
+                )
+            lines.append(f"# TYPE {name} {kind}")
+            for key in sorted(metric.labelsets()):
+                pairs = [(k, v) for k, v in key]
+                if isinstance(metric, Histogram):
+                    labels = dict(key)
+                    for bound, cum in metric.buckets(**labels):
+                        bucket_pairs = pairs + [("le", _format_value(bound))]
+                        lines.append(
+                            f"{name}_bucket{_render_label_pairs(bucket_pairs)}"
+                            f" {cum}"
+                        )
+                    stats = metric.stats(**labels)
                     lines.append(
-                        f"{name}_bucket{_render_label_pairs(bucket_pairs)}"
-                        f" {cum}"
+                        f"{name}_sum{_render_label_pairs(pairs)}"
+                        f" {_format_value(stats['sum'])}"
                     )
-                stats = metric.stats(**labels)
-                lines.append(
-                    f"{name}_sum{_render_label_pairs(pairs)}"
-                    f" {_format_value(stats['sum'])}"
-                )
-                lines.append(
-                    f"{name}_count{_render_label_pairs(pairs)} {stats['count']}"
-                )
-            else:
-                value = metric.value(**dict(key))
-                lines.append(
-                    f"{name}{_render_label_pairs(pairs)} {_format_value(value)}"
-                )
+                    lines.append(
+                        f"{name}_count{_render_label_pairs(pairs)} {stats['count']}"
+                    )
+                else:
+                    value = metric.value(**dict(key))
+                    lines.append(
+                        f"{name}{_render_label_pairs(pairs)} {_format_value(value)}"
+                    )
     return "\n".join(lines) + "\n"

@@ -3,13 +3,11 @@
 Two always-on, bounded accounting layers that turn the telemetry stream
 into an answer to "what regime is this server in right now?":
 
-- :class:`SiteProfiler` — a tracer trace-listener keeping cheap EWMA +
-  sliding-reservoir latency accounting per instrumented site
-  (``exec.compute_node``, ``materialize.assemble``, ``shard.scatter`` /
-  ``shard.gather``, ``wal.append``, cache ops — every span name that
-  flows past).  It adds zero new instrumentation to hot paths: the spans
-  already exist, the profiler just refuses to forget their statistics
-  when the tracer ring evicts them.
+- :class:`SiteProfiler` — a reader of the tracer's inbox keeping cheap
+  EWMA + sliding-reservoir latency accounting per span name
+  (``exec.compute_node``, ``shard.gather``, ``wal.append``, …): no new
+  instrumentation, it just keeps the statistics of spans the tracer ring
+  evicts.
 - :class:`FingerprintTracker` — exponentially-decayed counters over the
   serving stream (query-kind mix, ingest cells, cost-model divergence)
   summarized into a :class:`WorkloadFingerprint`: a small normalized
@@ -20,9 +18,9 @@ into an answer to "what regime is this server in right now?":
   :class:`~repro.core.adaptive.AccessTracker`).
 
 Decay is tick-based and lazy (per-slot ``value * decay**(tick - last)``).
-Both consumers are fed by appending to an inbox and fold it when read, so
-the per-query cost is one append — the overhead gate
-(``bench_flight_overhead``) covers this path.
+Both fold when read (the tracker an inbox of query notes, the profiler
+the tracer's inbox), so a query pays an append (``bench_flight_overhead``
+gates it).
 """
 
 from __future__ import annotations
@@ -32,12 +30,10 @@ import threading
 from collections import deque
 from dataclasses import asdict, dataclass
 
-from .tracing import Span, Tracer
+from .tracing import InboxReader, Span, Tracer
 
 __all__ = [
-    "FingerprintTracker",
-    "SiteProfiler",
-    "WorkloadFingerprint",
+    "FingerprintTracker", "SiteProfiler", "WorkloadFingerprint",
 ]
 
 
@@ -52,9 +48,10 @@ HOT_TOP = 8
 SITE_ALPHA = 0.05
 RESERVOIR_SIZE = 64
 MAX_SITES = 64
-#: Notes (queries, or finished traces for the profiler) waiting in an
-#: inbox before the writer folds them itself, without waiting for a reader.
-FOLD_AT = 1024
+#: Notes (query notes, or finished traces in the tracer's inbox for the
+#: profiler) waiting before the writer folds them itself, without waiting
+#: for a reader.
+FOLD_AT = 256
 
 
 @dataclass(frozen=True)
@@ -254,58 +251,33 @@ class _SiteStats:
         self.reservoir: list[float] = []
 
 
-class SiteProfiler:
+class SiteProfiler(InboxReader):
     """Always-on per-site latency profiles from the span stream.
 
-    Attaches to a tracer as a trace listener; per span *name* it keeps a
-    count, an EWMA, and a bounded sliding reservoir of recent durations
-    (slot ``count % size`` is overwritten — deterministic, no RNG), from
-    which :meth:`snapshot` derives p50/p95.  The site table is bounded;
-    span names past :data:`MAX_SITES` are counted in ``overflow_sites``.
-
-    The listener only appends the finished trace; the spans are accounted
-    when the inbox is folded, in arrival order — by :meth:`snapshot` and
-    :meth:`close`, and whenever :data:`FOLD_AT` traces are waiting.
+    Per span *name* it keeps a count, an EWMA, and a bounded sliding
+    reservoir of recent durations (slot ``count % size`` is overwritten —
+    deterministic, no RNG), from which :meth:`snapshot` derives p50/p95.
+    The site table is bounded; span names past :data:`MAX_SITES` are
+    counted in ``overflow_sites``.  Spans are accounted when it folds, in
+    arrival order: by :meth:`snapshot`, :meth:`close`, and whenever
+    :data:`FOLD_AT` traces wait.
     """
 
     def __init__(self, tracer: Tracer):
-        self.tracer = tracer
-        self._lock = threading.Lock()
-        #: Finished traces not yet folded, in arrival order.
-        self._inbox: deque = deque()
         self._sites: dict[str, _SiteStats] = {}
         self.overflow_sites = 0
-        tracer.add_listener(self.on_trace)
+        super().__init__(tracer, FOLD_AT)
 
-    def close(self) -> None:
-        """Fold what is waiting and detach from the tracer (idempotent)."""
-        self.tracer.remove_listener(self.on_trace)
-        self.fold()
-
-    def on_trace(self, spans: tuple[Span, ...]) -> None:
-        """Tracer listener: queue one finished trace for the fold."""
-        inbox = self._inbox
-        inbox.append(spans)
-        if len(inbox) >= FOLD_AT:
-            self.fold()
-
-    def fold(self) -> None:
-        """Account every waiting trace's spans, in arrival order."""
-        if not self._inbox:
-            return
-        with self._lock:
-            inbox = self._inbox
-            pop = inbox.popleft
-            by_site: dict[str, list[float]] = {}
-            for _ in range(len(inbox)):
-                for span in pop():
-                    end = span.end if span.end is not None else span.start
-                    durations = by_site.get(span.name)
-                    if durations is None:
-                        durations = by_site[span.name] = []
-                    durations.append((end - span.start) * 1e3)
-            for name, durations in by_site.items():
-                self._account(name, durations)
+    def _take(self, spans: list[Span]) -> None:
+        by_site: dict[str, list[float]] = {}
+        for span in spans:
+            end = span.end if span.end is not None else span.start
+            durations = by_site.get(span.name)
+            if durations is None:
+                durations = by_site[span.name] = []
+            durations.append((end - span.start) * 1e3)
+        for name, durations in by_site.items():
+            self._account(name, durations)
 
     def _account(self, name: str, durations: list[float]) -> None:
         """One site's durations of a fold, in arrival order (lock held).

@@ -1,15 +1,12 @@
 """Always-on flight recorder: tail-biased trace capture + diag bundles.
 
-The tracer's finished ring answers "what happened recently" — but by the
-time an operator notices a deadline spike, the interesting traces have
-been evicted by thousands of healthy ones.  The
-:class:`FlightRecorder` is the black box that fixes this: the tracer hands
-it every finished trace (:meth:`~repro.obs.tracing.Tracer.add_listener`:
-one call per root, the whole trace at once; stragglers that outlive their
-root arrive alone and wait, bounded, in ``_pending``).  The listener only
-queues the trace; when the queue is folded — by any reader, or once
-:data:`FOLD_AT` traces wait — the recorder decides, per trace and in
-arrival order, whether the whole trace is worth keeping:
+By the time an operator notices a deadline spike, the interesting traces
+have left the tracer's ring, evicted by thousands of healthy ones.  The
+:class:`FlightRecorder` is the black box that fixes this: a reader of the
+tracer's inbox (:meth:`~repro.obs.tracing.Tracer.add_reader`), it parks
+each child until its root arrives (stragglers that outlive their root
+wait, bounded, in ``_pending``) and decides, per trace and in arrival
+order, whether the whole trace is worth keeping:
 
 - **error** — the root carries an ``error`` attribute (the tracer stamps
   the exception type on any span that ended in an exception: timeouts,
@@ -23,10 +20,9 @@ arrival order, whether the whole trace is worth keeping:
 - **head** — 1-in-N sampling of the healthy fast path, so there is
   always a baseline exemplar to diff a pathological trace against.
 
-Everything is bounded: pending traces, spans per trace, and the kept ring
-are capped, and every shed is counted (``loss()``), so the recorder can
-run always-on in a server without growing memory — the overhead gate is
-``benchmarks/bench_flight_overhead.py``.
+Pending traces, spans per trace and the kept ring are capped, and every
+shed is counted (``loss()``): the recorder runs always-on without growing
+memory (overhead gate: ``benchmarks/bench_flight_overhead.py``).
 
 The module also owns the **diagnostic bundle** format: one self-contained
 JSON file (or directory) holding the triggering event, exemplar Chrome
@@ -40,26 +36,21 @@ emit, and what the burn-rate alert engine auto-dumps on fire.  See
 from __future__ import annotations
 
 import json
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
 from .export import chrome_trace_from_spans
 from .metrics import MetricsRegistry
-from .tracing import Span, Tracer
+from .tracing import InboxReader, Span, Tracer
 
 __all__ = [
-    "BUNDLE_FORMAT",
-    "BUNDLE_REQUIRED_KEYS",
-    "MANIFEST_REQUIRED_KEYS",
-    "FlightRecorder",
-    "KeptTrace",
-    "load_bundle",
-    "validate_bundle",
+    "BUNDLE_FORMAT", "BUNDLE_REQUIRED_KEYS", "MANIFEST_REQUIRED_KEYS",
+    "FlightRecorder", "KeptTrace", "load_bundle", "validate_bundle",
     "write_bundle",
 ]
 
@@ -83,9 +74,14 @@ REFRESH_EVERY = 32
 MAX_PENDING = 64
 MAX_SPANS_PER_TRACE = 512
 MAX_HEALTH = 8
-#: Finished traces waiting in a recorder's inbox before the listener folds
-#: them itself, without waiting for a reader (:meth:`FlightRecorder.fold`).
-FOLD_AT = 1024
+#: Finished traces waiting in the tracer's inbox before the closing root
+#: folds the recorder itself, without waiting for a reader.  Small enough
+#: that a fold's spans fit the tracer's ring, so a span it overwrites is
+#: freed at once instead of piling up for the garbage collector.
+FOLD_AT = 256
+
+
+_events = attrgetter("events")
 
 
 @dataclass(frozen=True)
@@ -128,28 +124,23 @@ class _RootStats:
         self.threshold: float | None = None
 
 
-class FlightRecorder:
+class FlightRecorder(InboxReader):
     """Bounded, tail-biased capture of recent traces (see module docs).
 
-    The tracer listener only appends the finished trace to an inbox; the
-    keep decisions are made when the inbox is *folded*, in arrival order —
-    by every reader (:meth:`kept`, :meth:`exemplars`, :meth:`snapshot`,
+    Keep decisions are made when the recorder *folds*, in arrival order:
+    on every reader (:meth:`kept`, :meth:`exemplars`, :meth:`snapshot`,
     :meth:`loss`, :attr:`traces_seen`, :meth:`close`, and a read of the
     metrics registry, where the fold is a pre-read hook) and whenever
-    :data:`FOLD_AT` traces are waiting.  Folding after every trace and
-    folding once at the end leave the same state.
+    :data:`FOLD_AT` traces wait.  Any fold schedule leaves the same state.
     """
 
     def __init__(self, tracer: Tracer, registry: MetricsRegistry):
-        """Listens to ``tracer`` and counts kept traces in ``registry``;
-        the bounds and sampling rates are this module's constants."""
-        self.tracer = tracer
+        """Reads ``tracer`` and counts kept traces in ``registry``; the
+        bounds and sampling rates are this module's constants."""
         self.registry = registry
-        self._lock = threading.Lock()
-        #: Finished traces not yet folded, in arrival order.
-        self._inbox: deque = deque()
         self._pending: dict[int, list[Span]] = {}
-        self._kept: deque[KeptTrace] = deque(maxlen=max(1, MAX_TRACES))
+        #: Kept traces as :class:`KeptTrace` field tuples, built on read.
+        self._kept: deque[tuple] = deque(maxlen=max(1, MAX_TRACES))
         self._roots: dict[tuple[str, str], _RootStats] = {}
         self._health: deque[dict] = deque(maxlen=MAX_HEALTH)
         #: Span clocks are ``perf_counter``; a kept trace's ``unix_ts`` is
@@ -168,141 +159,97 @@ class FlightRecorder:
         self._kept_series = {
             reason: kept.labels(reason=reason) for reason in KEEP_REASONS
         }
-        tracer.add_listener(self.on_trace)
+        super().__init__(tracer, FOLD_AT)
         registry.add_pre_read(self.fold)
 
     def close(self) -> None:
-        """Fold what is waiting and detach from the tracer (idempotent)."""
-        self.tracer.remove_listener(self.on_trace)
-        self.fold()
+        super().close()
         self.registry.remove_pre_read(self.fold)
 
     # ------------------------------------------------------------------
     # Capture
 
-    def on_trace(self, spans: tuple[Span, ...]) -> None:
-        """Tracer listener: one finished trace (root last), or a straggler.
-
-        Runs on whatever thread finished the root, and only appends.
-        """
-        inbox = self._inbox
-        inbox.append(spans)
-        if len(inbox) >= FOLD_AT:
-            self.fold()
-
     def on_span(self, span: Span) -> None:
         """One span on its own (what a straggler's delivery looks like)."""
         self.on_trace((span,))
 
-    def fold(self) -> None:
-        """Decide on every waiting trace, in arrival order."""
-        if not self._inbox:
-            return
-        with self._lock:
-            kept = self._fold_locked()
-        for reason, count in kept.items():
-            self._kept_series[reason].inc(count)
-
-    def _fold_locked(self) -> dict[str, int]:
-        """Drain the inbox: park children, classify roots, keep some.
-
-        Returns the traces kept, by reason.  Per trace this only finds the
-        root and what it says about itself (error, events, duration); the
-        slow and head tests run per ``(name, kind)`` over the whole batch
-        in :meth:`_classify`, and only kept traces build a
-        :class:`KeptTrace`.
-        """
-        inbox = self._inbox
-        pop = inbox.popleft
-        pending = self._pending
-        # Per root, in arrival order (parallel lists), and per
-        # ``(name, kind)`` the positions of its roots.
-        roots: list[Span] = []
-        traces: list[tuple[Span, ...]] = []
-        kinds: list[str] = []
-        durations: list[float] = []
-        reasons: list[str | None] = []
-        groups: dict[tuple[str, str], list[int]] = {}
-        for _ in range(len(inbox)):
-            spans = pop()
-            root = spans[-1]
+    def _take(self, spans: list[Span]) -> None:
+        """Park children, classify roots, keep some (lock held).  Per root
+        this collects its parked children, its ``(name, kind)`` and whether
+        it errored or carries events; durations, the slow and head tests
+        (:meth:`_classify`) run per ``(name, kind)`` over the whole batch."""
+        pending, buffer = self._pending, self._buffer
+        # Per ``(name, kind)``: its roots' arrival positions and the roots.
+        groups: dict[tuple[str, str], tuple[list[int], list[Span]]] = {}
+        decided: dict[int, str] = {}  # error / event roots, by position
+        parked_of: dict[int, list[Span]] = {}
+        seen = 0
+        for root in spans:
             if root.parent_id is not None:
-                for span in spans:
-                    self._buffer(span)
+                bucket = pending.get(root.trace_id)
+                if bucket is not None and len(bucket) < MAX_SPANS_PER_TRACE:
+                    bucket.append(root)
+                else:
+                    buffer(root)
                 continue
-            if pending and root.trace_id in pending or (
-                len(spans) > 1
-                and (
-                    len(spans) > MAX_SPANS_PER_TRACE + 1
-                    or len(pending) >= MAX_PENDING
-                )
-            ):
-                # The general path: park the children first, exactly as
-                # spans delivered one by one would be.
-                for span in spans[:-1]:
-                    self._buffer(span)
-                parked = pending.pop(root.trace_id, None)
-                spans = (*parked, root) if parked else (root,)
             attributes = root.attributes
+            parked = pending.pop(root.trace_id, None) if pending else None
+            if parked:
+                parked_of[seen] = parked
+            if "error" in attributes:
+                decided[seen] = "error"
+            elif root.events or (parked and any(map(_events, parked))):
+                decided[seen] = "event"
             kind = attributes.get("kind", "")
             if type(kind) is not str:
                 kind = str(kind)
-            end = root.end
-            if end is None:
-                end = root.start
-            if "error" in attributes:
-                reason = "error"
-            else:
-                reason = None
-                for span in spans:
-                    if span.events:
-                        reason = "event"
-                        break
-            key = (root.name, kind)
-            group = groups.get(key)
+            group = groups.get((root.name, kind))
             if group is None:
-                group = groups[key] = []
-            group.append(len(roots))
-            roots.append(root)
-            traces.append(spans)
-            kinds.append(kind)
-            durations.append((end - root.start) * 1e3)
-            reasons.append(reason)
-        self._traces_seen += len(roots)
-        for key, group in groups.items():
-            stats = self._roots.get(key)
+                group = groups[root.name, kind] = ([], [])
+            group[0].append(seen)
+            group[1].append(root)
+            seen += 1
+        self._traces_seen += seen
+        kept: list[tuple[int, str, Span, str, float]] = []
+        for (name, kind), (positions, roots) in groups.items():
+            stats = self._roots.get((name, kind))
             if stats is None:
-                stats = self._roots[key] = _RootStats()
-            for index, reason in self._classify(
-                stats,
-                [durations[at] for at in group],
-                [reasons[at] is None for at in group],
-            ):
-                reasons[group[index]] = reason
+                stats = self._roots[name, kind] = _RootStats()
+            durations = [
+                ((r.start if r.end is None else r.end) - r.start) * 1e3
+                for r in roots
+            ]
+            open_ = (
+                [at not in decided for at in positions]
+                if decided else [True] * len(roots)
+            )
+            for index, reason in self._classify(stats, durations, open_):
+                kept.append(
+                    (positions[index], reason, roots[index], kind,
+                     durations[index])
+                )
+            if decided:
+                for index, at in enumerate(positions):
+                    if at in decided:
+                        kept.append(
+                            (at, decided[at], roots[index], kind,
+                             durations[index])
+                        )
+        kept.sort(key=lambda entry: entry[0])
         counts: dict[str, int] = {}
         kept_ring = self._kept
-        for at, reason in enumerate(reasons):
-            if reason is None:
-                continue
+        for at, reason, root, kind, duration_ms in kept:
             counts[reason] = counts.get(reason, 0) + 1
             if len(kept_ring) == kept_ring.maxlen:
                 self.kept_evicted += 1
-            root = roots[at]
             end = root.end if root.end is not None else root.start
-            kept_ring.append(
-                KeptTrace(
-                    trace_id=root.trace_id,
-                    reason=reason,
-                    root_name=root.name,
-                    kind=kinds[at],
-                    duration_ms=durations[at],
-                    unix_ts=end + self._wall_offset,
-                    spans=traces[at],
-                )
-            )
+            kept_ring.append((
+                root.trace_id, reason, root.name, kind, duration_ms,
+                end + self._wall_offset, (*parked_of.get(at, ()), root),
+            ))
         for reason, count in counts.items():
             self.kept_counts[reason] += count
-        return counts
+            self._kept_series[reason].inc(count)
 
     def _buffer(self, span: Span) -> None:
         """Park a non-root span until its root arrives (lock held)."""
@@ -398,7 +345,7 @@ class FlightRecorder:
         """Kept traces, oldest first, optionally filtered by reason."""
         self.fold()
         with self._lock:
-            snapshot = tuple(self._kept)
+            snapshot = tuple(KeptTrace(*fields) for fields in self._kept)
         if reason is None:
             return snapshot
         return tuple(t for t in snapshot if t.reason == reason)

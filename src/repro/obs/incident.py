@@ -10,6 +10,7 @@ function takes the server it reports on; the server calls them directly.
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from pathlib import Path
@@ -118,6 +119,19 @@ def report_quarantine(server) -> None:
     server._m.quarantined.set(len(server._state.materialized.quarantined))
 
 
+def _read_once(report):
+    """Run ``report(server, ...)`` in one ``server.metrics.reading()``
+    block: each pre-read hook runs once per report, not once per read."""
+
+    @functools.wraps(report)
+    def read(server, *args, **kwargs):
+        with server.metrics.reading():
+            return report(server, *args, **kwargs)
+
+    return read
+
+
+@_read_once
 def health(server, max_workers: int) -> dict:
     """:meth:`OLAPServer.health <repro.server.OLAPServer.health>`'s
     payload; ``max_workers`` is the batch default it reports."""
@@ -311,6 +325,7 @@ def watch_alerts(server) -> None:
     server.alerts.on_resolve.append(resolve)
 
 
+@_read_once
 def dump_diagnostics(
     server, path: str | Path | None = None, trigger: dict | None = None
 ) -> Path:

@@ -43,7 +43,8 @@ flight recorder's ``flight_traces_kept_total``) register a *pre-read hook*
 (:meth:`MetricsRegistry.add_pre_read`): every read of the registry —
 :meth:`~MetricsRegistry.get`, :meth:`~MetricsRegistry.snapshot`, the
 Prometheus export, or a read of any metric it holds — runs the hooks
-first, outside every metric lock.
+first, outside every metric lock — once per :meth:`MetricsRegistry.reading`
+block (``health()``, a diagnostic bundle, a snapshot), not once per read.
 """
 
 from __future__ import annotations
@@ -54,15 +55,8 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 
 __all__ = [
-    "Counter",
-    "DEFAULT_BUCKETS",
-    "Gauge",
-    "Histogram",
-    "MAX_LABEL_SETS",
-    "MetricsRegistry",
-    "OVERFLOW_KEY",
-    "current_registry",
-    "default_registry",
+    "Counter", "DEFAULT_BUCKETS", "Gauge", "Histogram", "MAX_LABEL_SETS",
+    "MetricsRegistry", "OVERFLOW_KEY", "current_registry", "default_registry",
 ]
 
 #: Label sets are stored as sorted ``(key, value)`` tuples.
@@ -468,9 +462,22 @@ class MetricsRegistry:
             )
 
     def pre_read(self) -> None:
-        """Run the pre-read hooks (every read does, first)."""
-        for hook in self._pre_read_hooks:
-            hook()
+        """Run the pre-read hooks (every read does, first), unless this
+        thread is inside a :meth:`reading` block, which ran them."""
+        if _READING.get() is not self:
+            for hook in self._pre_read_hooks:
+                hook()
+
+    @contextmanager
+    def reading(self):
+        """Read this registry inside the block with the pre-read hooks run
+        once, on entry (a nested block runs none)."""
+        self.pre_read()
+        token = _READING.set(self)
+        try:
+            yield self
+        finally:
+            _READING.reset(token)
 
     def _note_series_overflow(self, metric_name: str) -> None:
         """One write folded into an overflow series (guard hook).
@@ -572,10 +579,10 @@ class MetricsRegistry:
 
     def snapshot(self) -> dict:
         """``{name: metric.snapshot()}`` for every registered metric."""
-        self.pre_read()
-        with self._lock:
-            metrics = dict(self._metrics)
-        return {name: metrics[name].snapshot() for name in sorted(metrics)}
+        with self.reading():
+            with self._lock:
+                metrics = dict(self._metrics)
+            return {name: metrics[name].snapshot() for name in sorted(metrics)}
 
     @contextmanager
     def activate(self):
@@ -588,6 +595,8 @@ class MetricsRegistry:
 
 
 _DEFAULT_REGISTRY = MetricsRegistry()
+#: The registry whose :meth:`MetricsRegistry.reading` block this thread is in.
+_READING: ContextVar = ContextVar("repro_obs_reading", default=None)
 _ACTIVE_REGISTRY: ContextVar[MetricsRegistry | None] = ContextVar(
     "repro_obs_registry", default=None
 )

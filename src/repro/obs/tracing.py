@@ -1,38 +1,30 @@
 """Hierarchical span-based tracing with contextvar propagation.
 
 A :class:`Tracer` records :class:`Span` trees: each span has a name, wall
-time (``time.perf_counter``), free-form attributes, timestamped events, and
-a parent — the span that was open when it started.  Every span also carries
-a **trace id**: a root span (no open parent) starts a new trace and every
-descendant inherits it, so all the work one query triggers — planning,
-DAG-node execution on pool workers, cache lookups, retries — shares one id
-and can be reassembled into a single connected tree (:meth:`Tracer.trace`).
+time (``time.perf_counter``), free-form attributes, timestamped events, a
+parent (the span open when it started) and a **trace id**: a root span
+starts a new trace and every descendant inherits it, so all the work one
+query triggers — planning, DAG-node execution on pool workers, cache
+lookups, retries — is one connected tree (:meth:`Tracer.trace`).  Each
+span records the thread and process it ran on, which is what lets the
+Chrome trace exporter (:mod:`repro.obs.export`) draw worker lanes.
 
 Propagation uses :mod:`contextvars`, so nesting works across ordinary
 calls, generators, and threads started with a copied context (the DAG
-executor copies its context into every pool submission), without threading
-a tracer argument through every function.
+executor copies its context into every pool submission).  Instrumented
+code calls the module-level :func:`span` helper, which records into the
+*currently active* tracer and is a cheap no-op when none is active.
 
-Each span records the thread and process it ran on, which is what lets the
-Chrome trace exporter (:mod:`repro.obs.export`) draw scheduler and worker
-lanes under the serving process.
-
-Instrumented library code calls the module-level :func:`span` helper, which
-records into the *currently active* tracer and is a cheap no-op when none is
-active — importing an instrumented module never forces tracing on.
-
-The tracer keeps a bounded ring of finished spans (oldest overwritten);
-overwrites are counted (``dropped_spans``, and the ``tracer_dropped_spans``
-counter, which catches up with it whenever its registry is read), so a
-long-running server can stay instrumented without growing memory and
-still report how much history it shed.  Overwriting is
-*retention*, not loss: every span was recorded and handed to the listeners
-before it aged out.
-
-Listeners (the flight recorder, the site profiler) are fed per *trace*, not
-per span: a finished child is parked on its root, and when the root
-finishes the listeners get the whole trace in one call — so a span below
-the root costs one ring append, whatever is listening.
+A span's close takes no lock and calls nothing: it appends the span to
+the bounded ring of retained spans (:meth:`Tracer.spans`; the oldest are
+overwritten, counted in ``dropped_spans`` and in the
+``tracer_dropped_spans`` counter, which catches up whenever its registry
+is read) and to the tracer's **inbox**, which the readers added with
+:meth:`Tracer.add_reader` (the flight recorder, the site profiler) fold
+when they read, each from its own cursor; every ``fold_at`` traces a
+closing root folds them all.  Overwriting is *retention*, not loss: every
+span reaches every reader.  Listeners (:meth:`Tracer.add_listener`) are
+fed per *trace*, when its root finishes.
 """
 
 from __future__ import annotations
@@ -45,17 +37,13 @@ from collections import deque
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
+from time import perf_counter
 
 from .metrics import current_registry
 
 __all__ = [
-    "Span",
-    "Tracer",
-    "span",
-    "current_tracer",
-    "current_span",
-    "add_span_event",
-    "tracing_active",
+    "InboxReader", "Span", "Tracer", "span", "current_tracer", "current_span",
+    "add_span_event", "tracing_active",
 ]
 
 
@@ -65,7 +53,8 @@ class Span:
 
     ``trace_id`` groups every span descending from one root; ``events`` is
     a list of timestamped point annotations (retries, fault injections,
-    degradation re-routes) attached while the span was active.
+    degradation re-routes) attached while the span was active — on a span
+    a tracer opened, an empty tuple until the first one.
     """
 
     name: str
@@ -75,19 +64,10 @@ class Span:
     start: float = 0.0
     end: float | None = None
     attributes: dict = field(default_factory=dict)
-    events: list = field(default_factory=list)
+    events: list | tuple = field(default_factory=list)
     thread_id: int = 0
     thread_name: str = ""
     process_id: int = 0
-    #: Tracer bookkeeping for the per-trace listener feed: a child points
-    #: at its trace's root; an open root parks its finished descendants in
-    #: ``_parked`` (``None`` once delivered, or with nothing listening).
-    _root: "Span | None" = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _parked: list | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     @property
     def duration(self) -> float:
@@ -101,9 +81,11 @@ class Span:
 
     def add_event(self, event_name: str, /, **attributes) -> None:
         """Attach a timestamped point event to this span."""
-        self.events.append(
-            {"name": event_name, "ts": time.perf_counter(), **attributes}
-        )
+        event = {"name": event_name, "ts": time.perf_counter(), **attributes}
+        if self.events:
+            self.events.append(event)
+        else:
+            self.events = [event]
 
     def to_dict(self) -> dict:
         """JSON-friendly representation (durations in milliseconds)."""
@@ -145,26 +127,39 @@ _NULL_SPAN = _NullSpan()
 
 
 class Tracer:
-    """Records finished spans into a bounded, lock-guarded ring buffer.
+    """Records finished spans into a ring and an inbox its readers fold.
 
     One tracer may be written from the scheduler thread and every pool
-    worker of a batch execution concurrently; id allocation and the
-    finished ring take an internal lock.
+    worker of a batch execution concurrently: ids come from counters and a
+    close appends without a lock; reading takes an internal lock.
     """
 
     def __init__(self, max_spans: int = 4096):
         self.max_spans = max_spans
+        #: The ring of retained spans: a close appends to it, overwriting
+        #: the oldest; ``_cleared`` counts what :meth:`clear` dropped.
         self.finished: deque[Span] = deque(maxlen=max_spans)
-        self.dropped_spans = 0
+        self._cleared = 0
         self._ids = itertools.count(1)
         self._trace_ids = itertools.count(1)
         self._lock = threading.Lock()
-        #: Trace listeners (flight recorder, site profiler), stored as an
-        #: immutable tuple so the hot path reads it without the lock.
+        #: Finished spans in finish order, for the readers: ``_inbox[0]`` is
+        #: the ``_base``-th span the tracer finished.  Each reader reads from
+        #: its cursor (an absolute index); what all have read is trimmed.
+        self._inbox: list[Span] = []
+        self._base = 0
+        self._cursors: dict = {}
+        self._bounds: dict = {}
+        #: Traces finished before a root's close folds every reader: the
+        #: smallest bound a reader asked for, else the ring's size.
+        self._fold_at = max_spans
+        self._roots = 0
+        #: Trace listeners (read lock-free), and the finished children of
+        #: each open trace that began while one listened.
         self._listeners: tuple = ()
-        #: ``tracer_dropped_spans`` on the registry current at the first
-        #: overwrite, and how many drops it has been told of: a pre-read
-        #: hook there folds the rest in (:meth:`_fold_drops`).
+        self._parked: dict[int, list[Span]] = {}
+        #: ``tracer_dropped_spans``, bound when the first span the ring
+        #: cannot hold opens, and the drops it has been told of.
         self._dropped_series = None
         self._drops_folded = 0
 
@@ -175,30 +170,78 @@ class Tracer:
         """Call ``listener(spans)`` for every trace this tracer finishes.
 
         ``spans`` is the finished trace — descendants in finish order, the
-        root last — handed over once, when the root finishes.  A span that
-        finishes after its root (a pool worker outliving a timed-out
-        query), or whose trace began with nothing listening, arrives alone
-        as a one-span tuple.  Listeners run on whatever thread finished
-        the root and outside the tracer lock; they must be fast and are
-        isolated — a raising listener is dropped from the notification,
-        never propagated into the instrumented call.
+        root last — handed over when the root finishes.  A span finishing
+        after its root (a pool worker outliving a timed-out query), or
+        whose trace began with nothing listening, arrives alone.  Listeners
+        run outside the tracer lock on the finishing thread; one that
+        raises is skipped, never propagated into the instrumented call.
         """
         with self._lock:
             self._listeners = self._listeners + (listener,)
 
-    def remove_listener(self, listener) -> None:
-        """Detach a listener added with :meth:`add_listener` (idempotent)."""
+    def add_reader(self, fold, fold_at: int) -> None:
+        """Keep the spans finished from now on for the reader whose fold is
+        ``fold`` (it takes them with :meth:`read`); a root's close runs
+        every reader's fold once ``fold_at`` traces wait."""
         with self._lock:
-            # Equality, not identity: each ``obj.method`` access builds a
-            # fresh bound-method object, so identity would never match.
-            self._listeners = tuple(
-                fn for fn in self._listeners if fn != listener
-            )
+            self._cursors[fold] = self._base + len(self._inbox)
+            self._bounds[fold] = fold_at
+            self._fold_at = min(self._bounds.values())
+
+    def remove_reader(self, fold) -> None:
+        """Detach a reader added with :meth:`add_reader` (idempotent)."""
+        with self._lock:
+            self._cursors.pop(fold, None)
+            self._bounds.pop(fold, None)
+            self._fold_at = min(self._bounds.values(), default=self.max_spans)
+            self._trim()
+
+    def read(self, fold) -> list[Span]:
+        """The spans finished since the reader ``fold`` last read."""
+        # Length before base: a trim moves the base first, so a lock-free
+        # look can only over-count what waits, never miss it.
+        at = self._cursors.get(fold)
+        if at is None or at >= len(self._inbox) + self._base:
+            return []
+        with self._lock:
+            at = self._cursors.get(fold)
+            if at is None:
+                return []
+            spans = self._inbox[at - self._base :]
+            self._cursors[fold] = at + len(spans)
+            self._trim()
+        return spans
+
+    def fold(self) -> None:
+        """Run every reader's fold (a full inbox does, inside a span's
+        close: like a listener, a raising reader is skipped there)."""
+        self._roots = 0
+        for fold in tuple(self._cursors):
+            try:
+                fold()
+            except Exception:
+                pass
+        with self._lock:
+            self._trim()
+
+    def _trim(self) -> None:
+        """Drop what every reader has read (lock held)."""
+        low = min(self._cursors.values(), default=self._base + len(self._inbox))
+        if low > self._base:
+            drop = low - self._base
+            self._base = low
+            del self._inbox[:drop]
+
+    @property
+    def dropped_spans(self) -> int:
+        """Finished spans the ring overwrote (every reader still had them)."""
+        with self._lock:
+            finished = self._base + len(self._inbox)
+        return max(0, finished - self._cleared - len(self.finished))
 
     def _watch_drops(self) -> None:
-        """Bind ``tracer_dropped_spans`` on the current registry (the first
-        overwrite's) and fold :attr:`dropped_spans` into it whenever that
-        registry is read; an overwrite itself writes no metric."""
+        """Bind ``tracer_dropped_spans`` on the current registry, folded
+        from :attr:`dropped_spans` whenever that registry is read."""
         registry = current_registry()
         series = registry.counter(
             "tracer_dropped_spans",
@@ -212,35 +255,74 @@ class Tracer:
 
     def _fold_drops(self) -> None:
         """Registry pre-read hook: count the drops since the last read."""
+        dropped = self.dropped_spans
         with self._lock:
-            drops = self.dropped_spans - self._drops_folded
-            self._drops_folded = self.dropped_spans
-        if drops:
+            drops = dropped - self._drops_folded
+            if drops > 0:
+                self._drops_folded = dropped
+        if drops > 0:
             self._dropped_series.inc(drops)
 
-    def _finish(self, span: Span) -> None:
-        root = span._root
+    def _open(self, name: str, attributes: dict) -> Span:
+        """A started span, child of the active one; the caller makes it
+        active (``_ACTIVE_SPAN``) and closes it with :meth:`_close`."""
+        parent = _ACTIVE_SPAN.get()
+        try:
+            thread_id, thread_name = _lane.value
+        except AttributeError:
+            thread_id, thread_name = _thread_lane()
+        if parent is None:
+            trace_id, parent_id = next(self._trace_ids), None
+        else:
+            trace_id, parent_id = parent.trace_id, parent.span_id
+        span_id = next(self._ids)
+        if span_id > self.max_spans and self._dropped_series is None:
+            self._watch_drops()  # this span will overwrite one
+        # Positional, in field order: the keyword parse is a measurable
+        # share of opening a span.
+        current = Span(
+            name, span_id, trace_id, parent_id, perf_counter(), None,
+            attributes, (), thread_id, thread_name, _process_id,
+        )
+        if parent is None and self._listeners:
+            self._parked[trace_id] = []
+        return current
+
+    def _close(self, span: Span, exc_type) -> None:
+        """End ``span`` and append it to the ring and the inbox.  A span
+        that ended in an exception carries its type (``error``), so the
+        flight recorder keeps failed traces with no annotation by hand."""
+        if exc_type is not None:
+            span.attributes.setdefault("error", exc_type.__name__)
+        span.end = perf_counter()
+        self.finished.append(span)
+        self._inbox.append(span)
+        if span.parent_id is None:
+            # A bound, not an account: an increment lost to a race only
+            # delays the fold.
+            self._roots += 1
+            if self._roots >= self._fold_at:
+                self.fold()
+        if self._listeners:
+            self._deliver(span)
+
+    def _deliver(self, span: Span) -> None:
+        """Park a finished child while its root is open; hand a finished
+        root's trace (or a span whose root is gone) to the listeners."""
         with self._lock:
-            finished = self.finished
-            overwrote = len(finished) == finished.maxlen
-            if overwrote:
-                self.dropped_spans += 1
-            finished.append(span)
-            listeners = self._listeners
-            if root is not None and root._parked is not None:
-                root._parked.append(span)
-                trace = None
+            if span.parent_id is None:
+                trace = (*self._parked.pop(span.trace_id, ()), span)
+            elif span.trace_id in self._parked:
+                self._parked[span.trace_id].append(span)
+                return
             else:
-                trace = (*(span._parked or ()), span)
-                span._parked = None
-        if overwrote and self._dropped_series is None:
-            self._watch_drops()
-        if trace is not None:
-            for listener in listeners:
-                try:
-                    listener(trace)
-                except Exception:
-                    pass
+                trace = (span,)
+            listeners = self._listeners
+        for listener in listeners:
+            try:
+                listener(trace)
+            except Exception:
+                pass
 
     def span(self, name: str, **attributes) -> "_OpenSpan":
         """Open a child span of whatever span is currently active.
@@ -289,6 +371,7 @@ class Tracer:
     def clear(self) -> None:
         """Drop all finished spans (keeps the dropped-span count)."""
         with self._lock:
+            self._cleared += len(self.finished)
             self.finished.clear()
 
     def summary(self) -> dict[str, dict]:
@@ -313,6 +396,41 @@ class Tracer:
         return out
 
 
+class InboxReader:
+    """A reader of one tracer's inbox (the flight recorder, the profiler):
+    :meth:`fold` hands :meth:`_take` every span finished since the last
+    fold, in finish order, under the reader's lock, and :meth:`on_trace`
+    hands it a trace directly, after what waits."""
+
+    def __init__(self, tracer: "Tracer", fold_at: int):
+        self.tracer = tracer
+        self._lock = threading.Lock()
+        tracer.add_reader(self.fold, fold_at)
+
+    def _take(self, spans: list[Span]) -> None:
+        raise NotImplementedError
+
+    def on_trace(self, spans: tuple[Span, ...]) -> None:
+        """Account one finished trace (root last), or a lone span."""
+        self._fold(spans)
+
+    def fold(self) -> None:
+        """Account every span waiting in the inbox, in arrival order."""
+        self._fold(())
+
+    def _fold(self, given) -> None:
+        with self._lock:
+            spans = self.tracer.read(self.fold)
+            spans += given
+            if spans:
+                self._take(spans)
+
+    def close(self) -> None:
+        """Fold what is waiting and detach from the tracer (idempotent)."""
+        self.fold()
+        self.tracer.remove_reader(self.fold)
+
+
 class _OpenSpan:
     """The ``with`` block of one :meth:`Tracer.span` call.
 
@@ -328,60 +446,36 @@ class _OpenSpan:
         self._attributes = attributes
 
     def __enter__(self) -> Span:
-        tracer = self._tracer
-        parent = _ACTIVE_SPAN.get()
-        thread = threading.current_thread()
-        if parent is not None:
-            trace_id, parent_id = parent.trace_id, parent.span_id
-        else:
-            trace_id, parent_id = next(tracer._trace_ids), None
-        # Positional, in field order: one span per served call makes the
-        # keyword-argument parse a measurable share of opening it.
-        self._span = current = Span(
-            self._name,
-            next(tracer._ids),
-            trace_id,
-            parent_id,
-            time.perf_counter(),
-            None,
-            self._attributes,
-            [],
-            thread.ident or 0,
-            thread.name,
-            _process_id,
-        )
-        if parent is not None:
-            current._root = parent._root or parent
-        elif tracer._listeners:
-            current._parked = []
+        self._span = current = self._tracer._open(self._name, self._attributes)
         self._token = _ACTIVE_SPAN.set(current)
         return current
 
     def __exit__(self, exc_type, exc, traceback) -> bool:
-        current = self._span
-        if exc_type is not None:
-            # Self-recorded failure: a span that ended in an exception
-            # carries the exception type, so tail-biased consumers (the
-            # flight recorder) can keep failed traces without the serving
-            # code annotating every error path by hand.
-            current.attributes.setdefault("error", exc_type.__name__)
-        current.end = time.perf_counter()
         _ACTIVE_SPAN.reset(self._token)
-        self._tracer._finish(current)
+        self._tracer._close(self._span, exc_type)
         return False
 
 
-#: ``os.getpid()``, read once per process instead of once per span; a
-#: forked child re-reads it before it can open a span.
+#: ``os.getpid()``, read once per process instead of once per span, and
+#: each thread's ``(ident, name)``, read once per thread (``_lane.value``);
+#: a forked child reads both afresh before it can open a span.
 _process_id = os.getpid()
+_lane = threading.local()
 
 
-def _refresh_process_id() -> None:
-    global _process_id
+def _thread_lane() -> tuple[int, str]:
+    thread = threading.current_thread()
+    _lane.value = lane = (thread.ident or 0, thread.name)
+    return lane
+
+
+def _after_fork() -> None:
+    global _process_id, _lane
     _process_id = os.getpid()
+    _lane = threading.local()
 
 
-os.register_at_fork(after_in_child=_refresh_process_id)
+os.register_at_fork(after_in_child=_after_fork)
 
 
 _ACTIVE_TRACER: ContextVar[Tracer | None] = ContextVar(

@@ -27,7 +27,10 @@ from ..errors import (
     AdmissionRejected, IncompleteSetError, InvalidQueryError, QueryTimeout,
     TransientFault,
 )
-from ..obs import add_span_event, log_event, span
+from ..obs import add_span_event, log_event
+from ..obs.events import _ACTIVE_EVENT_LOG
+from ..obs.metrics import _ACTIVE_REGISTRY
+from ..obs.tracing import _ACTIVE_SPAN, _ACTIVE_TRACER
 from .deadline import SERVING, Deadline, deadline_scope
 from .retry import retry_transient
 
@@ -37,21 +40,23 @@ __all__ = ["assemble_resilient", "note_degraded", "with_retries"]
 class _Serve:
     """The one envelope every view, batch and range is served in.
 
-    Entering activates the server's observability, takes an admission
-    slot (always released on exit, also when the query times out or
-    fails), opens the deadline scope — when there is a deadline, a real
-    number of milliseconds — and the call's one span.  The body reads
-    ``state`` and ``counter`` and leaves span attributes in ``attrs``;
-    they are set on the span once, when it closes.
+    Entering makes the server's registry, tracer and event log the ambient
+    ones and this call the one being served (:data:`SERVING`), takes an
+    admission slot (always released on exit, also when the query times
+    out or fails), opens the deadline scope — when there is a deadline, a
+    real number of milliseconds — and the call's one span, made active.
+    It sets those contextvars itself, with no nested context manager.
+    The body reads ``state`` and ``counter`` and leaves span attributes in
+    ``attrs``, which is the span's attribute dict.
 
     A served call appends one record to the server's
     :class:`~repro.calllog.CallLog` (its queries, operations, ``tracked``
-    elements and latency), and writes nothing else; the log is folded
-    when read.  A call that times out, is rejected, invalid
+    elements, latency and alert sample), and writes nothing else; the log
+    is folded when read.  A call that times out, is rejected, invalid
     (:class:`InvalidQueryError`) or fails is written at once, labelled by
-    its outcome (:meth:`CallLog.failed`).  Every call lands one
-    alert-engine record.  The incident layer only appends too, and folds
-    when a reader runs.
+    its outcome (:meth:`CallLog.failed`), and so is an alert sample some
+    rule counts bad (:meth:`~repro.obs.alerts.AlertEngine.defer`).  The
+    span is one append to the tracer's inbox; its readers fold it.
 
     A slotted class, not a generator: the envelope is most of what a
     cache hit costs, and every metric it writes is a series bound in
@@ -60,8 +65,8 @@ class _Serve:
 
     __slots__ = (
         "server", "kind", "deadline_ms", "tracked", "queries", "attrs",
-        "state", "counter", "degraded", "_span_name", "_activation",
-        "_token", "_start", "_admitted", "_deadline", "_open_span", "_span",
+        "state", "counter", "degraded", "_span_name", "_tokens", "_start",
+        "_admitted", "_deadline", "_tracer", "_span", "_span_token",
     )
 
     def __init__(
@@ -73,7 +78,7 @@ class _Serve:
         self.deadline_ms = deadline_ms
         self.tracked = tracked
         self.queries = queries
-        self.attrs = attrs
+        self.attrs = {"kind": kind, **attrs}
         self.degraded = False
         self._span_name = span_name
         self._admitted = False
@@ -81,10 +86,19 @@ class _Serve:
 
     def __enter__(self) -> "_Serve":
         server = self.server
-        self._activation = server.obs.activate()
-        self._activation.__enter__()
+        obs = server.obs
+        if obs.tracing:
+            tracer = obs.tracer
+            tracer_token = _ACTIVE_TRACER.set(tracer)
+        else:
+            tracer, tracer_token = _ACTIVE_TRACER.get(), None
+        self._tokens = (
+            _ACTIVE_REGISTRY.set(obs.registry),
+            tracer_token,
+            _ACTIVE_EVENT_LOG.set(obs.events),
+            SERVING.set(self),
+        )
         self._start = time.perf_counter()
-        self._token = SERVING.set(self)
         try:
             admission = server._admission
             if admission is not None:
@@ -106,8 +120,10 @@ class _Serve:
                     )
                 self._deadline = deadline_scope(Deadline.after(deadline_ms / 1e3))
                 self._deadline.__enter__()
-            self._open_span = span(self._span_name)
-            self._span = self._open_span.__enter__()
+            if tracer is not None:
+                self._tracer = tracer
+                self._span = tracer._open(self._span_name, self.attrs)
+                self._span_token = _ACTIVE_SPAN.set(self._span)
             self.state = server._state
             self.counter = OpCounter()
         except BaseException:
@@ -120,11 +136,11 @@ class _Serve:
         m = server._m
         try:
             try:
+                if exc_type is None:
+                    self.attrs["operations"] = self.counter.total
                 if self._span is not None:
-                    if exc_type is None:
-                        self.attrs["operations"] = self.counter.total
-                    self._span.set(kind=kind, **self.attrs)
-                    self._open_span.__exit__(exc_type, exc, traceback)
+                    _ACTIVE_SPAN.reset(self._span_token)
+                    self._tracer._close(self._span, exc_type)
                 if self._deadline is not None:
                     self._deadline.__exit__(exc_type, exc, traceback)
             finally:
@@ -135,7 +151,6 @@ class _Serve:
             exc_type = type(failure)
             raise
         finally:
-            SERVING.reset(self._token)
             if exc_type is None:
                 outcome = "ok"
             elif issubclass(exc_type, QueryTimeout):
@@ -151,21 +166,28 @@ class _Serve:
             else:
                 outcome = "error"
             latency_ms = (time.perf_counter() - self._start) * 1e3
+            alerts = server.alerts
             if outcome == "ok":
-                operations = self.attrs["operations"]
+                now = None
+                if alerts is not None:
+                    now = alerts.defer(latency_ms, self.degraded)
                 server._log.append(
-                    (kind, self.queries, operations, self.tracked, latency_ms)
+                    (kind, self.queries, self.attrs["operations"],
+                     self.tracked, latency_ms, now)
                 )
             else:
                 started = self._span is not None
                 server._log.failed(
                     kind, self.queries, started, outcome, latency_ms
                 )
-            if server.alerts is not None:
-                server.alerts.record(
-                    outcome, latency_ms, degraded=self.degraded
-                )
-            self._activation.__exit__(None, None, None)
+            if alerts is not None and (outcome != "ok" or now is None):
+                alerts.record(outcome, latency_ms, degraded=self.degraded)
+            registry, tracer, events, serving = self._tokens
+            SERVING.reset(serving)
+            _ACTIVE_EVENT_LOG.reset(events)
+            if tracer is not None:
+                _ACTIVE_TRACER.reset(tracer)
+            _ACTIVE_REGISTRY.reset(registry)
         return False
 
     def note_degraded(self, target: str, targets: int) -> None:

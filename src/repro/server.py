@@ -180,25 +180,25 @@ class OLAPServer:
         self.metrics = self.obs.registry
         self.tracer = self.obs.tracer
         self._m = incident.declare_metrics(self.metrics)
-        # Incident observability: flight recorder + site profiler ride the
-        # tracer's per-trace listener feed, so they attach only when this
-        # server actually traces (the telemetry-off baseline pays nothing).
+        # Incident observability: flight recorder + site profiler read the
+        # tracer's inbox, so they attach only when this server actually
+        # traces (the telemetry-off baseline pays nothing).
         self.flight: FlightRecorder | None = None
         self.profiler: SiteProfiler | None = None
         if flight and self.obs.tracing:
             self.flight = FlightRecorder(self.tracer, self.metrics)
             self.profiler = SiteProfiler(self.tracer)
         self.fingerprints = FingerprintTracker()
+        if not isinstance(alerts, AlertEngine):
+            alerts = AlertEngine() if alerts else None
+        self.alerts: AlertEngine | None = alerts
         self._log = CallLog(
-            self._m, self.tracker, self.fingerprints, self._stats_lock
+            self._m, self.tracker, self.fingerprints, alerts, self._stats_lock
         )
         self.stats: ServerStats = self._log.stats
         self.metrics.add_pre_read(self._log.fold)
         #: Planned-vs-measured feedback, fed by :meth:`observe_profile`.
         self.cost_monitor = CostModelMonitor()
-        if not isinstance(alerts, AlertEngine):
-            alerts = AlertEngine() if alerts else None
-        self.alerts: AlertEngine | None = alerts
         self._dumps = (
             incident.Diagnostics(diagnostics_dir)
             if diagnostics_dir is not None

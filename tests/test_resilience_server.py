@@ -11,8 +11,9 @@ from repro.errors import (
     QueryTimeout,
     TransientFault,
 )
+from repro.core.materialize import MaterializedSet
 from repro.obs.alerts import AlertEngine, BurnRateRule, ManualClock
-from repro.replay import seeded_cube
+from repro.replay import Replica, seeded_cube
 from repro.resilience import FaultInjector, FaultRule
 from repro.server import OLAPServer
 
@@ -216,6 +217,53 @@ class TestDegradation:
         assert (
             server.metrics.counter("integrity_failures_total").total() >= 1
         )
+
+    def test_a_corrupt_store_of_a_selected_element_is_quarantined(
+        self, monkeypatch
+    ):
+        # The corrupt rule hits the first non-root element a real
+        # reconfigure() stores, found on a twin server first (the store
+        # order is deterministic).
+        sizes = (8, 8, 4)
+        twin = OLAPServer(seeded_cube(11, sizes))
+        stored = []
+        store = MaterializedSet.store
+        monkeypatch.setattr(
+            MaterializedSet,
+            "store",
+            lambda ms, element, values: (
+                stored.append(element), store(ms, element, values)
+            )[1],
+        )
+        twin.reconfigure()
+        monkeypatch.undo()
+        root = twin.shape.root()
+        victim = next(e for e in stored if e != root)
+        assert victim in twin.materialized.elements
+        server = OLAPServer(seeded_cube(11, sizes))
+        replica = Replica(server.cube.values)
+        rule = FaultRule(
+            site="materialize.store",
+            kind="corrupt",
+            start_after=stored.index(victim),
+            max_fires=1,
+        )
+        with FaultInjector([rule], seed=5).activate():
+            server.reconfigure()
+        assert server.materialized.elements == twin.materialized.elements
+        names = ("d0", "d1", "d2")
+        views = [
+            [n for i, n in enumerate(names) if mask >> i & 1]
+            for mask in range(8)
+        ]
+        for retained in views:
+            assert np.array_equal(server.view(retained), replica.view(retained))
+        for answer, retained in zip(server.query_batch(views), views):
+            assert np.array_equal(answer, replica.view(retained))
+        box = ((1, 7), (2, 8), (0, 3))
+        assert server.range_sum(box) == replica.range_sum(box)
+        assert server.materialized.quarantined == (victim,)
+        assert server.health()["quarantined_elements"] == 1
 
     def test_degrade_to_base_answers_with_an_empty_surviving_set(self):
         server = _make_server()
@@ -448,6 +496,34 @@ class TestMalformedRequests:
         with pytest.raises(InvalidQueryError, match="outside"):
             server.rollup({"d0": 4})
         assert server.health()["alerts"]["records"] == 0
+
+
+class TestAlertSamplesRideTheCallLog:
+    def test_an_ok_sample_keeps_its_call_time_clock_reading(self):
+        # The sample is counted when a reader folds the call log, in the
+        # bucket of the clock reading taken when the call was served.
+        clock = ManualClock()
+        server = _make_server(alerts=AlertEngine(clock=clock))
+        server.view(["d0"])
+        clock.advance(700.0)  # past the stock 600 s slow window
+        server.view(["d1"])
+        snapshot = server.alerts.snapshot()
+        assert snapshot["records"] == 2
+        assert snapshot["evaluations"] == 0
+        for rule in snapshot["rules"].values():
+            assert rule["slow"] == {"total": 1, "bad": 0}
+        server.close()
+
+    def test_a_degraded_answer_is_recorded_in_order(self):
+        clock = ManualClock()
+        server = _make_server(alerts=AlertEngine(clock=clock))
+        for _ in range(3):
+            server.view(["d0"])
+        server.materialized.quarantine(server.shape.root(), reason="test")
+        server.view(["d1"])  # served from the base cube: bad for "degraded"
+        degraded = server.alerts.snapshot()["rules"]["degraded"]
+        assert degraded["slow"] == {"total": 4, "bad": 1}
+        server.close()
 
 
 class TestDiagnosticDumps:

@@ -278,6 +278,72 @@ class TestTracerDrops:
         assert registry.counter("tracer_dropped_spans").total() == 6
 
 
+class TestTracerInbox:
+    def test_racing_writers_and_readers_lose_and_repeat_nothing(
+        self, monkeypatch
+    ):
+        # Writers append lock-free while readers fold and trim the inbox,
+        # and a tiny fold bound makes the writers fold too.
+        import contextvars
+        import sys
+
+        from repro.obs import FlightRecorder, SiteProfiler, flight
+
+        monkeypatch.setattr(flight, "FOLD_AT", 3)
+        registry = MetricsRegistry()
+        tracer = Tracer(max_spans=64)
+        recorder = FlightRecorder(tracer, registry)
+        profiler = SiteProfiler(tracer)
+        threads, traces = 4, 300
+        done = threading.Event()
+        failures: list[BaseException] = []
+
+        def write() -> None:
+            with tracer.activate():
+                for _ in range(traces):
+                    with span("root", kind="view"):
+                        with span("child"):
+                            pass
+
+        def read() -> None:
+            try:
+                while not done.is_set():
+                    profiler.snapshot()
+                    recorder.loss()
+                    tracer.spans()
+            except BaseException as exc:  # pragma: no cover - reported below
+                failures.append(exc)
+
+        writers = [
+            threading.Thread(target=contextvars.copy_context().run, args=(write,))
+            for _ in range(threads)
+        ]
+        reader = threading.Thread(target=read)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            reader.start()
+            for thread in writers:
+                thread.start()
+            for thread in writers:
+                thread.join(timeout=60)
+        finally:
+            done.set()
+            reader.join(timeout=60)
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in (*writers, reader))
+        assert failures == []
+        sites = profiler.snapshot()
+        assert {name: sites[name]["count"] for name in sites} == {
+            "root": threads * traces,
+            "child": threads * traces,
+        }
+        assert recorder.traces_seen == threads * traces
+        assert recorder.loss()["pending_traces_dropped"] == 0
+        assert len(tracer.spans()) == 64
+        assert tracer.dropped_spans == 2 * threads * traces - 64
+
+
 @pytest.mark.usefixtures("pool_every_node")
 class TestExporters:
     def _traced_server(self):

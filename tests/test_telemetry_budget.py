@@ -33,6 +33,7 @@ from repro.obs import MetricsRegistry, Observability, SiteProfiler, Tracer
 from repro.obs import metrics as metrics_module
 from repro.obs import alerts as alerts_module
 from repro.obs.alerts import AlertEngine
+from repro.obs.export import prometheus_text
 from repro.obs.fingerprint import FingerprintTracker
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import MAX_LABEL_SETS, OVERFLOW_KEY
@@ -44,6 +45,7 @@ GOLDEN = Path(__file__).parent / "golden" / "telemetry_replay.json"
 
 SIZES = (16, 8, 4)
 ROLLUPS = [{"d0": 1}, {"d1": 1}, {"d0": 2, "d1": 1}, {"d2": 1}, {"d0": 1, "d2": 2}]
+VIEWS = [["d0"], ["d1"], ["d2"], ["d0", "d1"], ["d1", "d2"]]
 FULL_RANGE = tuple((1, n - 1) for n in SIZES)
 
 #: The calls under budget, with the spans each records: the envelope's one,
@@ -51,6 +53,7 @@ FULL_RANGE = tuple((1, n - 1) for n in SIZES)
 CALLS = {
     "view": (lambda server: server.view(["d0"]), 1),
     "rollup_batch": (lambda server: server.rollup_batch(ROLLUPS), 1),
+    "query_batch": (lambda server: server.query_batch(VIEWS), 1),
     "range_sum": (lambda server: server.range_sum(FULL_RANGE), 2),
 }
 
@@ -116,7 +119,7 @@ def test_warm_call_stays_inside_the_budget(name, monkeypatch):
     }
     assert len(recorded) == spans
     assert [s.name for s in recorded if s.parent_id is None] == [
-        "server.query_batch" if name == "rollup_batch" else "server.query"
+        "server.query_batch" if name.endswith("_batch") else "server.query"
     ]
     assert server.alerts.snapshot()["evaluations"] == evaluations
     assert server.alerts.snapshot()["records"] == 5
@@ -132,13 +135,19 @@ def test_warm_call_stays_inside_the_budget(name, monkeypatch):
 #: Per warm call: bound-series writes (``inc`` / ``observe``) and Python
 #: calls into ``repro``.  A served call appends one record to the call log
 #: and folds nothing, so what is left is the call's own work: a view's one
-#: write is the result cache's hit counter.  (With the envelope writing
-#: per call these were 5 / 10 / 9 writes and 51 / 133 / 92 calls; with it
-#: polling the stored set's quarantine, 37 / 108 / 78 calls.)
+#: write is the result cache's hit counter.  The envelope sets its
+#: contextvars itself and opens and closes its span with two tracer calls
+#: (``_open`` / ``_close``, one inbox append), and the alert sample is one
+#: ``defer`` riding the call-log record.  (With the envelope writing per
+#: call these were 5 / 10 / 9 writes and 51 / 133 / 92 calls; with it
+#: polling the stored set's quarantine, 37 / 108 / 78 calls; with nested
+#: activation and span context managers and two trace listeners,
+#: 36 / 107 / 77, and 110 for the query batch.)
 HIT_PATH = {
-    "view": {"series writes": 1, "repro calls": 36},
-    "rollup_batch": {"series writes": 6, "repro calls": 107},
-    "range_sum": {"series writes": 4, "repro calls": 77},
+    "view": {"series writes": 1, "repro calls": 26},
+    "rollup_batch": {"series writes": 6, "repro calls": 97},
+    "query_batch": {"series writes": 6, "repro calls": 100},
+    "range_sum": {"series writes": 4, "repro calls": 68},
 }
 REPRO = str(Path(repro.__file__).parent)
 
@@ -173,6 +182,49 @@ def test_warm_call_writes_and_calls_stay_inside_the_budget(name, monkeypatch):
     assert {"series writes": writes, "repro calls": len(entered)} == (
         HIT_PATH[name]
     ), entered
+    server.close()
+
+
+READERS = {
+    "health": lambda server, tmp_path: server.health(),
+    "dump_diagnostics": lambda server, tmp_path: server.dump_diagnostics(
+        tmp_path / "bundle.json"
+    ),
+    "prometheus_text": lambda server, tmp_path: prometheus_text(
+        server.metrics
+    ),
+    "snapshot": lambda server, tmp_path: server.metrics.snapshot(),
+}
+
+
+@pytest.mark.parametrize("reader", READERS)
+def test_a_reader_runs_each_pre_read_hook_once(reader, tmp_path):
+    # Each hook folds a log or, for the quarantine gauge, takes every
+    # shard's integrity lock: a report runs it once, however many metrics
+    # it reads (one health() used to run each 24 times).
+    server = OLAPServer(seeded_cube(5, SIZES), shards=2)
+    server.reconfigure()
+    for name in CALLS:
+        CALLS[name][0](server)
+    hooks = server.metrics._pre_read_hooks
+    assert len(hooks) == 3  # call log, flight recorder, quarantine gauge
+    runs = [0] * len(hooks)
+
+    def counted(index, hook):
+        def run():
+            runs[index] += 1
+            hook()
+
+        return run
+
+    server.metrics._pre_read_hooks = tuple(
+        counted(index, hook) for index, hook in enumerate(hooks)
+    )
+    READERS[reader](server, tmp_path)
+    assert runs == [1] * len(hooks)
+    # Outside a report, every read still runs them.
+    server.metrics.get("server_queries_total").total()
+    assert runs == [3] * len(hooks)
     server.close()
 
 
