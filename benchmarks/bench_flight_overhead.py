@@ -54,7 +54,7 @@ from bench_tracing_overhead import (
     serve_round,
 )
 
-from repro.obs.flight import FOLD_AT
+from repro.obs.tracing import FOLD_AT
 from repro.replay import seeded_cube
 from repro.server import OLAPServer
 

@@ -359,8 +359,11 @@ class AlertEngine:
 
     def defer(self, latency_ms: float, degraded: bool) -> float | None:
         """The clock reading to record an ``ok`` outcome later with, or
-        ``None`` when a rule counts it bad and :meth:`record` takes it now."""
-        if degraded and self._bad_if_degraded or latency_ms >= self._latency_bar:
+        ``None`` when :meth:`record` takes it now: a rule counts it bad, or
+        a rule is firing or holds a bad sample, so it may change state."""
+        if self._armed or latency_ms >= self._latency_bar or (
+            degraded and self._bad_if_degraded
+        ):
             return None
         return self.clock()
 

@@ -48,10 +48,9 @@ HOT_TOP = 8
 SITE_ALPHA = 0.05
 RESERVOIR_SIZE = 64
 MAX_SITES = 64
-#: Notes (query notes, or finished traces in the tracer's inbox for the
-#: profiler) waiting before the writer folds them itself, without waiting
-#: for a reader.
-FOLD_AT = 256
+#: Query notes, or traces handed to :meth:`SiteProfiler.on_trace`, that
+#: wait before the writer folds them (the tracer's: :data:`.tracing.FOLD_AT`).
+FOLD_AT = 1024
 
 
 @dataclass(frozen=True)
@@ -260,7 +259,8 @@ class SiteProfiler(InboxReader):
     The site table is bounded; span names past :data:`MAX_SITES` are
     counted in ``overflow_sites``.  Spans are accounted when it folds, in
     arrival order: by :meth:`snapshot`, :meth:`close`, and whenever
-    :data:`FOLD_AT` traces wait.
+    :data:`~repro.obs.tracing.FOLD_AT` traces wait in the tracer's inbox
+    (or :data:`FOLD_AT` handed to :meth:`on_trace`).
     """
 
     def __init__(self, tracer: Tracer):

@@ -74,11 +74,9 @@ REFRESH_EVERY = 32
 MAX_PENDING = 64
 MAX_SPANS_PER_TRACE = 512
 MAX_HEALTH = 8
-#: Finished traces waiting in the tracer's inbox before the closing root
-#: folds the recorder itself, without waiting for a reader.  Small enough
-#: that a fold's spans fit the tracer's ring, so a span it overwrites is
-#: freed at once instead of piling up for the garbage collector.
-FOLD_AT = 256
+#: Traces handed to :meth:`FlightRecorder.on_trace` that wait before it
+#: folds them itself (the tracer's inbox: :data:`.tracing.FOLD_AT`).
+FOLD_AT = 1024
 
 
 _events = attrgetter("events")
@@ -131,7 +129,9 @@ class FlightRecorder(InboxReader):
     on every reader (:meth:`kept`, :meth:`exemplars`, :meth:`snapshot`,
     :meth:`loss`, :attr:`traces_seen`, :meth:`close`, and a read of the
     metrics registry, where the fold is a pre-read hook) and whenever
-    :data:`FOLD_AT` traces wait.  Any fold schedule leaves the same state.
+    :data:`~repro.obs.tracing.FOLD_AT` traces wait in the tracer's inbox
+    (or :data:`FOLD_AT` handed to :meth:`on_trace`).  Any fold schedule
+    leaves the same state.
     """
 
     def __init__(self, tracer: Tracer, registry: MetricsRegistry):

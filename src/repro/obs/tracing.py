@@ -16,15 +16,13 @@ code calls the module-level :func:`span` helper, which records into the
 *currently active* tracer and is a cheap no-op when none is active.
 
 A span's close takes no lock and calls nothing: it appends the span to
-the bounded ring of retained spans (:meth:`Tracer.spans`; the oldest are
-overwritten, counted in ``dropped_spans`` and in the
-``tracer_dropped_spans`` counter, which catches up whenever its registry
-is read) and to the tracer's **inbox**, which the readers added with
-:meth:`Tracer.add_reader` (the flight recorder, the site profiler) fold
-when they read, each from its own cursor; every ``fold_at`` traces a
-closing root folds them all.  Overwriting is *retention*, not loss: every
-span reaches every reader.  Listeners (:meth:`Tracer.add_listener`) are
-fed per *trace*, when its root finishes.
+the bounded ring of retained spans (the oldest are overwritten, counted in
+``dropped_spans`` and ``tracer_dropped_spans``) and, while a reader is
+attached (:meth:`Tracer.add_reader`: the flight recorder, the site
+profiler), to the tracer's **inbox**: each reader folds it from its own
+cursor when read, and a closing root folds all every :data:`FOLD_AT` traces.
+Overwriting is *retention*, not loss: every span reaches every reader.
+Listeners (:meth:`Tracer.add_listener`) are fed per *trace*.
 """
 
 from __future__ import annotations
@@ -45,6 +43,10 @@ __all__ = [
     "InboxReader", "Span", "Tracer", "span", "current_tracer", "current_span",
     "add_span_event", "tracing_active",
 ]
+
+#: Traces finished before the closing root folds every reader itself: a
+#: fold's spans fit the ring, so a span it overwrites is freed at once.
+FOLD_AT = 256
 
 
 @dataclass(slots=True)
@@ -149,11 +151,11 @@ class Tracer:
         self._inbox: list[Span] = []
         self._base = 0
         self._cursors: dict = {}
-        self._bounds: dict = {}
-        #: Traces finished before a root's close folds every reader: the
-        #: smallest bound a reader asked for, else the ring's size.
-        self._fold_at = max_spans
         self._roots = 0
+        #: Spans finished with no reader, counted lock-free; reading it
+        #: advances it too, so reads are counted (``_peeks``) and subtracted.
+        self._unread = itertools.count()
+        self._peeks = 0
         #: Trace listeners (read lock-free), and the finished children of
         #: each open trace that began while one listened.
         self._listeners: tuple = ()
@@ -179,21 +181,17 @@ class Tracer:
         with self._lock:
             self._listeners = self._listeners + (listener,)
 
-    def add_reader(self, fold, fold_at: int) -> None:
+    def add_reader(self, fold) -> None:
         """Keep the spans finished from now on for the reader whose fold is
         ``fold`` (it takes them with :meth:`read`); a root's close runs
-        every reader's fold once ``fold_at`` traces wait."""
+        every reader's fold once :data:`FOLD_AT` traces wait."""
         with self._lock:
             self._cursors[fold] = self._base + len(self._inbox)
-            self._bounds[fold] = fold_at
-            self._fold_at = min(self._bounds.values())
 
     def remove_reader(self, fold) -> None:
         """Detach a reader added with :meth:`add_reader` (idempotent)."""
         with self._lock:
             self._cursors.pop(fold, None)
-            self._bounds.pop(fold, None)
-            self._fold_at = min(self._bounds.values(), default=self.max_spans)
             self._trim()
 
     def read(self, fold) -> list[Span]:
@@ -236,7 +234,9 @@ class Tracer:
     def dropped_spans(self) -> int:
         """Finished spans the ring overwrote (every reader still had them)."""
         with self._lock:
-            finished = self._base + len(self._inbox)
+            unread = next(self._unread) - self._peeks
+            self._peeks += 1
+            finished = self._base + len(self._inbox) + unread
         return max(0, finished - self._cleared - len(self.finished))
 
     def _watch_drops(self) -> None:
@@ -289,20 +289,24 @@ class Tracer:
         return current
 
     def _close(self, span: Span, exc_type) -> None:
-        """End ``span`` and append it to the ring and the inbox.  A span
-        that ended in an exception carries its type (``error``), so the
-        flight recorder keeps failed traces with no annotation by hand."""
+        """End ``span`` and append it to the ring and, while a reader is
+        attached, the inbox.  A span that ended in an exception carries its
+        type (``error``), so the flight recorder keeps failed traces with no
+        annotation by hand."""
         if exc_type is not None:
             span.attributes.setdefault("error", exc_type.__name__)
         span.end = perf_counter()
         self.finished.append(span)
-        self._inbox.append(span)
-        if span.parent_id is None:
-            # A bound, not an account: an increment lost to a race only
-            # delays the fold.
-            self._roots += 1
-            if self._roots >= self._fold_at:
-                self.fold()
+        if not self._cursors:
+            next(self._unread)
+        else:
+            self._inbox.append(span)
+            if span.parent_id is None:
+                # A bound, not an account: an increment lost to a race
+                # only delays the fold.
+                self._roots += 1
+                if self._roots >= FOLD_AT:
+                    self.fold()
         if self._listeners:
             self._deliver(span)
 
@@ -325,11 +329,8 @@ class Tracer:
                 pass
 
     def span(self, name: str, **attributes) -> "_OpenSpan":
-        """Open a child span of whatever span is currently active.
-
-        A span opened with no active parent starts a new trace.  The
-        :class:`Span` starts when the ``with`` block is entered.
-        """
+        """Open a child of the active span (none: a new trace) when the
+        ``with`` block is entered."""
         return _OpenSpan(self, name, attributes)
 
     # ------------------------------------------------------------------
@@ -375,11 +376,8 @@ class Tracer:
             self.finished.clear()
 
     def summary(self) -> dict[str, dict]:
-        """Per-name aggregates: count, total/mean duration, summed ops.
-
-        ``operations`` sums the ``operations`` attribute over spans that
-        carry one — the per-stage op-count view of a traced query path.
-        """
+        """Per-name aggregates: count, total/mean duration, and summed
+        ``operations`` attributes (the per-stage op counts of a query)."""
         out: dict[str, dict] = {}
         for s in self.spans():
             agg = out.setdefault(
@@ -399,29 +397,38 @@ class Tracer:
 class InboxReader:
     """A reader of one tracer's inbox (the flight recorder, the profiler):
     :meth:`fold` hands :meth:`_take` every span finished since the last
-    fold, in finish order, under the reader's lock, and :meth:`on_trace`
-    hands it a trace directly, after what waits."""
+    fold, in finish order, under the reader's lock, then the traces handed
+    to :meth:`on_trace`, which wait in a queue of the reader's own until
+    ``fold_at`` do."""
 
     def __init__(self, tracer: "Tracer", fold_at: int):
         self.tracer = tracer
         self._lock = threading.Lock()
-        tracer.add_reader(self.fold, fold_at)
+        self._fold_at = fold_at
+        self._given: list[tuple[Span, ...]] = []
+        tracer.add_reader(self.fold)
 
     def _take(self, spans: list[Span]) -> None:
         raise NotImplementedError
 
     def on_trace(self, spans: tuple[Span, ...]) -> None:
-        """Account one finished trace (root last), or a lone span."""
-        self._fold(spans)
+        """Queue one finished trace (root last), or a lone span."""
+        given = self._given
+        given.append(spans)
+        if len(given) >= self._fold_at:
+            self.fold()
 
     def fold(self) -> None:
-        """Account every span waiting in the inbox, in arrival order."""
-        self._fold(())
-
-    def _fold(self, given) -> None:
+        """Account every span waiting for this reader, in arrival order."""
         with self._lock:
             spans = self.tracer.read(self.fold)
-            spans += given
+            given = self._given
+            if given:
+                # Only what is there now: a trace queued meanwhile stays.
+                count = len(given)
+                for trace in given[:count]:
+                    spans += trace
+                del given[:count]
             if spans:
                 self._take(spans)
 
@@ -432,11 +439,8 @@ class InboxReader:
 
 
 class _OpenSpan:
-    """The ``with`` block of one :meth:`Tracer.span` call.
-
-    A plain slotted context manager: the executor opens one per DAG node,
-    where a generator-based one costs more than the bookkeeping it wraps.
-    """
+    """The ``with`` block of one :meth:`Tracer.span` call (slotted, not a
+    generator: the executor opens one per DAG node)."""
 
     __slots__ = ("_tracer", "_name", "_attributes", "_span", "_token")
 
@@ -497,13 +501,8 @@ def current_span() -> Span | None:
 
 
 def tracing_active() -> bool:
-    """Whether a tracer is currently receiving spans.
-
-    Hot paths use this to skip building expensive span attributes
-    (``element.describe()`` strings, per-node counters) when tracing is
-    off, keeping the untraced cost of instrumentation to one contextvar
-    read.
-    """
+    """Whether a tracer is receiving spans: hot paths skip building costly
+    span attributes (``describe()`` strings) when not."""
     return _ACTIVE_TRACER.get() is not None
 
 
@@ -516,12 +515,8 @@ def span(name: str, **attributes):
 
 
 def add_span_event(event_name: str, /, **attributes) -> None:
-    """Attach an event to the innermost open span (no-op when none).
-
-    This is how out-of-band machinery — fault injection, retry loops,
-    degradation re-routes — annotates the query span it happened inside
-    without holding a span reference.
-    """
+    """Attach an event to the innermost open span (no-op when none): how
+    fault injection, retries and re-routes annotate the query's span."""
     active = _ACTIVE_SPAN.get()
     if active is not None:
         active.add_event(event_name, **attributes)

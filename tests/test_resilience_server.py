@@ -525,6 +525,35 @@ class TestAlertSamplesRideTheCallLog:
         assert degraded["slow"] == {"total": 4, "bad": 1}
         server.close()
 
+    def test_a_resolve_lands_on_the_ok_call_that_brings_it(self):
+        # While a rule fires, an ok call is recorded at once, not left in
+        # the call log: its resolve runs on that call, with no reader.
+        clock = ManualClock()
+        rule = BurnRateRule(
+            name="errors",
+            objective=0.25,
+            fast_window_s=60.0,
+            slow_window_s=600.0,
+            min_samples=4,
+            bad_outcomes=("error",),
+        )
+        server = _make_server(alerts=AlertEngine(rules=(rule,), clock=clock))
+        resolved: list[dict] = []
+        server.alerts.on_resolve.append(resolved.append)
+        for _ in range(8):
+            clock.advance(10.0)
+            server.alerts.record("error", 1.0)
+        assert server.alerts.snapshot()["firing_now"] == ["errors"]
+        calls = 0
+        while not resolved and calls < 100:
+            clock.advance(10.0)
+            server.view(["d0"])
+            calls += 1
+        assert len(resolved) == 1
+        assert resolved[0]["rule"] == "errors"
+        assert server.alerts.snapshot()["firing_now"] == []
+        server.close()
+
 
 class TestDiagnosticDumps:
     def test_manual_dumps_leave_the_auto_dump_budget(self, tmp_path):

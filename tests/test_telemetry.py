@@ -287,9 +287,9 @@ class TestTracerInbox:
         import contextvars
         import sys
 
-        from repro.obs import FlightRecorder, SiteProfiler, flight
+        from repro.obs import FlightRecorder, SiteProfiler, tracing
 
-        monkeypatch.setattr(flight, "FOLD_AT", 3)
+        monkeypatch.setattr(tracing, "FOLD_AT", 3)
         registry = MetricsRegistry()
         tracer = Tracer(max_spans=64)
         recorder = FlightRecorder(tracer, registry)
@@ -342,6 +342,86 @@ class TestTracerInbox:
         assert recorder.loss()["pending_traces_dropped"] == 0
         assert len(tracer.spans()) == 64
         assert tracer.dropped_spans == 2 * threads * traces - 64
+
+    def test_when_a_reader_folds_the_inbox_is_invisible(self, monkeypatch):
+        # Two recorders and two profilers read one tracer's inbox: one of
+        # each folds after every trace, the other at seeded points and when
+        # the inbox bound folds both, so it decides on whole batches.
+        import contextvars
+        import random
+
+        from repro.obs import FlightRecorder, SiteProfiler, add_span_event
+        from repro.obs import flight, tracing
+
+        small = {
+            "MIN_SAMPLES": 4, "REFRESH_EVERY": 3, "WINDOW": 8,
+            "HEAD_SAMPLE": 5, "MAX_TRACES": 6, "MAX_PENDING": 3,
+            "MAX_SPANS_PER_TRACE": 2,
+        }
+        for name, value in small.items():
+            monkeypatch.setattr(flight, name, value)
+        monkeypatch.setattr(tracing, "FOLD_AT", 40)
+        tracer = Tracer()
+        readers = []
+        for _ in range(2):
+            recorder = FlightRecorder(tracer, MetricsRegistry())
+            recorder._wall_offset = 1.7e9
+            readers.append((recorder, SiteProfiler(tracer)))
+        (every, every_sites), (batched, batched_sites) = readers
+        batches: list[int] = []
+        take = batched._take
+
+        def counted(spans):
+            batches.append(len(spans))
+            take(spans)
+
+        batched._take = counted
+
+        def child() -> None:
+            with span("exec.compute_node"):
+                pass
+
+        rng = random.Random(46)
+        with tracer.activate():
+            for _ in range(400):
+                roll, late = rng.random(), None
+                try:
+                    with span("server.query", kind=rng.choice(("view", "range"))):
+                        for _ in range(rng.choice((0, 1, 3))):
+                            with span("exec.compute_node"):
+                                if rng.random() < 0.05:
+                                    add_span_event("retry")
+                        if roll < 0.1:
+                            late = contextvars.copy_context()
+                        elif roll > 0.95:
+                            raise ValueError("boom")
+                except ValueError:
+                    pass
+                if late is not None:
+                    late.run(child)  # a straggler: it outlives its root
+                every.fold()
+                every_sites.fold()
+                if rng.random() < 0.05:
+                    batched.fold()
+                    batched_sites.fold()
+
+        def state(recorder, profiler) -> dict:
+            return {
+                "kept": [
+                    (t.trace_id, t.reason, t.unix_ts, len(t.spans))
+                    for t in recorder.kept()
+                ],
+                "kept_counts": dict(recorder.kept_counts),
+                "loss": recorder.loss(),
+                "flight": recorder.snapshot(),
+                "registry": recorder.registry.snapshot(),
+                "profiler": profiler.snapshot(),
+            }
+
+        assert max(batches) > 40
+        assert set(every.kept_counts) == {"error", "event", "slow", "head"}
+        assert all(every.kept_counts.values())
+        assert state(batched, batched_sites) == state(every, every_sites)
 
 
 @pytest.mark.usefixtures("pool_every_node")
