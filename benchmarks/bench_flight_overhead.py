@@ -121,14 +121,16 @@ def timed_warm_rounds(server: OLAPServer, rounds: int) -> float:
 
 def fold_cost(server: OLAPServer, rounds: int) -> dict:
     """What folding costs: an inbox of just under ``FOLD_AT`` cache-hit
-    calls is queued, then the four consumers fold it, ``rounds`` times.
-    Returns microseconds per call folded and the largest single fold."""
+    calls is queued, then the four consumers fold it, ``rounds`` times:
+    the call log (whose fold ticks the fingerprint), the flight recorder,
+    the site profiler and the alert engine.  Returns microseconds per
+    call folded and the largest single fold."""
     calls_per_round = len(server.shape.sizes) + 2
     consumers = (
+        server._log,
         server.flight,
         server.profiler,
         server.alerts,
-        server.fingerprints,
     )
     server.health()
     folded_s, calls, largest_s = 0.0, 0, 0.0

@@ -12,7 +12,7 @@ arrival order, through the writes each call used to make:
 - :class:`ServerStats`;
 - one :class:`~repro.core.adaptive.AccessTracker` record per tracked
   element;
-- the fingerprint's query note;
+- the fingerprint's ticks, one lock hold per fold;
 - the burn-rate engine's good sample, at ``now``, the engine clock's
   reading at call time (``None`` when there is no engine, or the call was
   recorded at once: :meth:`~repro.obs.alerts.AlertEngine.defer`).
@@ -115,21 +115,23 @@ class CallLog:
                 return
             series = self._series
             queries_of, latency_of = series.queries_of, series.latency_ok_of
-            note, record = self._fingerprints.note_query, self._tracker.record
+            record = self._tracker.record
             pop = records.popleft
             operations = 0
             queries: dict[str, int] = {}  # per kind
+            notes = []  # per record, for the fingerprint's ticks
             times = []
             for _ in range(len(records)):
                 kind, n, spent, tracked, latency_ms, now = pop()
                 queries[kind] = queries.get(kind, 0) + n
-                note(kind, n)
+                notes.append((kind, n))
                 latency_of[kind].observe(latency_ms)
                 operations += spent
                 for element in tracked:
                     record(element)
                 if now is not None:
                     times.append(now)
+            self._fingerprints.note_queries(notes)
             for kind, n in queries.items():
                 queries_of[kind].inc(n)
             self.stats._queries += sum(queries.values())

@@ -19,9 +19,10 @@ single stored-cell read.
 
 Cost accounting counts one addition per extra cell summed; a missing
 intermediate element is assembled on demand, and its assembly cost is
-counted.  :func:`range_sum_direct` is the raw-cube scan of Eq 36, which
-the server falls back to when quarantine leaves the stored set
-incomplete.
+counted.  A server's engine assembles through the server's resilient
+assembly, with its retries, and rebuilds an intermediate the stored set
+cannot produce (quarantine left it incomplete) from the base cube.
+:func:`range_sum_direct` is the raw-cube scan of Eq 36, the reference.
 """
 
 from __future__ import annotations
@@ -30,11 +31,13 @@ from dataclasses import dataclass
 import itertools
 import math
 import weakref
+from itertools import repeat
+from operator import is_not
 from types import SimpleNamespace
 
 import numpy as np
 
-from ..errors import InvalidQueryError, TransientFault
+from ..errors import InvalidQueryError
 from ..obs import current_registry, span
 from .delta import DeltaBatch, SlabStore
 from .element import CubeShape, ElementId, as_index
@@ -131,10 +134,16 @@ class RangeAnswer:
 class RangeQueryEngine:
     """Answers range-SUM queries from materialized intermediate elements."""
 
-    def __init__(self, materialized: MaterializedSet):
+    def __init__(self, materialized: MaterializedSet, assemble=None):
         """Intermediate elements absent from ``materialized`` are assembled
-        on demand (costed) and kept."""
+        on demand (costed) and kept, by ``assemble(elements, counter=,
+        max_workers=, warm=)`` — ``materialized.assemble_batch`` unless
+        an owner passes its own (a server passes its retrying, degrading
+        one)."""
         self.materialized = materialized
+        self._assemble = (
+            materialized.assemble_batch if assemble is None else assemble
+        )
         self._cache: dict[ElementId, np.ndarray] = {}
         #: The same arrays keyed by level vector (every one is a pure
         #: partial sum), so :meth:`range_sum` finds them without resolving
@@ -174,7 +183,7 @@ class RangeQueryEngine:
         as read-only.  The arrays found are counted once per call.
         """
         found = list(map(self._cache.get, elements))
-        served = sum(values is not None for values in found)
+        served = sum(map(is_not, found, repeat(None)))
         if served:
             self._bound_metrics().served.inc(served)
         return found
@@ -287,7 +296,12 @@ class RangeQueryEngine:
         :class:`InvalidQueryError`.  ``None`` when the range is empty along
         some dimension.
         """
-        ranges = tuple(ranges)
+        try:
+            ranges = tuple(ranges)
+        except TypeError:
+            raise InvalidQueryError(
+                f"ranges must be (start, stop) pairs, got {ranges!r}"
+            ) from None
         sizes = self.shape.sizes
         if len(ranges) != len(sizes):
             raise InvalidQueryError(
@@ -367,7 +381,7 @@ class RangeQueryEngine:
         (:meth:`MaterializedSet.assemble_batch` — fused cascades, CSE
         across the levels, and each one that a warm ancestor reaches more
         cheaply aggregated from it) as :meth:`_keep` allows."""
-        assembled = self.materialized.assemble_batch(
+        assembled = self._assemble(
             missing,
             counter=counter,
             max_workers=max_workers,
@@ -428,7 +442,10 @@ class RangeQueryEngine:
             ]
             if missing:
                 self._assemble_missing(
-                    missing, counter, self.slabs.sequence, max_workers
+                    missing,
+                    OpCounter() if counter is None else counter,
+                    self.slabs.sequence,
+                    max_workers,
                 )
                 registry = current_registry()
                 registry.counter(
@@ -476,95 +493,75 @@ class RangeQueryEngine:
         if groups is None:
             return RangeAnswer(value=0.0, cells_read=0, operations=0)
 
-        with span("range.range_sum") as sp:
-            own_counter = OpCounter()
-            materialized = self.materialized
-            intermediate = self.shape.intermediate
-            slabs = self.slabs
-            metrics = self._bound_metrics()
-            # Per level combination (lexicographic, last dimension fastest)
-            # its level vector and its per-dimension cell indices: the
-            # cells read are their product.
-            combos = list(
-                itertools.product(*[[k for k, _ in dim] for dim in groups])
-            )
-            blocks = list(
-                itertools.product(*[[ix for _, ix in dim] for dim in groups])
-            )
-            cells = math.prod(
-                sum(len(ix) for _, ix in dim) for dim in groups
-            )
-            while True:
-                mark = slabs.sequence
-                # ``values`` per level combination.  What the engine holds
-                # is found by level vector, with no element resolved (it
-                # only ever assembles what storage lacks); every other
-                # combination resolves its element once — stored, else
-                # missing.  Arrays are looked up per query, so updates,
-                # invalidation and quarantine need no bookkeeping here.
-                reads = list(map(self._by_levels.get, combos))
-                missing: dict[int, ElementId] = {}
-                stored_cells = 0
-                for i, values in enumerate(reads):
-                    if values is not None:
-                        continue
-                    element = intermediate(combos[i])
-                    if element in materialized:
-                        try:
-                            reads[i] = materialized.array(element)
-                        except KeyError:
-                            # Quarantined by first-use verification between
-                            # the membership check and the read: not stored.
-                            pass
-                        else:
-                            stored_cells += math.prod(map(len, blocks[i]))
-                            continue
-                    missing[i] = element
-                if missing:
+        own_counter = OpCounter()
+        materialized = self.materialized
+        intermediate = self.shape.intermediate
+        slabs = self.slabs
+        metrics = self._bound_metrics()
+        # Per level combination (lexicographic, last dimension fastest)
+        # its level vector and its per-dimension cell indices: the cells
+        # read are their product.
+        combos = list(
+            itertools.product(*[[k for k, _ in dim] for dim in groups])
+        )
+        blocks = list(
+            itertools.product(*[[ix for _, ix in dim] for dim in groups])
+        )
+        cells = math.prod(sum(len(ix) for _, ix in dim) for dim in groups)
+        while True:
+            mark = slabs.sequence
+            # ``values`` per level combination.  What the engine holds is
+            # found by level vector, with no element resolved (it only ever
+            # assembles what storage lacks); every other combination
+            # resolves its element once — stored, else missing.  Arrays are
+            # looked up per query, so updates, invalidation and quarantine
+            # need no bookkeeping here.
+            reads = list(map(self._by_levels.get, combos))
+            missing: dict[int, ElementId] = {}
+            stored_cells = 0
+            for i, values in enumerate(reads):
+                if values is not None:
+                    continue
+                element = intermediate(combos[i])
+                if element in materialized:
                     try:
-                        assembled = self._assemble_missing(
-                            list(missing.values()), own_counter, mark
-                        )
-                    except TransientFault:
-                        # A shared-plan batch is all-or-nothing and rolls
-                        # one fault die per DAG node, so retrying the whole
-                        # batch does not converge; recover per element
-                        # instead, each cached as soon as it is assembled
-                        # (with its own fault exposure, which the caller's
-                        # retry policy handles).
-                        assembled = {}
-                        for element in missing.values():
-                            assembled[element] = materialized.assemble(
-                                element,
-                                counter=own_counter,
-                                warm=self.warm_ancestor,
-                            )
-                            self._keep({element: assembled[element]}, mark)
-                    for i, element in missing.items():
-                        reads[i] = assembled[element]
-                    metrics.assembled.inc(len(missing))
-                total = 0.0
-                for values, block in zip(reads, blocks):
-                    item = values.item
-                    for cell in itertools.product(*block):
-                        total += item(cell)
-                if slabs.settled(mark):
-                    break
-            if cells > 1:
-                own_counter.add(additions=cells - 1, label="range combine")
-            if counter is not None:
-                counter.add(
-                    additions=own_counter.additions,
-                    subtractions=own_counter.subtractions,
-                    label="range query",
+                        reads[i] = materialized.array(element)
+                    except KeyError:
+                        # Quarantined by first-use verification between
+                        # the membership check and the read: not stored.
+                        pass
+                    else:
+                        stored_cells += math.prod(map(len, blocks[i]))
+                        continue
+                missing[i] = element
+            if missing:
+                assembled = self._assemble_missing(
+                    list(missing.values()), own_counter, mark
                 )
-            metrics.queries.inc()
-            metrics.cells_read.observe(cells)
-            if stored_cells:
-                metrics.stored.inc(stored_cells)
-            if cells > stored_cells:
-                metrics.cache_hits.inc(cells - stored_cells)
-            sp.set(operations=own_counter.total, cells_read=cells)
+                for i, element in missing.items():
+                    reads[i] = assembled[element]
+                metrics.assembled.inc(len(missing))
+            total = 0.0
+            for values, block in zip(reads, blocks):
+                item = values.item
+                for cell in itertools.product(*block):
+                    total += item(cell)
+            if slabs.settled(mark):
+                break
+        if cells > 1:
+            own_counter.add(additions=cells - 1, label="range combine")
+        if counter is not None:
+            counter.add(
+                additions=own_counter.additions,
+                subtractions=own_counter.subtractions,
+                label="range query",
+            )
+        metrics.queries.inc()
+        metrics.cells_read.observe(cells)
+        if stored_cells:
+            metrics.stored.inc(stored_cells)
+        if cells > stored_cells:
+            metrics.cache_hits.inc(cells - stored_cells)
         return RangeAnswer(
             value=total, cells_read=cells, operations=own_counter.total
         )

@@ -146,7 +146,9 @@ def rollup_element(
     dimensions stay at leaf granularity.  A depth that is not an integer
     (``1.9``, ``True``), or is above the dimension's hierarchy, is an
     :class:`~repro.errors.InvalidQueryError`, never truncated; so is a
-    ``levels`` that is not a mapping (``"d0"``, ``[("d0", 1)]``).  The
+    ``levels`` that is not a mapping (``"d0"``, ``[("d0", 1)]``), an
+    unknown dimension or level name, and a named level on a dimension
+    with no hierarchy.  The
     result is the shape's one interned object for that level vector
     (:meth:`CubeShape.intermediate`).
     """
@@ -169,11 +171,14 @@ def rollup_element(
         if isinstance(spec, str):
             dim = dims[axis]
             if not isinstance(dim, HierarchicalDimension):
-                raise TypeError(
+                raise InvalidQueryError(
                     f"dimension {name!r} has no hierarchy; "
                     "use an integer level"
                 )
-            k = dim.hierarchy.level_of(spec)
+            try:
+                k = dim.hierarchy.level_of(spec)
+            except KeyError as unknown_level:
+                raise InvalidQueryError(unknown_level.args[0]) from None
         else:
             k = as_index(spec, f"level of dimension {name!r}")
         if not 0 <= k <= depths[axis]:
@@ -182,7 +187,7 @@ def rollup_element(
             )
         resolved[axis] = k
     if unknown:
-        raise KeyError(f"unknown dimensions {sorted(unknown)}")
+        raise InvalidQueryError(f"unknown dimensions {sorted(unknown)}")
     return shape.intermediate(tuple(resolved))
 
 

@@ -18,16 +18,15 @@ into an answer to "what regime is this server in right now?":
   :class:`~repro.core.adaptive.AccessTracker`).
 
 Decay is tick-based and lazy (per-slot ``value * decay**(tick - last)``).
-Both fold when read (the tracker an inbox of query notes, the profiler
-the tracer's inbox), so a query pays an append (``bench_flight_overhead``
-gates it).
+Neither works on the query path: the tracker ticks the query notes of a
+server's call log when that log folds, the profiler the tracer's inbox
+when it folds (``bench_flight_overhead`` gates it).
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from collections import deque
 from dataclasses import asdict, dataclass
 
 from .tracing import InboxReader, Span, Tracer
@@ -48,8 +47,8 @@ HOT_TOP = 8
 SITE_ALPHA = 0.05
 RESERVOIR_SIZE = 64
 MAX_SITES = 64
-#: Query notes, or traces handed to :meth:`SiteProfiler.on_trace`, that
-#: wait before the writer folds them (the tracer's: :data:`.tracing.FOLD_AT`).
+#: Traces handed to :meth:`SiteProfiler.on_trace` that wait before the
+#: writer folds them (the tracer's inbox: :data:`.tracing.FOLD_AT`).
 FOLD_AT = 1024
 
 
@@ -114,22 +113,17 @@ class FingerprintTracker:
     """Decayed workload accounting feeding :class:`WorkloadFingerprint`.
 
     Every counter is a ``[value, last_tick]`` slot decayed lazily by
-    ``DECAY ** (tick - last_tick)`` — one global tick per query.
-    :meth:`note_query` only appends ``(kind, n)``; the ticks are taken
-    when the queue is folded, in arrival order — by :meth:`fingerprint`
-    and :meth:`snapshot`, by the eager writers :meth:`note_ingest` and
-    :meth:`note_divergence` before they write (so ticks interleave as if
-    every query had been counted at once), and whenever :data:`FOLD_AT`
-    notes are waiting.  :data:`HOT_TOP` is how many of the hottest
-    elements ``hot_share`` covers; the share itself is handed to
+    ``DECAY ** (tick - last_tick)`` — one global tick per query, taken
+    where the query is noted (:meth:`note_queries`, under the lock; a
+    server's call log notes its records when it folds, before any ingest
+    or divergence it writes next).  :data:`HOT_TOP` is how many of the
+    hottest elements ``hot_share`` covers; the share itself is handed to
     :meth:`fingerprint` / :meth:`snapshot` by whoever owns the
     per-element table.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
-        #: ``(kind, n)`` query notes not yet folded, in arrival order.
-        self._inbox: deque = deque()
         self._tick = 0
         self._kinds = {kind: [0.0, 0] for kind in QUERY_KINDS}
         self._ingest = [0.0, 0]
@@ -147,49 +141,35 @@ class FingerprintTracker:
         return slot[0] * DECAY ** (self._tick - slot[1])
 
     def note_query(self, kind: str, n: int = 1) -> None:
-        """Account ``n`` served queries (``kind`` in :data:`QUERY_KINDS`).
+        """Account ``n`` served queries (``kind`` in :data:`QUERY_KINDS`)."""
+        self.note_queries(((kind, n),))
+
+    def note_queries(self, notes) -> None:
+        """Tick every ``(kind, n)`` note, in order, under one lock hold.
 
         One tick per query, as if noted one by one — a batch request
-        counts its members.  Only appends; the fold takes the ticks.
+        counts its members: a note of ``n`` queries of one kind is one
+        :meth:`_bump`, then ``n - 1`` ticks one apart, where the decay
+        factor is ``DECAY``.
         """
-        inbox = self._inbox
-        inbox.append((kind, n))
-        if len(inbox) >= FOLD_AT:
-            self.fold()
-
-    def fold(self) -> None:
-        """Tick every waiting query note (what every reader does first)."""
-        if self._inbox:
-            with self._lock:
-                self._fold_locked()
-
-    def _fold_locked(self) -> None:
-        """Tick every waiting query note, in arrival order (lock held).
-
-        A note of ``n`` queries of one kind is one :meth:`_bump`, then
-        ``n - 1`` ticks one apart, where the decay factor is ``DECAY``.
-        """
-        inbox = self._inbox
-        pop = inbox.popleft
         kinds = self._kinds
-        for _ in range(len(inbox)):
-            kind, n = pop()
-            slot = kinds.get(kind)
-            if slot is None:
-                continue
-            self._tick += 1
-            self._bump(slot, 1.0)
-            value = slot[0]
-            for _ in range(n - 1):
-                value = value * DECAY + 1.0
-            self._tick += n - 1
-            slot[0], slot[1] = value, self._tick
-            self.queries += n
+        with self._lock:
+            for kind, n in notes:
+                slot = kinds.get(kind)
+                if slot is None:
+                    continue
+                self._tick += 1
+                self._bump(slot, 1.0)
+                value = slot[0]
+                for _ in range(n - 1):
+                    value = value * DECAY + 1.0
+                self._tick += n - 1
+                slot[0], slot[1] = value, self._tick
+                self.queries += n
 
     def note_ingest(self, cells: int) -> None:
         """Account one applied ingest batch of ``cells`` updates."""
         with self._lock:
-            self._fold_locked()
             self.ingest_batches += 1
             self._bump(self._ingest, float(cells))
 
@@ -197,7 +177,6 @@ class FingerprintTracker:
         """Feed a planned-vs-measured cost divergence observation."""
         value = abs(float(divergence))
         with self._lock:
-            self._fold_locked()
             if self._divergence is None:
                 self._divergence = value
             else:
@@ -206,7 +185,6 @@ class FingerprintTracker:
 
     def fingerprint(self, hot_share: float = 0.0) -> WorkloadFingerprint:
         with self._lock:
-            self._fold_locked()
             kinds = {
                 kind: self._effective(slot)
                 for kind, slot in self._kinds.items()

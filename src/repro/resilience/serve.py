@@ -46,8 +46,10 @@ class _Serve:
     out or fails), opens the deadline scope — when there is a deadline, a
     real number of milliseconds — and the call's one span, made active.
     It sets those contextvars itself, with no nested context manager.
-    The body reads ``state`` and ``counter`` and leaves span attributes in
-    ``attrs``, which is the span's attribute dict.
+    The body reads ``state`` and ``counter``, leaves span attributes in
+    ``attrs``, which is the span's attribute dict, and sets ``queries``
+    (1 until it does) and the ``tracked`` elements once its requests
+    resolve.
 
     A served call appends one record to the server's
     :class:`~repro.calllog.CallLog` (its queries, operations, ``tracked``
@@ -70,15 +72,14 @@ class _Serve:
     )
 
     def __init__(
-        self, server, span_name: str, kind: str, deadline_ms: float | None,
-        tracked: Sequence[ElementId] = (), queries: int = 1, **attrs,
+        self, server, span_name: str, kind: str, deadline_ms: float | None
     ):
         self.server = server
         self.kind = kind
         self.deadline_ms = deadline_ms
-        self.tracked = tracked
-        self.queries = queries
-        self.attrs = {"kind": kind, **attrs}
+        self.tracked = ()
+        self.queries = 1
+        self.attrs = {"kind": kind}
         self.degraded = False
         self._span_name = span_name
         self._admitted = False

@@ -38,14 +38,14 @@ from .core.element import ElementId
 from .core.materialize import MaterializedSet
 from .core.operators import OpCounter
 from .core.population import QueryPopulation
-from .core.range_query import RangeQueryEngine, range_sum_direct
+from .core.range_query import RangeQueryEngine
 from .core.select_redundant import check_storage_budget, reselect
 from .cube.builder import build_cube
 from .cube.datacube import DataCube
 from .cube.hierarchy import rollup_element
 from .durability import DurabilityConfig, Lineage
 from .durability.lineage import restore as restore_lineage, write_cut
-from .errors import IncompleteSetError, InvalidQueryError, TransientFault
+from .errors import InvalidQueryError, TransientFault
 from .obs import LRUCache, Observability, incident, log_event, span
 from .obs.alerts import AlertEngine
 from .obs.export import prometheus_text
@@ -54,9 +54,7 @@ from .obs.flight import FlightRecorder
 from .obs.http import TelemetryServer
 from .obs.profile import query_profile
 from .resilience.faults import fault_point
-from .resilience.serve import (
-    _Serve, assemble_resilient, note_degraded, with_retries,
-)
+from .resilience.serve import _Serve, assemble_resilient
 from .shard.partition import CubePartition
 from .shard.sets import ShardedSet
 
@@ -248,7 +246,10 @@ class OLAPServer:
             self._state = state = replace(previous, epoch=epoch)
             self._m.epoch.set(epoch)
             return state
-        engine = RangeQueryEngine(materialized)
+        engine = RangeQueryEngine(
+            materialized,
+            assemble=partial(assemble_resilient, self, materialized),
+        )
         cache = LRUCache(
             max_entries=self._cache_entries,
             max_weight=self._cache_cells,
@@ -326,7 +327,7 @@ class OLAPServer:
             except KeyError:
                 unknown.add(name)
         if unknown:
-            raise KeyError(f"unknown dimensions {sorted(unknown)}")
+            raise InvalidQueryError(f"unknown dimensions {sorted(unknown)}")
         return self.shape.aggregated_view(aggregated)
 
     def view(
@@ -335,9 +336,9 @@ class OLAPServer:
         deadline_ms: float | None = None,
     ) -> np.ndarray:
         """Aggregated view retaining the named dimensions (SUM)."""
-        return self._serve_element(
-            self._element_for(retained_dims), "view", deadline_ms
-        )
+        return self._serve(
+            (retained_dims,), self._element_for, "view", deadline_ms
+        )[0]
 
     def rollup(
         self,
@@ -345,9 +346,10 @@ class OLAPServer:
         deadline_ms: float | None = None,
     ) -> np.ndarray:
         """Roll-up to named or numeric hierarchy levels per dimension."""
-        return self._serve_element(
-            rollup_element(self.cube, levels), "rollup", deadline_ms
-        )
+        return self._serve(
+            (levels,), partial(rollup_element, self.cube), "rollup",
+            deadline_ms,
+        )[0]
 
     def query_batch(
         self,
@@ -358,20 +360,14 @@ class OLAPServer:
         """Serve several aggregated views as one shared assembly plan.
 
         ``requests`` is a collection of retained-dimension sets (one per
-        query, as :meth:`view` takes).  Stored and epoch-cached targets are
-        answered from the result cache; the remaining distinct elements are
-        assembled together (:meth:`MaterializedSet.assemble_batch`), so
-        intermediates shared between queries are computed once.  Answers
-        come back in request order, bit-identical to individual
-        :meth:`view` calls, and land in the result cache.  The whole batch
-        holds one admission slot and shares one deadline.
-
-        ``max_workers`` defaults to :data:`MAX_WORKERS`; a non-integer one
-        or one below 1, like a ``requests`` that is not a collection, is an
-        :class:`InvalidQueryError` before any work.
+        query, as :meth:`view` takes).  Answers come back in request
+        order, bit-identical to individual :meth:`view` calls; the whole
+        batch holds one admission slot and shares one deadline
+        (:meth:`_serve`).  ``max_workers`` defaults to :data:`MAX_WORKERS`.
         """
-        return self._serve_batch(
-            requests, self._element_for, "view", max_workers, deadline_ms
+        return self._serve(
+            requests, self._element_for, "view", deadline_ms, max_workers,
+            batch=True,
         )
 
     def rollup_batch(
@@ -380,32 +376,92 @@ class OLAPServer:
         max_workers: int | None = None,
         deadline_ms: float | None = None,
     ) -> list[np.ndarray]:
-        """Serve several roll-ups as one shared assembly plan.
-
-        Batch analogue of :meth:`rollup`; ``max_workers`` as in
-        :meth:`query_batch`.
-        """
-        resolve = partial(rollup_element, self.cube)
-        return self._serve_batch(
-            levels_list, resolve, "rollup", max_workers, deadline_ms
+        """Serve several roll-ups as :meth:`query_batch` serves views."""
+        return self._serve(
+            levels_list, partial(rollup_element, self.cube), "rollup",
+            deadline_ms, max_workers, batch=True,
         )
 
-    def _cache_get(self, state: _ServingState, elements) -> list:
-        """Per element, its warm answer or ``None``: the range engine's
-        intermediate (a roll-up or view is one, PAPER §6; a cached copy
-        holds the same bytes), never cached twice; else the result cache's,
-        where a cache fault degrades the lookup to a miss.  Each state has
-        its own cache, keyed by element (the fault site sees the epoch)."""
+    def _serve(
+        self, requests, resolve, kind: str, deadline_ms, max_workers=None,
+        batch: bool = False,
+    ) -> list[np.ndarray]:
+        """Serve the elements ``resolve`` names for ``requests``, in request
+        order; a single request is a batch of one.
+
+        Everything happens inside the envelope, so every client mistake is
+        labelled ``invalid`` by one rule: ``max_workers`` (a batch's
+        defaults to :data:`MAX_WORKERS`, a single request assembles
+        serially) must be an integer of at least 1, ``requests`` a
+        collection, and each request must resolve (``resolve`` raises
+        :class:`InvalidQueryError`).  The distinct elements are probed for
+        warm answers once (:meth:`_cache_get`), so only genuinely missing
+        work reaches one shared plan (:func:`assemble_resilient`), and its
+        answers are admitted to the result cache (:meth:`_admit`).  A warm
+        answer is the array a cold assembly produced (treat it as
+        read-only): bit-identical to a miss, at zero scalar operations.
+        """
+        with _Serve(
+            self, "server.query_batch" if batch else "server.query", kind,
+            deadline_ms,
+        ) as call:
+            if max_workers is None:
+                max_workers = MAX_WORKERS if batch else 1
+            elif not (isinstance(max_workers, Integral) and max_workers >= 1):
+                raise InvalidQueryError(
+                    f"max_workers must be an integer of at least 1, got "
+                    f"{max_workers!r}"
+                )
+            try:
+                resolved = map(resolve, requests)
+            except TypeError:
+                raise InvalidQueryError(
+                    f"a batch takes a collection of requests, got {requests!r}"
+                ) from None
+            call.tracked = elements = list(resolved)
+            call.queries = n = len(elements)
+            distinct = list(dict.fromkeys(elements)) if n > 1 else elements
+            state = call.state
+            answers, missing = self._cache_get(state, distinct)
+            if missing:
+                engine = state.range_engine
+                mark = engine.slabs.sequence
+                assembled = assemble_resilient(
+                    self, state.materialized, missing, call.counter,
+                    max_workers, engine.warm_ancestor,
+                )
+                admitted = self._admit(state, mark, assembled)
+                answers = list(map(admitted.get, distinct, answers))
+            if len(distinct) < n:
+                by_element = dict(zip(distinct, answers))
+                answers = list(map(by_element.__getitem__, elements))
+            if batch:
+                self._m.batches_of[kind].inc()
+            attrs = call.attrs
+            attrs["cache_hits"] = len(distinct) - len(missing)
+            attrs["assembled"] = len(missing)
+            return answers
+
+    def _cache_get(self, state: _ServingState, elements) -> tuple[list, list]:
+        """Per element, its warm answer or ``None``, and the elements with
+        none: the range engine's intermediate (a roll-up or view is one,
+        PAPER §6; a cached copy holds the same bytes), never cached twice;
+        else the result cache's, where a cache fault degrades the lookup to
+        a miss.  Each state has its own cache, keyed by element (the fault
+        site sees the epoch)."""
         answers = state.range_engine.warm(elements)
+        missing = []
         for i, values in enumerate(answers):
             if values is None:
                 key = (elements[i], state.epoch)
                 try:
                     fault_point("server.cache_lookup", key=key)
-                    answers[i] = state.cache.get(key[0])
+                    values = answers[i] = state.cache.get(key[0])
                 except TransientFault:
                     self._m.cache_bypass.inc()
-        return answers
+                if values is None:
+                    missing.append(key[0])
+        return answers, missing
 
     def _admit(
         self,
@@ -450,104 +506,16 @@ class OLAPServer:
         ids.update(map(id, state.materialized.array_refs().values()))
         return ids
 
-    def _serve_element(
-        self, element: ElementId, kind: str, deadline_ms: float | None = None
-    ) -> np.ndarray:
-        """Serve one element: warm (:meth:`_cache_get`), else assembled.
-
-        A warm answer is the array a cold assembly produced (the assemble
-        contract already says "treat as read-only"), so it is bit-identical
-        to a miss and costs zero scalar operations.
-        """
-        with _Serve(
-            self, "server.query", kind, deadline_ms, tracked=(element,),
-            element=element.describe(),
-        ) as call:
-            state = call.state
-            values = self._cache_get(state, (element,))[0]
-            if values is not None:
-                call.attrs["cache"] = "hit"
-                return values
-            engine = state.range_engine
-            mark = engine.slabs.sequence
-            assembled = assemble_resilient(
-                self, state.materialized, [element], call.counter, 1,
-                engine.warm_ancestor,
-            )
-            call.attrs["cache"] = "miss"
-            return self._admit(state, mark, assembled)[element]
-
-    def _serve_batch(
-        self, requests: Iterable, resolve, kind: str, max_workers, deadline_ms
-    ) -> list[np.ndarray]:
-        """Serve the elements ``resolve`` names for ``requests`` through one
-        shared plan.
-
-        Warm targets (:meth:`_cache_get`) are pruned before planning (and
-        stored targets cost the plan nothing), so only genuinely missing
-        work reaches the executor.
-        """
-        if max_workers is None:
-            max_workers = MAX_WORKERS
-        elif not (isinstance(max_workers, Integral) and max_workers >= 1):
-            raise InvalidQueryError(
-                f"max_workers must be an integer of at least 1, got "
-                f"{max_workers!r}"
-            )
-        if not isinstance(requests, Iterable):
-            raise InvalidQueryError(
-                f"a batch takes a collection of requests, got {requests!r}"
-            )
-        elements = [resolve(request) for request in requests]
-        with _Serve(
-            self, "server.query_batch", kind, deadline_ms, tracked=elements,
-            queries=len(elements), requests=len(elements),
-        ) as call:
-            state = call.state
-            distinct = list(dict.fromkeys(elements))
-            answers = dict(zip(distinct, self._cache_get(state, distinct)))
-            missing = [e for e, values in answers.items() if values is None]
-            hits = len(answers) - len(missing)
-            if missing:
-                engine = state.range_engine
-                mark = engine.slabs.sequence
-                assembled = assemble_resilient(
-                    self, state.materialized, missing, call.counter,
-                    max_workers, engine.warm_ancestor,
-                )
-                answers.update(self._admit(state, mark, assembled))
-            self._m.batches_of[kind].inc()
-            call.attrs.update(cache_hits=hits, assembled=len(missing))
-            return [answers[element] for element in elements]
-
     def range_sum(self, ranges, deadline_ms: float | None = None) -> float:
-        """SUM over a multi-dimensional half-open coordinate range."""
+        """SUM over a multi-dimensional half-open coordinate range.
+
+        The range engine parses the bounds (a malformed one is an
+        :class:`InvalidQueryError`) and assembles the intermediates it
+        lacks through the same resilient assembly as :meth:`_serve`."""
         with _Serve(self, "server.query", "range", deadline_ms) as call:
-            state, counter = call.state, call.counter
-            # The engine parses the bounds (once; a non-integer one is an
-            # ``InvalidQueryError`` there, before anything is resolved).
-            if not isinstance(ranges, Iterable):
-                raise InvalidQueryError(
-                    f"ranges must be (start, stop) pairs, got {ranges!r}"
-                )
-            ranges = tuple(ranges)
-            try:
-                answer = with_retries(
-                    self,
-                    lambda scratch: state.range_engine.range_sum(
-                        ranges, counter=scratch
-                    ),
-                    counter,
-                )
-                value, cells_read = answer.value, answer.cells_read
-            except IncompleteSetError:
-                value = range_sum_direct(
-                    self.cube.values, ranges, counter=counter
-                )
-                cells_read = 0
-                note_degraded(self)
-            call.attrs["cells_read"] = cells_read
-            return value
+            answer = call.state.range_engine.range_sum(ranges, call.counter)
+            call.attrs["cells_read"] = answer.cells_read
+            return answer.value
 
     def cell(self, **coordinates) -> float:
         """One cube cell, addressed by dimension values."""

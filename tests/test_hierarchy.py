@@ -16,6 +16,7 @@ from repro.cube import (
     rollup,
     rollup_element,
 )
+from repro.errors import InvalidQueryError
 
 
 @pytest.fixture
@@ -120,7 +121,7 @@ class TestRollup:
         )
 
     def test_unknown_dimension(self, cube):
-        with pytest.raises(KeyError, match="unknown dimensions"):
+        with pytest.raises(InvalidQueryError, match="unknown dimensions"):
             rollup_element(cube, {"bogus": 1})
 
     def test_level_out_of_range(self, cube):
@@ -128,5 +129,5 @@ class TestRollup:
             rollup_element(cube, {"day": 4})
 
     def test_named_level_on_plain_dimension(self, cube):
-        with pytest.raises(TypeError, match="no hierarchy"):
+        with pytest.raises(InvalidQueryError, match="no hierarchy"):
             rollup_element(cube, {"store": "region"})

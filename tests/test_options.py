@@ -81,7 +81,7 @@ SIGNATURES = {
     ),
     "repro.core.range_query:RangeQueryEngine.__init__": (
         ("materialized",),
-        {},
+        {"assemble": "src/repro/server.py"},
     ),
     "repro.core.exec:execute_plan": (
         ("plan", "arrays"),

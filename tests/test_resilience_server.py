@@ -455,47 +455,63 @@ class TestMalformedRequests:
         server.close()
 
     @pytest.mark.parametrize(
-        "ask, kind, served",
+        "ask, kind",
         [
-            (lambda s: s.view(["d0"], deadline_ms="5"), "view", True),
-            (lambda s: s.rollup({"d0": 1}, deadline_ms=[1]), "rollup", True),
-            (lambda s: s.range_sum(5), "range", True),
-            (lambda s: s.query_batch([["d0"]], max_workers="2"), "view", False),
-            (lambda s: s.query_batch(None), "view", False),
-            (lambda s: s.rollup_batch(None), "rollup", False),
+            (lambda s: s.view(["d0"], deadline_ms="5"), "view"),
+            (lambda s: s.rollup({"d0": 1}, deadline_ms=[1]), "rollup"),
+            (lambda s: s.range_sum(5), "range"),
+            (lambda s: s.rollup({"nope": 1}), "rollup"),
+            (lambda s: s.view(["nope"]), "view"),
+            (lambda s: s.query_batch([["nope"]]), "view"),
+            (lambda s: s.query_batch(None), "view"),
+            (lambda s: s.rollup_batch(None), "rollup"),
+            (lambda s: s.query_batch([["d0"]], max_workers=0), "view"),
+            (lambda s: s.query_batch([["d0"]], max_workers="2"), "view"),
+            (lambda s: s.rollup_batch([{"d0": 1}], max_workers=0), "rollup"),
         ],
         ids=[
             "text deadline",
             "list deadline",
             "int ranges",
-            "text max_workers",
+            "unknown roll-up dimension",
+            "unknown view dimension",
+            "unknown batch dimension",
             "no requests",
             "no levels",
+            "zero max_workers",
+            "text max_workers",
+            "zero max_workers roll-up",
         ],
     )
-    def test_a_malformed_argument_is_an_invalid_query(self, ask, kind, served):
-        # Checked where the envelope takes it: inside a served call it is
-        # labelled ``invalid``; a batch's arguments are refused before its
-        # envelope opens, like ``max_workers=0``.  Neither burns budget.
+    def test_a_malformed_argument_is_an_invalid_query(self, ask, kind):
+        # Every request resolves inside its envelope, so one rule labels
+        # every client mistake ``invalid``: one latency sample and one
+        # alert record each, no budget burnt, no work done, nothing cached.
         server = _make_server(sizes=(8, 4))
-        for _ in range(3):
-            with pytest.raises(InvalidQueryError):
-                ask(server)
+        with pytest.raises(InvalidQueryError):
+            ask(server)
         latency = server.metrics.get("server_latency_ms")
         assert latency.stats(kind=kind, outcome="error")["count"] == 0
-        assert latency.stats(kind=kind, outcome="invalid")["count"] == (
-            3 if served else 0
-        )
-        failures = server.alerts.snapshot()["rules"]["failures"]
-        assert failures["fast"]["bad"] == 0
+        assert latency.stats(kind=kind, outcome="invalid")["count"] == 1
+        snapshot = server.alerts.snapshot()
+        assert snapshot["records"] == 1
+        assert snapshot["rules"]["failures"]["fast"]["bad"] == 0
         assert server.stats.operations == 0
+        assert len(server._state.cache) == 0
         server.close()
 
     def test_a_level_above_the_hierarchy_is_an_invalid_query(self):
+        # Refused while it resolves, inside the envelope: recorded once.
         server = _make_server(sizes=(8, 4))
         with pytest.raises(InvalidQueryError, match="outside"):
             server.rollup({"d0": 4})
-        assert server.health()["alerts"]["records"] == 0
+        assert server.health()["alerts"]["records"] == 1
+        latency = server.metrics.get("server_latency_ms")
+        assert latency.stats(kind="rollup", outcome="invalid")["count"] == 1
+        assert latency.stats(kind="rollup", outcome="error")["count"] == 0
+        assert server.stats.operations == 0
+        assert len(server._state.cache) == 0
+        server.close()
 
 
 class TestAlertSamplesRideTheCallLog:

@@ -9,7 +9,7 @@ from repro import server as server_module
 from repro.core import exec as batch_exec
 from repro.cube.datacube import DataCube
 from repro.cube.dimensions import Dimension
-from repro.errors import QueryTimeout
+from repro.errors import InvalidQueryError, QueryTimeout
 from repro.obs import alerts, flight
 from repro.resilience import FaultInjector, FaultRule, retry
 from repro.server import OLAPServer
@@ -44,7 +44,7 @@ class TestQueries:
         )
 
     def test_unknown_dimension(self, server):
-        with pytest.raises(KeyError, match="unknown dimensions"):
+        with pytest.raises(InvalidQueryError, match="unknown dimensions"):
             server.view(["bogus"])
 
     def test_range_sum(self, server):
@@ -286,7 +286,8 @@ class TestResultCache:
         server.view(["store"])
         server.view(["store"])
         spans = server.tracer.spans("server.query")
-        assert [s.attributes["cache"] for s in spans] == ["miss", "hit"]
+        assert [s.attributes["cache_hits"] for s in spans] == [0, 1]
+        assert [s.attributes["assembled"] for s in spans] == [1, 0]
         assert spans[0].attributes["operations"] > 0
         assert spans[1].attributes["operations"] == 0
         # The cold query produced nested executor spans with op counts.

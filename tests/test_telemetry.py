@@ -343,6 +343,78 @@ class TestTracerInbox:
         assert len(tracer.spans()) == 64
         assert tracer.dropped_spans == 2 * threads * traces - 64
 
+    def test_a_server_folding_at_a_small_bound_accounts_every_trace_once(
+        self, monkeypatch
+    ):
+        # Serving threads fold the tracer's inbox every 3 traces while a
+        # poller folds it through health(): the flight recorder and the
+        # site profiler each account every finished trace once, and the
+        # ring's overwrites stay exact.
+        import sys
+
+        from repro.obs import tracing
+
+        monkeypatch.setattr(tracing, "FOLD_AT", 3)
+        server = _make_server(
+            sizes=(16, 8, 4), observability=Observability(max_spans=64)
+        )
+        rollups = [{"d0": 1}, {"d1": 1}, {"d0": 2, "d2": 1}]
+        box = ((1, 15), (0, 8), (2, 4))
+        calls = (
+            lambda: server.view(["d0"]),
+            lambda: server.rollup_batch(rollups),
+            lambda: server.range_sum(box),
+        )
+        for call in calls * 2:  # warm: every raced call is one span
+            call()
+        sites = server.profiler.snapshot()
+        warm_spans = sum(site["count"] for site in sites.values())
+        warm_traces = server.flight.traces_seen
+        assert warm_traces == len(calls) * 2
+        calls_per_thread, threads = 150, 4
+        done = threading.Event()
+        failures: list[BaseException] = []
+
+        def client(offset: int) -> None:
+            try:
+                for i in range(calls_per_thread):
+                    calls[(i + offset) % len(calls)]()
+            except BaseException as exc:  # pragma: no cover - reported below
+                failures.append(exc)
+
+        def poller() -> None:
+            while not done.is_set():
+                server.health()
+
+        clients = [
+            threading.Thread(target=client, args=(k,)) for k in range(threads)
+        ]
+        watcher = threading.Thread(target=poller)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            watcher.start()
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=60)
+        finally:
+            done.set()
+            watcher.join(timeout=60)
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in (*clients, watcher))
+        assert failures == []
+        raced = threads * calls_per_thread
+        sites = server.profiler.snapshot()
+        assert sum(site["count"] for site in sites.values()) == warm_spans + raced
+        assert server.flight.traces_seen == warm_traces + raced
+        assert server.flight.loss()["pending_traces_dropped"] == 0
+        finished = warm_spans + raced
+        assert server.tracer.dropped_spans == finished - 64
+        dropped = server.metrics.counter("tracer_dropped_spans").total()
+        assert dropped == finished - 64
+        server.close()
+
     def test_when_a_reader_folds_the_inbox_is_invisible(self, monkeypatch):
         # Two recorders and two profilers read one tracer's inbox: one of
         # each folds after every trace, the other at seeded points and when

@@ -65,7 +65,8 @@ class TestServedAsItIs:
         # Not cached a second time, and counted.
         assert len(server._state.cache) == 0
         assert server.health()["cache_warm_reads"] == 2
-        assert server.tracer.spans("server.query")[-1].attributes["cache"] == "hit"
+        span = server.tracer.spans("server.query")[-1]
+        assert span.attributes["cache_hits"] == 1
         server.close()
 
     def test_a_batch_plans_only_what_nothing_holds(self, monkeypatch):
