@@ -59,8 +59,9 @@ REPEATS = 7
 #: whose host load varied (medians 1.32–1.42x, highest 1.59x, one at
 #: 1.88x); a quiet host read 1.23–1.29x.  It is verified with ``--small``
 #: only: at full size ``cold_reconfigure`` passes through a redundant set
-#: that takes over 2.5 GB of memory within seconds, so no full-size ratio
-#: has been measured against it.
+#: whose Algorithm 2 selection on the 16^3 cube runs for minutes (its
+#: scenario batches are capped near 100 MB, so time, not memory, limits
+#: the full size), and no full-size ratio has been measured against it.
 MAX_TRACED_OVER_UNTRACED = 1.25
 MAX_WARM_TRACED_OVER_UNTRACED = 1.60
 

@@ -152,8 +152,9 @@ class CallLog:
     ) -> None:
         """A call that timed out, was rejected, invalid or failed: fold the
         log, then write its counts at once, so they stay in order.  It is
-        counted as asked once ``started`` (admitted, its span open), and
-        never as served."""
+        counted as asked once ``started`` — admitted and its deadline
+        parsed, where its span opens when the server traces, with tracing
+        on or off alike — and never as served."""
         self.fold()
         series = self._series
         if started:

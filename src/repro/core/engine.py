@@ -83,8 +83,11 @@ class SelectionEngine:
     """
 
     #: Cap on scenario-matrix cells per evaluation batch; greedy stages
-    #: with more candidates than fit are evaluated in chunks.
-    max_batch_cells: int = 100_000_000
+    #: with more candidates than fit are evaluated in chunks (per
+    #: candidate column, so the totals do not depend on it).  A cell costs
+    #: about 25 bytes — the bool scenario matrix plus the float sweeps
+    #: over it — so one batch stays near 100 MB.
+    max_batch_cells: int = 4_000_000
 
     def __init__(self, shape: CubeShape):
         self.shape = shape

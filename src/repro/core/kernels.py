@@ -24,6 +24,10 @@ Temporaries are recycled by the allocator, not by this module:
 :class:`~repro.core.materialize.MaterializedSet`) keeps glibc from handing
 MiB-sized frees back to the kernel, so a freed interior stays resident in
 the heap and the next allocation of any shape reuses it without faulting.
+It also keeps that heap *one*: glibc gives each thread that allocates
+under contention an arena of its own, and a shard lane or pooled executor
+thread freeing into its arena leaves interiors the other threads never
+reuse, so every arena keeps its own high-water mark resident.
 
 **Bit-identity.**  Fusion never changes arithmetic: each fused step performs
 the same single ``np.add``/``np.subtract`` over the same even/odd pairs, in
@@ -71,16 +75,22 @@ Step = tuple[int, bool]
 def pin_allocator_thresholds() -> bool:
     """Pin glibc's mmap and trim thresholds at the ceilings its dynamic
     heuristic reaches (32 and 64 MiB on 64-bit), so that freeing one batch's
-    MiB-sized answers cannot trim the heap the next batch re-faults.  Once
-    per process; returns whether it took (a no-op off glibc)."""
+    MiB-sized answers cannot trim the heap the next batch re-faults, and cap
+    the arenas at one, so that there is one heap to reuse: a freed interior
+    is only reused by the next allocation when both are in the same arena,
+    and without the cap every shard lane and executor thread allocates
+    from an arena of its own.  Once per process (threads already running
+    keep the arena they have); returns whether it took (a no-op off
+    glibc)."""
     if "CS_GNU_LIBC_VERSION" not in getattr(os, "confstr_names", ()):
         return False
     if not (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc"):
         return False
     mallopt = ctypes.CDLL(None).mallopt
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    # M_MMAP_THRESHOLD is -3 and M_TRIM_THRESHOLD -1 in <malloc.h>.
-    return all([mallopt(-3, 32 << 20), mallopt(-1, 64 << 20)])
+    # M_MMAP_THRESHOLD is -3, M_TRIM_THRESHOLD -1 and M_ARENA_MAX -8 in
+    # <malloc.h>.
+    return all([mallopt(-3, 32 << 20), mallopt(-1, 64 << 20), mallopt(-8, 1)])
 
 
 def canonical_steps(source: ElementId, target: ElementId) -> tuple[Step, ...]:

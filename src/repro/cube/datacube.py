@@ -34,6 +34,11 @@ class DataCube:
                 f"values shape {values.shape} does not match dimension sizes {dims.sizes}"
             )
         self.values = values
+        #: A read-only view of :attr:`values`, made once: what serving hands
+        #: out when an answer is the base cube itself (a sharded server's
+        #: root, the degraded path's), so a caller's write cannot reach it.
+        self.readonly = values.view()
+        self.readonly.flags.writeable = False
         self.dimensions = dims
         self.measure = str(measure)
         #: The :class:`CubeShape` seen by the view element machinery — one

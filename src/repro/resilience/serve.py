@@ -56,8 +56,9 @@ class _Serve:
     elements, latency and alert sample), and writes nothing else; the log
     is folded when read.  A call that times out, is rejected, invalid
     (:class:`InvalidQueryError`) or fails is written at once, labelled by
-    its outcome (:meth:`CallLog.failed`), and so is an alert sample some
-    rule counts bad (:meth:`~repro.obs.alerts.AlertEngine.defer`).  The
+    its outcome (:meth:`CallLog.failed`) — counted as asked once it was
+    admitted and its deadline parsed, traced or not — and so is an alert
+    sample some rule counts bad (:meth:`~repro.obs.alerts.AlertEngine.defer`).  The
     span is one append to the tracer's inbox; its readers fold it.
 
     A slotted class, not a generator: the envelope is most of what a
@@ -68,7 +69,7 @@ class _Serve:
     __slots__ = (
         "server", "kind", "deadline_ms", "tracked", "queries", "attrs",
         "state", "counter", "degraded", "_span_name", "_tokens", "_start",
-        "_admitted", "_deadline", "_tracer", "_span", "_span_token",
+        "_admitted", "_asked", "_deadline", "_tracer", "_span", "_span_token",
     )
 
     def __init__(
@@ -82,7 +83,7 @@ class _Serve:
         self.attrs = {"kind": kind}
         self.degraded = False
         self._span_name = span_name
-        self._admitted = False
+        self._admitted = self._asked = False
         self._deadline = self._span = None
 
     def __enter__(self) -> "_Serve":
@@ -121,6 +122,9 @@ class _Serve:
                     )
                 self._deadline = deadline_scope(Deadline.after(deadline_ms / 1e3))
                 self._deadline.__enter__()
+            # Admitted, its deadline parsed: from here the call counts as
+            # asked, whether or not a span opens for it.
+            self._asked = True
             if tracer is not None:
                 self._tracer = tracer
                 self._span = tracer._open(self._span_name, self.attrs)
@@ -177,9 +181,8 @@ class _Serve:
                      self.tracked, latency_ms, now)
                 )
             else:
-                started = self._span is not None
                 server._log.failed(
-                    kind, self.queries, started, outcome, latency_ms
+                    kind, self.queries, self._asked, outcome, latency_ms
                 )
             if alerts is not None and (outcome != "ok" or now is None):
                 alerts.record(outcome, latency_ms, degraded=self.degraded)
@@ -244,7 +247,8 @@ def assemble_resilient(
     mid-plan), and at once for one element, each element is a retried
     batch of one with its own budget.  A quarantine-induced incomplete set
     falls back to the perfect reconstruction route from ``server``'s base
-    cube (bit-identical for the integer-valued measures the chaos gate
+    cube (its read-only view, which is the root's answer itself;
+    bit-identical for the integer-valued measures the chaos gate
     replays); its scratch counter, like the retry loop's, is merged only
     once it served."""
     elements = list(dict.fromkeys(elements))
@@ -273,7 +277,7 @@ def assemble_resilient(
         except IncompleteSetError:
             scratch = OpCounter()
             answers[element] = compute_element(
-                server.cube.values, element, counter=scratch
+                server.cube.readonly, element, counter=scratch
             )
             counter.merge(scratch)
             note_degraded(server)

@@ -12,6 +12,7 @@ from repro.errors import (
     TransientFault,
 )
 from repro.core.materialize import MaterializedSet
+from repro.obs import Observability
 from repro.obs.alerts import AlertEngine, BurnRateRule, ManualClock
 from repro.replay import Replica, seeded_cube
 from repro.resilience import FaultInjector, FaultRule
@@ -498,6 +499,30 @@ class TestMalformedRequests:
         assert snapshot["rules"]["failures"]["fast"]["bad"] == 0
         assert server.stats.operations == 0
         assert len(server._state.cache) == 0
+        server.close()
+
+    @pytest.mark.parametrize("tracing", [True, False], ids=["traced", "untraced"])
+    def test_a_refused_call_counts_as_asked_traced_or_not(self, tracing):
+        # One rule, span or no span: asked once admitted and its deadline
+        # parsed.  An unknown name is refused after that; a text deadline
+        # and a full admission slot before it.
+        server = _make_server(
+            sizes=(8, 4),
+            observability=Observability(tracing=tracing),
+            max_in_flight=1,
+        )
+        with pytest.raises(InvalidQueryError):
+            server.view(["nope"])
+        with pytest.raises(InvalidQueryError):
+            server.view(["d0"], deadline_ms="5")
+        server._admission.acquire()
+        with pytest.raises(AdmissionRejected):
+            server.view(["d0"])
+        server._admission.release()
+        queries = server.metrics.counter("server_queries_total")
+        assert queries.total() == 1
+        latency = server.metrics.get("server_latency_ms")
+        assert latency.stats(kind="view", outcome="invalid")["count"] == 2
         server.close()
 
     def test_a_level_above_the_hierarchy_is_an_invalid_query(self):

@@ -193,7 +193,9 @@ class TestTheStoredRouteWhenItIsCheaper:
             assert planned == ["execute_plan"]
             assert server.stats.operations - operations == cost
             if target == "stored":
-                assert got is server.materialized.array(stored)
+                # By reference, as a read-only view of the stored array.
+                assert np.shares_memory(got, server.materialized.array(stored))
+                assert not got.flags.writeable
         else:
             assert planned == ["_scatter_gather"]
         server.close()
