@@ -4,15 +4,17 @@ The paper prices a cached answer at zero scalar operations, so on a hot
 dashboard the bookkeeping around an answer is most of what the query
 costs.  An :class:`~repro.server.OLAPServer` call that is served appends
 one tuple, ``(kind, queries, operations, tracked, latency_ms, now)``, to
-its :class:`CallLog`.  :meth:`CallLog.fold` replays the records, in
-arrival order, through the writes each call used to make:
+its :class:`CallLog`, and so does an update burst: ``("ingest", cells, 0,
+(), None, None)``, its fingerprint note.  :meth:`CallLog.fold` replays the
+records, in arrival order, through the writes each call used to make:
 
 - the ``server_queries_total`` and ``server_operations_total`` counters;
 - the ``server_latency_ms{outcome="ok"}`` histogram;
 - :class:`ServerStats`;
 - one :class:`~repro.core.adaptive.AccessTracker` record per tracked
   element;
-- the fingerprint's ticks, one lock hold per fold;
+- the fingerprint's query ticks and ingest notes, in call order, one lock
+  hold per fold (an ingest record writes nothing else);
 - the burn-rate engine's good sample, at ``now``, the engine clock's
   reading at call time (``None`` when there is no engine, or the call was
   recorded at once: :meth:`~repro.obs.alerts.AlertEngine.defer`).
@@ -123,15 +125,17 @@ class CallLog:
             times = []
             for _ in range(len(records)):
                 kind, n, spent, tracked, latency_ms, now = pop()
-                queries[kind] = queries.get(kind, 0) + n
                 notes.append((kind, n))
+                if latency_ms is None:
+                    continue  # a burst's ingest note, nothing else
+                queries[kind] = queries.get(kind, 0) + n
                 latency_of[kind].observe(latency_ms)
                 operations += spent
                 for element in tracked:
                     record(element)
                 if now is not None:
                     times.append(now)
-            self._fingerprints.note_queries(notes)
+            self._fingerprints.note(notes)
             for kind, n in queries.items():
                 queries_of[kind].inc(n)
             self.stats._queries += sum(queries.values())

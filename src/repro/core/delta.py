@@ -26,14 +26,23 @@ dimension the index holds a ``(slots, n_m)`` table of flat buffer offsets
 (the slot's offset folded into dimension 0) and, where a slot has
 residual steps, a ``(slots, n_m)`` table of ``±1``.  A burst is then one
 ``take`` per dimension, a product of signs, and one ``np.add.at`` per
-buffer:
+buffer.  On a one-shard server every array a burst repairs is an owner
+of one store, the stored set's
+(:meth:`repro.core.materialize.MaterializedSet.apply_updates`), so one
+index and one scatter repair all of them:
 
-- a server's stored elements (signed) are one owner of the set's own
-  store (:meth:`repro.core.materialize.MaterializedSet.apply_updates`,
-  per shard when sharded), each array a slot over its own buffer;
-- its cached answers and its range engine's intermediates (pure) are two
-  owners of one shared store, repaired by one scatter
-  (:meth:`repro.core.range_query.RangeQueryEngine.apply_updates`).
+- the stored elements (signed, each a slot over its own buffer);
+- the range engine's intermediates (pure), which share the store of the
+  set the engine was built over
+  (:meth:`repro.core.range_query.RangeQueryEngine.apply_updates`);
+- the server's cached answers (pure, packed).
+
+The store applies a batch once per owner: a later patch with the same
+batch reaches only the owners the first did not, so the set and its
+engine may be patched in either order.  A sharded set's stores are
+shard-local, so there the engine keeps a store of its own in the global
+frame.  Owners report the arrays they let go (:meth:`SlabStore.dropped`),
+and the store sweeps an owner's liveness only after such a report.
 
 :func:`patch_array` is the one-array reference the index is tested
 against; the scalar walk it is tested against lives in
@@ -46,6 +55,8 @@ from __future__ import annotations
 
 import threading
 from collections.abc import Callable, Collection
+from itertools import repeat
+from numbers import Real
 
 import numpy as np
 
@@ -82,8 +93,12 @@ class DeltaBatch:
         coordinates = np.asarray(coordinates)
         deltas = np.asarray(deltas)
         # Complex, text and date deltas are refused, not cast: a cast would
-        # drop an imaginary part or parse "1.5".
-        if deltas.dtype.kind not in "biufO":
+        # drop an imaginary part or parse "1.5" — held in an object array
+        # too, where ``None`` is no number either.
+        kind = deltas.dtype.kind
+        if kind not in "biuf" and (
+            kind != "O" or not all(map(isinstance, deltas.flat, repeat(Real)))
+        ):
             raise InvalidUpdateError(
                 f"deltas must be real numbers; got dtype {deltas.dtype}"
             )
@@ -212,20 +227,30 @@ class SlabStore:
     of its own, not copied) and returns the slab view that replaces it;
     :meth:`join` makes arrays a caller may already hold — of any element,
     signed by its residual steps — slabs of their own, in place.
-    :meth:`patch` repairs the live slots of one owner, or of every owner,
-    through one index compiled from those slots (rebuilt only when they
-    change): a ``take`` per dimension and one ``np.add.at`` per slab.
+    :meth:`patch` repairs the live slots of some owners, or of every
+    owner, through one index compiled from those slots (rebuilt only when
+    they change): a ``take`` per dimension and one ``np.add.at`` per slab.
     Slots are disjoint and a slot's duplicate cells accumulate in burst
     row order, so the bytes equal :func:`patch_array` per array, and the
     additions are charged under each owner's label exactly as it would.
     The index costs ``slots × sum(shape.sizes)`` cells per table.
 
-    Each owner says which views are still live (:meth:`track`: the ids
-    of the arrays it holds).  Liveness is swept at each :meth:`patch` and
-    before a new slab is allocated: a dead slot is never patched nor
-    reused — a caller may still hold its view — and a slab with no live
-    slot is dropped, so a label's slabs hold at most its live cells plus
-    one :data:`SLAB_CELLS` per live slot.
+    A batch is applied to each owner once: a second :meth:`patch` with
+    the same :class:`DeltaBatch` object reaches only the owners the first
+    did not — and arrays joined to an owner since the first reached it,
+    which were built before the batch — and reports the slots the first
+    patched for the others.  So owners sharing a store may each patch a
+    burst, in any order, and one scatter repairs all of them.  The burst
+    ends at :meth:`end_burst`, or with the next batch.
+
+    Each owner says which views are still live (the ids of the arrays it
+    holds).  One registered with :meth:`own` reports each array it lets go
+    (:meth:`dropped`) and is swept only after such a report; one
+    registered with :meth:`track` is swept at every :meth:`patch`.  A
+    sweep also runs before a new slab is allocated.  A dead slot is never
+    patched nor reused — a caller may still hold its view — and a slab
+    with no live slot is dropped, so a label's slabs hold at most its live
+    cells plus one :data:`SLAB_CELLS` per live slot once swept.
 
     The store is also where readers and bursts meet: :attr:`sequence` is
     bumped under :attr:`lock` when a burst begins and when it ends (odd
@@ -249,18 +274,39 @@ class SlabStore:
         self._slabs: dict[str, list[_Slab]] = {}
         self._open: dict[str, _Slab] = {}
         self._live: dict[str, Callable[[], Collection[int]]] = {}
+        #: Owners swept at every patch (:meth:`track`), and owners that
+        #: reported a drop since their last sweep (:meth:`dropped`).
+        self._polled: set[str] = set()
+        self._dropped: set[str] = set()
         #: Per label, the ids of the arrays in its slabs — views handed
         #: out and arrays joined — not yet swept (read under :attr:`lock`).
         self.held: dict[str, set[int]] = {}
         #: Per tuple of labels, :meth:`_compile` until a slot changes.
         self._indexes: dict[tuple[str, ...], tuple] = {}
+        #: The batch of the burst being patched, the slots it reached per
+        #: owner, and per owner the slabs joined since it reached it.
+        self._batch: DeltaBatch | None = None
+        self._reached: dict[str, int] = {}
+        self._late: dict[str, list[_Slab]] = {}
 
-    def track(self, label: str, live: Callable[[], Collection[int]]) -> None:
-        """Register ``label``'s owner: ``live()`` returns the ids of the
-        arrays it still holds."""
+    def own(self, label: str, live: Callable[[], Collection[int]]) -> None:
+        """Register ``label``'s owner, which reports every array it lets go
+        (:meth:`dropped`): ``live()`` returns the ids of the arrays it still
+        holds, and is called only to sweep after such a report."""
         self._live[label] = live
         self._slabs.setdefault(label, [])
         self.held.setdefault(label, set())
+
+    def track(self, label: str, live: Callable[[], Collection[int]]) -> None:
+        """Register ``label``'s owner as :meth:`own` does, for one that
+        reports no drops: its liveness is swept at every :meth:`patch`."""
+        self.own(label, live)
+        self._polled.add(label)
+
+    def dropped(self, label: str) -> None:
+        """``label``'s owner let go of an array: sweep it before the next
+        scatter or allocation.  Takes no lock."""
+        self._dropped.add(label)
 
     def begin_burst(self) -> None:
         with self.lock:
@@ -269,6 +315,7 @@ class SlabStore:
     def end_burst(self) -> None:
         with self.lock:
             self.sequence += 1
+            self._batch, self._reached, self._late = None, {}, {}
 
     def settled(self, mark: int) -> bool:
         """No burst has begun since :attr:`sequence` read ``mark`` (call
@@ -322,6 +369,8 @@ class SlabStore:
                 slab = _Slab(_through_owner(values))
             self._slabs[label].append(slab)
             self._slot(slab, element, values, label)
+            if label in self._reached:
+                self._late.setdefault(label, []).append(slab)
 
     def _check(self, element: ElementId, pure: bool = False) -> None:
         if element.shape != self.shape or (pure and not element.is_intermediate):
@@ -348,8 +397,14 @@ class SlabStore:
         return slab
 
     def sweep(self, label: str) -> None:
-        """Drop ``label``'s dead slots, and its slabs left with none."""
+        """Drop ``label``'s dead slots, and its slabs left with none — for
+        an owner that reported a drop since its last sweep, or one that
+        reports none."""
         with self.lock:
+            if label not in self._polled:
+                if label not in self._dropped:
+                    return
+                self._dropped.discard(label)
             held = self.held[label]
             dead = held.difference(self._live[label]())
             if not dead:
@@ -371,68 +426,93 @@ class SlabStore:
         self,
         batch: DeltaBatch,
         counter: OpCounter | None,
-        label: str | None = None,
+        label: str | tuple[str, ...] | None = None,
     ):
-        """Scatter ``batch`` into every live slot of ``label`` — or, with
-        no label, of every owner — through one compiled index: one
-        ``np.add.at`` per slab.  Returns the number of slots patched: of
-        ``label``, or ``{label: slots}`` per owner."""
+        """Scatter ``batch`` into every live slot of ``label`` — one label,
+        a tuple of them, or, with none, every owner — that this batch has
+        not reached yet, through one compiled index: one ``np.add.at`` per
+        slab.  Returns the number of slots the batch patched: of
+        ``label``, or ``{label: slots}`` per owner asked for."""
         if batch.shape is not self.shape and batch.shape != self.shape:
             raise ValueError(
                 f"slabs of a {self.shape.sizes} cube patched from a "
                 f"{batch.shape.sizes} batch"
             )
-        labels = tuple(self._live) if label is None else (label,)
-        counts = dict.fromkeys(labels, 0)
+        if label is None:
+            labels = tuple(self._live)
+        else:
+            labels = (label,) if isinstance(label, str) else label
         n = len(batch)
         with self.lock:
             self.active = True
-            if n:
-                for each in labels:
+            if batch is not self._batch:
+                self._batch, self._reached, self._late = batch, {}, {}
+            reached = self._reached
+            if reached:
+                todo = tuple([each for each in labels if each not in reached])
+            else:
+                todo = labels
+            late = [each for each in labels if each in self._late]
+            for each in todo + tuple(late) if n else ():
+                if each in self._dropped or each in self._polled:
                     self.sweep(each)
-                counts = dict(self._scatter(batch, labels))
-        if counter is not None:
+            counts = dict.fromkeys(todo, 0)
+            if n and todo:
+                index = self._indexes.get(todo)
+                if index is None:
+                    index = self._indexes[todo] = self._compile(todo)
+                counts = dict(self._scatter(batch, index))
+            if n and late:
+                # Joined after this batch reached their owner: they were
+                # built before it, so they take it now, once.
+                groups = [(each, self._late.pop(each)) for each in late]
+                counts.update(self._scatter(batch, self._index(groups)))
             for each, slots in counts.items():
-                if slots:
+                reached[each] = reached.get(each, 0) + slots
+                if slots and counter is not None:
                     counter.add(additions=n * slots, label=each)
-        return counts if label is None else counts[label]
+            counts = {each: reached[each] for each in labels}
+        return counts[label] if isinstance(label, str) else counts
 
-    def _scatter(self, batch: DeltaBatch, labels: tuple[str, ...]) -> dict:
-        """Apply ``batch`` through ``labels``' index; returns its counts."""
-        index = self._indexes.get(labels)
-        if index is None:
-            index = self._indexes[labels] = self._compile(labels)
+    def _scatter(self, batch: DeltaBatch, index: tuple) -> dict:
+        """Apply ``batch`` through a compiled index; returns its counts."""
         tables, signs, spans, counts = index
         if not spans:
             return counts
-        columns = batch._columns
+        columns, deltas = batch._columns, batch.deltas
         # Row s of ``flat``: slot s's cell of every burst row.
         flat = tables[0][:, columns[0]]
         for m in range(1, len(columns)):
             flat += tables[m][:, columns[m]]
+        # Row s of ``signed``: the deltas as slot s takes them — written
+        # out, not broadcast: numpy 2.4's ``np.add.at`` reads past the
+        # values when they broadcast over a 2-D index.
+        signed = np.empty(flat.shape)
+        signed[...] = deltas
         if signs:
-            signed = batch.deltas * signs[0][1][:, columns[signs[0][0]]]
+            # Only the leading slots with a residual step carry a table.
+            m, table = signs[0]
+            head = signed[: len(table)]
+            np.multiply(head, table[:, columns[m]], out=head)
             for m, table in signs[1:]:
-                signed *= table[:, columns[m]]
-            signed = signed.ravel()
-        else:
-            # Tiled, not broadcast: numpy 2.4's ``np.add.at`` reads past the
-            # values when they broadcast over a 2-D index.
-            signed = np.tile(batch.deltas, len(flat))
-        flat, n = flat.ravel(), len(batch)
+                head *= table[:, columns[m]]
+        flat, signed, n = flat.ravel(), signed.ravel(), len(batch)
         for buffer, start, stop in spans:
             np.add.at(buffer, flat[start * n : stop * n], signed[start * n : stop * n])
         return counts
 
     def _compile(self, labels: tuple[str, ...]) -> tuple:
-        """``(tables, signs, spans, counts)`` over ``labels``' live slots,
-        slab by slab: per dimension a ``(slots, n_m)`` table of flat
-        offsets; ``(m, ±1 table)`` per dimension where some slot has a
-        residual step; one ``(buffer, first slot, stop slot)`` per slab;
-        and the slots per label."""
+        """The index over ``labels``' live slots (:meth:`_index`)."""
+        return self._index([(label, self._slabs[label]) for label in labels])
+
+    def _index(self, groups: list[tuple[str, list[_Slab]]]) -> tuple:
+        """``(tables, signs, spans, counts)`` over the slots of each
+        ``(label, slabs)`` group, slab by slab: per dimension a ``(slots,
+        n_m)`` table of flat offsets; ``(m, ±1 table)`` per dimension where
+        some slot has a residual step; one ``(buffer, first slot, stop
+        slot)`` per slab; and the slots per label."""
         rows, spans, counts = [], [], {}
-        for label in labels:
-            slabs = self._slabs[label]
+        for label, slabs in groups:
             for slab in slabs:
                 stop = len(rows) + len(slab.slots)
                 spans.append((slab.buffer, len(rows), stop))
@@ -442,13 +522,17 @@ class SlabStore:
             return [], [], [], counts
         d = self.shape.ndim
         rows = np.stack(rows)
+        # Sign tables cover the slots up to the last one with a residual
+        # step (a store lists its signed owner first); the rest take +1.
+        signed = np.flatnonzero(rows[:, 1 + d : 1 + 2 * d].any(axis=1))
+        k = int(signed[-1]) + 1 if len(signed) else 0
         tables, signs = [], []
         for m, extent in enumerate(self.shape.sizes):
             cells = np.arange(extent)
             levels = rows[:, 1 + m, None]
-            indices = rows[:, 1 + d + m, None]
+            indices = rows[:k, 1 + d + m, None]
             tables.append((cells >> levels) * rows[:, 1 + 2 * d + m, None])
             if indices.any():
-                signs.append((m, _sign_table(cells, levels, indices)))
+                signs.append((m, _sign_table(cells, levels[:k], indices)))
         tables[0] += rows[:, :1]
         return tables, signs, spans, counts

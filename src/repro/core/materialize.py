@@ -175,11 +175,13 @@ class MaterializedSet:
         self._verified: set[ElementId] = set()
         self._quarantined: dict[ElementId, str] = {}
         self._integrity_lock = threading.Lock()
-        #: The stored arrays as signed slots over their own buffers, so a
-        #: burst repairs all of them through one compiled index.
-        self._slabs = SlabStore(shape)
+        #: The stored arrays as signed slots over their own buffers, each
+        #: joined as it is stored (:meth:`_put`), so a burst repairs all of
+        #: them through one compiled index — beside the warm arrays of the
+        #: range engine built over this set, which shares the store.
+        self.slabs = SlabStore(shape)
         arrays = self._arrays
-        self._slabs.track(BATCH_UPDATE, lambda: set(map(id, arrays.values())))
+        self.slabs.own(BATCH_UPDATE, lambda: set(map(id, arrays.values())))
         #: Per stored element, the read-only view of its array (the view's
         #: ``base``): what assembly hands out for a stored target
         #: (:meth:`_handout`), made once, as the array is stored
@@ -303,6 +305,7 @@ class MaterializedSet:
             if element not in self._arrays:
                 return
             del self._arrays[element]
+            self.slabs.dropped(BATCH_UPDATE)
             self._views.pop(element, None)
             self._checksums.pop(element, None)
             self._verified.discard(element)
@@ -329,19 +332,34 @@ class MaterializedSet:
 
         Runs before each assembly/update takes its consistent snapshot of
         the stored set, so a corrupted array is quarantined before any
-        query can consume it.  Each element is checksummed once per seal —
-        steady-state cost is an empty set-difference.
+        query can consume it.  Each element is checksummed once per seal,
+        outside the lock, and the pass takes it twice — steady-state cost
+        is an empty set-difference.  An element stored or resealed while
+        its checksum was computed is left for the next pass.
         """
         with self._integrity_lock:
             pending = [
-                e for e in self._arrays if e not in self._verified
+                (e, values, self._checksums.get(e))
+                for e, values in self._arrays.items()
+                if e not in self._verified
             ]
-        for element in pending:
-            if self.verify(element):
-                with self._integrity_lock:
+        if not pending:
+            return
+        sums = [element_checksum(values) for _, values, _ in pending]
+        damaged = []
+        with self._integrity_lock:
+            for (element, values, expected), crc in zip(pending, sums):
+                if (
+                    self._arrays.get(element) is not values
+                    or self._checksums.get(element) != expected
+                ):
+                    continue
+                if crc == expected:
                     self._verified.add(element)
-            else:
-                self.quarantine(element, reason="checksum mismatch")
+                else:
+                    damaged.append(element)
+        for element in damaged:
+            self.quarantine(element, reason="checksum mismatch")
 
     def pool_stats(self) -> dict:
         """Always ``{"hits": 0, "misses": 0}``: the buffer pools are gone
@@ -362,11 +380,16 @@ class MaterializedSet:
 
     def _put(self, element: ElementId, values: np.ndarray) -> None:
         """Store owned ``values`` for ``element``, with its read-only view
-        (first, so a snapshot holding the array finds its view)."""
+        (first, so a snapshot holding the array finds its view), and join
+        them to :attr:`slabs` (the array they replace is dropped)."""
         view = values.view()
         view.flags.writeable = False
-        self._views[element] = view
-        self._arrays[element] = values
+        with self.slabs.lock:
+            self._views[element] = view
+            if self._arrays.get(element) is not None:
+                self.slabs.dropped(BATCH_UPDATE)
+            self._arrays[element] = values
+            self.slabs.join(BATCH_UPDATE, [(element, values)])
 
     def _handout(self, element: ElementId, values: np.ndarray) -> np.ndarray:
         """The read-only view of stored ``values`` that assembly returns:
@@ -590,26 +613,33 @@ class MaterializedSet:
         a delta touches exactly one coefficient per stored element, with a
         sign flipped by each residual step that split the coordinate into
         the odd half (the math lives in :mod:`repro.core.delta`).  The
-        stored arrays stay where they are: each is a signed slot of the
-        set's :class:`~repro.core.delta.SlabStore`, whose index — compiled
-        once per stored-set change — repairs all of them with one lookup
-        per dimension and one scatter-add per array, charged one addition
-        per delta and element under ``"batch update"``.  Suitable for
-        refreshing a materialized set from a day's worth of new fact rows
-        without recomputation.
+        stored arrays stay where they are: each is a signed slot of
+        :attr:`slabs`, whose index — compiled once per slot-set change —
+        repairs all of them with one lookup per dimension and one
+        scatter-add per buffer, charged one addition per delta and element
+        under ``"batch update"``.  The same scatter repairs every other
+        owner of the store this batch has not reached yet — the warm
+        arrays of the range engine built over this set, and its server's
+        cached answers — charged under their own labels to ``counter``.
+        Suitable for refreshing a materialized set from a day's worth of
+        new fact rows without recomputation.
         """
         if not len(batch):
             return
 
         # Verify before mutating (corruption folded into an update would be
-        # sealed over and become undetectable), reseal after.
+        # sealed over and become undetectable), reseal after; each pass
+        # checksums outside the integrity lock.
         self._verify_unverified()
-        arrays = list(self._arrays.items())
-        with self._slabs.lock:
-            self._slabs.join(BATCH_UPDATE, arrays)
-            self._slabs.patch(batch, counter, BATCH_UPDATE)
-        for element, _ in arrays:
-            self._seal(element)
+        with self.slabs.lock:
+            arrays = list(self._arrays.items())
+            self.slabs.patch(batch, counter)
+        sums = [element_checksum(values) for _, values in arrays]
+        with self._integrity_lock:
+            for (element, values), crc in zip(arrays, sums):
+                if self._arrays.get(element) is values:
+                    self._checksums[element] = crc
+                    self._verified.discard(element)
 
     def reconstruct_cube(self, counter: OpCounter | None = None) -> np.ndarray:
         """Perfectly reconstruct the original cube (root element)."""

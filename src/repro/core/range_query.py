@@ -41,7 +41,7 @@ from ..errors import InvalidQueryError
 from ..obs import current_registry, span
 from .delta import DeltaBatch, SlabStore
 from .element import CubeShape, ElementId, as_index
-from .materialize import MaterializedSet
+from .materialize import BATCH_UPDATE, MaterializedSet
 from .operators import OpCounter
 
 __all__ = [
@@ -164,15 +164,22 @@ class RangeQueryEngine:
         #: element, so bounded by ``N_ve`` — ``N_iv`` (Eq 19) for the pure
         #: targets serving asks for.
         self._ancestors: dict[ElementId, ElementId | None] = {}
-        #: Where the assembled intermediates are packed once updates arrive
-        #: (a server packs its result cache's answers here too).
-        self.slabs = SlabStore(materialized.shape)
+        #: Where the assembled intermediates are repaired (a server packs
+        #: its result cache's answers here too): the store of the set this
+        #: engine is built over — so one scatter repairs stored and warm
+        #: arrays alike — unless that set has none in the global frame (a
+        #: ``ShardedSet``) or another engine shares it already.
+        slabs = getattr(materialized, "slabs", None)
+        if not isinstance(slabs, SlabStore) or RANGE_PATCH in slabs.held:
+            slabs = SlabStore(materialized.shape)
+        self.slabs = slabs
         # Weakly: the store must not keep a superseded engine (and its
         # intermediates) alive in a reference cycle.
         engine = weakref.ref(self)
-        self.slabs.track(
-            RANGE_PATCH, lambda: set(map(id, engine()._cache.values()))
-        )
+        slabs.own(RANGE_PATCH, lambda: set(map(id, engine()._cache.values())))
+        #: Whether :meth:`apply_updates` has joined what was assembled
+        #: before this engine's first burst.
+        self._joined = False
         #: ``(registry, handles)`` of :meth:`_bound_metrics`.
         self._metrics: tuple | None = None
 
@@ -238,10 +245,21 @@ class RangeQueryEngine:
         fallback — a *linear* data change should go through
         :meth:`apply_updates`, which repairs the copies in place.
         """
+        if self._cache:
+            self.slabs.dropped(RANGE_PATCH)
         self._cache.clear()
         self._held.clear()
         self._by_levels.clear()
         self._ancestors = {}
+
+    def join_slabs(self) -> None:
+        """Join the intermediates assembled before this engine's first
+        burst to :attr:`slabs`, in place, once (an owner sharing the store
+        calls this before its own scatter, so one scatter reaches them)."""
+        with self.slabs.lock:
+            if not self._joined:
+                self.slabs.join(RANGE_PATCH, self._cache.items())
+                self._joined = True
 
     def apply_updates(
         self,
@@ -254,27 +272,31 @@ class RangeQueryEngine:
         cube cells.  Each cached intermediate is a pure partial-sum
         element (no residual steps), so a delta lands on exactly one cell
         per intermediate with sign ``+1``.  The intermediates live in
-        :attr:`slabs` — those assembled before the first burst join them
-        then, in place, every later one is adopted as it is assembled —
-        beside whatever else an owner packed there (a server's cached
-        answers), and one compiled scatter repairs every owner's slots,
+        :attr:`slabs` — those assembled before this engine's first burst
+        join them then, in place, every later one is adopted — beside
+        whatever else an owner packed there (a server's cached answers),
+        and one compiled scatter repairs every warm owner's slots,
         charged one addition per delta and array under each owner's
         label, so the warm cache survives the update.  Stored elements are
-        the owning set's job (:meth:`MaterializedSet.apply_updates`), and
-        nothing here is double-patched: what the engine patches are the
-        arrays it assembled for elements absent from the set — fresh
-        buffers no shard or set stores — and what storage hands it by
-        reference (the base cube as a ``ShardedSet``'s root) is held
-        beside them unpatched: the set patches the cube.
+        the owning set's job (:meth:`MaterializedSet.apply_updates`): when
+        the set shares this store its call already scattered the batch
+        into every owner, and this one reports what that scatter patched
+        — a batch reaches each owner once, in either order.  Nothing here
+        is double-patched: what the engine patches are the arrays it
+        assembled for elements absent from the set — fresh buffers no
+        shard or set stores — and what storage hands it by reference (the
+        base cube as a ``ShardedSet``'s root) is held beside them
+        unpatched: the set patches the cube.
 
-        Returns the number of arrays patched per owner (slab label).
+        Returns the number of arrays patched per warm owner (slab label).
         """
         if not len(batch):
             return {}
-        with self.slabs.lock:
-            if not self.slabs.active:
-                self.slabs.join(RANGE_PATCH, self._cache.items())
-            patched = self.slabs.patch(batch, counter)
+        slabs = self.slabs
+        warm = tuple([label for label in slabs.held if label != BATCH_UPDATE])
+        with slabs.lock:
+            self.join_slabs()
+            patched = slabs.patch(batch, counter, warm)
         if patched[RANGE_PATCH]:
             self._bound_metrics().patched.inc(patched[RANGE_PATCH])
         return patched
@@ -421,6 +443,8 @@ class RangeQueryEngine:
                     else:
                         values = values.view()
                     values.flags.writeable = False
+                    if element in self._cache:
+                        slabs.dropped(RANGE_PATCH)
                     self._cache[element] = assembled[element] = values
                 self._hold(element, values)
 

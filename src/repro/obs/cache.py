@@ -9,6 +9,8 @@ registry.
 The cache keeps no notion of staleness.  Its owner repairs cached values
 in place when the data changes — :meth:`patch` runs that repair and counts
 what it patched — or, when it cannot, drops everything with :meth:`clear`.
+An owner that keeps its own record of the values (a slab store) learns of
+every value the cache lets go through :attr:`LRUCache.on_drop`.
 """
 
 from __future__ import annotations
@@ -58,6 +60,11 @@ class LRUCache:
     share one cache; racing writers at worst recompute a value, never
     corrupt the recency order or the weight accounting.
     """
+
+    #: Called, under the cache's lock, whenever a value leaves the cache —
+    #: replaced, evicted, cleared, or refused as heavier than the budget.
+    #: It must take no lock of its own.
+    on_drop: Callable[[], None] | None = None
 
     def __init__(
         self,
@@ -121,11 +128,13 @@ class LRUCache:
         weight = float(self._weigh(value))
         with self._lock:
             old = self._entries.pop(key, None)
-            if old is not None:
+            dropped = old is not None
+            if dropped:
                 self._weight -= old.weight
             if self.max_weight is not None and weight > self.max_weight:
                 # Heavier than the whole budget: drop rather than thrash.
                 self._sync_gauges()
+                self._dropped()
                 return
             self._entries[key] = _Entry(value, weight)
             self._weight += weight
@@ -135,13 +144,21 @@ class LRUCache:
                 _, evicted = self._entries.popitem(last=False)
                 self._weight -= evicted.weight
                 self._evictions.inc()
+                dropped = True
             self._sync_gauges()
+            if dropped:
+                self._dropped()
+
+    def _dropped(self) -> None:
+        if self.on_drop is not None:
+            self.on_drop()
 
     def clear(self) -> None:
         """Invalidate everything eagerly (counted separately from evictions)."""
         with self._lock:
             if self._entries:
                 self._clears.inc()
+                self._dropped()
             self._entries.clear()
             self._weight = 0.0
             self._sync_gauges()

@@ -18,9 +18,9 @@ into an answer to "what regime is this server in right now?":
   :class:`~repro.core.adaptive.AccessTracker`).
 
 Decay is tick-based and lazy (per-slot ``value * decay**(tick - last)``).
-Neither works on the query path: the tracker ticks the query notes of a
-server's call log when that log folds, the profiler the tracer's inbox
-when it folds (``bench_flight_overhead`` gates it).
+Neither works on the query or ingest path: the tracker takes the query
+and ingest notes of a server's call log when that log folds, the profiler
+the tracer's inbox when it folds (``bench_flight_overhead`` gates it).
 """
 
 from __future__ import annotations
@@ -114,11 +114,11 @@ class FingerprintTracker:
 
     Every counter is a ``[value, last_tick]`` slot decayed lazily by
     ``DECAY ** (tick - last_tick)`` — one global tick per query, taken
-    where the query is noted (:meth:`note_queries`, under the lock; a
-    server's call log notes its records when it folds, before any ingest
-    or divergence it writes next).  :data:`HOT_TOP` is how many of the
-    hottest elements ``hot_share`` covers; the share itself is handed to
-    :meth:`fingerprint` / :meth:`snapshot` by whoever owns the
+    where the query is noted (:meth:`note`, under the lock; a server's
+    call log notes its query and ingest records in call order when it
+    folds, before any divergence it writes next).  :data:`HOT_TOP` is how
+    many of the hottest elements ``hot_share`` covers; the share itself is
+    handed to :meth:`fingerprint` / :meth:`snapshot` by whoever owns the
     per-element table.
     """
 
@@ -142,21 +142,26 @@ class FingerprintTracker:
 
     def note_query(self, kind: str, n: int = 1) -> None:
         """Account ``n`` served queries (``kind`` in :data:`QUERY_KINDS`)."""
-        self.note_queries(((kind, n),))
+        self.note(((kind, n),))
 
-    def note_queries(self, notes) -> None:
-        """Tick every ``(kind, n)`` note, in order, under one lock hold.
+    def note(self, notes) -> None:
+        """Account every ``(kind, n)`` note, in order, under one lock hold:
+        ``n`` queries of a kind in :data:`QUERY_KINDS`, or an ``"ingest"``
+        batch of ``n`` cells (:meth:`note_ingest`).
 
         One tick per query, as if noted one by one — a batch request
         counts its members: a note of ``n`` queries of one kind is one
         :meth:`_bump`, then ``n - 1`` ticks one apart, where the decay
-        factor is ``DECAY``.
+        factor is ``DECAY``.  An ingest note takes no tick.
         """
         kinds = self._kinds
         with self._lock:
             for kind, n in notes:
                 slot = kinds.get(kind)
                 if slot is None:
+                    if kind == "ingest":
+                        self.ingest_batches += 1
+                        self._bump(self._ingest, float(n))
                     continue
                 self._tick += 1
                 self._bump(slot, 1.0)
@@ -169,9 +174,7 @@ class FingerprintTracker:
 
     def note_ingest(self, cells: int) -> None:
         """Account one applied ingest batch of ``cells`` updates."""
-        with self._lock:
-            self.ingest_batches += 1
-            self._bump(self._ingest, float(cells))
+        self.note((("ingest", cells),))
 
     def note_divergence(self, divergence: float) -> None:
         """Feed a planned-vs-measured cost divergence observation."""

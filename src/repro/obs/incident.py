@@ -42,7 +42,7 @@ def declare_metrics(registry) -> SimpleNamespace:
     :func:`health` use these handles, not by-name lookups.  What a served
     call writes every time is bound down to its series (``*_of[kind]``,
     ``operations``, ``in_flight``), so the envelope builds no label key
-    per query."""
+    per query; so is what every update burst writes."""
     counter, gauge = registry.counter, registry.gauge
     queries = counter("server_queries_total", "queries served, by kind")
     batches = counter("server_batches_total", "batch requests served, by kind")
@@ -100,11 +100,13 @@ def declare_metrics(registry) -> SimpleNamespace:
         diag_dump_failures=counter(
             "server_diag_dump_failures_total", "diagnostic bundle dumps that raised"
         ),
-        updates=counter("server_updates_total", "incremental cell updates applied"),
+        updates=counter(
+            "server_updates_total", "incremental cell updates applied"
+        ).labels(),
         update_cache_patched=counter(
             "server_update_cache_patched_total",
             "cached entries repaired in place by update deltas",
-        ),
+        ).labels(),
         update_cache_cleared=counter(
             "server_update_cache_cleared_total",
             "coarse warm-state invalidations performed by updates",
@@ -184,8 +186,8 @@ def health(server, max_workers: int) -> dict:
         "timeouts": m.timeouts.total(),
         "retries": m.retries.total(),
         "degraded_serves": m.degraded.total(),
-        "updates": m.updates.total(),
-        "updates_cache_patched": m.update_cache_patched.total(),
+        "updates": m.updates.value(),
+        "updates_cache_patched": m.update_cache_patched.value(),
         "updates_cache_cleared": m.update_cache_cleared.total(),
         "cache_bypasses": m.cache_bypass.total(),
         "cache_warm_reads": _total("range_intermediate_served_total"),

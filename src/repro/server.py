@@ -85,8 +85,9 @@ class _ServingState:
 
     Queries read ``server._state`` exactly once; :meth:`OLAPServer._publish`
     replaces it with one reference assignment (atomic under the GIL).  The
-    range engine's ``slabs`` also hold the result cache's warm arrays once
-    the server ingests, and order what readers cache against update bursts.
+    range engine's ``slabs`` — with one shard, the stored set's own — also
+    hold the result cache's warm arrays once the server ingests, and order
+    what readers cache against update bursts.
     """
 
     materialized: MaterializedSet
@@ -260,9 +261,10 @@ class OLAPServer:
         slabs = engine.slabs
         if previous is not None:
             slabs.active = previous.range_engine.slabs.active
-        slabs.track(
+        slabs.own(
             CACHE_PATCH, lambda: set(map(id, map(itemgetter(1), cache.items())))
         )
+        cache.on_drop = partial(slabs.dropped, CACHE_PATCH)
         self._state = state = _ServingState(materialized, engine, epoch, cache)
         self._m.epoch.set(epoch)
         return state
@@ -495,16 +497,19 @@ class OLAPServer:
                 if settled:
                     state.cache.put(element, values)
             if settled and adopt:
-                # Drop the slots of what the puts evicted: slab memory
-                # stays bounded by the live set.
+                # Drop the slots of what the puts evicted, if any: slab
+                # memory stays bounded by the live set.
                 slabs.sweep(CACHE_PATCH)
         return assembled
 
     def _storage_ids(self, state: _ServingState) -> set[int]:
         """Identities of what serving hands out by reference: stored
-        arrays' views and the base cube's read-only view."""
+        arrays' views and the base cube's read-only views — a sharded
+        set's ``base`` too once it no longer holds the root (a quarantined
+        root slab), which cached answers may still be."""
         refs = state.materialized.array_refs().values()
-        return {id(self.cube.readonly), *map(id, refs)}
+        base = getattr(state.materialized, "base", self.cube.readonly)
+        return {id(self.cube.readonly), id(base), *map(id, refs)}
 
     def range_sum(self, ranges, deadline_ms: float | None = None) -> float:
         """SUM over a multi-dimensional half-open coordinate range.
@@ -746,16 +751,16 @@ class OLAPServer:
         ``deltas`` is the matching ``(n,)`` batch of values added.  The
         burst is validated once, where its
         :class:`~repro.core.delta.DeltaBatch` is built: a cell outside the
-        cube, a non-integral coordinate or a non-finite delta raises
-        :class:`~repro.errors.InvalidUpdateError`.  Either way nothing is
-        logged or changed, and an empty batch is a no-op.
+        cube, a non-integral coordinate or a non-real or non-finite delta
+        raises :class:`~repro.errors.InvalidUpdateError`.  Either way
+        nothing is logged or changed, and an empty batch is a no-op.
 
         One call takes the reconfiguration ordering guarantee once: the
         batch is logged (with durability), applied to storage (sharded: only
-        owning shards re-seal and bump epochs) and the base cube, and every
-        warm answer and range intermediate is patched in place
-        (:meth:`_propagate_updates`) — exact for integer cubes.  Any failure
-        there clears the warm state: cold, never a wrong answer.
+        owning shards re-seal and bump epochs), the base cube and every
+        warm answer and range intermediate, in place (:meth:`_absorb`) —
+        exact for integer cubes.  Any failure in the warm half clears it:
+        cold, never a wrong answer.
         """
         if len(coordinates) and isinstance(coordinates[0], Mapping):
             encode = self.cube.dimensions.encode
@@ -781,90 +786,81 @@ class OLAPServer:
             if lineage is None:
                 self._absorb(batch)
                 return
-            # Write-ahead: the record is durable (flushed, fsynced per
-            # policy) before any in-memory state changes, so returning from
-            # update()/update_many() — the acknowledgement — is covered by
-            # the log.
+            # Write-ahead: the acknowledgement (returning) is covered by the
+            # record, durable (flushed, fsynced per policy) before any
+            # in-memory change.
             seq = lineage.wal.append(
                 batch.coordinates, batch.deltas, epoch=self._state.epoch
             )
             self._absorb(batch)
-            # Only now does the record count as applied: a snapshot must
-            # not claim (and prune) a record the state never absorbed
-            # because the apply above raised.
+            # Applied only now: a snapshot must not claim (and prune) a
+            # record the state never absorbed because the apply raised.
             lineage.applied_seq = seq
 
     def _absorb(self, batch: DeltaBatch) -> None:
-        """The in-memory half of an update — storage, base cube, warm
-        state — for a live batch or a replayed WAL record.  The caller
-        holds ``_reconfigure_lock``."""
-        state = self._state
+        """The in-memory half of an update for a live batch or a replayed
+        WAL record (the caller holds ``_reconfigure_lock``).
+
+        Every cached answer and range intermediate lives in the engine's
+        slabs (:class:`~repro.core.delta.SlabStore`), under one label each
+        — with one shard, the stored set's own store.  What they held
+        before the first burst joins first, in place, but for answers that
+        *are* storage (:meth:`_storage_ids`), which the set or the cube's
+        own patch repairs.  So the set's one scatter repairs stored and
+        warm arrays alike, and :meth:`RangeQueryEngine.apply_updates` (a
+        sharded server's one warm scatter) reports what it patched.  Any
+        failure in the warm half takes the coarse path (:meth:`_go_cold`).
+        The burst's fingerprint note rides the call log.
+        """
+        state, cells = self._state, len(batch)
         counter = OpCounter()
+        engine, cleared, counts = state.range_engine, 0, {}
+        slabs = engine.slabs
         # Readers that read storage from here on cache nothing they
         # assembled (``SlabStore.settled``).
-        state.range_engine.slabs.begin_burst()
+        slabs.begin_burst()
         try:
+            if not slabs.active:
+                try:
+                    storage = self._storage_ids(state)
+                    with slabs.lock:
+                        engine.join_slabs()
+                        cached = state.cache.items()
+                        slabs.join(
+                            CACHE_PATCH,
+                            [(k, v) for k, v in cached if id(v) not in storage],
+                        )
+                except Exception:
+                    cleared = self._go_cold(state)
             state.materialized.apply_updates(batch, counter=counter)
             if self._partition is None:
                 # A sharded set patches the cube itself: it is the set's
                 # base, its root's answer.
-                np.add.at(
-                    self.cube.values, tuple(batch.coordinates.T), batch.deltas
-                )
-            patched, cleared = self._propagate_updates(state, batch, counter)
+                np.add.at(self.cube.values, tuple(batch._columns), batch.deltas)
+
+            def repair() -> int:
+                counts.update(engine.apply_updates(batch, counter))
+                return counts[CACHE_PATCH]
+
+            with span("update.propagate", cells=cells) as sp:
+                try:
+                    state.cache.patch(repair)
+                except Exception:
+                    counts, cleared = {}, cleared + self._go_cold(state)
+                patched = sum(counts.values())
+                self._m.update_cache_patched.inc(patched)
+                sp.set(mode="patch" if counts else "fallback", patched=patched)
         finally:
-            state.range_engine.slabs.end_burst()
-        self._log.fold()
-        self.fingerprints.note_ingest(len(batch))
-        self._m.updates.inc(len(batch))
+            slabs.end_burst()
+        self._log.append(("ingest", cells, 0, (), None, None))
+        self._m.updates.inc(cells)
         self._m.operations.inc(counter.total)
-        log_event("update", cells=len(batch), patched=patched, cleared=cleared)
+        log_event("update", cells=cells, patched=patched, cleared=cleared)
 
-    def _propagate_updates(
-        self, state: _ServingState, batch: DeltaBatch, counter: OpCounter
-    ) -> tuple[int, int]:
-        """Repair the snapshot's warm state for a delta batch; returns
-        ``(entries patched, coarse invalidations)``.
-
-        Every cached answer and range intermediate lives in the engine's
-        slabs (:class:`~repro.core.delta.SlabStore`), under one label
-        each, and one compiled scatter repairs both labels
-        (:meth:`RangeQueryEngine.apply_updates`).  Answers cached before
-        the server first ingested join the slabs at its first burst, in
-        place; later ones were adopted as they were cached (:meth:`_admit`).
-        Serving hands out stored arrays' views (and the base cube's, as a
-        sharded set's or the degraded path's root) by reference, so a
-        cache entry may *be* the storage that ``apply_updates`` or the
-        cube's own patch already repaired — those are recognised by object
-        identity and never join.  Any failure takes
-        the coarse path, which clears the cache and drops the
-        intermediates — correct for *any* change, just cold.
-        """
-        slabs = state.range_engine.slabs
-        counts: dict[str, int] = {}
-
-        def repair() -> int:
-            with slabs.lock:
-                if not slabs.active:
-                    storage = self._storage_ids(state)
-                    cached = state.cache.items()
-                    slabs.join(
-                        CACHE_PATCH,
-                        [(k, v) for k, v in cached if id(v) not in storage],
-                    )
-                counts.update(state.range_engine.apply_updates(batch, counter))
-            return counts[CACHE_PATCH]
-
-        with span("update.propagate", cells=len(batch)) as sp:
-            try:
-                state.cache.patch(repair)
-            except Exception:
-                state.cache.clear()
-                state.range_engine.invalidate()
-                self._m.update_cache_cleared.inc()
-                sp.set(mode="fallback", patched=0)
-                return 0, 1
-            patched = sum(counts.values())
-            self._m.update_cache_patched.inc(patched)
-            sp.set(mode="patch", patched=patched)
-            return patched, 0
+    def _go_cold(self, state: _ServingState) -> int:
+        """The coarse path: clear the cache and drop the intermediates —
+        correct for *any* change, just cold.  Returns 1, counted."""
+        state.cache.clear()
+        state.range_engine.invalidate()
+        self._m.update_cache_cleared.inc()
+        return 1

@@ -25,6 +25,7 @@ from repro.cube.datacube import DataCube
 from repro.cube.dimensions import Dimension
 from repro.obs import LRUCache
 from repro.obs.metrics import MetricsRegistry
+from repro.replay import seeded_cube
 from repro.server import OLAPServer
 from repro.shard.partition import CubePartition
 from repro.shard.sets import ShardedSet
@@ -227,6 +228,8 @@ class TestValidate:
             ([["0", "1"]], [1.0], "integers"),
             ([[0, 0]], [1 + 2j], "real"),
             ([[0, 0]], ["abc"], "real"),
+            ([[0, 0]], np.array(["1.5"], dtype=object), "real"),
+            ([[0, 0]], [None], "real"),
         ],
     )
     def test_rejects_what_would_poison_or_truncate(
@@ -370,6 +373,24 @@ class TestRangeEnginePatch:
 
 
 class TestShardedBatchRouting:
+    def test_a_cached_base_cube_is_patched_once_after_its_root_slab_is_lost(self):
+        """The full view a 2-shard server answers with its base cube is
+        cached; once a shard's root slab is quarantined the set no longer
+        lists the base as storage, yet the burst that first activates the
+        slabs must not join it: the set patches the cube (a delta used to
+        land twice)."""
+        server = OLAPServer(seeded_cube(0, (4, 8, 2)), shards=2)
+        root = server.view(["d0", "d1", "d2"])
+        assert root is server.materialized.base
+        local = server.materialized.local_sets()[0]
+        local.quarantine(local.elements[0])
+        expected = server.cube.values.copy()
+        expected[0, 0, 0] += 1.0
+        server.update_many(np.array([[0, 0, 0]]), [1.0])
+        assert server.cube.values.tobytes() == expected.tobytes()
+        assert server.view(["d0", "d1", "d2"]).tobytes() == expected.tobytes()
+        server.close()
+
     def _sharded(self, sizes=(8, 8), shards=4, seed=17):
         rng = np.random.default_rng(seed)
         base = rng.integers(0, 50, size=sizes).astype(np.float64)

@@ -5,8 +5,8 @@ Once a server has applied an update, the answers it caches and the range
 intermediates it assembles are pure partial sums packed into slabs
 (:class:`repro.core.delta.SlabStore`); those warmed before the first burst
 join as slabs of their own, in place.  The stored elements are signed
-slots of their set's own store.  A burst repairs each store through one
-index compiled from its live slots — one ``np.add.at`` per buffer — and
+slots of the same store.  A burst repairs it through one index compiled
+from its live slots — one ``np.add.at`` per buffer — and
 :func:`repro.core.delta.patch_array` is the per-array reference only.
 """
 
@@ -21,9 +21,10 @@ import numpy as np
 import pytest
 
 from repro.core import delta
-from repro.core.delta import SLAB_CELLS, SlabStore
+from repro.core.delta import SLAB_CELLS, DeltaBatch, SlabStore
+from repro.core.element import CubeShape
 from repro.core.materialize import MaterializedSet, compute_element
-from repro.core.range_query import RangeQueryEngine
+from repro.core.range_query import RANGE_PATCH, RangeQueryEngine
 from repro.replay import seeded_cube
 from repro.server import OLAPServer
 
@@ -82,11 +83,12 @@ class TestBurstBudget:
     def test_one_scatter_per_slab_and_patch_array_only_for_the_rest(
         self, monkeypatch
     ):
-        """A burst makes one ``np.add.at`` per distinct buffer — each slab
-        of warm answers and intermediates, each stored array — and no
-        ``patch_array`` call, on a server's first burst too, where what it
-        warmed before joins the slabs as slabs of their own.  A second
-        burst over the same slots compiles no index."""
+        """A burst makes one ``np.add.at`` per distinct buffer of the one
+        store the stored set, the range engine and the result cache share
+        — each slab of warm answers and intermediates, each stored array —
+        and no ``patch_array`` call, on a server's first burst too, where
+        what it warmed before joins the slabs as slabs of their own.  A
+        second burst over the same slots compiles no index."""
         fresh = OLAPServer(seeded_cube(3, SIZES))
         early = fresh.view(["d0"])
         _warm(fresh)
@@ -130,8 +132,10 @@ class TestBurstBudget:
             _burst(target, seed + 1)
             monkeypatch.undo()
 
-            assert len(slabs._slabs) == 2  # the cache's and the engine's
-            buffers = _buffers(slabs, state.materialized._slabs)
+            # One store: the stored set's, the engine's and the cache's.
+            assert slabs is state.materialized.slabs
+            assert len(slabs._slabs) == 3
+            buffers = _buffers(slabs)
             assert buffers >= len(state.materialized.elements) + 2
             assert first == counting.calls - first == buffers
             assert patch_calls == []
@@ -351,3 +355,97 @@ class TestReadersRacingABurst:
             assert np.array_equal(ask(), truth(server.cube.values))
         assert server.health()["updates_cache_cleared"] == 0
         server.close()
+
+
+# ----------------------------------------------------------------------
+# Drops between bursts
+
+
+def _stored(server: OLAPServer) -> list[tuple[MaterializedSet, object]]:
+    """``(set, element)`` per stored non-root array: the set's own on one
+    shard, each shard's local one on more."""
+    sets = getattr(server.materialized, "local_sets", None)
+    sets = sets() if sets else (server.materialized,)
+    return [(ms, e) for ms in sets for e in ms.elements if not e.is_root]
+
+
+class TestDropDrivenSweep:
+    """Owners report what they let go, and only then is their liveness
+    swept: between two bursts an answer evicted from a small result cache,
+    the intermediates ``invalidate()`` drops and a quarantined stored
+    array each keep their bytes — a caller may hold them — while every
+    live slot is patched exactly once."""
+
+    @pytest.mark.parametrize("shards", [1, 2], ids=["1 shard", "2 shards"])
+    def test_what_was_dropped_keeps_its_bytes(self, shards):
+        server = OLAPServer(seeded_cube(3, SIZES), shards=shards, cache_entries=3)
+        server.reconfigure()  # a selection with arrays to quarantine
+        _burst(server, 1)
+        state = server._state
+        evicted = server.view(["d0"])
+        for keep in (["d1"], ["d2"], ["d1", "d2"]):
+            server.view(keep)
+        assert len(state.cache) == 3
+        assert server._element_for(["d0"]) not in state.cache
+        server.range_sum(((1, 15), (0, 7), (1, 3)))
+        engine = state.range_engine
+        dropped = list(engine._cache.values())
+        assert dropped
+        engine.invalidate()
+        (owner, element), *_ = _stored(server)
+        victim = owner._arrays[element]
+        owner.quarantine(element)
+        kept = [(a, a.copy()) for a in (evicted, *dropped, victim)]
+        server.range_sum(((3, 9), (2, 8), (0, 4)))  # warm again after the drop
+        patched = server.metrics.counter("server_update_cache_patched_total")
+        before = patched.total()
+
+        _burst(server, 2)
+
+        for array, bytes_before in kept:
+            assert array.tobytes() == bytes_before.tobytes()
+        cube = server.cube.values
+        storage = server._storage_ids(state)
+        live = [(e, v) for e, v in state.cache.items() if id(v) not in storage]
+        live += list(engine._cache.items())
+        assert patched.total() - before == len(live)
+        for element, values in live:
+            assert values.tobytes() == compute_element(cube, element).tobytes()
+        for ms, element in _stored(server):
+            assert ms.verify(element)
+        assert server.range_sum(((0, 16), (0, 8), (0, 4))) == cube.sum()
+        assert server.health()["updates_cache_cleared"] == 0
+        server.close()
+
+
+class TestOneStore:
+    @pytest.mark.parametrize("order", ["set first", "engine first"])
+    def test_a_bare_engine_and_its_set_in_either_order(self, order):
+        """An engine built over a monolithic set shares its store; each
+        patches a burst once, and whichever comes second reports what the
+        first scattered for it — including intermediates assembled before
+        the first burst, which join at the engine's call."""
+        rng = np.random.default_rng(17)
+        cube = rng.integers(0, 50, size=(8, 8)).astype(np.float64)
+        shape = CubeShape(cube.shape)
+        signed = shape.element(((1, 1), (2, 1)))  # residual steps: signed
+        ms = MaterializedSet.from_cube(cube, [shape.root(), signed])
+        engine = RangeQueryEngine(ms)
+        assert engine.slabs is ms.slabs
+        engine.range_sum(((1, 7), (2, 5)))
+        for burst in range(3):
+            coords = rng.integers(0, 8, size=(6, 2))
+            deltas = rng.integers(-5, 6, size=6).astype(np.float64)
+            batch = DeltaBatch(ms.shape, coords, deltas)
+            np.add.at(cube, tuple(coords.T), deltas)
+            if order == "set first":
+                ms.apply_updates(batch)
+                patched = engine.apply_updates(batch)
+            else:
+                patched = engine.apply_updates(batch)
+                ms.apply_updates(batch)
+            assert patched == {RANGE_PATCH: len(engine._cache)}
+            arrays = [(e, ms.array(e)) for e in ms.elements]
+            for element, values in arrays + list(engine._cache.items()):
+                assert values.tobytes() == compute_element(cube, element).tobytes()
+            engine.range_sum(((0, 3 + burst), (1, 8)))  # new warm state between bursts
