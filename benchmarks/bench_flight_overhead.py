@@ -58,7 +58,9 @@ from repro.obs.tracing import FOLD_AT
 from repro.replay import seeded_cube
 from repro.server import OLAPServer
 
-REPEATS = 7
+#: Interleaved rounds per configuration: as many as CI runs (`--repeats
+#: 40`), so a local `--small --check` reads the same estimator.
+REPEATS = 40
 
 #: The acceptance bounds: the always-on incident layer (flight recorder +
 #: site profiler + fingerprint + alerts) may cost at most this factor

@@ -50,7 +50,9 @@ from repro.obs import Observability
 from repro.replay import seeded_cube
 from repro.server import OLAPServer
 
-REPEATS = 7
+#: Interleaved rounds per configuration: as many as CI runs (`--repeats
+#: 40`), so a local `--small --check` reads the same estimator.
+REPEATS = 40
 
 #: The acceptance bounds: full tracing may cost at most this factor over
 #: the untraced baseline on the same workload — when answers are assembled,

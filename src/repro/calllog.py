@@ -12,7 +12,8 @@ records, in arrival order, through the writes each call used to make:
 - the ``server_latency_ms{outcome="ok"}`` histogram;
 - :class:`ServerStats`;
 - one :class:`~repro.core.adaptive.AccessTracker` record per tracked
-  element;
+  element, all in one :meth:`~repro.core.adaptive.AccessTracker.
+  record_many` call per fold;
 - the fingerprint's query ticks and ingest notes, in call order, one lock
   hold per fold (an ingest record writes nothing else);
 - the burn-rate engine's good sample, at ``now``, the engine clock's
@@ -117,12 +118,12 @@ class CallLog:
                 return
             series = self._series
             queries_of, latency_of = series.queries_of, series.latency_ok_of
-            record = self._tracker.record
             pop = records.popleft
             operations = 0
             queries: dict[str, int] = {}  # per kind
             notes = []  # per record, for the fingerprint's ticks
             times = []
+            accessed = []  # every tracked element, in order
             for _ in range(len(records)):
                 kind, n, spent, tracked, latency_ms, now = pop()
                 notes.append((kind, n))
@@ -131,10 +132,10 @@ class CallLog:
                 queries[kind] = queries.get(kind, 0) + n
                 latency_of[kind].observe(latency_ms)
                 operations += spent
-                for element in tracked:
-                    record(element)
+                accessed += tracked
                 if now is not None:
                     times.append(now)
+            self._tracker.record_many(accessed)
             self._fingerprints.note(notes)
             for kind, n in queries.items():
                 queries_of[kind].inc(n)

@@ -80,11 +80,38 @@ class AccessTracker:
 
     def record(self, view: ElementId) -> None:
         """Record one access to ``view``."""
-        self._scale *= self.decay
-        self._weights[view] = self._weights.get(view, 0.0) + 1.0 / self._scale
-        self._accesses += 1
-        if self._scale < self._MIN_SCALE:
-            self._renormalise()
+        self.record_many((view,))
+
+    def record_many(self, views) -> None:
+        """Record one access to each of ``views``, in order.
+
+        Each access shrinks the scale and adds ``1 / scale`` to its view's
+        running weight, the same float operations in the same order as one
+        access at a time; the running weights are held per view object, so
+        each distinct view is looked up and stored once, not per access.
+        """
+        decay, scale, weights = self.decay, self._scale, self._weights
+        slots: dict[int, list] = {}  # id(view) -> [view, running weight]
+        running: dict = {}  # view -> the same slot (equal views share it)
+        accesses = 0
+        for view in views:
+            slot = slots.get(id(view))
+            if slot is None:
+                slot = running.get(view)
+                if slot is None:
+                    slot = running[view] = [view, weights.get(view, 0.0)]
+                slots[id(view)] = slot
+            scale *= decay
+            slot[1] += 1.0 / scale
+            accesses += 1
+            if scale < self._MIN_SCALE:
+                weights.update(running.values())
+                self._scale, self._accesses = scale, self._accesses + accesses
+                self._renormalise()
+                scale, weights = self._scale, self._weights
+                slots, running, accesses = {}, {}, 0
+        weights.update(running.values())
+        self._scale, self._accesses = scale, self._accesses + accesses
 
     def _renormalise(self) -> None:
         floor = sum(self._weights.values()) * self._DROP_SHARE

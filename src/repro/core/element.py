@@ -311,13 +311,15 @@ class ElementId:
         # Planner hot path: one Procedure 3 pricing pass hashes element
         # ids tens of thousands of times (memo lookups) and reads their
         # volumes nearly as often.  Both are pure functions of the frozen
-        # fields, so precompute them once; int-tuple hashes do not depend
+        # fields, so precompute them once — the volume as a plain
+        # attribute, read with no call; int-tuple hashes do not depend
         # on PYTHONHASHSEED, so the cached hash survives pickling to the
         # process-pool workers.
         object.__setattr__(self, "_hash", hash((self.shape, self.nodes)))
+        #: Number of cells in the materialized element.
         object.__setattr__(
             self,
-            "_volume",
+            "volume",
             reduce(
                 lambda a, b: a * b,
                 (n >> k for n, (k, _) in zip(self.shape.sizes, self.nodes)),
@@ -372,11 +374,6 @@ class ElementId:
     def data_shape(self) -> tuple[int, ...]:
         """Array shape of the materialized element (each operator halves)."""
         return tuple(n >> k for n, (k, _) in zip(self.shape.sizes, self.nodes))
-
-    @property
-    def volume(self) -> int:
-        """Number of cells in the materialized element."""
-        return self._volume
 
     @property
     def log2_volume(self) -> int:
@@ -434,7 +431,7 @@ class ElementId:
             shape=shape,
             nodes=nodes,
             _hash=hash((shape, nodes)),
-            _volume=self._volume >> 1,
+            volume=self.volume >> 1,
         )
         return child
 
@@ -477,7 +474,8 @@ class ElementId:
         An element contains exactly its graph descendants, i.e. everything
         derivable from it by further partial/residual aggregation.
         """
-        self._check_same_shape(other)
+        if self.shape is not other.shape:
+            self._check_same_shape(other)
         # ``_dim_contains`` per dimension, inlined: the warm-ancestor
         # lookup runs this over every warm array on a miss.
         for (ok, oj), (ik, ij) in zip(self.nodes, other.nodes):

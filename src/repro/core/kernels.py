@@ -70,6 +70,11 @@ __all__ = [
 #: One fused step: ``(dim, residual?)`` — ``P1`` when ``residual`` is False.
 Step = tuple[int, bool]
 
+#: Per axis, the operation labels of its ``P1`` and ``R1`` steps, indexed
+#: by ``residual``: built once, not per step (numpy arrays have at most 64
+#: axes).
+_LABELS = tuple((f"P1 axis={m}", f"R1 axis={m}") for m in range(64))
+
 
 @functools.cache
 def pin_allocator_thresholds() -> bool:
@@ -109,11 +114,9 @@ def canonical_steps(source: ElementId, target: ElementId) -> tuple[Step, ...]:
     return tuple(steps)
 
 
-def _even_odd(a: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
-    """Strided views of the even/odd cells along ``axis`` (never copies)."""
-    even = (slice(None),) * axis + (slice(0, None, 2),)
-    odd = (slice(None),) * axis + (slice(1, None, 2),)
-    return a[even], a[odd]
+#: The even and odd cells along an axis, as the last index of a basic
+#: slice (strided views: never copies).
+_EVEN, _ODD = (slice(0, None, 2),), (slice(1, None, 2),)
 
 
 def fused_cascade(
@@ -139,30 +142,43 @@ def fused_cascade(
     :func:`~repro.core.operators.partial_residual` per step: the arithmetic
     and its order are unchanged, only dispatch and allocation are fused.
     Operation accounting matches too — each step adds its output size under
-    the same ``P1 axis=…`` / ``R1 axis=…`` label — and so does the dtype:
-    integer input is aggregated in ``int64`` (``operators._operand``).
+    the same ``P1 axis=…`` / ``R1 axis=…`` label, all recorded once the
+    chain has run — and so does the dtype: integer input is aggregated in
+    ``int64`` (``operators._operand``).  A step is checked where it runs
+    (its axis in range, its extent even), with no call unless it fails.
     """
     cur = _operand(a)
     steps = tuple(steps)
     if not steps:
         return cur
-    for i, (dim, residual) in enumerate(steps):
-        axis = _normalize_axis(cur, dim)
-        _require_even(cur, axis)
-        out_shape = cur.shape[:axis] + (cur.shape[axis] // 2,) + cur.shape[axis + 1 :]
-        if out is not None and i == len(steps) - 1:
+    last = len(steps) - 1
+    events = []
+    for i, (axis, residual) in enumerate(steps):
+        if not 0 <= axis < cur.ndim:
+            axis = _normalize_axis(cur, axis)
+        shape = cur.shape
+        if shape[axis] < 2 or shape[axis] & 1:
+            _require_even(cur, axis)
+        if out is not None and i == last:
             dst = out
         else:
-            dst = np.empty(out_shape, dtype=cur.dtype)
+            dst = np.empty(
+                shape[:axis] + (shape[axis] >> 1,) + shape[axis + 1 :],
+                dtype=cur.dtype,
+            )
         # No name keeps the even/odd views, so rebinding ``cur`` below
         # frees the interior they were taken from.
-        (np.subtract if residual else np.add)(*_even_odd(cur, axis), out=dst)
-        if counter is not None:
-            if residual:
-                counter.add(subtractions=dst.size, label=f"R1 axis={axis}")
-            else:
-                counter.add(additions=dst.size, label=f"P1 axis={axis}")
+        head = (slice(None),) * axis
+        (np.subtract if residual else np.add)(
+            cur[head + _EVEN], cur[head + _ODD], out=dst
+        )
+        n = dst.size
+        events.append(
+            (_LABELS[axis][1], 0, n) if residual else (_LABELS[axis][0], n, 0)
+        )
         cur = dst
+    if counter is not None:
+        counter.add_events(events)
     return cur
 
 

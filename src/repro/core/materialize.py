@@ -21,10 +21,12 @@ from __future__ import annotations
 import threading
 import zlib
 from collections.abc import Iterable
+from functools import partial
 
 import numpy as np
 
 from ..obs import add_span_event, current_registry, log_event, span
+from ..obs.metrics import bound_series
 from ..resilience.deadline import check_deadline
 from ..resilience.faults import corrupt_array, fault_point
 from .delta import DeltaBatch, SlabStore
@@ -40,6 +42,28 @@ __all__ = ["compute_element", "MaterializedSet", "element_checksum"]
 #: are charged under.
 BATCH_UPDATE = "batch update"
 
+#: The series a set's assembly writes (:func:`~repro.obs.metrics.
+#: bound_series`): ``attribute -> (kind, name, description, labels)``.
+ASSEMBLY_SERIES = {
+    "batches": (
+        "counter", "assemble_batch_total", "shared-plan batch assemblies", {}
+    ),
+    "assembled": ("counter", "assemble_total", "view element assemblies", {}),
+    "operations": (
+        "histogram", "assemble_batch_operations",
+        "scalar operations per batch", {},
+    ),
+    "divergence": (
+        "histogram", "cost_model_divergence",
+        "measured over planned scalar operations (1.0 = exact)",
+        {"path": "batch"},
+    ),
+    "derived": (
+        "counter", "assemble_derived_total",
+        "targets aggregated from a warm ancestor instead of storage", {},
+    ),
+}
+
 
 def element_checksum(values: np.ndarray) -> int:
     """CRC-32 of an element array's bytes (the stored-integrity seal),
@@ -48,40 +72,50 @@ def element_checksum(values: np.ndarray) -> int:
     return zlib.crc32(np.ascontiguousarray(values))
 
 
+def route_steps(source: ElementId, target: ElementId) -> tuple:
+    """The steps of the cascade from ``source`` down to ``target``, checked.
+
+    ``target`` must be a descendant of ``source`` in the view element graph
+    (equivalently: its frequency rectangle is contained in ``source``'s).
+    The cascade applies, per dimension, the operators named by the extra
+    bits of the target's dyadic index — ``P1`` for 0, ``R1`` for 1 — which
+    costs ``Vol(source) - Vol(target)`` scalar operations in total
+    (:func:`~repro.core.kernels.canonical_steps`, the order every execution
+    path uses).
+    """
+    if not source.contains(target):
+        raise ValueError("target is not a descendant of source")
+    return canonical_steps(source, target)
+
+
 def _descend(
     values: np.ndarray,
     source: ElementId,
     target: ElementId,
     counter: OpCounter | None,
 ) -> np.ndarray:
-    """Cascade ``values`` (the data of ``source``) down to ``target``.
-
-    ``target`` must be a descendant of ``source`` in the view element graph
-    (equivalently: its frequency rectangle is contained in ``source``'s).
-    The cascade applies, per dimension, the operators named by the extra
-    bits of the target's dyadic index — ``P1`` for 0, ``R1`` for 1 — which
-    costs ``Vol(source) - Vol(target)`` scalar operations in total.  The
-    whole chain runs as one fused kernel (bit-identical to the per-step
-    operators; see :mod:`repro.core.kernels`).  A zero-step descent returns
-    the input by reference.
+    """Cascade ``values`` (the data of ``source``) down to ``target``
+    (:func:`route_steps`) as one fused kernel (bit-identical to the
+    per-step operators; see :mod:`repro.core.kernels`).  A zero-step
+    descent returns the input by reference.
     """
-    if not source.contains(target):
-        raise ValueError("target is not a descendant of source")
-    return fused_cascade(values, canonical_steps(source, target), counter=counter)
+    return fused_cascade(values, route_steps(source, target), counter=counter)
 
 
 def warm_routes(targets, warm, price) -> dict:
     """The targets cheaper to aggregate from a warm ancestor than to
-    assemble from storage: ``{target: (ancestor, values)}``.
+    assemble from storage: ``{target: (ancestor, values, steps)}``.
 
-    ``warm(target)`` names the smallest warm proper ancestor of ``target``
-    with its array, or ``None`` (:meth:`repro.core.range_query.
-    RangeQueryEngine.warm_ancestor`); ``price(target)`` is the stored
-    route's Procedure 3 cost (``inf`` when storage cannot produce it).
-    Aggregating the ancestor down costs ``Vol(ancestor) - Vol(target)``
-    (Eq 28); a tie keeps the stored route.  A proper ancestor holds at
-    least twice the target's cells, so a stored route costing at most
-    ``Vol(target)`` is kept without a lookup.
+    ``warm(target)`` gives the route from the smallest warm proper
+    ancestor of ``target`` — ``(ancestor, values, steps)``, its steps
+    compiled once (:meth:`repro.core.range_query.RangeQueryEngine.
+    warm_route`) — or ``None``; a lookup that gives only ``(ancestor,
+    values)`` has its steps derived here, checked (:func:`route_steps`).
+    ``price(target)`` is the stored route's Procedure 3 cost (``inf`` when
+    storage cannot produce it).  Aggregating the ancestor down costs
+    ``Vol(ancestor) - Vol(target)`` (Eq 28); a tie keeps the stored route.
+    A proper ancestor holds at least twice the target's cells, so a stored
+    route costing at most ``Vol(target)`` is kept without a lookup.
     """
     chosen = {}
     if warm is not None:
@@ -89,25 +123,28 @@ def warm_routes(targets, warm, price) -> dict:
             cost = price(target)
             if cost <= target.volume:
                 continue
-            source = warm(target)
-            if source is not None and source[0].volume - target.volume < cost:
-                chosen[target] = source
+            route = warm(target)
+            if route is None or route[0].volume - target.volume >= cost:
+                continue
+            if len(route) == 2:
+                route = (*route, route_steps(route[0], target))
+            chosen[target] = route
     return chosen
 
 
-def derive(chosen: dict, counter: OpCounter | None) -> dict[ElementId, np.ndarray]:
-    """Run :func:`warm_routes`' choices: each target is one fused cascade
-    down from its warm ancestor, into a fresh buffer (an ancestor is
-    always a *proper* one, so nothing aliases the warm array), counted in
-    ``assemble_derived_total``."""
+def derive(
+    chosen: dict, counter: OpCounter | None, derived
+) -> dict[ElementId, np.ndarray]:
+    """Run :func:`warm_routes`' choices: each target is its route's one
+    fused cascade down from the warm ancestor, into a fresh buffer (an
+    ancestor is always a *proper* one, so nothing aliases the warm array),
+    counted in ``derived`` (the caller's bound ``assemble_derived_total``
+    series)."""
     if chosen:
-        current_registry().counter(
-            "assemble_derived_total",
-            "targets aggregated from a warm ancestor instead of storage",
-        ).inc(len(chosen))
+        derived.inc(len(chosen))
     return {
-        target: _descend(values, ancestor, target, counter)
-        for target, (ancestor, values) in chosen.items()
+        target: fused_cascade(values, steps, counter=counter)
+        for target, (_, values, steps) in chosen.items()
     }
 
 
@@ -173,6 +210,9 @@ class MaterializedSet:
         #: the surviving set is complete).
         self._checksums: dict[ElementId, int] = {}
         self._verified: set[ElementId] = set()
+        #: Whether some element may await verification: set by every
+        #: (re)seal, so a pass with nothing to check reads one flag.
+        self._unverified = False
         self._quarantined: dict[ElementId, str] = {}
         self._integrity_lock = threading.Lock()
         #: The stored arrays as signed slots over their own buffers, each
@@ -188,6 +228,8 @@ class MaterializedSet:
         #: (:meth:`_put`), so a caller's write cannot reach storage and the
         #: alias guard knows every view.
         self._views: dict[ElementId, np.ndarray] = {}
+        #: Assembly's series, bound per registry (:data:`ASSEMBLY_SERIES`).
+        self._series = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -279,6 +321,7 @@ class MaterializedSet:
         with self._integrity_lock:
             self._checksums[element] = element_checksum(self._arrays[element])
             self._verified.discard(element)
+            self._unverified = True
 
     def checksum(self, element: ElementId) -> int:
         """The stored seal of ``element`` (KeyError when absent)."""
@@ -334,10 +377,13 @@ class MaterializedSet:
         the stored set, so a corrupted array is quarantined before any
         query can consume it.  Each element is checksummed once per seal,
         outside the lock, and the pass takes it twice — steady-state cost
-        is an empty set-difference.  An element stored or resealed while
-        its checksum was computed is left for the next pass.
+        is one flag read (:attr:`_unverified`).  An element stored or
+        resealed while its checksum was computed is left for the next pass.
         """
+        if not self._unverified:
+            return
         with self._integrity_lock:
+            self._unverified = False
             pending = [
                 (e, values, self._checksums.get(e))
                 for e, values in self._arrays.items()
@@ -353,6 +399,7 @@ class MaterializedSet:
                     self._arrays.get(element) is not values
                     or self._checksums.get(element) != expected
                 ):
+                    self._unverified = True
                     continue
                 if crc == expected:
                     self._verified.add(element)
@@ -530,7 +577,7 @@ class MaterializedSet:
         if not targets:
             return {}
         for target in targets:
-            if target.shape != self.shape:
+            if target.shape is not self.shape and target.shape != self.shape:
                 raise ValueError("target belongs to a different cube shape")
         with span("materialize.assemble_batch", targets=len(targets)) as sp:
             fault_point("materialize.assemble", batch=len(targets))
@@ -541,9 +588,16 @@ class MaterializedSet:
             arrays = dict(self._arrays)
             stored = tuple(arrays)
             distinct = tuple(dict.fromkeys(targets))
-            chosen = warm_routes(distinct, warm, lambda t: self._price(t, stored))
-            planned = tuple(t for t in distinct if t not in chosen)
-            registry = current_registry()
+            chosen = warm_routes(
+                distinct, warm, partial(self._price, stored=stored)
+            )
+            if not chosen:
+                planned = distinct
+            elif len(chosen) == len(distinct):
+                planned = ()
+            else:
+                planned = tuple(t for t in distinct if t not in chosen)
+            series = bound_series(self, ASSEMBLY_SERIES)
             results: dict[ElementId, np.ndarray] = {}
             if planned:
                 # Validated against this snapshot: a cached plan can
@@ -565,12 +619,8 @@ class MaterializedSet:
                     stats=exec_stats,
                 )
                 if plan.planned_cost > 0:
-                    registry.histogram(
-                        "cost_model_divergence",
-                        "measured over planned scalar operations (1.0 = exact)",
-                    ).observe(
-                        (own.total - ops_before) / plan.planned_cost,
-                        path="batch",
+                    series.divergence.observe(
+                        (own.total - ops_before) / plan.planned_cost
                     )
                 sp.set(
                     planned_cost=plan.planned_cost,
@@ -583,17 +633,11 @@ class MaterializedSet:
                 for target in planned:
                     if target in arrays:
                         results[target] = self._handout(target, arrays[target])
-            results.update(derive(chosen, own))
+            results.update(derive(chosen, own, series.derived))
             ops = own.total - ops_before
-            registry.counter(
-                "assemble_batch_total", "shared-plan batch assemblies"
-            ).inc()
-            registry.counter(
-                "assemble_total", "view element assemblies"
-            ).inc(len(results))
-            registry.histogram(
-                "assemble_batch_operations", "scalar operations per batch"
-            ).observe(ops)
+            series.batches.inc()
+            series.assembled.inc(len(results))
+            series.operations.observe(ops)
             sp.set(operations=ops, derived=len(chosen))
         return results
 
@@ -640,6 +684,7 @@ class MaterializedSet:
                 if self._arrays.get(element) is values:
                     self._checksums[element] = crc
                     self._verified.discard(element)
+                    self._unverified = True
 
     def reconstruct_cube(self, counter: OpCounter | None = None) -> np.ndarray:
         """Perfectly reconstruct the original cube (root element)."""

@@ -76,6 +76,14 @@ class OpCounter:
         if label:
             self.events.append((label, int(additions), int(subtractions)))
 
+    def add_events(self, events) -> None:
+        """Record labelled ``(label, additions, subtractions)`` events, each
+        as :meth:`add` would, in one call (a fused cascade's steps)."""
+        for _, additions, subtractions in events:
+            self.additions += additions
+            self.subtractions += subtractions
+        self.events.extend(events)
+
     def merge(self, other: "OpCounter") -> None:
         """Fold another counter's totals and events into this one.
 

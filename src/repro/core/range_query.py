@@ -41,6 +41,7 @@ from ..errors import InvalidQueryError
 from ..obs import current_registry, span
 from .delta import DeltaBatch, SlabStore
 from .element import CubeShape, ElementId, as_index
+from .kernels import canonical_steps
 from .materialize import BATCH_UPDATE, MaterializedSet
 from .operators import OpCounter
 
@@ -158,12 +159,13 @@ class RangeQueryEngine:
         #: partial sum), so :meth:`range_sum` finds them without resolving
         #: or hashing an element per level combination.
         self._by_levels: dict[tuple[int, ...], np.ndarray] = {}
-        #: :meth:`warm_ancestor`'s answer per target, replaced (not
-        #: cleared, so a lookup racing the change writes into the old one)
-        #: whenever ``_held`` gains or loses an entry.  Keyed by target
-        #: element, so bounded by ``N_ve`` — ``N_iv`` (Eq 19) for the pure
-        #: targets serving asks for.
-        self._ancestors: dict[ElementId, ElementId | None] = {}
+        #: :meth:`warm_route`'s answer per target — its smallest warm
+        #: ancestor and the compiled steps down from it, or ``None`` —
+        #: replaced (not cleared, so a lookup racing the change writes into
+        #: the old one) whenever ``_held`` gains or loses an entry.  Keyed
+        #: by target element, so bounded by ``N_ve`` — ``N_iv`` (Eq 19) for
+        #: the pure targets serving asks for.
+        self._ancestors: dict[ElementId, tuple | None] = {}
         #: Where the assembled intermediates are repaired (a server packs
         #: its result cache's answers here too): the store of the set this
         #: engine is built over — so one scatter repairs stored and warm
@@ -206,22 +208,27 @@ class RangeQueryEngine:
             self._bound_metrics().served.inc(served)
         return found
 
-    def warm_ancestor(
+    def warm_route(
         self, target: ElementId
-    ) -> tuple[ElementId, np.ndarray] | None:
-        """The smallest warm proper ancestor of ``target`` and its array.
+    ) -> tuple[ElementId, np.ndarray, tuple] | None:
+        """The route to ``target`` from its smallest warm proper ancestor:
+        ``(ancestor, values, steps)``, or ``None`` when nothing warm
+        contains ``target``.
 
         Every warm array is a pure partial sum, of ``Vol(A) / 2^Σlevels``
         cells, so the smallest ancestor is the one with the largest level
-        sum; aggregating it down to ``target`` costs ``Vol(ancestor) -
-        Vol(target)`` (Procedure 3's aggregation option, Eq 28, over warm
-        arrays instead of stored ones — SUM is distributive).  The
-        assembly entry points take this method as their ``warm=`` source.
-        ``None`` when nothing warm contains ``target``.
+        sum; aggregating it down to ``target`` — the canonical ``steps``
+        (:func:`~repro.core.kernels.canonical_steps`) as one fused cascade
+        — costs ``Vol(ancestor) - Vol(target)`` (Procedure 3's aggregation
+        option, Eq 28, over warm arrays instead of stored ones — SUM is
+        distributive).  Ancestor and steps are found and compiled once per
+        target, until the warm set changes.  The assembly entry points
+        take this method as their ``warm=`` source
+        (:func:`~repro.core.materialize.warm_routes`).
         """
         memo = self._ancestors
-        ancestor = memo.get(target, target)
-        if ancestor is target:
+        route = memo.get(target, memo)
+        if route is memo:
             ancestor = None
             for element in tuple(self._held):
                 if (
@@ -230,11 +237,23 @@ class RangeQueryEngine:
                     and element != target
                 ):
                     ancestor = element
-            memo[target] = ancestor
-        if ancestor is None:
+            route = memo[target] = (
+                None
+                if ancestor is None
+                else (ancestor, canonical_steps(ancestor, target))
+            )
+        if route is None:
             return None
-        values = self._held.get(ancestor)
-        return None if values is None else (ancestor, values)
+        values = self._held.get(route[0])
+        return None if values is None else (route[0], values, route[1])
+
+    def warm_ancestor(
+        self, target: ElementId
+    ) -> tuple[ElementId, np.ndarray] | None:
+        """The smallest warm proper ancestor of ``target`` and its array
+        (:meth:`warm_route` without its steps), or ``None``."""
+        route = self.warm_route(target)
+        return None if route is None else route[:2]
 
     def invalidate(self) -> None:
         """Drop on-demand assembled intermediates (after data updates).
@@ -419,7 +438,7 @@ class RangeQueryEngine:
             missing,
             counter=counter,
             max_workers=max_workers,
-            warm=self.warm_ancestor,
+            warm=self.warm_route,
         )
         self._keep(assembled, mark)
         return assembled

@@ -109,7 +109,9 @@ class DimensionSet:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate dimension names in {names}")
         self._dimensions = dimensions
-        self._by_name = {d.name: i for i, d in enumerate(dimensions)}
+        #: Axis index per dimension name: the table request resolution
+        #: reads (:meth:`axis_of` is its checked form).  Not to be mutated.
+        self.axes: dict = {d.name: i for i, d in enumerate(dimensions)}
         #: Dimension names in axis order.
         self.names: tuple[str, ...] = tuple(names)
         #: Padded axis extents in axis order.
@@ -118,10 +120,10 @@ class DimensionSet:
     def axis_of(self, name: str) -> int:
         """Axis index of the dimension called ``name``."""
         try:
-            return self._by_name[name]
+            return self.axes[name]
         except KeyError:
             raise KeyError(
-                f"unknown dimension {name!r}; have {list(self._by_name)}"
+                f"unknown dimension {name!r}; have {list(self.axes)}"
             ) from None
 
     def axes_of(self, names: Iterable[str]) -> tuple[int, ...]:

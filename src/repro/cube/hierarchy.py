@@ -12,6 +12,10 @@ blocks of ``2**k`` adjacent coordinates.  This module makes that explicit:
   level assignment — which is exactly the intermediate view element with
   those levels, so materialized Gaussian pyramids serve roll-ups with zero
   aggregation work.
+- :func:`rollup_elements` and :func:`view_elements` resolve a served
+  batch of requests to those elements by table: the cube's name-to-axis
+  table and the shape's depths, then the shape's intern table, each read
+  once per batch (:func:`rollup_element` resolves one roll-up).
 
 Hierarchies whose fan-out is not a power of two are handled the standard
 MOLAP way: order leaves so that each parent owns a contiguous, padded,
@@ -32,7 +36,14 @@ from ..core.operators import OpCounter, partial_sum_k
 from .datacube import DataCube
 from .dimensions import Dimension, next_power_of_two
 
-__all__ = ["BinaryHierarchy", "HierarchicalDimension", "rollup", "rollup_element"]
+__all__ = [
+    "BinaryHierarchy",
+    "HierarchicalDimension",
+    "rollup",
+    "rollup_element",
+    "rollup_elements",
+    "view_elements",
+]
 
 
 @dataclass(frozen=True)
@@ -136,59 +147,120 @@ class HierarchicalDimension(Dimension):
         return dim
 
 
+def _unknown_dimensions(names) -> InvalidQueryError:
+    """The refusal of a request naming ``names``, which name no dimension:
+    each listed once, ordered by ``repr`` (the names may be of any type,
+    unhashable ones included)."""
+    return InvalidQueryError(
+        f"unknown dimensions [{', '.join(sorted(set(map(repr, names))))}]"
+    )
+
+
+def view_elements(cube: DataCube, requests) -> list[ElementId]:
+    """The aggregated view of each request, in order (Definition 1).
+
+    A request is a collection of retained dimension names: each name is
+    read off the cube's name table (:attr:`~repro.cube.dimensions.
+    DimensionSet.axes`), every other dimension is at its full depth.  The
+    tables are read once per call, not once per request.  A bare name
+    (``"d0"``), a request that is not a collection, and an unknown or
+    unhashable name are each an :class:`~repro.errors.InvalidQueryError`.
+    Each result is the shape's one interned object for its level vector.
+    """
+    shape = cube.shape_id
+    axes, interned = cube.dimensions.axes, shape.intermediate
+    depths = list(shape.depths)
+    elements = []
+    for retained_dims in requests:
+        try:
+            if isinstance(retained_dims, (str, bytes)):
+                raise TypeError
+            names = iter(retained_dims)
+        except TypeError:
+            raise InvalidQueryError(
+                "retained dimensions must be a collection of names, not "
+                f"{type(retained_dims).__name__} {retained_dims!r}"
+            ) from None
+        levels, unknown = depths.copy(), []
+        for name in names:
+            try:
+                levels[axes[name]] = 0
+            except (KeyError, TypeError):  # unknown, or unhashable
+                unknown.append(name)
+        if unknown:
+            raise _unknown_dimensions(unknown)
+        elements.append(interned(levels))
+    return elements
+
+
+def rollup_elements(cube: DataCube, requests) -> list[ElementId]:
+    """The intermediate view element of each roll-up request, in order.
+
+    A request maps dimension names to either a named hierarchy level (for
+    :class:`HierarchicalDimension`) or an integer cascade depth; omitted
+    dimensions stay at leaf granularity.  Each name is read off the cube's
+    name table and each depth checked against the shape's — an exact
+    ``int`` with no conversion — the tables read once per call.  A depth
+    that is not an integer (``1.9``, ``True``), or is above the
+    dimension's hierarchy, is an :class:`~repro.errors.InvalidQueryError`,
+    never truncated; so is a request that is not a mapping (``"d0"``,
+    ``[("d0", 1)]``), an unknown or unhashable dimension name, an unknown
+    level name, and a named level on a dimension with no hierarchy.  Each
+    result is the shape's one interned object for its level vector
+    (:meth:`CubeShape.intermediate`).
+    """
+    dims = cube.dimensions
+    shape = cube.shape_id
+    axes, depths, interned = dims.axes, shape.depths, shape.intermediate
+    zeros = [0] * len(depths)
+    elements = []
+    for levels in requests:
+        if type(levels) is not dict and not isinstance(levels, Mapping):
+            raise InvalidQueryError(
+                "roll-up levels must be a mapping of dimension names to "
+                f"levels, not {type(levels).__name__} {levels!r}"
+            )
+        resolved, unknown = zeros.copy(), []
+        for name, k in levels.items():
+            try:
+                axis = axes[name]
+            except (KeyError, TypeError):  # unknown, or unhashable
+                unknown.append(name)
+                continue
+            if type(k) is not int:
+                if isinstance(k, str):
+                    dim = dims[axis]
+                    if not isinstance(dim, HierarchicalDimension):
+                        raise InvalidQueryError(
+                            f"dimension {name!r} has no hierarchy; "
+                            "use an integer level"
+                        )
+                    try:
+                        k = dim.hierarchy.level_of(k)
+                    except KeyError as unknown_level:
+                        raise InvalidQueryError(
+                            unknown_level.args[0]
+                        ) from None
+                else:
+                    k = as_index(k, f"level of dimension {name!r}")
+            if not 0 <= k <= depths[axis]:
+                raise InvalidQueryError(
+                    f"level {k} outside [0, {depths[axis]}] for dimension "
+                    f"{name!r}"
+                )
+            resolved[axis] = k
+        if unknown:
+            raise _unknown_dimensions(unknown)
+        elements.append(interned(resolved))
+    return elements
+
+
 def rollup_element(
     cube: DataCube, levels: Mapping[str, str | int]
 ) -> ElementId:
-    """The intermediate view element implementing a roll-up.
-
-    ``levels`` maps dimension names to either a named hierarchy level (for
-    :class:`HierarchicalDimension`) or an integer cascade depth.  Omitted
-    dimensions stay at leaf granularity.  A depth that is not an integer
-    (``1.9``, ``True``), or is above the dimension's hierarchy, is an
-    :class:`~repro.errors.InvalidQueryError`, never truncated; so is a
-    ``levels`` that is not a mapping (``"d0"``, ``[("d0", 1)]``), an
-    unknown dimension or level name, and a named level on a dimension
-    with no hierarchy.  The
-    result is the shape's one interned object for that level vector
-    (:meth:`CubeShape.intermediate`).
-    """
-    if not isinstance(levels, Mapping):
-        raise InvalidQueryError(
-            "roll-up levels must be a mapping of dimension names to levels, "
-            f"not {type(levels).__name__} {levels!r}"
-        )
-    dims = cube.dimensions
-    shape = cube.shape_id
-    depths = shape.depths
-    resolved = [0] * len(depths)
-    unknown = []
-    for name, spec in levels.items():
-        try:
-            axis = dims.axis_of(name)
-        except KeyError:
-            unknown.append(name)
-            continue
-        if isinstance(spec, str):
-            dim = dims[axis]
-            if not isinstance(dim, HierarchicalDimension):
-                raise InvalidQueryError(
-                    f"dimension {name!r} has no hierarchy; "
-                    "use an integer level"
-                )
-            try:
-                k = dim.hierarchy.level_of(spec)
-            except KeyError as unknown_level:
-                raise InvalidQueryError(unknown_level.args[0]) from None
-        else:
-            k = as_index(spec, f"level of dimension {name!r}")
-        if not 0 <= k <= depths[axis]:
-            raise InvalidQueryError(
-                f"level {k} outside [0, {depths[axis]}] for dimension {name!r}"
-            )
-        resolved[axis] = k
-    if unknown:
-        raise InvalidQueryError(f"unknown dimensions {sorted(unknown)}")
-    return shape.intermediate(tuple(resolved))
+    """The intermediate view element implementing one roll-up: one
+    request's :func:`rollup_elements`."""
+    return rollup_elements(cube, (levels,))[0]
 
 
 def rollup(

@@ -25,16 +25,6 @@ from .metrics import MetricsRegistry, current_registry
 __all__ = ["LRUCache"]
 
 
-class _Entry:
-    """One cached value with its weight."""
-
-    __slots__ = ("value", "weight")
-
-    def __init__(self, value, weight: float):
-        self.value = value
-        self.weight = weight
-
-
 class LRUCache:
     """Least-recently-used mapping with entry and weight bounds.
 
@@ -58,7 +48,9 @@ class LRUCache:
 
     All operations take an internal lock, so concurrent query threads can
     share one cache; racing writers at worst recompute a value, never
-    corrupt the recency order or the weight accounting.
+    corrupt the recency order or the weight accounting.  A reader probes
+    several keys at once (:meth:`get_many`): one lock hold, and one hits
+    and one misses increment per call.
     """
 
     #: Called, under the cache's lock, whenever a value leaves the cache —
@@ -80,7 +72,8 @@ class LRUCache:
         self.max_weight = max_weight
         self._lock = threading.RLock()
         self._weigh = weigh or (lambda _value: 1.0)
-        self._entries: OrderedDict[Any, _Entry] = OrderedDict()
+        #: ``key -> (value, weight)``, least recently used first.
+        self._entries: OrderedDict[Any, tuple[Any, float]] = OrderedDict()
         self._weight = 0.0
         registry = registry if registry is not None else current_registry()
         self.name = name
@@ -114,40 +107,59 @@ class LRUCache:
 
     def get(self, key, default=None):
         """The cached value (refreshing recency), or ``default`` on a miss."""
+        return self.get_many((key,), default)[0]
+
+    def get_many(self, keys, default=None) -> list:
+        """Per key, its cached value (refreshing its recency) or
+        ``default``, in one lock hold; the hits and the misses are each
+        counted with one increment, when there are any."""
+        values = []
+        hits = 0
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self._misses.inc()
-                return default
-            self._entries.move_to_end(key)
-            self._hits.inc()
-            return entry.value
+            entries = self._entries
+            for key in keys:
+                entry = entries.get(key)
+                if entry is None:
+                    values.append(default)
+                else:
+                    entries.move_to_end(key)
+                    values.append(entry[0])
+                    hits += 1
+            if hits:
+                self._hits.inc(hits)
+            if hits < len(values):
+                self._misses.inc(len(values) - hits)
+        return values
 
     def put(self, key, value) -> None:
         """Insert (or refresh) ``key``; evicts LRU entries to fit."""
         weight = float(self._weigh(value))
         with self._lock:
-            old = self._entries.pop(key, None)
+            entries = self._entries
+            old = entries.pop(key, None)
             dropped = old is not None
             if dropped:
-                self._weight -= old.weight
+                self._weight -= old[1]
             if self.max_weight is not None and weight > self.max_weight:
                 # Heavier than the whole budget: drop rather than thrash.
                 self._sync_gauges()
                 self._dropped()
                 return
-            self._entries[key] = _Entry(value, weight)
+            entries[key] = (value, weight)
             self._weight += weight
-            while len(self._entries) > self.max_entries or (
+            evicted = 0
+            while len(entries) > self.max_entries or (
                 self.max_weight is not None and self._weight > self.max_weight
             ):
-                _, evicted = self._entries.popitem(last=False)
-                self._weight -= evicted.weight
-                self._evictions.inc()
+                self._weight -= entries.popitem(last=False)[1][1]
+                evicted += 1
+            if evicted:
+                self._evictions.inc(evicted)
                 dropped = True
-            self._sync_gauges()
-            if dropped:
-                self._dropped()
+            self._size_gauge.set(len(entries))
+            self._weight_gauge.set(self._weight)
+            if dropped and self.on_drop is not None:
+                self.on_drop()
 
     def _dropped(self) -> None:
         if self.on_drop is not None:
@@ -216,5 +228,5 @@ class LRUCache:
         """
         with self._lock:
             return [
-                (key, entry.value) for key, entry in dict.items(self._entries)
+                (key, entry[0]) for key, entry in dict.items(self._entries)
             ]

@@ -163,12 +163,12 @@ class FingerprintTracker:
                         self.ingest_batches += 1
                         self._bump(self._ingest, float(n))
                     continue
-                self._tick += 1
-                self._bump(slot, 1.0)
-                value = slot[0]
+                # :meth:`_bump` by 1.0 at the next tick, inlined.
+                tick = self._tick + 1
+                value = slot[0] * DECAY ** (tick - slot[1]) + 1.0
                 for _ in range(n - 1):
                     value = value * DECAY + 1.0
-                self._tick += n - 1
+                self._tick = tick + n - 1
                 slot[0], slot[1] = value, self._tick
                 self.queries += n
 

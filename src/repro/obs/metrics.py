@@ -56,7 +56,8 @@ from contextvars import ContextVar
 
 __all__ = [
     "Counter", "DEFAULT_BUCKETS", "Gauge", "Histogram", "MAX_LABEL_SETS",
-    "MetricsRegistry", "OVERFLOW_KEY", "current_registry", "default_registry",
+    "MetricsRegistry", "OVERFLOW_KEY", "SeriesTable", "current_registry",
+    "bound_series", "default_registry",
 ]
 
 #: Label sets are stored as sorted ``(key, value)`` tuples.
@@ -182,8 +183,17 @@ class _BoundScalar(_BoundSeries):
 
     __slots__ = ()
 
+    #: Whether the series only goes up (a counter's): one write body for
+    #: both kinds, so a counter's write is one call, not two.
+    _monotonic = False
+
     def inc(self, amount: float = 1.0) -> None:
-        """Adjust the series by ``amount``."""
+        """Adjust the series by ``amount`` (a counter's must be
+        non-negative)."""
+        if amount < 0 and self._monotonic:
+            raise ValueError(
+                f"counter {self._metric.name} cannot decrease ({amount})"
+            )
         metric = self._metric
         key = self._key
         with metric._lock:
@@ -205,13 +215,7 @@ class _BoundScalar(_BoundSeries):
 class _BoundCounter(_BoundScalar):
     __slots__ = ()
 
-    def inc(self, amount: float = 1.0) -> None:
-        """Add ``amount`` (must be non-negative) to the series."""
-        if amount < 0:
-            raise ValueError(
-                f"counter {self._metric.name} cannot decrease ({amount})"
-            )
-        _BoundScalar.inc(self, amount)
+    _monotonic = True
 
 
 class _BoundGauge(_BoundScalar):
@@ -614,3 +618,45 @@ def current_registry() -> MetricsRegistry:
     activation this is :func:`default_registry`.
     """
     return _ACTIVE_REGISTRY.get() or _DEFAULT_REGISTRY
+
+
+class SeriesTable:
+    """A component's series in one registry, each bound on first use.
+
+    ``specs`` maps an attribute to ``(kind, name, description, labels)``:
+    reading the attribute the first time creates the metric (``kind`` is
+    ``"counter"``, ``"gauge"`` or ``"histogram"``) and binds its series
+    for ``labels`` — a dict, or a list of dicts for a list of series — so
+    a registry gains a metric only once it is written, as by a by-name
+    write, and every later write is one bound call.
+    """
+
+    def __init__(self, registry: MetricsRegistry, specs: dict):
+        self.registry = registry
+        self._specs = specs
+
+    def __getattr__(self, attribute: str):
+        try:
+            kind, name, description, labels = self._specs[attribute]
+        except KeyError:
+            raise AttributeError(attribute) from None
+        metric = getattr(self.registry, kind)(name, description)
+        series = (
+            [metric.labels(**each) for each in labels]
+            if isinstance(labels, list)
+            else metric.labels(**labels)
+        )
+        setattr(self, attribute, series)
+        return series
+
+
+def bound_series(owner, specs: dict) -> SeriesTable:
+    """``owner``'s :class:`SeriesTable` over ``specs`` in the current
+    registry, kept on ``owner._series`` (bound per instance: nothing
+    module-level keeps a registry alive) and replaced when another
+    registry is current."""
+    registry = _ACTIVE_REGISTRY.get() or _DEFAULT_REGISTRY
+    table = owner._series
+    if table is None or table.registry is not registry:
+        table = owner._series = SeriesTable(registry, specs)
+    return table

@@ -237,8 +237,8 @@ def assemble_resilient(
     server, materialized: MaterializedSet, elements: Sequence[ElementId],
     counter: OpCounter, max_workers: int = 1, warm=None,
 ) -> dict[ElementId, np.ndarray]:
-    """``{element: values}`` for ``elements`` (from a ``warm`` ancestor
-    where cheaper), with retries and base-cube degradation.
+    """``{element: values}`` for ``elements``, distinct (from a ``warm``
+    ancestor where cheaper), with retries and base-cube degradation.
 
     Several elements first try one shared plan under the retry budget.
     That execution is all-or-nothing and a retry re-rolls every node's
@@ -251,7 +251,6 @@ def assemble_resilient(
     bit-identical for the integer-valued measures the chaos gate
     replays); its scratch counter, like the retry loop's, is merged only
     once it served."""
-    elements = list(dict.fromkeys(elements))
     if len(elements) > 1:
         try:
             return with_retries(

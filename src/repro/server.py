@@ -25,9 +25,11 @@ import time
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import compress, count, repeat
 from numbers import Integral
-from operator import itemgetter
+from operator import attrgetter, is_, itemgetter
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -42,7 +44,7 @@ from .core.range_query import RangeQueryEngine
 from .core.select_redundant import check_storage_budget, reselect
 from .cube.builder import build_cube
 from .cube.datacube import DataCube
-from .cube.hierarchy import rollup_element
+from .cube.hierarchy import rollup_elements, view_elements
 from .durability import DurabilityConfig, Lineage
 from .durability.lineage import restore as restore_lineage, write_cut
 from .errors import InvalidQueryError, TransientFault
@@ -51,12 +53,14 @@ from .obs.alerts import AlertEngine
 from .obs.export import prometheus_text
 from .obs.fingerprint import FingerprintTracker, SiteProfiler
 from .obs.flight import FlightRecorder
-from .obs.http import TelemetryServer
 from .obs.profile import query_profile
-from .resilience.faults import fault_point
+from .resilience.faults import _ACTIVE_INJECTOR, fault_point
 from .resilience.serve import _Serve, assemble_resilient
 from .shard.partition import CubePartition
 from .shard.sets import ShardedSet
+
+if TYPE_CHECKING:
+    from .obs.http import TelemetryServer
 
 __all__ = ["OLAPServer", "ServerStats"]
 
@@ -167,6 +171,9 @@ class OLAPServer:
             )
         self.cube = cube
         self.shape = cube.shape_id
+        #: Request-list resolvers, by table (:mod:`repro.cube.hierarchy`).
+        self._views_for = partial(view_elements, cube)
+        self._rollups_for = partial(rollup_elements, cube)
         self.storage_budget = storage_budget
         self.tracker = AccessTracker(decay=DECAY)
         #: Guards the call log's fold (so ``stats`` and ``tracker``) and
@@ -254,7 +261,7 @@ class OLAPServer:
         cache = LRUCache(
             max_entries=self._cache_entries,
             max_weight=self._cache_cells,
-            weigh=lambda values: values.size,
+            weigh=attrgetter("size"),
             registry=self.metrics,
             name="view_cache",
         )
@@ -314,33 +321,13 @@ class OLAPServer:
     # ------------------------------------------------------------------
     # Query surface
 
-    def _element_for(self, retained_dims: Iterable[str]) -> ElementId:
-        if isinstance(retained_dims, (str, bytes)):
-            raise InvalidQueryError(
-                "retained dimensions must be a collection of names, not "
-                f"{type(retained_dims).__name__} {retained_dims!r}"
-            )
-        dims = self.cube.dimensions
-        aggregated = set(range(len(dims)))
-        unknown = set()
-        for name in retained_dims:
-            try:
-                aggregated.discard(dims.axis_of(name))
-            except KeyError:
-                unknown.add(name)
-        if unknown:
-            raise InvalidQueryError(f"unknown dimensions {sorted(unknown)}")
-        return self.shape.aggregated_view(aggregated)
-
     def view(
         self,
         retained_dims: Iterable[str],
         deadline_ms: float | None = None,
     ) -> np.ndarray:
         """Aggregated view retaining the named dimensions (SUM), read-only."""
-        return self._serve(
-            (retained_dims,), self._element_for, "view", deadline_ms
-        )[0]
+        return self._serve((retained_dims,), self._views_for, "view", deadline_ms)[0]
 
     def rollup(
         self,
@@ -348,10 +335,7 @@ class OLAPServer:
         deadline_ms: float | None = None,
     ) -> np.ndarray:
         """Roll-up to named or numeric hierarchy levels (read-only answer)."""
-        return self._serve(
-            (levels,), partial(rollup_element, self.cube), "rollup",
-            deadline_ms,
-        )[0]
+        return self._serve((levels,), self._rollups_for, "rollup", deadline_ms)[0]
 
     def query_batch(
         self,
@@ -368,7 +352,7 @@ class OLAPServer:
         (:meth:`_serve`).  ``max_workers`` defaults to :data:`MAX_WORKERS`.
         """
         return self._serve(
-            requests, self._element_for, "view", deadline_ms, max_workers,
+            requests, self._views_for, "view", deadline_ms, max_workers,
             batch=True,
         )
 
@@ -380,16 +364,17 @@ class OLAPServer:
     ) -> list[np.ndarray]:
         """Serve several roll-ups as :meth:`query_batch` serves views."""
         return self._serve(
-            levels_list, partial(rollup_element, self.cube), "rollup",
-            deadline_ms, max_workers, batch=True,
+            levels_list, self._rollups_for, "rollup", deadline_ms, max_workers,
+            batch=True,
         )
 
     def _serve(
         self, requests, resolve, kind: str, deadline_ms, max_workers=None,
         batch: bool = False,
     ) -> list[np.ndarray]:
-        """Serve the elements ``resolve`` names for ``requests``, in request
-        order; a single request is a batch of one.
+        """Serve the elements ``resolve`` names for ``requests`` (one pass
+        over the list), in request order; a single request is a batch of
+        one.
 
         Everything happens inside the envelope, so every client mistake is
         labelled ``invalid`` by one rule: ``max_workers`` (a batch's
@@ -415,28 +400,31 @@ class OLAPServer:
                     f"{max_workers!r}"
                 )
             try:
-                resolved = map(resolve, requests)
+                pending = iter(requests)
             except TypeError:
                 raise InvalidQueryError(
                     f"a batch takes a collection of requests, got {requests!r}"
                 ) from None
-            call.tracked = elements = list(resolved)
+            call.tracked = elements = resolve(pending)
             call.queries = n = len(elements)
-            distinct = list(dict.fromkeys(elements)) if n > 1 else elements
+            # Resolved elements are interned: identity tells them apart.
+            distinct = list(dict(zip(map(id, elements), elements)).values())
             state = call.state
             answers, missing = self._cache_get(state, distinct)
             if missing:
                 engine = state.range_engine
                 mark = engine.slabs.sequence
                 assembled = assemble_resilient(
-                    self, state.materialized, missing, call.counter,
-                    max_workers, engine.warm_ancestor,
+                    self, state.materialized,
+                    list(map(distinct.__getitem__, missing)), call.counter,
+                    max_workers, engine.warm_route,
                 )
                 admitted = self._admit(state, mark, assembled)
-                answers = list(map(admitted.get, distinct, answers))
+                for i in missing:
+                    answers[i] = admitted[distinct[i]]
             if len(distinct) < n:
-                by_element = dict(zip(distinct, answers))
-                answers = list(map(by_element.__getitem__, elements))
+                by_id = dict(zip(map(id, distinct), answers))
+                answers = list(map(by_id.__getitem__, map(id, elements)))
             if batch:
                 self._m.batches_of[kind].inc()
             attrs = call.attrs
@@ -445,24 +433,33 @@ class OLAPServer:
             return answers
 
     def _cache_get(self, state: _ServingState, elements) -> tuple[list, list]:
-        """Per element, its warm answer or ``None``, and the elements with
-        none: the range engine's intermediate (a roll-up or view is one,
-        PAPER §6; a cached copy holds the same bytes), never cached twice;
-        else the result cache's, where a cache fault degrades the lookup to
-        a miss.  Each state has its own cache, keyed by element (the fault
-        site sees the epoch)."""
+        """Per element, its warm answer or ``None``, and the positions of
+        those with none, ascending: the range engine's intermediate (a
+        roll-up or view is one, PAPER §6), never cached twice; else the
+        result cache's, one probe for all.  While a fault injector is active
+        each of those first visits the ``server.cache_lookup`` site, where a
+        fault degrades its lookup to a miss.  Each state has its own cache,
+        keyed by element (the fault site sees the epoch)."""
         answers = state.range_engine.warm(elements)
+        cold = list(compress(count(), map(is_, answers, repeat(None))))
         missing = []
-        for i, values in enumerate(answers):
-            if values is None:
-                key = (elements[i], state.epoch)
+        if cold and _ACTIVE_INJECTOR.get() is not None:
+            probed = []
+            for i in cold:
                 try:
-                    fault_point("server.cache_lookup", key=key)
-                    values = answers[i] = state.cache.get(key[0])
+                    fault_point("server.cache_lookup", key=(elements[i], state.epoch))
+                    probed.append(i)
                 except TransientFault:
                     self._m.cache_bypass.inc()
+                    missing.append(i)
+            cold = probed
+        if cold:
+            found = state.cache.get_many(map(elements.__getitem__, cold))
+            for i, values in zip(cold, found):
+                answers[i] = values
                 if values is None:
-                    missing.append(key[0])
+                    missing.append(i)
+            missing.sort()
         return answers, missing
 
     def _admit(
@@ -687,8 +684,11 @@ class OLAPServer:
 
         Returns the started :class:`~repro.obs.http.TelemetryServer` (its
         ``.port`` is the bound port when 0 was requested); the caller owns
-        its lifetime — ``stop()`` it, or use it as a context manager.
+        its lifetime — ``stop()`` it, or use it as a context manager.  The
+        HTTP stack is imported here, on first use, not by serving.
         """
+        from .obs.http import TelemetryServer
+
         metrics = partial(prometheus_text, self.metrics)
         return TelemetryServer(metrics, self.health, host, port).start()
 

@@ -74,6 +74,7 @@ from ..core.element import CubeShape, ElementId
 from ..core.exec import PlanCache, execute_plan
 from ..core.kernels import fused_cascade
 from ..core.materialize import (
+    ASSEMBLY_SERIES,
     MaterializedSet,
     compute_element,
     derive,
@@ -83,6 +84,7 @@ from ..core.operators import OpCounter
 from ..core.select_redundant import generation_cost
 from ..errors import IncompleteSetError, TransientFault
 from ..obs import current_registry, log_event, span
+from ..obs.metrics import bound_series
 from ..resilience import check_deadline, fault_point, retry_transient
 from ..resilience.deadline import SERVING
 from .partition import CubePartition
@@ -128,6 +130,24 @@ class ShardedSet:
         self._epochs = [0] * s
         self._stored: dict[ElementId, None] = {}
         self._plan_cache = PlanCache(_PLAN_CACHE_ENTRIES)
+        #: The per-batch series, bound per registry on first use
+        #: (:func:`~repro.obs.metrics.bound_series`).
+        self._series = None
+        self._specs = {
+            "derived": ASSEMBLY_SERIES["derived"],
+            "scatters": (
+                "counter", "shard_scatters_total",
+                "scatter-gather batches served", {},
+            ),
+            "gather_ms": (
+                "histogram", "shard_gather_ms",
+                "wall milliseconds merging shard partials", {},
+            ),
+            "in_flight": (
+                "gauge", "shard_in_flight", "scatter legs currently executing",
+                [{"shard": str(i)} for i in range(s)],
+            ),
+        }
         #: Per storage signature, the stored tuple every shard exposing it
         #: plans against and the Procedure 3 cost memo (prices and route
         #: table) of that tuple: both depend only on a shard's stored
@@ -355,7 +375,7 @@ class ShardedSet:
         if not distinct:
             return {}
         for target in distinct:
-            if target.shape != self.shape:
+            if target.shape is not self.shape and target.shape != self.shape:
                 raise ValueError(
                     "assemble_batch target from a different cube shape"
                 )
@@ -370,7 +390,8 @@ class ShardedSet:
             fault_point("materialize.assemble", batch=len(chosen))
             check_deadline("materialize.assemble")
             own = counter if counter is not None else OpCounter()
-            results.update(derive(chosen, own))
+            derived = bound_series(self, self._specs).derived
+            results.update(derive(chosen, own, derived))
             ordered = [t for t in ordered if t not in chosen]
         if ordered:
             results.update(self._scatter_gather(ordered, counter, max_workers))
@@ -444,13 +465,9 @@ class ShardedSet:
             own.merge(merge_counter)
             gather_ms = (time.perf_counter() - t0) * 1e3
 
-            registry = current_registry()
-            registry.counter(
-                "shard_scatters_total", "scatter-gather batches served"
-            ).inc()
-            registry.histogram(
-                "shard_gather_ms", "wall milliseconds merging shard partials"
-            ).observe(gather_ms)
+            series = bound_series(self, self._specs)
+            series.scatters.inc()
+            series.gather_ms.observe(gather_ms)
             self.last_scatter_stats = {
                 "targets": len(ordered),
                 "shards": s_count,
@@ -513,10 +530,8 @@ class ShardedSet:
         max_workers: int,
     ) -> None:
         """One scatter leg into its slabs: retries, then degraded fallback."""
-        in_flight = current_registry().gauge(
-            "shard_in_flight", "scatter legs currently executing"
-        )
-        in_flight.inc(shard=str(s))
+        in_flight = bound_series(self, self._specs).in_flight[s]
+        in_flight.inc()
         try:
             with span("shard.execute", shard=s, targets=len(out)):
                 fault_point("materialize.assemble", shard=s, batch=len(out))
@@ -541,7 +556,7 @@ class ShardedSet:
                 degraded.append(s)
                 self._degraded_shard(s, out, counter)
         finally:
-            in_flight.inc(-1.0, shard=str(s))
+            in_flight.inc(-1.0)
 
     def _degraded_shard(
         self, s: int, out: dict[ElementId, np.ndarray], counter: OpCounter

@@ -17,15 +17,23 @@ forms the paper states live here, and only here, as oracles:
   arrays, one target at a time, which the one executor
   (:mod:`repro.core.exec`) must match bit for bit;
 - :func:`delta_cell` — the scalar cascade walk
-  :class:`repro.core.delta.DeltaBatch` tabulates.
+  :class:`repro.core.delta.DeltaBatch` tabulates;
+- :func:`resolve_view_explicit` / :func:`resolve_rollup_explicit` — a
+  served request resolved through the checked per-name lookup
+  (:meth:`~repro.cube.dimensions.DimensionSet.axis_of`), the aggregated
+  view's set walk and :func:`~repro.core.element.as_index`, which the
+  table resolvers of :mod:`repro.cube.hierarchy` must match: the same
+  interned element, or the same refusal.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 import numpy as np
 
 from repro.core.costs import element_population_cost
-from repro.core.element import CubeShape, ElementId
+from repro.core.element import CubeShape, ElementId, as_index
 from repro.core.graph import ViewElementGraph
 from repro.core.kernels import fused_cascade, fused_synthesize
 from repro.core.operators import OpCounter
@@ -33,6 +41,8 @@ from repro.core.planning import RouteTable, route_table
 from repro.core.population import QueryPopulation
 from repro.core.select_basis import BasisSelection
 from repro.core.select_redundant import GreedyResult, GreedyStage
+from repro.cube.hierarchy import HierarchicalDimension
+from repro.errors import InvalidQueryError
 
 _INF = float("inf")
 
@@ -311,3 +321,80 @@ def delta_cell(
             position >>= 1
         cell.append(position)
     return tuple(cell), sign
+
+
+def _unknown(names) -> InvalidQueryError:
+    """Unknown names, each listed once, ordered by ``repr``."""
+    listed = sorted({repr(name) for name in names})
+    return InvalidQueryError(f"unknown dimensions [{', '.join(listed)}]")
+
+
+def resolve_view_explicit(cube, retained_dims) -> ElementId:
+    """The aggregated view retaining ``retained_dims``: each name through
+    ``axis_of``, the aggregated axes as a set, then
+    :meth:`CubeShape.aggregated_view`."""
+    if isinstance(retained_dims, (str, bytes)):
+        names = None
+    else:
+        try:
+            names = list(retained_dims)
+        except TypeError:
+            names = None
+    if names is None:
+        raise InvalidQueryError(
+            "retained dimensions must be a collection of names, not "
+            f"{type(retained_dims).__name__} {retained_dims!r}"
+        )
+    dims = cube.dimensions
+    aggregated = set(range(len(dims)))
+    unknown = []
+    for name in names:
+        try:
+            aggregated.discard(dims.axis_of(name))
+        except (KeyError, TypeError):
+            unknown.append(name)
+    if unknown:
+        raise _unknown(unknown)
+    return cube.shape_id.aggregated_view(aggregated)
+
+
+def resolve_rollup_explicit(cube, levels) -> ElementId:
+    """The roll-up element for ``levels``: per entry, in order, its axis
+    through ``axis_of``, its depth through the hierarchy (a name) or
+    :func:`as_index`, range-checked; unknown names refused last."""
+    if not isinstance(levels, Mapping):
+        raise InvalidQueryError(
+            "roll-up levels must be a mapping of dimension names to levels, "
+            f"not {type(levels).__name__} {levels!r}"
+        )
+    dims = cube.dimensions
+    depths = cube.shape_id.depths
+    resolved = [0] * len(depths)
+    unknown = []
+    for name, spec in levels.items():
+        try:
+            axis = dims.axis_of(name)
+        except (KeyError, TypeError):
+            unknown.append(name)
+            continue
+        if isinstance(spec, str):
+            dim = dims[axis]
+            if not isinstance(dim, HierarchicalDimension):
+                raise InvalidQueryError(
+                    f"dimension {name!r} has no hierarchy; "
+                    "use an integer level"
+                )
+            try:
+                k = dim.hierarchy.level_of(spec)
+            except KeyError as unknown_level:
+                raise InvalidQueryError(unknown_level.args[0]) from None
+        else:
+            k = as_index(spec, f"level of dimension {name!r}")
+        if not 0 <= k <= depths[axis]:
+            raise InvalidQueryError(
+                f"level {k} outside [0, {depths[axis]}] for dimension {name!r}"
+            )
+        resolved[axis] = k
+    if unknown:
+        raise _unknown(unknown)
+    return cube.shape_id.intermediate(tuple(resolved))

@@ -469,6 +469,11 @@ class TestMalformedRequests:
             (lambda s: s.query_batch([["d0"]], max_workers=0), "view"),
             (lambda s: s.query_batch([["d0"]], max_workers="2"), "view"),
             (lambda s: s.rollup_batch([{"d0": 1}], max_workers=0), "rollup"),
+            (lambda s: s.view(["x", 5]), "view"),
+            (lambda s: s.rollup({"x": 1, 5: 1}), "rollup"),
+            (lambda s: s.rollup_batch([{"x": 1, 5: 1}]), "rollup"),
+            (lambda s: s.view([["d0"]]), "view"),
+            (lambda s: s.view(5), "view"),
         ],
         ids=[
             "text deadline",
@@ -482,6 +487,11 @@ class TestMalformedRequests:
             "zero max_workers",
             "text max_workers",
             "zero max_workers roll-up",
+            "mixed-type view dimensions",
+            "mixed-type roll-up dimensions",
+            "mixed-type batch dimensions",
+            "unhashable view dimension",
+            "int view dimensions",
         ],
     )
     def test_a_malformed_argument_is_an_invalid_query(self, ask, kind):

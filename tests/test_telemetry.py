@@ -14,6 +14,9 @@ boundary:
 """
 
 import json
+import os
+import subprocess
+import sys
 import threading
 from urllib.request import urlopen
 
@@ -583,6 +586,20 @@ class TestTelemetryEndpoint:
             assert excinfo.value.code == 404
         finally:
             endpoint.stop()
+
+    def test_serving_imports_no_http_stack(self):
+        # The endpoint is imported on first use: a process that only
+        # serves loads neither the HTTP server nor TLS.
+        code = (
+            "import sys, repro.server; "
+            "print(sorted(m for m in ('http.server', 'ssl') if m in sys.modules))"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        loaded = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, check=True, timeout=60,
+        ).stdout.strip()
+        assert loaded == "[]"
 
 
 class TestServerSLO:

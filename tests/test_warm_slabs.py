@@ -25,6 +25,7 @@ from repro.core.delta import SLAB_CELLS, DeltaBatch, SlabStore
 from repro.core.element import CubeShape
 from repro.core.materialize import MaterializedSet, compute_element
 from repro.core.range_query import RANGE_PATCH, RangeQueryEngine
+from repro.cube.hierarchy import view_elements
 from repro.replay import seeded_cube
 from repro.server import OLAPServer
 
@@ -386,7 +387,7 @@ class TestDropDrivenSweep:
         for keep in (["d1"], ["d2"], ["d1", "d2"]):
             server.view(keep)
         assert len(state.cache) == 3
-        assert server._element_for(["d0"]) not in state.cache
+        assert view_elements(server.cube, [["d0"]])[0] not in state.cache
         server.range_sum(((1, 15), (0, 7), (1, 3)))
         engine = state.range_engine
         dropped = list(engine._cache.values())
