@@ -26,6 +26,7 @@ in :mod:`repro.core.materialize`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -66,6 +67,10 @@ def as_index(value, what: str) -> int:
     raise InvalidQueryError(f"{what} must be an integer, got {value!r}")
 
 
+#: The rank of a warm ancestor: smaller volume first, then lower slot.
+_VOLUME_SLOT = operator.attrgetter("volume", "slot")
+
+
 @dataclass(frozen=True)
 class CubeShape:
     """The shape of a data cube: one power-of-two extent per dimension.
@@ -92,10 +97,21 @@ class CubeShape:
             self, "depths", tuple(n.bit_length() - 1 for n in sizes)
         )
         object.__setattr__(self, "_hash", hash((sizes,)))
-        #: The intern table of :meth:`intermediate`.  Not a dataclass field:
-        #: it stays out of ``==``, ``hash`` and ``repr``, and
-        #: :meth:`__reduce__` keeps it out of copies and pickles.
+        #: The mixed-radix weights of a level vector's slot (radix
+        #: ``K_m + 1``, the last dimension fastest): the slot of ``levels``
+        #: is ``Σ levels[m] · strides[m]``, dense in ``[0, N_iv)`` (Eq 19).
+        radices = [k + 1 for k in self.depths]
+        strides = [math.prod(radices[m + 1 :]) for m in range(len(sizes))]
+        object.__setattr__(self, "strides", tuple(strides))
+        #: The intern table of :meth:`intermediate`, the interned objects
+        #: by slot, and the ancestor orders of :meth:`warm_order` by slot.
+        #: ``by_slot`` is for callers that validated a level vector
+        #: themselves (a slot of an invalid one may be another's).  Not
+        #: dataclass fields: they stay out of ``==``, ``hash`` and ``repr``,
+        #: and :meth:`__reduce__` keeps them out of copies and pickles.
         object.__setattr__(self, "_intermediates", {})
+        object.__setattr__(self, "by_slot", {})
+        object.__setattr__(self, "_orders", {})
 
     def __hash__(self) -> int:
         return self._hash
@@ -133,20 +149,50 @@ class CubeShape:
         so each is built and validated once and every later request for
         the same ``levels`` tuple gets the same object back — its hash,
         ``describe()`` text and the ``is`` shortcut of every dict probe
-        behind it included.  The table is bounded by Eq 19 and never
-        evicts.  Identity is only a shortcut: an equal ``ElementId`` built
-        any other way compares and hashes the same.
+        behind it included — carrying its :attr:`ElementId.slot`, the
+        index of its level vector in every table kept by slot.  The table
+        is bounded by Eq 19 and never evicts.  Identity is only a
+        shortcut: an equal ``ElementId`` built any other way compares and
+        hashes the same, and finds the same slot.
         """
         levels = tuple(levels)
         element = self._intermediates.get(levels)
         if element is None:
             levels = tuple(operator.index(k) for k in levels)
+            element = ElementId(self, tuple((k, 0) for k in levels))
+            slot = sum(map(operator.mul, levels, self.strides))
+            object.__setattr__(element, "slot", slot)
             # ``setdefault``: two threads racing on a first use converge
             # on one object.
-            element = self._intermediates.setdefault(
-                levels, ElementId(self, tuple((k, 0) for k in levels))
-            )
+            element = self._intermediates.setdefault(levels, element)
+            self.by_slot[slot] = element
         return element
+
+    def intermediate_at(self, slot: int) -> "ElementId":
+        """The pure partial sum whose level vector has slot ``slot``."""
+        return self.by_slot.get(slot) or self.intermediate(
+            slot // stride % (k + 1) for stride, k in zip(self.strides, self.depths)
+        )
+
+    def warm_order(self, target: "ElementId") -> tuple["ElementId", ...]:
+        """The pure partial sums that properly contain ``target``, smallest
+        volume first, equal volumes by ascending slot: the order in which
+        a warm route looks for Procedure 3's smallest ancestor (Eq 28).
+
+        Per dimension an ancestor's level is at most the target's level
+        less the bit length of its index, so the deepest one — the
+        target's *hull* — contains every other; each order is built once
+        per hull slot.  A pure target is its own hull and is left out.
+        """
+        hull = target
+        if target.slot is None:  # residual
+            hull = self.intermediate([k - j.bit_length() for k, j in target.nodes])
+        order = self._orders.get(hull.slot)
+        if order is None:
+            every = itertools.product(*[range(k + 1) for k, _ in hull.nodes])
+            ranked = sorted(map(self.intermediate, every), key=_VOLUME_SLOT)
+            order = self._orders[hull.slot] = tuple(ranked[1:])
+        return order if hull is target else (hull, *order)
 
     def aggregated_view(self, aggregated_dims) -> "ElementId":
         """The aggregated view that totally aggregates ``aggregated_dims``.
@@ -296,6 +342,14 @@ class ElementId:
 
     shape: CubeShape
     nodes: tuple[DimNode, ...]
+
+    @functools.cached_property
+    def slot(self) -> int | None:
+        """A pure partial sum's slot (the interned one carries it from
+        :meth:`CubeShape.intermediate`); ``None`` for a residual element."""
+        if self.is_residual:
+            return None
+        return self.shape.intermediate([k for k, _ in self.nodes]).slot
 
     def __post_init__(self) -> None:
         if len(self.nodes) != self.shape.ndim:
@@ -476,8 +530,8 @@ class ElementId:
         """
         if self.shape is not other.shape:
             self._check_same_shape(other)
-        # ``_dim_contains`` per dimension, inlined: the warm-ancestor
-        # lookup runs this over every warm array on a miss.
+        # ``_dim_contains`` per dimension, inlined: route planning runs
+        # this over every stored element.
         for (ok, oj), (ik, ij) in zip(self.nodes, other.nodes):
             if ik < ok or ij >> (ik - ok) != oj:
                 return False

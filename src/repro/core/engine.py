@@ -257,9 +257,9 @@ class SelectionEngine:
         while cand_idx.size:
             if cost <= 1e-12:
                 break
-            affordable = cand_idx[
-                storage + self.volume[cand_idx] <= storage_budget + 1e-9
-            ]
+            # Storage is a sum of integer volumes, exact in a float: the
+            # bound is the budget itself, as Algorithm 2 states it.
+            affordable = cand_idx[storage + self.volume[cand_idx] <= storage_budget]
             if affordable.size == 0:
                 break
             totals = self._candidate_totals(base_row, affordable, q_idx, freqs)

@@ -3,7 +3,7 @@
 The paper's distributivity property (Property 2, Eqs 6-9) says a cascade of
 ``P1`` steps *is* the higher-order partial aggregation ``Pk`` — the chain is
 mathematically one block reduction.  The step-by-step execution paths
-(:func:`repro.core.materialize._descend`, the per-step DAG nodes of
+(the operators of :mod:`repro.core.operators`, the per-step DAG nodes of
 :mod:`repro.core.exec`) pay one Python dispatch, one fresh allocation, one
 fault-site visit, and one counter event *per step*, which dominates wall
 time for the cell counts real cube workloads produce.
@@ -102,7 +102,7 @@ def canonical_steps(source: ElementId, target: ElementId) -> tuple[Step, ...]:
     """The ``(dim, residual?)`` steps of the canonical ``source→target``
     cascade: dimensions ascending, and within a dimension the target's extra
     index bits most-significant first — exactly the order the step-by-step
-    descent (:func:`repro.core.materialize._descend`) applies them, so a
+    descent (the operators of :mod:`repro.core.operators`) applies them, so a
     fused execution of these steps is bit-identical to the cascade.
     """
     steps: list[Step] = []

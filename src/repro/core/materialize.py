@@ -72,45 +72,14 @@ def element_checksum(values: np.ndarray) -> int:
     return zlib.crc32(np.ascontiguousarray(values))
 
 
-def route_steps(source: ElementId, target: ElementId) -> tuple:
-    """The steps of the cascade from ``source`` down to ``target``, checked.
-
-    ``target`` must be a descendant of ``source`` in the view element graph
-    (equivalently: its frequency rectangle is contained in ``source``'s).
-    The cascade applies, per dimension, the operators named by the extra
-    bits of the target's dyadic index — ``P1`` for 0, ``R1`` for 1 — which
-    costs ``Vol(source) - Vol(target)`` scalar operations in total
-    (:func:`~repro.core.kernels.canonical_steps`, the order every execution
-    path uses).
-    """
-    if not source.contains(target):
-        raise ValueError("target is not a descendant of source")
-    return canonical_steps(source, target)
-
-
-def _descend(
-    values: np.ndarray,
-    source: ElementId,
-    target: ElementId,
-    counter: OpCounter | None,
-) -> np.ndarray:
-    """Cascade ``values`` (the data of ``source``) down to ``target``
-    (:func:`route_steps`) as one fused kernel (bit-identical to the
-    per-step operators; see :mod:`repro.core.kernels`).  A zero-step
-    descent returns the input by reference.
-    """
-    return fused_cascade(values, route_steps(source, target), counter=counter)
-
-
 def warm_routes(targets, warm, price) -> dict:
     """The targets cheaper to aggregate from a warm ancestor than to
     assemble from storage: ``{target: (ancestor, values, steps)}``.
 
     ``warm(target)`` gives the route from the smallest warm proper
-    ancestor of ``target`` — ``(ancestor, values, steps)``, its steps
-    compiled once (:meth:`repro.core.range_query.RangeQueryEngine.
-    warm_route`) — or ``None``; a lookup that gives only ``(ancestor,
-    values)`` has its steps derived here, checked (:func:`route_steps`).
+    ancestor of ``target`` — ``(ancestor, values, steps)``, the steps its
+    :func:`~repro.core.kernels.canonical_steps` (:meth:`repro.core.
+    range_query.RangeQueryEngine.warm_route`) — or ``None``.
     ``price(target)`` is the stored route's Procedure 3 cost (``inf`` when
     storage cannot produce it).  Aggregating the ancestor down costs
     ``Vol(ancestor) - Vol(target)`` (Eq 28); a tie keeps the stored route.
@@ -126,8 +95,6 @@ def warm_routes(targets, warm, price) -> dict:
             route = warm(target)
             if route is None or route[0].volume - target.volume >= cost:
                 continue
-            if len(route) == 2:
-                route = (*route, route_steps(route[0], target))
             chosen[target] = route
     return chosen
 
@@ -155,7 +122,8 @@ def compute_element(
 ) -> np.ndarray:
     """Materialize ``element`` directly from the cube's data.
 
-    Runs the defining operator cascade; costs
+    Runs the defining operator cascade as one fused kernel (bit-identical
+    to the per-step operators; see :mod:`repro.core.kernels`); costs
     ``Vol(A) - Vol(element)`` operations.
     """
     cube_values = np.asarray(cube_values, dtype=np.float64)
@@ -164,7 +132,8 @@ def compute_element(
             f"cube data shape {cube_values.shape} does not match "
             f"element shape {element.shape.sizes}"
         )
-    return _descend(cube_values, element.shape.root(), element, counter)
+    steps = canonical_steps(element.shape.root(), element)
+    return fused_cascade(cube_values, steps, counter=counter)
 
 
 class MaterializedSet:
@@ -210,6 +179,10 @@ class MaterializedSet:
         #: the surviving set is complete).
         self._checksums: dict[ElementId, int] = {}
         self._verified: set[ElementId] = set()
+        #: The verified arrays of stored pure partial sums, by slot
+        #: (:attr:`ElementId.slot`): ``_verified`` as a range read looks it
+        #: up, with no element hashed.
+        self.verified: dict[int, np.ndarray] = {}
         #: Whether some element may await verification: set by every
         #: (re)seal, so a pass with nothing to check reads one flag.
         self._unverified = False
@@ -279,7 +252,8 @@ class MaterializedSet:
             ]
             if candidates:
                 source, source_values = min(candidates, key=lambda sv: sv[0].volume)
-            values = _descend(source_values, source, element, counter)
+            steps = canonical_steps(source, element)
+            values = fused_cascade(source_values, steps, counter=counter)
             if values is source_values:
                 # Zero-step descent aliases the source; stored arrays must
                 # be owned so apply_updates never mutates caller data.
@@ -320,8 +294,13 @@ class MaterializedSet:
         """
         with self._integrity_lock:
             self._checksums[element] = element_checksum(self._arrays[element])
-            self._verified.discard(element)
+            self._unverify(element)
             self._unverified = True
+
+    def _unverify(self, element: ElementId) -> None:
+        """Forget that ``element`` was verified (integrity lock held)."""
+        self._verified.discard(element)
+        self.verified.pop(element.slot, None)
 
     def checksum(self, element: ElementId) -> int:
         """The stored seal of ``element`` (KeyError when absent)."""
@@ -351,7 +330,7 @@ class MaterializedSet:
             self.slabs.dropped(BATCH_UPDATE)
             self._views.pop(element, None)
             self._checksums.pop(element, None)
-            self._verified.discard(element)
+            self._unverify(element)
             self._quarantined[element] = reason
             self._plan_cache.clear()
             self._cost_memo.clear()
@@ -403,6 +382,8 @@ class MaterializedSet:
                     continue
                 if crc == expected:
                     self._verified.add(element)
+                    if element.slot is not None:
+                        self.verified[element.slot] = values
                 else:
                     damaged.append(element)
         for element in damaged:
@@ -435,6 +416,7 @@ class MaterializedSet:
             self._views[element] = view
             if self._arrays.get(element) is not None:
                 self.slabs.dropped(BATCH_UPDATE)
+                self.verified.pop(element.slot, None)
             self._arrays[element] = values
             self.slabs.join(BATCH_UPDATE, [(element, values)])
 
@@ -506,6 +488,8 @@ class MaterializedSet:
                 raise KeyError(element)
             with self._integrity_lock:
                 self._verified.add(element)
+                if element.slot is not None and self._arrays.get(element) is values:
+                    self.verified[element.slot] = values
         return values
 
     # ------------------------------------------------------------------
@@ -684,6 +668,7 @@ class MaterializedSet:
                 if self._arrays.get(element) is values:
                     self._checksums[element] = crc
                     self._verified.discard(element)
+                    self.verified.pop(element.slot, None)
                     self._unverified = True
 
     def reconstruct_cube(self, counter: OpCounter | None = None) -> np.ndarray:

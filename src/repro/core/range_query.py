@@ -31,8 +31,6 @@ from dataclasses import dataclass
 import itertools
 import math
 import weakref
-from itertools import repeat
-from operator import is_not
 from types import SimpleNamespace
 
 import numpy as np
@@ -142,30 +140,38 @@ class RangeQueryEngine:
         an owner passes its own (a server passes its retrying, degrading
         one)."""
         self.materialized = materialized
+        #: Shape of the cube the engine answers over.
+        self.shape: CubeShape = materialized.shape
         self._assemble = (
             materialized.assemble_batch if assemble is None else assemble
         )
         #: The intermediates this engine assembled; every burst patches
         #: them (:meth:`apply_updates`).
         self._cache: dict[ElementId, np.ndarray] = {}
-        #: What the engine serves warm: ``_cache``, and the arrays storage
-        #: handed it by reference, read-only — the base cube, as a sharded
-        #: set's root or as the degraded root.  Their owner keeps those
-        #: current (a sharded set's ``apply_updates`` patches its base cube,
-        #: a server with one set patches its own), so the engine holds them
-        #: without a copy and never patches them.
-        self._held: dict[ElementId, np.ndarray] = {}
-        #: The same arrays keyed by level vector (every one is a pure
-        #: partial sum), so :meth:`range_sum` finds them without resolving
-        #: or hashing an element per level combination.
-        self._by_levels: dict[tuple[int, ...], np.ndarray] = {}
-        #: :meth:`warm_route`'s answer per target — its smallest warm
-        #: ancestor and the compiled steps down from it, or ``None`` —
-        #: replaced (not cleared, so a lookup racing the change writes into
-        #: the old one) whenever ``_held`` gains or loses an entry.  Keyed
-        #: by target element, so bounded by ``N_ve`` — ``N_iv`` (Eq 19) for
-        #: the pure targets serving asks for.
-        self._ancestors: dict[ElementId, tuple | None] = {}
+        #: The warm table, by slot (:attr:`ElementId.slot`): what the
+        #: engine holds for each pure partial sum — one it assembled
+        #: (``_cache``), or an array storage handed it by reference,
+        #: read-only: the base cube, as a sharded set's root or as the
+        #: degraded root, which its owner keeps current (a sharded set's
+        #: ``apply_updates`` patches its base cube, a server with one set
+        #: patches its own), so the engine never patches it — else
+        #: ``None``.
+        self.held: list = [None] * self.shape.num_intermediate_elements()
+        #: ``slot -> (values, weight)`` or ``None``: the other half of the
+        #: table, the answers of the result cache a server registers here
+        #: (:attr:`~repro.obs.cache.LRUCache.peek`; none on a bare engine).
+        #: Warm routes read them, which refreshes no recency and counts no
+        #: hit or miss.  A range read does not read one in place: what it
+        #: lacks it assembles — derived from the smallest warm ancestor —
+        #: and holds, so views of that level vector stay engine hits.
+        self.cached = {}.get
+        #: The stored arrays of pure partial sums that passed first-use
+        #: verification, by slot (:attr:`MaterializedSet.verified`): a
+        #: range read finds them with no element resolved.
+        self._stored = getattr(materialized, "verified", {}).get
+        #: The canonical steps of each ``(ancestor slot, target nodes)``
+        #: pair a warm route took, compiled once.
+        self._steps: dict[tuple, tuple] = {}
         #: Where the assembled intermediates are repaired (a server packs
         #: its result cache's answers here too): the store of the set this
         #: engine is built over — so one scatter repairs stored and warm
@@ -185,29 +191,6 @@ class RangeQueryEngine:
         #: ``(registry, handles)`` of :meth:`_bound_metrics`.
         self._metrics: tuple | None = None
 
-    @property
-    def shape(self) -> CubeShape:
-        """Shape of the cube the engine answers over."""
-        return self.materialized.shape
-
-    def warm(self, elements) -> list[np.ndarray | None]:
-        """Per element, the intermediate this engine holds for it — one it
-        assembled, or the base cube it was handed by reference — or
-        ``None``.
-
-        A roll-up or aggregated view *is* the range intermediate of its
-        level vector (range extraction commutes with ``P1``, PAPER §6), so
-        a caller serving an element may hand this array out as it is:
-        every burst repairs it in place (:meth:`apply_updates`, or the
-        server's patch of the cube), and it is read-only.  The arrays
-        found are counted once per call.
-        """
-        found = list(map(self._held.get, elements))
-        served = sum(map(is_not, found, repeat(None)))
-        if served:
-            self._bound_metrics().served.inc(served)
-        return found
-
     def warm_route(
         self, target: ElementId
     ) -> tuple[ElementId, np.ndarray, tuple] | None:
@@ -215,45 +198,34 @@ class RangeQueryEngine:
         ``(ancestor, values, steps)``, or ``None`` when nothing warm
         contains ``target``.
 
-        Every warm array is a pure partial sum, of ``Vol(A) / 2^Σlevels``
-        cells, so the smallest ancestor is the one with the largest level
-        sum; aggregating it down to ``target`` — the canonical ``steps``
-        (:func:`~repro.core.kernels.canonical_steps`) as one fused cascade
-        — costs ``Vol(ancestor) - Vol(target)`` (Procedure 3's aggregation
+        Warm are the arrays of the warm table — what the engine holds and
+        the result cache's answers — all pure partial sums, so the
+        ancestors to try are the slots of :meth:`CubeShape.warm_order`:
+        smallest volume first, equal volumes by ascending slot, whatever
+        order the table filled in.  Aggregating the first warm one down to
+        ``target`` — the canonical ``steps`` (:func:`~repro.core.kernels.
+        canonical_steps`, compiled once per pair) as one fused cascade —
+        costs ``Vol(ancestor) - Vol(target)`` (Procedure 3's aggregation
         option, Eq 28, over warm arrays instead of stored ones — SUM is
-        distributive).  Ancestor and steps are found and compiled once per
-        target, until the warm set changes.  The assembly entry points
-        take this method as their ``warm=`` source
+        distributive).  Reading a cached answer here touches neither its
+        recency nor the cache's counters.  The assembly entry points take
+        this method as their ``warm=`` source
         (:func:`~repro.core.materialize.warm_routes`).
         """
-        memo = self._ancestors
-        route = memo.get(target, memo)
-        if route is memo:
-            ancestor = None
-            for element in tuple(self._held):
-                if (
-                    (ancestor is None or element.volume < ancestor.volume)
-                    and element.contains(target)
-                    and element != target
-                ):
-                    ancestor = element
-            route = memo[target] = (
-                None
-                if ancestor is None
-                else (ancestor, canonical_steps(ancestor, target))
-            )
-        if route is None:
-            return None
-        values = self._held.get(route[0])
-        return None if values is None else (route[0], values, route[1])
-
-    def warm_ancestor(
-        self, target: ElementId
-    ) -> tuple[ElementId, np.ndarray] | None:
-        """The smallest warm proper ancestor of ``target`` and its array
-        (:meth:`warm_route` without its steps), or ``None``."""
-        route = self.warm_route(target)
-        return None if route is None else route[:2]
+        held, peek = self.held, self.cached
+        for ancestor in self.shape.warm_order(target):
+            values = held[ancestor.slot]
+            if values is None:
+                entry = peek(ancestor.slot)
+                if entry is None:
+                    continue
+                values = entry[0]
+            key = (ancestor.slot, target.nodes)
+            steps = self._steps.get(key)
+            if steps is None:
+                steps = self._steps[key] = canonical_steps(ancestor, target)
+            return ancestor, values, steps
+        return None
 
     def invalidate(self) -> None:
         """Drop on-demand assembled intermediates (after data updates).
@@ -267,9 +239,7 @@ class RangeQueryEngine:
         if self._cache:
             self.slabs.dropped(RANGE_PATCH)
         self._cache.clear()
-        self._held.clear()
-        self._by_levels.clear()
-        self._ancestors = {}
+        self.held[:] = [None] * len(self.held)
 
     def join_slabs(self) -> None:
         """Join the intermediates assembled before this engine's first
@@ -415,10 +385,6 @@ class RangeQueryEngine:
                     "on-demand assembled intermediates repaired in place by "
                     "deltas",
                 ),
-                served=counter(
-                    "range_intermediate_served_total",
-                    "roll-ups and views served as an assembled intermediate",
-                ),
             )
             bound = self._metrics = (registry, handles)
         return bound[1]
@@ -468,11 +434,8 @@ class RangeQueryEngine:
                 self._hold(element, values)
 
     def _hold(self, element: ElementId, values: np.ndarray) -> None:
-        """Serve ``values`` warm for ``element`` and read them by level
-        vector from now on."""
-        self._held[element] = values
-        self._by_levels[tuple(k for k, _ in element.nodes)] = values
-        self._ancestors = {}
+        """Serve ``values`` warm for pure ``element`` from now on."""
+        self.held[element.slot] = values
 
     def prefetch(
         self,
@@ -506,7 +469,7 @@ class RangeQueryEngine:
                 element
                 for element in map(self.shape.intermediate, sorted(needed))
                 if element not in self.materialized
-                and element not in self._held
+                and self.held[element.slot] is None
             ]
             if missing:
                 self._assemble_missing(
@@ -541,15 +504,16 @@ class RangeQueryEngine:
         dimension the dyadic blocks are grouped by level (at most two
         cells each), and every combination of levels names one
         intermediate element (:meth:`CubeShape.intermediate`), looked up
-        once — assembled earlier (found by its level vector: the engine
-        only assembles what storage lacks), else stored (verified on first
-        use; a quarantined one falls through), else assembled now, all
-        missing ones as one shared-plan batch — before its ``<= 2**d``
-        cells are read.  Cells are added in a fixed order: level
-        combinations in ascending lexicographic order, last dimension
-        fastest, and within one intermediate its cells in ascending index
-        order, last dimension fastest.  (Sums of integer-valued cubes do
-        not depend on the order; float cubes get one documented order.)
+        once — held by the engine (found by slot in the warm table: the
+        engine only assembles what storage lacks), else stored (verified
+        on first use, then found by slot too; a quarantined one falls
+        through), else assembled now, all missing ones as one shared-plan
+        batch — before its ``<= 2**d`` cells are read.  Cells
+        are added in a fixed order, from ``0.0``: level combinations in
+        ascending lexicographic order, last dimension fastest, and within
+        one intermediate its cells in ascending index order, last dimension
+        fastest.  (Sums of integer-valued cubes do not depend on the
+        order; float cubes get one documented order.)
 
         Every answer is the sum over one state of the cube: a burst that
         begins while the query reads (the slab sequence moved —
@@ -563,34 +527,40 @@ class RangeQueryEngine:
 
         own_counter = OpCounter()
         materialized = self.materialized
-        intermediate = self.shape.intermediate
-        slabs = self.slabs
+        element_at = self.shape.intermediate_at
+        slabs, held, stored = self.slabs, self.held, self._stored
         metrics = self._bound_metrics()
         # Per level combination (lexicographic, last dimension fastest)
-        # its level vector and its per-dimension cell indices: the cells
-        # read are their product.
-        levels = [[k for k, _ in dim] for dim in groups]
+        # its slot and its per-dimension cell indices: the cells read are
+        # their product.
+        slots = [0]
+        for dim, stride in zip(groups, self.shape.strides):
+            slots = [slot + k * stride for slot in slots for k, _ in dim]
         indices = [[ix for _, ix in dim] for dim in groups]
-        combos = list(itertools.product(*levels))
         blocks = list(itertools.product(*indices))
         cells = math.prod([sum(map(len, ix)) for ix in indices])
         while True:
             mark = slabs.sequence
-            # ``values`` per level combination.  What the engine holds is
-            # found by level vector, with no element resolved (it only ever
-            # assembles what storage lacks); every other combination
-            # resolves its element once — stored, else missing.  Stored
-            # arrays are looked up per query, so updates, invalidation and
-            # quarantine need no bookkeeping here — except one handed out
-            # by reference, read-only: the base cube, which stays exact
-            # whatever becomes of the set, so the engine holds it.
-            reads = list(map(self._by_levels.get, combos))
+            # ``values`` per level combination.  What the engine holds, and
+            # a verified stored array, is found by slot, with no element
+            # resolved (the engine only assembles what storage lacks);
+            # every other combination resolves its element once — stored,
+            # else missing.  Stored arrays are looked up per query, so
+            # updates, invalidation and quarantine need no bookkeeping
+            # here — except one handed out by reference, read-only: the
+            # base cube, which stays exact whatever becomes of the set, so
+            # the engine holds it.
+            reads = list(map(held.__getitem__, slots))
             missing: dict[int, ElementId] = {}
             stored_cells = 0
             for i, values in enumerate(reads):
                 if values is not None:
                     continue
-                element = intermediate(combos[i])
+                values = reads[i] = stored(slots[i])
+                if values is not None:
+                    stored_cells += math.prod(map(len, blocks[i]))
+                    continue
+                element = element_at(slots[i])
                 if element in materialized:
                     try:
                         values = reads[i] = materialized.array(element)

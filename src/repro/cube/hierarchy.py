@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -165,10 +166,12 @@ def view_elements(cube: DataCube, requests) -> list[ElementId]:
     tables are read once per call, not once per request.  A bare name
     (``"d0"``), a request that is not a collection, and an unknown or
     unhashable name are each an :class:`~repro.errors.InvalidQueryError`.
-    Each result is the shape's one interned object for its level vector.
+    Each result is the shape's one interned object for its level vector,
+    found by slot.
     """
     shape = cube.shape_id
     axes, interned = cube.dimensions.axes, shape.intermediate
+    by_slot, strides = shape.by_slot, shape.strides
     depths = list(shape.depths)
     elements = []
     for retained_dims in requests:
@@ -189,7 +192,8 @@ def view_elements(cube: DataCube, requests) -> list[ElementId]:
                 unknown.append(name)
         if unknown:
             raise _unknown_dimensions(unknown)
-        elements.append(interned(levels))
+        slot = sum(map(mul, levels, strides))
+        elements.append(by_slot.get(slot) or interned(levels))
     return elements
 
 
@@ -207,11 +211,12 @@ def rollup_elements(cube: DataCube, requests) -> list[ElementId]:
     ``[("d0", 1)]``), an unknown or unhashable dimension name, an unknown
     level name, and a named level on a dimension with no hierarchy.  Each
     result is the shape's one interned object for its level vector
-    (:meth:`CubeShape.intermediate`).
+    (:meth:`CubeShape.intermediate`), found by slot.
     """
     dims = cube.dimensions
     shape = cube.shape_id
     axes, depths, interned = dims.axes, shape.depths, shape.intermediate
+    by_slot, strides = shape.by_slot, shape.strides
     zeros = [0] * len(depths)
     elements = []
     for levels in requests:
@@ -251,7 +256,8 @@ def rollup_elements(cube: DataCube, requests) -> list[ElementId]:
             resolved[axis] = k
         if unknown:
             raise _unknown_dimensions(unknown)
-        elements.append(interned(resolved))
+        slot = sum(map(mul, resolved, strides))
+        elements.append(by_slot.get(slot) or interned(resolved))
     return elements
 
 

@@ -50,7 +50,8 @@ class LRUCache:
     share one cache; racing writers at worst recompute a value, never
     corrupt the recency order or the weight accounting.  A reader probes
     several keys at once (:meth:`get_many`): one lock hold, and one hits
-    and one misses increment per call.
+    and one misses increment per call.  A server keys its result cache by
+    level-vector slot (:attr:`~repro.core.element.ElementId.slot`).
     """
 
     #: Called, under the cache's lock, whenever a value leaves the cache —
@@ -74,6 +75,10 @@ class LRUCache:
         self._weigh = weigh or (lambda _value: 1.0)
         #: ``key -> (value, weight)``, least recently used first.
         self._entries: OrderedDict[Any, tuple[Any, float]] = OrderedDict()
+        #: ``peek(key)``: the ``(value, weight)`` entry of ``key`` or
+        #: ``None``, read as it is — no recency refreshed, nothing counted,
+        #: no lock (one dict read).
+        self.peek = self._entries.get
         self._weight = 0.0
         registry = registry if registry is not None else current_registry()
         self.name = name

@@ -80,6 +80,10 @@ def declare_metrics(registry) -> SimpleNamespace:
             "server_cache_bypass_total",
             "cache lookups degraded to a recompute by a cache fault",
         ),
+        warm_reads=counter(
+            "range_intermediate_served_total",
+            "roll-ups and views served as an assembled intermediate",
+        ).labels(),
         quarantined=gauge(
             "server_quarantined_elements",
             "stored elements currently quarantined by integrity checks",

@@ -244,20 +244,17 @@ class OLAPServer:
 
     def _publish(self, materialized, epoch: int) -> _ServingState:
         """Build the serving state around ``materialized`` (fresh range
-        engine, empty result cache, the engine's empty slabs shared with
-        the cache — in use from the start once this server has ingested)
-        and publish it, with its epoch gauge, in one reference
-        assignment.  The set already serving keeps its warm engine and cache.
+        engine, empty result cache registered in the engine's warm table,
+        the engine's empty slabs shared with the cache — in use from the
+        start once this server has ingested) and publish it, with its epoch
+        gauge, in one reference assignment.  The set already serving keeps
+        its warm engine and cache.
         """
         previous = getattr(self, "_state", None)
         if previous is not None and previous.materialized is materialized:
             self._state = state = replace(previous, epoch=epoch)
             self._m.epoch.set(epoch)
             return state
-        engine = RangeQueryEngine(
-            materialized,
-            assemble=partial(assemble_resilient, self, materialized),
-        )
         cache = LRUCache(
             max_entries=self._cache_entries,
             max_weight=self._cache_cells,
@@ -265,12 +262,14 @@ class OLAPServer:
             registry=self.metrics,
             name="view_cache",
         )
+        engine = RangeQueryEngine(
+            materialized, partial(assemble_resilient, self, materialized)
+        )
+        engine.cached = cache.peek
         slabs = engine.slabs
         if previous is not None:
             slabs.active = previous.range_engine.slabs.active
-        slabs.own(
-            CACHE_PATCH, lambda: set(map(id, map(itemgetter(1), cache.items())))
-        )
+        slabs.own(CACHE_PATCH, lambda: set(map(id, map(itemgetter(1), cache.items()))))
         cache.on_drop = partial(slabs.dropped, CACHE_PATCH)
         self._state = state = _ServingState(materialized, engine, epoch, cache)
         self._m.epoch.set(epoch)
@@ -434,14 +433,16 @@ class OLAPServer:
 
     def _cache_get(self, state: _ServingState, elements) -> tuple[list, list]:
         """Per element, its warm answer or ``None``, and the positions of
-        those with none, ascending: the range engine's intermediate (a
-        roll-up or view is one, PAPER §6), never cached twice; else the
-        result cache's, one probe for all.  While a fault injector is active
-        each of those first visits the ``server.cache_lookup`` site, where a
-        fault degrades its lookup to a miss.  Each state has its own cache,
-        keyed by element (the fault site sees the epoch)."""
-        answers = state.range_engine.warm(elements)
+        those with none, ascending, read by slot: the range engine's
+        intermediate (a roll-up or view is one, PAPER §6), never cached
+        twice; else the result cache's, one probe for all.  While a fault
+        injector is active each of those first visits the
+        ``server.cache_lookup`` site (keyed by element and epoch), where a
+        fault degrades its lookup to a miss."""
+        answers = [state.range_engine.held[e.slot] for e in elements]
         cold = list(compress(count(), map(is_, answers, repeat(None))))
+        if len(cold) < len(answers):
+            self._m.warm_reads.inc(len(answers) - len(cold))
         missing = []
         if cold and _ACTIVE_INJECTOR.get() is not None:
             probed = []
@@ -454,7 +455,7 @@ class OLAPServer:
                     missing.append(i)
             cold = probed
         if cold:
-            found = state.cache.get_many(map(elements.__getitem__, cold))
+            found = state.cache.get_many([elements[i].slot for i in cold])
             for i, values in zip(cold, found):
                 answers[i] = values
                 if values is None:
@@ -492,7 +493,7 @@ class OLAPServer:
                     values.flags.writeable = False
                     assembled[element] = values
                 if settled:
-                    state.cache.put(element, values)
+                    state.cache.put(element.slot, values)
             if settled and adopt:
                 # Drop the slots of what the puts evicted, if any: slab
                 # memory stays bounded by the live set.
@@ -825,11 +826,10 @@ class OLAPServer:
                     storage = self._storage_ids(state)
                     with slabs.lock:
                         engine.join_slabs()
-                        cached = state.cache.items()
-                        slabs.join(
-                            CACHE_PATCH,
-                            [(k, v) for k, v in cached if id(v) not in storage],
-                        )
+                        slabs.join(CACHE_PATCH, [
+                            (self.shape.intermediate_at(slot), v)
+                            for slot, v in state.cache.items() if id(v) not in storage
+                        ])
                 except Exception:
                     cleared = self._go_cold(state)
             state.materialized.apply_updates(batch, counter=counter)

@@ -23,7 +23,10 @@ forms the paper states live here, and only here, as oracles:
   (:meth:`~repro.cube.dimensions.DimensionSet.axis_of`), the aggregated
   view's set walk and :func:`~repro.core.element.as_index`, which the
   table resolvers of :mod:`repro.cube.hierarchy` must match: the same
-  interned element, or the same refusal.
+  interned element, or the same refusal;
+- :func:`smallest_warm_ancestor_explicit` — the containment scan over
+  every warm array that :meth:`repro.core.range_query.RangeQueryEngine.
+  warm_route`'s walk over ancestor slots must match.
 """
 
 from __future__ import annotations
@@ -398,3 +401,22 @@ def resolve_rollup_explicit(cube, levels) -> ElementId:
     if unknown:
         raise _unknown(unknown)
     return cube.shape_id.intermediate(tuple(resolved))
+
+
+def smallest_warm_ancestor_explicit(
+    target: ElementId, held: Mapping, cached: Mapping
+):
+    """The warm proper ancestor a miss of ``target`` derives from, by scan:
+    every element of ``held`` (the range engine's) and ``cached`` (the
+    result cache's), each ``{element: values}``, that contains ``target``
+    and is not ``target``; the smallest volume wins, and equal volumes go
+    to the lower slot (a held array before a cached one of the same slot).
+    ``(ancestor, values)``, or ``None`` when nothing warm contains it."""
+    best = None
+    for element, values in [*held.items(), *cached.items()]:
+        if element == target or not element.contains(target):
+            continue
+        rank = (element.volume, element.slot)
+        if best is None or rank < best[0]:
+            best = (rank, element, values)
+    return None if best is None else best[1:]

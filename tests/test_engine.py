@@ -160,6 +160,17 @@ class TestGreedyAgreement:
         )
         assert all(s.storage <= budget for s in result.stages)
 
+    def test_a_budget_just_below_a_storage_is_not_reached(self):
+        """Storage is a sum of integer volumes: a budget a rounding error
+        below 3 cells cannot hold the root and a 1-cell view (3 cells)."""
+        shape = CubeShape((2,))
+        population = QueryPopulation.from_pairs(
+            [(shape.aggregated_view([0]), 0.575), (shape.root(), 0.425)]
+        )
+        args = ([shape.root()], population, 2.999999999999999)
+        assert greedy_redundant_selection(*args).selected == (shape.root(),)
+        assert greedy_explicit(*args).selected == (shape.root(),)
+
     def test_remove_obsolete_matches_reference(self):
         shape = CubeShape((2, 2))
         view = shape.aggregated_view([0])

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.core.delta import DeltaBatch
 from repro.core.element import CubeShape, ElementId
+from repro.core.kernels import canonical_steps
 from repro.core.materialize import MaterializedSet
 from repro.core.operators import OpCounter
 from repro.core.population import QueryPopulation
@@ -223,15 +224,19 @@ def reference_range_sum(engine, ranges, tally):
     counts as a cache hit, so ``stored + cache_hits == cells_read`` holds
     on every query (it used to be counted as the assembly alone).  A
     missing intermediate may be aggregated from the smallest one already
-    cached that contains it, where that is cheaper than storage."""
+    cached that contains it (equal volumes: the lower slot), where that is
+    cheaper than storage."""
     ms, cache, shape = engine.materialized, engine._cache, engine.shape
+
+    def slot(element):
+        return shape.intermediate([k for k, _ in element.nodes]).slot
 
     def warm(target):
         ancestors = [e for e in cache if e != target and e.contains(target)]
         if not ancestors:
             return None
-        ancestor = min(ancestors, key=lambda e: e.volume)
-        return ancestor, cache[ancestor]
+        ancestor = min(ancestors, key=lambda e: (e.volume, slot(e)))
+        return ancestor, cache[ancestor], canonical_steps(ancestor, target)
 
     per_dim = [
         dyadic_decomposition(lo, hi, n) for (lo, hi), n in zip(ranges, shape.sizes)
@@ -439,3 +444,42 @@ class TestBoundsAreExactIntegers:
                 assert all(1 <= len(ix) <= 2 and list(ix) == sorted(ix) for _, ix in groups)
                 flat = sorted((i << k, k, i) for k, ix in groups for i in ix)
                 assert [(k, i) for _, k, i in flat] == dyadic_decomposition(lo, hi, 16)
+
+
+class TestTheFloatSummationOrder:
+    """``range_sum`` adds its cells in one documented order, starting from
+    ``0.0``: level combinations lexicographic (last dimension fastest),
+    and within one intermediate its cells ascending, last dimension
+    fastest.  On a float cube the order decides the answer's bits, so this
+    pins it exactly: reading the arrays by slot must not reassociate it."""
+
+    SIZES = (16, 8, 4)
+    RANGES = [
+        ((1, 15), (1, 7), (1, 3)),
+        ((3, 16), (0, 5), (1, 4)),
+        ((0, 16), (2, 8), (0, 3)),
+        ((5, 6), (0, 8), (0, 4)),
+    ]
+
+    @pytest.mark.parametrize("kind", ["pyramid", "assembled"])
+    def test_exactly_the_documented_loop(self, kind):
+        shape = CubeShape(self.SIZES)
+        data = np.random.default_rng(3).standard_normal(self.SIZES) * 1e3
+        if kind == "pyramid":
+            engine = RangeQueryEngine.with_gaussian_pyramid(data, shape)
+        else:
+            engine = RangeQueryEngine(MaterializedSet.from_cube(data, [shape.root()]))
+        ms = engine.materialized
+        for ranges in self.RANGES:
+            cold = engine.range_sum(ranges).value
+            warm = engine.range_sum(ranges).value
+            groups = [
+                dyadic_levels(lo, hi, n) for (lo, hi), n in zip(ranges, self.SIZES)
+            ]
+            expected = 0.0
+            for combo in itertools.product(*groups):
+                element = shape.intermediate([k for k, _ in combo])
+                values = ms.array(element) if element in ms else engine._cache[element]
+                for cell in itertools.product(*[cells for _, cells in combo]):
+                    expected += float(values[cell])
+            assert cold == expected and warm == expected

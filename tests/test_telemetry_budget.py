@@ -29,6 +29,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.core.element import ElementId
 from repro.obs import MetricsRegistry, Observability, SiteProfiler, Tracer
 from repro.obs import metrics as metrics_module
 from repro.obs import alerts as alerts_module
@@ -173,13 +174,29 @@ def test_warm_call_stays_inside_the_budget(name, monkeypatch):
 #: cascade, every assembly series bound per set.  (Re-deriving the steps
 #: and re-checking containment per miss, with four by-name registry
 #: lookups and an f-string label per cascade step, it was 164 calls.)
+#:
+#: Warm state is read by level-vector slot: a member's slot indexes the
+#: range engine's warm table, the result cache is keyed by slot, a request
+#: resolves through the shape's slot table, and a range read finds a
+#: verified stored array by slot too — so a warm read hashes no
+#: ``ElementId`` (``__hash__`` is a Python method: each dict probe keyed by
+#: one is a call).  A miss walks its ancestor slots, smallest first, and
+#: one whose smallest warm ancestor is a cached answer derives from it.
+#: (Keyed by element, with the engine's lookup a method of its own, it was
+#: 18 / 36 / 36 / 32 / 63 / 79 calls, with 2 / 15 / 15 / 3 / 8 / 18 of
+#: them hashes.)
 HIT_PATH = {
-    "view": {"series writes": 1, "repro calls": 18},
-    "rollup_batch": {"series writes": 2, "repro calls": 36},
-    "query_batch": {"series writes": 2, "repro calls": 36},
-    "range_sum": {"series writes": 4, "repro calls": 32},
-    "update_many": {"series writes": 5, "repro calls": 63},
-    "derived_miss": {"series writes": 7, "repro calls": 79},
+    "view": {"series writes": 1, "repro calls": 14, "ElementId hashes": 0},
+    "rollup_batch": {"series writes": 2, "repro calls": 15, "ElementId hashes": 0},
+    "query_batch": {"series writes": 2, "repro calls": 15, "ElementId hashes": 0},
+    "range_sum": {"series writes": 4, "repro calls": 24, "ElementId hashes": 0},
+    "update_many": {"series writes": 5, "repro calls": 63, "ElementId hashes": 8},
+    "derived_miss": {"series writes": 7, "repro calls": 62, "ElementId hashes": 8},
+    "cached_ancestor_miss": {
+        "series writes": 5,
+        "repro calls": 60,
+        "ElementId hashes": 8,
+    },
 }
 BURST = ([[1, 2, 3], [15, 0, 1], [1, 2, 3], [7, 7, 0]], [2.0, -1.0, 3.0, 5.0])
 #: Four aligned one-block ranges: their level combinations (1, 0, 0),
@@ -208,6 +225,18 @@ def _derived_miss(server: OLAPServer) -> None:
     server.rollup_batch(DERIVED)
 
 
+def _cached_ancestor_miss(server: OLAPServer) -> None:
+    server.rollup({"d0": 3, "d1": 2})
+
+
+def _cache_the_ancestor(server: OLAPServer) -> None:
+    """Drop the result cache, then cache levels (2, 1, 0) — derived from
+    the engine's (1, 0, 0) — so that the counted roll-up to (3, 2, 0)
+    misses, and its smallest warm ancestor is the cached answer."""
+    server._state.cache.clear()
+    server.rollup({"d0": 2, "d1": 1})
+
+
 #: Per row: the counted call, what runs once before its warm-up, and what
 #: runs uncounted before every call.
 ROWS = {
@@ -220,6 +249,11 @@ ROWS = {
         _derived_miss,
         lambda server: [server.range_sum(r) for r in WARM_RANGES],
         lambda server: server._state.cache.clear(),
+    ),
+    "cached_ancestor_miss": (
+        _cached_ancestor_miss,
+        lambda server: server.range_sum(WARM_RANGES[0]),
+        _cache_the_ancestor,
     ),
 }
 REPRO = str(Path(repro.__file__).parent)
@@ -249,6 +283,7 @@ def test_warm_call_writes_and_calls_stay_inside_the_budget(name, monkeypatch):
     # Calls are counted inside the package only: the standard library's
     # own Python frames differ between the supported interpreters.
     entered = []
+    hashes = []
 
     def profile(frame, event, arg):
         code = frame.f_code
@@ -258,15 +293,19 @@ def test_warm_call_writes_and_calls_stay_inside_the_budget(name, monkeypatch):
             and code.co_name not in COMPREHENSIONS
         ):
             entered.append(code.co_name)
+            if code is ElementId.__hash__.__code__:
+                hashes.append(frame.f_back.f_code.co_name)
 
     sys.setprofile(profile)
     try:
         call(server)
     finally:
         sys.setprofile(None)
-    assert {"series writes": writes, "repro calls": len(entered)} == (
-        HIT_PATH[name]
-    ), entered
+    assert {
+        "series writes": writes,
+        "repro calls": len(entered),
+        "ElementId hashes": len(hashes),
+    } == HIT_PATH[name], (entered, hashes)
     server.close()
 
 

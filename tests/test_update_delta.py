@@ -656,7 +656,10 @@ class TestBurstLeavesEverythingExact:
         storage = {id(server.cube.values)} | {
             id(a) for a in state.materialized.array_refs().values()
         }
-        cached = {key: state.cache.get(key) for key in state.cache.keys()}
+        cached = {
+            server.shape.intermediate_at(slot): state.cache.get(slot)
+            for slot in state.cache.keys()
+        }
         expected = {
             "cache patch": n
             * sum(id(values) not in storage for values in cached.values()),

@@ -10,13 +10,17 @@ monolithic and on a sharded set alike.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import materialize
 from repro.core.element import CubeShape
+from repro.core.kernels import canonical_steps
 from repro.core.materialize import MaterializedSet, compute_element
 from repro.core.range_query import RangeQueryEngine
 from repro.errors import IncompleteSetError, QueryTimeout
@@ -25,6 +29,7 @@ from repro.resilience import FaultInjector, FaultRule
 from repro.server import OLAPServer
 from repro.shard.partition import CubePartition
 from repro.shard.sets import ShardedSet
+from .oracles import smallest_warm_ancestor_explicit
 
 SIZES = (16, 8, 4)
 #: One aligned block of 2 x 1 x 1 cells: level combination (1, 0, 0).
@@ -78,24 +83,26 @@ SHARDS = pytest.mark.parametrize("shards", [1, 2], ids=["1 shard", "2 shards"])
 
 
 class TestTheLookup:
-    def test_the_smallest_warm_ancestor_and_its_memo(self, cube_3d, shape_3d):
+    def test_the_smallest_warm_ancestor_and_its_steps(self, cube_3d, shape_3d):
         engine = RangeQueryEngine(
             MaterializedSet.from_cube(cube_3d, [shape_3d.root()])
         )
         total = shape_3d.total_aggregation()
-        assert engine.warm_ancestor(total) is None
+        assert engine.warm_route(total) is None
         engine.range_sum(((0, 2), (0, 1), (0, 1)))  # levels (1, 0, 0)
         coarse = shape_3d.intermediate((1, 0, 0))
-        assert engine.warm_ancestor(total)[0] == coarse
-        # A new warm entry drops the memo: the smaller one wins now.
+        assert engine.warm_route(total)[0] is coarse
+        # The table is read live: the smaller one wins once it is warm.
         engine.range_sum(((0, 4), (0, 2), (0, 1)))  # levels (2, 1, 0)
         fine = shape_3d.intermediate((2, 1, 0))
-        ancestor, values = engine.warm_ancestor(total)
-        assert ancestor == fine and values is engine._cache[fine]
-        # Never the target itself, and nothing once the cache is dropped.
-        assert engine.warm_ancestor(fine)[0] == coarse
+        ancestor, values, steps = engine.warm_route(total)
+        assert ancestor is fine and values is engine._cache[fine]
+        assert steps == canonical_steps(fine, total)
+        assert engine.warm_route(total)[2] is steps  # compiled once
+        # Never the target itself, and nothing once the table is dropped.
+        assert engine.warm_route(fine)[0] is coarse
         engine.invalidate()
-        assert engine.warm_ancestor(total) is None
+        assert engine.warm_route(total) is None
 
 
 class TestDerivedFromTheSmallest:
@@ -266,8 +273,9 @@ class TestAnIncompleteSet:
         values = compute_element(cube, ancestor)
 
         def warm(target):
-            inside = target != ancestor and ancestor.contains(target)
-            return (ancestor, values) if inside else None
+            if target == ancestor or not ancestor.contains(target):
+                return None
+            return ancestor, values, canonical_steps(ancestor, target)
 
         target = shape.intermediate((4, 3, 0))
         if shards == 1:
@@ -309,4 +317,130 @@ class TestAFloatCube:
             block = values[:, :, k].ravel()
             exact = math.fsum(block)
             assert abs(answer - exact) <= (m - 1) * u * np.abs(block).sum()
+        server.close()
+
+
+class TestTheOrderIsTheSlotOrder:
+    """Equal-volume warm ancestors are tried by ascending slot, so a derived
+    float answer does not depend on the order the warm state filled in."""
+
+    #: Aligned one-block ranges: level vectors (1, 0, 0) and (0, 1, 0),
+    #: both of half the cube's volume and both containing (1, 1, 0).
+    FIRST, SECOND = ((0, 2), (0, 1), (0, 1)), ((0, 1), (0, 2), (0, 1))
+
+    def _answer(self, order) -> np.ndarray:
+        cube = seeded_cube(4, SIZES)
+        cube.values[...] = np.random.default_rng(3).standard_normal(SIZES) * 1e3
+        server = OLAPServer(cube)
+        for ranges in order:
+            server.range_sum(ranges)
+        derived = _derived(server)
+        answer = server.rollup({"d0": 1, "d1": 1})
+        assert _derived(server) - derived == 1
+        server.close()
+        return answer
+
+    def test_either_fill_order_gives_the_same_bytes(self):
+        one = self._answer((self.FIRST, self.SECOND))
+        other = self._answer((self.SECOND, self.FIRST))
+        assert one.tobytes() == other.tobytes()
+
+    def test_the_lower_slot_wins_a_tie(self, cube_3d, shape_3d):
+        engine = RangeQueryEngine(
+            MaterializedSet.from_cube(cube_3d, [shape_3d.root()])
+        )
+        engine.range_sum(((0, 2), (0, 1), (0, 1)))  # (1, 0, 0)
+        engine.range_sum(((0, 1), (0, 2), (0, 1)))  # (0, 1, 0)
+        target = shape_3d.intermediate((1, 1, 0))
+        ancestor, _, _ = engine.warm_route(target)
+        assert ancestor is shape_3d.intermediate((0, 1, 0))
+        assert ancestor.slot < shape_3d.intermediate((1, 0, 0)).slot
+
+
+@st.composite
+def warm_states(draw):
+    """A 2-4-d shape, random held and cached subsets of its pure partial
+    sums, and a target: pure (interned or built afresh) or residual."""
+    sizes = draw(st.lists(st.sampled_from([1, 2, 4, 8]), min_size=2, max_size=4))
+    shape = CubeShape(sizes)
+    every = [
+        shape.intermediate(levels)
+        for levels in itertools.product(*[range(k + 1) for k in shape.depths])
+    ]
+    # Each pure partial sum warm with even odds, so equal-volume ancestors
+    # compete often.
+    pick = st.lists(st.booleans(), min_size=len(every), max_size=len(every))
+    held, cached = (
+        [i for i, warm in enumerate(draw(pick)) if warm] for _ in range(2)
+    )
+    nodes = []
+    for depth in shape.depths:
+        k = draw(st.integers(0, depth))
+        nodes.append((k, draw(st.integers(0, 2**k - 1))))
+    target = shape.element(nodes)
+    if target.is_intermediate and draw(st.booleans()):
+        target = shape.intermediate([k for k, _ in nodes])
+    return (
+        shape,
+        {every[i]: np.zeros(0) for i in held},
+        {every[i]: np.zeros(0) for i in cached},
+        target,
+    )
+
+
+class TestTheWalkMatchesTheScan:
+    @settings(max_examples=150)
+    @given(warm_states())
+    def test_the_same_ancestor_and_steps_as_the_oracle(self, state):
+        shape, held, cached, target = state
+        engine = RangeQueryEngine(MaterializedSet(shape))
+        for element, values in held.items():
+            engine.held[element.slot] = values
+        engine.cached = {e.slot: (v, v.size) for e, v in cached.items()}.get
+        want = smallest_warm_ancestor_explicit(target, held, cached)
+        route = engine.warm_route(target)
+        if want is None:
+            assert route is None
+            return
+        ancestor, values, steps = route
+        assert ancestor is want[0] and values is want[1]
+        assert steps == canonical_steps(ancestor, target)
+        assert engine.warm_route(target)[2] is steps
+
+
+class TestACachedAncestor:
+    """The result cache's answers are warm ancestors too: a miss whose
+    smallest one is a cached answer is one cascade down from it, and that
+    read refreshes no recency, counts no hit or miss and visits no fault
+    site."""
+
+    @SHARDS
+    def test_the_cached_answer_is_the_smallest(self, shards, monkeypatch):
+        server = OLAPServer(seeded_cube(4, SIZES), shards=shards)
+        server.range_sum(COARSE_RANGE)  # the engine holds (1, 0, 0)
+        server.rollup({"d0": 2, "d1": 1})  # the cache holds (2, 1, 0)
+        shape, state = server.shape, server._state
+        cached = shape.intermediate((2, 1, 0))
+        target = shape.intermediate((3, 2, 0))
+        assert state.range_engine.held[cached.slot] is None
+        assert cached.slot in state.cache
+        replica = Replica(server.cube.values)
+        planned = _planned(monkeypatch)
+        operations, derived = server.stats.operations, _derived(server)
+        hits = server.metrics.counter("view_cache_hits_total")
+        misses = server.metrics.counter("view_cache_misses_total")
+        counts, keys = (hits.total(), misses.total()), state.cache.keys()
+        visits = FaultInjector([], seed=1)
+
+        with visits.activate():
+            got = server.rollup(ROLLUP)
+
+        assert planned == []
+        assert server.stats.operations - operations == cached.volume - target.volume
+        assert _derived(server) - derived == 1
+        assert got.tobytes() == replica.rollup(ROLLUP).tobytes()
+        # Only the target's own miss, probe and admission.
+        assert (hits.total(), misses.total()) == (counts[0], counts[1] + 1)
+        assert state.cache.keys() == (*keys, target.slot)
+        assert visits._invocations["server.cache_lookup"] == 1
         server.close()

@@ -253,7 +253,8 @@ class TestConcurrentReadersAndBursts:
         assert not errors, errors
         assert server._state.range_engine.slabs.active
         cube = server.cube.values
-        for element, values in server._state.cache.items():
+        for slot, values in server._state.cache.items():
+            element = server.shape.intermediate_at(slot)
             assert values.tobytes() == compute_element(cube, element).tobytes()
         for element, values in server._state.range_engine._cache.items():
             assert values.tobytes() == compute_element(cube, element).tobytes()
@@ -387,7 +388,7 @@ class TestDropDrivenSweep:
         for keep in (["d1"], ["d2"], ["d1", "d2"]):
             server.view(keep)
         assert len(state.cache) == 3
-        assert view_elements(server.cube, [["d0"]])[0] not in state.cache
+        assert view_elements(server.cube, [["d0"]])[0].slot not in state.cache
         server.range_sum(((1, 15), (0, 7), (1, 3)))
         engine = state.range_engine
         dropped = list(engine._cache.values())
@@ -407,7 +408,11 @@ class TestDropDrivenSweep:
             assert array.tobytes() == bytes_before.tobytes()
         cube = server.cube.values
         storage = server._storage_ids(state)
-        live = [(e, v) for e, v in state.cache.items() if id(v) not in storage]
+        live = [
+            (server.shape.intermediate_at(slot), v)
+            for slot, v in state.cache.items()
+            if id(v) not in storage
+        ]
         live += list(engine._cache.items())
         assert patched.total() - before == len(live)
         for element, values in live:
